@@ -52,7 +52,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         ]);
     }
     shape.note(format!("n = {n} distinct labels"));
-    shape.note("PASS condition: resident <= ceiling; heap ~ 16 B/slot (2x-table open addressing); wire ~ entries x delta-varint width");
+    shape.note("PASS condition: resident <= ceiling; heap = 8 B x table_len(capacity) per trial (load < 2/3, i.e. 12-24 B per capacity entry); wire ~ entries x delta-varint width");
     shape.note("scaling shape: capacity x4 when eps halves; trials grow ~log(1/delta)");
 
     let mut vs_len = Table::new(

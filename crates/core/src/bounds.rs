@@ -14,6 +14,7 @@
 //! * Space and message size follow mechanically from the shape.
 
 use crate::params::SketchConfig;
+use crate::sampleset::FixedCapSet;
 
 /// Chebyshev bound on a single trial's failure probability
 /// `Pr[|est − F₀| > ε·F₀]`, assuming the trial settles at a level where
@@ -66,11 +67,12 @@ pub fn predicted_entry_ceiling(config: &SketchConfig) -> usize {
     config.max_sample_entries()
 }
 
-/// Predicted in-memory footprint of the sample stores, in bytes: the
-/// open-addressing table is `2c` slots rounded up to a power of two, at
-/// 8 bytes per label slot, per trial. (Payload bytes are extra.)
+/// Predicted in-memory footprint of the sample stores, in bytes: per
+/// trial, an open-addressing table of [`FixedCapSet::table_len`] slots
+/// (`⌊3c/2⌋ + 1` rounded up to a power of two, load < ⅔) at 8 bytes per
+/// label slot. (Payload bytes are extra.)
 pub fn predicted_heap_bytes(config: &SketchConfig) -> usize {
-    config.trials() * (2 * config.capacity()).next_power_of_two() * 8
+    config.trials() * FixedCapSet::table_len(config.capacity()) * 8
 }
 
 /// Predicted wire-message size in bytes for a *full* sketch over a
@@ -145,10 +147,16 @@ mod tests {
 
     #[test]
     fn heap_prediction_matches_measurement() {
-        let cfg = SketchConfig::new(0.1, 0.05).unwrap();
-        let mut s = crate::DistinctSketch::new(&cfg, 1);
-        s.extend_labels((0..50_000u64).map(gt_hash::fold61));
-        assert_eq!(s.heap_bytes(), predicted_heap_bytes(&cfg));
+        let shapes = [
+            SketchConfig::new(0.05, 0.01).unwrap(),
+            SketchConfig::new(0.1, 0.05).unwrap(),
+            SketchConfig::from_shape(0.3, 0.3, 16, 5, gt_hash::HashFamilyKind::Pairwise).unwrap(),
+        ];
+        for cfg in shapes {
+            let mut s = crate::DistinctSketch::new(&cfg, 1);
+            s.extend_labels((0..50_000u64).map(gt_hash::fold61));
+            assert_eq!(s.heap_bytes(), predicted_heap_bytes(&cfg), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! *guaranteed* never to exceed a capacity fixed at construction time
 //! (overflow triggers level promotion in the caller, never growth here).
 //! That guarantee lets the store be a single flat allocation with
-//! power-of-two sizing, ≤ 50 % load, linear probing and **no tombstones**:
-//! the only deletion operation is bulk [`FixedCapMap::retain`], which
-//! rebuilds the probe sequences in place. `std::collections::HashMap` would
+//! power-of-two sizing, load < ⅔ (see [`FixedCapMap::table_len`]), linear
+//! probing and **no tombstones**: the only deletion operation is bulk
+//! [`FixedCapMap::retain`], which rebuilds the probe sequences in place.
+//! Only labels that pass the sketch's level screen probe the table, so the
+//! longer miss chains of ⅔ load cost little next to the memory they save.
+//! `std::collections::HashMap` would
 //! carry SipHash, growth amortization and per-entry overhead the sketch
 //! neither needs nor wants (see the Rust Performance Book's guidance on
 //! replacing general-purpose containers on hot paths).
@@ -50,14 +53,24 @@ pub struct FixedCapMap<V> {
     mask: usize,
 }
 
-impl<V: Copy + Default> FixedCapMap<V> {
-    /// Create a map that holds at most `capacity ≥ 1` entries.
+impl<V> FixedCapMap<V> {
+    /// Slots in the backing table of a map holding at most `capacity`
+    /// entries: `⌊3c/2⌋ + 1` rounded up to a power of two.
     ///
-    /// The backing table is sized to `2 · capacity` rounded up to a power
-    /// of two, keeping load factor ≤ ½ so linear probe chains stay short.
+    /// The result always exceeds `capacity`, so a full map keeps at least
+    /// one empty slot — the stop condition of every probe loop — and the
+    /// load factor stays below ⅔.
+    pub fn table_len(capacity: usize) -> usize {
+        (capacity * 3 / 2 + 1).next_power_of_two()
+    }
+}
+
+impl<V: Copy + Default> FixedCapMap<V> {
+    /// Create a map that holds at most `capacity ≥ 1` entries, in a table
+    /// of [`FixedCapMap::table_len`] slots (load factor < ⅔).
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity >= 1, "capacity must be at least 1");
-        let table_len = (capacity * 2).next_power_of_two();
+        let table_len = Self::table_len(capacity);
         FixedCapMap {
             keys: vec![EMPTY; table_len],
             values: vec![V::default(); table_len],
@@ -343,11 +356,32 @@ mod tests {
     }
 
     #[test]
-    fn load_factor_is_at_most_half() {
-        for cap in [1usize, 2, 3, 7, 64, 100, 1000] {
-            let m = FixedCapSet::with_capacity(cap);
-            assert!(m.keys.len() >= 2 * cap, "cap {cap}: table {}", m.keys.len());
-            assert!(m.keys.len().is_power_of_two());
+    fn table_keeps_an_empty_slot_below_two_thirds_load() {
+        for cap in (1usize..=4096).chain([4800]) {
+            let len = FixedCapSet::table_len(cap);
+            assert!(len.is_power_of_two(), "cap {cap}: table {len}");
+            assert!(len > cap, "cap {cap}: table {len} has no empty slot");
+            assert!(3 * cap < 2 * len, "cap {cap}: table {len} over ⅔ load");
+        }
+        assert_eq!(FixedCapSet::table_len(1), 2);
+        assert_eq!(FixedCapSet::with_capacity(4800).keys.len(), 8192);
+    }
+
+    #[test]
+    fn misses_on_a_full_map_terminate() {
+        // Every probe loop stops at an empty slot; a full map must still
+        // have one, or these calls would spin forever.
+        for cap in [1usize, 2, 3, 4800] {
+            let mut m = FixedCapMap::<u64>::with_capacity(cap);
+            for k in 0..cap as u64 {
+                assert_eq!(m.try_insert(k, k), InsertOutcome::Inserted);
+            }
+            assert!(m.is_full());
+            let missing = cap as u64;
+            assert_eq!(m.get(missing), None, "cap {cap}");
+            assert!(!m.contains(missing), "cap {cap}");
+            assert!(!m.update(missing, |v| *v += 1), "cap {cap}");
+            assert_eq!(m.try_insert(missing, 0), InsertOutcome::Full, "cap {cap}");
         }
     }
 

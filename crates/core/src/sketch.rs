@@ -722,10 +722,9 @@ mod tests {
         let mut s = DistinctSketch::new(&config, 9);
         s.extend_labels(labels(200_000, 8));
         assert!(s.sample_entries() <= config.max_sample_entries());
-        // Heap bytes: trials × table(2c rounded up) × 8 bytes.
-        assert!(
-            s.heap_bytes() <= config.trials() * (2 * config.capacity()).next_power_of_two() * 8
-        );
+        // Heap bytes: trials × table slots × 8 bytes.
+        let slots = crate::sampleset::FixedCapSet::table_len(config.capacity());
+        assert!(s.heap_bytes() <= config.trials() * slots * 8);
     }
 
     #[test]

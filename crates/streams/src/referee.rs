@@ -27,6 +27,7 @@
 //! position) is merged — set-union semantics make that safe — but not
 //! re-counted; see [`Receipt::MergedVariant`].
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -342,9 +343,12 @@ pub struct RefereeOf<V: WirePayload> {
     telemetry: RefereeTelemetry,
     delta_telemetry: DeltaPlaneTelemetry,
     /// Pooled scratch sketches for [`RefereeOf::receive_batch`]: messages
-    /// decode into these in place (no per-message sketch allocation), and
-    /// the pool only ever grows to the historical maximum of accepted
-    /// messages per batch.
+    /// decode into these in place. An accepted sketch from a first-heard
+    /// party leaves the pool and becomes that party's retained summary
+    /// (moved, never cloned); one that merges into an existing summary
+    /// returns to the pool. So the pool never holds a copy of a retained
+    /// summary, and it only grows past its current size in a batch with
+    /// more accepted messages than it holds.
     decode_arena: Vec<GtSketch<V>>,
     /// Reusable decode buffers shared across the arena.
     scratch: DecodeScratch<V>,
@@ -593,8 +597,9 @@ impl<V: WirePayload> RefereeOf<V> {
     }
 
     /// Receive a whole batch of deliveries at once: fingerprint-dedup up
-    /// front, decode into the pooled arena (zero per-message sketch
-    /// allocation), tree-union the accepted sketches
+    /// front, decode into the pooled arena (a first-heard party's decoded
+    /// sketch becomes its retained summary by move), tree-union the
+    /// accepted sketches
     /// ([`gt_core::merge_tree`]), and fold the batch union into the
     /// running union with a single merge.
     ///
@@ -682,40 +687,31 @@ impl<V: WirePayload> RefereeOf<V> {
         let merged = merge_tree(&self.decode_arena[..accepted.len()])
             .and_then(|batch_union| self.union.merge_from(&batch_union));
         self.telemetry.merge_time += merge_start.elapsed();
-        match merged {
-            Ok(()) => {
-                for (k, a) in accepted.into_iter().enumerate() {
-                    absorb_party_sketch(
-                        &mut self.party_sketches,
-                        a.party_id,
-                        self.decode_arena[k].clone(),
-                    );
-                    receipts[a.receipt_index] =
-                        Ok(self.commit_accepted(a.party_id, a.fingerprint, a.bytes, a.items));
+        // Phase 3, left to right so in-batch variants reconcile payloads
+        // exactly as sequential receives do: (fallback only) merge each
+        // sketch into the union alone, then hand it to its party's
+        // retained summary — by move for a first-heard party, otherwise
+        // merged in, with the sketch returned to the arena.
+        let decoded: Vec<GtSketch<V>> = self.decode_arena.drain(..accepted.len()).collect();
+        let tree_merged = merged.is_ok();
+        for (sketch, a) in decoded.into_iter().zip(accepted) {
+            if !tree_merged {
+                let merge_start = Instant::now();
+                let merged = self.union.merge_from(&sketch);
+                self.telemetry.merge_time += merge_start.elapsed();
+                if let Err(e) = merged {
+                    let e = CodecError::from(e);
+                    self.telemetry.record_reject(&e);
+                    receipts[a.receipt_index] = Err(e);
+                    self.decode_arena.push(sketch);
+                    continue;
                 }
             }
-            Err(_) => {
-                for (k, a) in accepted.into_iter().enumerate() {
-                    let merge_start = Instant::now();
-                    let merged = self.union.merge_from(&self.decode_arena[k]);
-                    self.telemetry.merge_time += merge_start.elapsed();
-                    receipts[a.receipt_index] = match merged {
-                        Ok(()) => {
-                            absorb_party_sketch(
-                                &mut self.party_sketches,
-                                a.party_id,
-                                self.decode_arena[k].clone(),
-                            );
-                            Ok(self.commit_accepted(a.party_id, a.fingerprint, a.bytes, a.items))
-                        }
-                        Err(e) => {
-                            let e = CodecError::from(e);
-                            self.telemetry.record_reject(&e);
-                            Err(e)
-                        }
-                    };
-                }
+            if let Some(spent) = absorb_party_sketch(&mut self.party_sketches, a.party_id, sketch) {
+                self.decode_arena.push(spent);
             }
+            receipts[a.receipt_index] =
+                Ok(self.commit_accepted(a.party_id, a.fingerprint, a.bytes, a.items));
         }
         receipts
     }
@@ -802,14 +798,14 @@ impl<V: WirePayload> RefereeOf<V> {
     }
 
     /// Build the evaluation context for `exprs`, with leaves remapped
-    /// from party ids to dense operand indices. `strict` rejects unheard
-    /// referenced parties; otherwise they evaluate as empty streams
-    /// (backed by `empty`, which the caller keeps alive for the borrow).
+    /// from party ids to dense operand indices. With `empty` = `None`
+    /// (strict mode) an unheard referenced party is an error; otherwise
+    /// it evaluates as an empty stream, backed by an empty sketch built in
+    /// `empty` on first need (the caller keeps it alive for the borrow).
     fn expr_context<'s>(
         &'s self,
         exprs: &[&SetExpr],
-        empty: &'s GtSketch<V>,
-        strict: bool,
+        empty: Option<&'s OnceCell<GtSketch<V>>>,
     ) -> gt_core::Result<(ExprContext<'s, V>, Vec<SetExpr>, usize, usize)> {
         let ids = Self::referenced_parties(exprs);
         let mut heard = 0usize;
@@ -820,13 +816,17 @@ impl<V: WirePayload> RefereeOf<V> {
                     heard += 1;
                     operands.push(s);
                 }
-                None if strict => {
-                    return Err(SketchError::InvalidConfig {
-                        parameter: "expr",
-                        reason: format!("party {id} referenced but not heard"),
-                    })
-                }
-                None => operands.push(empty),
+                None => match empty {
+                    Some(cell) => operands.push(
+                        cell.get_or_init(|| GtSketch::new(self.union.config(), self.master_seed)),
+                    ),
+                    None => {
+                        return Err(SketchError::InvalidConfig {
+                            parameter: "expr",
+                            reason: format!("party {id} referenced but not heard"),
+                        })
+                    }
+                },
             }
         }
         let remap: HashMap<usize, usize> = ids
@@ -852,8 +852,7 @@ impl<V: WirePayload> RefereeOf<V> {
     /// [`SketchError::InvalidConfig`] when the expression references an
     /// unheard party or the expression is otherwise invalid.
     pub fn query(&self, expr: &SetExpr) -> gt_core::Result<ExpressionEstimate> {
-        let empty = GtSketch::new(self.union.config(), self.master_seed);
-        let (ctx, remapped, _, _) = self.expr_context(&[expr], &empty, true)?;
+        let (ctx, remapped, _, _) = self.expr_context(&[expr], None)?;
         ctx.eval(&remapped[0])
     }
 
@@ -864,8 +863,7 @@ impl<V: WirePayload> RefereeOf<V> {
     /// [`SketchError::InvalidConfig`] when either expression references
     /// an unheard party.
     pub fn query_jaccard(&self, e1: &SetExpr, e2: &SetExpr) -> gt_core::Result<JaccardEstimate> {
-        let empty = GtSketch::new(self.union.config(), self.master_seed);
-        let (ctx, remapped, _, _) = self.expr_context(&[e1, e2], &empty, true)?;
+        let (ctx, remapped, _, _) = self.expr_context(&[e1, e2], None)?;
         ctx.eval_jaccard(&remapped[0], &remapped[1])
     }
 
@@ -878,8 +876,8 @@ impl<V: WirePayload> RefereeOf<V> {
     /// [`SketchError::InvalidConfig`] for malformed expressions (coverage
     /// gaps are *not* errors here — that is the point of this entry).
     pub fn query_partial(&self, expr: &SetExpr) -> gt_core::Result<PartialExpressionEstimate> {
-        let empty = GtSketch::new(self.union.config(), self.master_seed);
-        let (ctx, remapped, heard, referenced) = self.expr_context(&[expr], &empty, false)?;
+        let empty = OnceCell::new();
+        let (ctx, remapped, heard, referenced) = self.expr_context(&[expr], Some(&empty))?;
         Ok(PartialExpressionEstimate {
             estimate: ctx.eval(&remapped[0])?,
             parties_heard: heard,
@@ -902,8 +900,8 @@ impl<V: WirePayload> RefereeOf<V> {
         e1: &SetExpr,
         e2: &SetExpr,
     ) -> gt_core::Result<PartialJaccardEstimate> {
-        let empty = GtSketch::new(self.union.config(), self.master_seed);
-        let (ctx, remapped, heard, referenced) = self.expr_context(&[e1, e2], &empty, false)?;
+        let empty = OnceCell::new();
+        let (ctx, remapped, heard, referenced) = self.expr_context(&[e1, e2], Some(&empty))?;
         Ok(PartialJaccardEstimate {
             estimate: ctx.eval_jaccard(&remapped[0], &remapped[1])?,
             parties_heard: heard,
@@ -955,21 +953,25 @@ impl RefereeOf<gt_core::LatestTs> {
 }
 
 /// Fold one accepted payload into the retained per-party summary.
-/// Variants of a party's message merge in, so the summary is the union of
-/// everything the party has been heard to say.
+/// A first-heard party keeps `sketch` itself (moved, not copied). Variants
+/// of a party's message merge in, so the summary is the union of
+/// everything the party has been heard to say; the merged-in sketch is
+/// handed back so the caller can reuse its allocation.
 fn absorb_party_sketch<V: WirePayload>(
     map: &mut HashMap<usize, GtSketch<V>>,
     party_id: usize,
     sketch: GtSketch<V>,
-) {
+) -> Option<GtSketch<V>> {
     match map.entry(party_id) {
         std::collections::hash_map::Entry::Occupied(mut e) => {
             e.get_mut()
                 .merge_from(&sketch)
                 .expect("party sketches share the union's seed and config");
+            Some(sketch)
         }
         std::collections::hash_map::Entry::Vacant(e) => {
             e.insert(sketch);
+            None
         }
     }
 }
@@ -1423,8 +1425,10 @@ mod tests {
 
     #[test]
     fn batch_arena_is_reused_across_batches() {
-        // The pool grows to the largest batch's accepted count and stays
-        // there; a later larger batch still produces the right union.
+        // Every message here is a first-heard party's, so each decoded
+        // sketch leaves the pool as that party's retained summary; a
+        // later, larger batch decodes into fresh slots and still produces
+        // the right union.
         let config = cfg();
         let mut referee = Referee::new(&config, 5);
         let first: Vec<PartyMessage> = (0..2).map(|p| message(p, 0..100, 5)).collect();
@@ -1446,6 +1450,49 @@ mod tests {
             encode_sketch(oracle.union_sketch())
         );
         assert_eq!(referee.parties_heard(), 7);
+        assert!(referee.decode_arena.is_empty());
+    }
+
+    #[test]
+    fn retained_summaries_move_out_of_the_arena() {
+        let config = cfg();
+        let t = 5usize;
+        let rounds: Vec<Vec<PartyMessage>> = (1..=3u64)
+            .map(|r| {
+                (0..t)
+                    .map(|p| message(p, p as u64 * 100..p as u64 * 100 + r * 150, 5))
+                    .collect()
+            })
+            .collect();
+        let mut batched = Referee::new(&config, 5);
+        let mut sequential = Referee::new(&config, 5);
+
+        // First-heard parties keep their decoded sketches: nothing stays
+        // behind in the arena.
+        batched.receive_batch(&rounds[0]);
+        assert!(batched.decode_arena.is_empty());
+
+        // Variants merge into the summaries and their slots return to the
+        // arena, which later variant batches reuse without growing.
+        batched.receive_batch(&rounds[1]);
+        assert_eq!(batched.decode_arena.len(), t);
+        batched.receive_batch(&rounds[2]);
+        assert_eq!(batched.decode_arena.len(), t);
+
+        for msg in rounds.iter().flatten() {
+            sequential.receive(msg).unwrap();
+        }
+        assert_eq!(
+            encode_sketch(batched.union_sketch()),
+            encode_sketch(sequential.union_sketch())
+        );
+        for party in 0..t {
+            assert_eq!(
+                batched.party_sketch(party).map(encode_sketch),
+                sequential.party_sketch(party).map(encode_sketch),
+                "party {party} summary diverged"
+            );
+        }
     }
 
     #[test]
