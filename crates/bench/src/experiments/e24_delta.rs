@@ -17,7 +17,7 @@
 //! [`ReportingMode::DeltaPlane`] vs full re-ship — on identical seeds,
 //! plus one lossy-channel delta run (drops on both paths, so dup /
 //! reorder / resync machinery is exercised under measurement). Queries
-//! fire every [`QUERY_EVERY`] ticks regardless of cadence, so slower
+//! fire every `QUERY_EVERY` ticks regardless of cadence, so slower
 //! cadences honestly pay more staleness: that is the frontier. Writes
 //! `results/BENCH_delta.json` for the CI gate: bytes ratio >= floor,
 //! staleness bounded by cadence, bytes-vs-staleness monotone across the

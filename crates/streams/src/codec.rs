@@ -160,15 +160,6 @@ pub enum Frame<V> {
     },
 }
 
-impl<V> Frame<V> {
-    /// The sender's generation counter carried by either kind.
-    pub fn generation(&self) -> u64 {
-        match self {
-            Frame::Full { generation, .. } | Frame::Delta { generation, .. } => *generation,
-        }
-    }
-}
-
 /// Encode a complete snapshot as a monitoring-plane frame.
 pub fn encode_full_frame<V: WirePayload>(sketch: &GtSketch<V>, generation: u64) -> Bytes {
     let body = encode_sketch(sketch);
@@ -201,10 +192,11 @@ pub fn encode_delta_frame<V: WirePayload>(
     buf.freeze()
 }
 
-/// Decode and validate a monitoring-plane frame. The embedded sketch
-/// goes through the full [`decode_sketch`] validation, so a corrupt
-/// frame is rejected, never silently applied.
-pub fn decode_frame<V: WirePayload>(mut buf: Bytes) -> Result<Frame<V>, CodecError> {
+/// Parse a frame header, leaving `buf` at the embedded sketch message:
+/// the generation, plus `(base generation, base fingerprint)` for a delta
+/// frame. The one frame-header parser, shared by [`decode_frame`] and the
+/// referee's frame ingress.
+pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<(u64, Option<(u64, u64)>), CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
@@ -212,15 +204,11 @@ pub fn decode_frame<V: WirePayload>(mut buf: Bytes) -> Result<Frame<V>, CodecErr
     if magic != FRAME_MAGIC {
         return Err(CodecError::BadMagic(magic));
     }
-    match get_u8(&mut buf)? {
-        FRAME_KIND_FULL => {
-            let generation = get_varint(&mut buf)?;
-            let sketch = decode_sketch(buf)?;
-            Ok(Frame::Full { generation, sketch })
-        }
+    match get_u8(buf)? {
+        FRAME_KIND_FULL => Ok((get_varint(buf)?, None)),
         FRAME_KIND_DELTA => {
-            let generation = get_varint(&mut buf)?;
-            let base_generation = get_varint(&mut buf)?;
+            let generation = get_varint(buf)?;
+            let base_generation = get_varint(buf)?;
             if base_generation >= generation {
                 return Err(CodecError::Malformed(
                     "delta frame base generation not older than its own",
@@ -229,17 +217,27 @@ pub fn decode_frame<V: WirePayload>(mut buf: Bytes) -> Result<Frame<V>, CodecErr
             if buf.remaining() < 8 {
                 return Err(CodecError::Truncated);
             }
-            let base_fingerprint = buf.get_u64();
-            let delta = decode_sketch(buf)?;
-            Ok(Frame::Delta {
-                generation,
-                base_generation,
-                base_fingerprint,
-                delta,
-            })
+            Ok((generation, Some((base_generation, buf.get_u64()))))
         }
         t => Err(CodecError::BadTag(t)),
     }
+}
+
+/// Decode and validate a monitoring-plane frame. The embedded sketch
+/// goes through the full [`decode_sketch`] validation, so a corrupt
+/// frame is rejected, never silently applied.
+pub fn decode_frame<V: WirePayload>(mut buf: Bytes) -> Result<Frame<V>, CodecError> {
+    let (generation, base) = get_frame_header(&mut buf)?;
+    let sketch = decode_sketch(buf)?;
+    Ok(match base {
+        None => Frame::Full { generation, sketch },
+        Some((base_generation, base_fingerprint)) => Frame::Delta {
+            generation,
+            base_generation,
+            base_fingerprint,
+            delta: sketch,
+        },
+    })
 }
 
 /// LEB128 varint append.
@@ -297,8 +295,9 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
 ///
 /// Stable across processes (no per-run hasher seed), and well defined per
 /// sketch state because the wire format is canonical: samples are sorted
-/// before delta-coding and [`get_varint`] rejects over-long varints, so a
-/// given sketch has exactly one encoding and therefore one fingerprint.
+/// before delta-coding, [`get_varint`] rejects over-long varints, and the
+/// decoders reject trailing bytes, so a given sketch has exactly one
+/// accepted encoding and therefore one fingerprint.
 pub fn payload_fingerprint(payload: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in payload {
@@ -445,8 +444,11 @@ pub fn encoded_sketch_len<V: WirePayload>(sketch: &GtSketch<V>) -> usize {
     total
 }
 
-/// Deserialize and validate a sketch message.
-pub fn decode_sketch<V: WirePayload>(mut buf: Bytes) -> Result<GtSketch<V>, CodecError> {
+/// Parse a sketch message's header — magic, master seed, ε, δ, capacity,
+/// trials, hash kind — bounding the declared shape by [`MAX_WIRE_ENTRIES`]
+/// before anything is allocated. The one header parser of both sketch
+/// decoders.
+fn get_sketch_header(buf: &mut Bytes) -> Result<(u64, SketchConfig), CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
@@ -460,9 +462,9 @@ pub fn decode_sketch<V: WirePayload>(mut buf: Bytes) -> Result<GtSketch<V>, Code
     let master_seed = buf.get_u64();
     let epsilon = buf.get_f64();
     let delta = buf.get_f64();
-    let capacity = get_varint(&mut buf)? as usize;
-    let trials = get_varint(&mut buf)? as usize;
-    let kind = get_hash_kind(&mut buf)?;
+    let capacity = get_varint(buf)? as usize;
+    let trials = get_varint(buf)? as usize;
+    let kind = get_hash_kind(buf)?;
     if (capacity as u64).saturating_mul(trials as u64) > MAX_WIRE_ENTRIES {
         return Err(CodecError::Sketch(SketchError::InvalidConfig {
             parameter: "shape",
@@ -472,6 +474,13 @@ pub fn decode_sketch<V: WirePayload>(mut buf: Bytes) -> Result<GtSketch<V>, Code
         }));
     }
     let config = SketchConfig::from_shape(epsilon, delta, capacity, trials, kind)?;
+    Ok((master_seed, config))
+}
+
+/// Deserialize and validate a sketch message.
+pub fn decode_sketch<V: WirePayload>(mut buf: Bytes) -> Result<GtSketch<V>, CodecError> {
+    let (master_seed, config) = get_sketch_header(&mut buf)?;
+    let (capacity, trials) = (config.capacity(), config.trials());
     let mut states = Vec::with_capacity(trials);
     for _ in 0..trials {
         let level = get_u8(&mut buf)?;
@@ -497,6 +506,7 @@ pub fn decode_sketch<V: WirePayload>(mut buf: Bytes) -> Result<GtSketch<V>, Code
         }
         states.push((level, items, entries));
     }
+    reject_trailing_bytes(&buf)?;
     Ok(GtSketch::reassemble(&config, master_seed, states)?)
 }
 
@@ -541,31 +551,8 @@ pub fn decode_sketch_into<V: WirePayload>(
     mut buf: Bytes,
     scratch: &mut DecodeScratch<V>,
 ) -> Result<(), CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let magic = buf.get_u32();
-    if magic != MAGIC {
-        return Err(CodecError::BadMagic(magic));
-    }
-    if buf.remaining() < 8 + 8 + 8 {
-        return Err(CodecError::Truncated);
-    }
-    let master_seed = buf.get_u64();
-    let epsilon = buf.get_f64();
-    let delta = buf.get_f64();
-    let capacity = get_varint(&mut buf)? as usize;
-    let trials = get_varint(&mut buf)? as usize;
-    let kind = get_hash_kind(&mut buf)?;
-    if (capacity as u64).saturating_mul(trials as u64) > MAX_WIRE_ENTRIES {
-        return Err(CodecError::Sketch(SketchError::InvalidConfig {
-            parameter: "shape",
-            reason: format!(
-                "declared shape {capacity} x {trials} exceeds the wire ceiling of {MAX_WIRE_ENTRIES} entries"
-            ),
-        }));
-    }
-    let config = SketchConfig::from_shape(epsilon, delta, capacity, trials, kind)?;
+    let (master_seed, config) = get_sketch_header(&mut buf)?;
+    let (capacity, trials) = (config.capacity(), config.trials());
     if master_seed != sketch.master_seed() {
         return Err(CodecError::Sketch(SketchError::SeedMismatch));
     }
@@ -597,6 +584,15 @@ pub fn decode_sketch_into<V: WirePayload>(
             entry.1 = V::decode(&mut buf)?;
         }
         sketch.reload_trial(t, level, items, scratch.entries.iter().copied())?;
+    }
+    reject_trailing_bytes(&buf)
+}
+
+/// A sketch message ends at its last trial. Accepting padding would give
+/// one sketch state many byte strings, and so many [`payload_fingerprint`]s.
+fn reject_trailing_bytes(buf: &Bytes) -> Result<(), CodecError> {
+    if buf.has_remaining() {
+        return Err(CodecError::Malformed("trailing bytes after sketch"));
     }
     Ok(())
 }
@@ -1154,7 +1150,10 @@ mod tests {
                 base_fingerprint,
                 delta,
             } => {
-                assert_eq!((generation, base_generation, base_fingerprint), (9, 4, base_fp));
+                assert_eq!(
+                    (generation, base_generation, base_fingerprint),
+                    (9, 4, base_fp)
+                );
                 // The decoded delta must still apply exactly.
                 let mut rebuilt = base.clone();
                 gt_core::apply_delta(&mut rebuilt, &delta).unwrap();
@@ -1200,7 +1199,10 @@ mod tests {
         ));
         // Truncations anywhere must not panic.
         for cut in [0, 4, 5, 6, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_frame::<()>(bytes.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(
+                decode_frame::<()>(bytes.slice(0..cut)).is_err(),
+                "cut {cut}"
+            );
         }
         // A delta frame claiming to be its own base is malformed.
         let d = DistinctSketch::new(&cfg(), 5);

@@ -532,4 +532,215 @@ mod tests {
         assert_eq!(a.4.duplicates(), b.4.duplicates());
         assert_eq!(a.4.rejected(), b.4.rejected());
     }
+
+    // ---- the paper's one-shot model over a lossy, corrupting channel ----
+
+    use crate::oracle::StreamOracle;
+    use crate::workload::{Distribution, StreamSet, WorkloadSpec};
+
+    fn fault_config() -> SketchConfig {
+        SketchConfig::new(0.1, 0.05).unwrap()
+    }
+
+    /// One finished message per stream, party id = stream index, seed 7.
+    fn finished(streams: &StreamSet) -> Vec<PartyMessage> {
+        let config = fault_config();
+        let finish = |(id, s): (usize, &Vec<u64>)| {
+            let mut p = Party::new(id, &config, 7);
+            p.observe_stream(s);
+            p.finish()
+        };
+        streams.streams.iter().enumerate().map(finish).collect()
+    }
+
+    fn ten_parties() -> StreamSet {
+        WorkloadSpec {
+            parties: 10,
+            distinct_per_party: 3_000,
+            overlap: 0.3,
+            items_per_party: 9_000,
+            distribution: Distribution::Uniform,
+            seed: 0xFA17,
+        }
+        .generate()
+    }
+
+    /// Unit latency, no jitter or stragglers: one fate per send.
+    fn faulty(drop_probability: f64, corrupt_probability: f64, seed: u64) -> TransportSpec {
+        TransportSpec {
+            drop_probability,
+            corrupt_probability,
+            ..TransportSpec::reliable(seed)
+        }
+    }
+
+    /// A one-shot collection, held against exact truth for the full
+    /// union and for the union of the parties that got through.
+    #[derive(Debug)]
+    struct OneShot {
+        report: CollectionReport,
+        estimate: f64,
+        full: u64,
+        received: u64,
+        /// Relative error against `received`: what `(ε, δ)` still covers.
+        err: f64,
+        /// Information lost with the parties that did not get through.
+        shortfall: f64,
+        /// Sends the channel dropped / delivered but the referee refused.
+        dropped: usize,
+        rejected: usize,
+    }
+
+    impl OneShot {
+        fn run(streams: &StreamSet, channel: TransportSpec) -> Self {
+            let (report, referee) = collect_once(
+                &fault_config(),
+                7,
+                &finished(streams),
+                channel,
+                RetryPolicy::one_shot(),
+            );
+            let truth = |acked_only: bool| {
+                let parties = streams.streams.iter().zip(&report.per_party);
+                StreamOracle::of_streams(
+                    parties
+                        .filter(|(_, p)| !acked_only || p.acked_at.is_some())
+                        .map(|(s, _)| s.as_slice()),
+                )
+                .distinct()
+            };
+            let (full, received) = (truth(false), truth(true));
+            let estimate = referee.estimate_distinct().value;
+            let count =
+                |f: fn(&PartyAttempts) -> bool| report.per_party.iter().filter(|p| f(p)).count();
+            OneShot {
+                dropped: count(|p| p.last_fate == Some(SendFate::Dropped)),
+                rejected: count(|p| p.acked_at.is_none() && p.last_fate != Some(SendFate::Dropped)),
+                estimate,
+                full,
+                received,
+                err: gt_core::relative_error(estimate, received as f64),
+                shortfall: (full - received) as f64 / full.max(1) as f64,
+                report,
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_faults_are_detected_or_degrade_predictably() {
+        let streams = ten_parties();
+        // (case, drop probability, corrupt probability, seed, what holds)
+        type Case = (&'static str, f64, f64, u64, fn(&OneShot) -> bool);
+        let cases: [Case; 5] = [
+            ("clean channel", 0.0, 0.0, 1, |o| {
+                o.report.parties_acked() == 10
+                    && o.shortfall == 0.0
+                    && o.received == o.full
+                    && o.err < 0.1
+            }),
+            ("drops degrade predictably", 0.4, 0.0, 2, |o| {
+                o.dropped > 0 && o.err < 0.1 && o.shortfall > 0.0 && o.received < o.full
+            }),
+            // Almost every flip lands in validated content; a rare flip in
+            // an items-observed varint is delivered.
+            ("corruption is detected, not absorbed", 0.0, 1.0, 3, |o| {
+                o.rejected >= 8 && o.err < 0.1
+            }),
+            ("all messages lost", 1.0, 0.0, 4, |o| {
+                o.estimate == 0.0
+                    && o.received == 0
+                    && o.shortfall == 1.0
+                    && o.err == 0.0
+                    && o.report.transport.dropped == 10
+            }),
+            // Accepts and rejects come from the referee, drops from the
+            // channel, and each agrees with the per-party fates.
+            ("fate counts", 0.3, 0.5, 6, |o| {
+                let (referee, channel) = (&o.report.referee, &o.report.transport);
+                referee.accepted == o.report.parties_acked()
+                    && channel.dropped == o.dropped
+                    && referee.rejected() == o.rejected
+                    && referee.accepted + referee.rejected() + channel.dropped == 10
+            }),
+        ];
+        for (name, drop, corrupt, seed, holds) in cases {
+            let o = OneShot::run(&streams, faulty(drop, corrupt, seed));
+            assert!(holds(&o), "{name}: {o:?}");
+        }
+
+        // An empty-stream party sends the smallest legitimate message;
+        // however the flips land, every delivery is accounted once.
+        let tiny = StreamSet {
+            streams: vec![Vec::new(), (0..100).map(gt_hash::fold61).collect()],
+            spec: WorkloadSpec {
+                parties: 2,
+                ..streams.spec
+            },
+        };
+        for seed in 0..16 {
+            let t = OneShot::run(&tiny, faulty(0.0, 1.0, seed)).report.referee;
+            assert_eq!(t.accepted + t.rejected(), 2, "seed {seed}");
+        }
+
+        // Fault decisions are deterministic per seed.
+        let [a, b] = [0, 1].map(|_| OneShot::run(&streams, faulty(0.3, 0.3, 5)));
+        let fates = |o: &OneShot| -> Vec<_> {
+            o.report
+                .per_party
+                .iter()
+                .map(|p| (p.last_fate, p.acked_at))
+                .collect()
+        };
+        assert_eq!(fates(&a), fates(&b));
+        assert_eq!(a.estimate, b.estimate);
+    }
+
+    #[test]
+    fn retries_beat_the_one_shot_channel() {
+        // Same drop probability, same seed, nonzero retry budget ->
+        // strictly more of the union delivered.
+        let config = fault_config();
+        let messages = finished(&ten_parties());
+        let channel = faulty(0.5, 0.0, 2);
+        let (one_shot, _) = collect_once(&config, 7, &messages, channel, RetryPolicy::one_shot());
+        let (retried, referee) =
+            collect_once(&config, 7, &messages, channel, RetryPolicy::with_budget(8));
+        assert!(
+            one_shot.parties_acked() < retried.parties_acked(),
+            "one-shot {} vs retried {}",
+            one_shot.parties_acked(),
+            retried.parties_acked()
+        );
+        assert_eq!(retried.parties_acked(), 10, "8 attempts at p=0.5");
+        assert!(referee.estimate_distinct_partial(10).is_complete());
+    }
+
+    #[test]
+    fn fate_counts_stay_consistent_under_retries() {
+        // The regression the channel-side drop count fixes: with a retry
+        // budget, the referee records several attempts for one party; the
+        // old `fates.len() - attempts()` derivation would underflow here.
+        let messages = finished(&ten_parties());
+        let (report, referee) = collect_once(
+            &fault_config(),
+            7,
+            &messages,
+            faulty(0.4, 0.2, 8),
+            RetryPolicy {
+                max_attempts: 6,
+                ack_drop_probability: 0.3,
+                ..RetryPolicy::one_shot()
+            },
+        );
+        let t = referee.telemetry();
+        // Channel-side conservation: every send was dropped or delivered.
+        assert_eq!(
+            report.transport.sends,
+            report.transport.dropped + report.transport.delivered
+        );
+        // Referee-side conservation: every delivery is accounted once.
+        assert_eq!(t.attempts(), report.transport.delivered);
+        // And drops exceed what any referee-side derivation could see.
+        assert!(report.transport.sends > messages.len());
+    }
 }

@@ -28,8 +28,6 @@
 //! * [`collector`] — the at-least-once collection plane: ack / timeout /
 //!   retransmit rounds with capped exponential backoff over a
 //!   [`transport::Transport`], feeding an idempotent [`referee`].
-//! * [`faults`] — the one-shot fault harness of earlier experiments,
-//!   now a thin configuration of the transport + collector.
 //! * [`scenario`] — the declarative end-to-end harness: a
 //!   [`scenario::ScenarioSpec`] (topology × workload × fault plan ×
 //!   query plan, all plain data) dispatched to one of five engines,
@@ -42,7 +40,6 @@
 
 pub mod codec;
 pub mod collector;
-pub mod faults;
 pub mod netflow;
 pub mod oracle;
 pub mod party;
@@ -59,7 +56,6 @@ pub use codec::{
     Frame, WirePayload,
 };
 pub use collector::{collect_once, CollectionReport, Collector, PartyAttempts, RetryPolicy};
-pub use faults::{run_with_faults, FateCounts, FaultReport, FaultSpec, MessageFate};
 pub use netflow::{FlowRecord, FlowWorkload};
 pub use oracle::StreamOracle;
 pub use party::{DeltaParty, DeltaPartyStats, Party, PartyMessage};

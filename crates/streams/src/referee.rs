@@ -31,14 +31,15 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use gt_core::{
     apply_delta, merge_tree, Estimate, ExprContext, ExpressionEstimate, GtSketch, JaccardEstimate,
     SetExpr, SketchConfig, SketchError,
 };
 
 use crate::codec::{
-    decode_frame, decode_sketch, decode_sketch_into, encode_sketch, payload_fingerprint,
-    CodecError, DecodeScratch, Frame, WirePayload,
+    decode_sketch_into, encode_sketch, get_frame_header, payload_fingerprint, CodecError,
+    DecodeScratch, WirePayload,
 };
 use crate::party::PartyMessage;
 
@@ -65,9 +66,9 @@ pub fn batch_size_bucket(summaries: usize) -> usize {
 
 /// Per-stage accounting of everything the referee was handed.
 ///
-/// Fate counts derive from here plus the channel's own drop counter (see
-/// `crate::faults`): `accepted + duplicates() + rejected() == deliveries
-/// the referee saw`.
+/// Fate counts derive from here plus the channel's own drop counter
+/// ([`crate::transport::TransportTelemetry::dropped`]):
+/// `accepted + duplicates() + rejected() == deliveries the referee saw`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RefereeTelemetry {
     /// First accepted message per party: decoded, validated, merged, and
@@ -342,16 +343,30 @@ pub struct RefereeOf<V: WirePayload> {
     delta_state: HashMap<usize, PartyDeltaState>,
     telemetry: RefereeTelemetry,
     delta_telemetry: DeltaPlaneTelemetry,
-    /// Pooled scratch sketches for [`RefereeOf::receive_batch`]: messages
-    /// decode into these in place. An accepted sketch from a first-heard
-    /// party leaves the pool and becomes that party's retained summary
-    /// (moved, never cloned); one that merges into an existing summary
-    /// returns to the pool. So the pool never holds a copy of a retained
-    /// summary, and it only grows past its current size in a batch with
-    /// more accepted messages than it holds.
+    /// Pooled scratch sketches for the admission step every ingress
+    /// shares: messages decode into these in place. An accepted sketch
+    /// from a first-heard party, or a full frame, leaves the pool and
+    /// becomes that party's retained summary (moved, never cloned); one
+    /// that merges into an existing summary returns to the pool, as does
+    /// the summary a full frame replaces. So the pool never holds a copy
+    /// of a retained summary, and it only grows past its current size in
+    /// a call with more accepted messages than it holds.
     decode_arena: Vec<GtSketch<V>>,
     /// Reusable decode buffers shared across the arena.
     scratch: DecodeScratch<V>,
+}
+
+/// A delivery that passed admission, awaiting its commit; its decoded
+/// sketch is in the referee's decode arena.
+struct Admitted<H> {
+    receipt_index: usize,
+    party_id: usize,
+    fingerprint: u64,
+    bytes: usize,
+    items: u64,
+    /// The frame header (see `get_frame_header`), or `()` for a sketch
+    /// message.
+    header: H,
 }
 
 /// The referee for plain distinct-count sketches (no payload).
@@ -377,44 +392,15 @@ impl<V: WirePayload> RefereeOf<V> {
         }
     }
 
-    /// Receive one delivery: dedup, decode, validate, union.
+    /// Receive one delivery: dedup, decode, validate, union — a batch of
+    /// one through the same admission and fold as
+    /// [`RefereeOf::receive_batch`], without advancing its batch counters.
     ///
     /// Safe to call any number of times with redeliveries of the same
     /// message — see the module docs on at-least-once idempotence.
     pub fn receive(&mut self, msg: &PartyMessage) -> Result<Receipt, CodecError> {
-        let fingerprint = payload_fingerprint(&msg.payload);
-        let prior = self.accepted_payloads.get(&msg.party_id);
-        if prior.is_some_and(|fps| fps.contains(&fingerprint)) {
-            self.telemetry.duplicates_suppressed += 1;
-            return Ok(Receipt::Duplicate);
-        }
-
-        let decode_start = Instant::now();
-        let decoded = decode_sketch::<V>(msg.payload.clone()).and_then(|sketch| {
-            if sketch.master_seed() == self.master_seed {
-                Ok(sketch)
-            } else {
-                Err(CodecError::Sketch(gt_core::SketchError::SeedMismatch))
-            }
-        });
-        self.telemetry.decode_time += decode_start.elapsed();
-        let sketch = match decoded {
-            Ok(sketch) => sketch,
-            Err(e) => {
-                self.telemetry.record_reject(&e);
-                return Err(e);
-            }
-        };
-        let merge_start = Instant::now();
-        let merged = self.union.merge_from(&sketch);
-        self.telemetry.merge_time += merge_start.elapsed();
-        if let Err(e) = merged {
-            let e = CodecError::from(e);
-            self.telemetry.record_reject(&e);
-            return Err(e);
-        }
-        absorb_party_sketch(&mut self.party_sketches, msg.party_id, sketch);
-        Ok(self.commit_accepted(msg.party_id, fingerprint, msg.bytes(), msg.items_observed))
+        let mut receipts = self.union_messages(std::slice::from_ref(msg));
+        receipts.pop().expect("one receipt per message")
     }
 
     /// Receive one continuous-monitoring **frame** (see
@@ -438,72 +424,36 @@ impl<V: WirePayload> RefereeOf<V> {
     /// exact on any applied state between its base and its own
     /// generation, so lost acks never corrupt the union.
     pub fn receive_frame(&mut self, msg: &PartyMessage) -> Result<Receipt, CodecError> {
-        let fingerprint = payload_fingerprint(&msg.payload);
-        let prior = self.accepted_payloads.get(&msg.party_id);
-        if prior.is_some_and(|fps| fps.contains(&fingerprint)) {
-            self.telemetry.duplicates_suppressed += 1;
-            self.delta_telemetry.duplicate_frames += 1;
-            return Ok(Receipt::Duplicate);
-        }
-
-        let decode_start = Instant::now();
-        let decoded = decode_frame::<V>(msg.payload.clone()).and_then(|frame| {
-            let sketch = match &frame {
-                Frame::Full { sketch, .. } => sketch,
-                Frame::Delta { delta, .. } => delta,
-            };
-            if sketch.master_seed() == self.master_seed {
-                Ok(frame)
-            } else {
-                Err(CodecError::Sketch(gt_core::SketchError::SeedMismatch))
+        let (mut receipts, mut admitted) = self.admit(std::slice::from_ref(msg), get_frame_header);
+        let Some(a) = admitted.pop() else {
+            let receipt = receipts.pop().expect("one receipt per message");
+            if matches!(receipt, Ok(Receipt::Duplicate)) {
+                self.delta_telemetry.duplicate_frames += 1;
             }
-        });
-        self.telemetry.decode_time += decode_start.elapsed();
-        let frame = match decoded {
-            Ok(frame) => frame,
-            Err(e) => {
-                self.telemetry.record_reject(&e);
-                return Err(e);
-            }
+            return receipt;
         };
-
-        let watermark = self.delta_state.get(&msg.party_id).map(|s| s.watermark);
-        if watermark.is_some_and(|w| frame.generation() <= w) {
+        let (party_id, (generation, base)) = (a.party_id, a.header);
+        if self
+            .delta_state
+            .get(&party_id)
+            .is_some_and(|s| generation <= s.watermark)
+        {
             self.telemetry.duplicates_suppressed += 1;
             self.delta_telemetry.duplicate_frames += 1;
             return Ok(Receipt::Duplicate);
         }
 
-        match frame {
-            Frame::Full { generation, sketch } => {
-                let old_items = self.party_trial_items(msg.party_id);
-                let merge_start = Instant::now();
-                let merged = self.union.merge_refresh_from(&sketch, &old_items);
-                self.telemetry.merge_time += merge_start.elapsed();
-                if let Err(e) = merged {
-                    let e = CodecError::from(e);
-                    self.telemetry.record_reject(&e);
-                    return Err(e);
-                }
-                let state_fp = payload_fingerprint(&encode_sketch(&sketch));
-                self.party_sketches.insert(msg.party_id, sketch);
-                let state = self.delta_state.entry(msg.party_id).or_default();
-                state.watermark = generation;
-                // A full frame re-keys the chain: older bases are dead.
-                state.history.clear();
-                state.history.push((generation, state_fp));
-                self.delta_telemetry.full_frames += 1;
-                self.delta_telemetry.full_bytes += msg.bytes() as u64;
-                self.commit_frame(msg.party_id, fingerprint, msg.bytes(), msg.items_observed);
-                Ok(Receipt::Merged)
-            }
-            Frame::Delta {
-                generation,
-                base_generation,
-                base_fingerprint,
-                delta,
-            } => {
-                let base_known = self.delta_state.get(&msg.party_id).is_some_and(|s| {
+        // The decoded body sits in `decode_arena[0]`. `next` is the
+        // party's new state; `oldest_live` the oldest base it can still
+        // reference.
+        let old_items = self.party_trial_items(party_id);
+        let merge_start = Instant::now();
+        let (next, oldest_live) = match base {
+            // A full frame's slot becomes the state by move, and re-keys
+            // the chain: older bases are dead.
+            None => (self.decode_arena.swap_remove(0), generation),
+            Some((base_generation, base_fingerprint)) => {
+                let base_known = self.delta_state.get(&party_id).is_some_and(|s| {
                     s.history
                         .iter()
                         .any(|&(g, fp)| g == base_generation && fp == base_fingerprint)
@@ -512,43 +462,48 @@ impl<V: WirePayload> RefereeOf<V> {
                     self.delta_telemetry.resyncs_requested += 1;
                     return Ok(Receipt::NeedResync);
                 }
-                let current = self
+                // The delta's slot stays in the arena for the next frame.
+                let mut next = self
                     .party_sketches
-                    .get(&msg.party_id)
-                    .expect("a validated delta base implies a retained party sketch");
-                let old_items: Vec<u64> =
-                    current.trials().iter().map(|t| t.items_observed()).collect();
-                let mut next = current.clone();
-                let merge_start = Instant::now();
-                let applied = apply_delta(&mut next, &delta)
-                    .and_then(|()| self.union.merge_refresh_from(&next, &old_items));
-                self.telemetry.merge_time += merge_start.elapsed();
-                if let Err(e) = applied {
+                    .get(&party_id)
+                    .expect("a validated delta base implies a retained party sketch")
+                    .clone();
+                if let Err(e) = apply_delta(&mut next, &self.decode_arena[0]) {
+                    self.telemetry.merge_time += merge_start.elapsed();
                     let e = CodecError::from(e);
                     self.telemetry.record_reject(&e);
                     return Err(e);
                 }
-                let state_fp = payload_fingerprint(&encode_sketch(&next));
-                self.party_sketches.insert(msg.party_id, next);
-                let state = self
-                    .delta_state
-                    .get_mut(&msg.party_id)
-                    .expect("base_known checked above");
-                state.watermark = generation;
                 // Bases older than the one just consumed can never be
                 // referenced again (the party's acked base only advances).
-                state.history.retain(|&(g, _)| g >= base_generation);
-                state.history.push((generation, state_fp));
-                if state.history.len() > MAX_FP_HISTORY {
-                    let excess = state.history.len() - MAX_FP_HISTORY;
-                    state.history.drain(..excess);
-                }
-                self.delta_telemetry.delta_frames += 1;
-                self.delta_telemetry.delta_bytes += msg.bytes() as u64;
-                self.commit_frame(msg.party_id, fingerprint, msg.bytes(), msg.items_observed);
-                Ok(Receipt::Merged)
+                (next, base_generation)
             }
+        };
+        self.union
+            .merge_refresh_from(&next, &old_items)
+            .expect("admitted sketches share the union's seed and config");
+        self.telemetry.merge_time += merge_start.elapsed();
+        let state_fp = payload_fingerprint(&encode_sketch(&next));
+        let replaced = self.party_sketches.insert(party_id, next);
+        if base.is_none() {
+            // The summary a full frame replaces goes back to the arena.
+            self.decode_arena.extend(replaced);
+            self.delta_telemetry.full_frames += 1;
+            self.delta_telemetry.full_bytes += a.bytes as u64;
+        } else {
+            self.delta_telemetry.delta_frames += 1;
+            self.delta_telemetry.delta_bytes += a.bytes as u64;
         }
+        let state = self.delta_state.entry(party_id).or_default();
+        state.watermark = generation;
+        state.history.retain(|&(g, _)| g >= oldest_live);
+        state.history.push((generation, state_fp));
+        if state.history.len() > MAX_FP_HISTORY {
+            let excess = state.history.len() - MAX_FP_HISTORY;
+            state.history.drain(..excess);
+        }
+        self.commit_frame(party_id, a.fingerprint, a.bytes, a.items);
+        Ok(Receipt::Merged)
     }
 
     /// Bookkeeping for one applied frame: every applied frame counts as
@@ -599,9 +554,8 @@ impl<V: WirePayload> RefereeOf<V> {
     /// Receive a whole batch of deliveries at once: fingerprint-dedup up
     /// front, decode into the pooled arena (a first-heard party's decoded
     /// sketch becomes its retained summary by move), tree-union the
-    /// accepted sketches
-    /// ([`gt_core::merge_tree`]), and fold the batch union into the
-    /// running union with a single merge.
+    /// accepted sketches ([`gt_core::merge_tree`]), and fold the batch
+    /// union into the running union with a single merge.
     ///
     /// Returns one receipt per input message, in order. The union sketch
     /// state, all exactly-once counters (`messages`, `bytes_received`,
@@ -613,28 +567,69 @@ impl<V: WirePayload> RefereeOf<V> {
     /// per batch instead of one per accepted message, and
     /// [`RefereeTelemetry::batches`] / summaries-per-batch advance.
     pub fn receive_batch(&mut self, msgs: &[PartyMessage]) -> Vec<Result<Receipt, CodecError>> {
-        let mut receipts: Vec<Result<Receipt, CodecError>> = Vec::with_capacity(msgs.len());
         if msgs.is_empty() {
-            return receipts;
+            return Vec::new();
         }
         self.telemetry.batches += 1;
         self.telemetry.summaries_per_batch[batch_size_bucket(msgs.len())] += 1;
+        self.union_messages(msgs)
+    }
 
-        // Accepted-message bookkeeping, deferred until the batch union
-        // commits. The k-th accepted message lives in decode_arena[k].
-        struct Accepted {
-            receipt_index: usize,
-            party_id: usize,
-            fingerprint: u64,
-            bytes: usize,
-            items: u64,
+    /// Admit sketch messages and fold them into the union: the admitted
+    /// sketch itself for a batch of one, otherwise their balanced tree
+    /// union, in one merge. Then, left to right so in-batch variants
+    /// reconcile payloads exactly as sequential receives do, hand each
+    /// sketch to its party's retained summary — by move for a first-heard
+    /// party, otherwise merged in with the sketch returned to the arena.
+    fn union_messages(&mut self, msgs: &[PartyMessage]) -> Vec<Result<Receipt, CodecError>> {
+        let (mut receipts, admitted) = self.admit(msgs, |_| Ok(()));
+        if admitted.is_empty() {
+            return receipts;
         }
-        let mut accepted: Vec<Accepted> = Vec::new();
+        let merge_start = Instant::now();
+        let merged = match &self.decode_arena[..admitted.len()] {
+            [one] => self.union.merge_from(one),
+            many => merge_tree(many).and_then(|batch_union| self.union.merge_from(&batch_union)),
+        };
+        self.telemetry.merge_time += merge_start.elapsed();
+        merged.expect("admitted sketches share the union's seed and config");
+        let decoded: Vec<GtSketch<V>> = self.decode_arena.drain(..admitted.len()).collect();
+        for (sketch, a) in decoded.into_iter().zip(admitted) {
+            if let Some(summary) = self.party_sketches.get_mut(&a.party_id) {
+                summary
+                    .merge_from(&sketch)
+                    .expect("party sketches share the union's seed and config");
+                self.decode_arena.push(sketch);
+            } else {
+                self.party_sketches.insert(a.party_id, sketch);
+            }
+            receipts[a.receipt_index] =
+                Ok(self.commit_accepted(a.party_id, a.fingerprint, a.bytes, a.items));
+        }
+        receipts
+    }
 
-        // Phase 1: dedup + decode. Only messages that actually decode
-        // (and will therefore be accepted) may suppress later identical
-        // bytes — a corrupt message redelivered within one batch must
-        // error twice, exactly as sequential receives would.
+    /// The admission step every ingress shares. Per message:
+    /// fingerprint-dedup against the party's accepted payloads and the
+    /// messages admitted earlier in this call, parse the header with
+    /// `parse_header` (frames carry one, sketch messages do not), and
+    /// decode the sketch body into a pooled arena slot —
+    /// [`decode_sketch_into`] checks seed and config before the body —
+    /// recording every reject.
+    ///
+    /// Returns one receipt per message, where an admitted message holds a
+    /// placeholder for the caller to settle, plus the admitted messages
+    /// in order: the `k`-th one's sketch is `decode_arena[k]`. Only a
+    /// message that decodes suppresses later identical bytes, so a
+    /// corrupt message redelivered within one call errors twice, exactly
+    /// as sequential receives would.
+    fn admit<H>(
+        &mut self,
+        msgs: &[PartyMessage],
+        parse_header: fn(&mut Bytes) -> Result<H, CodecError>,
+    ) -> (Vec<Result<Receipt, CodecError>>, Vec<Admitted<H>>) {
+        let mut receipts = Vec::with_capacity(msgs.len());
+        let mut admitted: Vec<Admitted<H>> = Vec::new();
         let decode_start = Instant::now();
         for msg in msgs {
             let fingerprint = payload_fingerprint(&msg.payload);
@@ -642,7 +637,7 @@ impl<V: WirePayload> RefereeOf<V> {
                 .accepted_payloads
                 .get(&msg.party_id)
                 .is_some_and(|fps| fps.contains(&fingerprint))
-                || accepted
+                || admitted
                     .iter()
                     .any(|a| a.party_id == msg.party_id && a.fingerprint == fingerprint);
             if dup {
@@ -650,21 +645,25 @@ impl<V: WirePayload> RefereeOf<V> {
                 receipts.push(Ok(Receipt::Duplicate));
                 continue;
             }
-            if self.decode_arena.len() == accepted.len() {
+            if self.decode_arena.len() == admitted.len() {
                 self.decode_arena
                     .push(GtSketch::new(self.union.config(), self.master_seed));
             }
-            let slot = &mut self.decode_arena[accepted.len()];
-            match decode_sketch_into(slot, msg.payload.clone(), &mut self.scratch) {
-                Ok(()) => {
-                    accepted.push(Accepted {
+            let slot = &mut self.decode_arena[admitted.len()];
+            let mut body = msg.payload.clone();
+            let decoded = parse_header(&mut body).and_then(|header| {
+                decode_sketch_into(slot, body, &mut self.scratch).map(|()| header)
+            });
+            match decoded {
+                Ok(header) => {
+                    admitted.push(Admitted {
                         receipt_index: receipts.len(),
                         party_id: msg.party_id,
                         fingerprint,
                         bytes: msg.bytes(),
                         items: msg.items_observed,
+                        header,
                     });
-                    // Placeholder; finalized at commit time below.
                     receipts.push(Ok(Receipt::Merged));
                 }
                 Err(e) => {
@@ -674,51 +673,11 @@ impl<V: WirePayload> RefereeOf<V> {
             }
         }
         self.telemetry.decode_time += decode_start.elapsed();
-        if accepted.is_empty() {
-            return receipts;
-        }
-
-        // Phase 2: balanced tree union over the batch, then one fold into
-        // the running union. Cannot fail on this path — every arena
-        // sketch was decoded against the union's own seed and config —
-        // but a defensive sequential fallback preserves exact per-message
-        // attribution if that invariant is ever broken.
-        let merge_start = Instant::now();
-        let merged = merge_tree(&self.decode_arena[..accepted.len()])
-            .and_then(|batch_union| self.union.merge_from(&batch_union));
-        self.telemetry.merge_time += merge_start.elapsed();
-        // Phase 3, left to right so in-batch variants reconcile payloads
-        // exactly as sequential receives do: (fallback only) merge each
-        // sketch into the union alone, then hand it to its party's
-        // retained summary — by move for a first-heard party, otherwise
-        // merged in, with the sketch returned to the arena.
-        let decoded: Vec<GtSketch<V>> = self.decode_arena.drain(..accepted.len()).collect();
-        let tree_merged = merged.is_ok();
-        for (sketch, a) in decoded.into_iter().zip(accepted) {
-            if !tree_merged {
-                let merge_start = Instant::now();
-                let merged = self.union.merge_from(&sketch);
-                self.telemetry.merge_time += merge_start.elapsed();
-                if let Err(e) = merged {
-                    let e = CodecError::from(e);
-                    self.telemetry.record_reject(&e);
-                    receipts[a.receipt_index] = Err(e);
-                    self.decode_arena.push(sketch);
-                    continue;
-                }
-            }
-            if let Some(spent) = absorb_party_sketch(&mut self.party_sketches, a.party_id, sketch) {
-                self.decode_arena.push(spent);
-            }
-            receipts[a.receipt_index] =
-                Ok(self.commit_accepted(a.party_id, a.fingerprint, a.bytes, a.items));
-        }
-        receipts
+        (receipts, admitted)
     }
 
-    /// Exactly-once bookkeeping for one accepted message (shared by the
-    /// per-message and batch paths): push the fingerprint and bill the
-    /// party once.
+    /// Exactly-once bookkeeping for one accepted sketch message: push the
+    /// fingerprint and bill the party once.
     fn commit_accepted(
         &mut self,
         party_id: usize,
@@ -952,30 +911,6 @@ impl RefereeOf<gt_core::LatestTs> {
     }
 }
 
-/// Fold one accepted payload into the retained per-party summary.
-/// A first-heard party keeps `sketch` itself (moved, not copied). Variants
-/// of a party's message merge in, so the summary is the union of
-/// everything the party has been heard to say; the merged-in sketch is
-/// handed back so the caller can reuse its allocation.
-fn absorb_party_sketch<V: WirePayload>(
-    map: &mut HashMap<usize, GtSketch<V>>,
-    party_id: usize,
-    sketch: GtSketch<V>,
-) -> Option<GtSketch<V>> {
-    match map.entry(party_id) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            e.get_mut()
-                .merge_from(&sketch)
-                .expect("party sketches share the union's seed and config");
-            Some(sketch)
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(sketch);
-            None
-        }
-    }
-}
-
 /// Rewrite every leaf's party id to its dense operand index.
 fn remap_leaves(expr: &SetExpr, remap: &HashMap<usize, usize>) -> SetExpr {
     match expr {
@@ -989,7 +924,7 @@ fn remap_leaves(expr: &SetExpr, remap: &HashMap<usize, usize>) -> SetExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_sketch;
+    use crate::codec::{decode_frame, decode_sketch};
     use crate::party::Party;
 
     fn cfg() -> SketchConfig {
@@ -1004,6 +939,14 @@ mod tests {
         let mut p = Party::new(party, &cfg(), seed);
         p.observe_stream(&labels(range));
         p.finish()
+    }
+
+    /// `msg` cut to half its bytes.
+    fn truncated(msg: &PartyMessage) -> PartyMessage {
+        PartyMessage {
+            payload: msg.payload.slice(..msg.payload.len() / 2),
+            ..msg.clone()
+        }
     }
 
     #[test]
@@ -1183,63 +1126,12 @@ mod tests {
     }
 
     #[test]
-    fn variant_payloads_accumulate_in_the_party_summary() {
-        let mut referee = Referee::new(&cfg(), 5);
-        referee.receive(&message(7, 0..200, 5)).unwrap();
-        assert_eq!(
-            referee.query(&SetExpr::leaf(7)).unwrap().estimate.value,
-            200.0
-        );
-        assert_eq!(
-            referee.receive(&message(7, 0..350, 5)).unwrap(),
-            Receipt::MergedVariant
-        );
-        // The summary is the union of everything party 7 said.
-        assert_eq!(
-            referee.query(&SetExpr::leaf(7)).unwrap().estimate.value,
-            350.0
-        );
-        assert!(referee.party_sketch(8).is_none());
-    }
-
-    #[test]
-    fn referee_rejects_foreign_seeds() {
-        let config = cfg();
-        let mut referee = Referee::new(&config, 1);
-        let mut party = Party::new(0, &config, 2); // wrong seed
-        party.observe_stream(&labels(0..100));
-        assert!(referee.receive(&party.finish()).is_err());
-        assert_eq!(referee.messages(), 0);
-        assert_eq!(referee.parties_heard(), 0);
-    }
-
-    #[test]
-    fn referee_rejects_corrupt_payloads() {
-        let config = cfg();
-        let mut referee = Referee::new(&config, 1);
-        let mut party = Party::new(0, &config, 1);
-        party.observe_stream(&labels(0..100));
-        let mut msg = party.finish();
-        let mut raw = msg.payload.to_vec();
-        raw.truncate(raw.len() / 2);
-        msg.payload = bytes::Bytes::from(raw);
-        assert!(referee.receive(&msg).is_err());
-    }
-
-    #[test]
     fn rejected_message_can_be_retried_clean() {
         // A corrupt delivery must not poison the party: the intact
         // retransmit of the same message is accepted afterwards.
-        let config = cfg();
-        let mut referee = Referee::new(&config, 1);
-        let mut party = Party::new(0, &config, 1);
-        party.observe_stream(&labels(0..100));
-        let msg = party.finish();
-        let mut corrupt = msg.clone();
-        let mut raw = corrupt.payload.to_vec();
-        raw.truncate(raw.len() / 2);
-        corrupt.payload = bytes::Bytes::from(raw);
-        assert!(referee.receive(&corrupt).is_err());
+        let mut referee = Referee::new(&cfg(), 1);
+        let msg = message(0, 0..100, 1);
+        assert!(referee.receive(&truncated(&msg)).is_err());
         assert_eq!(referee.receive(&msg).unwrap(), Receipt::Merged);
         assert_eq!(referee.messages(), 1);
         assert_eq!(referee.telemetry().rejected(), 1);
@@ -1259,27 +1151,13 @@ mod tests {
 
     #[test]
     fn telemetry_classifies_accepts_and_rejects() {
-        let config = cfg();
-        let mut referee = Referee::new(&config, 1);
-
-        // One good message.
-        let mut party = Party::new(0, &config, 1);
-        party.observe_stream(&labels(0..100));
-        referee.receive(&party.finish()).unwrap();
-
-        // One truncated message.
-        let mut party = Party::new(1, &config, 1);
-        party.observe_stream(&labels(0..100));
-        let mut msg = party.finish();
-        let mut raw = msg.payload.to_vec();
-        raw.truncate(raw.len() / 2);
-        msg.payload = bytes::Bytes::from(raw);
-        assert!(referee.receive(&msg).is_err());
-
-        // One foreign-seed message (decodes, fails sketch validation).
-        let mut party = Party::new(2, &config, 99);
-        party.observe_stream(&labels(0..100));
-        assert!(referee.receive(&party.finish()).is_err());
+        let mut referee = Referee::new(&cfg(), 1);
+        // One good message, one truncated, and one foreign-seed message
+        // (a well-formed header that fails sketch validation).
+        referee.receive(&message(0, 0..100, 1)).unwrap();
+        assert!(referee.receive(&truncated(&message(1, 0..100, 1))).is_err());
+        assert!(referee.receive(&message(2, 0..100, 99)).is_err());
+        assert_eq!(referee.messages(), 1);
 
         let t = referee.telemetry();
         assert_eq!(t.accepted, 1);
@@ -1340,15 +1218,15 @@ mod tests {
         // A messy batch: good messages, an in-batch byte-identical
         // duplicate, a corrupt message delivered twice (must error twice,
         // not dedup), a foreign seed, and a variant payload from an
-        // already-heard party. Union bytes, counters, receipts, and
-        // count-based telemetry must all match per-message receives.
+        // already-heard party. Counters, receipts, and count-based
+        // telemetry must all match per-message receives; union bytes and
+        // the retained per-party summaries (variant merges included, so
+        // expression queries cannot depend on the delivery path) must
+        // match a pure gt-core fold on every path.
         let good0 = message(0, 0..300, 5);
         let good1 = message(1, 150..450, 5);
         let variant0 = message(0, 0..400, 5);
-        let mut corrupt = message(2, 0..200, 5);
-        let mut raw = corrupt.payload.to_vec();
-        raw.truncate(raw.len() / 2);
-        corrupt.payload = bytes::Bytes::from(raw);
+        let corrupt = truncated(&message(2, 0..200, 5));
         let foreign = message(3, 0..100, 99);
         let batch = [
             good0.clone(),
@@ -1360,6 +1238,37 @@ mod tests {
             foreign.clone(),
         ];
 
+        // An independent oracle: a pure gt-core fold, in delivery order,
+        // of each distinct (party, payload) that decodes under seed 5.
+        let mut oracle_union = GtSketch::<()>::new(&cfg(), 5);
+        let mut oracle_parties = std::collections::BTreeMap::new();
+        let mut seen = std::collections::HashSet::new();
+        for m in &batch {
+            let Ok(sketch) = decode_sketch::<()>(m.payload.clone()) else {
+                continue;
+            };
+            if sketch.master_seed() == 5 && seen.insert((m.party_id, m.payload.to_vec())) {
+                oracle_union.merge_from(&sketch).unwrap();
+                let party = oracle_parties.entry(m.party_id);
+                let summary = party.or_insert_with(|| GtSketch::<()>::new(&cfg(), 5));
+                summary.merge_from(&sketch).unwrap();
+            }
+        }
+        let pin_to_oracle = |path: &str, referee: &Referee| {
+            assert_eq!(
+                encode_sketch(referee.union_sketch()),
+                encode_sketch(&oracle_union),
+                "{path}: union diverged from the fold"
+            );
+            for party in 0..4usize {
+                assert_eq!(
+                    referee.party_sketch(party).map(encode_sketch),
+                    oracle_parties.get(&party).map(encode_sketch),
+                    "{path}: party {party} summary diverged from the fold"
+                );
+            }
+        };
+
         let mut sequential = Referee::new(&cfg(), 5);
         let want_receipts: Vec<_> = batch.iter().map(|m| sequential.receive(m)).collect();
 
@@ -1370,32 +1279,81 @@ mod tests {
                 got_receipts.extend(batched.receive_batch(chunk));
             }
             assert_eq!(got_receipts, want_receipts, "split {split}");
-            assert_eq!(
-                encode_sketch(batched.union_sketch()),
-                encode_sketch(sequential.union_sketch()),
-                "split {split}: union state diverged"
-            );
             assert_eq!(batched.messages(), sequential.messages());
             assert_eq!(batched.bytes_received(), sequential.bytes_received());
             assert_eq!(batched.items_reported(), sequential.items_reported());
             assert_eq!(batched.parties_heard(), sequential.parties_heard());
-            // The retained per-party summaries (variant merges included)
-            // must be bitwise-identical too, so expression queries cannot
-            // depend on the delivery path.
-            for party in 0..4usize {
-                assert_eq!(
-                    batched.party_sketch(party).map(encode_sketch),
-                    sequential.party_sketch(party).map(encode_sketch),
-                    "split {split}: party {party} summary diverged"
-                );
-            }
             assert_eq!(
                 countable(batched.telemetry()),
                 countable(sequential.telemetry()),
                 "split {split}"
             );
             assert_eq!(batched.telemetry().batches, batch.len().div_ceil(split));
+            pin_to_oracle(&format!("receive_batch split {split}"), &batched);
         }
+        assert_eq!(sequential.telemetry().batches, 0);
+        assert_eq!(sequential.telemetry().summaries_per_batch, [0; 5]);
+        pin_to_oracle("receive", &sequential);
+
+        // The frame ingress, handed one full frame per party holding the
+        // oracle's summary of that party, lands on the same state.
+        let mut framed = Referee::new(&cfg(), 5);
+        for (&party_id, summary) in &oracle_parties {
+            let msg = PartyMessage {
+                party_id,
+                payload: encode_full_frame(summary, 1),
+                items_observed: summary.items_observed(),
+            };
+            assert_eq!(framed.receive_frame(&msg).unwrap(), Receipt::Merged);
+        }
+        pin_to_oracle("receive_frame", &framed);
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected_by_every_decoder_and_ingress() {
+        // One byte of padding must not give a state a second accepted
+        // encoding, and so a second fingerprint.
+        let pad = |msg: &PartyMessage| PartyMessage {
+            payload: Bytes::from([&msg.payload[..], &[0u8][..]].concat()),
+            ..msg.clone()
+        };
+        let trailing = Some(CodecError::Malformed("trailing bytes after sketch"));
+        let mut referee = Referee::new(&cfg(), 5);
+        let mut refusals = 0;
+        let mut refused = |got: Option<CodecError>, referee: &Referee| {
+            refusals += 1;
+            assert_eq!(got, trailing);
+            assert_eq!(referee.telemetry().rejected_malformed, refusals);
+        };
+
+        let clean = message(0, 0..300, 5);
+        let padded = pad(&clean);
+        assert_eq!(decode_sketch::<()>(padded.payload.clone()).err(), trailing);
+        let (mut slot, mut scratch) = (GtSketch::<()>::new(&cfg(), 5), DecodeScratch::new());
+        let into = decode_sketch_into(&mut slot, padded.payload.clone(), &mut scratch);
+        assert_eq!(into.err(), trailing);
+        refused(referee.receive(&padded).err(), &referee);
+        let mut receipts = referee.receive_batch(std::slice::from_ref(&padded));
+        refused(receipts.remove(0).err(), &referee);
+        // Once the clean bytes are in, the padded ones are still refused
+        // rather than merged as a variant of the same state.
+        assert_eq!(referee.receive(&clean), Ok(Receipt::Merged));
+        refused(referee.receive(&padded).err(), &referee);
+
+        // A full frame, then a delta frame against it.
+        let mut p = DeltaParty::<()>::new(1, &cfg(), 5);
+        for generation in 1..=2u64 {
+            for i in generation * 500..generation * 500 + 500 {
+                p.observe_with(gt_hash::fold61(i), ());
+            }
+            let frame = p.emit_frame();
+            let padded = pad(&frame);
+            assert_eq!(decode_frame::<()>(padded.payload.clone()).err(), trailing);
+            refused(referee.receive_frame(&padded).err(), &referee);
+            assert_eq!(referee.receive_frame(&frame), Ok(Receipt::Merged));
+            p.handle_ack(generation);
+        }
+        assert_eq!(referee.delta_telemetry().delta_frames, 1);
     }
 
     #[test]
@@ -1421,36 +1379,6 @@ mod tests {
         let t = referee.telemetry();
         assert_eq!(t.batches, 3);
         assert_eq!(t.summaries_per_batch, [1, 1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn batch_arena_is_reused_across_batches() {
-        // Every message here is a first-heard party's, so each decoded
-        // sketch leaves the pool as that party's retained summary; a
-        // later, larger batch decodes into fresh slots and still produces
-        // the right union.
-        let config = cfg();
-        let mut referee = Referee::new(&config, 5);
-        let first: Vec<PartyMessage> = (0..2).map(|p| message(p, 0..100, 5)).collect();
-        let second: Vec<PartyMessage> = (2..7)
-            .map(|p| message(p, p as u64 * 50..p as u64 * 50 + 100, 5))
-            .collect();
-        for r in referee.receive_batch(&first) {
-            assert_eq!(r.unwrap(), Receipt::Merged);
-        }
-        for r in referee.receive_batch(&second) {
-            assert_eq!(r.unwrap(), Receipt::Merged);
-        }
-        let mut oracle = Referee::new(&config, 5);
-        for m in first.iter().chain(second.iter()) {
-            oracle.receive(m).unwrap();
-        }
-        assert_eq!(
-            encode_sketch(referee.union_sketch()),
-            encode_sketch(oracle.union_sketch())
-        );
-        assert_eq!(referee.parties_heard(), 7);
-        assert!(referee.decode_arena.is_empty());
     }
 
     #[test]
@@ -1537,9 +1465,8 @@ mod tests {
     fn delta_frames_maintain_a_bitwise_identical_live_union() {
         let config = cfg();
         let mut referee = Referee::new(&config, 9);
-        let mut parties: Vec<DeltaParty<()>> = (0..3)
-            .map(|id| DeltaParty::new(id, &config, 9))
-            .collect();
+        let mut parties: Vec<DeltaParty<()>> =
+            (0..3).map(|id| DeltaParty::new(id, &config, 9)).collect();
         let mut next_label = 0u64;
         for round in 0..6 {
             for p in parties.iter_mut() {

@@ -9,9 +9,9 @@
 //! [`Tick`] clock orders deliveries — so every schedule a property test
 //! or experiment explores is exactly reproducible from its seed.
 //!
-//! This generalizes the one-shot lossy channel that used to live inline
-//! in `crate::faults` (which is now a thin wrapper over a no-retry
-//! [`crate::collector::Collector`] on this transport):
+//! Under a no-retry [`crate::collector::Collector`]
+//! ([`crate::collector::RetryPolicy::one_shot`]) it is the paper's
+//! one-shot model over a lossy channel. Its faults:
 //!
 //! * **Drop** — the message is never enqueued; only the channel knows
 //!   (authoritative source for drop counts — the referee cannot count
@@ -101,8 +101,7 @@ pub enum SendFate {
 }
 
 /// Channel-side accounting. Authoritative for drops: the receiver never
-/// sees a dropped message, so only the channel can count them (this is
-/// where `crate::faults::FateCounts::dropped` comes from).
+/// sees a dropped message, so only the channel can count them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportTelemetry {
     /// Total `send` calls.
