@@ -7,8 +7,8 @@
 //! re-shipping the summary cuts steady-state bytes by >= 5x at equal
 //! cadence, hence equal (or better) estimate staleness. The referee's
 //! incrementally-maintained live union is **bitwise identical** to
-//! decoding a fresh full ship at every ack point; the continuous engine
-//! checks that equivalence after every applied frame
+//! decoding a fresh full ship at every ack point; the sustained engine
+//! on the delta plane checks that equivalence after every applied frame
 //! (`oracle_checks` / `oracle_failures` below), so the perf claim never
 //! detaches from the exactness claim.
 //!
@@ -27,7 +27,7 @@
 
 use crate::table::Table;
 use gt_core::{effective_workers, SketchConfig};
-use gt_streams::scenario::{run_continuous, run_sustained, E2eReport, ScenarioSpec};
+use gt_streams::scenario::{run_sustained, E2eReport, ScenarioSpec};
 use gt_streams::{Distribution, RetryPolicy, Tick, TransportSpec};
 
 /// Where the machine-readable summary lands.
@@ -92,7 +92,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         rows.push(Row {
             mode: "delta",
             report_every: cadence,
-            report: run_continuous(&config, MASTER_SEED, &delta_spec),
+            report: run_sustained(&config, MASTER_SEED, &delta_spec),
         });
         let full_spec = base_spec("full", parties, distinct, rate, duration, cadence).build();
         rows.push(Row {
@@ -104,18 +104,25 @@ pub fn run(quick: bool) -> Vec<Table> {
     // One lossy run at the base cadence: drops + ack drops force dups,
     // retransmits and (possibly) resyncs through the measured path. It
     // is excluded from the frontier gates but its oracle still counts.
-    let lossy_spec = base_spec("delta_lossy", parties, distinct, rate, duration, cadences[0])
-        .transport(TransportSpec::lossy(0.05, 0xE24))
-        .retry(RetryPolicy {
-            ack_drop_probability: 0.05,
-            ..RetryPolicy::with_budget(8)
-        })
-        .delta_plane()
-        .build();
+    let lossy_spec = base_spec(
+        "delta_lossy",
+        parties,
+        distinct,
+        rate,
+        duration,
+        cadences[0],
+    )
+    .transport(TransportSpec::lossy(0.05, 0xE24))
+    .retry(RetryPolicy {
+        ack_drop_probability: 0.05,
+        ..RetryPolicy::with_budget(8)
+    })
+    .delta_plane()
+    .build();
     rows.push(Row {
         mode: "delta_lossy",
         report_every: cadences[0],
-        report: run_continuous(&config, MASTER_SEED, &lossy_spec),
+        report: run_sustained(&config, MASTER_SEED, &lossy_spec),
     });
 
     let mut table = Table::new(
@@ -263,7 +270,11 @@ fn write_json(rows: &[Row], quick: bool, workers: usize, min_ratio: f64) {
         workers,
         QUERY_EVERY,
         BYTES_RATIO_FLOOR,
-        if min_ratio.is_finite() { min_ratio } else { 0.0 },
+        if min_ratio.is_finite() {
+            min_ratio
+        } else {
+            0.0
+        },
         json_rows.join(",")
     );
     if let Err(e) =

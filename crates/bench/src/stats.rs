@@ -140,7 +140,7 @@ pub fn render_stats_json(report: &ScenarioReport) -> String {
     )
 }
 
-/// Render a delta-plane continuous run's accounting as an indented,
+/// Render a delta-plane sustained run's accounting as an indented,
 /// labelled plain-text block, matching [`render_stats`]'s shape.
 ///
 /// Shows the frame mix (delta vs full), wire bytes and the estimated
@@ -279,7 +279,7 @@ pub fn demo_delta_scenario() -> E2eReport {
         .delta_plane()
         .build();
     let config = gt_core::SketchConfig::new(0.1, 0.05).unwrap();
-    gt_streams::scenario::run_continuous(&config, 0xC0FFEE, &spec)
+    gt_streams::scenario::run_sustained(&config, 0xC0FFEE, &spec)
 }
 
 /// Render a keyed-store snapshot as an indented, labelled plain-text

@@ -176,7 +176,12 @@ pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &GtSketch<V>) -> R
         }
         scratch.clear();
         scratch.extend(merged.iter().map(|(&label, &payload)| (label, payload)));
-        base.reload_trial(index, d.level(), d.items_observed(), scratch.iter().copied())?;
+        base.reload_trial(
+            index,
+            d.level(),
+            d.items_observed(),
+            scratch.iter().copied(),
+        )?;
     }
     Ok(())
 }
@@ -192,9 +197,12 @@ mod tests {
         SketchConfig::from_shape(0.2, 0.2, 64, 5, gt_hash::HashFamilyKind::Pairwise).unwrap()
     }
 
+    /// Per-trial (level, items, sorted entries).
+    type TrialState<V> = Vec<(u8, u64, Vec<(u64, V)>)>;
+
     /// Canonical comparable view of a sketch: per-trial (level, items,
     /// sorted entries).
-    fn state<V: Payload + std::fmt::Debug + Ord>(s: &GtSketch<V>) -> Vec<(u8, u64, Vec<(u64, V)>)> {
+    fn state<V: Payload + std::fmt::Debug + Ord>(s: &GtSketch<V>) -> TrialState<V> {
         s.trials()
             .iter()
             .map(|t| {
@@ -228,7 +236,11 @@ mod tests {
         // only item counters move.
         s.extend_labels((0..100u64).map(gt_hash::fold61));
         let delta = delta_between(&base, &s).unwrap();
-        assert_eq!(delta.sample_entries(), 0, "steady state must cost no entries");
+        assert_eq!(
+            delta.sample_entries(),
+            0,
+            "steady state must cost no entries"
+        );
         let mut rebuilt = base.clone();
         apply_delta(&mut rebuilt, &delta).unwrap();
         assert_eq!(state(&rebuilt), state(&s));

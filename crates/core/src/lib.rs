@@ -64,8 +64,8 @@ pub mod window;
 pub mod workers;
 
 pub use compact::harmonize;
-pub use delta::{apply_delta, delta_between};
 pub use concurrent::{ConcurrentSketch, ShardedSketch, SketchSnapshot, SketchWriter, WRITER_BUF};
+pub use delta::{apply_delta, delta_between};
 pub use error::{Result, SketchError};
 pub use estimate::{median_f64, quantile_f64, relative_error, Estimate};
 pub use expr::{eval_expr, ExprContext, ExpressionEstimate, JaccardEstimate, SetExpr};

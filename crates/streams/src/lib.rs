@@ -30,9 +30,11 @@
 //!   [`transport::Transport`], feeding an idempotent [`referee`].
 //! * [`scenario`] — the declarative end-to-end harness: a
 //!   [`scenario::ScenarioSpec`] (topology × workload × fault plan ×
-//!   query plan, all plain data) dispatched to one of five engines,
-//!   including a sustained-rate load generator on the virtual clock
-//!   that measures per-item admission→queryable latency and emits an
+//!   query plan, all plain data) dispatched to a batch engine (classic,
+//!   tree, resilient, expression or live) or to the one sustained
+//!   engine, [`scenario::run_sustained`]: a load generator on the
+//!   virtual clock that measures per-item admission→queryable latency,
+//!   reports by full re-ship or over the delta plane, and emits an
 //!   [`scenario::E2eReport`].
 
 #![forbid(unsafe_code)]
@@ -69,9 +71,9 @@ pub use runner::{
     LiveQuerySample, PartyPhases, ResilientReport, ScenarioReport,
 };
 pub use scenario::{
-    named_suite, run_continuous, run_spec, run_spec_on, run_sustained, ChurnEvent, ChurnKind,
-    DeltaPlaneReport, DistinctSample, E2eDeterminismKey, E2eReport, ExpressionSample, FaultPlan,
-    IngestMode, JaccardSample, LatencyHistogram, LoadPhase, LoadShape, QueryPlan, ReportingMode,
+    named_suite, run_spec, run_spec_on, run_sustained, ChurnEvent, ChurnKind, DeltaPlaneReport,
+    DistinctSample, E2eDeterminismKey, E2eReport, ExpressionSample, FaultPlan, IngestMode,
+    JaccardSample, LatencyHistogram, LoadPhase, LoadShape, QueryPlan, ReportingMode,
     ScenarioBuilder, ScenarioOutcome, ScenarioSpec, TopologySpec, WindowSample, WorkloadPlan,
     LATENCY_CLAMP,
 };

@@ -255,7 +255,11 @@ impl<V: WirePayload + PartialEq> DeltaParty<V> {
     /// (older than the current base, or beyond the retention window)
     /// are ignored.
     pub fn handle_ack(&mut self, generation: u64) {
-        if self.acked.as_ref().is_some_and(|&(g, _, _)| g >= generation) {
+        if self
+            .acked
+            .as_ref()
+            .is_some_and(|&(g, _, _)| g >= generation)
+        {
             return;
         }
         let Some(pos) = self.pending.iter().position(|&(g, _)| g == generation) else {

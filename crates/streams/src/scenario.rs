@@ -5,22 +5,22 @@
 //! "32-party fan-in, Zipf multi-tenant traffic, 5% drop with retries,
 //! flash crowd at t=150, party churn at t=200, live distinct + windowed
 //! queries every 100 ticks" is ~15 lines of [`ScenarioBuilder`] calls.
-//! [`run_spec`] dispatches the spec to one of five engines:
+//! [`run_spec`] dispatches the spec by its load shape:
 //!
-//! * **Classic** — the paper's one-shot model: batch streams, perfect
-//!   channel, a single end-of-stream message per party.
-//! * **Resilient** — batch streams over a faulty [`TransportSpec`]
-//!   channel with a retrying collector.
-//! * **Expression** — batch streams plus set-expression / Jaccard
-//!   queries against the referee's retained per-party summaries.
-//! * **Live** — batch streams ingested concurrently through a shared
-//!   [`gt_core::ConcurrentSketch`] while queries are served mid-flight.
-//! * **Sustained** — the new engine of this module: a sustained-rate
-//!   load generator on the virtual clock ([`Tick`]), with per-item
-//!   admission→queryable latency recorded against that clock, live
-//!   degraded-mode queries on a fixed cadence, mid-run party churn, and
-//!   an [`E2eReport`] (throughput, p50/p99/p999 latency, coverage under
-//!   degradation, transport/referee telemetry) at the end.
+//! * **Batch load** runs one of the batch engines, each shipping one
+//!   end-of-stream summary per party: *classic* (perfect channel,
+//!   optionally through a collector tree), *resilient* (a faulty
+//!   [`TransportSpec`] channel with a retrying collector), *expression*
+//!   (set-expression / Jaccard queries on the retained per-party
+//!   summaries) or *live* (concurrent ingest into a shared
+//!   [`gt_core::ConcurrentSketch`], queried mid-flight).
+//! * **Sustained load** runs the one sustained engine, [`run_sustained`]:
+//!   a load generator on the virtual clock ([`Tick`]) with per-item
+//!   admission→queryable latency, live degraded-mode queries on a fixed
+//!   cadence, mid-run churn and an [`E2eReport`] at the end. Its two
+//!   [`ReportingMode`]s differ only in how a party's report is encoded
+//!   and admitted: a full re-ship of the cumulative sketch, or a delta
+//!   frame on the acked delta plane.
 //!
 //! The four legacy `run_*_scenario` entry points in [`crate::runner`]
 //! are thin wrappers over builder instances dispatched through this
@@ -55,7 +55,9 @@ use rand::{Rng, SeedableRng};
 
 use gt_core::{DistinctSketch, LatestTs, SetExpr, SketchConfig, SlidingWindowSketch};
 
-use crate::codec::{encode_full_frame, encode_sketch, payload_fingerprint, WirePayload};
+use crate::codec::{
+    encode_full_frame, encode_sketch, payload_fingerprint, CodecError, WirePayload,
+};
 use crate::collector::{Collector, RetryPolicy};
 use crate::oracle::StreamOracle;
 use crate::party::{DeltaParty, Party, PartyMessage};
@@ -500,6 +502,24 @@ impl ScenarioBuilder {
                 spec.topology.parties
             );
         }
+        // Each batch engine answers one kind of spec; reject what the
+        // dispatch in `run_spec_on` would otherwise silently drop.
+        let batch = matches!(spec.workload.load, LoadShape::Batch { .. });
+        let direct = spec.faults.transport.is_none()
+            && !matches!(spec.topology.ingest, IngestMode::SharedConcurrent { .. });
+        if spec.topology.tree_depth.is_some() {
+            assert!(batch, "tree aggregation applies to batch load only");
+            assert!(
+                direct,
+                "tree aggregation composes with the classic batch engine only"
+            );
+        }
+        if batch && !(spec.queries.expressions.is_empty() && spec.queries.jaccard.is_empty()) {
+            assert!(
+                direct && spec.topology.tree_depth.is_none(),
+                "batch expression and Jaccard queries run on the expression engine only"
+            );
+        }
         spec
     }
 }
@@ -543,14 +563,9 @@ pub fn run_spec_on(
     streams: Option<&StreamSet>,
 ) -> ScenarioOutcome {
     match &spec.workload.load {
-        LoadShape::Sustained { .. } => match spec.reporting {
-            ReportingMode::FullReship => {
-                ScenarioOutcome::Sustained(Box::new(run_sustained(config, master_seed, spec)))
-            }
-            ReportingMode::DeltaPlane => {
-                ScenarioOutcome::Sustained(Box::new(run_continuous(config, master_seed, spec)))
-            }
-        },
+        LoadShape::Sustained { .. } => {
+            ScenarioOutcome::Sustained(Box::new(run_sustained(config, master_seed, spec)))
+        }
         LoadShape::Batch { .. } => {
             let generated;
             let streams = match streams {
@@ -568,51 +583,24 @@ pub fn run_spec_on(
                 spec.topology.parties,
                 "stream set does not match the topology"
             );
+            let (queries, jaccard) = (&spec.queries.expressions, &spec.queries.jaccard);
             if let Some(depth) = spec.topology.tree_depth {
-                assert!(
-                    spec.faults.transport.is_none()
-                        && !matches!(spec.topology.ingest, IngestMode::SharedConcurrent { .. }),
-                    "tree aggregation composes with the classic batch engine only"
-                );
-                return ScenarioOutcome::Classic(run_tree_engine(
-                    config,
-                    master_seed,
-                    streams,
-                    depth,
-                ));
+                let report = run_tree_engine(config, master_seed, streams, depth);
+                ScenarioOutcome::Classic(report)
+            } else if let IngestMode::SharedConcurrent { writer_threshold } = spec.topology.ingest {
+                let report = run_live_engine(config, master_seed, streams, writer_threshold);
+                ScenarioOutcome::Live(report)
+            } else if let Some(tspec) = spec.faults.transport {
+                let policy = spec.faults.retry;
+                let report = run_resilient_engine(config, master_seed, streams, tspec, policy);
+                ScenarioOutcome::Resilient(report)
+            } else if !queries.is_empty() || !jaccard.is_empty() {
+                let report = run_expression_engine(config, master_seed, streams, queries, jaccard);
+                ScenarioOutcome::Expression(report)
+            } else {
+                let report = run_classic_engine(config, master_seed, streams, spec.topology.ingest);
+                ScenarioOutcome::Classic(report)
             }
-            if let IngestMode::SharedConcurrent { writer_threshold } = spec.topology.ingest {
-                return ScenarioOutcome::Live(run_live_engine(
-                    config,
-                    master_seed,
-                    streams,
-                    writer_threshold,
-                ));
-            }
-            if let Some(tspec) = spec.faults.transport {
-                return ScenarioOutcome::Resilient(run_resilient_engine(
-                    config,
-                    master_seed,
-                    streams,
-                    tspec,
-                    spec.faults.retry,
-                ));
-            }
-            if !spec.queries.expressions.is_empty() || !spec.queries.jaccard.is_empty() {
-                return ScenarioOutcome::Expression(run_expression_engine(
-                    config,
-                    master_seed,
-                    streams,
-                    &spec.queries.expressions,
-                    &spec.queries.jaccard,
-                ));
-            }
-            ScenarioOutcome::Classic(run_classic_engine(
-                config,
-                master_seed,
-                streams,
-                spec.topology.ingest,
-            ))
         }
     }
 }
@@ -621,6 +609,24 @@ pub fn run_spec_on(
 // Batch engines (moved here from crate::runner; the legacy entry points
 // are now thin wrappers over builder instances dispatched above)
 // ---------------------------------------------------------------------
+
+/// Observe one party's whole stream and encode its end-of-stream
+/// message, timing both phases.
+fn observe_party(
+    id: usize,
+    config: &SketchConfig,
+    master_seed: u64,
+    stream: &[u64],
+) -> (PartyMessage, PartyPhases) {
+    let mut party = Party::new(id, config, master_seed);
+    let observe_start = Instant::now();
+    party.observe_stream(stream);
+    let observe = observe_start.elapsed();
+    let encode_start = Instant::now();
+    let msg = party.finish();
+    let encode = encode_start.elapsed();
+    (msg, PartyPhases { observe, encode })
+}
 
 /// Classic one-shot engine. `PerPartyThreads` runs one OS thread per
 /// party with the referee pipelined on the caller's thread;
@@ -645,15 +651,9 @@ pub(crate) fn run_classic_engine(
         IngestMode::Sequential => {
             let mut batch: Vec<PartyMessage> = Vec::with_capacity(t);
             for (id, stream) in streams.streams.iter().enumerate() {
-                let mut party = Party::new(id, config, master_seed);
-                let observe_start = Instant::now();
-                party.observe_stream(stream);
-                let observe = observe_start.elapsed();
-                let encode_start = Instant::now();
-                let msg = party.finish();
-                let encode = encode_start.elapsed();
+                let (msg, phases) = observe_party(id, config, master_seed, stream);
                 bytes_per_party[id] = msg.bytes();
-                party_phases[id] = PartyPhases { observe, encode };
+                party_phases[id] = phases;
                 batch.push(msg);
             }
             let busy_start = Instant::now();
@@ -668,14 +668,7 @@ pub(crate) fn run_classic_engine(
                 for (id, stream) in streams.streams.iter().enumerate() {
                     let tx = tx.clone();
                     scope.spawn(move |_| {
-                        let mut party = Party::new(id, config, master_seed);
-                        let observe_start = Instant::now();
-                        party.observe_stream(stream);
-                        let observe = observe_start.elapsed();
-                        let encode_start = Instant::now();
-                        let msg = party.finish();
-                        let encode = encode_start.elapsed();
-                        tx.send((msg, PartyPhases { observe, encode }))
+                        tx.send(observe_party(id, config, master_seed, stream))
                             .expect("referee hung up");
                     });
                 }
@@ -770,15 +763,9 @@ pub(crate) fn run_tree_engine(
     let mut party_phases = vec![PartyPhases::default(); t];
     let mut messages: Vec<PartyMessage> = Vec::with_capacity(t);
     for (id, stream) in streams.streams.iter().enumerate() {
-        let mut party = Party::new(id, config, master_seed);
-        let observe_start = Instant::now();
-        party.observe_stream(stream);
-        let observe = observe_start.elapsed();
-        let encode_start = Instant::now();
-        let msg = party.finish();
-        let encode = encode_start.elapsed();
+        let (msg, phases) = observe_party(id, config, master_seed, stream);
         bytes_per_party[id] = msg.bytes();
-        party_phases[id] = PartyPhases { observe, encode };
+        party_phases[id] = phases;
         messages.push(msg);
     }
     let observe_wall = observe_start.elapsed();
@@ -834,11 +821,7 @@ pub(crate) fn run_resilient_engine(
             .iter()
             .enumerate()
             .map(|(id, stream)| {
-                scope.spawn(move |_| {
-                    let mut party = Party::new(id, config, master_seed);
-                    party.observe_stream(stream);
-                    party.finish()
-                })
+                scope.spawn(move |_| observe_party(id, config, master_seed, stream).0)
             })
             .collect();
         handles
@@ -889,10 +872,9 @@ pub(crate) fn run_expression_engine(
 
     let mut referee = Referee::new(config, master_seed);
     for (id, stream) in streams.streams.iter().enumerate() {
-        let mut party = Party::new(id, config, master_seed);
-        party.observe_stream(stream);
+        let (msg, _) = observe_party(id, config, master_seed, stream);
         referee
-            .receive(&party.finish())
+            .receive(&msg)
             .expect("coordinated message must decode");
     }
 
@@ -1429,29 +1411,35 @@ pub struct E2eDeterminismKey {
     pub samples: Vec<(Tick, usize, u64, u64)>,
 }
 
-/// Per-party runtime state of the sustained engine.
-struct PartyRt {
-    sketch: DistinctSketch,
-    window: Option<SlidingWindowSketch>,
+/// Per-party runtime state of the sustained engine. `R` is the reporting
+/// mode's own per-party state ([`Plane::Party`]).
+struct PartyRt<R> {
+    reporter: R,
     rng: SmallRng,
     universe: Vec<u64>,
     zipf: Option<ZipfSampler>,
     each_once: bool,
-    /// Items generated but not yet covered by an accepted summary:
+    /// Items generated but not yet covered by an accepted report:
     /// `(generation tick, count)` in tick order.
     pending: VecDeque<(Tick, u64)>,
     generated: u64,
-    /// Items covered by the most recent encode (skip no-op re-encodes).
+    /// Items covered by the most recent report (skip no-op re-encodes).
     last_encoded_items: u64,
-    /// Most recent summary and its encode tick, for final retransmits.
+    /// Most recent report and its encode tick, for final retransmits.
     last_encode: Option<(Tick, PartyMessage)>,
+    /// Encode tick of the newest report the referee accepted — the
+    /// staleness anchor for this party.
+    applied_emit_tick: Option<Tick>,
+    /// A resync notice arrived (delta plane): the next report goes out
+    /// even with no new items, re-keying the chain with a full frame.
+    needs_reemit: bool,
     joined_at: Tick,
     leave_at: Option<Tick>,
     graceful: bool,
     sends: usize,
 }
 
-impl PartyRt {
+impl<R> PartyRt<R> {
     fn draw(&mut self) -> u64 {
         let idx = match &self.zipf {
             Some(z) => z.sample(&mut self.rng) as usize,
@@ -1467,7 +1455,7 @@ impl PartyRt {
     }
 
     /// Allowed to send at tick `t`? (Graceful leavers ship their parting
-    /// summary at the leave tick; crashers ship nothing from theirs.)
+    /// report at the leave tick; crashers ship nothing from theirs.)
     fn can_send(&self, t: Tick) -> bool {
         self.joined_at <= t
             && match self.leave_at {
@@ -1477,43 +1465,381 @@ impl PartyRt {
     }
 }
 
-/// Feed one tick's (or retry round's) deliveries to the referee and
-/// account latency: an accepted summary admits every pending item of its
-/// party generated at or before the summary's encode tick.
-fn absorb_deliveries(
-    deliveries: &[Delivery],
-    referee: &mut Referee,
-    meta: &HashMap<(usize, u64), Tick>,
-    parties: &mut [PartyRt],
-    hist: &mut LatencyHistogram,
-    items_acked: &mut u64,
-) {
-    if deliveries.is_empty() {
-        return;
+/// Admission→queryable latency accounting: the encode tick of every
+/// report, and the latency of every item an accepted report covered.
+#[derive(Default)]
+struct Ledger {
+    /// Encode tick of each `(party, payload fingerprint)`.
+    encoded_at: HashMap<(usize, u64), Tick>,
+    latency: LatencyHistogram,
+    items_acked: u64,
+}
+
+/// What the two [`ReportingMode`]s do differently inside the shared tick
+/// loop of [`run_engine`]: how a party encodes a report, how the referee
+/// admits deliveries, and what the mode adds to queries and the report.
+trait Plane {
+    /// The payload the referee's sketches carry.
+    type V: WirePayload + PartialEq;
+    /// Per-party reporting state.
+    type Party;
+
+    /// Fresh reporting state for party `id`.
+    fn party(&self, id: usize) -> Self::Party;
+
+    /// Fold one party's labels generated at tick `t` into its state.
+    fn observe(&self, party: &mut Self::Party, labels: &[u64], t: Tick);
+
+    /// Encode party `id`'s next report.
+    fn emit(&self, party: &mut Self::Party, id: usize) -> PartyMessage;
+
+    /// Hand a non-empty set of deliveries to the referee, and route
+    /// anything the referee says back to the parties. One receipt per
+    /// delivery, in order.
+    fn deliver(
+        &mut self,
+        deliveries: &[Delivery],
+        referee: &mut RefereeOf<Self::V>,
+        ps: &mut [PartyRt<Self::Party>],
+    ) -> Vec<Result<Receipt, CodecError>>;
+
+    /// Called after each tick in which the referee accepted a report.
+    fn accepted(&mut self, _referee: &RefereeOf<Self::V>, _ps: &[PartyRt<Self::Party>]) {}
+
+    /// Called at each query tick, before the queries run.
+    fn query_tick(&mut self, _ps: &[PartyRt<Self::Party>], _t: Tick) {}
+
+    /// Distinct labels seen in the window `(t − w, t]`.
+    fn window_estimate(
+        &self,
+        referee: &RefereeOf<Self::V>,
+        ps: &[PartyRt<Self::Party>],
+        t: Tick,
+        w: Tick,
+    ) -> f64;
+
+    /// The mode's section of the report.
+    fn finish(self, referee: &RefereeOf<Self::V>, parties: usize) -> Option<DeltaPlaneReport>;
+}
+
+/// Full re-ship: every report is the party's whole cumulative sketch,
+/// and the referee takes each tick's deliveries as one batch. Windowed
+/// queries merge party-side [`SlidingWindowSketch`]es.
+struct FullReship<'a> {
+    config: &'a SketchConfig,
+    master_seed: u64,
+    window: bool,
+}
+
+/// A party's state under [`FullReship`].
+struct ReshipParty {
+    sketch: DistinctSketch,
+    window: Option<SlidingWindowSketch>,
+}
+
+impl Plane for FullReship<'_> {
+    type V = ();
+    type Party = ReshipParty;
+
+    fn party(&self, _id: usize) -> ReshipParty {
+        ReshipParty {
+            sketch: DistinctSketch::new(self.config, self.master_seed),
+            window: self
+                .window
+                .then(|| SlidingWindowSketch::new(self.config, self.master_seed)),
+        }
     }
-    let msgs: Vec<PartyMessage> = deliveries.iter().map(|d| d.msg.clone()).collect();
-    let receipts = referee.receive_batch(&msgs);
+
+    fn observe(&self, party: &mut ReshipParty, labels: &[u64], t: Tick) {
+        party.sketch.extend_slice(labels);
+        if let Some(w) = &mut party.window {
+            for &label in labels {
+                w.insert(label, t);
+            }
+        }
+    }
+
+    fn emit(&self, party: &mut ReshipParty, id: usize) -> PartyMessage {
+        PartyMessage {
+            party_id: id,
+            payload: encode_sketch(&party.sketch),
+            items_observed: party.sketch.items_observed(),
+        }
+    }
+
+    fn deliver(
+        &mut self,
+        deliveries: &[Delivery],
+        referee: &mut Referee,
+        _ps: &mut [PartyRt<ReshipParty>],
+    ) -> Vec<Result<Receipt, CodecError>> {
+        let msgs: Vec<PartyMessage> = deliveries.iter().map(|d| d.msg.clone()).collect();
+        referee.receive_batch(&msgs)
+    }
+
+    fn window_estimate(
+        &self,
+        _referee: &Referee,
+        ps: &[PartyRt<ReshipParty>],
+        t: Tick,
+        w: Tick,
+    ) -> f64 {
+        let mut merged: Option<SlidingWindowSketch> = None;
+        for ws in ps.iter().filter_map(|rt| rt.reporter.window.as_ref()) {
+            match &mut merged {
+                None => merged = Some(ws.clone()),
+                Some(m) => m.merge_from(ws).expect("shared seed and config"),
+            }
+        }
+        merged.map_or(0.0, |m| m.estimate_distinct_last(t, w).value)
+    }
+
+    fn finish(self, _referee: &Referee, _parties: usize) -> Option<DeltaPlaneReport> {
+        None
+    }
+}
+
+/// The continuous-monitoring delta plane: parties ship [`DeltaParty`]
+/// frames, the referee applies them one by one and acks each generation
+/// back (subject to return-path loss) or asks for a resync, and an
+/// always-on oracle checks the live union against a fresh full ship.
+/// Windowed queries are answered referee-side from `V` payloads.
+struct DeltaPlane<'a, V: WirePayload> {
+    config: &'a SketchConfig,
+    master_seed: u64,
+    /// The payload an item generated at a tick carries.
+    stamp: fn(Tick) -> V,
+    /// The referee's windowed distinct answer at `(now, window)`.
+    window: fn(&RefereeOf<V>, Tick, Tick) -> f64,
+    /// The ack return path owns its own RNG stream, exactly like the
+    /// collector's, so forward fates are identical with and without ack
+    /// loss.
+    ack_rng: SmallRng,
+    ack_drop: f64,
+    staleness_sum: u64,
+    staleness_ticks: u64,
+    report: DeltaPlaneReport,
+}
+
+impl<'a, V: WirePayload + PartialEq> DeltaPlane<'a, V> {
+    fn new(
+        config: &'a SketchConfig,
+        master_seed: u64,
+        spec: &ScenarioSpec,
+        stamp: fn(Tick) -> V,
+        window: fn(&RefereeOf<V>, Tick, Tick) -> f64,
+    ) -> Self {
+        DeltaPlane {
+            config,
+            master_seed,
+            stamp,
+            window,
+            ack_rng: SmallRng::seed_from_u64(spec.workload.seed ^ 0xACC0_ACC0_ACC0_ACC0),
+            ack_drop: spec.faults.retry.ack_drop_probability.clamp(0.0, 1.0),
+            staleness_sum: 0,
+            staleness_ticks: 0,
+            report: DeltaPlaneReport::default(),
+        }
+    }
+
+    /// The equivalence oracle: a fresh referee full-shipped each party's
+    /// snapshot at its applied generation must produce canonical union
+    /// bytes identical to the live union. `None` when some party has
+    /// already pruned the needed snapshot (mid-resync window) — the
+    /// check is skipped, not failed.
+    fn live_union_matches_full_ship(
+        &self,
+        referee: &RefereeOf<V>,
+        ps: &[PartyRt<DeltaParty<V>>],
+    ) -> Option<bool> {
+        let mut oracle: RefereeOf<V> = RefereeOf::new(self.config, self.master_seed);
+        for (p, rt) in ps.iter().enumerate() {
+            let Some(generation) = referee.acked_generation(p) else {
+                continue;
+            };
+            let snap = rt.reporter.snapshot_for(generation)?;
+            let msg = PartyMessage {
+                party_id: p,
+                payload: encode_full_frame(snap, 1),
+                items_observed: snap.items_observed(),
+            };
+            if !matches!(oracle.receive_frame(&msg), Ok(Receipt::Merged)) {
+                return Some(false);
+            }
+        }
+        Some(encode_sketch(oracle.union_sketch()) == encode_sketch(referee.union_sketch()))
+    }
+}
+
+impl<V: WirePayload + PartialEq> Plane for DeltaPlane<'_, V> {
+    type V = V;
+    type Party = DeltaParty<V>;
+
+    fn party(&self, id: usize) -> DeltaParty<V> {
+        DeltaParty::new(id, self.config, self.master_seed)
+    }
+
+    fn observe(&self, party: &mut DeltaParty<V>, labels: &[u64], t: Tick) {
+        for &label in labels {
+            party.observe_with(label, (self.stamp)(t));
+        }
+    }
+
+    fn emit(&self, party: &mut DeltaParty<V>, _id: usize) -> PartyMessage {
+        party.emit_frame()
+    }
+
+    fn deliver(
+        &mut self,
+        deliveries: &[Delivery],
+        referee: &mut RefereeOf<V>,
+        ps: &mut [PartyRt<DeltaParty<V>>],
+    ) -> Vec<Result<Receipt, CodecError>> {
+        let mut receipts = Vec::with_capacity(deliveries.len());
+        for d in deliveries {
+            let p = d.msg.party_id;
+            let receipt = referee.receive_frame(&d.msg);
+            match receipt {
+                // Route the referee's cumulative per-generation ack back,
+                // subject to return-path loss. Duplicates are re-acked:
+                // the original ack may be the thing that was lost, and
+                // the cumulative ack lets the party advance its base and
+                // prune snapshots.
+                Ok(Receipt::Merged | Receipt::Duplicate) => {
+                    if let Some(generation) = referee.acked_generation(p) {
+                        self.report.acks_sent += 1;
+                        if self.ack_drop > 0.0 && self.ack_rng.gen_bool(self.ack_drop) {
+                            self.report.acks_lost += 1;
+                        } else {
+                            ps[p].reporter.handle_ack(generation);
+                        }
+                    }
+                }
+                Ok(Receipt::NeedResync) => {
+                    ps[p].reporter.handle_resync();
+                    ps[p].needs_reemit = true;
+                }
+                // MergedVariant is unreachable on the frame path; corrupt
+                // deliveries error out and are counted by referee
+                // telemetry.
+                Ok(Receipt::MergedVariant) | Err(_) => {}
+            }
+            receipts.push(receipt);
+        }
+        receipts
+    }
+
+    fn accepted(&mut self, referee: &RefereeOf<V>, ps: &[PartyRt<DeltaParty<V>>]) {
+        match self.live_union_matches_full_ship(referee, ps) {
+            Some(matches) => {
+                self.report.oracle_checks += 1;
+                self.report.oracle_failures += u64::from(!matches);
+            }
+            None => self.report.oracle_skipped += 1,
+        }
+    }
+
+    fn query_tick(&mut self, ps: &[PartyRt<DeltaParty<V>>], t: Tick) {
+        let worst = ps
+            .iter()
+            .filter(|rt| rt.sends > 0)
+            .map(|rt| t.saturating_sub(rt.applied_emit_tick.unwrap_or(0)))
+            .max()
+            .unwrap_or(0);
+        self.staleness_sum += worst;
+        self.staleness_ticks += 1;
+        self.report.staleness_max = self.report.staleness_max.max(worst);
+    }
+
+    fn window_estimate(
+        &self,
+        referee: &RefereeOf<V>,
+        _ps: &[PartyRt<DeltaParty<V>>],
+        t: Tick,
+        w: Tick,
+    ) -> f64 {
+        (self.window)(referee, t, w)
+    }
+
+    fn finish(mut self, referee: &RefereeOf<V>, parties: usize) -> Option<DeltaPlaneReport> {
+        let rt = referee.delta_telemetry();
+        self.report.delta_frames = rt.delta_frames;
+        self.report.full_frames = rt.full_frames;
+        self.report.delta_bytes = rt.delta_bytes;
+        self.report.full_bytes = rt.full_bytes;
+        self.report.resyncs = rt.resyncs_requested;
+        self.report.acked_generations = (0..parties)
+            .map(|p| referee.acked_generation(p).unwrap_or(0))
+            .collect();
+        self.report.staleness_mean = if self.staleness_ticks == 0 {
+            0.0
+        } else {
+            self.staleness_sum as f64 / self.staleness_ticks as f64
+        };
+        Some(self.report)
+    }
+}
+
+/// Feed deliveries to the referee through the plane, then account
+/// latency: an accepted report admits every pending item of its party
+/// generated at or before the report's encode tick. Returns whether the
+/// referee accepted any report.
+fn absorb<P: Plane>(
+    plane: &mut P,
+    deliveries: &[Delivery],
+    referee: &mut RefereeOf<P::V>,
+    ps: &mut [PartyRt<P::Party>],
+    ledger: &mut Ledger,
+) -> bool {
+    if deliveries.is_empty() {
+        return false;
+    }
+    let receipts = plane.deliver(deliveries, referee, ps);
+    let mut any_accepted = false;
     for (d, receipt) in deliveries.iter().zip(receipts) {
         if !matches!(receipt, Ok(Receipt::Merged | Receipt::MergedVariant)) {
             // Duplicates changed nothing; corrupt deliveries decode to
             // an error (or, rarely, to an unknown-fingerprint variant
-            // that the meta lookup below rejects).
+            // that the ledger lookup below rejects).
             continue;
         }
+        any_accepted = true;
         let fp = payload_fingerprint(&d.msg.payload);
-        let Some(&encode_tick) = meta.get(&(d.msg.party_id, fp)) else {
+        let Some(&encode_tick) = ledger.encoded_at.get(&(d.msg.party_id, fp)) else {
             continue;
         };
-        let rt = &mut parties[d.msg.party_id];
+        let rt = &mut ps[d.msg.party_id];
+        rt.applied_emit_tick = rt.applied_emit_tick.max(Some(encode_tick));
         while let Some(&(gen_tick, n)) = rt.pending.front() {
             if gen_tick > encode_tick {
                 break;
             }
-            hist.record(d.at.saturating_sub(gen_tick), n);
-            *items_acked += n;
+            ledger.latency.record(d.at.saturating_sub(gen_tick), n);
+            ledger.items_acked += n;
             rt.pending.pop_front();
         }
     }
+    any_accepted
+}
+
+/// Encode party `id`'s next report at tick `t` and record it as the
+/// party's latest.
+fn encode_report<P: Plane>(
+    plane: &P,
+    rt: &mut PartyRt<P::Party>,
+    id: usize,
+    t: Tick,
+    ledger: &mut Ledger,
+) -> PartyMessage {
+    let msg = plane.emit(&mut rt.reporter, id);
+    ledger
+        .encoded_at
+        .entry((id, payload_fingerprint(&msg.payload)))
+        .or_insert(t);
+    rt.last_encode = Some((t, msg.clone()));
+    rt.last_encoded_items = rt.generated;
+    rt.needs_reemit = false;
+    msg
 }
 
 /// The base-rate multiplier at tick `t` (first matching phase wins).
@@ -1524,11 +1850,51 @@ fn multiplier_at(phases: &[LoadPhase], t: Tick) -> f64 {
         .map_or(1.0, |p| p.rate_multiplier)
 }
 
-/// Run a sustained-load spec on the virtual clock.
+/// Run a sustained-load spec on the virtual clock, reporting as
+/// `spec.reporting` says.
+///
+/// Under [`ReportingMode::FullReship`] every report re-ships the
+/// party's whole sketch and windowed queries merge party-side window
+/// sketches. Under [`ReportingMode::DeltaPlane`] parties ship delta
+/// frames, the referee maintains a live union with per-generation acks
+/// (and resyncs) on the return path, and windowed queries are answered
+/// **referee-side**, so their error includes the reporting staleness the
+/// run measures: only then do frames carry [`LatestTs`] timestamps
+/// (reconciled by `max`); otherwise their payload is `()`.
 ///
 /// # Panics
 /// Panics if the spec's load shape is not [`LoadShape::Sustained`].
 pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> E2eReport {
+    match (spec.reporting, spec.queries.window) {
+        (ReportingMode::FullReship, window) => {
+            let plane = FullReship {
+                config,
+                master_seed,
+                window: window.is_some(),
+            };
+            run_engine(config, master_seed, spec, plane)
+        }
+        (ReportingMode::DeltaPlane, Some(_)) => {
+            let plane = DeltaPlane::new(config, master_seed, spec, LatestTs, |r, now, w| {
+                r.query_distinct_since(now.saturating_sub(w).saturating_add(1))
+                    .value
+            });
+            run_engine(config, master_seed, spec, plane)
+        }
+        (ReportingMode::DeltaPlane, None) => {
+            let plane = DeltaPlane::new(config, master_seed, spec, |_| (), |_, _, _| 0.0);
+            run_engine(config, master_seed, spec, plane)
+        }
+    }
+}
+
+/// The sustained engine's tick loop, shared by both reporting modes.
+fn run_engine<P: Plane>(
+    config: &SketchConfig,
+    master_seed: u64,
+    spec: &ScenarioSpec,
+    mut plane: P,
+) -> E2eReport {
     let wall_start = Instant::now();
     let LoadShape::Sustained {
         rate_per_party,
@@ -1549,7 +1915,7 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
         || !spec.queries.jaccard.is_empty();
 
     let wl = spec.workload.to_workload_spec(parties);
-    let mut ps: Vec<PartyRt> = (0..parties)
+    let mut ps: Vec<PartyRt<P::Party>> = (0..parties)
         .map(|p| {
             let universe: Vec<u64> = wl.party_universe(p).collect();
             let zipf = match spec.workload.distribution {
@@ -1559,11 +1925,7 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
                 _ => None,
             };
             PartyRt {
-                sketch: DistinctSketch::new(config, master_seed),
-                window: spec
-                    .queries
-                    .window
-                    .map(|_| SlidingWindowSketch::new(config, master_seed)),
+                reporter: plane.party(p),
                 rng: SmallRng::seed_from_u64(wl.seed ^ gt_hash::mix64(0x57EA_4000 + p as u64)),
                 universe,
                 zipf,
@@ -1572,6 +1934,8 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
                 generated: 0,
                 last_encoded_items: 0,
                 last_encode: None,
+                applied_emit_tick: None,
+                needs_reemit: false,
                 joined_at: 0,
                 leave_at: None,
                 graceful: false,
@@ -1583,13 +1947,9 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
         assert!(ev.party < parties, "churn references party {}", ev.party);
         match ev.kind {
             ChurnKind::Join => ps[ev.party].joined_at = ev.at,
-            ChurnKind::GracefulLeave => {
+            ChurnKind::GracefulLeave | ChurnKind::Crash => {
                 ps[ev.party].leave_at = Some(ev.at);
-                ps[ev.party].graceful = true;
-            }
-            ChurnKind::Crash => {
-                ps[ev.party].leave_at = Some(ev.at);
-                ps[ev.party].graceful = false;
+                ps[ev.party].graceful = ev.kind == ChurnKind::GracefulLeave;
             }
         }
     }
@@ -1599,13 +1959,11 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
         .transport
         .unwrap_or_else(|| TransportSpec::reliable(wl.seed ^ 0x51AE));
     let mut transport = Transport::new(tspec);
-    let mut referee = Referee::new(config, master_seed);
-    let mut meta: HashMap<(usize, u64), Tick> = HashMap::new();
-    let mut hist = LatencyHistogram::default();
+    let mut referee: RefereeOf<P::V> = RefereeOf::new(config, master_seed);
+    let mut ledger = Ledger::default();
     let mut seen_exact: HashSet<u64> = HashSet::new();
     let mut last_seen: HashMap<u64, Tick> = HashMap::new();
     let mut total_items = 0u64;
-    let mut items_acked = 0u64;
     let mut reports_sent = 0usize;
     let mut bytes_sent = 0u64;
     let mut gen_buf: Vec<u64> = Vec::new();
@@ -1630,12 +1988,7 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
                 rt.generated += 1;
                 gen_buf.push(label);
             }
-            rt.sketch.extend_slice(&gen_buf);
-            if let Some(w) = &mut rt.window {
-                for &label in &gen_buf {
-                    w.insert(label, t);
-                }
-            }
+            plane.observe(&mut rt.reporter, &gen_buf, t);
             for &label in &gen_buf {
                 seen_exact.insert(label);
                 if spec.queries.window.is_some() {
@@ -1646,8 +1999,9 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
             total_items += n;
         }
 
-        // 2. Reporting: cadence ticks, parting summaries at graceful
-        // leaves, and a final flush at the end of the run.
+        // 2. Reporting: cadence ticks, parting reports at graceful
+        // leaves, a final flush at the end of the run, and forced
+        // re-emits after a resync.
         for (p, rt) in ps.iter_mut().enumerate() {
             if !rt.can_send(t) {
                 continue;
@@ -1656,19 +2010,10 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
             if !(t % report_every == 0 || parting || t == duration) {
                 continue;
             }
-            if rt.generated == 0 || rt.generated == rt.last_encoded_items {
+            if rt.generated == 0 || (rt.generated == rt.last_encoded_items && !rt.needs_reemit) {
                 continue; // nothing new to report
             }
-            let payload = encode_sketch(&rt.sketch);
-            let msg = PartyMessage {
-                party_id: p,
-                payload,
-                items_observed: rt.sketch.items_observed(),
-            };
-            let fp = payload_fingerprint(&msg.payload);
-            meta.entry((p, fp)).or_insert(t);
-            rt.last_encode = Some((t, msg.clone()));
-            rt.last_encoded_items = rt.generated;
+            let msg = encode_report(&plane, rt, p, t, &mut ledger);
             rt.sends += 1;
             reports_sent += 1;
             bytes_sent += msg.bytes() as u64;
@@ -1678,17 +2023,13 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
         // 3. Delivery: advance the clock, feed the referee, account
         // admission→queryable latency.
         let deliveries = transport.advance(t);
-        absorb_deliveries(
-            &deliveries,
-            &mut referee,
-            &meta,
-            &mut ps,
-            &mut hist,
-            &mut items_acked,
-        );
+        if absorb(&mut plane, &deliveries, &mut referee, &mut ps, &mut ledger) {
+            plane.accepted(&referee, &ps);
+        }
 
         // 4. Live queries on the cadence.
         if wants_queries && t % query_every == 0 {
+            plane.query_tick(&ps, t);
             let expected = ps.iter().filter(|rt| rt.joined_at <= t).count();
             if spec.queries.distinct {
                 let pe = referee.estimate_distinct_partial(expected);
@@ -1701,16 +2042,7 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
                 });
             }
             if let Some(w) = spec.queries.window {
-                let mut merged: Option<SlidingWindowSketch> = None;
-                for rt in &ps {
-                    if let Some(ws) = &rt.window {
-                        match &mut merged {
-                            None => merged = Some(ws.clone()),
-                            Some(m) => m.merge_from(ws).expect("shared seed and config"),
-                        }
-                    }
-                }
-                let estimate = merged.map_or(0.0, |m| m.estimate_distinct_last(t, w).value);
+                let estimate = plane.window_estimate(&referee, &ps, t, w);
                 let truth = last_seen
                     .values()
                     .filter(|&&ts| ts <= t && ts + w > t)
@@ -1745,516 +2077,10 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
         }
     }
 
-    // Final retransmit rounds: parties still up whose last summary
-    // covers unacked items resend it under the retry budget with capped
-    // exponential backoff, exactly like the collector's rounds.
-    let mut retry_rounds = 0usize;
-    let mut timeout = spec.faults.retry.initial_timeout.max(1);
-    let timeout_cap = spec.faults.retry.max_timeout.max(timeout);
-    loop {
-        let needy: Vec<usize> = ps
-            .iter()
-            .enumerate()
-            .filter(|(_, rt)| {
-                rt.leave_at.is_none()
-                    && matches!(
-                        (&rt.last_encode, rt.pending.front()),
-                        (Some((enc, _)), Some(&(gen, _))) if gen <= *enc
-                    )
-            })
-            .map(|(p, _)| p)
-            .collect();
-        if needy.is_empty() || retry_rounds + 1 >= spec.faults.retry.max_attempts {
-            break;
-        }
-        retry_rounds += 1;
-        for p in needy {
-            let (_, msg) = ps[p].last_encode.clone().expect("checked above");
-            ps[p].sends += 1;
-            bytes_sent += msg.bytes() as u64;
-            transport.send(msg);
-        }
-        let deadline = transport.now().saturating_add(timeout);
-        let deliveries = transport.advance(deadline);
-        absorb_deliveries(
-            &deliveries,
-            &mut referee,
-            &meta,
-            &mut ps,
-            &mut hist,
-            &mut items_acked,
-        );
-        timeout = timeout.saturating_mul(2).min(timeout_cap);
-    }
-    // At-least-once channels deliver late rather than never: drain the
-    // stragglers still on the wire.
-    let stragglers = transport.drain();
-    absorb_deliveries(
-        &stragglers,
-        &mut referee,
-        &meta,
-        &mut ps,
-        &mut hist,
-        &mut items_acked,
-    );
-
-    let senders = ps.iter().filter(|rt| rt.sends > 0).count();
-    let heard = (0..parties).filter(|&p| referee.has_heard(p)).count();
-    let party_coverage = if senders == 0 {
-        1.0
-    } else {
-        heard as f64 / senders as f64
-    };
-    let item_coverage = if total_items == 0 {
-        1.0
-    } else {
-        items_acked as f64 / total_items as f64
-    };
-    let final_estimate = referee.estimate_distinct().value;
-    let truth = seen_exact.len() as u64;
-
-    E2eReport {
-        name: spec.name.clone(),
-        parties,
-        duration,
-        total_items,
-        items_acked,
-        reports_sent,
-        retry_rounds,
-        latency: hist,
-        party_coverage,
-        item_coverage,
-        final_estimate,
-        truth,
-        relative_error: gt_core::relative_error(final_estimate, truth as f64),
-        distinct_samples,
-        window_samples,
-        expression_samples,
-        jaccard_samples,
-        transport: transport.telemetry(),
-        referee: *referee.telemetry(),
-        union_canonical: encode_sketch(referee.union_sketch()),
-        bytes_sent,
-        delta: None,
-        run_wall: wall_start.elapsed(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Continuous-monitoring engine (delta plane)
-// ---------------------------------------------------------------------
-
-/// Per-party runtime state of the continuous-monitoring engine.
-struct ContinuousRt<V: WirePayload + PartialEq> {
-    dp: DeltaParty<V>,
-    rng: SmallRng,
-    universe: Vec<u64>,
-    zipf: Option<ZipfSampler>,
-    each_once: bool,
-    /// Items generated but not yet covered by an applied frame.
-    pending: VecDeque<(Tick, u64)>,
-    generated: u64,
-    /// Items covered by the most recent emitted frame.
-    last_emitted_items: u64,
-    /// Most recent frame and its encode tick, for retransmits.
-    last_frame: Option<(Tick, PartyMessage)>,
-    /// Encode tick of the newest frame the referee applied — the
-    /// staleness anchor for this party.
-    applied_emit_tick: Option<Tick>,
-    /// A resync notice arrived: the next emission must happen even if no
-    /// new items did (it re-keys the chain with a full frame).
-    needs_reemit: bool,
-    joined_at: Tick,
-    leave_at: Option<Tick>,
-    graceful: bool,
-    sends: usize,
-}
-
-impl<V: WirePayload + PartialEq> ContinuousRt<V> {
-    fn draw(&mut self) -> u64 {
-        let idx = match &self.zipf {
-            Some(z) => z.sample(&mut self.rng) as usize,
-            None if self.each_once => (self.generated as usize) % self.universe.len(),
-            None => self.rng.gen_range(0..self.universe.len()),
-        };
-        self.universe[idx]
-    }
-
-    fn generating(&self, t: Tick) -> bool {
-        self.joined_at <= t && self.leave_at.is_none_or(|l| t < l)
-    }
-
-    fn can_send(&self, t: Tick) -> bool {
-        self.joined_at <= t
-            && match self.leave_at {
-                None => true,
-                Some(l) => t < l || (t == l && self.graceful),
-            }
-    }
-}
-
-/// Feed one tick's deliveries to the frame path, account latency, and
-/// drive the per-generation ack/resync return channel. Returns whether
-/// any frame was applied (an ack point — the oracle checks there).
-#[allow(clippy::too_many_arguments)]
-fn absorb_frame_deliveries<V: WirePayload + PartialEq>(
-    deliveries: &[Delivery],
-    referee: &mut RefereeOf<V>,
-    meta: &HashMap<(usize, u64), Tick>,
-    ps: &mut [ContinuousRt<V>],
-    hist: &mut LatencyHistogram,
-    items_acked: &mut u64,
-    ack_rng: &mut SmallRng,
-    ack_drop: f64,
-    report: &mut DeltaPlaneReport,
-) -> bool {
-    let mut any_applied = false;
-    for d in deliveries {
-        let p = d.msg.party_id;
-        match referee.receive_frame(&d.msg) {
-            Ok(Receipt::Merged) => {
-                any_applied = true;
-                let fp = payload_fingerprint(&d.msg.payload);
-                if let Some(&enc) = meta.get(&(p, fp)) {
-                    let rt = &mut ps[p];
-                    rt.applied_emit_tick = Some(rt.applied_emit_tick.map_or(enc, |a| a.max(enc)));
-                    while let Some(&(gen_tick, n)) = rt.pending.front() {
-                        if gen_tick > enc {
-                            break;
-                        }
-                        hist.record(d.at.saturating_sub(gen_tick), n);
-                        *items_acked += n;
-                        rt.pending.pop_front();
-                    }
-                }
-                send_generation_ack(referee, ps, p, ack_rng, ack_drop, report);
-            }
-            // Re-ack duplicates: the original ack may be the thing that
-            // was lost, and the cumulative ack lets the party advance
-            // its base and prune snapshots.
-            Ok(Receipt::Duplicate) => {
-                send_generation_ack(referee, ps, p, ack_rng, ack_drop, report);
-            }
-            Ok(Receipt::NeedResync) => {
-                ps[p].dp.handle_resync();
-                ps[p].needs_reemit = true;
-            }
-            // MergedVariant is unreachable on the frame path; corrupt
-            // deliveries error out and are counted by referee telemetry.
-            Ok(Receipt::MergedVariant) | Err(_) => {}
-        }
-    }
-    any_applied
-}
-
-/// Route the referee's cumulative per-generation ack back to a party,
-/// subject to return-path loss.
-fn send_generation_ack<V: WirePayload + PartialEq>(
-    referee: &RefereeOf<V>,
-    ps: &mut [ContinuousRt<V>],
-    party: usize,
-    ack_rng: &mut SmallRng,
-    ack_drop: f64,
-    report: &mut DeltaPlaneReport,
-) {
-    let Some(generation) = referee.acked_generation(party) else {
-        return;
-    };
-    report.acks_sent += 1;
-    if ack_drop > 0.0 && ack_rng.gen_bool(ack_drop) {
-        report.acks_lost += 1;
-        return;
-    }
-    ps[party].dp.handle_ack(generation);
-}
-
-/// The always-on equivalence oracle: a fresh referee full-shipped each
-/// party's snapshot at its applied generation must produce canonical
-/// union bytes identical to the live union. `None` when some party has
-/// already pruned the needed snapshot (mid-resync window) — the check
-/// is skipped, not failed.
-fn live_union_matches_full_ship<V: WirePayload + PartialEq>(
-    config: &SketchConfig,
-    master_seed: u64,
-    referee: &RefereeOf<V>,
-    ps: &[ContinuousRt<V>],
-) -> Option<bool> {
-    let mut oracle: RefereeOf<V> = RefereeOf::new(config, master_seed);
-    for (p, rt) in ps.iter().enumerate() {
-        let Some(generation) = referee.acked_generation(p) else {
-            continue;
-        };
-        let snap = rt.dp.snapshot_for(generation)?;
-        let msg = PartyMessage {
-            party_id: p,
-            payload: encode_full_frame(snap, 1),
-            items_observed: snap.items_observed(),
-        };
-        if !matches!(oracle.receive_frame(&msg), Ok(Receipt::Merged)) {
-            return Some(false);
-        }
-    }
-    Some(encode_sketch(oracle.union_sketch()) == encode_sketch(referee.union_sketch()))
-}
-
-/// Run a sustained-load spec through the continuous-monitoring delta
-/// plane: parties ship delta frames on the report cadence, the referee
-/// maintains a live union with per-generation acks (and resyncs) on the
-/// return path, and live queries — including the distributed windowed
-/// query — are answered from the referee between deltas.
-///
-/// Windowed queries are answered **referee-side** (timestamps travel in
-/// the frames as [`LatestTs`] payloads and reconcile by `max`), unlike
-/// [`run_sustained`]'s party-side merge — so their error includes the
-/// reporting staleness this engine measures.
-///
-/// # Panics
-/// Panics if the spec's load shape is not [`LoadShape::Sustained`].
-pub fn run_continuous(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> E2eReport {
-    if spec.queries.window.is_some() {
-        run_continuous_impl::<LatestTs>(config, master_seed, spec, LatestTs, |r, now, w| {
-            r.query_distinct_since(now.saturating_sub(w).saturating_add(1))
-                .value
-        })
-    } else {
-        run_continuous_impl::<()>(config, master_seed, spec, |_| (), |_, _, _| 0.0)
-    }
-}
-
-fn run_continuous_impl<V: WirePayload + PartialEq>(
-    config: &SketchConfig,
-    master_seed: u64,
-    spec: &ScenarioSpec,
-    payload_at: impl Fn(Tick) -> V,
-    window_answer: impl Fn(&RefereeOf<V>, Tick, Tick) -> f64,
-) -> E2eReport {
-    let wall_start = Instant::now();
-    let LoadShape::Sustained {
-        rate_per_party,
-        duration,
-        report_every,
-        ref phases,
-    } = spec.workload.load
-    else {
-        panic!("run_continuous requires LoadShape::Sustained");
-    };
-    let parties = spec.topology.parties;
-    assert!(parties > 0, "need at least one party");
-    let report_every = report_every.max(1);
-    let query_every = spec.queries.every.max(1);
-    let wants_queries = spec.queries.distinct
-        || spec.queries.window.is_some()
-        || !spec.queries.expressions.is_empty()
-        || !spec.queries.jaccard.is_empty();
-
-    let wl = spec.workload.to_workload_spec(parties);
-    let mut ps: Vec<ContinuousRt<V>> = (0..parties)
-        .map(|p| {
-            let universe: Vec<u64> = wl.party_universe(p).collect();
-            let zipf = match spec.workload.distribution {
-                Distribution::Zipf(theta) if theta > 0.0 => {
-                    Some(ZipfSampler::new(universe.len() as u64, theta))
-                }
-                _ => None,
-            };
-            ContinuousRt {
-                dp: DeltaParty::new(p, config, master_seed),
-                rng: SmallRng::seed_from_u64(wl.seed ^ gt_hash::mix64(0x57EA_4000 + p as u64)),
-                universe,
-                zipf,
-                each_once: spec.workload.distribution == Distribution::EachOnce,
-                pending: VecDeque::new(),
-                generated: 0,
-                last_emitted_items: 0,
-                last_frame: None,
-                applied_emit_tick: None,
-                needs_reemit: false,
-                joined_at: 0,
-                leave_at: None,
-                graceful: false,
-                sends: 0,
-            }
-        })
-        .collect();
-    for ev in &spec.faults.churn {
-        assert!(ev.party < parties, "churn references party {}", ev.party);
-        match ev.kind {
-            ChurnKind::Join => ps[ev.party].joined_at = ev.at,
-            ChurnKind::GracefulLeave => {
-                ps[ev.party].leave_at = Some(ev.at);
-                ps[ev.party].graceful = true;
-            }
-            ChurnKind::Crash => {
-                ps[ev.party].leave_at = Some(ev.at);
-                ps[ev.party].graceful = false;
-            }
-        }
-    }
-
-    let tspec = spec
-        .faults
-        .transport
-        .unwrap_or_else(|| TransportSpec::reliable(wl.seed ^ 0x51AE));
-    let mut transport = Transport::new(tspec);
-    let mut referee: RefereeOf<V> = RefereeOf::new(config, master_seed);
-    // The ack return path owns its own RNG stream, exactly like the
-    // collector's, so forward fates are identical with and without ack
-    // loss.
-    let mut ack_rng = SmallRng::seed_from_u64(wl.seed ^ 0xACC0_ACC0_ACC0_ACC0);
-    let ack_drop = spec.faults.retry.ack_drop_probability.clamp(0.0, 1.0);
-    let mut delta_report = DeltaPlaneReport::default();
-    let mut meta: HashMap<(usize, u64), Tick> = HashMap::new();
-    let mut hist = LatencyHistogram::default();
-    let mut seen_exact: HashSet<u64> = HashSet::new();
-    let mut last_seen: HashMap<u64, Tick> = HashMap::new();
-    let mut total_items = 0u64;
-    let mut items_acked = 0u64;
-    let mut reports_sent = 0usize;
-    let mut bytes_sent = 0u64;
-    let mut staleness_sum = 0u64;
-    let mut staleness_ticks = 0u64;
-    let mut distinct_samples = Vec::new();
-    let mut window_samples = Vec::new();
-    let mut expression_samples = Vec::new();
-    let mut jaccard_samples = Vec::new();
-
-    for t in 1..=duration {
-        // 1. Generation.
-        for rt in ps.iter_mut() {
-            if !rt.generating(t) {
-                continue;
-            }
-            let n = (rate_per_party as f64 * multiplier_at(phases, t)).round() as u64;
-            if n == 0 {
-                continue;
-            }
-            for _ in 0..n {
-                let label = rt.draw();
-                rt.generated += 1;
-                rt.dp.observe_with(label, payload_at(t));
-                seen_exact.insert(label);
-                if spec.queries.window.is_some() {
-                    last_seen.insert(label, t);
-                }
-            }
-            rt.pending.push_back((t, n));
-            total_items += n;
-        }
-
-        // 2. Frame emission on the cadence (plus parting frames, the
-        // final flush, and forced re-emits after a resync).
-        for (p, rt) in ps.iter_mut().enumerate() {
-            if !rt.can_send(t) {
-                continue;
-            }
-            let parting = rt.leave_at == Some(t) && rt.graceful;
-            if !(t % report_every == 0 || parting || t == duration) {
-                continue;
-            }
-            let items = rt.dp.sketch().items_observed();
-            if items == 0 || (items == rt.last_emitted_items && !rt.needs_reemit) {
-                continue;
-            }
-            let msg = rt.dp.emit_frame();
-            meta.entry((p, payload_fingerprint(&msg.payload))).or_insert(t);
-            rt.last_frame = Some((t, msg.clone()));
-            rt.last_emitted_items = items;
-            rt.needs_reemit = false;
-            rt.sends += 1;
-            reports_sent += 1;
-            bytes_sent += msg.bytes() as u64;
-            transport.send(msg);
-        }
-
-        // 3. Delivery, per-generation acks, latency accounting.
-        let deliveries = transport.advance(t);
-        let applied = absorb_frame_deliveries(
-            &deliveries,
-            &mut referee,
-            &meta,
-            &mut ps,
-            &mut hist,
-            &mut items_acked,
-            &mut ack_rng,
-            ack_drop,
-            &mut delta_report,
-        );
-
-        // 4. The always-on equivalence oracle at every ack point.
-        if applied {
-            match live_union_matches_full_ship(config, master_seed, &referee, &ps) {
-                Some(true) => delta_report.oracle_checks += 1,
-                Some(false) => {
-                    delta_report.oracle_checks += 1;
-                    delta_report.oracle_failures += 1;
-                }
-                None => delta_report.oracle_skipped += 1,
-            }
-        }
-
-        // 5. Live queries between deltas.
-        if wants_queries && t % query_every == 0 {
-            let mut worst_staleness = 0u64;
-            for rt in ps.iter() {
-                if rt.sends == 0 {
-                    continue;
-                }
-                worst_staleness =
-                    worst_staleness.max(t.saturating_sub(rt.applied_emit_tick.unwrap_or(0)));
-            }
-            staleness_sum += worst_staleness;
-            staleness_ticks += 1;
-            delta_report.staleness_max = delta_report.staleness_max.max(worst_staleness);
-
-            let expected = ps.iter().filter(|rt| rt.joined_at <= t).count();
-            if spec.queries.distinct {
-                let pe = referee.estimate_distinct_partial(expected);
-                distinct_samples.push(DistinctSample {
-                    at: t,
-                    estimate: pe.estimate.value,
-                    parties_heard: pe.parties_heard,
-                    parties_expected: expected,
-                    coverage: pe.coverage(),
-                });
-            }
-            if let Some(w) = spec.queries.window {
-                let estimate = window_answer(&referee, t, w);
-                let truth = last_seen
-                    .values()
-                    .filter(|&&ts| ts <= t && ts + w > t)
-                    .count() as u64;
-                window_samples.push(WindowSample {
-                    at: t,
-                    window: w,
-                    estimate,
-                    truth,
-                });
-            }
-            for (i, expr) in spec.queries.expressions.iter().enumerate() {
-                if let Ok(pe) = referee.query_partial(expr) {
-                    expression_samples.push(ExpressionSample {
-                        at: t,
-                        query: i,
-                        estimate: pe.estimate.estimate.value,
-                        coverage: pe.coverage(),
-                    });
-                }
-            }
-            for (i, (e1, e2)) in spec.queries.jaccard.iter().enumerate() {
-                if let Ok(pj) = referee.query_jaccard_partial(e1, e2) {
-                    jaccard_samples.push(JaccardSample {
-                        at: t,
-                        pair: i,
-                        jaccard: pj.estimate.jaccard,
-                        coverage: pj.coverage(),
-                    });
-                }
-            }
-        }
-    }
-
-    // Final retransmit rounds under the retry budget, with resync
-    // fallbacks re-keyed as fresh full frames.
+    // Final retransmit rounds: parties still up whose last report covers
+    // unacked items resend it (or, after a resync, a fresh full frame)
+    // under the retry budget with capped exponential backoff, exactly
+    // like the collector's rounds.
     let mut retry_rounds = 0usize;
     let mut timeout = spec.faults.retry.initial_timeout.max(1);
     let timeout_cap = spec.faults.retry.max_timeout.max(timeout);
@@ -2266,7 +2092,7 @@ fn run_continuous_impl<V: WirePayload + PartialEq>(
                 rt.leave_at.is_none()
                     && ((rt.needs_reemit && !rt.pending.is_empty())
                         || matches!(
-                            (&rt.last_frame, rt.pending.front()),
+                            (&rt.last_encode, rt.pending.front()),
                             (Some((enc, _)), Some(&(gen, _))) if gen <= *enc
                         ))
             })
@@ -2277,64 +2103,25 @@ fn run_continuous_impl<V: WirePayload + PartialEq>(
         }
         retry_rounds += 1;
         for p in needy {
-            let now = transport.now();
-            let msg = if ps[p].needs_reemit {
-                let msg = ps[p].dp.emit_frame();
-                meta.entry((p, payload_fingerprint(&msg.payload)))
-                    .or_insert(now);
-                ps[p].last_frame = Some((now, msg.clone()));
-                ps[p].last_emitted_items = ps[p].dp.sketch().items_observed();
-                ps[p].needs_reemit = false;
-                msg
+            let rt = &mut ps[p];
+            let msg = if rt.needs_reemit {
+                encode_report(&plane, rt, p, transport.now(), &mut ledger)
             } else {
-                ps[p].last_frame.clone().expect("checked above").1
+                rt.last_encode.clone().expect("checked above").1
             };
-            ps[p].sends += 1;
+            rt.sends += 1;
             bytes_sent += msg.bytes() as u64;
             transport.send(msg);
         }
         let deadline = transport.now().saturating_add(timeout);
         let deliveries = transport.advance(deadline);
-        absorb_frame_deliveries(
-            &deliveries,
-            &mut referee,
-            &meta,
-            &mut ps,
-            &mut hist,
-            &mut items_acked,
-            &mut ack_rng,
-            ack_drop,
-            &mut delta_report,
-        );
+        absorb(&mut plane, &deliveries, &mut referee, &mut ps, &mut ledger);
         timeout = timeout.saturating_mul(2).min(timeout_cap);
     }
+    // At-least-once channels deliver late rather than never: drain the
+    // stragglers still on the wire.
     let stragglers = transport.drain();
-    absorb_frame_deliveries(
-        &stragglers,
-        &mut referee,
-        &meta,
-        &mut ps,
-        &mut hist,
-        &mut items_acked,
-        &mut ack_rng,
-        ack_drop,
-        &mut delta_report,
-    );
-
-    let rt = referee.delta_telemetry();
-    delta_report.delta_frames = rt.delta_frames;
-    delta_report.full_frames = rt.full_frames;
-    delta_report.delta_bytes = rt.delta_bytes;
-    delta_report.full_bytes = rt.full_bytes;
-    delta_report.resyncs = rt.resyncs_requested;
-    delta_report.acked_generations = (0..parties)
-        .map(|p| referee.acked_generation(p).unwrap_or(0))
-        .collect();
-    delta_report.staleness_mean = if staleness_ticks == 0 {
-        0.0
-    } else {
-        staleness_sum as f64 / staleness_ticks as f64
-    };
+    absorb(&mut plane, &stragglers, &mut referee, &mut ps, &mut ledger);
 
     let senders = ps.iter().filter(|rt| rt.sends > 0).count();
     let heard = (0..parties).filter(|&p| referee.has_heard(p)).count();
@@ -2346,7 +2133,7 @@ fn run_continuous_impl<V: WirePayload + PartialEq>(
     let item_coverage = if total_items == 0 {
         1.0
     } else {
-        items_acked as f64 / total_items as f64
+        ledger.items_acked as f64 / total_items as f64
     };
     let final_estimate = referee.estimate_distinct().value;
     let truth = seen_exact.len() as u64;
@@ -2356,10 +2143,10 @@ fn run_continuous_impl<V: WirePayload + PartialEq>(
         parties,
         duration,
         total_items,
-        items_acked,
+        items_acked: ledger.items_acked,
         reports_sent,
         retry_rounds,
-        latency: hist,
+        latency: ledger.latency,
         party_coverage,
         item_coverage,
         final_estimate,
@@ -2373,7 +2160,7 @@ fn run_continuous_impl<V: WirePayload + PartialEq>(
         referee: *referee.telemetry(),
         union_canonical: encode_sketch(referee.union_sketch()),
         bytes_sent,
-        delta: Some(delta_report),
+        delta: plane.finish(&referee, parties),
         run_wall: wall_start.elapsed(),
     }
 }
@@ -2850,7 +2637,54 @@ mod tests {
         let _ = ScenarioSpec::builder("bad").parties(2).crash(5, 10).build();
     }
 
-    // ---- delta plane (continuous-monitoring engine) ----
+    #[test]
+    #[should_panic(expected = "composes with the classic batch engine only")]
+    fn tree_with_transport_panics() {
+        let _ = ScenarioSpec::builder("bad")
+            .tree_depth(2)
+            .transport(TransportSpec::reliable(1))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "tree aggregation applies to batch load only")]
+    fn tree_with_sustained_load_panics() {
+        let _ = ScenarioSpec::builder("bad")
+            .tree_depth(2)
+            .sustained(2, 20, 5)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "run on the expression engine only")]
+    fn batch_expression_with_tree_panics() {
+        let _ = ScenarioSpec::builder("bad")
+            .tree_depth(2)
+            .query_expr(SetExpr::leaf(0))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "run on the expression engine only")]
+    fn batch_jaccard_with_transport_panics() {
+        let _ = ScenarioSpec::builder("bad")
+            .transport(TransportSpec::reliable(1))
+            .query_jaccard(SetExpr::leaf(0), SetExpr::leaf(1))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "run on the expression engine only")]
+    fn batch_expression_with_shared_ingest_panics() {
+        let _ = ScenarioSpec::builder("bad")
+            .ingest(IngestMode::SharedConcurrent {
+                writer_threshold: 100,
+            })
+            .query_expr(SetExpr::leaf(0))
+            .build();
+    }
+
+    // ---- delta plane ----
 
     fn delta_spec() -> ScenarioSpec {
         ScenarioSpec::builder("delta_small")
@@ -2868,7 +2702,7 @@ mod tests {
     #[test]
     fn delta_plane_matches_full_reship_union_and_cuts_bytes() {
         let full = run_sustained(&cfg(), 42, &small_sustained());
-        let delta = run_continuous(&cfg(), 42, &delta_spec());
+        let delta = run_sustained(&cfg(), 42, &delta_spec());
         // Same workload seed, both at full coverage: the final unions
         // hold the same samples at the same levels, so the estimates are
         // bit-for-bit equal. (Canonical bytes differ only in per-trial
@@ -2876,7 +2710,10 @@ mod tests {
         // re-ship while the delta plane stays exactly-once; the engine's
         // built-in oracle covers the bitwise claim against a fresh ship.)
         assert_eq!(delta.item_coverage, 1.0);
-        assert_eq!(delta.final_estimate.to_bits(), full.final_estimate.to_bits());
+        assert_eq!(
+            delta.final_estimate.to_bits(),
+            full.final_estimate.to_bits()
+        );
         assert_eq!(delta.truth, full.truth);
         let d = delta.delta.as_ref().expect("delta engine reports stats");
         assert_eq!(d.oracle_failures, 0);
@@ -2911,8 +2748,8 @@ mod tests {
             .query_distinct()
             .delta_plane()
             .build();
-        let a = run_continuous(&cfg(), 42, &spec);
-        let b = run_continuous(&cfg(), 42, &spec);
+        let a = run_sustained(&cfg(), 42, &spec);
+        let b = run_sustained(&cfg(), 42, &spec);
         assert_eq!(a.determinism_key(), b.determinism_key());
         let d = a.delta.as_ref().unwrap();
         assert_eq!(d.oracle_failures, 0, "dup/reorder/loss must not corrupt");
@@ -2938,7 +2775,7 @@ mod tests {
             reporting: ReportingMode::DeltaPlane,
             ..spec
         };
-        let report = run_continuous(&cfg(), 42, &spec);
+        let report = run_sustained(&cfg(), 42, &spec);
         assert!(!report.window_samples.is_empty());
         for s in &report.window_samples {
             assert_eq!(
@@ -2954,12 +2791,14 @@ mod tests {
 
     #[test]
     fn run_spec_dispatches_delta_plane() {
-        match run_spec(&cfg(), 42, &delta_spec()) {
-            ScenarioOutcome::Sustained(r) => {
-                assert!(r.delta.is_some(), "delta plane must report its stats")
-            }
-            other => panic!("expected sustained outcome, got {other:?}"),
-        }
+        let ScenarioOutcome::Sustained(dispatched) = run_spec(&cfg(), 42, &delta_spec()) else {
+            panic!("expected a sustained outcome");
+        };
+        assert!(dispatched.delta.is_some(), "no delta-plane stats");
+        // The public engine entry honours the spec's reporting mode too.
+        let direct = run_sustained(&cfg(), 42, &delta_spec());
+        assert!(direct.delta.is_some(), "run_sustained ignored the mode");
+        assert_eq!(direct.determinism_key(), dispatched.determinism_key());
     }
 
     // ---- tree-depth knob ----

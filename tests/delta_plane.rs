@@ -10,7 +10,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use gt_sketch::streams::{encode_full_frame, encode_sketch, DeltaParty, PartyMessage, Receipt, RefereeOf};
+use gt_sketch::streams::{
+    encode_full_frame, encode_sketch, DeltaParty, PartyMessage, Receipt, RefereeOf,
+};
 use gt_sketch::SketchConfig;
 
 /// Small capacities + trials so level promotions (and therefore
@@ -49,11 +51,11 @@ fn run_schedule(
     let mut delivered: Vec<PartyMessage> = Vec::new();
 
     let deliver = |msg: PartyMessage,
-                       referee: &mut RefereeOf<()>,
-                       parties: &mut Vec<DeltaParty<()>>,
-                       in_flight: &mut Vec<PartyMessage>,
-                       delivered: &mut Vec<PartyMessage>,
-                       drop_ack: bool| {
+                   referee: &mut RefereeOf<()>,
+                   parties: &mut Vec<DeltaParty<()>>,
+                   in_flight: &mut Vec<PartyMessage>,
+                   delivered: &mut Vec<PartyMessage>,
+                   drop_ack: bool| {
         let pid = msg.party_id;
         match referee.receive_frame(&msg).expect("well-formed frame") {
             Receipt::Merged | Receipt::MergedVariant | Receipt::Duplicate => {
@@ -74,10 +76,7 @@ fn run_schedule(
     };
 
     for _ in 0..2_000 {
-        let all_observed = next_batch
-            .iter()
-            .zip(batches)
-            .all(|(&n, b)| n == b.len());
+        let all_observed = next_batch.iter().zip(batches).all(|(&n, b)| n == b.len());
         let all_acked = parties
             .iter()
             .all(|p| p.acked_generation() == Some(p.generation()) || p.generation() == 0);
@@ -86,12 +85,11 @@ fn run_schedule(
         }
         match splitmix(&mut schedule) % 8 {
             // Observe the next batch somewhere and emit a frame.
-            0 | 1 | 2 => {
+            0..=2 => {
                 let ready: Vec<usize> = (0..parties.len())
                     .filter(|&p| next_batch[p] < batches[p].len())
                     .collect();
-                if let Some(&pid) =
-                    ready.get(splitmix(&mut schedule) as usize % ready.len().max(1))
+                if let Some(&pid) = ready.get(splitmix(&mut schedule) as usize % ready.len().max(1))
                 {
                     for &label in &batches[pid][next_batch[pid]] {
                         parties[pid].observe_with(gt_sketch::fold61(label), ());
@@ -102,11 +100,11 @@ fn run_schedule(
             }
             // Deliver a random in-flight frame (random order = reorder),
             // sometimes losing the ack on the return path.
-            3 | 4 | 5 => {
+            3..=5 => {
                 if !in_flight.is_empty() {
                     let i = splitmix(&mut schedule) as usize % in_flight.len();
                     let msg = in_flight.swap_remove(i);
-                    let drop_ack = splitmix(&mut schedule) % 4 == 0;
+                    let drop_ack = splitmix(&mut schedule).is_multiple_of(4);
                     deliver(
                         msg,
                         &mut referee,
@@ -238,7 +236,7 @@ proptest! {
             }
             let msg = party.emit_frame();
             // Half the time the frame is lost before the referee sees it.
-            if splitmix(&mut schedule) % 2 == 0 {
+            if splitmix(&mut schedule).is_multiple_of(2) {
                 continue;
             }
             match live.receive_frame(&msg).expect("well-formed frame") {

@@ -13,9 +13,11 @@ use gt_sketch::streams::{run_sustained, Distribution, RetryPolicy, ScenarioSpec,
 use gt_sketch::SketchConfig;
 
 /// Build a small sustained spec from raw drawn integers. Every stochastic
-/// aspect of the run (workload draws, channel fates) derives from
-/// `workload_seed` and the transport seed, both fixed by the draw — so
-/// the spec itself is a pure value.
+/// aspect of the run (workload draws, channel fates, ack loss) derives
+/// from `workload_seed` and the transport seed, both fixed by the draw —
+/// so the spec itself is a pure value. `plane_pick` chooses full re-ship
+/// (even) or the delta plane (odd), and an ack-loss probability (which
+/// only the delta plane's return path consults).
 #[allow(clippy::too_many_arguments)]
 fn spec_of(
     parties: u64,
@@ -26,6 +28,7 @@ fn spec_of(
     dist_pick: u64,
     fault_pick: u64,
     churn_pick: u64,
+    plane_pick: u64,
 ) -> ScenarioSpec {
     let parties = 1 + (parties % 4) as usize;
     let duration = 20 + duration % 60;
@@ -42,6 +45,7 @@ fn spec_of(
         .sustained(1 + rate % 3, duration, 3 + report_every % 12)
         .query_every(7)
         .query_distinct();
+    let mut retry = RetryPolicy::one_shot();
     match fault_pick % 3 {
         0 => {}
         1 => {
@@ -50,11 +54,16 @@ fn spec_of(
                 straggle_probability: 0.0,
                 ..TransportSpec::lossy(0.2, seed ^ 0xFA17)
             });
-            b = b.retry(RetryPolicy::with_budget(4));
+            retry = RetryPolicy::with_budget(4);
         }
         _ => {
             b = b.transport(TransportSpec::reliable(seed ^ 0x0C1A));
         }
+    }
+    retry.ack_drop_probability = [0.0, 0.1, 0.3][(plane_pick / 2 % 3) as usize];
+    b = b.retry(retry);
+    if plane_pick % 2 == 1 {
+        b = b.delta_plane();
     }
     if parties >= 2 {
         match churn_pick % 4 {
@@ -80,10 +89,12 @@ proptest! {
         dist_pick in 0u64..100,
         fault_pick in 0u64..100,
         churn_pick in 0u64..100,
+        plane_pick in 0u64..100,
         master_seed in 0u64..1 << 32,
     ) {
         let spec = spec_of(
             parties, rate, duration, report_every, seed, dist_pick, fault_pick, churn_pick,
+            plane_pick,
         );
         let config = SketchConfig::new(0.2, 0.2).unwrap();
         let a = run_sustained(&config, master_seed, &spec);
@@ -92,6 +103,14 @@ proptest! {
         // the full latency histogram, exactly-once counters, transport
         // and referee counts, and every query sample's IEEE bits.
         prop_assert_eq!(a.determinism_key(), b.determinism_key());
+        // The delta plane's whole report replays too (staleness, acked
+        // generations, oracle counts), and its live union never diverged
+        // from a fresh full ship.
+        prop_assert_eq!(&a.delta, &b.delta);
+        prop_assert_eq!(a.delta.is_some(), plane_pick % 2 == 1);
+        if let Some(d) = &a.delta {
+            prop_assert_eq!(d.oracle_failures, 0);
+        }
         // The witness is not vacuous: the run did real work.
         prop_assert!(a.total_items > 0);
         prop_assert!(!a.union_canonical.is_empty());
@@ -105,7 +124,7 @@ proptest! {
         // Complement of the replay property: determinism is not the
         // degenerate "always the same answer" — a different master seed
         // re-keys the sketch hashes and must change the canonical bytes.
-        let spec = spec_of(2, 1, 40, 5, seed, 0, 0, 0);
+        let spec = spec_of(2, 1, 40, 5, seed, 0, 0, 0, 0);
         let config = SketchConfig::new(0.2, 0.2).unwrap();
         let a = run_sustained(&config, master_seed, &spec);
         let b = run_sustained(&config, master_seed ^ 0x5EED_0001, &spec);

@@ -6,12 +6,14 @@
 //! state independently — a hand-rolled party→referee pipeline whose
 //! canonical bytes and estimate pin the pre-refactor semantics — and
 //! (b) pinning wrapper output bitwise to the equivalent explicit
-//! builder instance run through the dispatcher.
+//! builder instance run through the dispatcher. The sustained engine's
+//! output is pinned across commits by digest (see
+//! `sustained_engine_outputs_are_pinned`).
 
 use gt_sketch::streams::{
     encode_sketch, run_expression_scenario, run_live_query_scenario, run_resilient_scenario,
-    run_scenario, run_spec_on, Distribution, IngestMode, Party, Referee, RetryPolicy,
-    ScenarioOutcome, ScenarioSpec, TransportSpec, WorkloadSpec,
+    run_scenario, run_spec, run_spec_on, Distribution, IngestMode, Party, Referee, ReportingMode,
+    RetryPolicy, ScenarioBuilder, ScenarioOutcome, ScenarioSpec, TransportSpec, WorkloadSpec,
 };
 use gt_sketch::{SetExpr, SketchConfig};
 
@@ -213,4 +215,126 @@ fn live_wrapper_is_pinned_to_its_builder_instance() {
         report.final_estimate.to_bits(),
         sequential.estimate_distinct().value.to_bits()
     );
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest for the pinned outputs.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The small sustained specs `sustained_engine_outputs_are_pinned`
+/// digests: six shapes, each run with full re-ship and with the delta
+/// plane. Together they cover a reliable and a lossy channel (retries,
+/// ack loss, corruption, stragglers), no churn, crash, graceful leave
+/// and join, and distinct, window, expression and Jaccard queries.
+fn pinned_specs() -> Vec<ScenarioSpec> {
+    let (a, b, c) = (SetExpr::leaf(0), SetExpr::leaf(1), SetExpr::leaf(2));
+    let lossy = |seed: u64| TransportSpec {
+        corrupt_probability: 0.05,
+        ..TransportSpec::lossy(0.25, seed)
+    };
+    let ack_lossy = |budget: usize| RetryPolicy {
+        ack_drop_probability: 0.25,
+        ..RetryPolicy::with_budget(budget)
+    };
+    let base = |name: &str, parties: usize, seed: u64| {
+        ScenarioSpec::builder(name)
+            .parties(parties)
+            .distinct_per_party(300)
+            .overlap(0.3)
+            .workload_seed(seed)
+            .query_every(10)
+    };
+    let shapes: Vec<ScenarioBuilder> = vec![
+        base("steady", 3, 1).sustained(3, 40, 5).query_distinct(),
+        base("crash_window", 3, 2)
+            .sustained(3, 50, 10)
+            .crash(1, 25)
+            .query_distinct()
+            .query_window(15),
+        base("lossy_leave_expr", 4, 3)
+            .distribution(Distribution::Zipf(1.1))
+            .sustained(3, 50, 5)
+            .transport(lossy(0x10))
+            .retry(ack_lossy(6))
+            .graceful_leave(1, 27)
+            .query_distinct()
+            .query_expr(a.clone().union(b.clone()).difference(c.clone())),
+        base("lossy_join_jaccard", 3, 4)
+            .sustained(2, 60, 10)
+            .transport(lossy(0x20))
+            .retry(ack_lossy(4))
+            .join(2, 15)
+            .query_distinct()
+            .query_jaccard(a.clone(), b.clone().union(c.clone())),
+        base("churn_all_queries", 4, 5)
+            .distribution(Distribution::EachOnce)
+            .sustained(4, 48, 6)
+            .crash(3, 30)
+            .join(2, 12)
+            .query_distinct()
+            .query_window(12)
+            .query_expr(a.clone().intersect(c.clone()))
+            .query_jaccard(a.clone(), c.clone()),
+        base("lossy_everything", 4, 6)
+            .sustained(3, 45, 5)
+            .phase(20, 30, 3.0)
+            .transport(lossy(0x30))
+            .retry(ack_lossy(8))
+            .graceful_leave(0, 22)
+            .crash(1, 33)
+            .join(3, 9)
+            .query_window(10)
+            .query_expr(b.clone().union(c.clone()))
+            .query_jaccard(b, c),
+    ];
+    let mut specs = Vec::new();
+    for shape in shapes {
+        specs.push(shape.clone().build());
+        specs.push(shape.delta_plane().build());
+    }
+    specs
+}
+
+/// Digests of `(determinism_key, delta)` for `pinned_specs`, in order,
+/// recorded from the two-engine sustained harness (separate full
+/// re-ship and delta-plane engines) before they were merged into one.
+/// A mismatch means the sustained engine changed its output.
+///
+/// The lossy channel corrupts 5% of deliveries, and with no checksum on
+/// the wire some corrupt delta frames decode and are applied: the
+/// delta-plane runs of `lossy_leave_expr` and `lossy_everything` record
+/// nonzero `oracle_failures`. The digests pin that behaviour as it is.
+const PINNED_DIGESTS: [u64; 12] = [
+    0x95fca70a7095aa3f,
+    0x462a2851a34fc3d1,
+    0x4c935a6344db93a3,
+    0x946820b840e35ea1,
+    0x4ae118b150d1e91e,
+    0xd1b0ea3a8067b792,
+    0x28f3f2a85c1840b3,
+    0x3e4976c7ccd1a0b0,
+    0xe74253fec9b9ec37,
+    0xfd40fb2c7149adb2,
+    0xe8f6b8ef30d686e8,
+    0x6963161d2dc8d3b9,
+];
+
+#[test]
+fn sustained_engine_outputs_are_pinned() {
+    let config = SketchConfig::new(0.2, 0.2).unwrap();
+    let mut got = Vec::new();
+    for spec in pinned_specs() {
+        let ScenarioOutcome::Sustained(report) = run_spec(&config, 0x5EED, &spec) else {
+            panic!("sustained load must dispatch to the sustained engine");
+        };
+        let delta = spec.reporting == ReportingMode::DeltaPlane;
+        assert_eq!(report.delta.is_some(), delta, "{}", spec.name);
+        got.push(fnv1a64(
+            format!("{:?}", (report.determinism_key(), &report.delta)).as_bytes(),
+        ));
+    }
+    assert_eq!(got, PINNED_DIGESTS);
 }
