@@ -78,7 +78,7 @@ pub use params::SketchConfig;
 pub use recency::{estimate_distinct_since_on, LatestTs, RecencySketch};
 pub use sample::DistinctSample;
 pub use similarity::{jaccard_matrix, similarity, SimilarityEstimate};
-pub use sketch::{DistinctSketch, GtSketch, InsertStats};
+pub use sketch::{DistinctSketch, GtSketch};
 pub use sumdistinct::SumDistinctSketch;
 pub use trial::{CoordinatedTrial, Payload, TrialInsert, TrialMergeReport};
 pub use window::SlidingWindowSketch;

@@ -194,6 +194,42 @@ mod tests {
     }
 
     #[test]
+    fn payload_chunk_union_matches_sequential_merging_build() {
+        // Duplicate labels straddle chunk boundaries with distinct
+        // payloads, so chunk-local reconciliation (the merging batch
+        // kernel) AND union-time reconciliation both fire; the union must
+        // still equal the single-observer merging build exactly, payloads
+        // included.
+        let config = SketchConfig::new(0.1, 0.1).unwrap();
+        let items: Vec<(u64, u64)> = (0..30_000u64)
+            .map(|i| (gt_hash::fold61(i % 9_000), i))
+            .collect();
+        let mut seq = GtSketch::<u64>::new(&config, 26);
+        for &(l, p) in &items {
+            seq.insert_merging_with(l, p);
+        }
+        let state = |s: &GtSketch<u64>| -> Vec<(u8, std::collections::BTreeMap<u64, u64>)> {
+            s.trials()
+                .iter()
+                .map(|t| (t.level(), t.sample_iter().collect()))
+                .collect()
+        };
+        for parts in [1, 2, 4, 8] {
+            let locals: Vec<GtSketch<u64>> = crate::workers::balanced_chunks(&items, parts)
+                .into_iter()
+                .map(|chunk| {
+                    let mut s = GtSketch::new(&config, 26);
+                    s.insert_batch_merging_with(chunk);
+                    s
+                })
+                .collect();
+            let union = merge_all(&locals).unwrap();
+            assert_eq!(state(&union), state(&seq), "parts {parts}");
+            assert_eq!(union.items_observed(), seq.items_observed());
+        }
+    }
+
+    #[test]
     fn merge_tree_propagates_coordination_errors() {
         let config = SketchConfig::new(0.2, 0.2).unwrap();
         let mut parties: Vec<DistinctSketch> = (0..MERGE_TREE_CROSSOVER as u64 + 4)

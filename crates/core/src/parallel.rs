@@ -37,8 +37,7 @@
 use crate::error::Result;
 use crate::merge::merge_tree;
 use crate::params::SketchConfig;
-use crate::sketch::{DistinctSketch, GtSketch};
-use crate::trial::Payload;
+use crate::sketch::DistinctSketch;
 use crate::workers::{balanced_chunks, effective_workers, run_workers};
 
 /// Build a [`DistinctSketch`] over `labels` using at most `threads` worker
@@ -74,14 +73,9 @@ pub fn build_parallel(
 }
 
 /// [`build_parallel`] without the worker clamp: spawns exactly `workers`
-/// threads (capped only by the label count). This is how the determinism
-/// tests exercise the chunked path on single-core hosts, and how a bench
-/// can measure the oversubscription penalty on purpose — production
-/// callers want [`build_parallel`].
-///
-/// # Errors
-/// As [`build_parallel`].
-pub fn build_parallel_exact(
+/// threads (capped only by the label count), so the determinism tests
+/// exercise the chunked path on single-core hosts.
+fn build_parallel_exact(
     config: &SketchConfig,
     master_seed: u64,
     labels: &[u64],
@@ -104,70 +98,9 @@ pub fn build_parallel_exact(
     merge_tree(&locals)
 }
 
-/// Payload-carrying parallel build: sketch `(label, payload)` chunks on
-/// worker threads with the merging batch kernel
-/// ([`GtSketch::insert_batch_merging_with`]), then union. Duplicate
-/// arrivals reconcile as `stored.merge(incoming)` on workers and at the
-/// union alike, so the result is bitwise-identical — payloads included —
-/// to a sequential [`GtSketch::insert_merging_with`] pass over the
-/// concatenated input. `threads` is a ceiling, clamped to
-/// [`effective_workers`] exactly as in [`build_parallel`].
-///
-/// # Errors
-/// As [`build_parallel`].
-pub fn build_parallel_with<V: Payload + Send + Sync>(
-    config: &SketchConfig,
-    master_seed: u64,
-    items: &[(u64, V)],
-    threads: usize,
-) -> Result<GtSketch<V>> {
-    build_parallel_with_exact(config, master_seed, items, threads.min(effective_workers()))
-}
-
-/// [`build_parallel_with`] without the worker clamp (see
-/// [`build_parallel_exact`] for when that is the right tool).
-///
-/// # Errors
-/// As [`build_parallel`].
-pub fn build_parallel_with_exact<V: Payload + Send + Sync>(
-    config: &SketchConfig,
-    master_seed: u64,
-    items: &[(u64, V)],
-    workers: usize,
-) -> Result<GtSketch<V>> {
-    if workers < 2 || items.len() < 2 {
-        let mut s = GtSketch::new(config, master_seed);
-        s.insert_batch_merging_with(items);
-        return Ok(s);
-    }
-    let prototype = GtSketch::<V>::new(config, master_seed);
-    let locals = run_workers(balanced_chunks(items, workers), |chunk| {
-        let mut s = prototype.clone();
-        s.insert_batch_merging_with(chunk);
-        s
-    })?;
-    merge_tree(&locals)
-}
-
-/// Merge a set of per-party sketches pairwise in parallel (tree reduction).
-///
-/// Thin wrapper over [`merge_tree`], kept for its by-value signature. For
-/// small `t` the sequential fold in [`crate::merge::merge_all`] is what actually runs
-/// (the crossover lives in `merge_tree`); the tree pays off for referees
-/// that aggregate hundreds of parties, where the reduction depth drops
-/// from `t` to `log₂ t`.
-///
-/// # Errors
-/// [`crate::SketchError::EmptyUnion`] on an empty vector, plus any
-/// propagated merge error.
-pub fn merge_all_parallel(summaries: Vec<DistinctSketch>) -> Result<DistinctSketch> {
-    merge_tree(&summaries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::merge_all;
 
     fn cfg() -> SketchConfig {
         SketchConfig::new(0.1, 0.1).unwrap()
@@ -230,59 +163,5 @@ mod tests {
         let labels: Vec<u64> = (0..5).map(gt_hash::fold61).collect();
         let s = build_parallel_exact(&cfg(), 24, &labels, 64).unwrap();
         assert_eq!(s.estimate_distinct().value, 5.0);
-    }
-
-    #[test]
-    fn payload_parallel_build_matches_sequential_merging_build() {
-        // Duplicate labels straddle chunk boundaries with distinct
-        // payloads, so worker-local reconciliation AND union-time
-        // reconciliation both fire; the result must still equal the
-        // single-observer merging build exactly, payloads included. The
-        // `_exact` variant keeps the chunked path exercised on one-core
-        // hosts.
-        let items: Vec<(u64, u64)> = (0..30_000u64)
-            .map(|i| (gt_hash::fold61(i % 9_000), i))
-            .collect();
-        let mut seq = GtSketch::<u64>::new(&cfg(), 26);
-        for &(l, p) in &items {
-            seq.insert_merging_with(l, p);
-        }
-        let state = |s: &GtSketch<u64>| -> Vec<(u8, std::collections::BTreeMap<u64, u64>)> {
-            s.trials()
-                .iter()
-                .map(|t| (t.level(), t.sample_iter().collect()))
-                .collect()
-        };
-        for workers in [1, 2, 4, 8] {
-            let par = build_parallel_with_exact(&cfg(), 26, &items, workers).unwrap();
-            assert_eq!(state(&par), state(&seq), "workers {workers}");
-            assert_eq!(par.items_observed(), seq.items_observed());
-        }
-    }
-
-    #[test]
-    fn tree_merge_matches_sequential_fold() {
-        let parties: Vec<DistinctSketch> = (0..13)
-            .map(|p| {
-                let mut s = DistinctSketch::new(&cfg(), 25);
-                s.extend_labels((p * 700..(p + 2) * 700).map(gt_hash::fold61));
-                s
-            })
-            .collect();
-        let seq = merge_all(&parties).unwrap();
-        let tree = merge_all_parallel(parties).unwrap();
-        assert_eq!(
-            tree.estimate_distinct().value,
-            seq.estimate_distinct().value
-        );
-        assert_eq!(sample_sets(&tree), sample_sets(&seq));
-    }
-
-    #[test]
-    fn tree_merge_empty_is_an_error() {
-        assert_eq!(
-            merge_all_parallel(vec![]).unwrap_err(),
-            crate::error::SketchError::EmptyUnion
-        );
     }
 }

@@ -159,38 +159,26 @@ impl<V: Payload> GtSketch<V> {
         self.metrics.record_insert_tally(&tally);
     }
 
-    /// Observe a batch of `(label, payload)` items with trial-major loop
-    /// order: each trial sweeps the whole batch before the next trial
-    /// runs.
-    ///
-    /// Semantically identical to calling [`GtSketch::insert_with`] per
-    /// item (each trial is independent, and within one trial the item
-    /// order is preserved), but each trial runs the batch-monomorphic
-    /// kernel ([`CoordinatedTrial::extend_pairs_kernel`]): labels are
-    /// hashed in bulk with the hash-family enum dispatched once per
-    /// [`crate::trial::KERNEL_CHUNK`] labels, below-level items are
-    /// rejected by one compare against the raw hash, and the trial's
-    /// coefficients and sample table stay hot for the whole batch. The
-    /// per-item vs batched vs kernel gap is measured by experiment `e4`
-    /// (`experiments e4`, results in `results/BENCH_ingest.json`).
-    pub fn insert_batch_with(&mut self, items: &[(u64, V)]) {
-        let mut tally = InsertTally::default();
-        for trial in &mut self.trials {
-            trial.extend_pairs_kernel::<false>(items, &mut tally);
-        }
-        self.metrics.record_insert_tally(&tally);
-    }
-
     /// Batch counterpart of [`GtSketch::insert_merging_with`]: observe
     /// `(label, payload)` items through the kernel, reconciling duplicate
     /// arrivals as `stored.merge(incoming)` — so payload-carrying
     /// workloads get the same fast path as plain distinct counting.
     /// Bitwise-identical (samples, levels, and metric snapshots) to the
     /// per-item merging loop.
+    ///
+    /// Each trial sweeps the whole batch through the batch-monomorphic
+    /// kernel ([`CoordinatedTrial::extend_pairs_kernel`]) before the next
+    /// trial runs: labels are hashed in bulk with the hash-family enum
+    /// dispatched once per [`crate::trial::KERNEL_CHUNK`] labels,
+    /// below-level items are rejected by one compare against the raw hash,
+    /// and the trial's coefficients and sample table stay hot for the
+    /// whole batch. The per-item vs batched vs kernel gap is measured by
+    /// experiment `e4` (`experiments e4`, results in
+    /// `results/BENCH_ingest.json`).
     pub fn insert_batch_merging_with(&mut self, items: &[(u64, V)]) {
         let mut tally = InsertTally::default();
         for trial in &mut self.trials {
-            trial.extend_pairs_kernel::<true>(items, &mut tally);
+            trial.extend_pairs_kernel(items, &mut tally);
         }
         self.metrics.record_insert_tally(&tally);
     }
@@ -465,7 +453,7 @@ impl DistinctSketch {
     }
 
     /// Observe a slice of labels through the batch-monomorphic kernel —
-    /// the fastest bulk-ingest path (see [`GtSketch::insert_batch_with`]
+    /// the fastest bulk-ingest path (see [`GtSketch::insert_batch_merging_with`]
     /// for the kernel description; experiment `e4` for the numbers).
     pub fn extend_slice(&mut self, labels: &[u64]) {
         let mut tally = InsertTally::default();
@@ -503,50 +491,6 @@ impl DistinctSketch {
 /// Stack-buffer length used by [`DistinctSketch::extend_labels`] to feed
 /// iterator input through the batch kernel (8 KiB of labels).
 pub const INGEST_BUF: usize = 1024;
-
-/// Outcome statistics from inserting a batch (diagnostics for tuning).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InsertStats {
-    /// Items that entered at least one trial's sample.
-    pub sampled: u64,
-    /// Items that were duplicates in every trial they qualified for.
-    pub duplicates: u64,
-    /// Items below level in every trial.
-    pub below_level: u64,
-}
-
-impl DistinctSketch {
-    /// Insert a batch and report classification statistics (used by the
-    /// ingest benchmarks to show where time goes).
-    pub fn extend_labels_stats(&mut self, labels: impl IntoIterator<Item = u64>) -> InsertStats {
-        let mut stats = InsertStats::default();
-        let mut tally = InsertTally::default();
-        for label in labels {
-            let mut any_sampled = false;
-            let mut any_dup = false;
-            for trial in &mut self.trials {
-                let level_before = trial.level();
-                let outcome = trial.insert(label, ());
-                tally.record(outcome);
-                tally.promotions += u64::from(trial.level() - level_before);
-                match outcome {
-                    TrialInsert::Sampled | TrialInsert::SampledAfterPromotion => any_sampled = true,
-                    TrialInsert::Duplicate => any_dup = true,
-                    TrialInsert::BelowLevel | TrialInsert::EvictedByPromotion => {}
-                }
-            }
-            if any_sampled {
-                stats.sampled += 1;
-            } else if any_dup {
-                stats.duplicates += 1;
-            } else {
-                stats.below_level += 1;
-            }
-        }
-        self.metrics.record_insert_tally(&tally);
-        stats
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -728,17 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_stats_classifies_items() {
-        let mut s = DistinctSketch::new(&cfg(0.3, 0.3), 10);
-        let v: Vec<u64> = labels(100, 9).collect();
-        let first = s.extend_labels_stats(v.iter().copied());
-        assert_eq!(first.sampled, 100);
-        let second = s.extend_labels_stats(v.iter().copied());
-        assert_eq!(second.sampled, 0);
-        assert_eq!(second.duplicates + second.below_level, 100);
-    }
-
-    #[test]
     fn batched_ingest_is_identical_to_per_item() {
         let config = cfg(0.2, 0.2);
         let data: Vec<u64> = labels(30_000, 11).collect();
@@ -757,7 +690,7 @@ mod tests {
 
         let mut pairs = GtSketch::<u64>::new(&config, 12);
         let items: Vec<(u64, u64)> = data.iter().map(|&l| (l, 1)).collect();
-        pairs.insert_batch_with(&items);
+        pairs.insert_batch_merging_with(&items);
         assert_eq!(
             pairs.estimate_distinct().value,
             per_item.estimate_distinct().value

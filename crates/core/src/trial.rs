@@ -393,17 +393,12 @@ impl<V: Payload> CoordinatedTrial<V> {
     }
 
     /// Batch-observe `(label, payload)` pairs through the same kernel as
-    /// [`CoordinatedTrial::extend_labels_kernel`]. With `MERGING = true`,
-    /// duplicate arrivals reconcile payloads in place as
-    /// `stored.merge(incoming)` — the canonical argument order — and count
-    /// into `tally.local_reconciliations`; with `MERGING = false` the
-    /// stored payload is kept untouched, matching
-    /// [`CoordinatedTrial::insert`].
-    pub fn extend_pairs_kernel<const MERGING: bool>(
-        &mut self,
-        items: &[(u64, V)],
-        tally: &mut InsertTally,
-    ) {
+    /// [`CoordinatedTrial::extend_labels_kernel`]. Duplicate arrivals
+    /// reconcile payloads in place as `stored.merge(incoming)` — the
+    /// canonical argument order, matching
+    /// [`CoordinatedTrial::insert_merging`] — and count into
+    /// `tally.local_reconciliations`.
+    pub fn extend_pairs_kernel(&mut self, items: &[(u64, V)], tally: &mut InsertTally) {
         let level_before = self.level;
         let mut labels = [0u64; KERNEL_CHUNK];
         let mut hashes = [0u64; KERNEL_CHUNK];
@@ -432,7 +427,7 @@ impl<V: Payload> CoordinatedTrial<V> {
                     let (label, payload) = chunk[i];
                     let outcome = self.insert_qualified(label, level_of_hash(h), payload);
                     tally.record(outcome);
-                    if MERGING && outcome == TrialInsert::Duplicate {
+                    if outcome == TrialInsert::Duplicate {
                         self.sample.update(label, |v| *v = v.merge(payload));
                         tally.local_reconciliations += 1;
                     }
@@ -565,14 +560,6 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// observability for the union path, mirroring what [`TrialInsert`]
     /// provides for the local path.
     ///
-    /// Runs the bulk kernel ([`CoordinatedTrial::merge_from_kernel`]);
-    /// [`CoordinatedTrial::merge_from_reference`] is the per-entry
-    /// original, kept as the equivalence oracle.
-    #[inline]
-    pub fn merge_from(&mut self, other: &CoordinatedTrial<V>) -> Result<TrialMergeReport> {
-        self.merge_from_kernel(other)
-    }
-
     /// Bulk-kernel union: after aligning to the max level, the incoming
     /// sample is gathered into [`KERNEL_CHUNK`]-sized stack arrays and
     /// hashed with one [`HashFamily::hash_slice_into`] call per chunk (the
@@ -590,8 +577,9 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// [`CoordinatedTrial::merge_from_reference`] (property-tested). No
     /// reserve-ahead growth is needed at this layer: the open-addressed
     /// sample table is pre-sized to `capacity` at construction, so bulk
-    /// insertion never reallocates.
-    pub fn merge_from_kernel(&mut self, other: &CoordinatedTrial<V>) -> Result<TrialMergeReport> {
+    /// insertion never reallocates. The per-entry original is kept as the
+    /// equivalence oracle.
+    pub fn merge_from(&mut self, other: &CoordinatedTrial<V>) -> Result<TrialMergeReport> {
         if self.hasher != other.hasher {
             return Err(SketchError::SeedMismatch);
         }
@@ -1081,7 +1069,7 @@ mod tests {
         }
         let mut kernel: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher, 64);
         let mut tally = InsertTally::default();
-        kernel.extend_pairs_kernel::<true>(&items, &mut tally);
+        kernel.extend_pairs_kernel(&items, &mut tally);
         let state = |t: &CoordinatedTrial<u64>| -> std::collections::BTreeMap<u64, u64> {
             t.sample_iter().collect()
         };
@@ -1126,7 +1114,7 @@ mod tests {
             let mut via_reference = a.clone();
             let ref_report = via_reference.merge_from_reference(&b).unwrap();
             let mut via_kernel = a.clone();
-            let kernel_report = via_kernel.merge_from_kernel(&b).unwrap();
+            let kernel_report = via_kernel.merge_from(&b).unwrap();
             assert_eq!(
                 state(&via_kernel),
                 state(&via_reference),
@@ -1140,12 +1128,12 @@ mod tests {
     fn merge_kernel_rejects_like_reference() {
         let mut a = trial(16, 1);
         let b = trial(16, 2);
-        assert_eq!(a.merge_from_kernel(&b), Err(SketchError::SeedMismatch));
+        assert_eq!(a.merge_from(&b), Err(SketchError::SeedMismatch));
         let hasher = HashFamilyKind::Pairwise.build(FamilySeed(1));
         let mut a: CoordinatedTrial<()> = CoordinatedTrial::new(hasher.clone(), 16);
         let b: CoordinatedTrial<()> = CoordinatedTrial::new(hasher, 32);
         assert!(matches!(
-            a.merge_from_kernel(&b),
+            a.merge_from(&b),
             Err(SketchError::ConfigMismatch { .. })
         ));
     }

@@ -47,10 +47,10 @@ pub use gt_core::{
     merge, merge_all, merge_tree, metrics, parallel, params, predicate, quantile_f64, recency,
     relative_error, sample, similarity, sketch, sumdistinct, trial, ConcurrentMetricsSnapshot,
     ConcurrentSketch, CoordinatedTrial, DistinctSample, DistinctSketch, Estimate, ExprContext,
-    ExpressionEstimate, GtSketch, InsertStats, JaccardEstimate, LatestTs, Mergeable,
-    MetricsSnapshot, Payload, PropagationCause, RecencySketch, Result, SetExpr, ShardedSketch,
-    SimilarityEstimate, SketchConfig, SketchError, SketchMetrics, SketchSnapshot, SketchWriter,
-    SumDistinctSketch, TrialInsert, TrialMergeReport,
+    ExpressionEstimate, GtSketch, JaccardEstimate, LatestTs, Mergeable, MetricsSnapshot, Payload,
+    PropagationCause, RecencySketch, Result, SetExpr, ShardedSketch, SimilarityEstimate,
+    SketchConfig, SketchError, SketchMetrics, SketchSnapshot, SketchWriter, SumDistinctSketch,
+    TrialInsert, TrialMergeReport,
 };
 
 /// Hashing substrate: pairwise-independent families, levels, seeds.
