@@ -11,7 +11,7 @@ use crate::pct;
 use crate::table::Table;
 use gt_baselines::{DistinctCounter, ReservoirSample};
 use gt_core::SketchConfig;
-use gt_streams::{run_scenario, Distribution, WorkloadSpec};
+use gt_streams::{run_batch, Distribution, WorkloadSpec};
 
 /// Run E5.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -47,7 +47,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 seed: 0xE5 + parties as u64,
             };
             let streams = spec.generate();
-            let report = run_scenario(&config, 0xE500 + parties as u64, &streams);
+            let report = run_batch(&config, 0xE500 + parties as u64, &streams, &[], &[]);
 
             // Naive 1: independent per-party sketches, estimates summed.
             let naive_sum: f64 = streams

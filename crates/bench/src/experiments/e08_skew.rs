@@ -8,7 +8,7 @@
 use crate::pct;
 use crate::table::Table;
 use gt_core::SketchConfig;
-use gt_streams::{run_scenario, Distribution, StreamOracle, WorkloadSpec};
+use gt_streams::{run_batch, Distribution, StreamOracle, WorkloadSpec};
 
 /// Run E8.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -49,7 +49,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         let oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
         let mut errs = Vec::new();
         for s in 0..seeds {
-            let report = run_scenario(&config, 0xE800 + s, &streams);
+            let report = run_batch(&config, 0xE800 + s, &streams, &[], &[]);
             errs.push(report.relative_error);
         }
         let mean = errs.iter().sum::<f64>() / errs.len() as f64;

@@ -8,7 +8,7 @@
 use crate::bytes_h;
 use crate::table::Table;
 use gt_core::SketchConfig;
-use gt_streams::{run_scenario, Distribution, WorkloadSpec};
+use gt_streams::{run_batch, Distribution, WorkloadSpec};
 
 /// Run E9.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -36,7 +36,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 distribution: Distribution::Uniform,
                 seed: 0xE9,
             };
-            let report = run_scenario(&config, 0xE901, &spec.generate());
+            let report = run_batch(&config, 0xE901, &spec.generate(), &[], &[]);
             let per_party = report.total_bytes / parties;
             let entries = config.max_sample_entries();
             a.row(vec![
@@ -71,7 +71,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             distribution: Distribution::Uniform,
             seed: 0xE9 + mult,
         };
-        let report = run_scenario(&config, 0xE902, &spec.generate());
+        let report = run_batch(&config, 0xE902, &spec.generate(), &[], &[]);
         b.row(vec![
             spec.items_per_party.to_string(),
             report.total_items.to_string(),

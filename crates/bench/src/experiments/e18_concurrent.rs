@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use crate::table::Table;
 use gt_core::{ConcurrentSketch, SketchConfig};
-use gt_streams::runner::run_live_query_scenario;
+use gt_streams::runner::run_live;
 use gt_streams::workload::{Distribution, WorkloadSpec};
 
 /// Where the machine-readable summary lands.
@@ -69,7 +69,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         let mut best_wall = Duration::MAX;
         let mut best = None;
         for _ in 0..reps {
-            let report = run_live_query_scenario(&config, SEED, &streams, threshold);
+            let report = run_live(&config, SEED, &streams, threshold);
             // Protocol properties hold on every rep, any machine.
             assert!(report.monotone, "snapshots regressed at {w} writers");
             assert!(

@@ -22,7 +22,7 @@
 
 use crate::table::Table;
 use gt_core::{SetExpr, SketchConfig};
-use gt_streams::{run_expression_scenario, Distribution, WorkloadSpec};
+use gt_streams::{run_batch, Distribution, WorkloadSpec};
 
 /// Where the machine-readable summary lands.
 pub const BENCH_JSON: &str = "results/BENCH_expr.json";
@@ -111,8 +111,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 seed: 0xE22 + seed,
             };
             let streams = spec.generate();
-            let report =
-                run_expression_scenario(&config, 1000 + seed, &streams, &queries, &jaccard_queries);
+            let report = run_batch(&config, 1000 + seed, &streams, &queries, &jaccard_queries);
             for (outcome, stats) in report.queries.iter().zip(depth_stats.iter_mut()) {
                 stats.scaled_errors.push(outcome.scaled_error);
                 table.row(vec![

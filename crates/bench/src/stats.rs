@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use gt_store::StoreMetricsSnapshot;
 use gt_streams::scenario::E2eReport;
-use gt_streams::ScenarioReport;
+use gt_streams::BatchReport;
 
 fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
@@ -23,7 +23,7 @@ fn secs(d: Duration) -> f64 {
 
 /// Render the scenario's observability data as an indented, labelled
 /// plain-text block.
-pub fn render_stats(report: &ScenarioReport) -> String {
+pub fn render_stats(report: &BatchReport) -> String {
     let t = &report.referee_telemetry;
     let m = &report.union_metrics;
     let mut out = String::new();
@@ -87,7 +87,7 @@ pub fn render_stats(report: &ScenarioReport) -> String {
 }
 
 /// Render the same data as a single JSON object.
-pub fn render_stats_json(report: &ScenarioReport) -> String {
+pub fn render_stats_json(report: &BatchReport) -> String {
     let t = &report.referee_telemetry;
     // An instantaneous observation phase reports throughput as infinity,
     // which JSON cannot carry; clamp to 0 (no meaningful rate).
@@ -325,7 +325,7 @@ pub fn demo_store() -> StoreMetricsSnapshot {
 
 /// Run a small fixed scenario and return its report — the demo/smoke
 /// input for the stats renderers.
-pub fn demo_scenario() -> ScenarioReport {
+pub fn demo_scenario() -> BatchReport {
     let spec = gt_streams::WorkloadSpec {
         parties: 4,
         distinct_per_party: 4_000,
@@ -335,7 +335,7 @@ pub fn demo_scenario() -> ScenarioReport {
         seed: 0x5_7A75,
     };
     let config = gt_core::SketchConfig::new(0.1, 0.05).unwrap();
-    gt_streams::run_scenario(&config, 0xC0FFEE, &spec.generate())
+    gt_streams::run_batch(&config, 0xC0FFEE, &spec.generate(), &[], &[])
 }
 
 #[cfg(test)]

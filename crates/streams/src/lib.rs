@@ -14,10 +14,12 @@
 //!   LEB128-encoded samples) with byte-accurate accounting, so experiment
 //!   E9 measures real message sizes rather than `size_of` guesses.
 //! * [`party`] / [`referee`] — the two roles, as plain types.
-//! * [`runner`] — a multi-threaded scenario runner (one OS thread per
-//!   party, crossbeam channels to the referee) producing a
-//!   [`runner::ScenarioReport`] with estimates, ground truth, error, and
-//!   communication totals.
+//! * [`runner`] — the batch runs over a pre-generated stream set:
+//!   [`runner::run_batch`] (one OS thread per party, crossbeam channels
+//!   to the referee) returns a [`runner::BatchReport`] with estimates,
+//!   ground truth, error, communication totals and any set-expression
+//!   and Jaccard answers; [`runner::run_live`] serves queries from a
+//!   shared concurrent sketch while writers ingest.
 //! * [`netflow`] — a flow-record (5-tuple) workload generator for the
 //!   paper's motivating network-monitoring domain.
 //! * [`topology`] — hierarchical (tree) aggregation of party messages
@@ -28,14 +30,12 @@
 //! * [`collector`] — the at-least-once collection plane: ack / timeout /
 //!   retransmit rounds with capped exponential backoff over a
 //!   [`transport::Transport`], feeding an idempotent [`referee`].
-//! * [`scenario`] — the declarative end-to-end harness: a
+//! * [`scenario`] — the declarative sustained-load harness: a
 //!   [`scenario::ScenarioSpec`] (topology × workload × fault plan ×
-//!   query plan, all plain data) dispatched to a batch engine (classic,
-//!   tree, resilient, expression or live) or to the one sustained
-//!   engine, [`scenario::run_sustained`]: a load generator on the
-//!   virtual clock that measures per-item admission→queryable latency,
-//!   reports by full re-ship or over the delta plane, and emits an
-//!   [`scenario::E2eReport`].
+//!   query plan, all plain data) run by [`scenario::run_sustained`], a
+//!   load generator on the virtual clock that measures per-item
+//!   admission→queryable latency, reports by full re-ship or over the
+//!   delta plane, and emits an [`scenario::E2eReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,16 +66,14 @@ pub use referee::{
     PartialJaccardEstimate, Receipt, Referee, RefereeOf, RefereeTelemetry, BATCH_BUCKET_LABELS,
 };
 pub use runner::{
-    run_expression_scenario, run_live_query_scenario, run_resilient_scenario, run_scenario,
-    ExpressionQueryOutcome, ExpressionScenarioReport, JaccardQueryOutcome, LiveQueryReport,
-    LiveQuerySample, PartyPhases, ResilientReport, ScenarioReport,
+    run_batch, run_live, BatchReport, ExpressionQueryOutcome, JaccardQueryOutcome, LiveQueryReport,
+    LiveQuerySample, PartyPhases,
 };
 pub use scenario::{
-    named_suite, run_spec, run_spec_on, run_sustained, ChurnEvent, ChurnKind, DeltaPlaneReport,
-    DistinctSample, E2eDeterminismKey, E2eReport, ExpressionSample, FaultPlan, IngestMode,
-    JaccardSample, LatencyHistogram, LoadPhase, LoadShape, QueryPlan, ReportingMode,
-    ScenarioBuilder, ScenarioOutcome, ScenarioSpec, TopologySpec, WindowSample, WorkloadPlan,
-    LATENCY_CLAMP,
+    named_suite, run_sustained, ChurnEvent, ChurnKind, DeltaPlaneReport, DistinctSample,
+    E2eDeterminismKey, E2eReport, ExpressionSample, FaultPlan, JaccardSample, LatencyHistogram,
+    LoadPhase, LoadShape, QueryPlan, ReportingMode, ScenarioBuilder, ScenarioSpec, TopologySpec,
+    WindowSample, WorkloadPlan, LATENCY_CLAMP,
 };
 pub use topology::{aggregate_tree, HierarchicalReport};
 pub use transport::{Delivery, SendFate, Tick, Transport, TransportSpec, TransportTelemetry};

@@ -251,7 +251,7 @@ mod tests {
         let set = w.label_streams();
         assert_eq!(set.streams.len(), 4);
         let config = gt_core::SketchConfig::new(0.1, 0.05).unwrap();
-        let report = crate::runner::run_scenario(&config, 7, &set);
+        let report = crate::runner::run_batch(&config, 7, &set, &[], &[]);
         let rel = (report.estimate - report.truth as f64).abs() / report.truth as f64;
         assert!(rel < 0.1, "est {} truth {}", report.estimate, report.truth);
         // Truth from the runner's oracle must be ≤ the table size (not

@@ -1,22 +1,29 @@
-//! Legacy scenario entry points and their report types.
+//! The batch runs: every party's whole stream exists up front, as in
+//! the paper's one-shot model.
 //!
-//! The four `run_*_scenario` functions below are the crate's original
-//! end-to-end drivers. Since the scenario harness landed they are thin
-//! wrappers: each builds a [`crate::scenario::ScenarioSpec`] via the
-//! builder and dispatches through [`crate::scenario::run_spec_on`],
-//! which routes to the same engine code (moved verbatim into
-//! [`crate::scenario`]). `tests/scenario_regression.rs` pins each
-//! wrapper bitwise (canonical referee wire bytes + key report fields)
-//! to its pre-refactor behavior.
+//! * [`run_batch`] — one OS thread per party, each observing its stream
+//!   and shipping one end-of-stream message; the referee unions the
+//!   messages pipelined on the caller's thread, then answers the distinct
+//!   count and any set-expression and Jaccard queries, each scored
+//!   against the exact oracle.
+//! * [`run_live`] — one writer thread per stream ingesting into a shared
+//!   [`gt_core::ConcurrentSketch`] while the caller's thread serves
+//!   distinct-count queries from snapshots.
+//!
+//! Runs that unfold over time (sustained load, churn, faulty channels,
+//! the delta plane) go through [`crate::scenario::run_sustained`]
+//! instead. `tests/scenario_regression.rs` pins both batch runs bitwise
+//! to a hand-rolled party→referee pipeline.
 
-use std::time::Duration;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
-use gt_core::SketchConfig;
+use gt_core::{SetExpr, SketchConfig};
 
-use crate::collector::{CollectionReport, RetryPolicy};
-use crate::referee::{PartialEstimate, RefereeTelemetry};
-use crate::scenario::{IngestMode, ScenarioOutcome, ScenarioSpec};
-use crate::transport::TransportSpec;
+use crate::oracle::StreamOracle;
+use crate::party::{Party, PartyMessage};
+use crate::referee::{Referee, RefereeTelemetry};
 use crate::workload::StreamSet;
 
 /// One party's own phase timings, measured on its thread.
@@ -28,9 +35,9 @@ pub struct PartyPhases {
     pub encode: Duration,
 }
 
-/// Everything measured in one scenario run.
+/// Everything measured in one [`run_batch`].
 #[derive(Clone, Debug)]
-pub struct ScenarioReport {
+pub struct BatchReport {
     /// The sketch estimate of the union's distinct count.
     pub estimate: f64,
     /// Exact distinct count of the union.
@@ -60,9 +67,15 @@ pub struct ScenarioReport {
     /// the final estimate. Overlaps `observe_wall` (the referee merges
     /// while parties still observe), so it is not additive with it.
     pub referee_time: Duration,
+    /// One outcome per requested set expression, in request order
+    /// (empty when none was asked).
+    pub queries: Vec<ExpressionQueryOutcome>,
+    /// One outcome per requested Jaccard pair, in request order (empty
+    /// when none was asked).
+    pub jaccard_queries: Vec<JaccardQueryOutcome>,
 }
 
-impl ScenarioReport {
+impl BatchReport {
     /// Items per second across all parties during observation.
     pub fn throughput(&self) -> f64 {
         let secs = self.observe_wall.as_secs_f64();
@@ -86,117 +99,6 @@ impl ScenarioReport {
     /// Total time parties spent encoding messages.
     pub fn total_encode(&self) -> Duration {
         self.party_phases.iter().map(|p| p.encode).sum()
-    }
-}
-
-/// The builder instance behind [`run_scenario`].
-fn classic_spec(streams: &StreamSet) -> ScenarioSpec {
-    ScenarioSpec::builder("classic")
-        .from_workload(&streams.spec)
-        .ingest(IngestMode::PerPartyThreads)
-        .build()
-}
-
-/// Run a full scenario: parties on threads, referee on this thread.
-///
-/// ```
-/// use gt_core::SketchConfig;
-/// use gt_streams::{run_scenario, Distribution, WorkloadSpec};
-/// let spec = WorkloadSpec {
-///     parties: 4,
-///     distinct_per_party: 2_000,
-///     overlap: 0.5,
-///     items_per_party: 6_000,
-///     distribution: Distribution::Uniform,
-///     seed: 1,
-/// };
-/// let config = SketchConfig::new(0.1, 0.05).unwrap();
-/// let report = run_scenario(&config, 99, &spec.generate());
-/// assert!(report.relative_error < 0.1);
-/// assert_eq!(report.bytes_per_party.len(), 4);
-/// ```
-///
-/// # Panics
-/// Panics if a party thread panics or the referee rejects a message
-/// (both indicate bugs — the runner wires coordination correctly).
-pub fn run_scenario(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-) -> ScenarioReport {
-    let spec = classic_spec(streams);
-    match crate::scenario::run_spec_on(config, master_seed, &spec, Some(streams)) {
-        ScenarioOutcome::Classic(report) => report,
-        other => unreachable!("classic spec dispatched to {other:?}"),
-    }
-}
-
-/// Everything measured in one **resilient** scenario run: parties behind
-/// a faulty channel, a retrying collector, and degraded-mode coverage.
-#[derive(Clone, Debug)]
-pub struct ResilientReport {
-    /// The collection plane's accounting: attempts, retransmits,
-    /// duplicates, time-to-full-union, channel and referee telemetry.
-    pub collection: CollectionReport,
-    /// The degraded-mode answer: estimate plus coverage. When
-    /// [`PartialEstimate::is_complete`] the `(ε, δ)` contract covers the
-    /// full union; otherwise it covers the received union only.
-    pub partial: PartialEstimate,
-    /// Exact distinct count of the union of **all** streams.
-    pub full_truth: u64,
-    /// Exact distinct count of the union of the streams whose party was
-    /// heard.
-    pub received_truth: u64,
-    /// Relative error of the estimate against `received_truth` — the
-    /// quantity the `(ε, δ)` contract covers under faults.
-    pub error_vs_received: f64,
-}
-
-impl ResilientReport {
-    /// Fraction of the full union's distinct labels actually delivered —
-    /// the quantity experiment `e17` sweeps against drop probability and
-    /// retry budget.
-    pub fn union_completeness(&self) -> f64 {
-        if self.full_truth == 0 {
-            1.0
-        } else {
-            self.received_truth as f64 / self.full_truth as f64
-        }
-    }
-}
-
-/// The builder instance behind [`run_resilient_scenario`].
-fn resilient_spec(
-    streams: &StreamSet,
-    transport: TransportSpec,
-    policy: RetryPolicy,
-) -> ScenarioSpec {
-    ScenarioSpec::builder("resilient")
-        .from_workload(&streams.spec)
-        .transport(transport)
-        .retry(policy)
-        .build()
-}
-
-/// Run a scenario through the resilient collection plane: parties observe
-/// on threads as in [`run_scenario`], but their messages cross the
-/// simulated faulty [`TransportSpec`] channel and a retrying
-/// [`crate::collector::Collector`] drives ack/timeout/retransmit rounds
-/// under `policy`.
-///
-/// Unlike [`run_scenario`], message loss is expected here: the report
-/// carries coverage instead of panicking on an incomplete union.
-pub fn run_resilient_scenario(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    spec: TransportSpec,
-    policy: RetryPolicy,
-) -> ResilientReport {
-    let spec = resilient_spec(streams, spec, policy);
-    match crate::scenario::run_spec_on(config, master_seed, &spec, Some(streams)) {
-        ScenarioOutcome::Resilient(report) => report,
-        other => unreachable!("resilient spec dispatched to {other:?}"),
     }
 }
 
@@ -233,64 +135,6 @@ pub struct JaccardQueryOutcome {
     pub abs_error: f64,
 }
 
-/// Everything measured in one **expression-query** scenario run.
-#[derive(Clone, Debug)]
-pub struct ExpressionScenarioReport {
-    /// One outcome per requested set expression, in request order.
-    pub queries: Vec<ExpressionQueryOutcome>,
-    /// One outcome per requested Jaccard pair, in request order.
-    pub jaccard_queries: Vec<JaccardQueryOutcome>,
-    /// Number of parties.
-    pub parties: usize,
-    /// Total items across streams.
-    pub total_items: u64,
-    /// The configuration's ε (the scaled-error denominator factor).
-    pub epsilon: f64,
-}
-
-/// The builder instance behind [`run_expression_scenario`].
-fn expression_spec(
-    streams: &StreamSet,
-    queries: &[gt_core::SetExpr],
-    jaccard_queries: &[(gt_core::SetExpr, gt_core::SetExpr)],
-) -> ScenarioSpec {
-    let mut builder = ScenarioSpec::builder("expression").from_workload(&streams.spec);
-    for q in queries {
-        builder = builder.query_expr(q.clone());
-    }
-    for (e1, e2) in jaccard_queries {
-        builder = builder.query_jaccard(e1.clone(), e2.clone());
-    }
-    builder.build()
-}
-
-/// Run an expression-query scenario: every party observes its stream and
-/// reports to the referee (serially — this runner measures estimation
-/// quality, not wall clock), then the referee answers each set-expression
-/// and Jaccard query from its retained per-party summaries. Exact truth
-/// for every query is computed from the raw streams via
-/// [`gt_core::expr::SetExpr::eval_exact`].
-///
-/// Leaves of the query expressions are **party ids**, i.e. indices into
-/// `streams.streams`.
-///
-/// # Panics
-/// Panics if a query references a party outside the stream set or a
-/// referee message is rejected (both indicate caller bugs).
-pub fn run_expression_scenario(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    queries: &[gt_core::SetExpr],
-    jaccard_queries: &[(gt_core::SetExpr, gt_core::SetExpr)],
-) -> ExpressionScenarioReport {
-    let spec = expression_spec(streams, queries, jaccard_queries);
-    match crate::scenario::run_spec_on(config, master_seed, &spec, Some(streams)) {
-        ScenarioOutcome::Expression(report) => report,
-        other => unreachable!("expression spec dispatched to {other:?}"),
-    }
-}
-
 /// One mid-stream query answered while writers were still ingesting.
 #[derive(Clone, Copy, Debug)]
 pub struct LiveQuerySample {
@@ -303,11 +147,12 @@ pub struct LiveQuerySample {
     /// the prefix-union's cardinality, not the final answer.
     pub estimate: f64,
     /// `items_covered` as a fraction of the full workload's items: the
-    /// live-serving analogue of [`PartialEstimate`]'s coverage.
+    /// live-serving analogue of [`crate::referee::PartialEstimate`]'s
+    /// coverage.
     pub coverage: f64,
 }
 
-/// Everything measured in one **live-query** scenario run: writers ingest
+/// Everything measured in one [`run_live`]: writers ingest
 /// concurrently through a [`gt_core::ConcurrentSketch`] while the
 /// caller's thread answers distinct-count queries from snapshots.
 #[derive(Clone, Debug)]
@@ -352,39 +197,286 @@ impl LiveQueryReport {
     }
 }
 
-/// The builder instance behind [`run_live_query_scenario`].
-fn live_spec(streams: &StreamSet, writer_threshold: u64) -> ScenarioSpec {
-    ScenarioSpec::builder("live")
-        .from_workload(&streams.spec)
-        .ingest(IngestMode::SharedConcurrent { writer_threshold })
-        .build()
+/// Observe one party's whole stream and encode its end-of-stream
+/// message, timing both phases.
+fn observe_party(
+    id: usize,
+    config: &SketchConfig,
+    master_seed: u64,
+    stream: &[u64],
+) -> (PartyMessage, PartyPhases) {
+    let mut party = Party::new(id, config, master_seed);
+    let observe_start = Instant::now();
+    party.observe_stream(stream);
+    let observe = observe_start.elapsed();
+    let encode_start = Instant::now();
+    let msg = party.finish();
+    let encode = encode_start.elapsed();
+    (msg, PartyPhases { observe, encode })
 }
 
-/// Run a live-query scenario: one writer thread per stream ingests into a
+/// Run the paper's one-shot model: one thread per party observes its
+/// stream and ships one message, and the referee on this thread unions
+/// the messages as they arrive. It then answers the distinct count and
+/// every set-expression and Jaccard query.
+///
+/// Leaves of the query expressions are **party ids**, i.e. indices into
+/// `streams.streams`. Every answer is scored against the exact oracle
+/// ([`SetExpr::eval_exact`] over the raw streams); the exact per-party
+/// sets are built only when a query is asked. Answers come from the
+/// referee's retained per-party summaries, which do not depend on thread
+/// scheduling.
+///
+/// ```
+/// use gt_core::SketchConfig;
+/// use gt_streams::{run_batch, Distribution, WorkloadSpec};
+/// let spec = WorkloadSpec {
+///     parties: 4,
+///     distinct_per_party: 2_000,
+///     overlap: 0.5,
+///     items_per_party: 6_000,
+///     distribution: Distribution::Uniform,
+///     seed: 1,
+/// };
+/// let config = SketchConfig::new(0.1, 0.05).unwrap();
+/// let report = run_batch(&config, 99, &spec.generate(), &[], &[]);
+/// assert!(report.relative_error < 0.1);
+/// assert_eq!(report.bytes_per_party.len(), 4);
+/// ```
+///
+/// # Panics
+/// Panics if a party thread panics, the referee rejects a message, or a
+/// query references a party outside the stream set (all wiring or
+/// caller bugs).
+pub fn run_batch(
+    config: &SketchConfig,
+    master_seed: u64,
+    streams: &StreamSet,
+    expressions: &[SetExpr],
+    jaccard: &[(SetExpr, SetExpr)],
+) -> BatchReport {
+    let t = streams.streams.len();
+    assert!(t > 0, "need at least one party");
+
+    let observe_start = Instant::now();
+    let mut referee = Referee::new(config, master_seed);
+    let mut bytes_per_party = vec![0usize; t];
+    let mut party_phases = vec![PartyPhases::default(); t];
+    let mut referee_busy = Duration::ZERO;
+    let (tx, rx) = crossbeam::channel::unbounded::<(PartyMessage, PartyPhases)>();
+    crossbeam::scope(|scope| {
+        for (id, stream) in streams.streams.iter().enumerate() {
+            let tx = tx.clone();
+            scope.spawn(move |_| {
+                tx.send(observe_party(id, config, master_seed, stream))
+                    .expect("referee hung up");
+            });
+        }
+        drop(tx);
+        // Referee loop, pipelined: runs on this thread while party
+        // threads are still observing; exits when every sender is done.
+        // Messages that queued up while the referee was busy are drained
+        // into one batch and unioned through the tree-reduction batch
+        // path.
+        let mut batch: Vec<PartyMessage> = Vec::with_capacity(t);
+        while let Ok((msg, phases)) = rx.recv() {
+            let busy_start = Instant::now();
+            batch.clear();
+            bytes_per_party[msg.party_id] = msg.bytes();
+            party_phases[msg.party_id] = phases;
+            batch.push(msg);
+            while let Ok((msg, phases)) = rx.try_recv() {
+                bytes_per_party[msg.party_id] = msg.bytes();
+                party_phases[msg.party_id] = phases;
+                batch.push(msg);
+            }
+            for outcome in referee.receive_batch(&batch) {
+                outcome.expect("coordinated message must decode");
+            }
+            referee_busy += busy_start.elapsed();
+        }
+    })
+    .expect("party thread panicked");
+    let observe_wall = observe_start.elapsed();
+
+    let estimate_start = Instant::now();
+    let estimate = referee.estimate_distinct().value;
+    let referee_time = referee_busy + estimate_start.elapsed();
+
+    let oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
+    let truth = oracle.distinct();
+
+    let sets: Vec<HashSet<u64>> = if expressions.is_empty() && jaccard.is_empty() {
+        Vec::new()
+    } else {
+        streams
+            .streams
+            .iter()
+            .map(|s| s.iter().copied().collect())
+            .collect()
+    };
+    let queries = expressions
+        .iter()
+        .map(|expr| {
+            let answer = referee.query(expr).expect("query references heard parties");
+            let truth = expr
+                .eval_exact(&sets)
+                .expect("oracle shares the leaves")
+                .len() as u64;
+            // Union of every referenced stream: the additive contract's scale.
+            let mut referenced: HashSet<u64> = HashSet::new();
+            expr.for_each_leaf(&mut |i| referenced.extend(&sets[i]));
+            let scale = config.epsilon() * referenced.len() as f64;
+            let scaled_error = if scale == 0.0 {
+                0.0
+            } else {
+                (answer.estimate.value - truth as f64).abs() / scale
+            };
+            ExpressionQueryOutcome {
+                expr: expr.to_string(),
+                depth: expr.depth(),
+                answer,
+                truth,
+                scaled_error,
+            }
+        })
+        .collect();
+    let jaccard_queries = jaccard
+        .iter()
+        .map(|(e1, e2)| {
+            let answer = referee
+                .query_jaccard(e1, e2)
+                .expect("query references heard parties");
+            let s1 = e1.eval_exact(&sets).expect("oracle shares the leaves");
+            let s2 = e2.eval_exact(&sets).expect("oracle shares the leaves");
+            let union = s1.union(&s2).count();
+            let truth = if union == 0 {
+                0.0
+            } else {
+                s1.intersection(&s2).count() as f64 / union as f64
+            };
+            JaccardQueryOutcome {
+                exprs: (e1.to_string(), e2.to_string()),
+                abs_error: (answer.jaccard - truth).abs(),
+                answer,
+                truth,
+            }
+        })
+        .collect();
+
+    BatchReport {
+        estimate,
+        truth,
+        relative_error: gt_core::relative_error(estimate, truth as f64),
+        parties: t,
+        total_items: streams.total_items(),
+        total_bytes: bytes_per_party.iter().sum(),
+        bytes_per_party,
+        party_phases,
+        observe_wall,
+        referee_telemetry: *referee.telemetry(),
+        union_metrics: referee.union_metrics(),
+        referee_time,
+        queries,
+        jaccard_queries,
+    }
+}
+
+/// Run the live-query path: one writer thread per stream ingests into a
 /// shared [`gt_core::ConcurrentSketch`] (each writer propagating its
 /// thread-local buffer every `writer_threshold` items or on level lag),
 /// while this thread serves `estimate_distinct` queries from published
-/// snapshots the whole time — the ROADMAP's "answer union-F₀ queries
-/// while inserts are in flight" serving path.
+/// snapshots the whole time.
 ///
-/// Unlike [`run_scenario`] there is no end-of-stream message: queries
-/// never block writers, every answered query is an `(ε, δ)` estimate of
-/// the prefix-union its epoch covers, and once all writers finish the
-/// final snapshot is bitwise-identical (canonical encoding) to a
-/// sequential sketch of the full multiset.
+/// Unlike [`run_batch`] there is no end-of-stream message: queries never
+/// block writers, every answered query is an `(ε, δ)` estimate of the
+/// prefix-union its epoch covers, and once all writers finish the final
+/// snapshot is bitwise-identical (canonical encoding) to a sequential
+/// sketch of the full multiset.
 ///
 /// # Panics
 /// Panics if a writer thread panics.
-pub fn run_live_query_scenario(
+pub fn run_live(
     config: &SketchConfig,
     master_seed: u64,
     streams: &StreamSet,
     writer_threshold: u64,
 ) -> LiveQueryReport {
-    let spec = live_spec(streams, writer_threshold);
-    match crate::scenario::run_spec_on(config, master_seed, &spec, Some(streams)) {
-        ScenarioOutcome::Live(report) => report,
-        other => unreachable!("live spec dispatched to {other:?}"),
+    let t = streams.streams.len();
+    assert!(t > 0, "need at least one writer");
+    let total_items = streams.total_items();
+
+    let shared = gt_core::ConcurrentSketch::new(config, master_seed);
+    let writers_done = AtomicUsize::new(0);
+    let mut samples: Vec<LiveQuerySample> = Vec::new();
+    let mut snapshots_taken = 0u64;
+    let mut monotone = true;
+
+    let observe_start = Instant::now();
+    crossbeam::scope(|scope| {
+        for stream in &streams.streams {
+            let shared = &shared;
+            let writers_done = &writers_done;
+            scope.spawn(move |_| {
+                let mut writer = shared.writer_with_threshold(writer_threshold);
+                writer.extend_slice(stream);
+                drop(writer); // flush the tail before reporting done
+                writers_done.fetch_add(1, Ordering::Release);
+            });
+        }
+        // Query loop on this thread: serve estimates from snapshots while
+        // writers run. Samples are recorded per *new epoch*; monotonicity
+        // is tracked across every poll (count/ordering property, no
+        // timing assumptions).
+        let mut last_epoch = 0u64;
+        let mut last_items = 0u64;
+        loop {
+            let done = writers_done.load(Ordering::Acquire) >= t;
+            let snap = shared.snapshot();
+            snapshots_taken += 1;
+            if snap.epoch() < last_epoch || snap.items_observed() < last_items {
+                monotone = false;
+            }
+            if snap.epoch() != last_epoch || (done && samples.is_empty()) {
+                samples.push(LiveQuerySample {
+                    epoch: snap.epoch(),
+                    items_covered: snap.items_observed(),
+                    estimate: snap.estimate_distinct().value,
+                    coverage: if total_items == 0 {
+                        1.0
+                    } else {
+                        snap.items_observed() as f64 / total_items as f64
+                    },
+                });
+            }
+            last_epoch = snap.epoch();
+            last_items = snap.items_observed();
+            if done {
+                break;
+            }
+            std::thread::yield_now();
+        }
+    })
+    .expect("writer thread panicked");
+    let observe_wall = observe_start.elapsed();
+
+    let final_snap = shared.snapshot();
+    let final_estimate = final_snap.estimate_distinct().value;
+    let oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
+    let truth = oracle.distinct();
+
+    LiveQueryReport {
+        samples,
+        snapshots_taken,
+        monotone,
+        final_estimate,
+        truth,
+        relative_error: gt_core::relative_error(final_estimate, truth as f64),
+        final_epoch: final_snap.epoch(),
+        parties: t,
+        total_items,
+        observe_wall,
+        concurrent_metrics: shared.metrics_snapshot(),
     }
 }
 
@@ -394,32 +486,7 @@ mod tests {
     use crate::workload::{Distribution, WorkloadSpec};
 
     #[test]
-    fn end_to_end_scenario_is_accurate() {
-        let spec = WorkloadSpec {
-            parties: 6,
-            distinct_per_party: 5_000,
-            overlap: 0.5,
-            items_per_party: 25_000,
-            distribution: Distribution::Uniform,
-            seed: 11,
-        };
-        let streams = spec.generate();
-        let config = SketchConfig::new(0.1, 0.05).unwrap();
-        let report = run_scenario(&config, 77, &streams);
-        assert_eq!(report.parties, 6);
-        assert_eq!(report.total_items, 6 * 25_000);
-        assert!(report.relative_error < 0.1, "err {}", report.relative_error);
-        assert_eq!(report.bytes_per_party.len(), 6);
-        assert!(report.bytes_per_party.iter().all(|&b| b > 0));
-        assert_eq!(
-            report.total_bytes,
-            report.bytes_per_party.iter().sum::<usize>()
-        );
-        assert!(report.throughput() > 0.0);
-    }
-
-    #[test]
-    fn report_carries_phase_timings_and_telemetry() {
+    fn batch_report_carries_accounting_phase_timings_and_telemetry() {
         let spec = WorkloadSpec {
             parties: 4,
             distinct_per_party: 3_000,
@@ -430,7 +497,18 @@ mod tests {
         };
         let streams = spec.generate();
         let config = SketchConfig::new(0.1, 0.1).unwrap();
-        let report = run_scenario(&config, 21, &streams);
+        let report = run_batch(&config, 21, &streams, &[], &[]);
+        assert_eq!(report.parties, 4);
+        assert_eq!(report.total_items, 4 * 10_000);
+        assert!(report.relative_error < 0.1, "err {}", report.relative_error);
+        assert_eq!(report.bytes_per_party.len(), 4);
+        assert!(report.bytes_per_party.iter().all(|&b| b > 0));
+        assert_eq!(
+            report.total_bytes,
+            report.bytes_per_party.iter().sum::<usize>()
+        );
+        assert!(report.throughput() > 0.0);
+        assert!(report.queries.is_empty() && report.jaccard_queries.is_empty());
         // Per-party phases were populated for every party. Phase
         // *ordering* invariants only — strict `> Duration::ZERO` checks
         // are flaky on platforms whose monotonic clock is coarser than a
@@ -456,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn single_party_scenario() {
+    fn single_party_batch_is_exact_under_capacity() {
         let spec = WorkloadSpec {
             parties: 1,
             distinct_per_party: 1_000,
@@ -467,71 +545,64 @@ mod tests {
         };
         let streams = spec.generate();
         let config = SketchConfig::new(0.1, 0.1).unwrap();
-        let report = run_scenario(&config, 5, &streams);
-        assert_eq!(report.relative_error, 0.0); // under capacity → exact
+        let report = run_batch(&config, 5, &streams, &[], &[]);
+        assert_eq!(report.relative_error, 0.0);
         assert_eq!(report.estimate, report.truth as f64);
     }
 
     #[test]
-    fn resilient_scenario_reports_coverage_under_loss() {
+    fn batch_expression_queries_answer_within_contract() {
         let spec = WorkloadSpec {
-            parties: 8,
-            distinct_per_party: 3_000,
-            overlap: 0.3,
-            items_per_party: 8_000,
+            parties: 4,
+            distinct_per_party: 8_000,
+            overlap: 0.5,
+            items_per_party: 16_000,
             distribution: Distribution::Uniform,
-            seed: 17,
+            seed: 41,
         };
         let streams = spec.generate();
         let config = SketchConfig::new(0.1, 0.05).unwrap();
+        let (a, b, c, d) = (
+            SetExpr::leaf(0),
+            SetExpr::leaf(1),
+            SetExpr::leaf(2),
+            SetExpr::leaf(3),
+        );
+        let queries = [
+            a.clone().union(b.clone()),
+            a.clone().union(b.clone()).intersect(c.clone()),
+            a.clone()
+                .union(b.clone())
+                .intersect(c.clone())
+                .difference(d.clone()),
+        ];
+        let jaccard = [(a.clone().union(b.clone()), c.clone().difference(a.clone()))];
+        let report = run_batch(&config, 61, &streams, &queries, &jaccard);
 
-        // Reliable channel: complete union, matches the clean runner.
-        let clean = run_resilient_scenario(
-            &config,
-            33,
-            &streams,
-            TransportSpec::reliable(1),
-            RetryPolicy::one_shot(),
-        );
-        assert!(clean.partial.is_complete());
-        assert_eq!(clean.union_completeness(), 1.0);
-        assert_eq!(
-            clean.partial.estimate.value,
-            run_scenario(&config, 33, &streams).estimate,
-            "resilient plane over a perfect channel must equal the clean runner"
-        );
-
-        // Lossy channel, no retries: degraded mode with honest coverage.
-        let lossy = TransportSpec {
-            jitter: 0,
-            straggle_probability: 0.0,
-            ..TransportSpec::lossy(0.5, 0xBAD)
-        };
-        let degraded =
-            run_resilient_scenario(&config, 33, &streams, lossy, RetryPolicy::one_shot());
-        assert!(!degraded.partial.is_complete(), "p=0.5 must lose someone");
-        assert!(degraded.partial.coverage() < 1.0);
-        assert!(degraded.union_completeness() < 1.0);
-        assert!(
-            degraded.error_vs_received < 0.1,
-            "the contract still covers the received union: {}",
-            degraded.error_vs_received
-        );
-
-        // Same channel with a retry budget: strictly more of the union.
-        let retried =
-            run_resilient_scenario(&config, 33, &streams, lossy, RetryPolicy::with_budget(8));
-        assert!(
-            retried.partial.parties_heard > degraded.partial.parties_heard,
-            "retries must strictly improve coverage ({} vs {})",
-            retried.partial.parties_heard,
-            degraded.partial.parties_heard
-        );
-        assert!(retried.collection.retransmits > 0);
+        assert_eq!(report.parties, 4);
+        assert!(report.relative_error < 0.1, "err {}", report.relative_error);
+        assert_eq!(report.queries.len(), 3);
+        assert_eq!(report.queries[0].depth, 2);
+        assert_eq!(report.queries[2].depth, 4);
+        for q in &report.queries {
+            // Additive contract with slack for the intersection queries
+            // (differences of coordinated estimates compound the bound).
+            assert!(
+                q.scaled_error <= 3.0,
+                "{} scaled error {}",
+                q.expr,
+                q.scaled_error
+            );
+            assert!(q.answer.ci_lower() <= q.answer.ci_upper());
+        }
+        assert_eq!(report.jaccard_queries.len(), 1);
+        let j = &report.jaccard_queries[0];
+        assert!(j.truth > 0.0 && j.truth < 1.0, "truth {}", j.truth);
+        assert!(j.abs_error < 0.15, "jaccard err {}", j.abs_error);
     }
 
     #[test]
-    fn live_query_scenario_serves_monotone_valid_estimates() {
+    fn live_run_serves_monotone_valid_estimates() {
         let spec = WorkloadSpec {
             parties: 4,
             distinct_per_party: 4_000,
@@ -542,7 +613,7 @@ mod tests {
         };
         let streams = spec.generate();
         let config = SketchConfig::new(0.1, 0.05).unwrap();
-        let report = run_live_query_scenario(&config, 55, &streams, 1_000);
+        let report = run_live(&config, 55, &streams, 1_000);
 
         assert_eq!(report.parties, 4);
         assert_eq!(report.total_items, 4 * 12_000);
@@ -574,47 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn live_query_final_state_is_bitwise_sequential() {
-        // The concurrent serving path must converge to the exact sketch a
-        // sequential observer of the concatenated streams would hold —
-        // asserted on canonical encoded bytes via a second run that
-        // reaches into the shared sketch.
-        let spec = WorkloadSpec {
-            parties: 3,
-            distinct_per_party: 5_000,
-            overlap: 0.3,
-            items_per_party: 9_000,
-            distribution: Distribution::Zipf(1.1),
-            seed: 29,
-        };
-        let streams = spec.generate();
-        let config = SketchConfig::new(0.1, 0.1).unwrap();
-
-        let shared = gt_core::ConcurrentSketch::new(&config, 77);
-        crossbeam::scope(|scope| {
-            for stream in &streams.streams {
-                let shared = &shared;
-                scope.spawn(move |_| {
-                    let mut w = shared.writer_with_threshold(777);
-                    w.extend_slice(stream);
-                });
-            }
-        })
-        .unwrap();
-
-        let mut sequential = gt_core::DistinctSketch::new(&config, 77);
-        for stream in &streams.streams {
-            sequential.extend_slice(stream);
-        }
-        assert_eq!(
-            crate::codec::encode_sketch(shared.snapshot().sketch()),
-            crate::codec::encode_sketch(&sequential),
-            "concurrent final state must be canonical-bytes-identical"
-        );
-    }
-
-    #[test]
-    fn live_query_single_writer_is_exact_under_capacity() {
+    fn live_run_single_writer_is_exact_under_capacity() {
         let spec = WorkloadSpec {
             parties: 1,
             distinct_per_party: 900,
@@ -625,80 +656,9 @@ mod tests {
         };
         let streams = spec.generate();
         let config = SketchConfig::new(0.1, 0.1).unwrap();
-        let report = run_live_query_scenario(&config, 5, &streams, 250);
+        let report = run_live(&config, 5, &streams, 250);
         assert_eq!(report.relative_error, 0.0); // under capacity → exact
         assert_eq!(report.final_estimate, report.truth as f64);
         assert!(report.monotone);
-    }
-
-    #[test]
-    fn expression_scenario_answers_within_contract() {
-        use gt_core::SetExpr;
-        let spec = WorkloadSpec {
-            parties: 4,
-            distinct_per_party: 8_000,
-            overlap: 0.5,
-            items_per_party: 16_000,
-            distribution: Distribution::Uniform,
-            seed: 41,
-        };
-        let streams = spec.generate();
-        let config = SketchConfig::new(0.1, 0.05).unwrap();
-        let (a, b, c, d) = (
-            SetExpr::leaf(0),
-            SetExpr::leaf(1),
-            SetExpr::leaf(2),
-            SetExpr::leaf(3),
-        );
-        let queries = [
-            a.clone().union(b.clone()),
-            a.clone().union(b.clone()).intersect(c.clone()),
-            a.clone()
-                .union(b.clone())
-                .intersect(c.clone())
-                .difference(d.clone()),
-        ];
-        let jaccard = [(a.clone().union(b.clone()), c.clone().difference(a.clone()))];
-        let report = run_expression_scenario(&config, 61, &streams, &queries, &jaccard);
-
-        assert_eq!(report.parties, 4);
-        assert_eq!(report.epsilon, 0.1);
-        assert_eq!(report.queries.len(), 3);
-        assert_eq!(report.queries[0].depth, 2);
-        assert_eq!(report.queries[2].depth, 4);
-        for q in &report.queries {
-            // Additive contract with slack for the intersection queries
-            // (differences of coordinated estimates compound the bound).
-            assert!(
-                q.scaled_error <= 3.0,
-                "{} scaled error {}",
-                q.expr,
-                q.scaled_error
-            );
-            assert!(q.answer.ci_lower() <= q.answer.ci_upper());
-        }
-        assert_eq!(report.jaccard_queries.len(), 1);
-        let j = &report.jaccard_queries[0];
-        assert!(j.truth > 0.0 && j.truth < 1.0, "truth {}", j.truth);
-        assert!(j.abs_error < 0.15, "jaccard err {}", j.abs_error);
-    }
-
-    #[test]
-    fn identical_streams_cost_no_extra_accuracy() {
-        // overlap = 1: every party sees the same universe; the union
-        // estimate must match a single party's estimate.
-        let spec = WorkloadSpec {
-            parties: 8,
-            distinct_per_party: 30_000,
-            overlap: 1.0,
-            items_per_party: 30_000,
-            distribution: Distribution::Uniform,
-            seed: 13,
-        };
-        let streams = spec.generate();
-        let config = SketchConfig::new(0.1, 0.05).unwrap();
-        let report = run_scenario(&config, 6, &streams);
-        assert!(report.relative_error < 0.1, "err {}", report.relative_error);
-        assert!(report.truth <= 30_000);
     }
 }

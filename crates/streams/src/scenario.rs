@@ -1,30 +1,20 @@
-//! Declarative end-to-end scenario harness: topology × workload × fault
-//! plan × query plan, executed through the whole stack.
+//! Declarative sustained-load harness: topology × workload × fault plan
+//! × query plan, executed through the whole stack on a virtual clock.
 //!
 //! A [`ScenarioSpec`] is plain data describing an end-to-end run —
 //! "32-party fan-in, Zipf multi-tenant traffic, 5% drop with retries,
 //! flash crowd at t=150, party churn at t=200, live distinct + windowed
 //! queries every 100 ticks" is ~15 lines of [`ScenarioBuilder`] calls.
-//! [`run_spec`] dispatches the spec by its load shape:
+//! [`run_sustained`] runs it: a load generator on the virtual clock
+//! ([`Tick`]) with per-item admission→queryable latency, live
+//! degraded-mode queries on a fixed cadence, mid-run churn and an
+//! [`E2eReport`] at the end. Its two [`ReportingMode`]s differ only in
+//! how a party's report is encoded and admitted: a full re-ship of the
+//! cumulative sketch, or a delta frame on the acked delta plane.
 //!
-//! * **Batch load** runs one of the batch engines, each shipping one
-//!   end-of-stream summary per party: *classic* (perfect channel,
-//!   optionally through a collector tree), *resilient* (a faulty
-//!   [`TransportSpec`] channel with a retrying collector), *expression*
-//!   (set-expression / Jaccard queries on the retained per-party
-//!   summaries) or *live* (concurrent ingest into a shared
-//!   [`gt_core::ConcurrentSketch`], queried mid-flight).
-//! * **Sustained load** runs the one sustained engine, [`run_sustained`]:
-//!   a load generator on the virtual clock ([`Tick`]) with per-item
-//!   admission→queryable latency, live degraded-mode queries on a fixed
-//!   cadence, mid-run churn and an [`E2eReport`] at the end. Its two
-//!   [`ReportingMode`]s differ only in how a party's report is encoded
-//!   and admitted: a full re-ship of the cumulative sketch, or a delta
-//!   frame on the acked delta plane.
-//!
-//! The four legacy `run_*_scenario` entry points in [`crate::runner`]
-//! are thin wrappers over builder instances dispatched through this
-//! module — pinned behavior-equivalent by `tests/scenario_regression.rs`.
+//! One-shot runs over a pre-generated [`crate::workload::StreamSet`] —
+//! the paper's model, each party shipping one end-of-stream summary —
+//! live in [`crate::runner`].
 //!
 //! ## Latency definition
 //!
@@ -41,11 +31,11 @@
 //!
 //! The sustained engine is single-threaded by construction and every
 //! stochastic choice (workload draws, channel fates) is owned by a
-//! seeded [`SmallRng`]. `IngestMode::Sequential` batch runs are likewise
-//! deterministic. `IngestMode::PerPartyThreads` and `SharedConcurrent`
-//! batch runs produce schedule-independent *state* (canonical union
-//! bytes, exactly-once counters) but timing-shaped telemetry (batch
-//! counts, phase durations) may vary run to run.
+//! seeded [`SmallRng`], so a run is a pure function of its spec, its
+//! configuration and its master seed. (The threaded batch runs in
+//! [`crate::runner`] produce schedule-independent *state* — canonical
+//! union bytes, exactly-once counters — but timing-shaped telemetry such
+//! as batch counts and phase durations may vary run to run.)
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
@@ -58,16 +48,11 @@ use gt_core::{DistinctSketch, LatestTs, SetExpr, SketchConfig, SlidingWindowSket
 use crate::codec::{
     encode_full_frame, encode_sketch, payload_fingerprint, CodecError, WirePayload,
 };
-use crate::collector::{Collector, RetryPolicy};
-use crate::oracle::StreamOracle;
-use crate::party::{DeltaParty, Party, PartyMessage};
+use crate::collector::RetryPolicy;
+use crate::party::{DeltaParty, PartyMessage};
 use crate::referee::{Receipt, Referee, RefereeOf, RefereeTelemetry};
-use crate::runner::{
-    ExpressionQueryOutcome, ExpressionScenarioReport, JaccardQueryOutcome, LiveQueryReport,
-    LiveQuerySample, PartyPhases, ResilientReport, ScenarioReport,
-};
 use crate::transport::{Delivery, Tick, Transport, TransportSpec, TransportTelemetry};
-use crate::workload::{Distribution, StreamSet, WorkloadSpec, ZipfSampler};
+use crate::workload::{Distribution, WorkloadSpec, ZipfSampler};
 
 /// Latencies above this many ticks share one overflow bucket in the
 /// [`LatencyHistogram`]; quantiles saturate here.
@@ -77,42 +62,14 @@ pub const LATENCY_CLAMP: Tick = 4096;
 // Spec types (plain data)
 // ---------------------------------------------------------------------
 
-/// How parties feed their streams into the system (batch engines only;
-/// the sustained engine is single-threaded by construction).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IngestMode {
-    /// One OS thread per party, referee pipelined on the caller's thread
-    /// (the legacy [`crate::runner::run_scenario`] shape).
-    PerPartyThreads,
-    /// Parties observe serially in id order and the referee receives one
-    /// batch of all messages — fully deterministic, for replay tests.
-    Sequential,
-    /// All parties write into one shared [`gt_core::ConcurrentSketch`]
-    /// while queries are served from snapshots (the legacy
-    /// [`crate::runner::run_live_query_scenario`] shape).
-    SharedConcurrent {
-        /// Writer-local buffer threshold before propagation.
-        writer_threshold: u64,
-    },
-}
-
-/// Who participates and how they ingest.
+/// Who participates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TopologySpec {
     /// Number of parties (streams).
     pub parties: usize,
-    /// Ingest mode for batch engines.
-    pub ingest: IngestMode,
-    /// Aggregate batch-load summaries through a collector tree of this
-    /// depth instead of shipping every party message straight to the
-    /// referee (`None` = flat). The fan-out is derived so the tree has
-    /// exactly this many merge tiers; the root union is **bitwise
-    /// identical** to the flat union ([`crate::topology`]).
-    pub tree_depth: Option<usize>,
 }
 
-/// How parties report their summaries over time (sustained load only;
-/// batch load always ships one end-of-stream summary).
+/// How parties report their summaries over time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReportingMode {
     /// Every report re-ships the party's full cumulative summary —
@@ -141,29 +98,20 @@ pub struct LoadPhase {
     pub rate_multiplier: f64,
 }
 
-/// How much traffic arrives, and in what shape.
+/// How much traffic arrives, and in what shape: every alive party draws
+/// `rate_per_party` items per virtual tick (scaled by any matching
+/// [`LoadPhase`]) and ships a cumulative summary every `report_every`
+/// ticks.
 #[derive(Clone, Debug, PartialEq)]
-pub enum LoadShape {
-    /// The paper's model: each party's whole stream exists up front and
-    /// is shipped as one end-of-stream summary.
-    Batch {
-        /// Items drawn per party (ignored by [`Distribution::EachOnce`]).
-        items_per_party: u64,
-    },
-    /// Continuous traffic on the virtual clock: every alive party draws
-    /// `rate_per_party` items per tick (scaled by any matching
-    /// [`LoadPhase`]) and ships a cumulative summary every
-    /// `report_every` ticks.
-    Sustained {
-        /// Base items per party per tick.
-        rate_per_party: u64,
-        /// Total virtual ticks to run.
-        duration: Tick,
-        /// Summary cadence, in ticks.
-        report_every: Tick,
-        /// Rate-multiplier windows (first match wins; default ×1).
-        phases: Vec<LoadPhase>,
-    },
+pub struct LoadShape {
+    /// Base items per party per tick.
+    pub rate_per_party: u64,
+    /// Total virtual ticks to run.
+    pub duration: Tick,
+    /// Summary cadence, in ticks.
+    pub report_every: Tick,
+    /// Rate-multiplier windows (first match wins; default ×1).
+    pub phases: Vec<LoadPhase>,
 }
 
 /// The traffic's label structure plus its [`LoadShape`].
@@ -173,35 +121,32 @@ pub struct WorkloadPlan {
     pub distinct_per_party: u64,
     /// Fraction of each party's sub-universe shared with all parties.
     pub overlap: f64,
-    /// Draw distribution. In the sustained engine
-    /// [`Distribution::EachOnce`] cycles the sub-universe in order.
+    /// Draw distribution. [`Distribution::EachOnce`] cycles the
+    /// sub-universe in order.
     pub distribution: Distribution,
     /// Workload seed (independent of sketch seeds).
     pub seed: u64,
-    /// Batch or sustained load.
+    /// Rate, duration and report cadence.
     pub load: LoadShape,
 }
 
 impl WorkloadPlan {
     /// The equivalent [`WorkloadSpec`] for `parties` parties
-    /// (`items_per_party` is 0 for sustained load — the engine draws
-    /// incrementally instead of pre-generating).
+    /// (`items_per_party` is 0 — the engine draws incrementally instead
+    /// of pre-generating).
     pub fn to_workload_spec(&self, parties: usize) -> WorkloadSpec {
         WorkloadSpec {
             parties,
             distinct_per_party: self.distinct_per_party,
             overlap: self.overlap,
-            items_per_party: match self.load {
-                LoadShape::Batch { items_per_party } => items_per_party,
-                LoadShape::Sustained { .. } => 0,
-            },
+            items_per_party: 0,
             distribution: self.distribution,
             seed: self.seed,
         }
     }
 }
 
-/// What happens to one party mid-run (sustained engine only).
+/// What happens to one party mid-run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChurnKind {
     /// The party stops generating at `at` but ships a parting summary
@@ -228,20 +173,19 @@ pub struct ChurnEvent {
 /// Channel faults, retry budget, and churn.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
-    /// Simulated channel; `None` means a direct in-process channel for
-    /// batch engines and a reliable channel for the sustained engine.
+    /// Simulated channel; `None` means a reliable one.
     pub transport: Option<TransportSpec>,
-    /// Retry behaviour (resilient collector rounds / sustained-engine
-    /// final retransmit rounds).
+    /// Retry behaviour: the final retransmit rounds after the load ends,
+    /// and ack loss on the delta plane's return path.
     pub retry: RetryPolicy,
-    /// Mid-run churn (sustained engine only; batch engines ignore it).
+    /// Mid-run churn.
     pub churn: Vec<ChurnEvent>,
 }
 
 /// Which live queries run, and how often.
 #[derive(Clone, Debug, Default)]
 pub struct QueryPlan {
-    /// Query cadence in ticks (sustained engine; 0 = every tick).
+    /// Query cadence in ticks (0 = every tick).
     pub every: Tick,
     /// Sample `estimate_distinct_partial` each cadence tick.
     pub distinct: bool,
@@ -260,7 +204,7 @@ pub struct QueryPlan {
 pub struct ScenarioSpec {
     /// Scenario name (report and JSON key).
     pub name: String,
-    /// Who participates and how they ingest.
+    /// Who participates.
     pub topology: TopologySpec,
     /// Traffic structure and load shape.
     pub workload: WorkloadPlan,
@@ -268,31 +212,30 @@ pub struct ScenarioSpec {
     pub faults: FaultPlan,
     /// Live query plan.
     pub queries: QueryPlan,
-    /// Full re-ship vs incremental delta frames (sustained load only).
+    /// Full re-ship vs incremental delta frames.
     pub reporting: ReportingMode,
 }
 
 impl ScenarioSpec {
-    /// Start building a scenario with sane defaults: 4 parties,
-    /// per-party-thread ingest, 1 000 distinct labels each at 25 %
-    /// overlap, uniform draws, batch load of 5 000 items per party, no
+    /// Start building a scenario with sane defaults: 4 parties, 1 000
+    /// distinct labels each at 25 % overlap, uniform draws, 1 item per
+    /// party per tick for 100 ticks reported every 10, full re-ship, no
     /// faults, no queries.
     pub fn builder(name: impl Into<String>) -> ScenarioBuilder {
         ScenarioBuilder {
             spec: ScenarioSpec {
                 name: name.into(),
-                topology: TopologySpec {
-                    parties: 4,
-                    ingest: IngestMode::PerPartyThreads,
-                    tree_depth: None,
-                },
+                topology: TopologySpec { parties: 4 },
                 workload: WorkloadPlan {
                     distinct_per_party: 1_000,
                     overlap: 0.25,
                     distribution: Distribution::Uniform,
                     seed: 0xBEEF,
-                    load: LoadShape::Batch {
-                        items_per_party: 5_000,
+                    load: LoadShape {
+                        rate_per_party: 1,
+                        duration: 100,
+                        report_every: 10,
+                        phases: Vec::new(),
                     },
                 },
                 faults: FaultPlan {
@@ -320,22 +263,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Batch ingest mode.
-    pub fn ingest(mut self, mode: IngestMode) -> Self {
-        self.spec.topology.ingest = mode;
-        self
-    }
-
-    /// Route batch-load summaries through a collector tree with this
-    /// many merge tiers (see [`TopologySpec::tree_depth`]).
-    pub fn tree_depth(mut self, depth: usize) -> Self {
-        assert!(depth >= 1, "a tree needs at least one merge tier");
-        self.spec.topology.tree_depth = Some(depth);
-        self
-    }
-
     /// Report via the continuous-monitoring delta plane instead of full
-    /// re-ships (see [`ReportingMode::DeltaPlane`]; sustained load only).
+    /// re-ships (see [`ReportingMode::DeltaPlane`]).
     pub fn delta_plane(mut self) -> Self {
         self.spec.reporting = ReportingMode::DeltaPlane;
         self
@@ -365,31 +294,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Copy parties, universe structure, distribution, seed, and batch
-    /// size from an existing [`WorkloadSpec`] — how the legacy runner
-    /// wrappers become builder instances.
-    pub fn from_workload(mut self, wl: &WorkloadSpec) -> Self {
-        self.spec.topology.parties = wl.parties;
-        self.spec.workload.distinct_per_party = wl.distinct_per_party;
-        self.spec.workload.overlap = wl.overlap;
-        self.spec.workload.distribution = wl.distribution;
-        self.spec.workload.seed = wl.seed;
-        self.spec.workload.load = LoadShape::Batch {
-            items_per_party: wl.items_per_party,
-        };
-        self
-    }
-
-    /// Batch load: each party's whole stream exists up front.
-    pub fn batch(mut self, items_per_party: u64) -> Self {
-        self.spec.workload.load = LoadShape::Batch { items_per_party };
-        self
-    }
-
-    /// Sustained load: `rate` items per party per tick for `duration`
-    /// ticks, shipping cumulative summaries every `report_every` ticks.
+    /// Load: `rate` items per party per tick for `duration` ticks,
+    /// shipping cumulative summaries every `report_every` ticks (clears
+    /// any [`ScenarioBuilder::phase`] added before).
     pub fn sustained(mut self, rate: u64, duration: Tick, report_every: Tick) -> Self {
-        self.spec.workload.load = LoadShape::Sustained {
+        self.spec.workload.load = LoadShape {
             rate_per_party: rate,
             duration,
             report_every,
@@ -398,17 +307,13 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Add a rate-multiplier window to a sustained load (panics on batch
-    /// load — call [`ScenarioBuilder::sustained`] first).
+    /// Add a rate-multiplier window to the load.
     pub fn phase(mut self, from: Tick, until: Tick, rate_multiplier: f64) -> Self {
-        match &mut self.spec.workload.load {
-            LoadShape::Sustained { phases, .. } => phases.push(LoadPhase {
-                from,
-                until,
-                rate_multiplier,
-            }),
-            LoadShape::Batch { .. } => panic!("phase() requires sustained load"),
-        }
+        self.spec.workload.load.phases.push(LoadPhase {
+            from,
+            until,
+            rate_multiplier,
+        });
         self
     }
 
@@ -502,532 +407,7 @@ impl ScenarioBuilder {
                 spec.topology.parties
             );
         }
-        // Each batch engine answers one kind of spec; reject what the
-        // dispatch in `run_spec_on` would otherwise silently drop.
-        let batch = matches!(spec.workload.load, LoadShape::Batch { .. });
-        let direct = spec.faults.transport.is_none()
-            && !matches!(spec.topology.ingest, IngestMode::SharedConcurrent { .. });
-        if spec.topology.tree_depth.is_some() {
-            assert!(batch, "tree aggregation applies to batch load only");
-            assert!(
-                direct,
-                "tree aggregation composes with the classic batch engine only"
-            );
-        }
-        if batch && !(spec.queries.expressions.is_empty() && spec.queries.jaccard.is_empty()) {
-            assert!(
-                direct && spec.topology.tree_depth.is_none(),
-                "batch expression and Jaccard queries run on the expression engine only"
-            );
-        }
         spec
-    }
-}
-
-// ---------------------------------------------------------------------
-// Dispatch
-// ---------------------------------------------------------------------
-
-/// What a [`ScenarioSpec`] produced, by engine.
-#[derive(Clone, Debug)]
-pub enum ScenarioOutcome {
-    /// One-shot batch run over a perfect channel.
-    Classic(ScenarioReport),
-    /// Batch run through the faulty-channel retrying collector.
-    Resilient(ResilientReport),
-    /// Batch run answering set-expression / Jaccard queries.
-    Expression(ExpressionScenarioReport),
-    /// Concurrent-ingest run serving queries mid-flight.
-    Live(LiveQueryReport),
-    /// Sustained-rate run on the virtual clock.
-    Sustained(Box<E2eReport>),
-}
-
-/// Run a spec end to end, generating its streams from the workload plan.
-///
-/// Dispatch: sustained load → the sustained engine; batch load with
-/// [`IngestMode::SharedConcurrent`] → live engine; batch load with a
-/// transport → resilient engine; batch load with expression or Jaccard
-/// queries → expression engine; otherwise the classic engine.
-pub fn run_spec(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> ScenarioOutcome {
-    run_spec_on(config, master_seed, spec, None)
-}
-
-/// [`run_spec`] with an optional pre-generated stream set for batch
-/// engines (must have one stream per party). The sustained engine
-/// always draws incrementally and ignores `streams`.
-pub fn run_spec_on(
-    config: &SketchConfig,
-    master_seed: u64,
-    spec: &ScenarioSpec,
-    streams: Option<&StreamSet>,
-) -> ScenarioOutcome {
-    match &spec.workload.load {
-        LoadShape::Sustained { .. } => {
-            ScenarioOutcome::Sustained(Box::new(run_sustained(config, master_seed, spec)))
-        }
-        LoadShape::Batch { .. } => {
-            let generated;
-            let streams = match streams {
-                Some(s) => s,
-                None => {
-                    generated = spec
-                        .workload
-                        .to_workload_spec(spec.topology.parties)
-                        .generate();
-                    &generated
-                }
-            };
-            assert_eq!(
-                streams.streams.len(),
-                spec.topology.parties,
-                "stream set does not match the topology"
-            );
-            let (queries, jaccard) = (&spec.queries.expressions, &spec.queries.jaccard);
-            if let Some(depth) = spec.topology.tree_depth {
-                let report = run_tree_engine(config, master_seed, streams, depth);
-                ScenarioOutcome::Classic(report)
-            } else if let IngestMode::SharedConcurrent { writer_threshold } = spec.topology.ingest {
-                let report = run_live_engine(config, master_seed, streams, writer_threshold);
-                ScenarioOutcome::Live(report)
-            } else if let Some(tspec) = spec.faults.transport {
-                let policy = spec.faults.retry;
-                let report = run_resilient_engine(config, master_seed, streams, tspec, policy);
-                ScenarioOutcome::Resilient(report)
-            } else if !queries.is_empty() || !jaccard.is_empty() {
-                let report = run_expression_engine(config, master_seed, streams, queries, jaccard);
-                ScenarioOutcome::Expression(report)
-            } else {
-                let report = run_classic_engine(config, master_seed, streams, spec.topology.ingest);
-                ScenarioOutcome::Classic(report)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batch engines (moved here from crate::runner; the legacy entry points
-// are now thin wrappers over builder instances dispatched above)
-// ---------------------------------------------------------------------
-
-/// Observe one party's whole stream and encode its end-of-stream
-/// message, timing both phases.
-fn observe_party(
-    id: usize,
-    config: &SketchConfig,
-    master_seed: u64,
-    stream: &[u64],
-) -> (PartyMessage, PartyPhases) {
-    let mut party = Party::new(id, config, master_seed);
-    let observe_start = Instant::now();
-    party.observe_stream(stream);
-    let observe = observe_start.elapsed();
-    let encode_start = Instant::now();
-    let msg = party.finish();
-    let encode = encode_start.elapsed();
-    (msg, PartyPhases { observe, encode })
-}
-
-/// Classic one-shot engine. `PerPartyThreads` runs one OS thread per
-/// party with the referee pipelined on the caller's thread;
-/// `Sequential` observes parties in id order and hands the referee one
-/// batch of all messages (deterministic telemetry for replay tests).
-pub(crate) fn run_classic_engine(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    ingest: IngestMode,
-) -> ScenarioReport {
-    let t = streams.streams.len();
-    assert!(t > 0, "need at least one party");
-
-    let observe_start = Instant::now();
-    let mut referee = Referee::new(config, master_seed);
-    let mut bytes_per_party = vec![0usize; t];
-    let mut party_phases = vec![PartyPhases::default(); t];
-    let mut referee_busy = std::time::Duration::ZERO;
-
-    match ingest {
-        IngestMode::Sequential => {
-            let mut batch: Vec<PartyMessage> = Vec::with_capacity(t);
-            for (id, stream) in streams.streams.iter().enumerate() {
-                let (msg, phases) = observe_party(id, config, master_seed, stream);
-                bytes_per_party[id] = msg.bytes();
-                party_phases[id] = phases;
-                batch.push(msg);
-            }
-            let busy_start = Instant::now();
-            for outcome in referee.receive_batch(&batch) {
-                outcome.expect("coordinated message must decode");
-            }
-            referee_busy += busy_start.elapsed();
-        }
-        IngestMode::PerPartyThreads | IngestMode::SharedConcurrent { .. } => {
-            let (tx, rx) = crossbeam::channel::unbounded::<(PartyMessage, PartyPhases)>();
-            crossbeam::scope(|scope| {
-                for (id, stream) in streams.streams.iter().enumerate() {
-                    let tx = tx.clone();
-                    scope.spawn(move |_| {
-                        tx.send(observe_party(id, config, master_seed, stream))
-                            .expect("referee hung up");
-                    });
-                }
-                drop(tx);
-                // Referee loop, pipelined: runs on this thread while
-                // party threads are still observing; exits when every
-                // sender is done. Messages that queued up while the
-                // referee was busy are drained into one batch and
-                // unioned through the tree-reduction batch path.
-                let mut batch: Vec<PartyMessage> = Vec::with_capacity(t);
-                while let Ok((msg, phases)) = rx.recv() {
-                    let busy_start = Instant::now();
-                    batch.clear();
-                    bytes_per_party[msg.party_id] = msg.bytes();
-                    party_phases[msg.party_id] = phases;
-                    batch.push(msg);
-                    while let Ok((msg, phases)) = rx.try_recv() {
-                        bytes_per_party[msg.party_id] = msg.bytes();
-                        party_phases[msg.party_id] = phases;
-                        batch.push(msg);
-                    }
-                    for outcome in referee.receive_batch(&batch) {
-                        outcome.expect("coordinated message must decode");
-                    }
-                    referee_busy += busy_start.elapsed();
-                }
-            })
-            .expect("party thread panicked");
-        }
-    }
-    let observe_wall = observe_start.elapsed();
-
-    let estimate_start = Instant::now();
-    let estimate = referee.estimate_distinct().value;
-    let referee_time = referee_busy + estimate_start.elapsed();
-
-    let oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
-    let truth = oracle.distinct();
-    let relative_error = gt_core::relative_error(estimate, truth as f64);
-
-    ScenarioReport {
-        estimate,
-        truth,
-        relative_error,
-        parties: t,
-        total_items: streams.total_items(),
-        total_bytes: bytes_per_party.iter().sum(),
-        bytes_per_party,
-        party_phases,
-        observe_wall,
-        referee_telemetry: *referee.telemetry(),
-        union_metrics: referee.union_metrics(),
-        referee_time,
-    }
-}
-
-/// The fan-out that gives a `depth`-tier collector tree over `parties`
-/// leaves: the smallest `f ≥ 2` with `f^depth ≥ parties`.
-pub(crate) fn tree_fanout_for_depth(parties: usize, depth: usize) -> usize {
-    assert!(depth >= 1, "a tree needs at least one merge tier");
-    let mut fanout = 2usize.max((parties as f64).powf(1.0 / depth as f64).ceil() as usize);
-    // powf rounding can land one off in either direction; walk to the
-    // exact smallest fan-out.
-    while fanout > 2 && (fanout - 1).pow(depth as u32) >= parties {
-        fanout -= 1;
-    }
-    while fanout.pow(depth as u32) < parties {
-        fanout += 1;
-    }
-    fanout
-}
-
-/// Tree engine: serial observation, then hierarchical aggregation
-/// through intermediate collectors ([`crate::topology::aggregate_tree`])
-/// with the fan-out derived from the requested depth; the referee
-/// receives the single root message. The union — and therefore the
-/// estimate — is bitwise identical to the flat classic engine on the
-/// same seed (the tree reassociation is lossless), which
-/// `tree_union_is_bitwise_identical_to_flat` pins.
-pub(crate) fn run_tree_engine(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    depth: usize,
-) -> ScenarioReport {
-    let t = streams.streams.len();
-    assert!(t > 0, "need at least one party");
-    let fanout = tree_fanout_for_depth(t, depth);
-
-    let observe_start = Instant::now();
-    let mut bytes_per_party = vec![0usize; t];
-    let mut party_phases = vec![PartyPhases::default(); t];
-    let mut messages: Vec<PartyMessage> = Vec::with_capacity(t);
-    for (id, stream) in streams.streams.iter().enumerate() {
-        let (msg, phases) = observe_party(id, config, master_seed, stream);
-        bytes_per_party[id] = msg.bytes();
-        party_phases[id] = phases;
-        messages.push(msg);
-    }
-    let observe_wall = observe_start.elapsed();
-
-    let busy_start = Instant::now();
-    let tree = crate::topology::aggregate_tree(config, master_seed, messages, fanout)
-        .expect("coordinated messages must aggregate");
-    let mut referee = Referee::new(config, master_seed);
-    referee
-        .receive(&PartyMessage {
-            party_id: 0,
-            payload: tree.root_canonical.clone(),
-            items_observed: streams.total_items(),
-        })
-        .expect("root message must decode");
-    let estimate = referee.estimate_distinct().value;
-    let referee_time = busy_start.elapsed();
-
-    let oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
-    let truth = oracle.distinct();
-    ScenarioReport {
-        estimate,
-        truth,
-        relative_error: gt_core::relative_error(estimate, truth as f64),
-        parties: t,
-        total_items: streams.total_items(),
-        total_bytes: tree.bytes_per_tier.iter().sum(),
-        bytes_per_party,
-        party_phases,
-        observe_wall,
-        referee_telemetry: *referee.telemetry(),
-        union_metrics: referee.union_metrics(),
-        referee_time,
-    }
-}
-
-/// Resilient engine: batch observation, then the retrying collection
-/// plane over the faulty channel.
-pub(crate) fn run_resilient_engine(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    spec: TransportSpec,
-    policy: RetryPolicy,
-) -> ResilientReport {
-    let t = streams.streams.len();
-    assert!(t > 0, "need at least one party");
-
-    // Observation phase: one thread per party, as in the clean runner.
-    let messages: Vec<PartyMessage> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = streams
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(id, stream)| {
-                scope.spawn(move |_| observe_party(id, config, master_seed, stream).0)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("party thread panicked"))
-            .collect()
-    })
-    .expect("party thread panicked");
-
-    // Collection phase: retrying plane over the faulty channel.
-    let mut collector: Collector = Collector::new(config, master_seed, spec, policy);
-    let collection = collector.collect(&messages);
-    let referee = collector.into_referee();
-    let partial = referee.estimate_distinct_partial(t);
-
-    let full_oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
-    let received_oracle = StreamOracle::of_streams(
-        streams
-            .streams
-            .iter()
-            .zip(&collection.per_party)
-            .filter(|(_, p)| p.acked_at.is_some())
-            .map(|(s, _)| s.as_slice()),
-    );
-    let full_truth = full_oracle.distinct();
-    let received_truth = received_oracle.distinct();
-
-    ResilientReport {
-        collection,
-        partial,
-        full_truth,
-        received_truth,
-        error_vs_received: gt_core::relative_error(partial.estimate.value, received_truth as f64),
-    }
-}
-
-/// Expression engine: serial observation, then set-expression and
-/// Jaccard queries scored against the exact oracle.
-pub(crate) fn run_expression_engine(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    queries: &[SetExpr],
-    jaccard_queries: &[(SetExpr, SetExpr)],
-) -> ExpressionScenarioReport {
-    let t = streams.streams.len();
-    assert!(t > 0, "need at least one party");
-
-    let mut referee = Referee::new(config, master_seed);
-    for (id, stream) in streams.streams.iter().enumerate() {
-        let (msg, _) = observe_party(id, config, master_seed, stream);
-        referee
-            .receive(&msg)
-            .expect("coordinated message must decode");
-    }
-
-    let sets: Vec<HashSet<u64>> = streams
-        .streams
-        .iter()
-        .map(|s| s.iter().copied().collect())
-        .collect();
-
-    let queries = queries
-        .iter()
-        .map(|expr| {
-            let answer = referee.query(expr).expect("query references heard parties");
-            let truth = expr
-                .eval_exact(&sets)
-                .expect("oracle shares the leaves")
-                .len() as u64;
-            // Union of every referenced stream: the additive contract's scale.
-            let mut referenced: HashSet<u64> = HashSet::new();
-            expr.for_each_leaf(&mut |i| referenced.extend(&sets[i]));
-            let scale = config.epsilon() * referenced.len() as f64;
-            let scaled_error = if scale == 0.0 {
-                0.0
-            } else {
-                (answer.estimate.value - truth as f64).abs() / scale
-            };
-            ExpressionQueryOutcome {
-                expr: expr.to_string(),
-                depth: expr.depth(),
-                answer,
-                truth,
-                scaled_error,
-            }
-        })
-        .collect();
-
-    let jaccard_queries = jaccard_queries
-        .iter()
-        .map(|(e1, e2)| {
-            let answer = referee
-                .query_jaccard(e1, e2)
-                .expect("query references heard parties");
-            let s1 = e1.eval_exact(&sets).expect("oracle shares the leaves");
-            let s2 = e2.eval_exact(&sets).expect("oracle shares the leaves");
-            let union = s1.union(&s2).count();
-            let truth = if union == 0 {
-                0.0
-            } else {
-                s1.intersection(&s2).count() as f64 / union as f64
-            };
-            JaccardQueryOutcome {
-                exprs: (e1.to_string(), e2.to_string()),
-                abs_error: (answer.jaccard - truth).abs(),
-                answer,
-                truth,
-            }
-        })
-        .collect();
-
-    ExpressionScenarioReport {
-        queries,
-        jaccard_queries,
-        parties: t,
-        total_items: streams.total_items(),
-        epsilon: config.epsilon(),
-    }
-}
-
-/// Live engine: concurrent writers into a shared sketch, queries served
-/// from snapshots on the caller's thread the whole time.
-pub(crate) fn run_live_engine(
-    config: &SketchConfig,
-    master_seed: u64,
-    streams: &StreamSet,
-    writer_threshold: u64,
-) -> LiveQueryReport {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let t = streams.streams.len();
-    assert!(t > 0, "need at least one writer");
-    let total_items = streams.total_items();
-
-    let shared = gt_core::ConcurrentSketch::new(config, master_seed);
-    let writers_done = AtomicUsize::new(0);
-    let mut samples: Vec<LiveQuerySample> = Vec::new();
-    let mut snapshots_taken = 0u64;
-    let mut monotone = true;
-
-    let observe_start = Instant::now();
-    crossbeam::scope(|scope| {
-        for stream in &streams.streams {
-            let shared = &shared;
-            let writers_done = &writers_done;
-            scope.spawn(move |_| {
-                let mut writer = shared.writer_with_threshold(writer_threshold);
-                writer.extend_slice(stream);
-                drop(writer); // flush the tail before reporting done
-                writers_done.fetch_add(1, Ordering::Release);
-            });
-        }
-        // Query loop on this thread: serve estimates from snapshots while
-        // writers run. Samples are recorded per *new epoch*; monotonicity
-        // is tracked across every poll (count/ordering property, no
-        // timing assumptions).
-        let mut last_epoch = 0u64;
-        let mut last_items = 0u64;
-        loop {
-            let done = writers_done.load(Ordering::Acquire) >= t;
-            let snap = shared.snapshot();
-            snapshots_taken += 1;
-            if snap.epoch() < last_epoch || snap.items_observed() < last_items {
-                monotone = false;
-            }
-            if snap.epoch() != last_epoch || (done && samples.is_empty()) {
-                samples.push(LiveQuerySample {
-                    epoch: snap.epoch(),
-                    items_covered: snap.items_observed(),
-                    estimate: snap.estimate_distinct().value,
-                    coverage: if total_items == 0 {
-                        1.0
-                    } else {
-                        snap.items_observed() as f64 / total_items as f64
-                    },
-                });
-            }
-            last_epoch = snap.epoch();
-            last_items = snap.items_observed();
-            if done {
-                break;
-            }
-            std::thread::yield_now();
-        }
-    })
-    .expect("writer thread panicked");
-    let observe_wall = observe_start.elapsed();
-
-    let final_snap = shared.snapshot();
-    let final_estimate = final_snap.estimate_distinct().value;
-    let oracle = StreamOracle::of_streams(streams.streams.iter().map(|s| s.as_slice()));
-    let truth = oracle.distinct();
-
-    LiveQueryReport {
-        samples,
-        snapshots_taken,
-        monotone,
-        final_estimate,
-        truth,
-        relative_error: gt_core::relative_error(final_estimate, truth as f64),
-        final_epoch: final_snap.epoch(),
-        parties: t,
-        total_items,
-        observe_wall,
-        concurrent_metrics: shared.metrics_snapshot(),
     }
 }
 
@@ -1861,9 +1241,6 @@ fn multiplier_at(phases: &[LoadPhase], t: Tick) -> f64 {
 /// **referee-side**, so their error includes the reporting staleness the
 /// run measures: only then do frames carry [`LatestTs`] timestamps
 /// (reconciled by `max`); otherwise their payload is `()`.
-///
-/// # Panics
-/// Panics if the spec's load shape is not [`LoadShape::Sustained`].
 pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> E2eReport {
     match (spec.reporting, spec.queries.window) {
         (ReportingMode::FullReship, window) => {
@@ -1896,15 +1273,12 @@ fn run_engine<P: Plane>(
     mut plane: P,
 ) -> E2eReport {
     let wall_start = Instant::now();
-    let LoadShape::Sustained {
+    let LoadShape {
         rate_per_party,
         duration,
         report_every,
         ref phases,
-    } = spec.workload.load
-    else {
-        panic!("run_sustained requires LoadShape::Sustained");
-    };
+    } = spec.workload.load;
     let parties = spec.topology.parties;
     assert!(parties > 0, "need at least one party");
     let report_every = report_every.max(1);
@@ -2542,76 +1916,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_routes_by_spec_shape() {
-        let config = cfg();
-        let classic = ScenarioSpec::builder("c").parties(2).batch(500).build();
-        assert!(matches!(
-            run_spec(&config, 1, &classic),
-            ScenarioOutcome::Classic(_)
-        ));
-        let resilient = ScenarioSpec::builder("r")
-            .parties(2)
-            .batch(500)
-            .transport(TransportSpec::reliable(1))
-            .build();
-        assert!(matches!(
-            run_spec(&config, 1, &resilient),
-            ScenarioOutcome::Resilient(_)
-        ));
-        let expr = ScenarioSpec::builder("e")
-            .parties(2)
-            .batch(500)
-            .query_expr(SetExpr::leaf(0))
-            .build();
-        assert!(matches!(
-            run_spec(&config, 1, &expr),
-            ScenarioOutcome::Expression(_)
-        ));
-        let live = ScenarioSpec::builder("l")
-            .parties(2)
-            .batch(500)
-            .ingest(IngestMode::SharedConcurrent {
-                writer_threshold: 100,
-            })
-            .build();
-        assert!(matches!(
-            run_spec(&config, 1, &live),
-            ScenarioOutcome::Live(_)
-        ));
-        let sustained = ScenarioSpec::builder("s")
-            .parties(2)
-            .sustained(2, 20, 5)
-            .build();
-        assert!(matches!(
-            run_spec(&config, 1, &sustained),
-            ScenarioOutcome::Sustained(_)
-        ));
-    }
-
-    #[test]
-    fn sequential_ingest_matches_threaded_state() {
-        let spec = ScenarioSpec::builder("seq")
-            .parties(4)
-            .distinct_per_party(2_000)
-            .batch(5_000)
-            .ingest(IngestMode::Sequential)
-            .build();
-        let config = cfg();
-        let streams = spec.workload.to_workload_spec(4).generate();
-        let seq = run_classic_engine(&config, 3, &streams, IngestMode::Sequential);
-        let thr = run_classic_engine(&config, 3, &streams, IngestMode::PerPartyThreads);
-        assert_eq!(seq.estimate, thr.estimate);
-        assert_eq!(seq.truth, thr.truth);
-        assert_eq!(seq.total_bytes, thr.total_bytes);
-        assert_eq!(
-            seq.referee_telemetry.accepted,
-            thr.referee_telemetry.accepted
-        );
-        // Sequential mode is one batch, always.
-        assert_eq!(seq.referee_telemetry.batches, 1);
-    }
-
-    #[test]
     fn named_suite_has_six_distinct_scenarios() {
         let suite = named_suite(true);
         assert_eq!(suite.len(), 6);
@@ -2620,68 +1924,14 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), 6, "scenario names must be unique");
         for spec in &suite {
-            assert!(matches!(spec.workload.load, LoadShape::Sustained { .. }));
             assert!(spec.queries.distinct, "every scenario samples distinct");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "phase() requires sustained load")]
-    fn phase_on_batch_load_panics() {
-        let _ = ScenarioSpec::builder("bad").phase(0, 10, 2.0);
     }
 
     #[test]
     #[should_panic(expected = "churn event references party")]
     fn churn_out_of_range_panics() {
         let _ = ScenarioSpec::builder("bad").parties(2).crash(5, 10).build();
-    }
-
-    #[test]
-    #[should_panic(expected = "composes with the classic batch engine only")]
-    fn tree_with_transport_panics() {
-        let _ = ScenarioSpec::builder("bad")
-            .tree_depth(2)
-            .transport(TransportSpec::reliable(1))
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "tree aggregation applies to batch load only")]
-    fn tree_with_sustained_load_panics() {
-        let _ = ScenarioSpec::builder("bad")
-            .tree_depth(2)
-            .sustained(2, 20, 5)
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "run on the expression engine only")]
-    fn batch_expression_with_tree_panics() {
-        let _ = ScenarioSpec::builder("bad")
-            .tree_depth(2)
-            .query_expr(SetExpr::leaf(0))
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "run on the expression engine only")]
-    fn batch_jaccard_with_transport_panics() {
-        let _ = ScenarioSpec::builder("bad")
-            .transport(TransportSpec::reliable(1))
-            .query_jaccard(SetExpr::leaf(0), SetExpr::leaf(1))
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "run on the expression engine only")]
-    fn batch_expression_with_shared_ingest_panics() {
-        let _ = ScenarioSpec::builder("bad")
-            .ingest(IngestMode::SharedConcurrent {
-                writer_threshold: 100,
-            })
-            .query_expr(SetExpr::leaf(0))
-            .build();
     }
 
     // ---- delta plane ----
@@ -2706,7 +1956,7 @@ mod tests {
         // Same workload seed, both at full coverage: the final unions
         // hold the same samples at the same levels, so the estimates are
         // bit-for-bit equal. (Canonical bytes differ only in per-trial
-        // item counters: the classic engine absorb-merges every cumulative
+        // item counters: full re-ship absorb-merges every cumulative
         // re-ship while the delta plane stays exactly-once; the engine's
         // built-in oracle covers the bitwise claim against a fresh ship.)
         assert_eq!(delta.item_coverage, 1.0);
@@ -2787,87 +2037,5 @@ mod tests {
         let d = report.delta.as_ref().unwrap();
         assert_eq!(d.oracle_failures, 0);
         assert_eq!(d.staleness_max, 0, "cadence-aligned queries are fresh");
-    }
-
-    #[test]
-    fn run_spec_dispatches_delta_plane() {
-        let ScenarioOutcome::Sustained(dispatched) = run_spec(&cfg(), 42, &delta_spec()) else {
-            panic!("expected a sustained outcome");
-        };
-        assert!(dispatched.delta.is_some(), "no delta-plane stats");
-        // The public engine entry honours the spec's reporting mode too.
-        let direct = run_sustained(&cfg(), 42, &delta_spec());
-        assert!(direct.delta.is_some(), "run_sustained ignored the mode");
-        assert_eq!(direct.determinism_key(), dispatched.determinism_key());
-    }
-
-    // ---- tree-depth knob ----
-
-    #[test]
-    fn tree_fanout_derivation_is_exact() {
-        assert_eq!(tree_fanout_for_depth(9, 2), 3);
-        assert_eq!(tree_fanout_for_depth(4, 2), 2);
-        assert_eq!(tree_fanout_for_depth(8, 3), 2);
-        assert_eq!(tree_fanout_for_depth(27, 3), 3);
-        assert_eq!(tree_fanout_for_depth(5, 1), 5);
-        assert_eq!(tree_fanout_for_depth(2, 4), 2);
-    }
-
-    #[test]
-    fn depth_two_tree_union_is_bitwise_identical_to_flat() {
-        let config = cfg();
-        let wl = WorkloadSpec {
-            parties: 9,
-            distinct_per_party: 600,
-            overlap: 0.3,
-            items_per_party: 2_000,
-            distribution: Distribution::Uniform,
-            seed: 5,
-        };
-        let streams = wl.generate();
-        // Flat union at a single referee.
-        let mut referee = Referee::new(&config, 42);
-        let mut messages = Vec::new();
-        for (id, stream) in streams.streams.iter().enumerate() {
-            let mut party = Party::new(id, &config, 42);
-            party.observe_stream(stream);
-            let msg = party.finish();
-            messages.push(msg.clone());
-            referee.receive(&msg).unwrap();
-        }
-        let flat = encode_sketch(referee.union_sketch());
-        // Depth-2 tree over the same messages, same seed.
-        let fanout = tree_fanout_for_depth(9, 2);
-        let tree = crate::topology::aggregate_tree(&config, 42, messages, fanout).unwrap();
-        assert_eq!(tree.tiers, 2);
-        assert_eq!(tree.root_canonical, flat, "tree reassociation is lossless");
-    }
-
-    #[test]
-    fn tree_depth_spec_matches_flat_classic_run() {
-        let base = ScenarioSpec::builder("flat")
-            .parties(6)
-            .ingest(IngestMode::Sequential)
-            .distinct_per_party(400)
-            .overlap(0.25)
-            .workload_seed(9)
-            .batch(1_500)
-            .build();
-        let tree = ScenarioSpec::builder("tree")
-            .parties(6)
-            .ingest(IngestMode::Sequential)
-            .tree_depth(2)
-            .distinct_per_party(400)
-            .overlap(0.25)
-            .workload_seed(9)
-            .batch(1_500)
-            .build();
-        let (flat_rep, tree_rep) = match (run_spec(&cfg(), 42, &base), run_spec(&cfg(), 42, &tree))
-        {
-            (ScenarioOutcome::Classic(a), ScenarioOutcome::Classic(b)) => (a, b),
-            other => panic!("expected classic outcomes, got {other:?}"),
-        };
-        assert_eq!(flat_rep.estimate.to_bits(), tree_rep.estimate.to_bits());
-        assert_eq!(flat_rep.truth, tree_rep.truth);
     }
 }

@@ -137,6 +137,11 @@ mod tests {
                 flat.estimate_distinct().value,
                 "fanout {fanout}"
             );
+            assert_eq!(
+                report.root_canonical,
+                encode_sketch(flat.union_sketch()),
+                "fanout {fanout}: tree reassociation is lossless"
+            );
         }
     }
 

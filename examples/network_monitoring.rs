@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example network_monitoring`
 
 use gt_sketch::streams::party::Party;
-use gt_sketch::streams::{run_scenario, Distribution, Referee, StreamOracle, WorkloadSpec};
+use gt_sketch::streams::{run_batch, Distribution, Referee, StreamOracle, WorkloadSpec};
 use gt_sketch::SketchConfig;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     let master_seed = 0x5EED;
 
     println!("== observation phase (one thread per monitor) ==");
-    let report = run_scenario(&config, master_seed, &traffic);
+    let report = run_batch(&config, master_seed, &traffic, &[], &[]);
     println!(
         "monitors: {}   packets: {}   throughput: {:.1} M packets/s",
         report.parties,

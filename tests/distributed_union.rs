@@ -8,7 +8,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gt_sketch::streams::{
-    collect_once, encode_sketch, run_scenario, Distribution, Party, PartyMessage, Receipt, Referee,
+    collect_once, encode_sketch, run_batch, Distribution, Party, PartyMessage, Receipt, Referee,
     RefereeOf, RetryPolicy, StreamOracle, TransportSpec, WorkloadSpec,
 };
 use gt_sketch::SketchConfig;
@@ -29,7 +29,7 @@ fn union_estimate_accurate_across_overlap_sweep() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     for overlap in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let streams = spec(6, overlap, Distribution::Uniform).generate();
-        let report = run_scenario(&config, 0xA1, &streams);
+        let report = run_batch(&config, 0xA1, &streams, &[], &[]);
         assert!(
             report.relative_error < 0.1,
             "overlap {overlap}: error {} (est {} truth {})",
@@ -54,7 +54,7 @@ fn accuracy_is_insensitive_to_skew() {
         Distribution::Zipf(1.5),
     ] {
         let streams = spec(4, 0.5, dist).generate();
-        let report = run_scenario(&config, 0xA2, &streams);
+        let report = run_batch(&config, 0xA2, &streams, &[], &[]);
         assert!(
             report.relative_error < 0.1,
             "{dist:?}: {}",
@@ -80,8 +80,8 @@ fn communication_independent_of_stream_length() {
         items_per_party: 600_000,
         ..short
     };
-    let r_short = run_scenario(&config, 0xA3, &short.generate());
-    let r_long = run_scenario(&config, 0xA3, &long.generate());
+    let r_short = run_batch(&config, 0xA3, &short.generate(), &[], &[]);
+    let r_long = run_batch(&config, 0xA3, &long.generate(), &[], &[]);
     // 10× the items; bytes may differ only marginally (longer streams
     // touch more of the universe and items_observed varints grow).
     let ratio = r_long.total_bytes as f64 / r_short.total_bytes as f64;
@@ -122,7 +122,7 @@ fn naive_per_party_sum_overcounts_but_union_does_not() {
         sk.extend_labels(s.iter().copied());
         per_party_sum += sk.estimate_distinct().value;
     }
-    let report = run_scenario(&config, 0xA4, &streams);
+    let report = run_batch(&config, 0xA4, &streams, &[], &[]);
 
     assert!(
         per_party_sum > 6.0 * truth,
@@ -147,7 +147,7 @@ fn referee_handles_hundreds_of_parties() {
         seed: 5,
     }
     .generate();
-    let report = run_scenario(&config, 0xA5, &streams);
+    let report = run_batch(&config, 0xA5, &streams, &[], &[]);
     assert_eq!(report.parties, 100);
     assert!(
         report.relative_error < 0.15,
@@ -382,7 +382,7 @@ fn accuracy_contract_over_many_seeds() {
     let streams = spec(4, 0.3, Distribution::Uniform).generate();
     let mut failures = 0;
     for seed in 0..25u64 {
-        let report = run_scenario(&config, 0xB000 + seed, &streams);
+        let report = run_batch(&config, 0xB000 + seed, &streams, &[], &[]);
         if report.relative_error > 0.15 {
             failures += 1;
         }

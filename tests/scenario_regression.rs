@@ -1,19 +1,17 @@
-//! Regression pins for the runner refactor: each legacy
-//! `run_*_scenario` entry point is now a thin wrapper over a
-//! `ScenarioSpec` builder instance dispatched through
-//! `gt_streams::scenario::run_spec_on`. These tests prove the refactor
-//! is behavior-preserving by (a) re-deriving each engine's referee
-//! state independently — a hand-rolled party→referee pipeline whose
-//! canonical bytes and estimate pin the pre-refactor semantics — and
-//! (b) pinning wrapper output bitwise to the equivalent explicit
-//! builder instance run through the dispatcher. The sustained engine's
-//! output is pinned across commits by digest (see
-//! `sustained_engine_outputs_are_pinned`).
+//! Regression pins for the runtime's two execution shapes.
+//!
+//! * The batch runs, [`run_batch`] and [`run_live`], are pinned bitwise
+//!   to a hand-rolled reference: every party observes its stream with the
+//!   shared master seed and ships one message to a referee that receives
+//!   them one at a time. The threaded runs must land on the same
+//!   estimate, per-party bytes and query answers, whatever the thread
+//!   schedule.
+//! * The sustained engine's output is pinned across commits by digest
+//!   (see `sustained_engine_outputs_are_pinned`).
 
 use gt_sketch::streams::{
-    encode_sketch, run_expression_scenario, run_live_query_scenario, run_resilient_scenario,
-    run_scenario, run_spec, run_spec_on, Distribution, IngestMode, Party, Referee, ReportingMode,
-    RetryPolicy, ScenarioBuilder, ScenarioOutcome, ScenarioSpec, TransportSpec, WorkloadSpec,
+    run_batch, run_live, run_sustained, Distribution, Party, Referee, ReportingMode, RetryPolicy,
+    ScenarioBuilder, ScenarioSpec, StreamSet, TransportSpec, WorkloadSpec,
 };
 use gt_sketch::{SetExpr, SketchConfig};
 
@@ -28,117 +26,49 @@ fn workload(parties: usize, seed: u64) -> WorkloadSpec {
     }
 }
 
-/// The pre-refactor classic semantics, re-derived by hand: every party
-/// observes its stream with the shared master seed and ships one
-/// message; the referee unions them. Returns the canonical union bytes
-/// and the estimate — the bitwise witnesses every engine must match.
+/// The one-shot model, re-derived by hand: every party observes its
+/// stream with the shared master seed and ships one message, and the
+/// referee receives them one at a time in party order. Returns the
+/// referee and each party's message size — the witnesses every batch run
+/// must match.
 fn hand_rolled_union(
     config: &SketchConfig,
     master_seed: u64,
-    streams: &gt_sketch::streams::StreamSet,
-) -> (bytes::Bytes, f64) {
+    streams: &StreamSet,
+) -> (Referee, Vec<usize>) {
     let mut referee = Referee::new(config, master_seed);
+    let mut bytes_per_party = Vec::new();
     for (id, stream) in streams.streams.iter().enumerate() {
         let mut party = Party::new(id, config, master_seed);
         party.observe_stream(stream);
-        referee.receive(&party.finish()).expect("clean delivery");
+        let msg = party.finish();
+        bytes_per_party.push(msg.bytes());
+        referee.receive(&msg).expect("clean delivery");
     }
-    (
-        encode_sketch(referee.union_sketch()),
-        referee.estimate_distinct().value,
-    )
+    (referee, bytes_per_party)
 }
 
 #[test]
-fn classic_wrapper_is_pinned_to_its_builder_instance() {
+fn batch_run_is_pinned_to_the_hand_rolled_referee() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     let streams = workload(5, 0xC1A_551C).generate();
-    let (canonical, estimate) = hand_rolled_union(&config, 7, &streams);
+    let (referee, bytes_per_party) = hand_rolled_union(&config, 7, &streams);
 
-    // The legacy entry point (threaded pipeline, batched referee) must
-    // land on the same referee state: estimate compared bitwise.
-    let legacy = run_scenario(&config, 7, &streams);
-    assert_eq!(legacy.estimate.to_bits(), estimate.to_bits());
-
-    // The explicit builder instance through the dispatcher — both the
-    // threaded mode the wrapper uses and the fully deterministic
-    // sequential mode — pin the same state.
-    for ingest in [IngestMode::PerPartyThreads, IngestMode::Sequential] {
-        let spec = ScenarioSpec::builder("classic-pin")
-            .from_workload(&streams.spec)
-            .ingest(ingest)
-            .build();
-        let ScenarioOutcome::Classic(report) = run_spec_on(&config, 7, &spec, Some(&streams))
-        else {
-            panic!("classic spec must dispatch to the classic engine");
-        };
-        assert_eq!(report.estimate.to_bits(), estimate.to_bits(), "{ingest:?}");
-        assert_eq!(report.truth, legacy.truth);
-        assert_eq!(report.total_bytes, legacy.total_bytes);
-        assert_eq!(report.bytes_per_party, legacy.bytes_per_party);
-        assert_eq!(
-            report.referee_telemetry.accepted,
-            legacy.referee_telemetry.accepted
-        );
-    }
-    assert!(!canonical.is_empty());
+    // Threaded pipeline, batched referee: the same union state, so the
+    // same estimate bit for bit and the same bytes on the wire.
+    let report = run_batch(&config, 7, &streams, &[], &[]);
+    assert_eq!(
+        report.estimate.to_bits(),
+        referee.estimate_distinct().value.to_bits()
+    );
+    assert_eq!(report.bytes_per_party, bytes_per_party);
+    assert_eq!(report.total_bytes, referee.bytes_received());
+    assert_eq!(report.referee_telemetry.accepted, 5);
+    assert!(report.queries.is_empty() && report.jaccard_queries.is_empty());
 }
 
 #[test]
-fn resilient_wrapper_is_pinned_to_its_builder_instance() {
-    let config = SketchConfig::new(0.1, 0.05).unwrap();
-    let streams = workload(6, 0x2E51).generate();
-    let transport = TransportSpec {
-        jitter: 1,
-        straggle_probability: 0.0,
-        ..TransportSpec::lossy(0.3, 0xBAD5EED)
-    };
-    let policy = RetryPolicy::with_budget(5);
-
-    let legacy = run_resilient_scenario(&config, 11, &streams, transport, policy);
-    let spec = ScenarioSpec::builder("resilient-pin")
-        .from_workload(&streams.spec)
-        .transport(transport)
-        .retry(policy)
-        .build();
-    let ScenarioOutcome::Resilient(report) = run_spec_on(&config, 11, &spec, Some(&streams)) else {
-        panic!("transport spec must dispatch to the resilient engine");
-    };
-
-    // The whole collection plane runs on the seeded virtual clock, so
-    // every counter — not just the estimate — must replay bitwise.
-    assert_eq!(
-        report.partial.estimate.value.to_bits(),
-        legacy.partial.estimate.value.to_bits()
-    );
-    assert_eq!(report.partial.parties_heard, legacy.partial.parties_heard);
-    assert_eq!(report.full_truth, legacy.full_truth);
-    assert_eq!(report.received_truth, legacy.received_truth);
-    assert_eq!(report.collection.rounds, legacy.collection.rounds);
-    assert_eq!(report.collection.retransmits, legacy.collection.retransmits);
-    assert_eq!(
-        report.collection.late_arrivals,
-        legacy.collection.late_arrivals
-    );
-    assert_eq!(report.collection.transport, legacy.collection.transport);
-
-    // And against the hand-rolled reference: a reliable-channel run of
-    // the same spec recovers the exact pre-refactor union.
-    let (canonical, estimate) = hand_rolled_union(&config, 11, &streams);
-    let clean = run_resilient_scenario(
-        &config,
-        11,
-        &streams,
-        TransportSpec::reliable(1),
-        RetryPolicy::one_shot(),
-    );
-    assert!(clean.partial.is_complete());
-    assert_eq!(clean.partial.estimate.value.to_bits(), estimate.to_bits());
-    assert!(!canonical.is_empty());
-}
-
-#[test]
-fn expression_wrapper_is_pinned_to_its_builder_instance() {
+fn batch_queries_are_pinned_to_the_hand_rolled_referee() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     let streams = workload(4, 0xE4B).generate();
     let (a, b, c) = (SetExpr::leaf(0), SetExpr::leaf(1), SetExpr::leaf(2));
@@ -147,66 +77,41 @@ fn expression_wrapper_is_pinned_to_its_builder_instance() {
         a.clone().intersect(c.clone()).difference(b.clone()),
     ];
     let jaccard = [(a.clone().union(b.clone()), c.clone())];
+    let (referee, _) = hand_rolled_union(&config, 13, &streams);
 
-    let legacy = run_expression_scenario(&config, 13, &streams, &queries, &jaccard);
-    let spec = ScenarioSpec::builder("expression-pin")
-        .from_workload(&streams.spec)
-        .query_expr(queries[0].clone())
-        .query_expr(queries[1].clone())
-        .query_jaccard(jaccard[0].0.clone(), jaccard[0].1.clone())
-        .build();
-    let ScenarioOutcome::Expression(report) = run_spec_on(&config, 13, &spec, Some(&streams))
-    else {
-        panic!("expression queries must dispatch to the expression engine");
-    };
-
-    assert_eq!(report.queries.len(), legacy.queries.len());
-    for (got, want) in report.queries.iter().zip(&legacy.queries) {
-        assert_eq!(got.expr, want.expr);
+    // Answers come from the retained per-party summaries, which do not
+    // depend on how the threaded run batched its messages.
+    let report = run_batch(&config, 13, &streams, &queries, &jaccard);
+    assert_eq!(report.queries.len(), queries.len());
+    for (got, expr) in report.queries.iter().zip(&queries) {
+        let want = referee.query(expr).unwrap();
+        assert_eq!(got.expr, expr.to_string());
         assert_eq!(
             got.answer.estimate.value.to_bits(),
-            want.answer.estimate.value.to_bits()
+            want.estimate.value.to_bits()
         );
-        assert_eq!(got.truth, want.truth);
-        assert_eq!(got.scaled_error.to_bits(), want.scaled_error.to_bits());
+        assert_eq!(got.answer.mean.to_bits(), want.mean.to_bits());
+        assert_eq!(got.answer.variance.to_bits(), want.variance.to_bits());
+        assert_eq!(got.answer, want);
     }
-    assert_eq!(report.jaccard_queries.len(), 1);
-    assert_eq!(
-        report.jaccard_queries[0].answer.jaccard.to_bits(),
-        legacy.jaccard_queries[0].answer.jaccard.to_bits()
-    );
+    assert_eq!(report.jaccard_queries.len(), jaccard.len());
+    for (got, (e1, e2)) in report.jaccard_queries.iter().zip(&jaccard) {
+        let want = referee.query_jaccard(e1, e2).unwrap();
+        assert_eq!(got.answer.jaccard.to_bits(), want.jaccard.to_bits());
+        assert_eq!(got.answer, want);
+    }
 }
 
 #[test]
-fn live_wrapper_is_pinned_to_its_builder_instance() {
+fn live_run_is_pinned_to_the_sequential_sketch() {
     let config = SketchConfig::new(0.1, 0.05).unwrap();
     let streams = workload(4, 0x11FE).generate();
-
-    let legacy = run_live_query_scenario(&config, 17, &streams, 800);
-    let spec = ScenarioSpec::builder("live-pin")
-        .from_workload(&streams.spec)
-        .ingest(IngestMode::SharedConcurrent {
-            writer_threshold: 800,
-        })
-        .build();
-    let ScenarioOutcome::Live(report) = run_spec_on(&config, 17, &spec, Some(&streams)) else {
-        panic!("shared-concurrent ingest must dispatch to the live engine");
-    };
+    let report = run_live(&config, 17, &streams, 800);
 
     // Mid-flight samples are schedule-shaped, but the final state is
-    // schedule-independent: interleaving-independence pins the converged
-    // estimate bitwise, and both runs must serve monotone snapshots.
-    assert_eq!(
-        report.final_estimate.to_bits(),
-        legacy.final_estimate.to_bits()
-    );
-    assert_eq!(report.truth, legacy.truth);
-    assert_eq!(report.total_items, legacy.total_items);
-    assert!(report.monotone && legacy.monotone);
-
-    // And the converged state equals the hand-rolled sequential union of
-    // the same streams under the same master seed — the invariant the
-    // pre-refactor runner asserted.
+    // schedule-independent: it equals one sequential sketch of every
+    // stream under the same master seed, so the converged estimate is
+    // pinned bitwise.
     let mut sequential = gt_sketch::DistinctSketch::new(&config, 17);
     for stream in &streams.streams {
         sequential.extend_slice(stream);
@@ -215,6 +120,7 @@ fn live_wrapper_is_pinned_to_its_builder_instance() {
         report.final_estimate.to_bits(),
         sequential.estimate_distinct().value.to_bits()
     );
+    assert!(report.monotone);
 }
 
 /// FNV-1a, 64-bit: a dependency-free digest for the pinned outputs.
@@ -327,9 +233,7 @@ fn sustained_engine_outputs_are_pinned() {
     let config = SketchConfig::new(0.2, 0.2).unwrap();
     let mut got = Vec::new();
     for spec in pinned_specs() {
-        let ScenarioOutcome::Sustained(report) = run_spec(&config, 0x5EED, &spec) else {
-            panic!("sustained load must dispatch to the sustained engine");
-        };
+        let report = run_sustained(&config, 0x5EED, &spec);
         let delta = spec.reporting == ReportingMode::DeltaPlane;
         assert_eq!(report.delta.is_some(), delta, "{}", spec.name);
         got.push(fnv1a64(
