@@ -244,8 +244,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     table.row(vec![
         "tiers (resident/pinned/spilled)".into(),
         format!(
-            "{} / {} / {}",
-            snap.resident_keys, snap.pinned_keys, snap.spilled_keys
+            "{} ({} exact) / {} / {}",
+            snap.resident_keys, snap.exact_keys, snap.pinned_keys, snap.spilled_keys
         ),
     ]);
     table.row(vec![

@@ -415,10 +415,12 @@ mod tests {
         assert!(human.contains("2 shards"));
         assert!(human.contains("300 keys"));
         assert!(human.contains("evictions"));
+        assert!(human.contains(&format!("{} of them exact", snap.exact_keys)));
         let json = render_store_stats_json(&snap);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"shards\":2"));
         assert!(json.contains("\"keys\":300"));
+        assert!(json.contains(&format!("\"exact_keys\":{}", snap.exact_keys)));
         // The demo budget is tight enough that the spill path is live.
         assert!(snap.evictions > 0);
         assert!(snap.queries >= 300);

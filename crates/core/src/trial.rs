@@ -201,7 +201,9 @@ impl<V: Payload> CoordinatedTrial<V> {
             if label >= gt_hash::P61 {
                 return Err(SketchError::LabelOutOfRange { label });
             }
-            if self.hasher.level(label) < level {
+            // Every label qualifies at level 0, so the hash is only
+            // evaluated above it.
+            if level > 0 && self.hasher.level(label) < level {
                 return Err(SketchError::InvalidConfig {
                     parameter: "sample",
                     reason: format!("label {label} does not qualify for level {level} (corrupt or uncoordinated message)"),

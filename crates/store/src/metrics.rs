@@ -86,6 +86,11 @@ pub struct StoreMetricsSnapshot {
     pub keys: u64,
     /// Keys currently resident in packed arena slots.
     pub resident_keys: u64,
+    /// Resident keys whose packed section is in exact form: every trial
+    /// still at level 0, stored as one shared label list. A subset of
+    /// `resident_keys`; keys that have only buffered deltas are not
+    /// counted.
+    pub exact_keys: u64,
     /// Keys currently pinned in the hot tier.
     pub pinned_keys: u64,
     /// Keys currently only on disk.
@@ -129,7 +134,8 @@ impl StoreMetricsSnapshot {
                 "\"evictions\":{},\"spilled_bytes\":{},\"restores\":{},",
                 "\"restored_bytes\":{},\"compactions\":{},",
                 "\"reclaimed_bytes\":{},\"queries\":{},\"keys\":{},",
-                "\"resident_keys\":{},\"pinned_keys\":{},\"spilled_keys\":{},",
+                "\"resident_keys\":{},\"exact_keys\":{},\"pinned_keys\":{},",
+                "\"spilled_keys\":{},",
                 "\"resident_bytes\":{},\"arena_bytes\":{},\"budget_bytes\":{}}}"
             ),
             self.shards,
@@ -151,6 +157,7 @@ impl StoreMetricsSnapshot {
             self.queries,
             self.keys,
             self.resident_keys,
+            self.exact_keys,
             self.pinned_keys,
             self.spilled_keys,
             self.resident_bytes,
@@ -164,8 +171,13 @@ impl fmt::Display for StoreMetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "store: {} shards, {} keys ({} resident / {} pinned / {} spilled)",
-            self.shards, self.keys, self.resident_keys, self.pinned_keys, self.spilled_keys
+            "store: {} shards, {} keys ({} resident, {} of them exact / {} pinned / {} spilled)",
+            self.shards,
+            self.keys,
+            self.resident_keys,
+            self.exact_keys,
+            self.pinned_keys,
+            self.spilled_keys
         )?;
         writeln!(
             f,
@@ -247,6 +259,7 @@ mod tests {
             "queries",
             "keys",
             "resident_keys",
+            "exact_keys",
             "pinned_keys",
             "spilled_keys",
             "resident_bytes",

@@ -23,6 +23,15 @@
 //!   arrival order through the batch kernel, and the folded state is
 //!   written back. Cold keys therefore pay ~1 word write per item on the
 //!   ingest path.
+//!
+//!   Below capacity every trial is at level 0 and holds the same labels,
+//!   payloads and item count, so the section packs in *exact form*: one
+//!   meta word whose level byte is the reserved `EXACT` flag over the
+//!   sample length, one items word, then the shared entries once —
+//!   `2 + n·entry` words instead of `r·(2 + n·entry)`. Parsing reloads
+//!   every trial from the one list; the first overflow promotes them all
+//!   during the delta replay, and the next writeback packs the per-trial
+//!   form. Canonical bytes and spill records do not depend on the form.
 //! * **Pinned (hot)** — keys whose per-epoch traffic crosses
 //!   [`StoreOptions::hot_threshold`] are promoted to a pooled full
 //!   [`GtSketch`] ingested directly through the batch kernels, plus a tiny
@@ -61,7 +70,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use crossbeam::utils::CachePadded;
-use gt_core::{effective_workers, Estimate, GtSketch, SketchConfig};
+use gt_core::{effective_workers, CoordinatedTrial, Estimate, GtSketch, SketchConfig};
 use gt_hash::mix64;
 use gt_streams::{decode_sketch_into, encode_sketch, DecodeScratch, WirePayload};
 use parking_lot::Mutex;
@@ -75,6 +84,11 @@ use crate::Result;
 /// `(shard, key)` in chunks of this many entries so each shard lock is
 /// taken once per chunk. Matches `gt_core::sketch::INGEST_BUF`.
 pub const STORE_STAGE: usize = 1024;
+
+/// Level byte that marks a packed section in exact form (one shared list
+/// for every trial). No trial can reach it: levels stop at `MAX_LEVEL`.
+const EXACT: u8 = 0xFF;
+const _: () = assert!(EXACT > gt_hash::MAX_LEVEL);
 
 /// Payloads a [`SketchStore`] can pack into arena words. `WORDS` is the
 /// packed width per sample entry — `0` for `()` (distinct counting), `1`
@@ -255,6 +269,8 @@ struct ShardState<V: StorePayload> {
     /// Budgeted bytes: live slot-class bytes + pinned sketch heap.
     resident_bytes: usize,
     resident_keys: u64,
+    /// Resident keys whose packed section is in exact form.
+    exact_keys: u64,
     pinned_keys: u64,
     spilled_keys: u64,
     seen_epoch: u64,
@@ -270,10 +286,27 @@ impl<V: StorePayload> ShardState<V> {
     /// Packed words per sample entry: the label plus the payload words.
     const ENTRY_WORDS: usize = 1 + V::WORDS;
 
+    /// Whether `sketch` packs in exact form: every trial is still at level
+    /// 0, where every label qualifies, so all trials hold the same labels,
+    /// payloads and item count and one shared list stands for all of them.
+    fn is_exact(sketch: &GtSketch<V>) -> bool {
+        sketch.trials().iter().all(|t| t.level() == 0)
+    }
+
+    /// The trials whose lists the packed section stores: only the first
+    /// one in exact form, every trial otherwise.
+    fn packed_trials(sketch: &GtSketch<V>) -> &[CoordinatedTrial<V>] {
+        let trials = sketch.trials();
+        if Self::is_exact(sketch) {
+            &trials[..1]
+        } else {
+            trials
+        }
+    }
+
     /// Words the packed sketch section of `sketch` needs.
     fn packed_words(sketch: &GtSketch<V>) -> usize {
-        sketch
-            .trials()
+        Self::packed_trials(sketch)
             .iter()
             .map(|t| 2 + t.sample_len() * Self::ENTRY_WORDS)
             .sum()
@@ -289,8 +322,10 @@ impl<V: StorePayload> ShardState<V> {
     /// Materialize a packed slot into `sketch`: reload the sketch section
     /// (or clear, when the key has only ever buffered deltas), then replay
     /// the delta items in arrival order through the merging batch kernel.
-    /// Pure function of the slot contents — callers decide whether to
-    /// write the folded state back.
+    /// An exact section reloads every trial at level 0 from its one list;
+    /// a replay that overflows it promotes every trial, and the next
+    /// writeback packs the per-trial form. Pure function of the slot
+    /// contents — callers decide whether to write the folded state back.
     fn parse_into(
         sketch: &mut GtSketch<V>,
         slot: &[u64],
@@ -303,13 +338,15 @@ impl<V: StorePayload> ShardState<V> {
             sketch.clear();
         } else {
             let trials = sketch.trials().len();
+            let exact = (slot[0] >> 56) as u8 == EXACT;
             let mut pos = 0usize;
             for t in 0..trials {
-                let meta = slot[pos];
-                let level = (meta >> 56) as u8;
+                let start = if exact { 0 } else { pos };
+                let meta = slot[start];
+                let level = if exact { 0 } else { (meta >> 56) as u8 };
                 let n = (meta & ((1u64 << 56) - 1)) as usize;
-                let items = slot[pos + 1];
-                let base = pos + 2;
+                let items = slot[start + 1];
+                let base = start + 2;
                 let entries = (0..n).map(|i| {
                     let at = base + i * ew;
                     let payload = if V::WORDS == 1 {
@@ -346,10 +383,16 @@ impl<V: StorePayload> ShardState<V> {
     /// written (== [`ShardState::packed_words`]).
     fn write_sketch_section(sketch: &GtSketch<V>, slot: &mut [u64]) -> usize {
         let ew = Self::ENTRY_WORDS;
+        let exact = Self::is_exact(sketch);
+        debug_assert!(
+            !exact || Self::trials_agree(sketch),
+            "exact-form trials must hold equal samples and item counts"
+        );
         let mut pos = 0usize;
-        for t in sketch.trials() {
+        for t in Self::packed_trials(sketch) {
             let n = t.sample_len();
-            slot[pos] = ((t.level() as u64) << 56) | n as u64;
+            let level = if exact { EXACT } else { t.level() };
+            slot[pos] = (u64::from(level) << 56) | n as u64;
             slot[pos + 1] = t.items_observed();
             let mut at = pos + 2;
             for (label, payload) in t.sample_iter() {
@@ -362,6 +405,31 @@ impl<V: StorePayload> ShardState<V> {
             pos = at;
         }
         pos
+    }
+
+    /// Whether every trial holds the first trial's item count and sample
+    /// (labels and payload words) — what packing one shared list assumes.
+    fn trials_agree(sketch: &GtSketch<V>) -> bool {
+        let state = |t: &CoordinatedTrial<V>| {
+            let mut sample: Vec<(u64, u64)> = t
+                .sample_iter()
+                .map(|(label, payload)| {
+                    let word = if V::WORDS == 1 { payload.to_word() } else { 0 };
+                    (label, word)
+                })
+                .collect();
+            sample.sort_unstable();
+            (t.items_observed(), sample)
+        };
+        let first = state(&sketch.trials()[0]);
+        sketch.trials()[1..].iter().all(|t| state(t) == first)
+    }
+
+    /// 1 when `handle`'s packed section is in exact form, else 0: the
+    /// `exact_keys` gauge moves by this whenever a slot is written or
+    /// freed. A slot that has only buffered deltas has no section.
+    fn exact_flag(&self, handle: SketchHandle, sketch_words: u32) -> u64 {
+        u64::from(sketch_words > 0 && (self.arena.slot(handle)[0] >> 56) as u8 == EXACT)
     }
 
     /// Record a touch for the LRU queue, compacting stale entries when the
@@ -428,9 +496,20 @@ impl<V: StorePayload> ShardState<V> {
     }
 
     /// Write the scratch sketch back as `key`'s resident state, promoting
-    /// (or shrinking) the slot class as needed. `old` is the key's current
-    /// slot, if any; `None` means the key has no slot (fresh restore).
-    fn writeback_scratch(&mut self, key: u64, old: Option<SketchHandle>) {
+    /// (or shrinking) the slot class as needed. A resident key rewrites
+    /// its current slot; a restored key gets a fresh one.
+    fn writeback_scratch(&mut self, key: u64) {
+        let old = match self.index[&key].state {
+            KeyState::Resident {
+                handle,
+                sketch_words,
+                ..
+            } => {
+                self.exact_keys -= self.exact_flag(handle, sketch_words);
+                Some(handle)
+            }
+            _ => None,
+        };
         let needed = Self::packed_words(&self.scratch);
         let class = self.arena.class_for(needed + Self::headroom(needed));
         let handle = match old {
@@ -453,6 +532,7 @@ impl<V: StorePayload> ShardState<V> {
         };
         let written = Self::write_sketch_section(&self.scratch, self.arena.slot_mut(handle));
         debug_assert_eq!(written, needed);
+        self.exact_keys += self.exact_flag(handle, needed as u32);
         self.index
             .get_mut(&key)
             .expect("writeback of unknown key")
@@ -488,7 +568,7 @@ impl<V: StorePayload> ShardState<V> {
             self.tally.delta_replayed += u64::from(delta_items);
         }
         if force_writeback || delta_items > 0 {
-            self.writeback_scratch(key, Some(handle));
+            self.writeback_scratch(key);
         }
     }
 
@@ -525,6 +605,7 @@ impl<V: StorePayload> ShardState<V> {
             self.tally.folds += 1;
             self.tally.delta_replayed += u64::from(delta_items);
         }
+        self.exact_keys -= self.exact_flag(handle, sketch_words);
         self.resident_bytes -= self.arena.class_bytes(handle.class);
         self.arena.free(handle);
         self.resident_bytes += self.pinned_heap_bytes;
@@ -548,6 +629,7 @@ impl<V: StorePayload> ShardState<V> {
         let written =
             Self::write_sketch_section(&self.pinned[idx].sketch, self.arena.slot_mut(handle));
         debug_assert_eq!(written, needed);
+        self.exact_keys += self.exact_flag(handle, needed as u32);
         self.resident_bytes += self.arena.class_bytes(class);
         self.resident_bytes -= self.pinned_heap_bytes;
         let slot = &mut self.pinned[idx];
@@ -578,7 +660,7 @@ impl<V: StorePayload> ShardState<V> {
         self.spill.read(offset, len, &mut self.spill_buf)?;
         let bytes = Bytes::from(self.spill_buf.as_slice());
         decode_sketch_into(&mut self.scratch, bytes, &mut self.decode_scratch)?;
-        self.writeback_scratch(key, None);
+        self.writeback_scratch(key);
         self.spilled_keys -= 1;
         self.resident_keys += 1;
         self.tally.restores += 1;
@@ -660,6 +742,7 @@ impl<V: StorePayload> ShardState<V> {
             let bytes = encode_sketch(&self.scratch);
             match self.spill.append(&bytes) {
                 Ok((offset, len)) => {
+                    self.exact_keys -= self.exact_flag(handle, sketch_words);
                     self.resident_bytes -= self.arena.class_bytes(handle.class);
                     self.arena.free(handle);
                     let entry = self.index.get_mut(&key).expect("evict of unknown key");
@@ -804,85 +887,68 @@ impl<V: StorePayload> ShardState<V> {
             .insert_batch_merging_with(&self.run_buf);
     }
 
-    /// Point query. `None` for a key the store has never seen.
-    fn estimate(&mut self, key: u64) -> Result<Option<Estimate>> {
-        self.tally.queries += 1;
+    /// Run `f` on `key`'s authoritative sketch and record the touch:
+    /// the pinned sketch, or the folded resident state in `scratch`. A
+    /// spilled key's restore already leaves its state in `scratch`, so
+    /// the slot it wrote back is not parsed a second time. `None` for a
+    /// key the store has never seen.
+    fn with_sketch<T>(&mut self, key: u64, f: impl FnOnce(&GtSketch<V>) -> T) -> Result<Option<T>> {
         let Some(entry) = self.index.get(&key) else {
             return Ok(None);
         };
-        let est = match entry.state {
-            KeyState::Pinned { idx } => {
-                let idx = idx as usize;
-                if let Some(front) = self.pinned[idx].front {
-                    if front.epoch == self.seen_epoch {
-                        self.tally.front_hits += 1;
-                        self.touch_lru(key);
-                        return Ok(Some(front.estimate));
-                    }
-                }
-                let estimate = self.pinned[idx].sketch.estimate_distinct();
-                self.pinned[idx].front = Some(FrontCache {
-                    estimate,
-                    epoch: self.seen_epoch,
-                });
-                self.tally.front_refreshes += 1;
-                estimate
-            }
+        let out = match entry.state {
+            KeyState::Pinned { idx } => f(&self.pinned[idx as usize].sketch),
             KeyState::Resident { .. } => {
                 self.fold_resident(key, false);
-                self.scratch.estimate_distinct()
+                f(&self.scratch)
             }
             KeyState::Spilled { .. } => {
                 self.restore(key)?;
-                self.fold_resident(key, false);
-                self.scratch.estimate_distinct()
+                f(&self.scratch)
             }
         };
         self.touch_lru(key);
-        Ok(Some(est))
+        Ok(Some(out))
+    }
+
+    /// Point query. `None` for a key the store has never seen. A pinned
+    /// key answers from its front cache while that is current, and
+    /// refreshes it otherwise.
+    fn estimate(&mut self, key: u64) -> Result<Option<Estimate>> {
+        self.tally.queries += 1;
+        let pinned = match self.index.get(&key).map(|e| e.state) {
+            Some(KeyState::Pinned { idx }) => Some(idx as usize),
+            _ => None,
+        };
+        if let Some(idx) = pinned {
+            if let Some(front) = self.pinned[idx].front {
+                if front.epoch == self.seen_epoch {
+                    self.tally.front_hits += 1;
+                    self.touch_lru(key);
+                    return Ok(Some(front.estimate));
+                }
+            }
+        }
+        let est = self.with_sketch(key, GtSketch::estimate_distinct)?;
+        if let (Some(idx), Some(estimate)) = (pinned, est) {
+            self.pinned[idx].front = Some(FrontCache {
+                estimate,
+                epoch: self.seen_epoch,
+            });
+            self.tally.front_refreshes += 1;
+        }
+        Ok(est)
     }
 
     /// Items observed for `key` (exact, all tiers).
     fn items_observed(&mut self, key: u64) -> Result<Option<u64>> {
-        let Some(entry) = self.index.get(&key) else {
-            return Ok(None);
-        };
-        let items = match entry.state {
-            KeyState::Pinned { idx } => self.pinned[idx as usize].sketch.items_observed(),
-            KeyState::Resident { .. } => {
-                self.fold_resident(key, false);
-                self.scratch.items_observed()
-            }
-            KeyState::Spilled { .. } => {
-                self.restore(key)?;
-                self.fold_resident(key, false);
-                self.scratch.items_observed()
-            }
-        };
-        self.touch_lru(key);
-        Ok(Some(items))
+        self.with_sketch(key, GtSketch::items_observed)
     }
 
     /// Canonical wire bytes of `key`'s sketch — the authoritative state
     /// the per-key oracle compares against a standalone sketch.
     fn canonical_bytes(&mut self, key: u64) -> Result<Option<Bytes>> {
-        let Some(entry) = self.index.get(&key) else {
-            return Ok(None);
-        };
-        let bytes = match entry.state {
-            KeyState::Pinned { idx } => encode_sketch(&self.pinned[idx as usize].sketch),
-            KeyState::Resident { .. } => {
-                self.fold_resident(key, false);
-                encode_sketch(&self.scratch)
-            }
-            KeyState::Spilled { .. } => {
-                self.restore(key)?;
-                self.fold_resident(key, false);
-                encode_sketch(&self.scratch)
-            }
-        };
-        self.touch_lru(key);
-        Ok(Some(bytes))
+        self.with_sketch(key, encode_sketch)
     }
 }
 
@@ -969,6 +1035,7 @@ impl<V: StorePayload> SketchStore<V> {
                     stamp: 0,
                     resident_bytes: 0,
                     resident_keys: 0,
+                    exact_keys: 0,
                     pinned_keys: 0,
                     spilled_keys: 0,
                     seen_epoch: 0,
@@ -1189,6 +1256,7 @@ impl<V: StorePayload> SketchStore<V> {
             snap.absorb_tally(&g.tally);
             snap.keys += g.index.len() as u64;
             snap.resident_keys += g.resident_keys;
+            snap.exact_keys += g.exact_keys;
             snap.pinned_keys += g.pinned_keys;
             snap.spilled_keys += g.spilled_keys;
             snap.resident_bytes += g.resident_bytes as u64;
@@ -1477,11 +1545,184 @@ mod tests {
             snap.resident_keys + snap.pinned_keys + snap.spilled_keys,
             snap.keys
         );
+        assert!(snap.exact_keys <= snap.resident_keys);
         assert_eq!(snap.keys as usize, store.key_count());
         assert_eq!(snap.items, items.len() as u64);
         assert!(snap.arena_bytes > 0);
         let json = snap.to_json();
         assert!(json.contains("\"keys\":900"));
+    }
+
+    /// Canonical bytes of a standalone sketch fed `items` in order.
+    fn standalone_bytes<V: StorePayload>(
+        config: &SketchConfig,
+        seed: u64,
+        items: &[(u64, V)],
+    ) -> Bytes {
+        let mut sketch = GtSketch::<V>::new(config, seed);
+        for &(label, payload) in items {
+            sketch.insert_merging_with(label, payload);
+        }
+        encode_sketch(&sketch)
+    }
+
+    /// One key grows label by label to c + 1 distinct labels. Each label
+    /// arrives twice with different payloads while the key is exact, so
+    /// keep-first runs through the exact parse; the last label overflows
+    /// every trial at once. Canonical bytes match a standalone sketch
+    /// after every item, and the key counts as exact exactly while it is
+    /// below capacity.
+    fn exact_form_tracks_standalone_through_overflow<V: StorePayload>(payload: fn(u64) -> V) {
+        let config = tiny_cfg();
+        let c = config.capacity() as u64;
+        let store =
+            SketchStore::<V>::new(&config, 31, opts(64 << 20).with_hot_threshold(0)).unwrap();
+        let mut fed = Vec::new();
+        for i in 0..=c {
+            let label = fold61(i * 7 + 3);
+            for p in [payload(i), payload(i + 1_000)] {
+                store.extend_with(&[(1, label, p)]).unwrap();
+                fed.push((label, p));
+                assert_eq!(
+                    store.canonical_bytes(1).unwrap().unwrap(),
+                    standalone_bytes(&config, 31, &fed),
+                    "after {} items",
+                    fed.len()
+                );
+                let exact = store.metrics_snapshot().exact_keys;
+                assert_eq!(exact, u64::from(i < c), "distinct labels {}", i + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_form_tracks_standalone_through_overflow_distinct() {
+        exact_form_tracks_standalone_through_overflow::<()>(|_| ());
+    }
+
+    #[test]
+    fn exact_form_tracks_standalone_through_overflow_payload() {
+        exact_form_tracks_standalone_through_overflow::<u64>(|i| i);
+    }
+
+    /// Keys that stay below capacity cycle through evict and restore under
+    /// a tight budget; every key still matches its standalone sketch.
+    fn exact_keys_survive_evict_restore<V: StorePayload>(payload: fn(u64) -> V) {
+        let config = tiny_cfg();
+        let store = SketchStore::<V>::new(&config, 5, opts(4 << 10).with_hot_threshold(0)).unwrap();
+        let keys = 200u64;
+        let mut items = Vec::new();
+        for round in 0..3u64 {
+            let mut batch = Vec::new();
+            for key in 0..keys {
+                for j in 0..4u64 {
+                    batch.push((
+                        key,
+                        fold61(key * 1000 + round * 10 + j),
+                        payload(round * 10 + j),
+                    ));
+                }
+            }
+            store.extend_with(&batch).unwrap();
+            items.extend(batch);
+            // Fold a sample of keys so exact slots exist to evict.
+            for key in (0..keys).step_by(7) {
+                store.estimate(key).unwrap();
+            }
+        }
+        let snap = store.metrics_snapshot();
+        assert!(snap.evictions > 0, "budget never forced an eviction");
+        assert!(snap.restores > 0, "revisited keys never restored");
+        assert!(snap.exact_keys > 0, "no key packed in exact form");
+        for key in 0..keys {
+            let fed: Vec<(u64, V)> = items
+                .iter()
+                .filter(|&&(k, _, _)| k == key)
+                .map(|&(_, l, p)| (l, p))
+                .collect();
+            assert_eq!(
+                store.canonical_bytes(key).unwrap().unwrap(),
+                standalone_bytes(&config, 5, &fed),
+                "key {key}"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_keys_survive_evict_restore_distinct() {
+        exact_keys_survive_evict_restore::<()>(|_| ());
+    }
+
+    #[test]
+    fn exact_keys_survive_evict_restore_payload() {
+        exact_keys_survive_evict_restore::<u64>(|i| i);
+    }
+
+    /// A key pinned below capacity (hot threshold under c) demotes into an
+    /// exact slot, then overflows from there.
+    fn pinned_key_demotes_to_exact_slot<V: StorePayload>(payload: fn(u64) -> V) {
+        let config = tiny_cfg();
+        let store =
+            SketchStore::<V>::new(&config, 3, opts(64 << 20).with_hot_threshold(4)).unwrap();
+        let mut fed: Vec<(u64, V)> = (0..8u64).map(|i| (fold61(i), payload(i))).collect();
+        let batch: Vec<(u64, u64, V)> = fed.iter().map(|&(l, p)| (1, l, p)).collect();
+        store.extend_with(&batch).unwrap();
+        assert_eq!(store.metrics_snapshot().pinned_keys, 1);
+        store.advance_epoch();
+        store
+            .extend_with(&[(2, fold61(9_999), payload(0))])
+            .unwrap();
+        store.advance_epoch();
+        store
+            .extend_with(&[(2, fold61(9_998), payload(0))])
+            .unwrap();
+        let snap = store.metrics_snapshot();
+        assert_eq!(snap.pinned_keys, 0, "cooled key stayed pinned");
+        assert_eq!(snap.exact_keys, 1, "demoted key not packed exact");
+        assert_eq!(
+            store.canonical_bytes(1).unwrap().unwrap(),
+            standalone_bytes(&config, 3, &fed)
+        );
+        for i in 8..20u64 {
+            let item = (fold61(i), payload(i));
+            store.extend_with(&[(1, item.0, item.1)]).unwrap();
+            fed.push(item);
+        }
+        assert_eq!(
+            store.canonical_bytes(1).unwrap().unwrap(),
+            standalone_bytes(&config, 3, &fed)
+        );
+    }
+
+    #[test]
+    fn pinned_key_demotes_to_exact_slot_distinct() {
+        pinned_key_demotes_to_exact_slot::<()>(|_| ());
+    }
+
+    #[test]
+    fn pinned_key_demotes_to_exact_slot_payload() {
+        pinned_key_demotes_to_exact_slot::<u64>(|i| i);
+    }
+
+    #[test]
+    fn exact_slots_pack_one_shared_list() {
+        let config = tiny_cfg();
+        let store = DistinctStore::new(&config, 7, opts(64 << 20)).unwrap();
+        let keys = 64u64;
+        let items: Vec<(u64, u64)> = (0..keys)
+            .flat_map(|k| (0..4u64).map(move |j| (k, fold61(k * 100 + j))))
+            .collect();
+        store.extend(&items).unwrap();
+        for key in 0..keys {
+            store.estimate(key).unwrap();
+        }
+        let snap = store.metrics_snapshot();
+        assert_eq!(snap.folds, keys);
+        assert_eq!(snap.exact_keys, keys);
+        // One shared list of 4 labels (2 + 4 words) plus 8 words of delta
+        // headroom fits the 16-word class; five per-trial copies (30 + 8
+        // words) would need the 64-word class.
+        assert_eq!(store.resident_bytes(), keys as usize * 16 * 8);
     }
 
     #[test]
