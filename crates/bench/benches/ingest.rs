@@ -104,9 +104,9 @@ fn ingest_vs_length(c: &mut Criterion) {
 /// Item-major (per-item) vs trial-major reference vs the
 /// batch-monomorphic kernel on the same data. `extend_labels` now feeds
 /// the kernel through a stack buffer, so the per-item contender is an
-/// explicit `insert` loop. Summary numbers (and the CI gate) come from
-/// `experiments e4` / `results/BENCH_ingest.json`; this group gives the
-/// Criterion-grade confidence intervals.
+/// explicit `insert` loop. Summary numbers (and the checked claim) come
+/// from `experiments e4`; this group gives the Criterion-grade confidence
+/// intervals.
 fn ingest_batched(c: &mut Criterion) {
     let data = labels(100_000, 6);
     let config = SketchConfig::new(0.1, 0.05).unwrap();

@@ -7,7 +7,10 @@
 //! cargo run -p gt-bench --release --bin experiments -- --list
 //! ```
 //!
-//! Tables print to stdout and are mirrored as CSV under `results/`.
+//! Tables print to stdout and are mirrored as CSV under `results/`. Each
+//! table's checked claims print as `PASS:`/`FAIL:` lines under it; every
+//! selected experiment runs, then the failed checks are listed and the
+//! process exits 1 if there are any.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -52,11 +55,14 @@ fn main() {
         selected.len(),
         if quick { " in --quick mode" } else { "" }
     );
+    let (mut checks, mut failures) = (0, Vec::new());
     for exp in selected {
         let t0 = Instant::now();
         let tables = (exp.run)(quick);
         for table in &tables {
             println!("{}", table.render());
+            checks += table.checks.len();
+            failures.extend(table.failures());
             match table.write_csv(&results_dir) {
                 Ok(path) => println!("  csv: {}\n", path.display()),
                 Err(e) => eprintln!("  csv write failed: {e}\n"),
@@ -82,6 +88,16 @@ fn main() {
         "  json: {}",
         gt_bench::stats::render_store_stats_json(&store_snap)
     );
+
+    if failures.is_empty() {
+        println!("\n{checks} check(s), all passed");
+    } else {
+        println!("\n{} of {checks} check(s) failed:", failures.len());
+        for failure in &failures {
+            println!("  FAIL: {failure}");
+        }
+        std::process::exit(1);
+    }
 }
 
 fn print_usage() {
@@ -90,16 +106,6 @@ fn print_usage() {
     for e in REGISTRY {
         println!("  {:>4}  {}", e.id, e.description);
     }
-    println!("\nsome experiments also write machine-readable summaries:");
-    println!("  e4    results/BENCH_ingest.json     (per-item vs batched vs kernel throughput)");
-    println!("  e14   results/BENCH_parallel.json   (thread-sweep speedups, identity-checked)");
-    println!("  e17   results/BENCH_transport.json  (loss sweep vs union completeness)");
-    println!("  e18   results/BENCH_concurrent.json (writer-sweep throughput + snapshot eps)");
-    println!("  e19   results/BENCH_union.json      (referee merge pipeline + tree reduction)");
-    println!("  e20   results/BENCH_hash.json       (lane vs scalar hash kernels + screen)");
-    println!("  e21   results/BENCH_store.json      (keyed store: Zipf ingest, budget, spill)");
-    println!("  e22   results/BENCH_expr.json       (set-expression error vs depth and overlap)");
-    println!("  e23   results/BENCH_e2e.json        (scenario suite: latency, coverage, faults)");
     println!("\nCriterion benches for fine-grained time-domain numbers:");
     println!("  e4    cargo bench -p gt-bench --bench ingest     (per-item cost, throughput)");
     println!("  e10   cargo bench -p gt-bench --bench merge      (referee cost vs parties)");

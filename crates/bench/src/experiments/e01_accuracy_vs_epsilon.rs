@@ -54,6 +54,6 @@ pub fn run(quick: bool) -> Vec<Table> {
     t.note(format!(
         "n = {n} distinct labels, {seeds} master seeds per row"
     ));
-    t.note("PASS condition: P(err>eps) <= delta for every row, and p95 scales ~linearly with eps");
+    t.note("expected (unchecked): P(err>eps) <= delta for every row, and p95 scales ~linearly with eps");
     vec![t]
 }

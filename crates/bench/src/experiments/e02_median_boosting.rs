@@ -46,6 +46,6 @@ pub fn run(quick: bool) -> Vec<Table> {
     t.note(format!(
         "eps = {eps}, per-trial capacity {capacity} (k = 3, deliberately tight), n = {n}, {seeds} seeds"
     ));
-    t.note("PASS condition: P(err>eps) decreases (roughly geometrically) as trials grow");
+    t.note("expected (unchecked): P(err>eps) decreases (roughly geometrically) as trials grow");
     vec![t]
 }

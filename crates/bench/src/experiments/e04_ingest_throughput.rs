@@ -9,8 +9,8 @@
 //! compare on the raw hash. All three paths produce bitwise-identical
 //! sketches (property-tested in `gt-core` and `tests/properties.rs`);
 //! this experiment measures the throughput gap across cardinalities and
-//! hash families and writes the machine-readable summary CI gates on to
-//! `results/BENCH_ingest.json`.
+//! hash families and checks that the kernel never loses to per-item
+//! inserts.
 
 use std::time::{Duration, Instant};
 
@@ -18,10 +18,6 @@ use crate::experiments::common::labels;
 use crate::table::Table;
 use gt_core::{DistinctSketch, SketchConfig};
 use gt_hash::HashFamilyKind;
-
-/// Where the machine-readable summary lands (relative to the working
-/// directory, like the CSV mirrors).
-pub const BENCH_JSON: &str = "results/BENCH_ingest.json";
 
 struct Measurement {
     hash: &'static str,
@@ -103,7 +99,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
 
     // Kernel speedup vs per-item for every (hash, n) pair; the minimum is
-    // the number CI gates on (>= 1.0 means the kernel never loses).
+    // the checked number (>= 1.0 means the kernel never loses).
     let mut min_speedup = f64::INFINITY;
     let mut table = Table::new(
         "E4",
@@ -139,35 +135,9 @@ pub fn run(quick: bool) -> Vec<Table> {
     table.note(format!(
         "best of {reps} reps per cell; fresh sketch per rep; config eps=0.1 delta=0.05"
     ));
-    table.note(format!(
-        "kernel min speedup vs per-item across cells: {min_speedup:.2}x (CI gates on >= 1.0)"
-    ));
-    table.note(format!("machine-readable summary: {BENCH_JSON}"));
-
-    write_json(&measurements, min_speedup, quick);
-    vec![table]
-}
-
-/// Hand-rolled JSON (the build carries no JSON dependency), mirroring the
-/// table plus the scalar CI gates on.
-fn write_json(measurements: &[Measurement], min_speedup: f64, quick: bool) {
-    let rows = measurements
-        .iter()
-        .map(|m| {
-            format!(
-                "{{\"hash\":\"{}\",\"n\":{},\"path\":\"{}\",\"ns_per_item\":{:.3},\"items_per_sec\":{:.1}}}",
-                m.hash, m.n, m.path, m.ns_per_item, m.items_per_sec
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        "{{\"experiment\":\"e4\",\"quick\":{quick},\"rows\":[{rows}],\
-         \"kernel_min_speedup_vs_per_item\":{min_speedup:.4}}}\n"
+    table.check(
+        min_speedup >= 1.0,
+        format!("kernel min speedup vs per-item across cells {min_speedup:.2}x >= 1.00"),
     );
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(BENCH_JSON, json))
-    {
-        eprintln!("  {BENCH_JSON} write failed: {e}");
-    }
+    vec![table]
 }

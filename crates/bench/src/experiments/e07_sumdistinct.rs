@@ -45,7 +45,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     t.note(format!(
         "{distinct} distinct labels, values in [1, 10], eps = 0.05"
     ));
-    t.note("PASS condition: sumdistinct_err flat in duplication; plain_sum_ratio = duplication exactly");
+    t.note("expected (unchecked): sumdistinct_err flat in duplication; plain_sum_ratio = duplication exactly");
 
     // Value-skew sensitivity: widen the value range at fixed capacity.
     let mut skew = Table::new(

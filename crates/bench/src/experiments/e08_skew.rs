@@ -63,6 +63,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         ]);
     }
     t.note("4 parties, 50% overlap; heavier skew -> fewer touched labels & more duplication");
-    t.note("PASS condition: mean_err flat (within noise) across the sweep; no drift with skew");
+    t.note(
+        "expected (unchecked): mean_err flat (within noise) across the sweep; no drift with skew",
+    );
     vec![t]
 }

@@ -49,7 +49,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
     }
     a.note("bytes_per_entry: message bytes / (trials x capacity) — the delta-varint cost per sample slot");
-    a.note("PASS condition: bytes_per_party ~ eps^-2 (x4 per eps halving), independent of parties");
+    a.note("expected (unchecked): bytes_per_party ~ eps^-2 (x4 per eps halving), independent of parties");
 
     let mut b = Table::new(
         "E9b",
@@ -82,7 +82,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             ),
         ]);
     }
-    b.note("PASS condition: total_bytes flat while items grow 100x (bytes_per_item -> 0)");
+    b.note("expected (unchecked): total_bytes flat while items grow 100x (bytes_per_item -> 0)");
 
     // Tree aggregation: per-tier traffic through intermediate collectors.
     let mut c = Table::new(
@@ -129,7 +129,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         report.estimate.value
     ));
     c.note(
-        "PASS condition: bytes_per_message ~constant at every tier (merged sketches do not grow)",
+        "expected (unchecked): bytes_per_message ~constant at every tier (merged sketches do not grow)",
     );
 
     vec![a, b, c]

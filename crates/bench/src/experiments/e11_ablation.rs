@@ -100,7 +100,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             format!("{:.3}", s.p95 * k.sqrt()),
         ]);
     }
-    cap.note("PASS condition: p95 ~ 1/sqrt(k) (last column roughly constant)");
+    cap.note("expected (unchecked): p95 ~ 1/sqrt(k) (last column roughly constant)");
 
     vec![fam, cap]
 }

@@ -57,6 +57,6 @@ pub fn run(quick: bool) -> Vec<Table> {
         ]);
     }
     t.note(format!("n = {n} total distinct, eps = 0.05, {seeds} seeds"));
-    t.note("PASS condition: p95_abs_err <= eps x F0(total) for every selectivity; relative error grows as the sub-population shrinks (the documented trade-off)");
+    t.note("expected (unchecked): p95_abs_err <= eps x F0(total) for every selectivity; relative error grows as the sub-population shrinks (the documented trade-off)");
     vec![t]
 }

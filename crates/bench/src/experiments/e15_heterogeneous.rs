@@ -109,6 +109,6 @@ pub fn run(quick: bool) -> Vec<Table> {
     t.note(format!(
         "{distinct} distinct labels split with 50% neighbour overlap, {seeds} seeds"
     ));
-    t.note("PASS condition: harmonized p95 ~ native_weakest_p95 (shrinking costs nothing beyond running the weakest shape natively)");
+    t.note("expected (unchecked): harmonized p95 ~ native_weakest_p95 (shrinking costs nothing beyond running the weakest shape natively)");
     vec![t]
 }

@@ -63,7 +63,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     t.note(format!(
         "stream: {n} distinct labels at 1/tick; both sketches at capacity 300 x 9 trials; {seeds} seeds"
     ));
-    t.note("PASS condition: window_p95_err flat (~eps) at every width; landmark error explodes for narrow windows (additive eps x F0_total)");
+    t.note("expected (unchecked): window_p95_err flat (~eps) at every width; landmark error explodes for narrow windows (additive eps x F0_total)");
     t.note("the price: the window sketch stores up to 40 levels x capacity per trial (the log N factor of the 2002 follow-up)");
     vec![t]
 }

@@ -6,15 +6,16 @@
 //! (thread-local buffers keep the global lock off the hot path), (b)
 //! wait-free snapshot reads that stay epoch/coverage monotone, and (c)
 //! every mid-stream snapshot answering with a real `(ε, δ)` estimate of
-//! its prefix-union. This experiment records the writer sweep to
-//! `results/BENCH_concurrent.json` for the CI bench-smoke gate and
+//! its prefix-union. This experiment records the writer sweep and
 //! validates the snapshot ε contract against exact prefix truth on a
-//! deterministic single-writer schedule.
+//! deterministic single-writer schedule — the relaxed-consistency bound
+//! of *Fast Concurrent Data Sketches* (PAPERS.md).
 //!
-//! Note on gating: the *speedup* assertion (4 writers beat 1) lives in
-//! CI's python check, not here — this binary also runs on single-core
-//! boxes where no scaling exists to measure. Monotonicity and the ε
-//! contract are asserted unconditionally; they hold on any core count.
+//! Note on checks: monotonicity is asserted per rep, and the final and
+//! snapshot ε contracts are checked; they hold on any core count. The
+//! *speedup* check (4 writers beat 1) is unconditional too, so it fails
+//! on a host without the cores to scale — a noisy timing gate on small
+//! hosts, kept as strict as it always was.
 
 use std::time::Duration;
 
@@ -22,9 +23,6 @@ use crate::table::Table;
 use gt_core::{ConcurrentSketch, SketchConfig};
 use gt_streams::runner::run_live;
 use gt_streams::workload::{Distribution, WorkloadSpec};
-
-/// Where the machine-readable summary lands.
-pub const BENCH_JSON: &str = "results/BENCH_concurrent.json";
 
 const EPSILON: f64 = 0.1;
 const DELTA: f64 = 0.05;
@@ -53,8 +51,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         ],
     );
 
-    // (writers, wall_ms, throughput, speedup, epochs, samples, rel_err)
-    let mut rows: Vec<(usize, f64, f64, f64, u64, usize, f64)> = Vec::new();
+    let mut throughput: Vec<(usize, f64)> = Vec::new();
+    let mut worst_rel_err = 0f64;
     let mut single_writer_tp = f64::NAN;
     for &w in writer_counts {
         let spec = WorkloadSpec {
@@ -72,11 +70,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             let report = run_live(&config, SEED, &streams, threshold);
             // Protocol properties hold on every rep, any machine.
             assert!(report.monotone, "snapshots regressed at {w} writers");
-            assert!(
-                report.relative_error <= EPSILON,
-                "final estimate out of contract at {w} writers: {}",
-                report.relative_error
-            );
+            worst_rel_err = worst_rel_err.max(report.relative_error);
             if report.observe_wall < best_wall {
                 best_wall = report.observe_wall;
                 best = Some(report);
@@ -89,15 +83,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
         let speedup = tp / single_writer_tp;
         let ms = best_wall.as_secs_f64() * 1e3;
-        rows.push((
-            w,
-            ms,
-            tp,
-            speedup,
-            report.final_epoch,
-            report.samples.len(),
-            report.relative_error,
-        ));
+        throughput.push((w, tp));
         table.row(vec![
             w.to_string(),
             format!("{ms:.1}"),
@@ -111,13 +97,24 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
     table.note(format!(
         "{items_per_writer} items/writer, threshold {threshold}, best of {reps} reps; \
-         monotonicity + final eps contract asserted per rep"
+         monotonicity asserted per rep"
     ));
-    table.note(
-        "PASS condition (CI, multi-core): items_per_sec at 4 writers > at 1 writer; \
-         monotone everywhere; snapshot eps check ok",
+    table.check(
+        worst_rel_err <= EPSILON,
+        format!(
+            "final estimate within eps on every rep: max rel err {worst_rel_err:.4} <= {EPSILON}"
+        ),
     );
-    table.note(format!("machine-readable summary: {BENCH_JSON}"));
+    let at = |w: usize| throughput.iter().find(|t| t.0 == w).expect("swept").1;
+    table.check(
+        at(4) > at(1),
+        format!(
+            "4 writers beat 1: {:.3e} > {:.3e} items/s ({:.2}x)",
+            at(4),
+            at(1),
+            at(4) / at(1)
+        ),
+    );
 
     let eps_check = snapshot_epsilon_check(&config, quick);
     let mut eps_table = Table::new(
@@ -135,13 +132,17 @@ pub fn run(quick: bool) -> Vec<Table> {
         "single deterministic writer, snapshot after every propagation, exact \
          prefix cardinality from a running set",
     );
-    assert!(
-        eps_check.ok(),
-        "mid-stream snapshot broke the eps contract: {} > {EPSILON}",
-        eps_check.max_rel_err
+    eps_table.check(
+        eps_check.checked > 0,
+        format!("{} snapshots checked > 0", eps_check.checked),
     );
-
-    write_json(items_per_writer, threshold, &rows, &eps_check, quick);
+    eps_table.check(
+        eps_check.ok(),
+        format!(
+            "every mid-stream snapshot within eps: max rel err {:.4} <= {EPSILON}",
+            eps_check.max_rel_err
+        ),
+    );
     vec![table, eps_table]
 }
 
@@ -194,42 +195,5 @@ fn snapshot_epsilon_check(config: &SketchConfig, quick: bool) -> EpsCheck {
     EpsCheck {
         checked,
         max_rel_err,
-    }
-}
-
-/// Hand-rolled JSON mirror of the tables. `monotone` is only ever written
-/// as `true`: a violation panics the run instead.
-fn write_json(
-    items_per_writer: u64,
-    threshold: u64,
-    rows: &[(usize, f64, f64, f64, u64, usize, f64)],
-    eps: &EpsCheck,
-    quick: bool,
-) {
-    let rows_json = rows
-        .iter()
-        .map(|&(w, ms, tp, speedup, epochs, samples, rel_err)| {
-            format!(
-                "{{\"writers\":{w},\"wall_ms\":{ms:.2},\"items_per_sec\":{tp:.1},\
-                 \"speedup_vs_1\":{speedup:.3},\"epochs\":{epochs},\
-                 \"live_queries\":{samples},\"final_rel_err\":{rel_err:.5}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        "{{\"experiment\":\"e18\",\"quick\":{quick},\
-         \"items_per_writer\":{items_per_writer},\"threshold\":{threshold},\
-         \"rows\":[{rows_json}],\"monotone\":true,\
-         \"snapshot_eps\":{{\"checked\":{},\"max_rel_err\":{:.5},\
-         \"epsilon\":{EPSILON},\"ok\":{}}}}}\n",
-        eps.checked,
-        eps.max_rel_err,
-        eps.ok(),
-    );
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(BENCH_JSON, json))
-    {
-        eprintln!("  {BENCH_JSON} write failed: {e}");
     }
 }

@@ -21,8 +21,9 @@
 //!   allocation), then union via [`gt_core::merge_tree`] on worker
 //!   threads.
 //!
-//! Writes the machine-readable summary CI gates on to
-//! `results/BENCH_union.json`.
+//! The check: at the largest `t`, the tree's merge phase beats the
+//! sequential reference fold's (parity with noise, ≥ 0.9, on a
+//! single-core host, where `merge_tree` falls back to the kernel fold).
 
 use std::time::{Duration, Instant};
 
@@ -30,9 +31,6 @@ use crate::table::Table;
 use gt_core::{merge_tree, DistinctSketch, SketchConfig};
 use gt_streams::{decode_sketch, decode_sketch_into, encode_sketch, DecodeScratch};
 use gt_streams::{Party, PartyMessage};
-
-/// Where the machine-readable summary lands.
-pub const BENCH_JSON: &str = "results/BENCH_union.json";
 
 /// One measured (t, overlap, variant) cell.
 struct Row {
@@ -220,7 +218,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
     }
 
-    // CI gate input: at the largest t, the tree reduction must not lose
+    // The checked speedup: at the largest t, the tree reduction must not lose
     // to the per-entry sequential reference fold on the fold itself (the
     // merge phase — decode is common work, reported separately as
     // bytes/sec per the metric split above). Aggregated across overlaps
@@ -238,54 +236,14 @@ pub fn run(quick: bool) -> Vec<Table> {
         "{per_party} distinct labels per party, best of {reps} reps; canonical-bytes \
          identity asserted per rep (panics on divergence)"
     ));
-    table.note(format!(
-        "PASS condition: identical = yes everywhere; tree merge beats the \
-         sequential_reference merge at t = {max_t} \
-         (measured merge speedup {tree_speedup_at_max_t:.2}x)"
-    ));
-    table.note(format!("machine-readable summary: {BENCH_JSON}"));
-
-    write_json(quick, per_party, max_t, tree_speedup_at_max_t, &rows);
-    vec![table]
-}
-
-/// Hand-rolled JSON mirror of the table. `bitwise_identical` is only ever
-/// written as `true`: divergence panics the run instead. `workers` lets
-/// the CI gate distinguish a real tree win from the single-core
-/// degenerate case where `merge_tree` lawfully falls back to the
-/// sequential kernel fold.
-fn write_json(quick: bool, per_party: u64, max_t: usize, tree_speedup_at_max_t: f64, rows: &[Row]) {
-    let rows_json = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"t\":{},\"overlap\":{},\"variant\":\"{}\",\"wall_ms\":{:.3},\
-                 \"decode_ms\":{:.3},\"merge_ms\":{:.3},\"merges_per_sec\":{:.1},\
-                 \"decode_bytes_per_sec\":{:.1}}}",
-                r.t,
-                r.overlap,
-                r.variant,
-                r.wall().as_secs_f64() * 1e3,
-                r.decode.as_secs_f64() * 1e3,
-                r.merge.as_secs_f64() * 1e3,
-                r.merges_per_sec(),
-                r.decode_bytes_per_sec(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
     let workers = gt_core::effective_workers();
-    let json = format!(
-        "{{\"experiment\":\"e19\",\"quick\":{quick},\"per_party\":{per_party},\
-         \"max_t\":{max_t},\"workers\":{workers},\
-         \"tree_speedup_at_max_t\":{tree_speedup_at_max_t:.3},\
-         \"tree_beats_sequential_at_max_t\":{},\
-         \"rows\":[{rows_json}],\"bitwise_identical\":true}}\n",
-        tree_speedup_at_max_t >= 1.0,
+    let floor = if workers >= 2 { 1.0 } else { 0.9 };
+    table.check(
+        tree_speedup_at_max_t >= floor,
+        format!(
+            "tree merge vs sequential_reference merge at t = {max_t} on {workers} workers: \
+             {tree_speedup_at_max_t:.2}x >= {floor:.2}"
+        ),
     );
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(BENCH_JSON, json))
-    {
-        eprintln!("  {BENCH_JSON} write failed: {e}");
-    }
+    vec![table]
 }

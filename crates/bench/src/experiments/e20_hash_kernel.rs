@@ -10,19 +10,16 @@
 //! screen ([`gt_hash::survival_screen`]) is measured the same way against
 //! the per-item branch loop it replaced in the `gt-core` kernels.
 //!
-//! Writes the machine-readable summary CI gates on to
-//! `results/BENCH_hash.json`, including the compiled lane width (4
-//! portable, 8 under AVX2) so a regression can be told apart from a
-//! narrower build.
+//! Checks the kwise5 Horner-chain win (≥ 1.2×), the screen's win over
+//! the branchy loop (≥ 1.1×) and that no family materially loses to
+//! scalar (≥ 0.85×), and reports the compiled lane width (4 portable, 8
+//! under AVX2) so a regression can be told apart from a narrower build.
 
 use std::time::{Duration, Instant};
 
 use crate::experiments::common::labels;
 use crate::table::Table;
 use gt_hash::{survival_mask, survival_screen, FamilySeed, HashFamilyKind, LANES};
-
-/// Where the machine-readable summary lands.
-pub const BENCH_JSON: &str = "results/BENCH_hash.json";
 
 struct Measurement {
     family: &'static str,
@@ -156,58 +153,23 @@ pub fn run(quick: bool) -> Vec<Table> {
         "n = {n} labels, best of {reps} reps; lane width LANES = {LANES} \
          (8 needs an AVX2 build, e.g. RUSTFLAGS=\"-C target-cpu=native\")"
     ));
-    table.note(format!(
-        "survival screen vs per-item branch loop at 1/8 survival: {screen_speedup:.2}x"
-    ));
-    table.note(format!(
-        "poly (kwise5) lane speedup: {poly_speedup:.2}x — the serial-Horner-chain \
-         break; min across families: {min_speedup:.2}x (CI gates on the JSON)"
-    ));
-    table.note(format!("machine-readable summary: {BENCH_JSON}"));
-
-    write_json(
-        n,
-        &measurements,
-        screen_speedup,
-        poly_speedup,
-        min_speedup,
-        quick,
+    table.check(
+        matches!(LANES, 4 | 8),
+        format!("lane width {LANES} is 4 or 8"),
+    );
+    table.check(
+        poly_speedup >= 1.2,
+        format!("kwise5 lane kernel breaks the serial Horner chain: {poly_speedup:.2}x >= 1.20"),
+    );
+    table.check(
+        screen_speedup >= 1.1,
+        format!(
+            "survival screen vs per-item branch loop at 1/8 survival: {screen_speedup:.2}x >= 1.10"
+        ),
+    );
+    table.check(
+        min_speedup >= 0.85,
+        format!("no lane kernel materially loses to scalar: min {min_speedup:.2}x >= 0.85"),
     );
     vec![table]
-}
-
-/// Hand-rolled JSON mirror of the table plus the scalars CI gates on.
-fn write_json(
-    n: usize,
-    measurements: &[Measurement],
-    screen_speedup: f64,
-    poly_speedup: f64,
-    min_speedup: f64,
-    quick: bool,
-) {
-    let rows = measurements
-        .iter()
-        .map(|m| {
-            format!(
-                "{{\"family\":\"{}\",\"lane_ns_per_item\":{:.3},\
-                 \"scalar_ns_per_item\":{:.3},\"speedup\":{:.3}}}",
-                m.family,
-                m.lane_ns_per_item,
-                m.scalar_ns_per_item,
-                m.speedup()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        "{{\"experiment\":\"e20\",\"quick\":{quick},\"n\":{n},\"lane_width\":{LANES},\
-         \"rows\":[{rows}],\"screen_speedup\":{screen_speedup:.3},\
-         \"poly_speedup\":{poly_speedup:.3},\
-         \"min_lane_speedup\":{min_speedup:.4},\"bitwise_identical\":true}}\n"
-    );
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(BENCH_JSON, json))
-    {
-        eprintln!("  {BENCH_JSON} write failed: {e}");
-    }
 }

@@ -16,16 +16,13 @@
 //! ([`gt_core::expr::SetExpr::eval_exact`] over the raw streams) in
 //! contract units: `|estimate − truth| / (ε·|referenced union|)`.
 //!
-//! Writes the machine-readable summary the CI bench-smoke gate checks to
-//! `results/BENCH_expr.json`: per-depth mean/max scaled error and the
-//! Jaccard absolute-error spread.
+//! Checks, for the leaf through a depth-4 nest, that the max scaled error
+//! stays within `depth` contract units, and that Jaccard's max absolute
+//! error stays within 2ε.
 
 use crate::table::Table;
 use gt_core::{SetExpr, SketchConfig};
 use gt_streams::{run_batch, Distribution, WorkloadSpec};
-
-/// Where the machine-readable summary lands.
-pub const BENCH_JSON: &str = "results/BENCH_expr.json";
 
 /// Accuracy accumulator for one expression shape across the sweep.
 struct DepthStats {
@@ -169,67 +166,31 @@ pub fn run(quick: bool) -> Vec<Table> {
          eps = {epsilon}; scaled err <= 1 is the single-estimate contract, deeper nests compound \
          additively (each operator adds one coordinated estimate's worth of slack)"
     ));
-    summary.note(
-        "PASS condition: max scaled error <= depth at every depth (leaf = 1 contract unit), \
-         Jaccard max abs error <= 2*eps",
+    let depths: Vec<usize> = depth_stats.iter().map(|s| s.depth).collect();
+    summary.check(
+        depths == [1, 2, 3, 4],
+        format!("the sweep covers the leaf through a depth-4 nest: depths {depths:?}"),
     );
-    summary.note(format!("machine-readable summary: {BENCH_JSON}"));
-
-    write_json(
-        &depth_stats,
-        &jaccard_abs_errors,
-        epsilon,
-        overlaps,
-        seeds,
-        quick,
+    for stats in &depth_stats {
+        let worst = max(&stats.scaled_errors);
+        summary.check(
+            !stats.scaled_errors.is_empty() && worst <= stats.depth as f64,
+            format!(
+                "depth {}: max scaled error {worst:.3} <= {} over {} queries",
+                stats.depth,
+                stats.depth,
+                stats.scaled_errors.len()
+            ),
+        );
+    }
+    let worst = max(&jaccard_abs_errors);
+    summary.check(
+        !jaccard_abs_errors.is_empty() && worst <= 2.0 * epsilon,
+        format!(
+            "Jaccard max abs error {worst:.4} <= 2*eps = {} over {} queries",
+            2.0 * epsilon,
+            jaccard_abs_errors.len()
+        ),
     );
     vec![table, summary]
-}
-
-/// Hand-rolled JSON mirror of the summary for the CI gate.
-fn write_json(
-    depth_stats: &[DepthStats],
-    jaccard_abs_errors: &[f64],
-    epsilon: f64,
-    overlaps: &[f64],
-    seeds: u64,
-    quick: bool,
-) {
-    let depths: Vec<String> = depth_stats
-        .iter()
-        .map(|s| {
-            format!(
-                concat!(
-                    "{{\"depth\":{},\"expr\":\"{}\",\"queries\":{},",
-                    "\"mean_scaled_error\":{:.4},\"max_scaled_error\":{:.4}}}"
-                ),
-                s.depth,
-                s.expr,
-                s.scaled_errors.len(),
-                mean(&s.scaled_errors),
-                max(&s.scaled_errors),
-            )
-        })
-        .collect();
-    let overlaps: Vec<String> = overlaps.iter().map(|o| format!("{o:.2}")).collect();
-    let json = format!(
-        concat!(
-            "{{\"experiment\":\"e22\",\"quick\":{},\"parties\":4,\"epsilon\":{},",
-            "\"seeds\":{},\"overlaps\":[{}],\"depths\":[{}],",
-            "\"jaccard\":{{\"queries\":{},\"mean_abs_error\":{:.4},\"max_abs_error\":{:.4}}}}}\n"
-        ),
-        quick,
-        epsilon,
-        seeds,
-        overlaps.join(","),
-        depths.join(","),
-        jaccard_abs_errors.len(),
-        mean(jaccard_abs_errors),
-        max(jaccard_abs_errors),
-    );
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(BENCH_JSON, json))
-    {
-        eprintln!("  {BENCH_JSON} write failed: {e}");
-    }
 }

@@ -13,23 +13,19 @@
 //! Runs the six named scenarios of
 //! [`gt_streams::scenario::named_suite`] — steady-state, flash crowd,
 //! churn/failover, multi-tenant Zipf, lossy fan-in, windowed recency —
-//! and writes the machine-readable summary the CI bench-smoke gate
-//! checks to `results/BENCH_e2e.json`: per-scenario throughput,
-//! p50/p99/p999 latency in ticks, coverage against each scenario's
-//! floor, and transport/referee telemetry.
+//! and checks that all six ran with populated throughput and a p50 ≤
+//! p99 ≤ p999 latency ladder in ticks, that each clears its coverage
+//! floor, and that only the lossy channel dropped anything.
 
 use crate::table::Table;
 use gt_core::{effective_workers, SketchConfig};
 use gt_streams::scenario::{named_suite, run_sustained, E2eReport};
 
-/// Where the machine-readable summary lands.
-pub const BENCH_JSON: &str = "results/BENCH_e2e.json";
-
 /// Master seed shared by every scenario run (workload seeds differ per
 /// scenario inside the specs).
 const MASTER_SEED: u64 = 0xE23;
 
-/// The item-coverage floor the CI gate demands per scenario. Clean
+/// The item-coverage floor checked per scenario. Clean
 /// channels must ack everything; `churn_failover` loses exactly the
 /// crashed party's unflushed tail; `lossy_fan_in` has a 5% drop channel
 /// with corruption, jitter and stragglers against a retry budget of 8 —
@@ -75,7 +71,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             r.parties.to_string(),
             r.duration.to_string(),
             r.total_items.to_string(),
-            format!("{:.3e}", finite(r.items_per_sec())),
+            format!("{:.3e}", r.items_per_sec()),
             format!(
                 "{} / {} / {}",
                 r.latency.p50(),
@@ -95,90 +91,49 @@ pub fn run(quick: bool) -> Vec<Table> {
          (leave/crash/join), multi_tenant_zipf (16 tenants, theta=1.1), lossy_fan_in (32 parties, \
          5% drop, retry budget 8), windowed_recency (sliding-window queries); workers = {workers}"
     ));
-    table.note(
-        "PASS condition: every scenario present in the JSON with populated p50/p99/p999 and \
-         items_per_sec; steady_state item_coverage == 1.0; every scenario's item_coverage >= its \
-         floor",
-    );
-    table.note(format!("machine-readable summary: {BENCH_JSON}"));
-
-    write_json(&reports, quick, workers);
-    vec![table]
-}
-
-/// Clamp non-finite wall-clock rates (a sub-resolution timer reads 0)
-/// so the JSON stays parseable.
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        1e12
-    }
-}
-
-/// Hand-rolled JSON mirror of the table for the CI gate: one object per
-/// scenario with throughput, latency quantiles, coverage vs floor, and
-/// channel/referee counts.
-fn write_json(reports: &[E2eReport], quick: bool, workers: usize) {
-    let scenarios: Vec<String> = reports
+    let named = |name: &str| reports.iter().find(|r| r.name == name);
+    let names: Vec<&str> = reports.iter().map(|r| r.name.as_str()).collect();
+    table.check(
+        [
+            "steady_state",
+            "flash_crowd",
+            "churn_failover",
+            "multi_tenant_zipf",
+            "lossy_fan_in",
+            "windowed_recency",
+        ]
         .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"parties\":{},\"duration_ticks\":{},",
-                    "\"total_items\":{},\"items_acked\":{},\"reports_sent\":{},",
-                    "\"retry_rounds\":{},\"items_per_sec\":{:.1},",
-                    "\"offered_items_per_tick\":{:.3},",
-                    "\"latency_p50_ticks\":{},\"latency_p99_ticks\":{},",
-                    "\"latency_p999_ticks\":{},\"latency_mean_ticks\":{:.3},",
-                    "\"latency_max_ticks\":{},",
-                    "\"item_coverage\":{:.6},\"party_coverage\":{:.6},",
-                    "\"coverage_floor\":{:.2},",
-                    "\"final_estimate\":{:.3},\"truth\":{},\"relative_error\":{:.6},",
-                    "\"transport_sends\":{},\"transport_dropped\":{},",
-                    "\"transport_corrupted\":{},\"transport_delivered\":{},",
-                    "\"referee_accepted\":{},\"referee_duplicates\":{},",
-                    "\"referee_rejected\":{}}}"
-                ),
-                r.name,
-                r.parties,
-                r.duration,
-                r.total_items,
-                r.items_acked,
-                r.reports_sent,
-                r.retry_rounds,
-                finite(r.items_per_sec()),
-                r.offered_rate_per_tick(),
-                r.latency.p50(),
-                r.latency.p99(),
-                r.latency.p999(),
-                r.latency.mean(),
-                r.latency.max(),
-                r.item_coverage,
-                r.party_coverage,
-                coverage_floor(&r.name),
-                r.final_estimate,
-                r.truth,
-                r.relative_error,
-                r.transport.sends,
-                r.transport.dropped,
-                r.transport.corrupted,
-                r.transport.delivered,
-                r.referee.accepted,
-                r.referee.duplicates(),
-                r.referee.rejected(),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"experiment\":\"e23\",\"quick\":{},\"workers\":{},\"scenarios\":[{}]}}\n",
-        quick,
-        workers,
-        scenarios.join(",")
+        .all(|n| named(n).is_some()),
+        format!("all six named scenarios ran: {names:?}"),
     );
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(BENCH_JSON, json))
-    {
-        eprintln!("  {BENCH_JSON} write failed: {e}");
+    for r in &reports {
+        let floor = coverage_floor(&r.name);
+        let (p50, p99, p999) = (r.latency.p50(), r.latency.p99(), r.latency.p999());
+        table.check(
+            r.total_items > 0
+                && r.items_per_sec() > 0.0
+                && 0 < p50
+                && p50 <= p99
+                && p99 <= p999
+                && r.item_coverage >= floor,
+            format!(
+                "{}: {} items at {:.3e}/s, latency 0 < {p50} <= {p99} <= {p999}, \
+                 coverage {:.4} >= {floor:.2}",
+                r.name,
+                r.total_items,
+                r.items_per_sec(),
+                r.item_coverage
+            ),
+        );
     }
+    table.check(
+        named("steady_state").is_some_and(|r| r.item_coverage == 1.0 && r.transport.dropped == 0),
+        "steady_state acks every item on a channel that dropped nothing",
+    );
+    let lossy_dropped = named("lossy_fan_in").map_or(0, |r| r.transport.dropped);
+    table.check(
+        lossy_dropped > 0,
+        format!("lossy_fan_in's channel dropped {lossy_dropped} sends > 0"),
+    );
+    vec![table]
 }

@@ -18,10 +18,9 @@
 //! plus one lossy-channel delta run (drops on both paths, so dup /
 //! reorder / resync machinery is exercised under measurement). Queries
 //! fire every `QUERY_EVERY` ticks regardless of cadence, so slower
-//! cadences honestly pay more staleness: that is the frontier. Writes
-//! `results/BENCH_delta.json` for the CI gate: bytes ratio >= floor,
-//! staleness bounded by cadence, bytes-vs-staleness monotone across the
-//! sweep, zero oracle failures anywhere.
+//! cadences honestly pay more staleness: that is the frontier. Checks:
+//! bytes ratio >= floor, staleness bounded by cadence, bytes-vs-staleness
+//! monotone across the sweep, zero oracle failures anywhere.
 //!
 //! [`ReportingMode::DeltaPlane`]: gt_streams::scenario::ReportingMode
 
@@ -29,9 +28,6 @@ use crate::table::Table;
 use gt_core::{effective_workers, SketchConfig};
 use gt_streams::scenario::{run_sustained, E2eReport, ScenarioSpec};
 use gt_streams::{Distribution, RetryPolicy, Tick, TransportSpec};
-
-/// Where the machine-readable summary lands.
-pub const BENCH_JSON: &str = "results/BENCH_delta.json";
 
 /// Master seed shared by every run (workload seed is fixed in the spec,
 /// so delta and full runs see identical streams).
@@ -42,8 +38,8 @@ const MASTER_SEED: u64 = 0xE24;
 /// the frontier trades bytes against.
 const QUERY_EVERY: Tick = 5;
 
-/// The steady-state bytes-reduction floor the CI gate demands at every
-/// swept cadence (full re-ship bytes / delta-plane bytes).
+/// The steady-state bytes-reduction floor checked at every swept cadence
+/// (full re-ship bytes / delta-plane bytes).
 pub const BYTES_RATIO_FLOOR: f64 = 5.0;
 
 /// One measured run.
@@ -140,16 +136,9 @@ pub fn run(quick: bool) -> Vec<Table> {
             "oracle ok/fail",
         ],
     );
-    let mut min_ratio = f64::INFINITY;
     for row in &rows {
         let r = &row.report;
-        let ratio = full_bytes_at(&rows, row.report_every).map(|fb| {
-            let ratio = fb as f64 / r.bytes_sent.max(1) as f64;
-            if row.mode == "delta" {
-                min_ratio = min_ratio.min(ratio);
-            }
-            ratio
-        });
+        let ratio = bytes_ratio(&rows, row);
         let (frames, staleness, resyncs, oracle) = match &r.delta {
             Some(d) => (
                 format!("{:.0} / {:.0}", d.mean_delta_frame(), d.mean_full_frame()),
@@ -163,7 +152,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             row.mode.to_string(),
             row.report_every.to_string(),
             r.bytes_sent.to_string(),
-            format!("{:.1}", r.bytes_sent as f64 / r.duration.max(1) as f64),
+            format!("{:.1}", bytes_per_tick(row)),
             frames,
             staleness,
             resyncs,
@@ -186,100 +175,80 @@ pub fn run(quick: bool) -> Vec<Table> {
          union is canonical-bytes identical to a fresh decode of full ships at the acked \
          generations — oracle failures must be zero",
     );
-    table.note(format!(
-        "PASS condition: bytes ratio >= {BYTES_RATIO_FLOOR:.0} at every cadence; delta staleness \
-         bounded by cadence + query offset; bytes/tick non-increasing and staleness non-decreasing \
-         in cadence; zero oracle failures and full coverage everywhere"
-    ));
-    table.note(format!("machine-readable summary: {BENCH_JSON}"));
-
-    write_json(&rows, quick, workers, min_ratio);
+    // Rows run in ascending cadence order, so adjacent delta rows are
+    // adjacent frontier points.
+    let deltas: Vec<&Row> = rows.iter().filter(|r| r.mode == "delta").collect();
+    for row in &deltas {
+        let cadence = row.report_every;
+        let ratio = bytes_ratio(&rows, row).unwrap_or(0.0);
+        table.check(
+            ratio >= BYTES_RATIO_FLOOR,
+            format!("cadence {cadence}: full / delta bytes {ratio:.1}x >= {BYTES_RATIO_FLOOR:.0}"),
+        );
+        let bound = cadence + QUERY_EVERY;
+        let stale = row.report.delta.as_ref().map(|d| d.staleness_max);
+        table.check(
+            stale.is_some_and(|s| s <= bound),
+            format!(
+                "cadence {cadence}: staleness max {} <= cadence + query offset {bound}",
+                stale.map_or("missing".into(), |s| s.to_string())
+            ),
+        );
+        table.check(
+            row.report.item_coverage == 1.0,
+            format!(
+                "cadence {cadence}: item coverage {:.4} == 1",
+                row.report.item_coverage
+            ),
+        );
+    }
+    let staleness = |r: &Row| {
+        r.report
+            .delta
+            .as_ref()
+            .map_or(f64::NAN, |d| d.staleness_mean)
+    };
+    for pair in deltas.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        table.check(
+            bytes_per_tick(b) <= bytes_per_tick(a) + 1e-9 && staleness(b) >= staleness(a) - 1e-9,
+            format!(
+                "cadence {} -> {}: bytes/tick {:.1} -> {:.1} non-increasing, \
+                 staleness mean {:.2} -> {:.2} non-decreasing",
+                a.report_every,
+                b.report_every,
+                bytes_per_tick(a),
+                bytes_per_tick(b),
+                staleness(a),
+                staleness(b)
+            ),
+        );
+    }
+    for row in rows.iter().filter(|r| r.mode != "full") {
+        let (checks, failures) = row
+            .report
+            .delta
+            .as_ref()
+            .map_or((0, 0), |d| (d.oracle_checks, d.oracle_failures));
+        table.check(
+            checks > 0 && failures == 0,
+            format!(
+                "{} at cadence {}: {checks} oracle checks > 0, {failures} failures == 0",
+                row.mode, row.report_every
+            ),
+        );
+    }
     vec![table]
 }
 
-/// Full re-ship bytes at the same cadence, if that baseline ran.
-fn full_bytes_at(rows: &[Row], cadence: Tick) -> Option<u64> {
-    rows.iter()
-        .find(|r| r.mode == "full" && r.report_every == cadence)
-        .map(|r| r.report.bytes_sent)
+fn bytes_per_tick(row: &Row) -> f64 {
+    row.report.bytes_sent as f64 / row.report.duration.max(1) as f64
 }
 
-/// Hand-rolled JSON mirror for the CI gate.
-fn write_json(rows: &[Row], quick: bool, workers: usize, min_ratio: f64) {
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|row| {
-            let r = &row.report;
-            let ratio = full_bytes_at(rows, row.report_every)
-                .map(|fb| format!("{:.4}", fb as f64 / r.bytes_sent.max(1) as f64))
-                .unwrap_or_else(|| "null".into());
-            let delta = match &r.delta {
-                Some(d) => format!(
-                    concat!(
-                        "{{\"delta_frames\":{},\"full_frames\":{},\"delta_bytes\":{},",
-                        "\"full_bytes\":{},\"mean_delta_frame\":{:.2},\"mean_full_frame\":{:.2},",
-                        "\"resyncs\":{},\"acks_sent\":{},\"acks_lost\":{},",
-                        "\"staleness_mean\":{:.4},\"staleness_max\":{},",
-                        "\"oracle_checks\":{},\"oracle_failures\":{},\"oracle_skipped\":{}}}"
-                    ),
-                    d.delta_frames,
-                    d.full_frames,
-                    d.delta_bytes,
-                    d.full_bytes,
-                    d.mean_delta_frame(),
-                    d.mean_full_frame(),
-                    d.resyncs,
-                    d.acks_sent,
-                    d.acks_lost,
-                    d.staleness_mean,
-                    d.staleness_max,
-                    d.oracle_checks,
-                    d.oracle_failures,
-                    d.oracle_skipped,
-                ),
-                None => "null".into(),
-            };
-            format!(
-                concat!(
-                    "{{\"mode\":\"{}\",\"report_every\":{},\"duration_ticks\":{},",
-                    "\"bytes_sent\":{},\"bytes_per_tick\":{:.3},\"reports_sent\":{},",
-                    "\"item_coverage\":{:.6},\"final_estimate\":{:.3},\"truth\":{},",
-                    "\"relative_error\":{:.6},\"bytes_ratio_vs_full\":{},\"delta\":{}}}"
-                ),
-                row.mode,
-                row.report_every,
-                r.duration,
-                r.bytes_sent,
-                r.bytes_sent as f64 / r.duration.max(1) as f64,
-                r.reports_sent,
-                r.item_coverage,
-                r.final_estimate,
-                r.truth,
-                r.relative_error,
-                ratio,
-                delta,
-            )
-        })
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\"experiment\":\"e24\",\"quick\":{},\"workers\":{},\"query_every\":{},",
-            "\"bytes_ratio_floor\":{:.1},\"min_bytes_ratio\":{:.4},\"rows\":[{}]}}\n"
-        ),
-        quick,
-        workers,
-        QUERY_EVERY,
-        BYTES_RATIO_FLOOR,
-        if min_ratio.is_finite() {
-            min_ratio
-        } else {
-            0.0
-        },
-        json_rows.join(",")
-    );
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(BENCH_JSON, json))
-    {
-        eprintln!("  {BENCH_JSON} write failed: {e}");
-    }
+/// Full re-ship bytes over `row`'s bytes at the same cadence, if that
+/// baseline ran.
+fn bytes_ratio(rows: &[Row], row: &Row) -> Option<f64> {
+    rows.iter()
+        .find(|r| r.mode == "full" && r.report_every == row.report_every)
+        .map(|full| full.report.bytes_sent as f64 / row.report.bytes_sent.max(1) as f64)
 }

@@ -39,9 +39,9 @@ pub struct Experiment {
 }
 
 /// All runnable experiments. E4 and E14 are time-domain but still run
-/// here (they emit `results/BENCH_*.json` for the CI bench-smoke gate,
-/// with Criterion counterparts in `benches/` for fine-grained numbers);
-/// only E10 remains Criterion-only. See EXPERIMENTS.md.
+/// here (their claims are checked in-binary with `Table::check`, with
+/// Criterion counterparts in `benches/` for fine-grained numbers); only
+/// E10 remains Criterion-only. See EXPERIMENTS.md.
 pub const REGISTRY: &[Experiment] = &[
     Experiment {
         id: "e1",
@@ -61,8 +61,7 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "e4",
-        description:
-            "ingest throughput: per-item vs batched vs kernel across hash families (BENCH_ingest.json)",
+        description: "ingest throughput: per-item vs batched vs kernel across hash families",
         run: e04_ingest_throughput::run,
     },
     Experiment {
@@ -109,8 +108,7 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "e14",
-        description:
-            "parallel scaling: thread sweep with bitwise-identity assertion (BENCH_parallel.json)",
+        description: "parallel scaling: thread sweep with bitwise-identity assertion",
         run: e14_parallel_scaling::run,
     },
     Experiment {
@@ -125,50 +123,42 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "e17",
-        description:
-            "collection plane under loss: retry budget vs union completeness (BENCH_transport.json)",
+        description: "collection plane under loss: retry budget vs union completeness",
         run: e17_transport::run,
     },
     Experiment {
         id: "e18",
-        description:
-            "concurrent serving: multi-writer scaling + live snapshot validity (BENCH_concurrent.json)",
+        description: "concurrent serving: multi-writer scaling + live snapshot validity",
         run: e18_concurrent::run,
     },
     Experiment {
         id: "e19",
-        description:
-            "referee union pipeline: sequential vs kernel vs tree-reduction merge (BENCH_union.json)",
+        description: "referee union pipeline: sequential vs kernel vs tree-reduction merge",
         run: e19_union::run,
     },
     Experiment {
         id: "e20",
-        description:
-            "hash kernels: lane vs scalar bulk hashing + survival screen (BENCH_hash.json)",
+        description: "hash kernels: lane vs scalar bulk hashing + survival screen",
         run: e20_hash_kernel::run,
     },
     Experiment {
         id: "e21",
-        description:
-            "keyed multi-tenant store: Zipf keys under a byte budget, evict/restore (BENCH_store.json)",
+        description: "keyed multi-tenant store: Zipf keys under a byte budget, evict/restore",
         run: e21_keyed_store::run,
     },
     Experiment {
         id: "e22",
-        description:
-            "set-expression queries at the referee: error vs depth and overlap (BENCH_expr.json)",
+        description: "set-expression queries at the referee: error vs depth and overlap",
         run: e22_expression::run,
     },
     Experiment {
         id: "e23",
-        description:
-            "end-to-end scenario suite: sustained load, latency, coverage under faults (BENCH_e2e.json)",
+        description: "end-to-end scenario suite: sustained load, latency, coverage under faults",
         run: e23_e2e::run,
     },
     Experiment {
         id: "e24",
-        description:
-            "delta plane: steady-state bytes vs staleness against full re-ship (BENCH_delta.json)",
+        description: "delta plane: steady-state bytes vs staleness against full re-ship",
         run: e24_delta::run,
     },
 ];

@@ -16,6 +16,8 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// Free-form notes printed under the table (expectations, caveats).
     pub notes: Vec<String>,
+    /// Checked claims printed under the notes: `(passed, claim)`.
+    pub checks: Vec<(bool, String)>,
 }
 
 impl Table {
@@ -27,6 +29,7 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            checks: Vec::new(),
         }
     }
 
@@ -44,6 +47,21 @@ impl Table {
     /// Append a note line.
     pub fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
+    }
+
+    /// Record a claim the experiment enforces: it renders as a `PASS:` or
+    /// `FAIL:` line under the table, and a failed one is listed by
+    /// [`Table::failures`] (the `experiments` binary exits 1 on any).
+    pub fn check(&mut self, pass: bool, claim: impl Into<String>) {
+        self.checks.push((pass, claim.into()));
+    }
+
+    /// The claims whose check failed, each prefixed with the table id.
+    pub fn failures(&self) -> impl Iterator<Item = String> + '_ {
+        self.checks
+            .iter()
+            .filter(|(pass, _)| !pass)
+            .map(|(_, claim)| format!("{}: {claim}", self.id))
     }
 
     /// Render as an aligned text table.
@@ -74,6 +92,10 @@ impl Table {
         }
         for note in &self.notes {
             out.push_str(&format!("  note: {note}\n"));
+        }
+        for (pass, claim) in &self.checks {
+            let verdict = if *pass { "PASS" } else { "FAIL" };
+            out.push_str(&format!("  {verdict}: {claim}\n"));
         }
         out
     }
@@ -132,6 +154,21 @@ mod tests {
         // All data lines should have equal visible width for the first col.
         let lines: Vec<&str> = r.lines().collect();
         assert!(lines.len() >= 5);
+    }
+
+    #[test]
+    fn failed_checks_are_reported_and_rendered() {
+        let mut passing = sample();
+        passing.check(true, "a >= 1");
+        assert_eq!(passing.failures().count(), 0);
+
+        let mut failing = sample();
+        failing.check(true, "a >= 1");
+        failing.check(false, "c < 3");
+        assert_eq!(failing.failures().collect::<Vec<_>>(), ["E0: c < 3"]);
+        let r = failing.render();
+        assert!(r.contains("  PASS: a >= 1\n"), "{r}");
+        assert!(r.contains("  FAIL: c < 3\n"), "{r}");
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //! Workers ingest their chunk through the batch-monomorphic kernel
 //! ([`DistinctSketch::extend_slice`]), not per-item inserts — the scaling
 //! curve should measure parallelism, not a slow inner loop. Experiment
-//! `e14` (`experiments e14`, `results/BENCH_parallel.json`) sweeps the
-//! thread count, re-checks bitwise identity at every width, and records
-//! the speedup curve alongside the host's worker count.
+//! `e14` (`experiments e14`, checked in-binary with `Table::check`)
+//! sweeps the thread count, re-checks bitwise identity at every width,
+//! and checks the speedup curve against the host's worker count.
 
 use crate::error::Result;
 use crate::merge::merge_tree;

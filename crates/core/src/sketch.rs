@@ -173,8 +173,8 @@ impl<V: Payload> GtSketch<V> {
     /// below-level items are rejected by one compare against the raw hash,
     /// and the trial's coefficients and sample table stay hot for the
     /// whole batch. The per-item vs batched vs kernel gap is measured by
-    /// experiment `e4` (`experiments e4`, results in
-    /// `results/BENCH_ingest.json`).
+    /// experiment `e4` (`experiments e4`, checked in-binary with
+    /// `Table::check`).
     pub fn insert_batch_merging_with(&mut self, items: &[(u64, V)]) {
         let mut tally = InsertTally::default();
         for trial in &mut self.trials {

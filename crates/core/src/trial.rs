@@ -120,8 +120,8 @@ impl<V: Payload> CoordinatedTrial<V> {
     }
 
     /// Reconstruct a trial from transmitted state (the decode side of a
-    /// wire codec). Validates the sample invariant: every entry's hash
-    /// level must clear `level`, and the entry count must fit `capacity`.
+    /// wire codec): a fresh [`CoordinatedTrial::new`] then
+    /// [`CoordinatedTrial::reload`], which validates the sample invariant.
     pub fn from_parts(
         hasher: HashFamily,
         capacity: usize,
@@ -129,55 +129,17 @@ impl<V: Payload> CoordinatedTrial<V> {
         items_observed: u64,
         entries: impl IntoIterator<Item = (u64, V)>,
     ) -> Result<Self> {
-        if level > MAX_LEVEL {
-            return Err(SketchError::InvalidConfig {
-                parameter: "level",
-                reason: format!("level {level} exceeds maximum {MAX_LEVEL}"),
-            });
-        }
-        let mut sample = FixedCapMap::with_capacity(capacity);
-        for (label, payload) in entries {
-            // Range check before hashing: corrupted wire input can carry
-            // labels outside the field (caught by the codec fuzz tests).
-            if label >= gt_hash::P61 {
-                return Err(SketchError::LabelOutOfRange { label });
-            }
-            if hasher.level(label) < level {
-                return Err(SketchError::InvalidConfig {
-                    parameter: "sample",
-                    reason: format!("label {label} does not qualify for level {level} (corrupt or uncoordinated message)"),
-                });
-            }
-            match sample.try_insert(label, payload) {
-                InsertOutcome::Inserted => {}
-                InsertOutcome::AlreadyPresent => {
-                    return Err(SketchError::InvalidConfig {
-                        parameter: "sample",
-                        reason: format!("duplicate label {label} in transmitted sample"),
-                    })
-                }
-                InsertOutcome::Full => {
-                    return Err(SketchError::InvalidConfig {
-                        parameter: "sample",
-                        reason: format!("transmitted sample exceeds capacity {capacity}"),
-                    })
-                }
-            }
-        }
-        Ok(CoordinatedTrial {
-            hasher,
-            level,
-            sample,
-            items_observed,
-        })
+        let mut trial = Self::new(hasher, capacity);
+        trial.reload(level, items_observed, entries)?;
+        Ok(trial)
     }
 
-    /// In-place counterpart of [`CoordinatedTrial::from_parts`]: reload
-    /// this trial with transmitted state, reusing the existing sample
-    /// storage ([`FixedCapMap::clear`] keeps the allocation). Identical
-    /// validation and error messages to `from_parts`, so the two paths are
-    /// interchangeable — the referee's decode arena leans on this to
-    /// decode thousands of messages with zero per-message allocation.
+    /// Reload this trial with transmitted state, reusing the existing
+    /// sample storage ([`FixedCapMap::clear`] keeps the allocation) — the
+    /// referee's decode arena leans on this to decode thousands of
+    /// messages with zero per-message allocation. Validates the sample
+    /// invariant: every entry's label must be in the field and clear
+    /// `level`, with no duplicates and at most `capacity` entries.
     ///
     /// On `Err` the trial's state is unspecified (partially reloaded);
     /// callers must discard or re-reload it before use.
@@ -198,6 +160,8 @@ impl<V: Payload> CoordinatedTrial<V> {
         self.items_observed = items_observed;
         let capacity = self.capacity();
         for (label, payload) in entries {
+            // Range check before hashing: corrupted wire input can carry
+            // labels outside the field (caught by the codec fuzz tests).
             if label >= gt_hash::P61 {
                 return Err(SketchError::LabelOutOfRange { label });
             }

@@ -12,7 +12,7 @@
 //!   are ≈ `2^61/c` and each costs ≈ `(61 − log₂ c)/7` bytes — within a
 //!   small constant of the information-theoretic minimum.
 //! * Integrity is checked on decode (magic, version, config echo, sample
-//!   invariant via `GtSketch::reassemble`), so a referee cannot silently
+//!   invariant via `CoordinatedTrial::reload`), so a referee cannot silently
 //!   union a corrupt or uncoordinated message.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -480,34 +480,9 @@ fn get_sketch_header(buf: &mut Bytes) -> Result<(u64, SketchConfig), CodecError>
 /// Deserialize and validate a sketch message.
 pub fn decode_sketch<V: WirePayload>(mut buf: Bytes) -> Result<GtSketch<V>, CodecError> {
     let (master_seed, config) = get_sketch_header(&mut buf)?;
-    let (capacity, trials) = (config.capacity(), config.trials());
-    let mut states = Vec::with_capacity(trials);
-    for _ in 0..trials {
-        let level = get_u8(&mut buf)?;
-        let items = get_varint(&mut buf)?;
-        let n = get_varint(&mut buf)? as usize;
-        if n > capacity {
-            return Err(CodecError::Sketch(SketchError::InvalidConfig {
-                parameter: "sample",
-                reason: format!("sample size {n} exceeds capacity {capacity}"),
-            }));
-        }
-        let mut labels = Vec::with_capacity(n);
-        let mut prev = 0u64;
-        for _ in 0..n {
-            prev = prev
-                .checked_add(get_varint(&mut buf)?)
-                .ok_or(CodecError::Malformed("label delta overflows u64"))?;
-            labels.push(prev);
-        }
-        let mut entries = Vec::with_capacity(n);
-        for label in labels {
-            entries.push((label, V::decode(&mut buf)?));
-        }
-        states.push((level, items, entries));
-    }
-    reject_trailing_bytes(&buf)?;
-    Ok(GtSketch::reassemble(&config, master_seed, states)?)
+    let mut sketch = GtSketch::new(&config, master_seed);
+    get_sketch_body(&mut sketch, buf, &mut DecodeScratch::new())?;
+    Ok(sketch)
 }
 
 /// Reusable decode buffers for [`decode_sketch_into`]: one entries vector,
@@ -552,7 +527,6 @@ pub fn decode_sketch_into<V: WirePayload>(
     scratch: &mut DecodeScratch<V>,
 ) -> Result<(), CodecError> {
     let (master_seed, config) = get_sketch_header(&mut buf)?;
-    let (capacity, trials) = (config.capacity(), config.trials());
     if master_seed != sketch.master_seed() {
         return Err(CodecError::Sketch(SketchError::SeedMismatch));
     }
@@ -561,6 +535,19 @@ pub fn decode_sketch_into<V: WirePayload>(
             detail: format!("{:?} vs {:?}", config, sketch.config()),
         }));
     }
+    get_sketch_body(sketch, buf, scratch)
+}
+
+/// Parse the per-trial level / items / labels / payloads that follow the
+/// header into `sketch`'s trials, then reject trailing bytes. The one
+/// body parser of both sketch decoders; `sketch` already has the
+/// header's config.
+fn get_sketch_body<V: WirePayload>(
+    sketch: &mut GtSketch<V>,
+    mut buf: Bytes,
+    scratch: &mut DecodeScratch<V>,
+) -> Result<(), CodecError> {
+    let (capacity, trials) = (sketch.config().capacity(), sketch.config().trials());
     scratch.entries.reserve(capacity);
     for t in 0..trials {
         let level = get_u8(&mut buf)?;
