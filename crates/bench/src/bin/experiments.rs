@@ -16,6 +16,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gt_bench::experiments::{find, REGISTRY};
+use gt_core::metrics::{to_json, to_text, Exposition};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,21 +74,15 @@ fn main() {
 
     // Always close with the sketch-ops observability report so every run
     // (including CI smoke) exercises the metrics layer end to end.
-    let report = gt_bench::stats::demo_scenario();
-    print!("{}", gt_bench::stats::render_stats(&report));
-    println!("  json: {}", gt_bench::stats::render_stats_json(&report));
-    let delta_report = gt_bench::stats::demo_delta_scenario();
-    print!("{}", gt_bench::stats::render_delta_stats(&delta_report));
-    println!(
-        "  json: {}",
-        gt_bench::stats::render_delta_stats_json(&delta_report)
-    );
-    let store_snap = gt_bench::stats::demo_store();
-    print!("{}", gt_bench::stats::render_store_stats(&store_snap));
-    println!(
-        "  json: {}",
-        gt_bench::stats::render_store_stats_json(&store_snap)
-    );
+    let blocks: [(&str, &dyn Exposition); 3] = [
+        ("sketch-ops stats", &gt_bench::stats::demo_scenario()),
+        ("delta-plane stats", &gt_bench::stats::demo_delta_scenario()),
+        ("keyed-store stats", &gt_bench::stats::demo_store()),
+    ];
+    for (header, block) in blocks {
+        print!("{header}\n{}", to_text(block));
+        println!("json: {}", to_json(block));
+    }
 
     if failures.is_empty() {
         println!("\n{checks} check(s), all passed");

@@ -13,8 +13,18 @@
 //! locks, no allocation on the record path. Counters are monotone and
 //! advisory — they never feed back into the estimator. Read them with
 //! [`SketchMetrics::snapshot`], which returns a plain-old-data
-//! [`MetricsSnapshot`] that renders human-readable via `Display` and
-//! machine-readable via [`MetricsSnapshot::to_json`].
+//! [`MetricsSnapshot`].
+//!
+//! # Exposition
+//!
+//! Every telemetry type in the workspace names each of its readings once,
+//! in an [`Exposition::visit`] walk; [`to_json`] and [`to_text`] render
+//! any walk as one flat JSON object or as Prometheus text. Names follow
+//! `gt_<layer>_<field>`, where the layer is one of `sketch`,
+//! `concurrent`, `store`, `referee`, `run` or `delta`; a `Duration` field
+//! gets a `_seconds` suffix, and each element of an array or per-party
+//! field gets an index suffix. A type that nests another's telemetry
+//! delegates to that type's walk.
 //!
 //! # Aggregation ordering guarantee
 //!
@@ -34,11 +44,63 @@
 //! can causally *follow* work missed on an earlier-read shard, producing
 //! totals that never existed at any instant.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use parking_lot::Mutex;
 
 use crate::trial::{TrialInsert, TrialMergeReport};
+
+/// A telemetry type whose readings can be walked by name; see the module
+/// docs for the naming rule.
+pub trait Exposition {
+    /// Call `f(name, value)` once per reading, in a fixed order, with no
+    /// name repeated.
+    fn visit(&self, f: &mut dyn FnMut(&str, f64));
+}
+
+/// `expose!(f, "gt_layer_", s; a, b)` reports `s.a` and `s.b` to the
+/// visitor `f` as readings `gt_layer_a` and `gt_layer_b` (each converted
+/// with `as f64`), so an [`Exposition::visit`] names each field once.
+#[macro_export]
+macro_rules! expose {
+    ($f:expr, $prefix:literal, $s:expr; $($field:ident),+ $(,)?) => {
+        $($f(concat!($prefix, stringify!($field)), $s.$field as f64);)+
+    };
+}
+
+/// Render a walk as one flat JSON object, in walk order. JSON has no
+/// NaN or infinity, so a non-finite reading is written as `null`.
+pub fn to_json(e: &dyn Exposition) -> String {
+    let mut out = String::from("{");
+    e.visit(&mut |name, value| {
+        if out.len() > 1 {
+            out.push(',');
+        }
+        let _ = if value.is_finite() {
+            write!(out, "\"{name}\":{value}")
+        } else {
+            write!(out, "\"{name}\":null")
+        };
+    });
+    out.push('}');
+    out
+}
+
+/// Render a walk as Prometheus text: one `name value` line per reading,
+/// with non-finite readings spelled `NaN`, `+Inf` or `-Inf`.
+pub fn to_text(e: &dyn Exposition) -> String {
+    let mut out = String::new();
+    e.visit(&mut |name, value| {
+        let _ = match value {
+            v if v.is_nan() => writeln!(out, "{name} NaN"),
+            f64::INFINITY => writeln!(out, "{name} +Inf"),
+            f64::NEG_INFINITY => writeln!(out, "{name} -Inf"),
+            v => writeln!(out, "{name} {v}"),
+        };
+    });
+    out
+}
 
 /// Monotone counters recording what a sketch's trials did. One instance
 /// lives inside every [`crate::GtSketch`]; sharded sketches aggregate one
@@ -309,66 +371,14 @@ impl MetricsSnapshot {
         self.merge_reconciliations += other.merge_reconciliations;
         self.merge_below_level += other.merge_below_level;
     }
-
-    /// Render as a single JSON object (hand-rolled: the build environment
-    /// has no serde_json).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{",
-                "\"inserts_sampled\":{},",
-                "\"inserts_duplicate\":{},",
-                "\"inserts_below_level\":{},",
-                "\"inserts_sampled_after_promotion\":{},",
-                "\"inserts_evicted_by_promotion\":{},",
-                "\"level_promotions\":{},",
-                "\"local_reconciliations\":{},",
-                "\"merge_calls\":{},",
-                "\"merge_entries_absorbed\":{},",
-                "\"merge_reconciliations\":{},",
-                "\"merge_below_level\":{}",
-                "}}"
-            ),
-            self.inserts_sampled,
-            self.inserts_duplicate,
-            self.inserts_below_level,
-            self.inserts_sampled_after_promotion,
-            self.inserts_evicted_by_promotion,
-            self.level_promotions,
-            self.local_reconciliations,
-            self.merge_calls,
-            self.merge_entries_absorbed,
-            self.merge_reconciliations,
-            self.merge_below_level,
-        )
-    }
 }
 
-impl std::fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "sketch metrics:")?;
-        writeln!(
-            f,
-            "  inserts: {} ({} sampled, {} duplicate, {} below-level, \
-             {} sampled-after-promotion, {} evicted-by-promotion)",
-            self.trial_inserts(),
-            self.inserts_sampled,
-            self.inserts_duplicate,
-            self.inserts_below_level,
-            self.inserts_sampled_after_promotion,
-            self.inserts_evicted_by_promotion,
-        )?;
-        writeln!(f, "  level promotions: {}", self.level_promotions)?;
-        writeln!(
-            f,
-            "  unions: {} calls, {} entries absorbed, {} below-level skips",
-            self.merge_calls, self.merge_entries_absorbed, self.merge_below_level,
-        )?;
-        write!(
-            f,
-            "  payload reconciliations: {} local, {} union",
-            self.local_reconciliations, self.merge_reconciliations,
-        )
+impl Exposition for MetricsSnapshot {
+    fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
+        crate::expose!(f, "gt_sketch_", self; inserts_sampled, inserts_duplicate,
+            inserts_below_level, inserts_sampled_after_promotion, inserts_evicted_by_promotion,
+            level_promotions, local_reconciliations, merge_calls, merge_entries_absorbed,
+            merge_reconciliations, merge_below_level);
     }
 }
 
@@ -494,61 +504,14 @@ impl ConcurrentMetricsSnapshot {
     pub fn propagations(&self) -> u64 {
         self.propagations_buffer_full + self.propagations_level_lag + self.propagations_flush
     }
-
-    /// Render as a single JSON object (hand-rolled: the build environment
-    /// has no serde_json).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{",
-                "\"propagations_buffer_full\":{},",
-                "\"propagations_level_lag\":{},",
-                "\"propagations_flush\":{},",
-                "\"items_propagated\":{},",
-                "\"levels_adopted\":{},",
-                "\"snapshots_published\":{},",
-                "\"snapshot_reads\":{},",
-                "\"writer\":{}",
-                "}}"
-            ),
-            self.propagations_buffer_full,
-            self.propagations_level_lag,
-            self.propagations_flush,
-            self.items_propagated,
-            self.levels_adopted,
-            self.snapshots_published,
-            self.snapshot_reads,
-            self.writer.to_json(),
-        )
-    }
 }
 
-impl std::fmt::Display for ConcurrentMetricsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "concurrent sketch metrics:")?;
-        writeln!(
-            f,
-            "  propagations: {} ({} buffer-full, {} level-lag, {} flush)",
-            self.propagations(),
-            self.propagations_buffer_full,
-            self.propagations_level_lag,
-            self.propagations_flush,
-        )?;
-        writeln!(
-            f,
-            "  items propagated: {}, levels adopted: {}",
-            self.items_propagated, self.levels_adopted,
-        )?;
-        writeln!(
-            f,
-            "  snapshots: {} published, {} read",
-            self.snapshots_published, self.snapshot_reads,
-        )?;
-        write!(
-            f,
-            "  folded writer counters: {} trial inserts",
-            self.writer.trial_inserts()
-        )
+impl Exposition for ConcurrentMetricsSnapshot {
+    fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
+        crate::expose!(f, "gt_concurrent_", self; propagations_buffer_full, propagations_level_lag,
+            propagations_flush, items_propagated, levels_adopted, snapshots_published,
+            snapshot_reads);
+        self.writer.visit(f);
     }
 }
 
@@ -624,20 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_json_and_text() {
-        let m = SketchMetrics::new();
-        m.record_insert(TrialInsert::Sampled);
-        let s = m.snapshot();
-        let json = s.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"inserts_sampled\":1"));
-        assert!(json.contains("\"merge_calls\":0"));
-        let text = s.to_string();
-        assert!(text.contains("sketch metrics"));
-        assert!(text.contains("1 sampled"));
-    }
-
-    #[test]
     fn absorb_sums_fieldwise() {
         let mut a = MetricsSnapshot {
             inserts_sampled: 1,
@@ -680,22 +629,94 @@ mod tests {
         assert_eq!(s.writer.inserts_sampled, 21);
     }
 
+    /// Collect a walk, checking the rules every implementor keeps: names
+    /// match `^gt_[a-z0-9_]+$`, none repeats, and both renderers emit one
+    /// key or line per reading.
+    fn walk(e: &dyn Exposition) -> Vec<(String, f64)> {
+        let mut readings = Vec::new();
+        e.visit(&mut |name, value| readings.push((name.to_string(), value)));
+        let mut seen = std::collections::HashSet::new();
+        for (name, _) in &readings {
+            let tail = name.strip_prefix("gt_").unwrap_or_default();
+            assert!(!tail.is_empty(), "{name}");
+            assert!(tail
+                .bytes()
+                .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_')));
+            assert!(seen.insert(name.clone()), "{name} repeats");
+        }
+        assert_eq!(to_json(e).matches("\":").count(), readings.len());
+        assert_eq!(to_text(e).lines().count(), readings.len());
+        readings
+    }
+
+    const SKETCH_FIELDS: [&str; 11] = [
+        "inserts_sampled",
+        "inserts_duplicate",
+        "inserts_below_level",
+        "inserts_sampled_after_promotion",
+        "inserts_evicted_by_promotion",
+        "level_promotions",
+        "local_reconciliations",
+        "merge_calls",
+        "merge_entries_absorbed",
+        "merge_reconciliations",
+        "merge_below_level",
+    ];
+
     #[test]
-    fn concurrent_snapshot_renders_json_and_text() {
-        let m = ConcurrentMetrics::new();
-        m.record_propagation(
-            PropagationCause::BufferFull,
-            5,
-            0,
-            &MetricsSnapshot::default(),
+    fn walks_name_every_field_once() {
+        let m = SketchMetrics::new();
+        m.record_insert(TrialInsert::Sampled);
+        let sketch = walk(&m.snapshot());
+        let names: Vec<&str> = sketch.iter().map(|(n, _)| n.as_str()).collect();
+        let expected: Vec<String> = SKETCH_FIELDS
+            .iter()
+            .map(|f| format!("gt_sketch_{f}"))
+            .collect();
+        assert_eq!(names, expected);
+        assert_eq!(sketch[0].1, 1.0);
+
+        let c = ConcurrentMetrics::new();
+        c.record_propagation(PropagationCause::BufferFull, 5, 0, &m.snapshot());
+        let concurrent = walk(&c.snapshot());
+        let names: Vec<&str> = concurrent.iter().map(|(n, _)| n.as_str()).collect();
+        let mut expected: Vec<String> = [
+            "propagations_buffer_full",
+            "propagations_level_lag",
+            "propagations_flush",
+            "items_propagated",
+            "levels_adopted",
+            "snapshots_published",
+            "snapshot_reads",
+        ]
+        .iter()
+        .map(|f| format!("gt_concurrent_{f}"))
+        .collect();
+        expected.extend(SKETCH_FIELDS.iter().map(|f| format!("gt_sketch_{f}")));
+        assert_eq!(names, expected);
+        assert_eq!(concurrent[0].1, 1.0);
+        assert_eq!(concurrent[3].1, 5.0);
+        assert_eq!(concurrent[7].1, 1.0, "the folded writer counters");
+    }
+
+    #[test]
+    fn non_finite_readings_render_as_null_and_prometheus_spellings() {
+        struct Odd;
+        impl Exposition for Odd {
+            fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
+                f("gt_run_a", f64::INFINITY);
+                f("gt_run_b", f64::NAN);
+                f("gt_run_c", f64::NEG_INFINITY);
+                f("gt_run_d", 1.5);
+            }
+        }
+        assert_eq!(
+            to_json(&Odd),
+            r#"{"gt_run_a":null,"gt_run_b":null,"gt_run_c":null,"gt_run_d":1.5}"#
         );
-        let s = m.snapshot();
-        let json = s.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"propagations_buffer_full\":1"));
-        assert!(json.contains("\"writer\":{"));
-        let text = s.to_string();
-        assert!(text.contains("concurrent sketch metrics"));
-        assert!(text.contains("1 buffer-full"));
+        assert_eq!(
+            to_text(&Odd),
+            "gt_run_a +Inf\ngt_run_b NaN\ngt_run_c -Inf\ngt_run_d 1.5\n"
+        );
     }
 }

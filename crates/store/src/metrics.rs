@@ -12,7 +12,7 @@
 //! tally is only ever touched under that shard's mutex, so plain `u64`
 //! fields are already race-free and cost one untyped add per event.
 
-use std::fmt;
+use gt_core::metrics::Exposition;
 
 /// Plain-field event counters owned by one shard, mutated only under the
 /// shard lock.
@@ -122,86 +122,14 @@ impl StoreMetricsSnapshot {
         self.reclaimed_bytes += t.reclaimed_bytes;
         self.queries += t.queries;
     }
-
-    /// Render as a single-line JSON object (stable key order), matching
-    /// the hand-rolled style of the other metrics snapshots in the repo.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"shards\":{},\"items\":{},\"key_runs\":{},\"folds\":{},",
-                "\"delta_replayed\":{},\"promotions\":{},\"pins\":{},",
-                "\"demotions\":{},\"front_hits\":{},\"front_refreshes\":{},",
-                "\"evictions\":{},\"spilled_bytes\":{},\"restores\":{},",
-                "\"restored_bytes\":{},\"compactions\":{},",
-                "\"reclaimed_bytes\":{},\"queries\":{},\"keys\":{},",
-                "\"resident_keys\":{},\"exact_keys\":{},\"pinned_keys\":{},",
-                "\"spilled_keys\":{},",
-                "\"resident_bytes\":{},\"arena_bytes\":{},\"budget_bytes\":{}}}"
-            ),
-            self.shards,
-            self.items,
-            self.key_runs,
-            self.folds,
-            self.delta_replayed,
-            self.promotions,
-            self.pins,
-            self.demotions,
-            self.front_hits,
-            self.front_refreshes,
-            self.evictions,
-            self.spilled_bytes,
-            self.restores,
-            self.restored_bytes,
-            self.compactions,
-            self.reclaimed_bytes,
-            self.queries,
-            self.keys,
-            self.resident_keys,
-            self.exact_keys,
-            self.pinned_keys,
-            self.spilled_keys,
-            self.resident_bytes,
-            self.arena_bytes,
-            self.budget_bytes,
-        )
-    }
 }
 
-impl fmt::Display for StoreMetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "store: {} shards, {} keys ({} resident, {} of them exact / {} pinned / {} spilled)",
-            self.shards,
-            self.keys,
-            self.resident_keys,
-            self.exact_keys,
-            self.pinned_keys,
-            self.spilled_keys
-        )?;
-        writeln!(
-            f,
-            "ingest: {} items over {} key-runs, {} folds ({} delta items replayed), {} promotions",
-            self.items, self.key_runs, self.folds, self.delta_replayed, self.promotions
-        )?;
-        writeln!(
-            f,
-            "hot tier: {} pins, {} demotions, {} front hits / {} refreshes over {} queries",
-            self.pins, self.demotions, self.front_hits, self.front_refreshes, self.queries
-        )?;
-        writeln!(
-            f,
-            "memory: {} resident / {} budget bytes ({} arena), {} evictions ({} bytes spilled), {} restores ({} bytes), {} compactions ({} bytes reclaimed)",
-            self.resident_bytes,
-            self.budget_bytes,
-            self.arena_bytes,
-            self.evictions,
-            self.spilled_bytes,
-            self.restores,
-            self.restored_bytes,
-            self.compactions,
-            self.reclaimed_bytes
-        )
+impl Exposition for StoreMetricsSnapshot {
+    fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
+        gt_core::expose!(f, "gt_store_", self; shards, items, key_runs, folds, delta_replayed,
+            promotions, pins, demotions, front_hits, front_refreshes, evictions, spilled_bytes,
+            restores, restored_bytes, compactions, reclaimed_bytes, queries, keys, resident_keys,
+            exact_keys, pinned_keys, spilled_keys, resident_bytes, arena_bytes, budget_bytes);
     }
 }
 
@@ -226,20 +154,17 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_and_complete() {
+    fn walk_names_every_field_once() {
         let snap = StoreMetricsSnapshot {
             shards: 4,
             items: 123,
             resident_bytes: 456,
             ..Default::default()
         };
-        let json = snap.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"shards\":4"));
-        assert!(json.contains("\"items\":123"));
-        assert!(json.contains("\"resident_bytes\":456"));
-        // Every public field appears exactly once.
-        for key in [
+        let mut readings = Vec::new();
+        snap.visit(&mut |name, value| readings.push((name.to_string(), value)));
+        let names: Vec<String> = readings.iter().map(|(n, _)| n.clone()).collect();
+        let expected: Vec<String> = [
             "shards",
             "items",
             "key_runs",
@@ -265,28 +190,24 @@ mod tests {
             "resident_bytes",
             "arena_bytes",
             "budget_bytes",
-        ] {
-            assert_eq!(
-                json.matches(&format!("\"{key}\":")).count(),
-                1,
-                "key {key} missing or duplicated"
-            );
-        }
-    }
-
-    #[test]
-    fn display_mentions_the_load_bearing_numbers() {
-        let snap = StoreMetricsSnapshot {
-            shards: 2,
-            evictions: 7,
-            front_hits: 9,
-            ..Default::default()
-        };
-        let text = snap.to_json();
-        assert!(text.contains('7') && text.contains('9'));
-        let human = format!("{snap}");
-        assert!(human.contains("2 shards"));
-        assert!(human.contains("7 evictions"));
-        assert!(human.contains("9 front hits"));
+        ]
+        .iter()
+        .map(|f| format!("gt_store_{f}"))
+        .collect();
+        assert_eq!(names, expected);
+        let unique: std::collections::HashSet<&String> = names.iter().collect();
+        assert_eq!(unique.len(), names.len());
+        assert!(names.iter().all(|n| n.strip_prefix("gt_").is_some_and(|t| t
+            .bytes()
+            .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_')))));
+        assert_eq!(readings[0].1, 4.0);
+        assert_eq!(readings[1].1, 123.0);
+        assert_eq!(readings[22].1, 456.0);
+        let json = gt_core::metrics::to_json(&snap);
+        assert_eq!(json.matches("\":").count(), readings.len());
+        assert!(json.contains("\"gt_store_items\":123"));
+        let text = gt_core::metrics::to_text(&snap);
+        assert_eq!(text.lines().count(), readings.len());
+        assert!(text.contains("\ngt_store_resident_bytes 456\n"));
     }
 }

@@ -1407,7 +1407,6 @@ mod tests {
                 "key {key}"
             );
         }
-        assert!(snap.to_json().contains("\"compactions\":"));
     }
 
     #[test]
@@ -1549,8 +1548,7 @@ mod tests {
         assert_eq!(snap.keys as usize, store.key_count());
         assert_eq!(snap.items, items.len() as u64);
         assert!(snap.arena_bytes > 0);
-        let json = snap.to_json();
-        assert!(json.contains("\"keys\":900"));
+        assert_eq!(snap.keys, 900);
     }
 
     /// Canonical bytes of a standalone sketch fed `items` in order.

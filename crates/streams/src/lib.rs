@@ -62,8 +62,8 @@ pub use netflow::{FlowRecord, FlowWorkload};
 pub use oracle::StreamOracle;
 pub use party::{DeltaParty, DeltaPartyStats, Party, PartyMessage};
 pub use referee::{
-    batch_size_bucket, DeltaPlaneTelemetry, PartialEstimate, PartialExpressionEstimate,
-    PartialJaccardEstimate, Receipt, Referee, RefereeOf, RefereeTelemetry, BATCH_BUCKET_LABELS,
+    DeltaPlaneTelemetry, PartialEstimate, PartialExpressionEstimate, PartialJaccardEstimate,
+    PartialQuery, Receipt, Referee, RefereeOf, RefereeTelemetry,
 };
 pub use runner::{
     run_batch, run_live, BatchReport, ExpressionQueryOutcome, JaccardQueryOutcome, LiveQueryReport,

@@ -32,6 +32,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use gt_core::metrics::Exposition;
 use gt_core::{
     apply_delta, merge_tree, Estimate, ExprContext, ExpressionEstimate, GtSketch, JaccardEstimate,
     SetExpr, SketchConfig, SketchError,
@@ -49,12 +50,20 @@ use crate::party::PartyMessage;
 /// party side's own snapshot retention bound.
 const MAX_FP_HISTORY: usize = 64;
 
-/// Histogram bucket labels for [`RefereeTelemetry::summaries_per_batch`]:
-/// bucket `i` counts batches whose size fell in the `i`-th range.
-pub const BATCH_BUCKET_LABELS: [&str; 5] = ["1", "2-4", "5-16", "17-64", "65+"];
+/// Reading names of the [`RefereeTelemetry::summaries_per_batch`]
+/// buckets, named by each bucket's upper bound (the buckets are not
+/// cumulative).
+const BATCH_BUCKET_NAMES: [&str; 5] = [
+    "gt_referee_summaries_per_batch_le_1",
+    "gt_referee_summaries_per_batch_le_4",
+    "gt_referee_summaries_per_batch_le_16",
+    "gt_referee_summaries_per_batch_le_64",
+    "gt_referee_summaries_per_batch_le_inf",
+];
 
-/// Map a batch size to its [`BATCH_BUCKET_LABELS`] bucket index.
-pub fn batch_size_bucket(summaries: usize) -> usize {
+/// Map a batch size to its [`RefereeTelemetry::summaries_per_batch`]
+/// bucket index.
+fn batch_size_bucket(summaries: usize) -> usize {
     match summaries {
         0..=1 => 0,
         2..=4 => 1,
@@ -99,8 +108,8 @@ pub struct RefereeTelemetry {
     /// non-empty slice); per-message [`RefereeOf::receive`] never counts
     /// here.
     pub batches: usize,
-    /// Histogram of batch sizes (messages per batch), bucketed per
-    /// [`BATCH_BUCKET_LABELS`].
+    /// Histogram of batch sizes (messages per batch), one count per
+    /// size range: 1, 2–4, 5–16, 17–64 and 65 or more.
     pub summaries_per_batch: [usize; 5],
 }
 
@@ -132,6 +141,21 @@ impl RefereeTelemetry {
             CodecError::BadTag(_) => self.rejected_bad_tag += 1,
             CodecError::Malformed(_) => self.rejected_malformed += 1,
             CodecError::Sketch(_) => self.rejected_sketch += 1,
+        }
+    }
+}
+
+impl Exposition for RefereeTelemetry {
+    fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
+        gt_core::expose!(f, "gt_referee_", self; accepted, duplicates_suppressed, duplicates_merged,
+            rejected_truncated, rejected_bad_magic, rejected_bad_tag, rejected_malformed,
+            rejected_sketch);
+        let (decode, merge) = (self.decode_time, self.merge_time);
+        f("gt_referee_decode_time_seconds", decode.as_secs_f64());
+        f("gt_referee_merge_time_seconds", merge.as_secs_f64());
+        f("gt_referee_batches", self.batches as f64);
+        for (name, &n) in BATCH_BUCKET_NAMES.iter().zip(&self.summaries_per_batch) {
+            f(name, n as f64);
         }
     }
 }
@@ -241,28 +265,30 @@ impl PartialEstimate {
     }
 }
 
-/// A degraded-mode expression answer: the estimate plus how many of the
-/// parties the expression references were actually heard.
+/// A degraded-mode query answer: the estimate plus how many of the
+/// parties the query references were actually heard.
 ///
-/// Produced by [`RefereeOf::query_partial`]. Unheard referenced parties
-/// are evaluated as **empty streams** — consistent with
+/// Produced by [`RefereeOf::query_partial`] and
+/// [`RefereeOf::query_jaccard_partial`]. Unheard referenced parties are
+/// evaluated as **empty streams** — consistent with
 /// [`RefereeOf::estimate_distinct_partial`], where the union estimate
 /// likewise covers only the parties heard. Monotone operators (∪, ∩)
 /// therefore under-report at partial coverage, while a difference
 /// `A ∖ B` with `B` unheard over-reports; callers inspect
-/// [`PartialExpressionEstimate::is_complete`] before treating the value
-/// as the full-fleet answer.
+/// [`PartialQuery::is_complete`] before treating the value as the
+/// full-fleet answer.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PartialExpressionEstimate {
-    /// Expression estimate over the parties heard (unheard leaves empty).
-    pub estimate: ExpressionEstimate,
+pub struct PartialQuery<E> {
+    /// Estimate over the parties heard (unheard leaves empty).
+    pub estimate: E,
     /// Referenced parties with an accepted message.
     pub parties_heard: usize,
-    /// Distinct parties the expression references.
+    /// Distinct parties the query references (for a Jaccard query, the
+    /// union of both expressions' parties).
     pub parties_referenced: usize,
 }
 
-impl PartialExpressionEstimate {
+impl<E> PartialQuery<E> {
     /// Whether every referenced party was heard (the estimate is the
     /// full-coverage answer).
     pub fn is_complete(&self) -> bool {
@@ -270,7 +296,7 @@ impl PartialExpressionEstimate {
     }
 
     /// Fraction of referenced parties heard, in `[0, 1]` (1 when the
-    /// expression references none).
+    /// query references none).
     pub fn coverage(&self) -> f64 {
         if self.parties_referenced == 0 {
             1.0
@@ -280,40 +306,11 @@ impl PartialExpressionEstimate {
     }
 }
 
-/// A degraded-mode Jaccard answer: the similarity estimate plus how many
-/// of the parties the two expressions reference were actually heard.
-///
-/// Produced by [`RefereeOf::query_jaccard_partial`]. Unheard referenced
-/// parties evaluate as **empty streams**, exactly as in
-/// [`RefereeOf::query_partial`]; coverage is counted over the union of
-/// both expressions' referenced parties.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PartialJaccardEstimate {
-    /// Jaccard estimate over the parties heard (unheard leaves empty).
-    pub estimate: JaccardEstimate,
-    /// Referenced parties with an accepted message.
-    pub parties_heard: usize,
-    /// Distinct parties the two expressions reference.
-    pub parties_referenced: usize,
-}
+/// A degraded-mode expression answer ([`RefereeOf::query_partial`]).
+pub type PartialExpressionEstimate = PartialQuery<ExpressionEstimate>;
 
-impl PartialJaccardEstimate {
-    /// Whether every referenced party was heard (the estimate is the
-    /// full-coverage answer).
-    pub fn is_complete(&self) -> bool {
-        self.parties_heard >= self.parties_referenced
-    }
-
-    /// Fraction of referenced parties heard, in `[0, 1]` (1 when the
-    /// expressions reference none).
-    pub fn coverage(&self) -> f64 {
-        if self.parties_referenced == 0 {
-            1.0
-        } else {
-            (self.parties_heard as f64 / self.parties_referenced as f64).min(1.0)
-        }
-    }
-}
+/// A degraded-mode Jaccard answer ([`RefereeOf::query_jaccard_partial`]).
+pub type PartialJaccardEstimate = PartialQuery<JaccardEstimate>;
 
 /// The central aggregator of the distributed-streams model, generic over
 /// the sketch payload it unions (labels only, `u64` weights, ...).

@@ -19,6 +19,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use gt_core::metrics::Exposition;
 use gt_core::{SetExpr, SketchConfig};
 
 use crate::oracle::StreamOracle;
@@ -85,20 +86,46 @@ impl BatchReport {
             self.total_items as f64 / secs
         }
     }
+}
 
-    /// The slowest party's observe time (the critical path of the
-    /// observation phase, net of thread-spawn overhead).
-    pub fn max_party_observe(&self) -> Duration {
-        self.party_phases
-            .iter()
-            .map(|p| p.observe)
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Total time parties spent encoding messages.
-    pub fn total_encode(&self) -> Duration {
-        self.party_phases.iter().map(|p| p.encode).sum()
+impl Exposition for BatchReport {
+    fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
+        gt_core::expose!(f, "gt_run_", self; estimate, truth, relative_error, parties, total_items,
+            total_bytes);
+        for (i, &b) in self.bytes_per_party.iter().enumerate() {
+            f(&format!("gt_run_bytes_per_party_{i}"), b as f64);
+        }
+        for (i, p) in self.party_phases.iter().enumerate() {
+            let observe = p.observe.as_secs_f64();
+            f(&format!("gt_run_party_phases_observe_seconds_{i}"), observe);
+            let encode = p.encode.as_secs_f64();
+            f(&format!("gt_run_party_phases_encode_seconds_{i}"), encode);
+        }
+        f(
+            "gt_run_observe_wall_seconds",
+            self.observe_wall.as_secs_f64(),
+        );
+        self.referee_telemetry.visit(f);
+        self.union_metrics.visit(f);
+        f(
+            "gt_run_referee_time_seconds",
+            self.referee_time.as_secs_f64(),
+        );
+        for (i, q) in self.queries.iter().enumerate() {
+            let estimate = q.answer.estimate.value;
+            f(&format!("gt_run_queries_estimate_{i}"), estimate);
+            f(&format!("gt_run_queries_truth_{i}"), q.truth as f64);
+            f(&format!("gt_run_queries_scaled_error_{i}"), q.scaled_error);
+        }
+        for (i, q) in self.jaccard_queries.iter().enumerate() {
+            let estimate = q.answer.jaccard;
+            f(&format!("gt_run_jaccard_queries_estimate_{i}"), estimate);
+            f(&format!("gt_run_jaccard_queries_truth_{i}"), q.truth);
+            f(
+                &format!("gt_run_jaccard_queries_abs_error_{i}"),
+                q.abs_error,
+            );
+        }
     }
 }
 
@@ -515,8 +542,11 @@ mod tests {
         // fast decode, so positivity is not asserted here (counts below
         // prove the stages ran).
         assert_eq!(report.party_phases.len(), 4);
-        assert!(report.max_party_observe() <= report.observe_wall);
-        assert!(report.total_encode() <= report.observe_wall * 4);
+        let wall = report.observe_wall;
+        assert!(report
+            .party_phases
+            .iter()
+            .all(|p| p.observe <= wall && p.encode <= wall));
         // Referee telemetry accounts for every message, by stage.
         let t = report.referee_telemetry;
         assert_eq!(t.accepted, 4);
@@ -599,6 +629,16 @@ mod tests {
         let j = &report.jaccard_queries[0];
         assert!(j.truth > 0.0 && j.truth < 1.0, "truth {}", j.truth);
         assert!(j.abs_error < 0.15, "jaccard err {}", j.abs_error);
+        // Each query yields its estimate, truth and error, index-suffixed.
+        let mut readings = std::collections::HashMap::new();
+        report
+            .visit(&mut |name, value| assert!(readings.insert(name.to_string(), value).is_none()));
+        assert_eq!(
+            readings["gt_run_queries_truth_2"],
+            report.queries[2].truth as f64
+        );
+        assert_eq!(readings["gt_run_jaccard_queries_abs_error_0"], j.abs_error);
+        assert!(!readings.contains_key("gt_run_queries_estimate_3"));
     }
 
     #[test]

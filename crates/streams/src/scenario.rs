@@ -43,6 +43,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use gt_core::metrics::Exposition;
 use gt_core::{DistinctSketch, LatestTs, SetExpr, SketchConfig, SlidingWindowSketch};
 
 use crate::codec::{
@@ -681,15 +682,6 @@ impl E2eReport {
         }
     }
 
-    /// Offered load in items per virtual tick (deterministic).
-    pub fn offered_rate_per_tick(&self) -> f64 {
-        if self.duration == 0 {
-            0.0
-        } else {
-            self.total_items as f64 / self.duration as f64
-        }
-    }
-
     /// Everything deterministic about this run, folded into one
     /// `Eq`-comparable value: canonical union bytes, latency histogram,
     /// exactly-once counters, telemetry counts (timings excluded), and
@@ -749,6 +741,50 @@ impl E2eReport {
                         .map(|s| (s.at, 3, s.jaccard.to_bits(), s.pair as u64)),
                 )
                 .collect(),
+        }
+    }
+}
+
+/// The run's scalars and channel counters under `gt_run_`, the referee's
+/// walk, then the delta plane's accounting under `gt_delta_` when the run
+/// used it. The scenario name is a label, not a reading, and each query
+/// sample log yields its length.
+impl Exposition for E2eReport {
+    fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
+        gt_core::expose!(f, "gt_run_", self; parties, duration, total_items, items_acked,
+            reports_sent, retry_rounds, party_coverage, item_coverage, final_estimate, truth,
+            relative_error, bytes_sent);
+        let latency = &self.latency;
+        f("gt_run_latency_p50", latency.p50() as f64);
+        f("gt_run_latency_p99", latency.p99() as f64);
+        f("gt_run_latency_p999", latency.p999() as f64);
+        f("gt_run_latency_max", latency.max() as f64);
+        // The scenario name is a label, not a reading; each query-sample
+        // log yields its length.
+        f(
+            "gt_run_distinct_samples",
+            self.distinct_samples.len() as f64,
+        );
+        f("gt_run_window_samples", self.window_samples.len() as f64);
+        f(
+            "gt_run_expression_samples",
+            self.expression_samples.len() as f64,
+        );
+        f("gt_run_jaccard_samples", self.jaccard_samples.len() as f64);
+        let union_bytes = self.union_canonical.len() as f64;
+        f("gt_run_union_canonical_bytes", union_bytes);
+        f("gt_run_run_wall_seconds", self.run_wall.as_secs_f64());
+        let t = &self.transport;
+        gt_core::expose!(f, "gt_run_transport_", t; sends, dropped, corrupted, straggled,
+            delivered);
+        self.referee.visit(f);
+        if let Some(d) = &self.delta {
+            gt_core::expose!(f, "gt_delta_", d; delta_frames, full_frames, delta_bytes, full_bytes,
+                resyncs, acks_sent, acks_lost, staleness_mean, staleness_max, oracle_checks,
+                oracle_failures, oracle_skipped);
+            for (i, &g) in d.acked_generations.iter().enumerate() {
+                f(&format!("gt_delta_acked_generations_{i}"), g as f64);
+            }
         }
     }
 }
@@ -1721,6 +1757,9 @@ mod tests {
             report.truth
         );
         assert!(!report.union_canonical.is_empty());
+        let mut delta_readings = 0;
+        report.visit(&mut |name, _| delta_readings += usize::from(name.starts_with("gt_delta_")));
+        assert_eq!(delta_readings, 0, "a full-ship run exposes no delta block");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! its trials did — insert outcomes, level promotions, merge accounting,
 //! and payload reconciliations on both the local and the union path. This
 //! example drives a small two-site scenario plus a referee round-trip and
-//! prints the counters human-readably and as JSON.
+//! prints the counters as Prometheus text and as JSON.
 
+use gt_sketch::metrics::{to_json, to_text};
 use gt_sketch::streams::{DeltaParty, Party, Receipt, Referee, RefereeOf};
 use gt_sketch::{DistinctSketch, SketchConfig};
 
@@ -21,14 +22,14 @@ fn main() {
     site_a.extend_labels((0..30_000u64).map(gt_sketch::fold61));
     site_b.extend_labels((15_000..45_000u64).map(gt_sketch::fold61));
 
-    println!("--- site A ---\n{}\n", site_a.metrics_snapshot());
-    println!("--- site B ---\n{}\n", site_b.metrics_snapshot());
+    println!("--- site A ---\n{}", to_text(&site_a.metrics_snapshot()));
+    println!("--- site B ---\n{}", to_text(&site_b.metrics_snapshot()));
 
     // The union path: merge accounting lands on the receiving sketch.
     let union = site_a.merged(&site_b).expect("coordinated");
     let m = union.metrics_snapshot();
-    println!("--- union (A <- B) ---\n{m}\n");
-    println!("union as JSON: {}\n", m.to_json());
+    println!("--- union (A <- B) ---\n{}", to_text(&m));
+    println!("union as JSON: {}\n", to_json(&m));
     println!(
         "estimate {:.0} over {} merge-absorbed entries, {} reconciliations, {} promotions\n",
         union.estimate_distinct().value,
@@ -47,17 +48,10 @@ fn main() {
         }
         referee.receive(&party.finish()).expect("intact message");
     }
-    let t = referee.telemetry();
-    println!(
-        "referee: {} accepted, {} rejected, decode {:?}, merge {:?}",
-        t.accepted,
-        t.rejected(),
-        t.decode_time,
-        t.merge_time,
-    );
+    println!("--- referee ---\n{}", to_text(referee.telemetry()));
     println!(
         "referee union metrics: {}",
-        referee.union_metrics().to_json()
+        to_json(&referee.union_metrics())
     );
 
     // The incremental delta plane: after the first full ship, a party's
@@ -122,7 +116,10 @@ fn main() {
         store.estimate(key).expect("keyed query");
     }
     let s = store.metrics_snapshot();
-    println!("\n--- keyed store (500 tenants, 256 KiB budget) ---\n{s}");
-    println!("store as JSON: {}", s.to_json());
+    println!(
+        "\n--- keyed store (500 tenants, 256 KiB budget) ---\n{}",
+        to_text(&s)
+    );
+    println!("store as JSON: {}", to_json(&s));
     assert_eq!(s.resident_keys + s.pinned_keys + s.spilled_keys, s.keys);
 }
