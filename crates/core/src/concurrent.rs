@@ -170,10 +170,10 @@ impl ShardedSketch {
     /// cut.
     ///
     /// All shard locks are acquired (in index order) before the first
-    /// counter is read. Ingest paths flush their [`crate::metrics::InsertTally`]
-    /// while still holding the shard lock, so the aggregate includes each
-    /// flush entirely or not at all, and includes every flush of every
-    /// ingest call that returned before this call began — see the
+    /// counter is read. A shard's sketch counts only while its lock is
+    /// held, so the aggregate includes each ingest call's counts entirely
+    /// or not at all, and includes the counts of every ingest call that
+    /// returned before this call began — see the
     /// "aggregation ordering guarantee" in [`crate::metrics`]. The
     /// historical lock-at-a-time implementation could return totals that
     /// never existed at any instant (a concurrent writer's *later* work on

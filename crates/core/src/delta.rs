@@ -49,18 +49,6 @@ use crate::error::{Result, SketchError};
 use crate::sketch::GtSketch;
 use crate::trial::Payload;
 
-fn check_coordinated<V: Payload>(a: &GtSketch<V>, b: &GtSketch<V>) -> Result<()> {
-    if a.master_seed() != b.master_seed() {
-        return Err(SketchError::SeedMismatch);
-    }
-    if a.config() != b.config() {
-        return Err(SketchError::ConfigMismatch {
-            detail: format!("{:?} vs {:?}", a.config(), b.config()),
-        });
-    }
-    Ok(())
-}
-
 /// Extract the per-trial difference that turns `base` into `current`.
 ///
 /// Both sketches must be coordinated (same config and master seed) and
@@ -78,7 +66,7 @@ pub fn delta_between<V: Payload + PartialEq>(
     base: &GtSketch<V>,
     current: &GtSketch<V>,
 ) -> Result<GtSketch<V>> {
-    check_coordinated(base, current)?;
+    base.check_coordinated(current)?;
     let mut states = Vec::with_capacity(current.trials().len());
     let mut base_map: HashMap<u64, V> = HashMap::new();
     for (b, c) in base.trials().iter().zip(current.trials()) {
@@ -137,7 +125,7 @@ pub fn delta_between<V: Payload + PartialEq>(
 ///
 /// On `Err`, `base` may be partially updated; discard or resync it.
 pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &GtSketch<V>) -> Result<()> {
-    check_coordinated(base, delta)?;
+    base.check_coordinated(delta)?;
     let capacity = base.config().capacity();
     let mut merged: HashMap<u64, V> = HashMap::with_capacity(capacity);
     let mut scratch: Vec<(u64, V)> = Vec::with_capacity(capacity);

@@ -280,14 +280,7 @@ impl<'a, V: Payload> ExprContext<'a, V> {
             reason: "at least one operand sketch is required".to_string(),
         })?;
         for s in &operands[1..] {
-            if s.master_seed() != first.master_seed() {
-                return Err(SketchError::SeedMismatch);
-            }
-            if s.config() != first.config() {
-                return Err(SketchError::ConfigMismatch {
-                    detail: format!("{:?} vs {:?}", first.config(), s.config()),
-                });
-            }
+            first.check_coordinated(s)?;
         }
         let mut views = Vec::with_capacity(operands.len());
         let mut levels = Vec::with_capacity(operands.len());

@@ -71,8 +71,7 @@ pub use estimate::{median_f64, quantile_f64, relative_error, Estimate};
 pub use expr::{eval_expr, ExprContext, ExpressionEstimate, JaccardEstimate, SetExpr};
 pub use merge::{merge_all, merge_tree, Mergeable, MERGE_TREE_CROSSOVER};
 pub use metrics::{
-    ConcurrentMetrics, ConcurrentMetricsSnapshot, InsertTally, MetricsSnapshot, PropagationCause,
-    SketchMetrics,
+    ConcurrentMetrics, ConcurrentMetricsSnapshot, MetricsSnapshot, PropagationCause,
 };
 pub use params::SketchConfig;
 pub use recency::{estimate_distinct_since_on, LatestTs, RecencySketch};
@@ -80,6 +79,6 @@ pub use sample::DistinctSample;
 pub use similarity::{jaccard_matrix, similarity, SimilarityEstimate};
 pub use sketch::{DistinctSketch, GtSketch};
 pub use sumdistinct::SumDistinctSketch;
-pub use trial::{CoordinatedTrial, Payload, TrialInsert, TrialMergeReport};
+pub use trial::{CoordinatedTrial, Payload, TrialInsert};
 pub use window::SlidingWindowSketch;
 pub use workers::{balanced_chunks, effective_workers};

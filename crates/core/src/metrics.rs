@@ -9,11 +9,13 @@
 //! observer of the same stream must report identical reconciliation
 //! counts and identical final state).
 //!
-//! The implementation is std-only: relaxed [`AtomicU64`] counters, no
-//! locks, no allocation on the record path. Counters are monotone and
-//! advisory — they never feed back into the estimator. Read them with
-//! [`SketchMetrics::snapshot`], which returns a plain-old-data
-//! [`MetricsSnapshot`].
+//! Every [`crate::GtSketch`] keeps its counters in one plain
+//! [`MetricsSnapshot`] field: no atomics, no locks, no allocation on the
+//! record path. Each recording site is a `&mut self` method of the
+//! sketch, so exclusive access already makes the adds race-free. Counters
+//! are monotone between [`crate::GtSketch::clear`] calls and advisory —
+//! they never feed back into the estimator. Read them with
+//! [`crate::GtSketch::metrics_snapshot`].
 //!
 //! # Exposition
 //!
@@ -28,20 +30,18 @@
 //!
 //! # Aggregation ordering guarantee
 //!
-//! Counters are recorded with `Relaxed` atomics, so a *single* counter
-//! read is always torn-free but a *multi-sketch aggregate* (summing one
-//! snapshot per shard or per writer) is only meaningful if it corresponds
-//! to a consistent cut of the recording history. The rule every
-//! aggregator in this workspace follows: **hold every lock that guards a
-//! recording site before reading the first counter**. Batch ingest paths
-//! flush their thread-local [`InsertTally`] while still holding the
-//! sketch's lock, so an aggregate taken under all locks contains each
-//! flush either entirely or not at all, and contains every flush from
-//! operations that completed (released their lock) before the aggregate
-//! began — a prefix-closed view of each thread's history. Aggregates
-//! taken lock-by-lock (the historical `ShardedSketch::metrics_snapshot`
-//! bug) do not have this property: work recorded on a later-read shard
-//! can causally *follow* work missed on an earlier-read shard, producing
+//! A *multi-sketch aggregate* (summing one snapshot per shard or per
+//! writer) is only meaningful if it corresponds to a consistent cut of
+//! the recording history. The rule every aggregator in this workspace
+//! follows: **hold every lock that guards a recording site before reading
+//! the first counter**. A sketch behind a lock records only while that
+//! lock is held, so an aggregate taken under all locks contains each
+//! ingest or merge call either entirely or not at all, and contains every
+//! call that completed (released its lock) before the aggregate began — a
+//! prefix-closed view of each thread's history. Aggregates taken
+//! lock-by-lock (the historical `ShardedSketch::metrics_snapshot` bug) do
+//! not have this property: work recorded on a later-read shard can
+//! causally *follow* work missed on an earlier-read shard, producing
 //! totals that never existed at any instant.
 
 use std::fmt::Write;
@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use parking_lot::Mutex;
 
-use crate::trial::{TrialInsert, TrialMergeReport};
+use crate::trial::TrialInsert;
 
 /// A telemetry type whose readings can be walked by name; see the module
 /// docs for the naming rule.
@@ -102,216 +102,10 @@ pub fn to_text(e: &dyn Exposition) -> String {
     out
 }
 
-/// Monotone counters recording what a sketch's trials did. One instance
-/// lives inside every [`crate::GtSketch`]; sharded sketches aggregate one
-/// snapshot per shard.
-#[derive(Debug, Default)]
-pub struct SketchMetrics {
-    // Per-trial insert outcomes, keyed by `TrialInsert`.
-    inserts_sampled: AtomicU64,
-    inserts_duplicate: AtomicU64,
-    inserts_below_level: AtomicU64,
-    inserts_sampled_after_promotion: AtomicU64,
-    inserts_evicted_by_promotion: AtomicU64,
-    // Level movements, from any cause (insert overflow or union).
-    level_promotions: AtomicU64,
-    // Payload reconciliations on the *local* path (`insert_merging`
-    // duplicates).
-    local_reconciliations: AtomicU64,
-    // Union accounting.
-    merge_calls: AtomicU64,
-    merge_entries_absorbed: AtomicU64,
-    merge_reconciliations: AtomicU64,
-    merge_below_level: AtomicU64,
-}
-
-impl SketchMetrics {
-    /// Fresh, all-zero counters.
-    pub const fn new() -> Self {
-        SketchMetrics {
-            inserts_sampled: AtomicU64::new(0),
-            inserts_duplicate: AtomicU64::new(0),
-            inserts_below_level: AtomicU64::new(0),
-            inserts_sampled_after_promotion: AtomicU64::new(0),
-            inserts_evicted_by_promotion: AtomicU64::new(0),
-            level_promotions: AtomicU64::new(0),
-            local_reconciliations: AtomicU64::new(0),
-            merge_calls: AtomicU64::new(0),
-            merge_entries_absorbed: AtomicU64::new(0),
-            merge_reconciliations: AtomicU64::new(0),
-            merge_below_level: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one per-trial insert outcome.
-    #[inline]
-    pub fn record_insert(&self, outcome: TrialInsert) {
-        let counter = match outcome {
-            TrialInsert::Sampled => &self.inserts_sampled,
-            TrialInsert::Duplicate => &self.inserts_duplicate,
-            TrialInsert::BelowLevel => &self.inserts_below_level,
-            TrialInsert::SampledAfterPromotion => &self.inserts_sampled_after_promotion,
-            TrialInsert::EvictedByPromotion => &self.inserts_evicted_by_promotion,
-        };
-        counter.fetch_add(1, Relaxed);
-    }
-
-    /// Record `n` level promotions.
-    #[inline]
-    pub fn record_promotions(&self, n: u64) {
-        if n > 0 {
-            self.level_promotions.fetch_add(n, Relaxed);
-        }
-    }
-
-    /// Record one local (`insert_merging` duplicate) payload
-    /// reconciliation.
-    #[inline]
-    pub fn record_local_reconciliation(&self) {
-        self.local_reconciliations.fetch_add(1, Relaxed);
-    }
-
-    /// Record that a sketch-level union ran (once per `merge_from` call,
-    /// regardless of trial count).
-    #[inline]
-    pub fn record_merge_call(&self) {
-        self.merge_calls.fetch_add(1, Relaxed);
-    }
-
-    /// Fold one trial's union report into the counters.
-    pub fn record_trial_merge(&self, report: &TrialMergeReport) {
-        self.merge_entries_absorbed
-            .fetch_add(report.absorbed as u64, Relaxed);
-        self.merge_reconciliations
-            .fetch_add(report.reconciled as u64, Relaxed);
-        self.merge_below_level
-            .fetch_add(report.below_level as u64, Relaxed);
-        self.record_promotions(u64::from(report.promotions));
-    }
-
-    /// Bulk-record insert outcomes tallied locally by a batch loop (at
-    /// most one atomic op per *non-zero* counter instead of one per item).
-    ///
-    /// Zero counters are skipped entirely, so flushing the tally of a
-    /// single-item insert costs one or two RMWs total rather than one per
-    /// field — this is what keeps [`crate::GtSketch::insert_with`] cheap
-    /// now that it also routes through a tally.
-    pub fn record_insert_tally(&self, tally: &InsertTally) {
-        fn add_nonzero(counter: &AtomicU64, n: u64) {
-            if n > 0 {
-                counter.fetch_add(n, Relaxed);
-            }
-        }
-        add_nonzero(&self.inserts_sampled, tally.sampled);
-        add_nonzero(&self.inserts_duplicate, tally.duplicate);
-        add_nonzero(&self.inserts_below_level, tally.below_level);
-        add_nonzero(
-            &self.inserts_sampled_after_promotion,
-            tally.sampled_after_promotion,
-        );
-        add_nonzero(
-            &self.inserts_evicted_by_promotion,
-            tally.evicted_by_promotion,
-        );
-        add_nonzero(&self.local_reconciliations, tally.local_reconciliations);
-        self.record_promotions(tally.promotions);
-    }
-
-    /// A coherent point-in-time copy of all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            inserts_sampled: self.inserts_sampled.load(Relaxed),
-            inserts_duplicate: self.inserts_duplicate.load(Relaxed),
-            inserts_below_level: self.inserts_below_level.load(Relaxed),
-            inserts_sampled_after_promotion: self.inserts_sampled_after_promotion.load(Relaxed),
-            inserts_evicted_by_promotion: self.inserts_evicted_by_promotion.load(Relaxed),
-            level_promotions: self.level_promotions.load(Relaxed),
-            local_reconciliations: self.local_reconciliations.load(Relaxed),
-            merge_calls: self.merge_calls.load(Relaxed),
-            merge_entries_absorbed: self.merge_entries_absorbed.load(Relaxed),
-            merge_reconciliations: self.merge_reconciliations.load(Relaxed),
-            merge_below_level: self.merge_below_level.load(Relaxed),
-        }
-    }
-
-    /// Zero every counter (e.g. between experiment phases).
-    pub fn reset(&self) {
-        for counter in [
-            &self.inserts_sampled,
-            &self.inserts_duplicate,
-            &self.inserts_below_level,
-            &self.inserts_sampled_after_promotion,
-            &self.inserts_evicted_by_promotion,
-            &self.level_promotions,
-            &self.local_reconciliations,
-            &self.merge_calls,
-            &self.merge_entries_absorbed,
-            &self.merge_reconciliations,
-            &self.merge_below_level,
-        ] {
-            counter.store(0, Relaxed);
-        }
-    }
-}
-
-impl Clone for SketchMetrics {
-    /// Cloning a sketch clones its counters' current values (the clone
-    /// then counts independently).
-    fn clone(&self) -> Self {
-        let snap = self.snapshot();
-        SketchMetrics {
-            inserts_sampled: AtomicU64::new(snap.inserts_sampled),
-            inserts_duplicate: AtomicU64::new(snap.inserts_duplicate),
-            inserts_below_level: AtomicU64::new(snap.inserts_below_level),
-            inserts_sampled_after_promotion: AtomicU64::new(snap.inserts_sampled_after_promotion),
-            inserts_evicted_by_promotion: AtomicU64::new(snap.inserts_evicted_by_promotion),
-            level_promotions: AtomicU64::new(snap.level_promotions),
-            local_reconciliations: AtomicU64::new(snap.local_reconciliations),
-            merge_calls: AtomicU64::new(snap.merge_calls),
-            merge_entries_absorbed: AtomicU64::new(snap.merge_entries_absorbed),
-            merge_reconciliations: AtomicU64::new(snap.merge_reconciliations),
-            merge_below_level: AtomicU64::new(snap.merge_below_level),
-        }
-    }
-}
-
-/// Local accumulator for batch insert loops; flushed once via
-/// [`SketchMetrics::record_insert_tally`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InsertTally {
-    /// `TrialInsert::Sampled` outcomes.
-    pub sampled: u64,
-    /// `TrialInsert::Duplicate` outcomes.
-    pub duplicate: u64,
-    /// `TrialInsert::BelowLevel` outcomes.
-    pub below_level: u64,
-    /// `TrialInsert::SampledAfterPromotion` outcomes.
-    pub sampled_after_promotion: u64,
-    /// `TrialInsert::EvictedByPromotion` outcomes.
-    pub evicted_by_promotion: u64,
-    /// Level promotions observed across the batch.
-    pub promotions: u64,
-    /// Payload reconciliations on local duplicate arrivals (the merging
-    /// batch kernel's counterpart of
-    /// [`SketchMetrics::record_local_reconciliation`]).
-    pub local_reconciliations: u64,
-}
-
-impl InsertTally {
-    /// Count one outcome.
-    #[inline]
-    pub fn record(&mut self, outcome: TrialInsert) {
-        match outcome {
-            TrialInsert::Sampled => self.sampled += 1,
-            TrialInsert::Duplicate => self.duplicate += 1,
-            TrialInsert::BelowLevel => self.below_level += 1,
-            TrialInsert::SampledAfterPromotion => self.sampled_after_promotion += 1,
-            TrialInsert::EvictedByPromotion => self.evicted_by_promotion += 1,
-        }
-    }
-}
-
-/// Plain-old-data copy of [`SketchMetrics`] at one instant.
+/// Monotone counters recording what a sketch's trials did: the plain
+/// field every [`crate::GtSketch`] counts into, and the copy
+/// [`crate::GtSketch::metrics_snapshot`] returns. Sharded sketches and
+/// parties aggregate one per sketch with [`MetricsSnapshot::absorb`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Labels that entered a trial's sample directly.
@@ -370,6 +164,45 @@ impl MetricsSnapshot {
         self.merge_entries_absorbed += other.merge_entries_absorbed;
         self.merge_reconciliations += other.merge_reconciliations;
         self.merge_below_level += other.merge_below_level;
+    }
+
+    /// Count `n` local insert outcomes, each into its `inserts_*` counter.
+    #[inline]
+    pub(crate) fn count_insert(&mut self, outcome: TrialInsert, n: u64) {
+        *match outcome {
+            TrialInsert::Sampled => &mut self.inserts_sampled,
+            TrialInsert::Duplicate => &mut self.inserts_duplicate,
+            TrialInsert::BelowLevel => &mut self.inserts_below_level,
+            TrialInsert::SampledAfterPromotion => &mut self.inserts_sampled_after_promotion,
+            TrialInsert::EvictedByPromotion => &mut self.inserts_evicted_by_promotion,
+        } += n;
+    }
+
+    /// [`MetricsSnapshot::count_insert`] for `insert_merging` arrivals: a
+    /// duplicate also reconciles its payload into the stored one.
+    #[inline]
+    pub(crate) fn count_merging_insert(&mut self, outcome: TrialInsert, n: u64) {
+        self.count_insert(outcome, n);
+        if outcome == TrialInsert::Duplicate {
+            self.local_reconciliations += n;
+        }
+    }
+
+    /// Count `n` outcomes of the other side's entries during a union: a
+    /// new label is absorbed, a label both sides sampled is reconciled,
+    /// and one that no longer qualifies (on arrival or after a promotion)
+    /// is skipped as below level.
+    #[inline]
+    pub(crate) fn count_union(&mut self, outcome: TrialInsert, n: u64) {
+        *match outcome {
+            TrialInsert::Sampled | TrialInsert::SampledAfterPromotion => {
+                &mut self.merge_entries_absorbed
+            }
+            TrialInsert::Duplicate => &mut self.merge_reconciliations,
+            TrialInsert::BelowLevel | TrialInsert::EvictedByPromotion => {
+                &mut self.merge_below_level
+            }
+        } += n;
     }
 }
 
@@ -521,69 +354,42 @@ mod tests {
 
     #[test]
     fn record_and_snapshot_round_trip() {
-        let m = SketchMetrics::new();
-        m.record_insert(TrialInsert::Sampled);
-        m.record_insert(TrialInsert::Sampled);
-        m.record_insert(TrialInsert::Duplicate);
-        m.record_insert(TrialInsert::BelowLevel);
-        m.record_insert(TrialInsert::SampledAfterPromotion);
-        m.record_insert(TrialInsert::EvictedByPromotion);
-        m.record_promotions(3);
-        m.record_local_reconciliation();
-        m.record_merge_call();
-        m.record_trial_merge(&TrialMergeReport {
-            entries_scanned: 10,
-            absorbed: 6,
-            reconciled: 2,
-            below_level: 2,
-            promotions: 1,
-        });
-        let s = m.snapshot();
-        assert_eq!(s.inserts_sampled, 2);
-        assert_eq!(s.inserts_duplicate, 1);
+        use TrialInsert::*;
+        let mut s = MetricsSnapshot::default();
+        s.count_insert(Sampled, 2);
+        s.count_insert(Duplicate, 1);
+        s.count_insert(BelowLevel, 1);
+        s.count_insert(SampledAfterPromotion, 1);
+        s.count_insert(EvictedByPromotion, 1);
+        s.count_merging_insert(Duplicate, 1);
+        s.count_merging_insert(Sampled, 1);
+        assert_eq!(s.inserts_sampled, 3);
+        assert_eq!(s.inserts_duplicate, 2);
         assert_eq!(s.inserts_below_level, 1);
         assert_eq!(s.inserts_sampled_after_promotion, 1);
         assert_eq!(s.inserts_evicted_by_promotion, 1);
-        assert_eq!(s.trial_inserts(), 6);
-        assert_eq!(s.level_promotions, 3 + 1);
-        assert_eq!(s.local_reconciliations, 1);
-        assert_eq!(s.merge_calls, 1);
+        assert_eq!(s.trial_inserts(), 8);
+        assert_eq!(
+            s.local_reconciliations, 1,
+            "only a merging duplicate reconciles"
+        );
+
+        // A union's outcomes land in `merge_*` and never in `inserts_*`.
+        for (outcome, n) in [
+            (Sampled, 4),
+            (SampledAfterPromotion, 2),
+            (Duplicate, 2),
+            (BelowLevel, 1),
+            (EvictedByPromotion, 1),
+        ] {
+            s.count_union(outcome, n);
+        }
         assert_eq!(s.merge_entries_absorbed, 6);
         assert_eq!(s.merge_reconciliations, 2);
         assert_eq!(s.merge_below_level, 2);
+        assert_eq!(s.trial_inserts(), 8);
         assert_eq!(s.reconciliations(), 3);
-
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn tally_flushes_in_bulk() {
-        let m = SketchMetrics::new();
-        let mut tally = InsertTally::default();
-        for _ in 0..5 {
-            tally.record(TrialInsert::Sampled);
-        }
-        tally.record(TrialInsert::Duplicate);
-        tally.promotions = 2;
-        tally.local_reconciliations = 1;
-        m.record_insert_tally(&tally);
-        let s = m.snapshot();
-        assert_eq!(s.inserts_sampled, 5);
-        assert_eq!(s.inserts_duplicate, 1);
-        assert_eq!(s.level_promotions, 2);
-        assert_eq!(s.local_reconciliations, 1);
-    }
-
-    #[test]
-    fn clone_copies_then_diverges() {
-        let m = SketchMetrics::new();
-        m.record_insert(TrialInsert::Sampled);
-        let c = m.clone();
-        assert_eq!(c.snapshot(), m.snapshot());
-        c.record_insert(TrialInsert::Sampled);
-        assert_eq!(c.snapshot().inserts_sampled, 2);
-        assert_eq!(m.snapshot().inserts_sampled, 1);
+        assert_eq!((s.level_promotions, s.merge_calls), (0, 0));
     }
 
     #[test]
@@ -665,9 +471,11 @@ mod tests {
 
     #[test]
     fn walks_name_every_field_once() {
-        let m = SketchMetrics::new();
-        m.record_insert(TrialInsert::Sampled);
-        let sketch = walk(&m.snapshot());
+        let m = MetricsSnapshot {
+            inserts_sampled: 1,
+            ..Default::default()
+        };
+        let sketch = walk(&m);
         let names: Vec<&str> = sketch.iter().map(|(n, _)| n.as_str()).collect();
         let expected: Vec<String> = SKETCH_FIELDS
             .iter()
@@ -677,7 +485,7 @@ mod tests {
         assert_eq!(sketch[0].1, 1.0);
 
         let c = ConcurrentMetrics::new();
-        c.record_propagation(PropagationCause::BufferFull, 5, 0, &m.snapshot());
+        c.record_propagation(PropagationCause::BufferFull, 5, 0, &m);
         let concurrent = walk(&c.snapshot());
         let names: Vec<&str> = concurrent.iter().map(|(n, _)| n.as_str()).collect();
         let mut expected: Vec<String> = [

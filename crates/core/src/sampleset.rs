@@ -224,18 +224,6 @@ impl<V: Copy + Default> FixedCapMap<V> {
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.iter().map(|(k, _)| k)
     }
-
-    /// Collect the entries into a `Vec` sorted by key.
-    ///
-    /// Iteration order of the open-addressed table depends on probe
-    /// history, so callers that need a canonical order (the wire codec,
-    /// the expression engine's per-trial views) sort once here instead of
-    /// each imposing its own.
-    pub fn sorted_entries(&self) -> Vec<(u64, V)> {
-        let mut entries: Vec<(u64, V)> = self.iter().collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        entries
-    }
 }
 
 /// A fixed-capacity set of labels: a [`FixedCapMap`] with unit payloads.

@@ -11,9 +11,9 @@ use gt_hash::{HashFamily, SeedSequence};
 
 use crate::error::{Result, SketchError};
 use crate::estimate::{median_f64, Estimate};
-use crate::metrics::{InsertTally, MetricsSnapshot, SketchMetrics};
+use crate::metrics::MetricsSnapshot;
 use crate::params::SketchConfig;
-use crate::trial::{CoordinatedTrial, Payload, TrialInsert};
+use crate::trial::{CoordinatedTrial, Payload, KERNEL_CHUNK};
 
 /// Transmitted state of one trial: `(level, items observed, sample
 /// entries)` — the wire codec's unit of exchange.
@@ -35,9 +35,10 @@ pub struct GtSketch<V> {
     master_seed: u64,
     trials: Vec<CoordinatedTrial<V>>,
     /// Observability counters (advisory; never feed the estimator, never
-    /// travel on the wire).
+    /// travel on the wire). Every recording site is a `&mut self` method,
+    /// so plain fields suffice.
     #[serde(skip)]
-    metrics: SketchMetrics,
+    metrics: MetricsSnapshot,
 }
 
 impl<V: Payload> GtSketch<V> {
@@ -55,7 +56,7 @@ impl<V: Payload> GtSketch<V> {
             config: *config,
             master_seed,
             trials,
-            metrics: SketchMetrics::new(),
+            metrics: MetricsSnapshot::default(),
         }
     }
 
@@ -94,7 +95,7 @@ impl<V: Payload> GtSketch<V> {
             config: *config,
             master_seed,
             trials,
-            metrics: SketchMetrics::new(),
+            metrics: MetricsSnapshot::default(),
         })
     }
 
@@ -118,19 +119,14 @@ impl<V: Payload> GtSketch<V> {
     ///
     /// Labels must lie in `[0, 2^61 − 1)`; fold bigger identifiers through
     /// [`gt_hash::fold61`] or use [`GtSketch::insert_hashed`].
-    ///
-    /// Metrics are tallied on the stack across the trial loop and flushed
-    /// once, so the per-item cost is one or two atomic RMWs total instead
-    /// of two per trial.
     #[inline]
     pub fn insert_with(&mut self, label: u64, payload: V) {
-        let mut tally = InsertTally::default();
+        let m = &mut self.metrics;
         for trial in &mut self.trials {
             let level_before = trial.level();
-            tally.record(trial.insert(label, payload));
-            tally.promotions += u64::from(trial.level() - level_before);
+            m.count_insert(trial.insert(label, payload), 1);
+            m.level_promotions += u64::from(trial.level() - level_before);
         }
-        self.metrics.record_insert_tally(&tally);
     }
 
     /// Observe an item of any hashable type, folding it into the label
@@ -142,21 +138,15 @@ impl<V: Payload> GtSketch<V> {
 
     /// Observe one `(label, payload)` item, merging the payload into the
     /// stored one on duplicate arrivals (see
-    /// [`CoordinatedTrial::insert_merging`]). Metrics are tallied on the
-    /// stack and flushed once, like [`GtSketch::insert_with`].
+    /// [`CoordinatedTrial::insert_merging`]).
     #[inline]
     pub fn insert_merging_with(&mut self, label: u64, payload: V) {
-        let mut tally = InsertTally::default();
+        let m = &mut self.metrics;
         for trial in &mut self.trials {
             let level_before = trial.level();
-            let outcome = trial.insert_merging(label, payload);
-            tally.record(outcome);
-            if outcome == TrialInsert::Duplicate {
-                tally.local_reconciliations += 1;
-            }
-            tally.promotions += u64::from(trial.level() - level_before);
+            m.count_merging_insert(trial.insert_merging(label, payload), 1);
+            m.level_promotions += u64::from(trial.level() - level_before);
         }
-        self.metrics.record_insert_tally(&tally);
     }
 
     /// Batch counterpart of [`GtSketch::insert_merging_with`]: observe
@@ -166,21 +156,33 @@ impl<V: Payload> GtSketch<V> {
     /// Bitwise-identical (samples, levels, and metric snapshots) to the
     /// per-item merging loop.
     ///
-    /// Each trial sweeps the whole batch through the batch-monomorphic
-    /// kernel ([`CoordinatedTrial::extend_pairs_kernel`]) before the next
-    /// trial runs: labels are hashed in bulk with the hash-family enum
-    /// dispatched once per [`crate::trial::KERNEL_CHUNK`] labels,
-    /// below-level items are rejected by one compare against the raw hash,
-    /// and the trial's coefficients and sample table stay hot for the
-    /// whole batch. The per-item vs batched vs kernel gap is measured by
-    /// experiment `e4` (`experiments e4`, checked in-binary with
-    /// `Table::check`).
+    /// The batch is gathered once per [`KERNEL_CHUNK`] items into label
+    /// and payload arrays shared by every trial, and each trial runs the
+    /// chunk through the trial kernel (the one label ingest and union
+    /// use): labels are hashed in bulk with the hash-family enum
+    /// dispatched once per chunk, and below-level items are screened out
+    /// a bitmap word at a time against the raw hashes. The per-item vs
+    /// batched vs kernel gap is measured by experiment `e4`
+    /// (`experiments e4`, checked in-binary with `Table::check`).
     pub fn insert_batch_merging_with(&mut self, items: &[(u64, V)]) {
-        let mut tally = InsertTally::default();
-        for trial in &mut self.trials {
-            trial.extend_pairs_kernel(items, &mut tally);
+        let mut labels = [0u64; KERNEL_CHUNK];
+        let mut payloads = [V::default(); KERNEL_CHUNK];
+        let mut hashes = [0u64; KERNEL_CHUNK];
+        for chunk in items.chunks(KERNEL_CHUNK) {
+            for (i, &(label, payload)) in chunk.iter().enumerate() {
+                labels[i] = label;
+                payloads[i] = payload;
+            }
+            let n = chunk.len();
+            for trial in &mut self.trials {
+                trial.extend_pairs_kernel(
+                    &labels[..n],
+                    &payloads[..n],
+                    &mut hashes,
+                    &mut self.metrics,
+                );
+            }
         }
-        self.metrics.record_insert_tally(&tally);
     }
 
     /// Number of items observed (duplicates included).
@@ -235,31 +237,37 @@ impl<V: Payload> GtSketch<V> {
     /// [`SketchError::SeedMismatch`] or [`SketchError::ConfigMismatch`] if
     /// the sketches are not coordinated.
     pub fn merge_from(&mut self, other: &GtSketch<V>) -> Result<()> {
-        if self.master_seed != other.master_seed {
-            return Err(SketchError::SeedMismatch);
-        }
-        if self.config != other.config {
-            return Err(SketchError::ConfigMismatch {
-                detail: format!("{:?} vs {:?}", self.config, other.config),
-            });
-        }
-        self.metrics.record_merge_call();
-        for (mine, theirs) in self.trials.iter_mut().zip(other.trials.iter()) {
-            let report = mine.merge_from(theirs)?;
-            self.metrics.record_trial_merge(&report);
+        self.check_coordinated(other)?;
+        self.metrics.merge_calls += 1;
+        for (mine, theirs) in self.trials.iter_mut().zip(&other.trials) {
+            mine.merge_from(theirs, &mut self.metrics)?;
         }
         Ok(())
     }
 
-    /// Union via the per-entry reference path
-    /// ([`CoordinatedTrial::merge_from_reference`]) instead of the bulk
-    /// kernel. Same checks, same metrics recording, bitwise-identical
-    /// result — kept as the equivalence oracle for tests and as the
-    /// `sequential reference` contender in experiment `e19`.
+    /// Union via the per-entry reference path (one re-hash and one map
+    /// probe per incoming entry) instead of the trial kernel. Same checks,
+    /// same counters, bitwise-identical result — kept as the equivalence
+    /// oracle for tests and as the `sequential reference` contender in
+    /// experiment `e19`.
     ///
     /// # Errors
     /// As [`GtSketch::merge_from`].
     pub fn merge_from_reference(&mut self, other: &GtSketch<V>) -> Result<()> {
+        self.check_coordinated(other)?;
+        self.metrics.merge_calls += 1;
+        for (mine, theirs) in self.trials.iter_mut().zip(&other.trials) {
+            mine.merge_from_reference(theirs, &mut self.metrics)?;
+        }
+        Ok(())
+    }
+
+    /// The coordination check every operation combining two sketches
+    /// runs: same master seed, then same config.
+    ///
+    /// # Errors
+    /// [`SketchError::SeedMismatch`] or [`SketchError::ConfigMismatch`].
+    pub(crate) fn check_coordinated(&self, other: &GtSketch<V>) -> Result<()> {
         if self.master_seed != other.master_seed {
             return Err(SketchError::SeedMismatch);
         }
@@ -267,11 +275,6 @@ impl<V: Payload> GtSketch<V> {
             return Err(SketchError::ConfigMismatch {
                 detail: format!("{:?} vs {:?}", self.config, other.config),
             });
-        }
-        self.metrics.record_merge_call();
-        for (mine, theirs) in self.trials.iter_mut().zip(other.trials.iter()) {
-            let report = mine.merge_from_reference(theirs)?;
-            self.metrics.record_trial_merge(&report);
         }
         Ok(())
     }
@@ -358,13 +361,15 @@ impl<V: Payload> GtSketch<V> {
     /// instead of being rebuilt with [`GtSketch::new`] (which re-walks the
     /// whole seed schedule) or cloned (which re-allocates every sample
     /// table). A cleared sketch is bitwise-indistinguishable from a
-    /// freshly constructed one with the same config and seed.
+    /// freshly constructed one with the same config and seed, counters
+    /// included.
     pub fn clear(&mut self) {
         for trial in &mut self.trials {
             trial
                 .reload(0, 0, std::iter::empty())
                 .expect("reloading a trial to the empty level-0 state cannot fail");
         }
+        self.metrics = MetricsSnapshot::default();
     }
 
     /// Raise every trial's sampling level to at least `other`'s, returning
@@ -385,14 +390,7 @@ impl<V: Payload> GtSketch<V> {
     /// [`SketchError::SeedMismatch`] or [`SketchError::ConfigMismatch`] if
     /// the sketches are not coordinated (same rules as merging).
     pub fn align_levels_to(&mut self, other: &GtSketch<V>) -> Result<u64> {
-        if self.master_seed != other.master_seed {
-            return Err(SketchError::SeedMismatch);
-        }
-        if self.config != other.config {
-            return Err(SketchError::ConfigMismatch {
-                detail: format!("{:?} vs {:?}", self.config, other.config),
-            });
-        }
+        self.check_coordinated(other)?;
         let mut adopted = 0u64;
         for (mine, theirs) in self.trials.iter_mut().zip(other.trials.iter()) {
             if theirs.level() > mine.level() {
@@ -400,19 +398,13 @@ impl<V: Payload> GtSketch<V> {
                 mine.subsample_to_level(theirs.level());
             }
         }
-        self.metrics.record_promotions(adopted);
+        self.metrics.level_promotions += adopted;
         Ok(adopted)
     }
 
-    /// Live observability counters for this sketch (see
-    /// [`crate::metrics`]).
-    pub fn metrics(&self) -> &SketchMetrics {
-        &self.metrics
-    }
-
-    /// Point-in-time copy of the observability counters.
+    /// A copy of the observability counters (see [`crate::metrics`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.metrics
     }
 }
 
@@ -435,30 +427,28 @@ impl DistinctSketch {
     /// the coordination contract the resulting sketch state is
     /// bitwise-identical to inserting each label individually.
     pub fn extend_labels(&mut self, labels: impl IntoIterator<Item = u64>) {
-        let mut tally = InsertTally::default();
         let mut buf = [0u64; INGEST_BUF];
         let mut len = 0usize;
         for label in labels {
             buf[len] = label;
             len += 1;
             if len == INGEST_BUF {
-                self.ingest_slice(&buf, &mut tally);
+                self.extend_slice(&buf);
                 len = 0;
             }
         }
         if len > 0 {
-            self.ingest_slice(&buf[..len], &mut tally);
+            self.extend_slice(&buf[..len]);
         }
-        self.metrics.record_insert_tally(&tally);
     }
 
     /// Observe a slice of labels through the batch-monomorphic kernel —
     /// the fastest bulk-ingest path (see [`GtSketch::insert_batch_merging_with`]
     /// for the kernel description; experiment `e4` for the numbers).
     pub fn extend_slice(&mut self, labels: &[u64]) {
-        let mut tally = InsertTally::default();
-        self.ingest_slice(labels, &mut tally);
-        self.metrics.record_insert_tally(&tally);
+        for trial in &mut self.trials {
+            trial.extend_labels_kernel(labels, &mut self.metrics);
+        }
     }
 
     /// Observe a slice with the *pre-kernel* trial-major loop: plain
@@ -468,22 +458,13 @@ impl DistinctSketch {
     /// experiment `e4`; use [`DistinctSketch::extend_slice`] for real
     /// ingest.
     pub fn extend_slice_reference(&mut self, labels: &[u64]) {
-        let mut tally = InsertTally::default();
+        let m = &mut self.metrics;
         for trial in &mut self.trials {
             let level_before = trial.level();
             for &label in labels {
-                tally.record(trial.insert(label, ()));
+                m.count_insert(trial.insert(label, ()), 1);
             }
-            tally.promotions += u64::from(trial.level() - level_before);
-        }
-        self.metrics.record_insert_tally(&tally);
-    }
-
-    /// Trial-major kernel sweep without the metrics flush (callers batch
-    /// the flush across multiple slices).
-    fn ingest_slice(&mut self, labels: &[u64], tally: &mut InsertTally) {
-        for trial in &mut self.trials {
-            trial.extend_labels_kernel(labels, tally);
+            m.level_promotions += u64::from(trial.level() - level_before);
         }
     }
 }
@@ -942,6 +923,7 @@ mod tests {
         };
         assert_eq!(state(&used), state(&fresh));
         assert_eq!(used.items_observed(), 0);
+        assert_eq!(used.metrics_snapshot(), fresh.metrics_snapshot());
         // A cleared sketch behaves exactly like a fresh one from here on.
         let mut refilled = fresh.clone();
         refilled.extend_labels(labels(800, 75));

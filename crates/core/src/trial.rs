@@ -21,17 +21,16 @@
 use gt_hash::{level_of_hash, survival_mask, survival_screen, HashFamily, LevelHasher, MAX_LEVEL};
 
 use crate::error::{Result, SketchError};
-use crate::metrics::InsertTally;
+use crate::metrics::MetricsSnapshot;
 use crate::sampleset::{FixedCapMap, InsertOutcome};
 
-/// Labels hashed per monomorphic kernel dispatch in the batch-ingest
-/// kernels: large enough to amortize the one-per-chunk enum dispatch to
+/// Labels hashed per monomorphic kernel dispatch in the trial kernel: large enough to amortize the one-per-chunk enum dispatch to
 /// nothing, small enough that the hash buffers live comfortably on the
 /// stack (2 × 2 KiB).
 pub const KERNEL_CHUNK: usize = 256;
 
 /// Hashes screened per [`gt_hash::survival_screen`] bitmap word inside the
-/// batch kernels: one `u64` of survivor bits, so the dominant below-level
+/// trial kernel: one `u64` of survivor bits, so the dominant below-level
 /// case costs a lane-friendly compare loop plus a popcount per 64 items
 /// instead of a branch per item. Survivor indices come back out via
 /// `trailing_zeros`, preserving slice order.
@@ -52,7 +51,7 @@ const SCREEN_WINDOW: usize = 64;
 /// the payload already in the sample (first observed), `other` is the one
 /// arriving later — whether the later arrival comes from the local stream
 /// ([`CoordinatedTrial::insert_merging`]) or from another party's sketch
-/// ([`CoordinatedTrial::merge_from`]). Implementations may rely on this
+/// ([`crate::GtSketch::merge_from`]). Implementations may rely on this
 /// order; it is what makes a union of partial streams reconcile payloads
 /// exactly like a single observer of the concatenated stream would.
 pub trait Payload: Copy + Default {
@@ -303,111 +302,110 @@ impl<V: Payload> CoordinatedTrial<V> {
         }
     }
 
-    /// Batch-observe a slice of labels (payload `V::default()`) through
-    /// the monomorphic ingest kernel.
+    /// The one screen-and-insert loop behind label ingest, pair ingest and
+    /// union, over a chunk of at most [`KERNEL_CHUNK`] labels.
     ///
-    /// Per [`KERNEL_CHUNK`]-sized chunk: one [`HashFamily::hash_slice_into`]
-    /// call hashes the whole chunk with the family enum dispatched once,
-    /// then `SCREEN_WINDOW`-wide windows are screened lane-wise with
-    /// [`gt_hash::survival_screen`] — the dominant below-level case is
-    /// retired a bitmap word at a time, no per-item branch and no map
-    /// probe — and only the surviving bits take the sample-insertion slow
-    /// path (reusing the already-computed hash for their level). Outcomes
-    /// accumulate into `tally`; callers flush it once per batch via
-    /// `SketchMetrics::record_insert_tally`.
+    /// One [`HashFamily::hash_slice_into`] call hashes the whole chunk
+    /// with the family enum dispatched once; `SCREEN_WINDOW`-wide windows
+    /// of hashes are then screened lane-wise with
+    /// [`gt_hash::survival_screen`], so the dominant below-level case is
+    /// retired a bitmap word at a time — no per-item branch, map probe or
+    /// re-hash — and only surviving bits take
+    /// [`CoordinatedTrial::insert_qualified`], reusing the computed hash
+    /// for their level.
     ///
     /// Why the screen is exact and not merely approximate: the survival
     /// mask is monotone in the level, and the level never decreases, so an
     /// item that fails the window-entry mask fails every later mask too —
-    /// it can be counted `below_level` immediately. Survivors are
-    /// re-checked against the *current* mask in slice order, because an
-    /// insert earlier in the window may have promoted the level.
+    /// it can be counted below level immediately. Survivors are re-checked
+    /// against the *current* mask in slice order, because an insert earlier
+    /// in the window may have promoted the level.
     ///
-    /// Bitwise-identical in sample, level, `items_observed`, and tallied
-    /// outcomes to calling [`CoordinatedTrial::insert`] per item in slice
-    /// order (property-tested).
-    pub fn extend_labels_kernel(&mut self, labels: &[u64], tally: &mut InsertTally) {
-        let level_before = self.level;
-        let mut hashes = [0u64; KERNEL_CHUNK];
-        for chunk in labels.chunks(KERNEL_CHUNK) {
-            let hashes = &mut hashes[..chunk.len()];
-            self.hasher.hash_slice_into(chunk, hashes);
-            self.items_observed += chunk.len() as u64;
-            let mut w = 0;
-            while w < chunk.len() {
-                let wlen = (chunk.len() - w).min(SCREEN_WINDOW);
-                let mut mask = survival_mask(self.level);
-                let mut bits = survival_screen(&hashes[w..w + wlen], mask);
-                tally.below_level += u64::from(wlen as u32 - bits.count_ones());
-                while bits != 0 {
-                    let i = w + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let h = hashes[i];
-                    // Re-check: an insert earlier in this window may have
-                    // promoted the level past this hash.
-                    if h & mask != 0 {
-                        tally.below_level += 1;
-                        continue;
-                    }
-                    tally.record(self.insert_qualified(chunk[i], level_of_hash(h), V::default()));
-                    mask = survival_mask(self.level);
+    /// With `payloads`, label `i` carries `payloads[i]` and a duplicate
+    /// folds it in as `stored.merge(incoming)` (the canonical order);
+    /// without, every label carries `V::default()` and a duplicate leaves
+    /// the stored payload alone, like [`CoordinatedTrial::insert`]. Each
+    /// item's outcome goes to `count(outcome, n)`, below-level items a
+    /// window at a time. The caller counts `items_observed` and the level
+    /// promotions.
+    #[inline]
+    fn screen_and_insert(
+        &mut self,
+        labels: &[u64],
+        payloads: Option<&[V]>,
+        hashes: &mut [u64; KERNEL_CHUNK],
+        mut count: impl FnMut(TrialInsert, u64),
+    ) {
+        let hashes = &mut hashes[..labels.len()];
+        self.hasher.hash_slice_into(labels, hashes);
+        for (w, window) in hashes.chunks(SCREEN_WINDOW).enumerate() {
+            let mut mask = survival_mask(self.level);
+            let mut bits = survival_screen(window, mask);
+            count(
+                TrialInsert::BelowLevel,
+                u64::from(window.len() as u32 - bits.count_ones()),
+            );
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let h = window[i];
+                // Re-check: an insert earlier in this window may have
+                // promoted the level past this hash.
+                if h & mask != 0 {
+                    count(TrialInsert::BelowLevel, 1);
+                    continue;
                 }
-                w += wlen;
+                let at = w * SCREEN_WINDOW + i;
+                let payload = payloads.map_or_else(V::default, |p| p[at]);
+                let outcome = self.insert_qualified(labels[at], level_of_hash(h), payload);
+                if payloads.is_some() && outcome == TrialInsert::Duplicate {
+                    self.sample.update(labels[at], |v| *v = v.merge(payload));
+                }
+                count(outcome, 1);
+                mask = survival_mask(self.level);
             }
         }
-        tally.promotions += u64::from(self.level - level_before);
     }
 
-    /// Batch-observe `(label, payload)` pairs through the same kernel as
-    /// [`CoordinatedTrial::extend_labels_kernel`]. Duplicate arrivals
-    /// reconcile payloads in place as `stored.merge(incoming)` — the
-    /// canonical argument order, matching
-    /// [`CoordinatedTrial::insert_merging`] — and count into
-    /// `tally.local_reconciliations`.
-    pub fn extend_pairs_kernel(&mut self, items: &[(u64, V)], tally: &mut InsertTally) {
+    /// Batch-observe a slice of labels (payload `V::default()`) through
+    /// the trial kernel, counting outcomes and promotions into `m`.
+    /// Bitwise-identical in sample, level, `items_observed` and counters
+    /// to calling [`CoordinatedTrial::insert`] per item in slice order
+    /// (property-tested).
+    pub(crate) fn extend_labels_kernel(&mut self, labels: &[u64], m: &mut MetricsSnapshot) {
         let level_before = self.level;
-        let mut labels = [0u64; KERNEL_CHUNK];
+        self.items_observed += labels.len() as u64;
         let mut hashes = [0u64; KERNEL_CHUNK];
-        for chunk in items.chunks(KERNEL_CHUNK) {
-            let labels = &mut labels[..chunk.len()];
-            for (slot, &(label, _)) in labels.iter_mut().zip(chunk.iter()) {
-                *slot = label;
-            }
-            let hashes = &mut hashes[..chunk.len()];
-            self.hasher.hash_slice_into(labels, hashes);
-            self.items_observed += chunk.len() as u64;
-            let mut w = 0;
-            while w < chunk.len() {
-                let wlen = (chunk.len() - w).min(SCREEN_WINDOW);
-                let mut mask = survival_mask(self.level);
-                let mut bits = survival_screen(&hashes[w..w + wlen], mask);
-                tally.below_level += u64::from(wlen as u32 - bits.count_ones());
-                while bits != 0 {
-                    let i = w + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let h = hashes[i];
-                    if h & mask != 0 {
-                        tally.below_level += 1;
-                        continue;
-                    }
-                    let (label, payload) = chunk[i];
-                    let outcome = self.insert_qualified(label, level_of_hash(h), payload);
-                    tally.record(outcome);
-                    if outcome == TrialInsert::Duplicate {
-                        self.sample.update(label, |v| *v = v.merge(payload));
-                        tally.local_reconciliations += 1;
-                    }
-                    mask = survival_mask(self.level);
-                }
-                w += wlen;
-            }
+        for chunk in labels.chunks(KERNEL_CHUNK) {
+            self.screen_and_insert(chunk, None, &mut hashes, |o, n| m.count_insert(o, n));
         }
-        tally.promotions += u64::from(self.level - level_before);
+        m.level_promotions += u64::from(self.level - level_before);
+    }
+
+    /// Batch-observe one gathered chunk of `(labels[i], payloads[i])`
+    /// pairs (at most [`KERNEL_CHUNK`]) through the trial kernel.
+    /// Duplicate arrivals reconcile payloads in place as
+    /// `stored.merge(incoming)` — the canonical argument order, matching
+    /// [`CoordinatedTrial::insert_merging`] — and count into
+    /// `m.local_reconciliations`.
+    pub(crate) fn extend_pairs_kernel(
+        &mut self,
+        labels: &[u64],
+        payloads: &[V],
+        hashes: &mut [u64; KERNEL_CHUNK],
+        m: &mut MetricsSnapshot,
+    ) {
+        let level_before = self.level;
+        self.items_observed += labels.len() as u64;
+        self.screen_and_insert(labels, Some(payloads), hashes, |o, n| {
+            m.count_merging_insert(o, n)
+        });
+        m.level_promotions += u64::from(self.level - level_before);
     }
 
     /// Like [`CoordinatedTrial::insert`], but a duplicate arrival *merges*
     /// its payload into the stored one as `stored.merge(incoming)` —
-    /// the **same argument order** [`CoordinatedTrial::merge_from`] uses
+    /// the **same argument order** [`crate::GtSketch::merge_from`] uses
     /// when both sides of a union sampled the label, so a local stream and
     /// a union of partial streams reconcile identically (keep-first for
     /// the built-in payload types). Used by payloads that accumulate
@@ -519,33 +517,9 @@ impl<V: Payload> CoordinatedTrial<V> {
         sum * 2f64.powi(self.level as i32)
     }
 
-    /// Merge another trial *of the same hash function* into this one,
-    /// producing exactly the trial a single party would hold had it
-    /// observed both streams (the referee's union step). Returns a
-    /// [`TrialMergeReport`] accounting for every entry of `other` —
-    /// observability for the union path, mirroring what [`TrialInsert`]
-    /// provides for the local path.
-    ///
-    /// Bulk-kernel union: after aligning to the max level, the incoming
-    /// sample is gathered into [`KERNEL_CHUNK`]-sized stack arrays and
-    /// hashed with one [`HashFamily::hash_slice_into`] call per chunk (the
-    /// family enum dispatched once, not per entry); the raw hashes are
-    /// then screened a `SCREEN_WINDOW`-wide bitmap word at a time with
-    /// [`gt_hash::survival_screen`] — the dominant below-level case is
-    /// retired lane-wise with no per-entry branch, map probe, or
-    /// `level()` re-hash — and only surviving bits take the insertion
-    /// path, reusing the already-computed hash for their level. Survivors
-    /// are re-checked against the current mask in order because an
-    /// overflow can promote the level mid-window; that re-check (plus the
-    /// monotonicity of the mask in the level) is what keeps the surviving
-    /// set, the report classification, and the final state
-    /// bitwise-identical to
-    /// [`CoordinatedTrial::merge_from_reference`] (property-tested). No
-    /// reserve-ahead growth is needed at this layer: the open-addressed
-    /// sample table is pre-sized to `capacity` at construction, so bulk
-    /// insertion never reallocates. The per-entry original is kept as the
-    /// equivalence oracle.
-    pub fn merge_from(&mut self, other: &CoordinatedTrial<V>) -> Result<TrialMergeReport> {
+    /// The union's coordination check: both trials must share the hash
+    /// function and the capacity.
+    fn check_mergeable(&self, other: &CoordinatedTrial<V>) -> Result<()> {
         if self.hasher != other.hasher {
             return Err(SketchError::SeedMismatch);
         }
@@ -554,118 +528,79 @@ impl<V: Payload> CoordinatedTrial<V> {
                 detail: format!("trial capacity {} vs {}", self.capacity(), other.capacity()),
             });
         }
+        Ok(())
+    }
+
+    /// Merge another trial *of the same hash function* into this one,
+    /// producing exactly the trial a single party would hold had it
+    /// observed both streams (the referee's union step). Every entry of
+    /// `other` counts into `m` as absorbed, reconciled or below level, and
+    /// the level movement (alignment plus overflow) as promotions.
+    ///
+    /// After aligning to the max level, the other sample is gathered into
+    /// [`KERNEL_CHUNK`]-sized stack arrays and run through the same trial
+    /// kernel as ingest ([`CoordinatedTrial::screen_and_insert`]), so the
+    /// state and counters are bitwise-identical to
+    /// [`CoordinatedTrial::merge_from_reference`] (property-tested). No
+    /// reserve-ahead growth is needed at this layer: the open-addressed
+    /// sample table is pre-sized to `capacity` at construction, so bulk
+    /// insertion never reallocates.
+    pub(crate) fn merge_from(
+        &mut self,
+        other: &CoordinatedTrial<V>,
+        m: &mut MetricsSnapshot,
+    ) -> Result<()> {
+        self.check_mergeable(other)?;
         let level_before = self.level;
-        let mut report = TrialMergeReport::default();
-        // Align to the higher of the two levels first.
         if other.level > self.level {
             self.subsample_to_level(other.level);
         }
         let mut labels = [0u64; KERNEL_CHUNK];
         let mut payloads = [V::default(); KERNEL_CHUNK];
         let mut hashes = [0u64; KERNEL_CHUNK];
-        let mut it = other.sample.iter();
+        let mut entries = other.sample.iter();
         loop {
             let mut n = 0;
-            for (label, payload) in it.by_ref() {
+            for (label, payload) in entries.by_ref().take(KERNEL_CHUNK) {
                 labels[n] = label;
                 payloads[n] = payload;
                 n += 1;
-                if n == KERNEL_CHUNK {
-                    break;
-                }
             }
             if n == 0 {
                 break;
             }
-            self.hasher.hash_slice_into(&labels[..n], &mut hashes[..n]);
-            report.entries_scanned += n;
-            let mut w = 0;
-            while w < n {
-                let wlen = (n - w).min(SCREEN_WINDOW);
-                let mut mask = survival_mask(self.level);
-                let mut bits = survival_screen(&hashes[w..w + wlen], mask);
-                // Entries screened out here ran at `other`'s lower level
-                // and no longer qualify; the mask is monotone in the
-                // level, so counting them out on the window-entry mask is
-                // exact.
-                report.below_level += wlen - bits.count_ones() as usize;
-                while bits != 0 {
-                    let i = w + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let (label, payload, h) = (labels[i], payloads[i], hashes[i]);
-                    // Re-check: an absorption earlier in this window may
-                    // have promoted the level past this hash.
-                    if h & mask != 0 {
-                        report.below_level += 1;
-                        continue;
-                    }
-                    loop {
-                        match self.sample.try_insert(label, payload) {
-                            InsertOutcome::Inserted => {
-                                report.absorbed += 1;
-                                break;
-                            }
-                            InsertOutcome::AlreadyPresent => {
-                                self.sample.update(label, |v| *v = v.merge(payload));
-                                report.reconciled += 1;
-                                break;
-                            }
-                            InsertOutcome::Full => {
-                                self.promote();
-                                if level_of_hash(h) < self.level {
-                                    report.below_level += 1;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    mask = survival_mask(self.level);
-                }
-                w += wlen;
-            }
-            if n < KERNEL_CHUNK {
-                break;
-            }
+            let count = |outcome, k| m.count_union(outcome, k);
+            self.screen_and_insert(&labels[..n], Some(&payloads[..n]), &mut hashes, count);
         }
         self.items_observed += other.items_observed;
-        report.promotions = u32::from(self.level - level_before);
-        Ok(report)
+        m.level_promotions += u64::from(self.level - level_before);
+        Ok(())
     }
 
-    /// The per-entry union path [`CoordinatedTrial::merge_from`] ran
-    /// before the bulk kernel existed: one `hasher.level(label)` re-hash
-    /// and one map probe per incoming entry. Kept public as the
-    /// equivalence oracle — tests assert the kernel matches it bitwise in
-    /// state *and* report — and as the readable specification of union
-    /// semantics.
-    pub fn merge_from_reference(
+    /// The per-entry union path: one `hasher.level(label)` re-hash and one
+    /// map probe per incoming entry. Kept as the equivalence oracle —
+    /// tests assert the kernel matches it bitwise in state *and* counters
+    /// — and as the readable specification of union semantics.
+    pub(crate) fn merge_from_reference(
         &mut self,
         other: &CoordinatedTrial<V>,
-    ) -> Result<TrialMergeReport> {
-        if self.hasher != other.hasher {
-            return Err(SketchError::SeedMismatch);
-        }
-        if self.capacity() != other.capacity() {
-            return Err(SketchError::ConfigMismatch {
-                detail: format!("trial capacity {} vs {}", self.capacity(), other.capacity()),
-            });
-        }
+        m: &mut MetricsSnapshot,
+    ) -> Result<()> {
+        self.check_mergeable(other)?;
         let level_before = self.level;
-        let mut report = TrialMergeReport::default();
         // Align to the higher of the two levels first.
         if other.level > self.level {
             self.subsample_to_level(other.level);
         }
         for (label, payload) in other.sample.iter() {
-            report.entries_scanned += 1;
             if self.hasher.level(label) < self.level {
-                report.below_level += 1;
+                m.merge_below_level += 1;
                 continue; // other ran at a lower level; this label no longer qualifies
             }
             loop {
                 match self.sample.try_insert(label, payload) {
                     InsertOutcome::Inserted => {
-                        report.absorbed += 1;
+                        m.merge_entries_absorbed += 1;
                         break;
                     }
                     InsertOutcome::AlreadyPresent => {
@@ -675,13 +610,13 @@ impl<V: Payload> CoordinatedTrial<V> {
                         // (keep-first for the built-in payload types,
                         // custom for user payloads).
                         self.sample.update(label, |v| *v = v.merge(payload));
-                        report.reconciled += 1;
+                        m.merge_reconciliations += 1;
                         break;
                     }
                     InsertOutcome::Full => {
                         self.promote();
                         if self.hasher.level(label) < self.level {
-                            report.below_level += 1;
+                            m.merge_below_level += 1;
                             break;
                         }
                     }
@@ -689,27 +624,9 @@ impl<V: Payload> CoordinatedTrial<V> {
             }
         }
         self.items_observed += other.items_observed;
-        report.promotions = u32::from(self.level - level_before);
-        Ok(report)
+        m.level_promotions += u64::from(self.level - level_before);
+        Ok(())
     }
-}
-
-/// Accounting for one [`CoordinatedTrial::merge_from`] call: what happened
-/// to each entry of the absorbed trial, and how far the level moved.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TrialMergeReport {
-    /// Entries of the other trial's sample examined.
-    pub entries_scanned: usize,
-    /// Entries newly inserted into this trial's sample.
-    pub absorbed: usize,
-    /// Entries present on both sides whose payloads were reconciled via
-    /// `stored.merge(incoming)`.
-    pub reconciled: usize,
-    /// Entries skipped because they no longer qualify at the aligned (or
-    /// promoted) level.
-    pub below_level: usize,
-    /// Level promotions this merge caused (alignment plus overflow).
-    pub promotions: u32,
 }
 
 #[cfg(test)]
@@ -831,7 +748,7 @@ mod tests {
             b.insert(x, ());
             whole.insert(x, ());
         }
-        a.merge_from(&b).unwrap();
+        a.merge_from(&b, &mut MetricsSnapshot::default()).unwrap();
         assert_eq!(a.level(), whole.level());
         let sa: std::collections::BTreeSet<u64> = a.sample_iter().map(|(k, _)| k).collect();
         let sw: std::collections::BTreeSet<u64> = whole.sample_iter().map(|(k, _)| k).collect();
@@ -849,7 +766,7 @@ mod tests {
             b.insert(x, ());
         }
         let solo_estimate = a.estimate_distinct();
-        a.merge_from(&b).unwrap();
+        a.merge_from(&b, &mut MetricsSnapshot::default()).unwrap();
         assert_eq!(
             a.estimate_distinct(),
             solo_estimate,
@@ -861,7 +778,10 @@ mod tests {
     fn merge_rejects_different_seeds() {
         let mut a = trial(16, 1);
         let b = trial(16, 2);
-        assert_eq!(a.merge_from(&b), Err(SketchError::SeedMismatch));
+        assert_eq!(
+            a.merge_from(&b, &mut MetricsSnapshot::default()),
+            Err(SketchError::SeedMismatch)
+        );
     }
 
     #[test]
@@ -870,7 +790,7 @@ mod tests {
         let mut a: CoordinatedTrial<()> = CoordinatedTrial::new(hasher.clone(), 16);
         let b: CoordinatedTrial<()> = CoordinatedTrial::new(hasher, 32);
         assert!(matches!(
-            a.merge_from(&b),
+            a.merge_from(&b, &mut MetricsSnapshot::default()),
             Err(SketchError::ConfigMismatch { .. })
         ));
     }
@@ -954,17 +874,18 @@ mod tests {
         for &x in v2.iter().chain(&shared) {
             b.insert(x, ());
         }
-        let b_len = b.sample_len();
+        let b_len = b.sample_len() as u64;
         let a_level_before = a.level();
-        let report = a.merge_from(&b).unwrap();
-        assert_eq!(report.entries_scanned, b_len);
+        let mut m = MetricsSnapshot::default();
+        a.merge_from(&b, &mut m).unwrap();
         assert_eq!(
-            report.absorbed + report.reconciled + report.below_level,
-            report.entries_scanned,
-            "every scanned entry must be classified"
+            m.merge_entries_absorbed + m.merge_reconciliations + m.merge_below_level,
+            b_len,
+            "every entry of the other sample must be classified"
         );
-        assert!(report.reconciled > 0, "shared labels must reconcile");
-        assert_eq!(report.promotions, u32::from(a.level() - a_level_before));
+        assert!(m.merge_reconciliations > 0, "shared labels must reconcile");
+        assert_eq!(m.level_promotions, u64::from(a.level() - a_level_before));
+        assert_eq!(m.trial_inserts(), 0, "a union counts no inserts");
     }
 
     #[test]
@@ -985,8 +906,9 @@ mod tests {
         first.insert_merging(label, 111);
         let mut second: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher, 16);
         second.insert_merging(label, 222);
-        let report = first.merge_from(&second).unwrap();
-        assert_eq!(report.reconciled, 1);
+        let mut m = MetricsSnapshot::default();
+        first.merge_from(&second, &mut m).unwrap();
+        assert_eq!(m.merge_reconciliations, 1);
 
         let local_payload = local.sample_iter().find(|&(k, _)| k == label).unwrap().1;
         let union_payload = first.sample_iter().find(|&(k, _)| k == label).unwrap().1;
@@ -1002,22 +924,22 @@ mod tests {
         for n in [0u64, 1, 255, 256, 257, 5_000] {
             let v: Vec<u64> = labels(n, 30).collect();
             let mut per_item = trial(32, 31);
-            let mut per_item_tally = InsertTally::default();
+            let mut per_item_counts = MetricsSnapshot::default();
             for &x in &v {
                 let before = per_item.level();
-                per_item_tally.record(per_item.insert(x, ()));
-                per_item_tally.promotions += u64::from(per_item.level() - before);
+                per_item_counts.count_insert(per_item.insert(x, ()), 1);
+                per_item_counts.level_promotions += u64::from(per_item.level() - before);
             }
             let mut kernel = trial(32, 31);
-            let mut kernel_tally = InsertTally::default();
-            kernel.extend_labels_kernel(&v, &mut kernel_tally);
+            let mut kernel_counts = MetricsSnapshot::default();
+            kernel.extend_labels_kernel(&v, &mut kernel_counts);
             assert_eq!(kernel.level(), per_item.level(), "n = {n}");
             assert_eq!(kernel.items_observed(), per_item.items_observed());
             let set = |t: &CoordinatedTrial<()>| -> std::collections::BTreeSet<u64> {
                 t.sample_iter().map(|(k, _)| k).collect()
             };
             assert_eq!(set(&kernel), set(&per_item), "n = {n}");
-            assert_eq!(kernel_tally, per_item_tally, "n = {n}");
+            assert_eq!(kernel_counts, per_item_counts, "n = {n}");
         }
     }
 
@@ -1030,25 +952,34 @@ mod tests {
             .map(|(i, l)| (l, i as u64))
             .collect();
         let mut per_item: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher.clone(), 64);
+        let mut per_item_counts = MetricsSnapshot::default();
         for &(l, p) in &items {
-            per_item.insert_merging(l, p);
+            let before = per_item.level();
+            per_item_counts.count_merging_insert(per_item.insert_merging(l, p), 1);
+            per_item_counts.level_promotions += u64::from(per_item.level() - before);
         }
         let mut kernel: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher, 64);
-        let mut tally = InsertTally::default();
-        kernel.extend_pairs_kernel(&items, &mut tally);
+        let mut m = MetricsSnapshot::default();
+        let mut hashes = [0u64; KERNEL_CHUNK];
+        for chunk in items.chunks(KERNEL_CHUNK) {
+            let (labels, payloads): (Vec<u64>, Vec<u64>) = chunk.iter().copied().unzip();
+            kernel.extend_pairs_kernel(&labels, &payloads, &mut hashes, &mut m);
+        }
         let state = |t: &CoordinatedTrial<u64>| -> std::collections::BTreeMap<u64, u64> {
             t.sample_iter().collect()
         };
         assert_eq!(state(&kernel), state(&per_item));
         assert_eq!(kernel.level(), per_item.level());
-        assert_eq!(tally.duplicate, tally.local_reconciliations);
+        assert_eq!(m, per_item_counts);
+        assert!(m.inserts_duplicate > 0);
+        assert_eq!(m.inserts_duplicate, m.local_reconciliations);
     }
 
     #[test]
     fn merge_kernel_is_bitwise_identical_to_reference() {
         // Sweep sample sizes straddling KERNEL_CHUNK, level skews in both
         // directions, and capacities that force mid-merge promotions, and
-        // require identical state *and* identical merge reports.
+        // require identical state *and* identical counters.
         let state = |t: &CoordinatedTrial<u64>| {
             (
                 t.level(),
@@ -1078,30 +1009,45 @@ mod tests {
             let b = build(n_b, 2);
 
             let mut via_reference = a.clone();
-            let ref_report = via_reference.merge_from_reference(&b).unwrap();
+            let mut ref_counts = MetricsSnapshot::default();
+            via_reference
+                .merge_from_reference(&b, &mut ref_counts)
+                .unwrap();
             let mut via_kernel = a.clone();
-            let kernel_report = via_kernel.merge_from(&b).unwrap();
+            let mut kernel_counts = MetricsSnapshot::default();
+            via_kernel.merge_from(&b, &mut kernel_counts).unwrap();
             assert_eq!(
                 state(&via_kernel),
                 state(&via_reference),
                 "cap {cap} salt {salt}"
             );
-            assert_eq!(kernel_report, ref_report, "cap {cap} salt {salt}");
+            assert_eq!(kernel_counts, ref_counts, "cap {cap} salt {salt}");
         }
     }
 
     #[test]
     fn merge_kernel_rejects_like_reference() {
+        let m = &mut MetricsSnapshot::default();
         let mut a = trial(16, 1);
         let b = trial(16, 2);
-        assert_eq!(a.merge_from(&b), Err(SketchError::SeedMismatch));
+        assert_eq!(a.merge_from(&b, m), Err(SketchError::SeedMismatch));
+        assert_eq!(
+            a.merge_from_reference(&b, m),
+            Err(SketchError::SeedMismatch)
+        );
         let hasher = HashFamilyKind::Pairwise.build(FamilySeed(1));
         let mut a: CoordinatedTrial<()> = CoordinatedTrial::new(hasher.clone(), 16);
         let b: CoordinatedTrial<()> = CoordinatedTrial::new(hasher, 32);
-        assert!(matches!(
-            a.merge_from(&b),
-            Err(SketchError::ConfigMismatch { .. })
-        ));
+        let want = Err(SketchError::ConfigMismatch {
+            detail: "trial capacity 16 vs 32".to_string(),
+        });
+        assert_eq!(a.merge_from(&b, m), want);
+        assert_eq!(a.merge_from_reference(&b, m), want);
+        assert_eq!(
+            *m,
+            MetricsSnapshot::default(),
+            "a rejected merge counts nothing"
+        );
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl SeedSequence {
         // Domain-separate trials with a distinct stream per index.
         FamilySeed(mix64(self.master ^ mix64(0xC0DE_0000_0000_0000 ^ t as u64)))
     }
-
-    /// A `SeedRng` positioned at the start of trial `t`'s stream.
-    pub fn trial_rng(&self, t: usize) -> SeedRng {
-        SeedRng::from_seed(self.trial_seed(t).0)
-    }
 }
 
 #[cfg(test)]

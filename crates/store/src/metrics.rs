@@ -8,33 +8,12 @@
 //! `resident_keys + pinned_keys + spilled_keys == keys` hold exactly, and
 //! no in-flight batch is half-counted.
 //!
-//! Unlike the sketch-level metrics there are no atomics here: a shard's
-//! tally is only ever touched under that shard's mutex, so plain `u64`
-//! fields are already race-free and cost one untyped add per event.
+//! Like the sketch-level metrics there are no atomics here: each shard
+//! counts its events into its own [`StoreMetricsSnapshot`], touched only
+//! under that shard's mutex, so plain `u64` fields are already race-free
+//! and cost one untyped add per event.
 
 use gt_core::metrics::Exposition;
-
-/// Plain-field event counters owned by one shard, mutated only under the
-/// shard lock.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ShardTally {
-    pub items: u64,
-    pub key_runs: u64,
-    pub folds: u64,
-    pub delta_replayed: u64,
-    pub promotions: u64,
-    pub pins: u64,
-    pub demotions: u64,
-    pub front_hits: u64,
-    pub front_refreshes: u64,
-    pub evictions: u64,
-    pub spilled_bytes: u64,
-    pub restores: u64,
-    pub restored_bytes: u64,
-    pub compactions: u64,
-    pub reclaimed_bytes: u64,
-    pub queries: u64,
-}
 
 /// Consistent-cut view of a [`crate::SketchStore`]'s counters and gauges.
 ///
@@ -104,7 +83,9 @@ pub struct StoreMetricsSnapshot {
 }
 
 impl StoreMetricsSnapshot {
-    pub(crate) fn absorb_tally(&mut self, t: &ShardTally) {
+    /// Add a shard's event counters (the fields from `items` through
+    /// `queries`); the gauges are summed by the caller.
+    pub(crate) fn absorb_tally(&mut self, t: &StoreMetricsSnapshot) {
         self.items += t.items;
         self.key_runs += t.key_runs;
         self.folds += t.folds;
@@ -140,8 +121,9 @@ mod tests {
     #[test]
     fn absorb_sums_tallies() {
         let mut snap = StoreMetricsSnapshot::default();
-        let t = ShardTally {
+        let t = StoreMetricsSnapshot {
             items: 10,
+            keys: 5,
             evictions: 2,
             front_hits: 3,
             ..Default::default()
@@ -151,6 +133,7 @@ mod tests {
         assert_eq!(snap.items, 20);
         assert_eq!(snap.evictions, 4);
         assert_eq!(snap.front_hits, 6);
+        assert_eq!(snap.keys, 0, "gauges are not tallies");
     }
 
     #[test]

@@ -76,7 +76,7 @@ use gt_streams::{decode_sketch_into, encode_sketch, DecodeScratch, WirePayload};
 use parking_lot::Mutex;
 
 use crate::arena::{SketchHandle, SlotArena};
-use crate::metrics::{ShardTally, StoreMetricsSnapshot};
+use crate::metrics::StoreMetricsSnapshot;
 use crate::spill::SpillLog;
 use crate::Result;
 
@@ -279,7 +279,9 @@ struct ShardState<V: StorePayload> {
     /// `heap_bytes()` of one pooled sketch (constant per config — the
     /// sample tables are fixed-capacity).
     pinned_heap_bytes: usize,
-    tally: ShardTally,
+    /// This shard's event counters; the gauge fields stay zero (the
+    /// snapshot reads those from the shard state).
+    tally: StoreMetricsSnapshot,
 }
 
 impl<V: StorePayload> ShardState<V> {
@@ -1042,7 +1044,7 @@ impl<V: StorePayload> SketchStore<V> {
                     budget,
                     hot_threshold: options.hot_threshold,
                     pinned_heap_bytes: prototype.heap_bytes(),
-                    tally: ShardTally::default(),
+                    tally: StoreMetricsSnapshot::default(),
                 })))
             })
             .collect::<Result<Vec<_>>>()?;

@@ -205,11 +205,6 @@ impl DeltaPlaneTelemetry {
     pub fn frames_applied(&self) -> u64 {
         self.delta_frames + self.full_frames
     }
-
-    /// Total wire bytes applied, both kinds.
-    pub fn bytes_applied(&self) -> u64 {
-        self.delta_bytes + self.full_bytes
-    }
 }
 
 /// Per-party state of the continuous-monitoring frame path.

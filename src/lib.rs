@@ -49,8 +49,7 @@ pub use gt_core::{
     ConcurrentSketch, CoordinatedTrial, DistinctSample, DistinctSketch, Estimate, ExprContext,
     ExpressionEstimate, GtSketch, JaccardEstimate, LatestTs, Mergeable, MetricsSnapshot, Payload,
     PropagationCause, RecencySketch, Result, SetExpr, ShardedSketch, SimilarityEstimate,
-    SketchConfig, SketchError, SketchMetrics, SketchSnapshot, SketchWriter, SumDistinctSketch,
-    TrialInsert, TrialMergeReport,
+    SketchConfig, SketchError, SketchSnapshot, SketchWriter, SumDistinctSketch, TrialInsert,
 };
 
 /// Hashing substrate: pairwise-independent families, levels, seeds.

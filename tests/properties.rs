@@ -213,6 +213,45 @@ mod batch_equivalence {
             }
         }
 
+        /// The union kernel (`merge_from`) must be bitwise-identical to the
+        /// per-entry reference union: samples, levels, item counts,
+        /// payloads AND metric snapshots. Capacities from 8 to 64 make the
+        /// merge itself promote mid-chunk; `self_is_big` puts either side
+        /// at the higher level, so both level skews run; shared labels
+        /// carry disagreeing payloads, so reconciliation order shows.
+        #[test]
+        fn union_kernel_matches_reference(
+            big in vec(0u64..5_000, 0..1_200),
+            small in vec(0u64..5_000, 0..150),
+            capacity in 8usize..=64,
+            self_is_big in any::<bool>(),
+            seed in 0u64..8,
+        ) {
+            let cfg = SketchConfig::from_shape(
+                0.3, 0.3, capacity, 5, gt_sketch::HashFamilyKind::Pairwise,
+            ).unwrap();
+            let side = |raw: &[u64], salt: u64| {
+                let mut s = GtSketch::<u64>::new(&cfg, seed);
+                for &l in raw {
+                    s.insert_merging_with(gt_sketch::fold61(l), l ^ salt);
+                }
+                s
+            };
+            let (a, b) = if self_is_big {
+                (side(&big, 1), side(&small, 2))
+            } else {
+                (side(&small, 1), side(&big, 2))
+            };
+
+            let mut via_kernel = a.clone();
+            via_kernel.merge_from(&b).unwrap();
+            let mut via_reference = a.clone();
+            via_reference.merge_from_reference(&b).unwrap();
+
+            prop_assert_eq!(payload_state(&via_kernel), payload_state(&via_reference));
+            prop_assert_eq!(via_kernel.metrics_snapshot(), via_reference.metrics_snapshot());
+        }
+
         /// The merging batch kernel must reconcile duplicate payloads
         /// exactly like per-item `insert_merging_with` — payload values
         /// and reconciliation counters included. Labels drawn from a tiny
