@@ -1,6 +1,7 @@
 //! E23 — end-to-end scenario suite: sustained load through the whole
-//! stack (writers → codec → transport → collector → referee → live
-//! queries) on the virtual clock.
+//! stack (writers → codec → transport → retransmit rounds → referee →
+//! live queries) on the virtual clock. Every query, windowed ones
+//! included, is answered by the referee from what reached it.
 //!
 //! Claim: the system serves live union queries under sustained ingest
 //! with bounded admission→queryable latency, and degrades honestly —

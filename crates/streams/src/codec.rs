@@ -124,43 +124,16 @@ const FRAME_MAGIC: u32 = 0x4754_4601;
 const FRAME_KIND_FULL: u8 = 0;
 const FRAME_KIND_DELTA: u8 = 1;
 
-/// One message of the continuous-monitoring plane: either a party's
-/// complete snapshot or an incremental delta against an acknowledged
-/// base (see [`gt_core::delta`]).
+/// Encode a complete snapshot as a monitoring-plane frame: generation
+/// `generation` of the sender's sketch. Also the resync/fallback path.
 ///
-/// Wire layout: `FRAME_MAGIC` u32, kind u8, generation varint; delta
-/// frames continue with the base generation varint and the base
-/// fingerprint u64 (the continuation header that lets a referee detect
-/// gaps and request resync); then the canonical sketch encoding —
+/// Wire layout of a frame: `FRAME_MAGIC` u32, kind u8, generation
+/// varint; delta frames continue with the base generation varint and the
+/// base fingerprint u64 (the continuation header that lets a referee
+/// detect gaps and request resync); then the canonical sketch encoding —
 /// [`encode_sketch`] bytes verbatim, magic included, so frames inherit
-/// the codec's validation, canonical-bytes property, and
-/// fingerprinting unchanged.
-#[derive(Clone, Debug)]
-pub enum Frame<V> {
-    /// A complete snapshot: generation `generation` of the sender's
-    /// sketch. Also the resync/fallback path.
-    Full {
-        /// The sender's generation counter for this snapshot.
-        generation: u64,
-        /// The decoded snapshot.
-        sketch: GtSketch<V>,
-    },
-    /// An incremental delta coded against the sender's acked base.
-    Delta {
-        /// The sender's generation counter for this snapshot.
-        generation: u64,
-        /// Generation of the acked base the delta is coded against.
-        base_generation: u64,
-        /// [`payload_fingerprint`] of the base's canonical encoding —
-        /// lets the receiver detect that its reconstruction diverged
-        /// before applying anything.
-        base_fingerprint: u64,
-        /// The difference entries ([`gt_core::delta_between`] output).
-        delta: GtSketch<V>,
-    },
-}
-
-/// Encode a complete snapshot as a monitoring-plane frame.
+/// the codec's validation, canonical-bytes property, and fingerprinting
+/// unchanged.
 pub fn encode_full_frame<V: WirePayload>(sketch: &GtSketch<V>, generation: u64) -> Bytes {
     let body = encode_sketch(sketch);
     let mut buf = BytesMut::with_capacity(4 + 1 + varint_len(generation) + body.len());
@@ -194,8 +167,10 @@ pub fn encode_delta_frame<V: WirePayload>(
 
 /// Parse a frame header, leaving `buf` at the embedded sketch message:
 /// the generation, plus `(base generation, base fingerprint)` for a delta
-/// frame. The one frame-header parser, shared by [`decode_frame`] and the
-/// referee's frame ingress.
+/// frame. The one frame-header parser: the referee's frame ingress
+/// decodes the embedded sketch that follows through
+/// [`decode_sketch_into`], with the full sketch validation, so a corrupt
+/// frame is rejected, never silently applied.
 pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<(u64, Option<(u64, u64)>), CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
@@ -221,23 +196,6 @@ pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<(u64, Option<(u64, u64
         }
         t => Err(CodecError::BadTag(t)),
     }
-}
-
-/// Decode and validate a monitoring-plane frame. The embedded sketch
-/// goes through the full [`decode_sketch`] validation, so a corrupt
-/// frame is rejected, never silently applied.
-pub fn decode_frame<V: WirePayload>(mut buf: Bytes) -> Result<Frame<V>, CodecError> {
-    let (generation, base) = get_frame_header(&mut buf)?;
-    let sketch = decode_sketch(buf)?;
-    Ok(match base {
-        None => Frame::Full { generation, sketch },
-        Some((base_generation, base_fingerprint)) => Frame::Delta {
-            generation,
-            base_generation,
-            base_fingerprint,
-            delta: sketch,
-        },
-    })
 }
 
 /// LEB128 varint append.
@@ -1111,6 +1069,16 @@ mod tests {
         assert!(both_ok > 0, "every mutation was rejected");
     }
 
+    /// A frame decoded the way the referee's ingress does: the header
+    /// with [`get_frame_header`], then the embedded sketch with its full
+    /// validation.
+    type DecodedFrame<V> = (u64, Option<(u64, u64)>, GtSketch<V>);
+
+    fn decode_frame<V: WirePayload>(mut buf: Bytes) -> Result<DecodedFrame<V>, CodecError> {
+        let (generation, base) = get_frame_header(&mut buf)?;
+        Ok((generation, base, decode_sketch(buf)?))
+    }
+
     #[test]
     fn frames_roundtrip_both_kinds() {
         let mut s = DistinctSketch::new(&cfg(), 21);
@@ -1119,35 +1087,24 @@ mod tests {
         s.extend_labels((4_000..6_000u64).map(gt_hash::fold61));
 
         let full = encode_full_frame(&s, 9);
-        match decode_frame::<()>(full).unwrap() {
-            Frame::Full { generation, sketch } => {
-                assert_eq!(generation, 9);
-                assert_eq!(encode_sketch(&sketch), encode_sketch(&s));
-            }
-            other => panic!("expected full frame, got {other:?}"),
-        }
+        let (generation, header, sketch) = decode_frame::<()>(full).unwrap();
+        assert_eq!(header, None, "expected full frame");
+        assert_eq!(generation, 9);
+        assert_eq!(encode_sketch(&sketch), encode_sketch(&s));
 
         let d = gt_core::delta_between(&base, &s).unwrap();
         let base_fp = payload_fingerprint(&encode_sketch(&base));
         let bytes = encode_delta_frame(&d, 9, 4, base_fp);
-        match decode_frame::<()>(bytes).unwrap() {
-            Frame::Delta {
-                generation,
-                base_generation,
-                base_fingerprint,
-                delta,
-            } => {
-                assert_eq!(
-                    (generation, base_generation, base_fingerprint),
-                    (9, 4, base_fp)
-                );
-                // The decoded delta must still apply exactly.
-                let mut rebuilt = base.clone();
-                gt_core::apply_delta(&mut rebuilt, &delta).unwrap();
-                assert_eq!(encode_sketch(&rebuilt), encode_sketch(&s));
-            }
-            other => panic!("expected delta frame, got {other:?}"),
-        }
+        let (generation, header, delta) = decode_frame::<()>(bytes).unwrap();
+        let (base_generation, base_fingerprint) = header.expect("expected delta frame");
+        assert_eq!(
+            (generation, base_generation, base_fingerprint),
+            (9, 4, base_fp)
+        );
+        // The decoded delta must still apply exactly.
+        let mut rebuilt = base.clone();
+        gt_core::apply_delta(&mut rebuilt, &delta).unwrap();
+        assert_eq!(encode_sketch(&rebuilt), encode_sketch(&s));
     }
 
     #[test]
@@ -1211,10 +1168,9 @@ mod tests {
         let d: GtSketch<LatestTs> = decode_sketch(bytes.clone()).unwrap();
         assert_eq!(encode_sketch(&d), bytes);
         assert_eq!(bytes.len(), encoded_sketch_len(&s));
-        match decode_frame::<LatestTs>(encode_full_frame(&s, 1)).unwrap() {
-            Frame::Full { sketch, .. } => assert_eq!(encode_sketch(&sketch), bytes),
-            other => panic!("expected full frame, got {other:?}"),
-        }
+        let (_, header, sketch) = decode_frame::<LatestTs>(encode_full_frame(&s, 1)).unwrap();
+        assert_eq!(header, None, "expected full frame");
+        assert_eq!(encode_sketch(&sketch), bytes);
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! The retrying collection plane: ack / timeout / retransmit rounds with
+//! The retrying delivery plane: ack / timeout / retransmit rounds with
 //! capped exponential backoff over the simulated [`crate::transport`].
 //!
 //! The paper's model sends each party's summary exactly once; real
-//! channels lose messages. A [`Collector`] closes that gap: it drives
-//! rounds in which every unacknowledged party's message is (re)sent, the
+//! channels lose messages. [`collect_once`] closes that gap for one
+//! finished message per party, and the sustained engine
+//! ([`crate::scenario::run_sustained`]) closes it the same way for the
+//! reports still unacknowledged when its load ends. Both run the one
+//! retransmit loop: every unacknowledged party's message is (re)sent, the
 //! virtual clock advances by the round's timeout, and arriving deliveries
 //! are fed to an idempotent [`Referee`]. The round timeout doubles up to
 //! a cap, and each party has a bounded retry budget
-//! ([`RetryPolicy::max_attempts`]).
+//! ([`RetryPolicy::max_attempts`]). Both also share the one ack return
+//! path, whose losses ([`RetryPolicy::ack_drop_probability`]) make a
+//! party retransmit data the referee already holds.
 //!
 //! Because delivery is now **at-least-once** (stragglers from earlier
 //! attempts arrive after a retransmit; acks themselves can be lost), the
@@ -16,7 +21,7 @@
 //!
 //! When the budget exhausts with parties still unheard, the caller gets a
 //! [`CollectionReport`] naming them and can answer queries in degraded
-//! mode via [`RefereeOf::estimate_distinct_partial`], which reports
+//! mode via [`crate::RefereeOf::estimate_distinct_partial`], which reports
 //! coverage alongside the estimate.
 
 use std::collections::{BTreeSet, HashMap};
@@ -27,16 +32,16 @@ use rand::{Rng, SeedableRng};
 use gt_core::SketchConfig;
 
 use crate::party::PartyMessage;
-use crate::referee::{Referee, RefereeOf, RefereeTelemetry};
+use crate::referee::{Referee, RefereeTelemetry};
 use crate::transport::{Delivery, SendFate, Tick, Transport, TransportSpec, TransportTelemetry};
 
-/// Retry behaviour of the collection plane.
+/// Retry behaviour of the delivery plane.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total send attempts allowed per party (1 = the paper's one-shot
     /// model, no retries). Must be at least 1.
     pub max_attempts: usize,
-    /// Ticks the collector waits for deliveries in the first round.
+    /// Ticks to wait for deliveries in the first round.
     pub initial_timeout: Tick,
     /// Cap on the per-round timeout as it doubles (capped exponential
     /// backoff).
@@ -66,6 +71,59 @@ impl RetryPolicy {
             ..RetryPolicy::one_shot()
         }
     }
+
+    /// The retransmit loop. Each of at most `rounds` rounds checks the
+    /// budget, lets `send` put every pending party's message on the wire
+    /// in party-index order (it returns `false`, having sent nothing,
+    /// once no party is pending), advances the virtual clock by the
+    /// round's timeout and hands the deliveries to `absorb`; the timeout
+    /// then doubles up to the cap. After the last round the stragglers
+    /// still on the wire are drained into `absorb` too: at-least-once
+    /// channels deliver late rather than never. `state` is what both
+    /// steps update. Returns the rounds driven.
+    pub(crate) fn drive<S>(
+        &self,
+        rounds: usize,
+        transport: &mut Transport,
+        state: &mut S,
+        mut send: impl FnMut(&mut S, &mut Transport) -> bool,
+        mut absorb: impl FnMut(&mut S, &[Delivery]),
+    ) -> usize {
+        let mut driven = 0;
+        let mut timeout = self.initial_timeout.max(1);
+        let timeout_cap = self.max_timeout.max(timeout);
+        while driven < rounds && send(state, transport) {
+            driven += 1;
+            let deadline = transport.now().saturating_add(timeout);
+            absorb(state, &transport.advance(deadline));
+            timeout = timeout.saturating_mul(2).min(timeout_cap);
+        }
+        absorb(state, &transport.drain());
+        driven
+    }
+
+    /// The ack return path of a channel seeded with `seed`.
+    pub(crate) fn ack_path(&self, seed: u64) -> AckPath {
+        AckPath {
+            rng: SmallRng::seed_from_u64(seed ^ 0xACC0_ACC0_ACC0_ACC0),
+            drop_probability: self.ack_drop_probability.clamp(0.0, 1.0),
+        }
+    }
+}
+
+/// Which acknowledgements back to the parties are lost. Its RNG stream
+/// is its own, so a channel's forward fates are identical with and
+/// without ack loss, and it draws nothing when acks are never lost.
+pub(crate) struct AckPath {
+    rng: SmallRng,
+    drop_probability: f64,
+}
+
+impl AckPath {
+    /// Whether the next ack is lost.
+    pub(crate) fn lost(&mut self) -> bool {
+        self.drop_probability > 0.0 && self.rng.gen_bool(self.drop_probability)
+    }
 }
 
 /// Per-party attempt accounting.
@@ -94,7 +152,7 @@ pub struct CollectionReport {
     pub late_arrivals: usize,
     /// Party ids still unheard when the retry budget ran out. Non-empty
     /// means the union is partial: query through
-    /// [`RefereeOf::estimate_distinct_partial`].
+    /// [`crate::RefereeOf::estimate_distinct_partial`].
     pub budget_exhausted: Vec<usize>,
     /// Virtual time at which the last party's data arrived — the
     /// time-to-full-union — or `None` if the union never completed.
@@ -124,175 +182,16 @@ impl CollectionReport {
     }
 }
 
-/// Drives ack/timeout/retransmit rounds between a set of finished parties
-/// and an idempotent referee.
-pub struct Collector<V: crate::codec::WirePayload = ()> {
-    transport: Transport,
-    referee: RefereeOf<V>,
-    policy: RetryPolicy,
-    /// Ack-loss decisions, independent of the data channel's RNG so the
-    /// forward schedule is identical with and without ack loss.
-    ack_rng: SmallRng,
-}
-
-impl<V: crate::codec::WirePayload> Collector<V> {
-    /// A collector whose referee expects sketches built from `(config,
-    /// master_seed)`, collecting over a channel with the given fault
-    /// model and retry policy.
-    pub fn new(
-        config: &SketchConfig,
-        master_seed: u64,
-        spec: TransportSpec,
-        policy: RetryPolicy,
-    ) -> Self {
-        assert!(policy.max_attempts >= 1, "need at least one attempt");
-        Collector {
-            transport: Transport::new(spec),
-            referee: RefereeOf::new(config, master_seed),
-            policy,
-            ack_rng: SmallRng::seed_from_u64(spec.seed ^ 0xACC0_ACC0_ACC0_ACC0),
-        }
-    }
-
-    /// The referee (for queries after — or between — collections).
-    pub fn referee(&self) -> &RefereeOf<V> {
-        &self.referee
-    }
-
-    /// Consume the collector, keeping the referee for queries.
-    pub fn into_referee(self) -> RefereeOf<V> {
-        self.referee
-    }
-
-    /// Collect one message per party under the retry policy. Party ids in
-    /// `messages` must be unique.
-    ///
-    /// Rounds proceed as: (re)send every pending party's message, advance
-    /// the virtual clock by the current timeout, hand the round's
-    /// deliveries to the referee as one batch (unioned via tree
-    /// reduction), acknowledge parties whose data is in (acks may be
-    /// lost), double the timeout up to the cap. After the budget is
-    /// spent, in-flight stragglers are drained — at-least-once channels
-    /// deliver late rather than never — and still count toward the union.
-    pub fn collect(&mut self, messages: &[PartyMessage]) -> CollectionReport {
-        let t = messages.len();
-        let index_of: HashMap<usize, usize> = messages
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.party_id, i))
-            .collect();
-        assert_eq!(index_of.len(), t, "party ids must be unique");
-
-        let mut per_party = vec![PartyAttempts::default(); t];
-        let mut pending: BTreeSet<usize> = (0..t).collect();
-        let mut late_arrivals = 0usize;
-        let mut rounds = 0usize;
-        let mut timeout = self.policy.initial_timeout.max(1);
-        let timeout_cap = self.policy.max_timeout.max(timeout);
-
-        while !pending.is_empty() && rounds < self.policy.max_attempts {
-            for &i in &pending {
-                per_party[i].sends += 1;
-                per_party[i].last_fate = Some(self.transport.send(messages[i].clone()));
-            }
-            rounds += 1;
-            let deadline = self.transport.now().saturating_add(timeout);
-            let deliveries = self.transport.advance(deadline);
-            self.handle_batch(
-                &deliveries,
-                &index_of,
-                &mut per_party,
-                &mut pending,
-                &mut late_arrivals,
-            );
-            timeout = timeout.saturating_mul(2).min(timeout_cap);
-        }
-        let stragglers = self.transport.drain();
-        self.handle_batch(
-            &stragglers,
-            &index_of,
-            &mut per_party,
-            &mut pending,
-            &mut late_arrivals,
-        );
-
-        let budget_exhausted: Vec<usize> = per_party
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.acked_at.is_none())
-            .map(|(i, _)| messages[i].party_id)
-            .collect();
-        let time_to_full_union = if budget_exhausted.is_empty() {
-            per_party.iter().filter_map(|p| p.acked_at).max()
-        } else {
-            None
-        };
-        CollectionReport {
-            retransmits: per_party.iter().map(|p| p.sends.saturating_sub(1)).sum(),
-            per_party,
-            rounds,
-            late_arrivals,
-            budget_exhausted,
-            time_to_full_union,
-            transport: self.transport.telemetry(),
-            referee: *self.referee.telemetry(),
-        }
-    }
-
-    /// Feed one round's deliveries to the referee as a single batch (the
-    /// tree-reduction union path), then walk the per-delivery receipts in
-    /// arrival order so the attempt accounting — `acked_at`, late
-    /// arrivals, ack-loss RNG draws — is indistinguishable from handling
-    /// each delivery on its own.
-    fn handle_batch(
-        &mut self,
-        deliveries: &[Delivery],
-        index_of: &HashMap<usize, usize>,
-        per_party: &mut [PartyAttempts],
-        pending: &mut BTreeSet<usize>,
-        late_arrivals: &mut usize,
-    ) {
-        let ours: Vec<&Delivery> = deliveries
-            .iter()
-            .filter(|d| index_of.contains_key(&d.msg.party_id)) // cannot fail via collect
-            .collect();
-        if ours.is_empty() {
-            return;
-        }
-        let batch: Vec<PartyMessage> = ours.iter().map(|d| d.msg.clone()).collect();
-        let outcomes = self.referee.receive_batch(&batch);
-        for (delivery, outcome) in ours.iter().zip(outcomes) {
-            let i = index_of[&delivery.msg.party_id];
-            if per_party[i].acked_at.is_some() {
-                *late_arrivals += 1;
-            }
-            match outcome {
-                Ok(_receipt) => {
-                    if per_party[i].acked_at.is_none() {
-                        per_party[i].acked_at = Some(delivery.at);
-                    }
-                    // The data is in; tell the party to stop — unless the
-                    // ack itself is lost, in which case it retransmits
-                    // next round and the referee dedups.
-                    let ack_lost = self.policy.ack_drop_probability > 0.0
-                        && self
-                            .ack_rng
-                            .gen_bool(self.policy.ack_drop_probability.clamp(0.0, 1.0));
-                    if !ack_lost {
-                        pending.remove(&i);
-                    }
-                }
-                Err(_) => {
-                    // Corrupt/invalid delivery: the party stays pending
-                    // and will be retried if budget remains.
-                }
-            }
-        }
-    }
-}
-
-/// Convenience: collect label-only messages with a fresh collector and
-/// return the report plus the referee.
+/// Collect one label-only message per party under the retry policy,
+/// over a fresh channel with the given fault model, into a fresh referee
+/// expecting sketches built from `(config, master_seed)`. Party ids in
+/// `messages` must be unique. Returns the report plus the referee.
+///
+/// Each round (see [`RetryPolicy`]) hands its deliveries to the referee
+/// as one batch (unioned via tree reduction) and acknowledges the parties
+/// whose data is in; a lost ack or a corrupt delivery leaves the party
+/// pending for the next round. Stragglers drained after the budget is
+/// spent still count toward the union.
 pub fn collect_once(
     config: &SketchConfig,
     master_seed: u64,
@@ -300,9 +199,78 @@ pub fn collect_once(
     spec: TransportSpec,
     policy: RetryPolicy,
 ) -> (CollectionReport, Referee) {
-    let mut collector: Collector = Collector::new(config, master_seed, spec, policy);
-    let report = collector.collect(messages);
-    (report, collector.into_referee())
+    assert!(policy.max_attempts >= 1, "need at least one attempt");
+    let t = messages.len();
+    let index_of: HashMap<usize, usize> = messages
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (m.party_id, i))
+        .collect();
+    assert_eq!(index_of.len(), t, "party ids must be unique");
+
+    let mut transport = Transport::new(spec);
+    let mut referee = Referee::new(config, master_seed);
+    let mut ack = policy.ack_path(spec.seed);
+    let mut late_arrivals = 0usize;
+    // Per-party accounting, and the parties not yet acknowledged.
+    let mut state = (
+        vec![PartyAttempts::default(); t],
+        (0..t).collect::<BTreeSet<usize>>(),
+    );
+    let rounds = policy.drive(
+        policy.max_attempts,
+        &mut transport,
+        &mut state,
+        |(per_party, pending), transport| {
+            for &i in pending.iter() {
+                per_party[i].sends += 1;
+                per_party[i].last_fate = Some(transport.send(messages[i].clone()));
+            }
+            !pending.is_empty()
+        },
+        |(per_party, pending), deliveries| {
+            // One batch through the referee, then the receipts in arrival
+            // order, so `acked_at`, late arrivals and ack draws are as if
+            // each delivery were handled on its own.
+            let batch: Vec<PartyMessage> = deliveries.iter().map(|d| d.msg.clone()).collect();
+            for (delivery, receipt) in deliveries.iter().zip(referee.receive_batch(&batch)) {
+                let i = index_of[&delivery.msg.party_id];
+                if per_party[i].acked_at.is_some() {
+                    late_arrivals += 1;
+                }
+                if receipt.is_ok() {
+                    per_party[i].acked_at.get_or_insert(delivery.at);
+                    if !ack.lost() {
+                        pending.remove(&i);
+                    }
+                }
+            }
+        },
+    );
+    let (per_party, _) = state;
+
+    let budget_exhausted: Vec<usize> = per_party
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.acked_at.is_none())
+        .map(|(i, _)| messages[i].party_id)
+        .collect();
+    let time_to_full_union = if budget_exhausted.is_empty() {
+        per_party.iter().filter_map(|p| p.acked_at).max()
+    } else {
+        None
+    };
+    let report = CollectionReport {
+        retransmits: per_party.iter().map(|p| p.sends.saturating_sub(1)).sum(),
+        per_party,
+        rounds,
+        late_arrivals,
+        budget_exhausted,
+        time_to_full_union,
+        transport: transport.telemetry(),
+        referee: *referee.telemetry(),
+    };
+    (report, referee)
 }
 
 #[cfg(test)]
@@ -477,7 +445,7 @@ mod tests {
     fn backoff_doubles_and_caps() {
         // With everything dropped, rounds are pure timeouts: the virtual
         // clock records initial*2^k growth capped at max_timeout.
-        let msgs = messages(1, 50, 1);
+        let msg = messages(1, 50, 1).remove(0);
         let spec = TransportSpec {
             drop_probability: 1.0,
             ..TransportSpec::reliable(1)
@@ -488,14 +456,103 @@ mod tests {
             max_timeout: 16,
             ack_drop_probability: 0.0,
         };
-        let mut collector: Collector = Collector::new(&cfg(), 1, spec, policy);
-        let report = collector.collect(&msgs);
-        assert_eq!(report.rounds, 5);
-        assert_eq!(report.per_party[0].sends, 5);
-        assert_eq!(report.per_party[0].last_fate, Some(SendFate::Dropped));
+        let mut transport = Transport::new(spec);
+        let mut attempts = PartyAttempts::default();
+        let rounds = policy.drive(
+            policy.max_attempts,
+            &mut transport,
+            &mut attempts,
+            |attempts, transport| {
+                attempts.sends += 1;
+                attempts.last_fate = Some(transport.send(msg.clone()));
+                true
+            },
+            |_, deliveries| assert!(deliveries.is_empty()),
+        );
+        assert_eq!(rounds, 5);
+        assert_eq!(attempts.sends, 5);
+        assert_eq!(attempts.last_fate, Some(SendFate::Dropped));
         // 4 + 8 + 16 + 16 + 16 = 60 ticks of waiting.
-        assert_eq!(collector.transport.now(), 60);
-        assert_eq!(report.transport.dropped, 5);
+        assert_eq!(transport.now(), 60);
+        assert_eq!(transport.telemetry().dropped, 5);
+    }
+
+    /// FNV-1a, 64-bit: a dependency-free digest for the pinned outputs.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn collection_outputs_are_pinned() {
+        // Every fate, receipt and union byte of three faulty collections,
+        // digested so any change to the round or ack logic shows.
+        let msgs = messages(6, 250, 17);
+        let ack_lossy = RetryPolicy {
+            max_attempts: 5,
+            ack_drop_probability: 0.4,
+            ..RetryPolicy::one_shot()
+        };
+        let straggle_all = TransportSpec {
+            straggle_probability: 1.0,
+            straggle_latency: 12,
+            ..TransportSpec::reliable(0x5A)
+        };
+        let corrupting = TransportSpec {
+            corrupt_probability: 0.4,
+            ..TransportSpec::lossy(0.2, 0xC0)
+        };
+        let straggle_policy = RetryPolicy {
+            max_attempts: 3,
+            initial_timeout: 2,
+            max_timeout: 8,
+            ack_drop_probability: 0.0,
+        };
+        let cases = [
+            (TransportSpec::lossy(0.35, 0xA1), ack_lossy),
+            (straggle_all, straggle_policy),
+            (
+                corrupting,
+                RetryPolicy {
+                    max_attempts: 4,
+                    ..ack_lossy
+                },
+            ),
+        ];
+        let digests = cases.map(|(spec, policy)| {
+            let (report, referee) = collect_once(&cfg(), 17, &msgs, spec, policy);
+            let fates: Vec<_> = report
+                .per_party
+                .iter()
+                .map(|p| (p.sends, p.last_fate, p.acked_at))
+                .collect();
+            let referee_counts = RefereeTelemetry {
+                decode_time: Default::default(),
+                merge_time: Default::default(),
+                ..report.referee
+            };
+            let key = (
+                fates,
+                report.rounds,
+                report.retransmits,
+                report.late_arrivals,
+                &report.budget_exhausted,
+                report.time_to_full_union,
+                report.transport,
+                referee_counts,
+                crate::codec::encode_sketch(referee.union_sketch()),
+            );
+            fnv1a64(format!("{key:?}").as_bytes())
+        });
+        assert_eq!(
+            digests,
+            [
+                0xfa13_c66a_f42e_ad2f,
+                0xd27b_b458_661e_dd26,
+                0x3fbb_e32e_8b93_e1b3
+            ]
+        );
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //! * [`transport`] — a deterministic simulated channel (drop / corrupt /
 //!   delay / reorder on a virtual clock) that every fault experiment
 //!   shares, so loss schedules are reproducible from a seed.
-//! * [`collector`] — the at-least-once collection plane: ack / timeout /
-//!   retransmit rounds with capped exponential backoff over a
-//!   [`transport::Transport`], feeding an idempotent [`referee`].
+//! * [`collector`] — the at-least-once delivery plane: the one ack /
+//!   timeout / retransmit loop with capped exponential backoff over a
+//!   [`transport::Transport`], feeding an idempotent [`referee`], run by
+//!   [`collect_once`] and by the sustained engine's final rounds.
 //! * [`scenario`] — the declarative sustained-load harness: a
 //!   [`scenario::ScenarioSpec`] (topology × workload × fault plan ×
 //!   query plan, all plain data) run by [`scenario::run_sustained`], a
@@ -53,11 +54,10 @@ pub mod transport;
 pub mod workload;
 
 pub use codec::{
-    decode_frame, decode_sketch, decode_sketch_into, encode_delta_frame, encode_full_frame,
-    encode_sketch, encoded_sketch_len, payload_fingerprint, varint_len, CodecError, DecodeScratch,
-    Frame, WirePayload,
+    decode_sketch, decode_sketch_into, encode_delta_frame, encode_full_frame, encode_sketch,
+    encoded_sketch_len, payload_fingerprint, varint_len, CodecError, DecodeScratch, WirePayload,
 };
-pub use collector::{collect_once, CollectionReport, Collector, PartyAttempts, RetryPolicy};
+pub use collector::{collect_once, CollectionReport, PartyAttempts, RetryPolicy};
 pub use netflow::{FlowRecord, FlowWorkload};
 pub use oracle::StreamOracle;
 pub use party::{DeltaParty, DeltaPartyStats, Party, PartyMessage};

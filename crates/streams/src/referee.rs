@@ -396,8 +396,9 @@ impl<V: WirePayload> RefereeOf<V> {
     }
 
     /// Receive one continuous-monitoring **frame** (see
-    /// [`crate::codec::Frame`]): a full cumulative snapshot, or a delta
-    /// coded against a previously acked base.
+    /// [`crate::codec::encode_full_frame`] and
+    /// [`crate::codec::encode_delta_frame`]): a full cumulative snapshot,
+    /// or a delta coded against a previously acked base.
     ///
     /// The live union is maintained incrementally and stays **bitwise
     /// identical** (canonical encoding) to a referee that decoded a
@@ -916,7 +917,7 @@ fn remap_leaves(expr: &SetExpr, remap: &HashMap<usize, usize>) -> SetExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_frame, decode_sketch};
+    use crate::codec::{decode_sketch, get_frame_header};
     use crate::party::Party;
 
     fn cfg() -> SketchConfig {
@@ -1340,7 +1341,9 @@ mod tests {
             }
             let frame = p.emit_frame();
             let padded = pad(&frame);
-            assert_eq!(decode_frame::<()>(padded.payload.clone()).err(), trailing);
+            let mut body = padded.payload.clone();
+            assert!(get_frame_header(&mut body).is_ok());
+            assert_eq!(decode_sketch::<()>(body).err(), trailing);
             refused(referee.receive_frame(&padded).err(), &referee);
             assert_eq!(referee.receive_frame(&frame), Ok(Receipt::Merged));
             p.handle_ack(generation);

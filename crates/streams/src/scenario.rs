@@ -44,14 +44,14 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use gt_core::metrics::Exposition;
-use gt_core::{DistinctSketch, LatestTs, SetExpr, SketchConfig, SlidingWindowSketch};
+use gt_core::{GtSketch, LatestTs, SetExpr, SketchConfig};
 
 use crate::codec::{
     encode_full_frame, encode_sketch, payload_fingerprint, CodecError, WirePayload,
 };
-use crate::collector::RetryPolicy;
+use crate::collector::{AckPath, RetryPolicy};
 use crate::party::{DeltaParty, PartyMessage};
-use crate::referee::{Receipt, Referee, RefereeOf, RefereeTelemetry};
+use crate::referee::{Receipt, RefereeOf, RefereeTelemetry};
 use crate::transport::{Delivery, Tick, Transport, TransportSpec, TransportTelemetry};
 use crate::workload::{Distribution, WorkloadSpec, ZipfSampler};
 
@@ -79,10 +79,12 @@ pub enum ReportingMode {
     #[default]
     FullReship,
     /// The continuous-monitoring delta plane: parties ship compact
-    /// [`crate::codec::Frame`]s — a full frame first, then deltas coded
-    /// against the last acked base — and the referee maintains a live
-    /// union that is bitwise identical to a fresh full ship at every
-    /// ack point. `O(changes)` bytes per cadence tick in steady state.
+    /// frames — a full frame first ([`crate::codec::encode_full_frame`]),
+    /// then deltas coded against the last acked base
+    /// ([`crate::codec::encode_delta_frame`]) — and the referee maintains
+    /// a live union that is bitwise identical to a fresh full ship at
+    /// every ack point. `O(changes)` bytes per cadence tick in steady
+    /// state.
     DeltaPlane,
 }
 
@@ -522,7 +524,7 @@ pub struct WindowSample {
     pub at: Tick,
     /// Window width in ticks.
     pub window: Tick,
-    /// Merged sliding-window estimate over all parties.
+    /// The referee's windowed estimate over the union of what reached it.
     pub estimate: f64,
     /// Exact count of labels last seen in `(at − window, at]`.
     pub truth: u64,
@@ -893,18 +895,17 @@ struct Ledger {
 
 /// What the two [`ReportingMode`]s do differently inside the shared tick
 /// loop of [`run_engine`]: how a party encodes a report, how the referee
-/// admits deliveries, and what the mode adds to queries and the report.
-trait Plane {
-    /// The payload the referee's sketches carry.
-    type V: WirePayload + PartialEq;
+/// admits deliveries, and what the mode adds to the report. `V` is the
+/// payload the parties' and the referee's sketches carry.
+trait Plane<V: WirePayload> {
     /// Per-party reporting state.
     type Party;
 
     /// Fresh reporting state for party `id`.
     fn party(&self, id: usize) -> Self::Party;
 
-    /// Fold one party's labels generated at tick `t` into its state.
-    fn observe(&self, party: &mut Self::Party, labels: &[u64], t: Tick);
+    /// Fold one party's `(label, payload)` items into its state.
+    fn observe(&self, party: &mut Self::Party, items: &[(u64, V)]);
 
     /// Encode party `id`'s next report.
     fn emit(&self, party: &mut Self::Party, id: usize) -> PartyMessage;
@@ -915,102 +916,57 @@ trait Plane {
     fn deliver(
         &mut self,
         deliveries: &[Delivery],
-        referee: &mut RefereeOf<Self::V>,
+        referee: &mut RefereeOf<V>,
         ps: &mut [PartyRt<Self::Party>],
     ) -> Vec<Result<Receipt, CodecError>>;
 
     /// Called after each tick in which the referee accepted a report.
-    fn accepted(&mut self, _referee: &RefereeOf<Self::V>, _ps: &[PartyRt<Self::Party>]) {}
+    fn accepted(&mut self, _referee: &RefereeOf<V>, _ps: &[PartyRt<Self::Party>]) {}
 
     /// Called at each query tick, before the queries run.
     fn query_tick(&mut self, _ps: &[PartyRt<Self::Party>], _t: Tick) {}
 
-    /// Distinct labels seen in the window `(t − w, t]`.
-    fn window_estimate(
-        &self,
-        referee: &RefereeOf<Self::V>,
-        ps: &[PartyRt<Self::Party>],
-        t: Tick,
-        w: Tick,
-    ) -> f64;
-
     /// The mode's section of the report.
-    fn finish(self, referee: &RefereeOf<Self::V>, parties: usize) -> Option<DeltaPlaneReport>;
+    fn finish(self, referee: &RefereeOf<V>, parties: usize) -> Option<DeltaPlaneReport>;
 }
 
 /// Full re-ship: every report is the party's whole cumulative sketch,
-/// and the referee takes each tick's deliveries as one batch. Windowed
-/// queries merge party-side [`SlidingWindowSketch`]es.
+/// and the referee takes each tick's deliveries as one batch.
 struct FullReship<'a> {
     config: &'a SketchConfig,
     master_seed: u64,
-    window: bool,
 }
 
-/// A party's state under [`FullReship`].
-struct ReshipParty {
-    sketch: DistinctSketch,
-    window: Option<SlidingWindowSketch>,
-}
+impl<V: WirePayload> Plane<V> for FullReship<'_> {
+    type Party = GtSketch<V>;
 
-impl Plane for FullReship<'_> {
-    type V = ();
-    type Party = ReshipParty;
-
-    fn party(&self, _id: usize) -> ReshipParty {
-        ReshipParty {
-            sketch: DistinctSketch::new(self.config, self.master_seed),
-            window: self
-                .window
-                .then(|| SlidingWindowSketch::new(self.config, self.master_seed)),
-        }
+    fn party(&self, _id: usize) -> GtSketch<V> {
+        GtSketch::new(self.config, self.master_seed)
     }
 
-    fn observe(&self, party: &mut ReshipParty, labels: &[u64], t: Tick) {
-        party.sketch.extend_slice(labels);
-        if let Some(w) = &mut party.window {
-            for &label in labels {
-                w.insert(label, t);
-            }
-        }
+    fn observe(&self, party: &mut GtSketch<V>, items: &[(u64, V)]) {
+        party.insert_batch_merging_with(items);
     }
 
-    fn emit(&self, party: &mut ReshipParty, id: usize) -> PartyMessage {
+    fn emit(&self, party: &mut GtSketch<V>, id: usize) -> PartyMessage {
         PartyMessage {
             party_id: id,
-            payload: encode_sketch(&party.sketch),
-            items_observed: party.sketch.items_observed(),
+            payload: encode_sketch(party),
+            items_observed: party.items_observed(),
         }
     }
 
     fn deliver(
         &mut self,
         deliveries: &[Delivery],
-        referee: &mut Referee,
-        _ps: &mut [PartyRt<ReshipParty>],
+        referee: &mut RefereeOf<V>,
+        _ps: &mut [PartyRt<GtSketch<V>>],
     ) -> Vec<Result<Receipt, CodecError>> {
         let msgs: Vec<PartyMessage> = deliveries.iter().map(|d| d.msg.clone()).collect();
         referee.receive_batch(&msgs)
     }
 
-    fn window_estimate(
-        &self,
-        _referee: &Referee,
-        ps: &[PartyRt<ReshipParty>],
-        t: Tick,
-        w: Tick,
-    ) -> f64 {
-        let mut merged: Option<SlidingWindowSketch> = None;
-        for ws in ps.iter().filter_map(|rt| rt.reporter.window.as_ref()) {
-            match &mut merged {
-                None => merged = Some(ws.clone()),
-                Some(m) => m.merge_from(ws).expect("shared seed and config"),
-            }
-        }
-        merged.map_or(0.0, |m| m.estimate_distinct_last(t, w).value)
-    }
-
-    fn finish(self, _referee: &Referee, _parties: usize) -> Option<DeltaPlaneReport> {
+    fn finish(self, _referee: &RefereeOf<V>, _parties: usize) -> Option<DeltaPlaneReport> {
         None
     }
 }
@@ -1019,39 +975,21 @@ impl Plane for FullReship<'_> {
 /// frames, the referee applies them one by one and acks each generation
 /// back (subject to return-path loss) or asks for a resync, and an
 /// always-on oracle checks the live union against a fresh full ship.
-/// Windowed queries are answered referee-side from `V` payloads.
-struct DeltaPlane<'a, V: WirePayload> {
+struct DeltaPlane<'a> {
     config: &'a SketchConfig,
     master_seed: u64,
-    /// The payload an item generated at a tick carries.
-    stamp: fn(Tick) -> V,
-    /// The referee's windowed distinct answer at `(now, window)`.
-    window: fn(&RefereeOf<V>, Tick, Tick) -> f64,
-    /// The ack return path owns its own RNG stream, exactly like the
-    /// collector's, so forward fates are identical with and without ack
-    /// loss.
-    ack_rng: SmallRng,
-    ack_drop: f64,
+    ack: AckPath,
     staleness_sum: u64,
     staleness_ticks: u64,
     report: DeltaPlaneReport,
 }
 
-impl<'a, V: WirePayload + PartialEq> DeltaPlane<'a, V> {
-    fn new(
-        config: &'a SketchConfig,
-        master_seed: u64,
-        spec: &ScenarioSpec,
-        stamp: fn(Tick) -> V,
-        window: fn(&RefereeOf<V>, Tick, Tick) -> f64,
-    ) -> Self {
+impl<'a> DeltaPlane<'a> {
+    fn new(config: &'a SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> Self {
         DeltaPlane {
             config,
             master_seed,
-            stamp,
-            window,
-            ack_rng: SmallRng::seed_from_u64(spec.workload.seed ^ 0xACC0_ACC0_ACC0_ACC0),
-            ack_drop: spec.faults.retry.ack_drop_probability.clamp(0.0, 1.0),
+            ack: spec.faults.retry.ack_path(spec.workload.seed),
             staleness_sum: 0,
             staleness_ticks: 0,
             report: DeltaPlaneReport::default(),
@@ -1063,7 +1001,7 @@ impl<'a, V: WirePayload + PartialEq> DeltaPlane<'a, V> {
     /// bytes identical to the live union. `None` when some party has
     /// already pruned the needed snapshot (mid-resync window) — the
     /// check is skipped, not failed.
-    fn live_union_matches_full_ship(
+    fn live_union_matches_full_ship<V: WirePayload + PartialEq>(
         &self,
         referee: &RefereeOf<V>,
         ps: &[PartyRt<DeltaParty<V>>],
@@ -1087,17 +1025,16 @@ impl<'a, V: WirePayload + PartialEq> DeltaPlane<'a, V> {
     }
 }
 
-impl<V: WirePayload + PartialEq> Plane for DeltaPlane<'_, V> {
-    type V = V;
+impl<V: WirePayload + PartialEq> Plane<V> for DeltaPlane<'_> {
     type Party = DeltaParty<V>;
 
     fn party(&self, id: usize) -> DeltaParty<V> {
         DeltaParty::new(id, self.config, self.master_seed)
     }
 
-    fn observe(&self, party: &mut DeltaParty<V>, labels: &[u64], t: Tick) {
-        for &label in labels {
-            party.observe_with(label, (self.stamp)(t));
+    fn observe(&self, party: &mut DeltaParty<V>, items: &[(u64, V)]) {
+        for &(label, payload) in items {
+            party.observe_with(label, payload);
         }
     }
 
@@ -1124,7 +1061,7 @@ impl<V: WirePayload + PartialEq> Plane for DeltaPlane<'_, V> {
                 Ok(Receipt::Merged | Receipt::Duplicate) => {
                     if let Some(generation) = referee.acked_generation(p) {
                         self.report.acks_sent += 1;
-                        if self.ack_drop > 0.0 && self.ack_rng.gen_bool(self.ack_drop) {
+                        if self.ack.lost() {
                             self.report.acks_lost += 1;
                         } else {
                             ps[p].reporter.handle_ack(generation);
@@ -1167,16 +1104,6 @@ impl<V: WirePayload + PartialEq> Plane for DeltaPlane<'_, V> {
         self.report.staleness_max = self.report.staleness_max.max(worst);
     }
 
-    fn window_estimate(
-        &self,
-        referee: &RefereeOf<V>,
-        _ps: &[PartyRt<DeltaParty<V>>],
-        t: Tick,
-        w: Tick,
-    ) -> f64 {
-        (self.window)(referee, t, w)
-    }
-
     fn finish(mut self, referee: &RefereeOf<V>, parties: usize) -> Option<DeltaPlaneReport> {
         let rt = referee.delta_telemetry();
         self.report.delta_frames = rt.delta_frames;
@@ -1200,10 +1127,10 @@ impl<V: WirePayload + PartialEq> Plane for DeltaPlane<'_, V> {
 /// latency: an accepted report admits every pending item of its party
 /// generated at or before the report's encode tick. Returns whether the
 /// referee accepted any report.
-fn absorb<P: Plane>(
+fn absorb<V: WirePayload, P: Plane<V>>(
     plane: &mut P,
     deliveries: &[Delivery],
-    referee: &mut RefereeOf<P::V>,
+    referee: &mut RefereeOf<V>,
     ps: &mut [PartyRt<P::Party>],
     ledger: &mut Ledger,
 ) -> bool {
@@ -1240,7 +1167,7 @@ fn absorb<P: Plane>(
 
 /// Encode party `id`'s next report at tick `t` and record it as the
 /// party's latest.
-fn encode_report<P: Plane>(
+fn encode_report<V: WirePayload, P: Plane<V>>(
     plane: &P,
     rt: &mut PartyRt<P::Party>,
     id: usize,
@@ -1269,44 +1196,58 @@ fn multiplier_at(phases: &[LoadPhase], t: Tick) -> f64 {
 /// Run a sustained-load spec on the virtual clock, reporting as
 /// `spec.reporting` says.
 ///
-/// Under [`ReportingMode::FullReship`] every report re-ships the
-/// party's whole sketch and windowed queries merge party-side window
-/// sketches. Under [`ReportingMode::DeltaPlane`] parties ship delta
-/// frames, the referee maintains a live union with per-generation acks
-/// (and resyncs) on the return path, and windowed queries are answered
-/// **referee-side**, so their error includes the reporting staleness the
-/// run measures: only then do frames carry [`LatestTs`] timestamps
-/// (reconciled by `max`); otherwise their payload is `()`.
+/// Under [`ReportingMode::FullReship`] every report re-ships the party's
+/// whole sketch; under [`ReportingMode::DeltaPlane`] parties ship delta
+/// frames, and the referee maintains a live union with per-generation
+/// acks (and resyncs) on the return path. In both modes every answer
+/// comes from what reached the referee. That includes windowed queries,
+/// so their error includes the reporting staleness the run measures:
+/// when the spec asks for them, reports carry [`LatestTs`] timestamps
+/// (reconciled by `max`) and the referee answers with
+/// [`RefereeOf::query_distinct_since`]; otherwise their payload is `()`.
 pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> E2eReport {
-    match (spec.reporting, spec.queries.window) {
-        (ReportingMode::FullReship, window) => {
+    if spec.queries.window.is_some() {
+        run_mode(config, master_seed, spec, LatestTs, |r, now, w| {
+            r.query_distinct_since(now.saturating_sub(w).saturating_add(1))
+                .value
+        })
+    } else {
+        run_mode(config, master_seed, spec, |_| (), |_, _, _| 0.0)
+    }
+}
+
+/// [`run_engine`] with the spec's reporting mode, for items stamped with
+/// `stamp(tick)` and windows answered by `window(referee, now, width)`.
+fn run_mode<V: WirePayload + PartialEq>(
+    config: &SketchConfig,
+    master_seed: u64,
+    spec: &ScenarioSpec,
+    stamp: fn(Tick) -> V,
+    window: fn(&RefereeOf<V>, Tick, Tick) -> f64,
+) -> E2eReport {
+    match spec.reporting {
+        ReportingMode::FullReship => {
             let plane = FullReship {
                 config,
                 master_seed,
-                window: window.is_some(),
             };
-            run_engine(config, master_seed, spec, plane)
+            run_engine(config, master_seed, spec, plane, stamp, window)
         }
-        (ReportingMode::DeltaPlane, Some(_)) => {
-            let plane = DeltaPlane::new(config, master_seed, spec, LatestTs, |r, now, w| {
-                r.query_distinct_since(now.saturating_sub(w).saturating_add(1))
-                    .value
-            });
-            run_engine(config, master_seed, spec, plane)
-        }
-        (ReportingMode::DeltaPlane, None) => {
-            let plane = DeltaPlane::new(config, master_seed, spec, |_| (), |_, _, _| 0.0);
-            run_engine(config, master_seed, spec, plane)
+        ReportingMode::DeltaPlane => {
+            let plane = DeltaPlane::new(config, master_seed, spec);
+            run_engine(config, master_seed, spec, plane, stamp, window)
         }
     }
 }
 
 /// The sustained engine's tick loop, shared by both reporting modes.
-fn run_engine<P: Plane>(
+fn run_engine<V: WirePayload, P: Plane<V>>(
     config: &SketchConfig,
     master_seed: u64,
     spec: &ScenarioSpec,
     mut plane: P,
+    stamp: fn(Tick) -> V,
+    window: fn(&RefereeOf<V>, Tick, Tick) -> f64,
 ) -> E2eReport {
     let wall_start = Instant::now();
     let LoadShape {
@@ -1369,14 +1310,14 @@ fn run_engine<P: Plane>(
         .transport
         .unwrap_or_else(|| TransportSpec::reliable(wl.seed ^ 0x51AE));
     let mut transport = Transport::new(tspec);
-    let mut referee: RefereeOf<P::V> = RefereeOf::new(config, master_seed);
+    let mut referee: RefereeOf<V> = RefereeOf::new(config, master_seed);
     let mut ledger = Ledger::default();
     let mut seen_exact: HashSet<u64> = HashSet::new();
     let mut last_seen: HashMap<u64, Tick> = HashMap::new();
     let mut total_items = 0u64;
     let mut reports_sent = 0usize;
     let mut bytes_sent = 0u64;
-    let mut gen_buf: Vec<u64> = Vec::new();
+    let mut gen_buf: Vec<(u64, V)> = Vec::new();
     let mut distinct_samples = Vec::new();
     let mut window_samples = Vec::new();
     let mut expression_samples = Vec::new();
@@ -1396,10 +1337,10 @@ fn run_engine<P: Plane>(
             for _ in 0..n {
                 let label = rt.draw();
                 rt.generated += 1;
-                gen_buf.push(label);
+                gen_buf.push((label, stamp(t)));
             }
-            plane.observe(&mut rt.reporter, &gen_buf, t);
-            for &label in &gen_buf {
+            plane.observe(&mut rt.reporter, &gen_buf);
+            for &(label, _) in &gen_buf {
                 seen_exact.insert(label);
                 if spec.queries.window.is_some() {
                     last_seen.insert(label, t);
@@ -1452,7 +1393,7 @@ fn run_engine<P: Plane>(
                 });
             }
             if let Some(w) = spec.queries.window {
-                let estimate = plane.window_estimate(&referee, &ps, t, w);
+                let estimate = window(&referee, t, w);
                 let truth = last_seen
                     .values()
                     .filter(|&&ts| ts <= t && ts + w > t)
@@ -1488,50 +1429,43 @@ fn run_engine<P: Plane>(
     }
 
     // Final retransmit rounds: parties still up whose last report covers
-    // unacked items resend it (or, after a resync, a fresh full frame)
-    // under the retry budget with capped exponential backoff, exactly
-    // like the collector's rounds.
-    let mut retry_rounds = 0usize;
-    let mut timeout = spec.faults.retry.initial_timeout.max(1);
-    let timeout_cap = spec.faults.retry.max_timeout.max(timeout);
-    loop {
-        let needy: Vec<usize> = ps
-            .iter()
-            .enumerate()
-            .filter(|(_, rt)| {
-                rt.leave_at.is_none()
-                    && ((rt.needs_reemit && !rt.pending.is_empty())
-                        || matches!(
-                            (&rt.last_encode, rt.pending.front()),
-                            (Some((enc, _)), Some(&(gen, _))) if gen <= *enc
-                        ))
-            })
-            .map(|(p, _)| p)
-            .collect();
-        if needy.is_empty() || retry_rounds + 1 >= spec.faults.retry.max_attempts {
-            break;
-        }
-        retry_rounds += 1;
-        for p in needy {
-            let rt = &mut ps[p];
-            let msg = if rt.needs_reemit {
-                encode_report(&plane, rt, p, transport.now(), &mut ledger)
-            } else {
-                rt.last_encode.clone().expect("checked above").1
-            };
-            rt.sends += 1;
-            bytes_sent += msg.bytes() as u64;
-            transport.send(msg);
-        }
-        let deadline = transport.now().saturating_add(timeout);
-        let deliveries = transport.advance(deadline);
-        absorb(&mut plane, &deliveries, &mut referee, &mut ps, &mut ledger);
-        timeout = timeout.saturating_mul(2).min(timeout_cap);
-    }
-    // At-least-once channels deliver late rather than never: drain the
-    // stragglers still on the wire.
-    let stragglers = transport.drain();
-    absorb(&mut plane, &stragglers, &mut referee, &mut ps, &mut ledger);
+    // unacked items resend it (or, after a resync, a fresh full frame).
+    // The in-load report was each party's first attempt, so the budget
+    // leaves `max_attempts − 1` rounds.
+    let retry = spec.faults.retry;
+    let mut state = (plane, referee, ps, ledger);
+    let retry_rounds = retry.drive(
+        retry.max_attempts.saturating_sub(1),
+        &mut transport,
+        &mut state,
+        |(plane, _, ps, ledger), transport| {
+            let mut sent = false;
+            for (p, rt) in ps.iter_mut().enumerate() {
+                let unacked = (rt.needs_reemit && !rt.pending.is_empty())
+                    || matches!(
+                        (&rt.last_encode, rt.pending.front()),
+                        (Some((enc, _)), Some(&(gen, _))) if gen <= *enc
+                    );
+                if rt.leave_at.is_some() || !unacked {
+                    continue;
+                }
+                let msg = if rt.needs_reemit {
+                    encode_report(plane, rt, p, transport.now(), ledger)
+                } else {
+                    rt.last_encode.clone().expect("checked above").1
+                };
+                rt.sends += 1;
+                bytes_sent += msg.bytes() as u64;
+                transport.send(msg);
+                sent = true;
+            }
+            sent
+        },
+        |(plane, referee, ps, ledger), deliveries| {
+            absorb(plane, deliveries, referee, ps, ledger);
+        },
+    );
+    let (plane, referee, ps, ledger) = state;
 
     let senders = ps.iter().filter(|rt| rt.sends > 0).count();
     let heard = (0..parties).filter(|&p| referee.has_heard(p)).count();
@@ -2048,8 +1982,8 @@ mod tests {
     #[test]
     fn delta_plane_windowed_queries_answer_from_the_referee() {
         // Under-capacity and cadence-aligned: at every query tick the
-        // referee has just applied fresh frames, so the distributed
-        // window answer is exact.
+        // referee has just applied fresh reports, so the distributed
+        // window answer is exact in both reporting modes.
         let spec = ScenarioSpec::builder("delta_window")
             .parties(2)
             .distinct_per_party(150)
@@ -2060,21 +1994,25 @@ mod tests {
             .query_every(4)
             .query_window(8)
             .build();
-        let spec = ScenarioSpec {
-            reporting: ReportingMode::DeltaPlane,
-            ..spec
-        };
-        let report = run_sustained(&cfg(), 42, &spec);
-        assert!(!report.window_samples.is_empty());
-        for s in &report.window_samples {
-            assert_eq!(
-                s.estimate, s.truth as f64,
-                "window at {} estimate {} truth {}",
-                s.at, s.estimate, s.truth
-            );
+        for reporting in [ReportingMode::FullReship, ReportingMode::DeltaPlane] {
+            let spec = ScenarioSpec {
+                reporting,
+                ..spec.clone()
+            };
+            let report = run_sustained(&cfg(), 42, &spec);
+            assert!(!report.window_samples.is_empty());
+            for s in &report.window_samples {
+                assert_eq!(
+                    s.estimate, s.truth as f64,
+                    "{reporting:?}: window at {} estimate {} truth {}",
+                    s.at, s.estimate, s.truth
+                );
+            }
+            if reporting == ReportingMode::DeltaPlane {
+                let d = report.delta.as_ref().unwrap();
+                assert_eq!(d.oracle_failures, 0);
+                assert_eq!(d.staleness_max, 0, "cadence-aligned queries are fresh");
+            }
         }
-        let d = report.delta.as_ref().unwrap();
-        assert_eq!(d.oracle_failures, 0);
-        assert_eq!(d.staleness_max, 0, "cadence-aligned queries are fresh");
     }
 }

@@ -9,7 +9,7 @@
 //! [`Tick`] clock orders deliveries — so every schedule a property test
 //! or experiment explores is exactly reproducible from its seed.
 //!
-//! Under a no-retry [`crate::collector::Collector`]
+//! Under [`crate::collector::collect_once`] with a no-retry policy
 //! ([`crate::collector::RetryPolicy::one_shot`]) it is the paper's
 //! one-shot model over a lossy channel. Its faults:
 //!

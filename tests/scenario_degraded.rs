@@ -139,6 +139,8 @@ fn zero_coverage_window_under_total_loss_never_panics() {
     // A channel that drops everything with a one-shot policy: no party
     // is ever heard, every query window has zero coverage, and the
     // report must still be well-formed (0/0 conventions, no panics).
+    // Windowed answers come only from what reached the referee, so they
+    // are 0 in both reporting modes.
     let spec = ScenarioSpec::builder("blackout")
         .parties(3)
         .distinct_per_party(400)
@@ -152,19 +154,27 @@ fn zero_coverage_window_under_total_loss_never_panics() {
         .retry(RetryPolicy::one_shot())
         .query_every(10)
         .query_distinct()
-        .build();
-    let report = run_sustained(&config(), 5, &spec);
-    assert!(report.total_items > 0);
-    assert_eq!(report.items_acked, 0);
-    assert_eq!(report.item_coverage, 0.0);
-    assert_eq!(report.party_coverage, 0.0, "senders existed, none heard");
-    assert_eq!(report.latency.count(), 0);
-    assert_eq!(report.latency.p999(), 0, "empty histogram quantiles are 0");
-    for s in &report.distinct_samples {
-        assert_eq!(s.parties_heard, 0);
-        assert_eq!(s.coverage, 0.0);
-        assert_eq!(s.estimate, 0.0);
+        .query_window(15);
+    for spec in [spec.clone().build(), spec.delta_plane().build()] {
+        let report = run_sustained(&config(), 5, &spec);
+        let mode = spec.reporting;
+        assert!(report.total_items > 0);
+        assert_eq!(report.items_acked, 0);
+        assert_eq!(report.item_coverage, 0.0);
+        assert_eq!(report.party_coverage, 0.0, "senders existed, none heard");
+        assert_eq!(report.latency.count(), 0);
+        assert_eq!(report.latency.p999(), 0, "empty histogram quantiles are 0");
+        for s in &report.distinct_samples {
+            assert_eq!(s.parties_heard, 0);
+            assert_eq!(s.coverage, 0.0);
+            assert_eq!(s.estimate, 0.0);
+        }
+        assert_eq!(report.window_samples.len(), 4);
+        for s in &report.window_samples {
+            assert!(s.truth > 0);
+            assert_eq!(s.estimate, 0.0, "{mode:?}: window at {}", s.at);
+        }
+        assert_eq!(report.final_estimate, 0.0);
+        assert!(report.transport.dropped > 0);
     }
-    assert_eq!(report.final_estimate, 0.0);
-    assert!(report.transport.dropped > 0);
 }

@@ -209,6 +209,15 @@ fn pinned_specs() -> Vec<ScenarioSpec> {
 /// re-ship and delta-plane engines) before they were merged into one.
 /// A mismatch means the sustained engine changed its output.
 ///
+/// Entries 2, 8 and 10 — the full re-ship runs of `crash_window`,
+/// `churn_all_queries` and `lossy_everything`, the three full re-ship
+/// specs with a windowed query — were re-recorded when full re-ship
+/// moved its windowed answers to the referee. Their reports now carry
+/// `LatestTs` timestamps, which changes the bytes sent and the union's
+/// canonical bytes, and a window answer now covers only what reached the
+/// referee. The same payload bytes move where the channel's flipped
+/// byte lands, so `lossy_everything`'s final estimate moved too.
+///
 /// The lossy channel corrupts 5% of deliveries, and with no checksum on
 /// the wire some corrupt delta frames decode and are applied: the
 /// delta-plane runs of `lossy_leave_expr` and `lossy_everything` record
@@ -216,15 +225,15 @@ fn pinned_specs() -> Vec<ScenarioSpec> {
 const PINNED_DIGESTS: [u64; 12] = [
     0x95fca70a7095aa3f,
     0x462a2851a34fc3d1,
-    0x4c935a6344db93a3,
+    0xc677203248e90e61,
     0x946820b840e35ea1,
     0x4ae118b150d1e91e,
     0xd1b0ea3a8067b792,
     0x28f3f2a85c1840b3,
     0x3e4976c7ccd1a0b0,
-    0xe74253fec9b9ec37,
+    0xe26874f45c6e1d78,
     0xfd40fb2c7149adb2,
-    0xe8f6b8ef30d686e8,
+    0xef52dac63a1826d0,
     0x6963161d2dc8d3b9,
 ];
 
