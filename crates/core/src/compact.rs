@@ -21,10 +21,12 @@
 //!
 //! [`CoordinatedTrial::shrunk_to_capacity`]: crate::trial::CoordinatedTrial::shrunk_to_capacity
 
+use std::borrow::Cow;
+
 use crate::error::{Result, SketchError};
 use crate::params::SketchConfig;
 use crate::sketch::GtSketch;
-use crate::trial::Payload;
+use crate::trial::{CoordinatedTrial, Payload};
 
 impl<V: Payload> GtSketch<V> {
     /// A copy of this sketch with only its first `trials` trials.
@@ -54,13 +56,11 @@ impl<V: Payload> GtSketch<V> {
             trials,
             self.config().hash_kind(),
         )?;
-        let states = self
-            .trials()
-            .iter()
-            .take(trials)
-            .map(|t| (t.level(), t.items_observed(), t.sample_iter().collect()))
-            .collect();
-        GtSketch::reassemble(&cfg, self.master_seed(), states)
+        rebuilt(
+            &cfg,
+            self.master_seed(),
+            self.trials().iter().take(trials).map(Cow::Borrowed),
+        )
     }
 
     /// A copy of this sketch shrunk to a smaller per-trial capacity, by
@@ -90,16 +90,29 @@ impl<V: Payload> GtSketch<V> {
             self.config().trials(),
             self.config().hash_kind(),
         )?;
-        let states = self
-            .trials()
-            .iter()
-            .map(|t| {
-                let s = t.shrunk_to_capacity(capacity);
-                (s.level(), s.items_observed(), s.sample_iter().collect())
-            })
-            .collect();
-        GtSketch::reassemble(&cfg, self.master_seed(), states)
+        rebuilt(
+            &cfg,
+            self.master_seed(),
+            self.trials()
+                .iter()
+                .map(|t| Cow::Owned(t.shrunk_to_capacity(capacity))),
+        )
     }
+}
+
+/// A sketch of shape `cfg` whose trial `i` holds the state of the `i`-th
+/// of `trials`, built the way the wire codec builds one:
+/// [`GtSketch::new`], then [`GtSketch::reload_trial`] per trial.
+fn rebuilt<'a, V: Payload + 'a>(
+    cfg: &SketchConfig,
+    master_seed: u64,
+    trials: impl Iterator<Item = Cow<'a, CoordinatedTrial<V>>>,
+) -> Result<GtSketch<V>> {
+    let mut out = GtSketch::new(cfg, master_seed);
+    for (i, t) in trials.enumerate() {
+        out.reload_trial(i, t.level(), t.items_observed(), t.sample_iter())?;
+    }
+    Ok(out)
 }
 
 /// Convert two heterogeneously shaped sketches to their common (weakest)
@@ -150,20 +163,14 @@ pub fn harmonize<V: Payload>(
         SketchConfig::from_shape(epsilon, delta, capacity, trials, a.config().hash_kind())?;
 
     let to_shape = |s: &GtSketch<V>| -> Result<GtSketch<V>> {
-        let states = s
-            .trials()
-            .iter()
-            .take(trials)
-            .map(|t| {
-                let t = if t.capacity() > capacity {
-                    t.shrunk_to_capacity(capacity)
-                } else {
-                    t.clone()
-                };
-                (t.level(), t.items_observed(), t.sample_iter().collect())
-            })
-            .collect();
-        GtSketch::reassemble(&target, s.master_seed(), states)
+        let shaped = s.trials().iter().take(trials).map(|t| {
+            if t.capacity() > capacity {
+                Cow::Owned(t.shrunk_to_capacity(capacity))
+            } else {
+                Cow::Borrowed(t)
+            }
+        });
+        rebuilt(&target, s.master_seed(), shaped)
     };
     Ok((to_shape(a)?, to_shape(b)?))
 }

@@ -67,9 +67,10 @@ pub fn delta_between<V: Payload + PartialEq>(
     current: &GtSketch<V>,
 ) -> Result<GtSketch<V>> {
     base.check_coordinated(current)?;
-    let mut states = Vec::with_capacity(current.trials().len());
+    let mut delta = GtSketch::new(current.config(), current.master_seed());
     let mut base_map: HashMap<u64, V> = HashMap::new();
-    for (b, c) in base.trials().iter().zip(current.trials()) {
+    let mut entries: Vec<(u64, V)> = Vec::new();
+    for (index, (b, c)) in base.trials().iter().zip(current.trials()).enumerate() {
         if c.level() < b.level() {
             return Err(SketchError::ConfigMismatch {
                 detail: format!(
@@ -94,14 +95,15 @@ pub fn delta_between<V: Payload + PartialEq>(
                 });
             }
         }
-        let mut entries: Vec<(u64, V)> = c
-            .sample_iter()
-            .filter(|(label, payload)| base_map.get(label) != Some(payload))
-            .collect();
+        entries.clear();
+        entries.extend(
+            c.sample_iter()
+                .filter(|(label, payload)| base_map.get(label) != Some(payload)),
+        );
         entries.sort_unstable_by_key(|&(label, _)| label);
-        states.push((c.level(), c.items_observed(), entries));
+        delta.reload_trial(index, c.level(), c.items_observed(), entries.drain(..))?;
     }
-    GtSketch::reassemble(current.config(), current.master_seed(), states)
+    Ok(delta)
 }
 
 /// Apply a delta produced by [`delta_between`] onto `base`, rebuilding

@@ -20,6 +20,12 @@
 //! `|sample| · 2^level` estimates the distinct count. A median over
 //! `Θ(log 1/δ)` independent trials gives the `(ε, δ)` guarantee.
 //!
+//! Every other simple function `Σ_{distinct x} f(x)` is the same
+//! estimator with a weight, [`GtSketch::estimate_weighted`]: predicate
+//! counts, SumDistinct ([`SumDistinctSketch`]) and recency
+//! ([`RecencySketch`]) are all one call on one sketch type, told apart
+//! only by the per-label payload.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -54,7 +60,6 @@ pub mod parallel;
 pub mod params;
 pub mod predicate;
 pub mod recency;
-pub mod sample;
 pub mod sampleset;
 pub mod similarity;
 pub mod sketch;
@@ -74,8 +79,7 @@ pub use metrics::{
     ConcurrentMetrics, ConcurrentMetricsSnapshot, MetricsSnapshot, PropagationCause,
 };
 pub use params::SketchConfig;
-pub use recency::{estimate_distinct_since_on, LatestTs, RecencySketch};
-pub use sample::DistinctSample;
+pub use recency::{LatestTs, RecencySketch};
 pub use similarity::{jaccard_matrix, similarity, SimilarityEstimate};
 pub use sketch::{DistinctSketch, GtSketch};
 pub use sumdistinct::SumDistinctSketch;

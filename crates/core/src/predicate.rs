@@ -9,10 +9,13 @@
 //! F₀(P) = |{ distinct labels x in the union : P(x) }|
 //! ```
 //!
-//! by counting the sampled labels that satisfy `P` and scaling by `2^l`.
-//! This is the query-flexibility selling point of sample-based sketches
-//! over bitmap-based ones (PCSA/LogLog cannot answer any of these):
-//! one pass over the streams, unbounded post-hoc predicates.
+//! as the simple function with weight `1` on `P` and `0` elsewhere —
+//! one [`GtSketch::estimate_weighted`] call. This is the
+//! query-flexibility selling point of sample-based sketches over
+//! bitmap-based ones (PCSA/LogLog cannot answer any of these): one pass
+//! over the streams, unbounded post-hoc predicates. Weighted
+//! sub-population sums compose the same way: put the predicate inside
+//! the weight.
 //!
 //! ## Error guarantee
 //!
@@ -40,19 +43,7 @@ impl<V: Payload> GtSketch<V> {
     /// Unbiased; error is additive `± ε · F₀(total)` with probability
     /// `1 − δ` (see module docs).
     pub fn estimate_distinct_where(&self, pred: impl Fn(u64) -> bool + Copy) -> Estimate {
-        let mut per_trial: Vec<f64> = self
-            .trials()
-            .iter()
-            .map(|t| {
-                let hits = t.sample_iter().filter(|&(label, _)| pred(label)).count();
-                hits as f64 * 2f64.powi(t.level() as i32)
-            })
-            .collect();
-        Estimate {
-            value: median_f64(&mut per_trial),
-            epsilon: self.config().epsilon(),
-            delta: self.config().delta(),
-        }
+        self.estimate_weighted(|label, _| if pred(label) { 1.0 } else { 0.0 })
     }
 
     /// Estimate the *fraction* of distinct labels satisfying `pred`
@@ -71,16 +62,6 @@ impl<V: Payload> GtSketch<V> {
             return 0.0;
         }
         median_f64(&mut per_trial)
-    }
-
-    /// Estimate `Σ value(x)` over distinct labels satisfying `pred` —
-    /// the fully general "simple function on the union" of the title.
-    pub fn estimate_weighted_where(
-        &self,
-        pred: impl Fn(u64) -> bool + Copy,
-        weight: impl Fn(u64, V) -> f64 + Copy,
-    ) -> f64 {
-        self.estimate_weighted(|label, v| if pred(label) { weight(label, v) } else { 0.0 })
     }
 }
 
@@ -157,10 +138,8 @@ mod tests {
         }
         let evens: std::collections::HashSet<u64> =
             labels.iter().copied().filter(|l| l % 2 == 0).collect();
-        let sum = s
-            .inner()
-            .estimate_weighted_where(|l| evens.contains(&l), |_, v| v as f64);
-        assert_eq!(sum, evens.len() as f64 * 7.0);
+        let sum = s.estimate_weighted(|l, v| if evens.contains(&l) { v as f64 } else { 0.0 });
+        assert_eq!(sum.value, evens.len() as f64 * 7.0);
     }
 
     #[test]

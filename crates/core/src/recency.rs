@@ -6,7 +6,10 @@
 //! onward), built entirely out of this paper's machinery: attach each
 //! label's **latest arrival timestamp** as its payload (merged by `max`
 //! on duplicates and across parties), and answer recency queries as
-//! predicate-restricted counts over the coordinated sample.
+//! predicate-restricted counts over the coordinated sample. The payload
+//! type [`LatestTs`] is all that makes a [`GtSketch`] a [`RecencySketch`],
+//! so a referee's live union fed by the delta plane answers the same
+//! query with the same call.
 //!
 //! ## Semantics and guarantee
 //!
@@ -15,8 +18,10 @@
 //! an in-sample label updates it; labels evicted by level promotion were
 //! dropped independently of time). Hence
 //! `|{x ∈ S : ts(x) ≥ t}| · 2^l` is an unbiased estimator of
-//! `|{distinct x : latest arrival ≥ t}|`, with the same additive
-//! `± ε·F₀(total)` error as any predicate query (experiment E13).
+//! `|{distinct x : latest arrival ≥ t}|` — the simple function with
+//! weight `1` on recent labels, one [`GtSketch::estimate_weighted`] call —
+//! with the same additive `± ε·F₀(total)` error as any predicate query
+//! (experiment E13).
 //!
 //! This is a **landmark** window (state never expires), not the
 //! follow-up's sliding window (which evicts by timestamp to bound space
@@ -24,9 +29,7 @@
 //! same queries exactly when total distinct labels fit the configured
 //! space budget — and degrades to additive error beyond it.
 
-use crate::error::Result;
-use crate::estimate::{median_f64, Estimate};
-use crate::params::SketchConfig;
+use crate::estimate::Estimate;
 use crate::sketch::GtSketch;
 use crate::trial::Payload;
 
@@ -52,7 +55,8 @@ impl Payload for LatestTs {
     }
 }
 
-/// A distinct-count sketch that also answers "distinct since `t`".
+/// A distinct-count sketch that also answers "distinct since `t`": a
+/// [`GtSketch`] whose payload is each label's latest arrival time.
 ///
 /// ```
 /// use gt_core::{RecencySketch, SketchConfig};
@@ -64,94 +68,28 @@ impl Payload for LatestTs {
 /// assert_eq!(s.estimate_distinct_since(250).value, 1.0); // only label 10
 /// assert_eq!(s.estimate_distinct().value, 2.0);
 /// ```
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct RecencySketch {
-    inner: GtSketch<LatestTs>,
-}
+pub type RecencySketch = GtSketch<LatestTs>;
 
-impl RecencySketch {
-    /// Create an empty sketch; same coordination contract as
-    /// [`crate::DistinctSketch`].
-    pub fn new(config: &SketchConfig, master_seed: u64) -> Self {
-        RecencySketch {
-            inner: GtSketch::new(config, master_seed),
-        }
-    }
-
+impl GtSketch<LatestTs> {
     /// Observe `label` arriving at `timestamp`. Timestamps may arrive in
     /// any order (out-of-order streams keep the max per label).
     #[inline]
     pub fn insert(&mut self, label: u64, timestamp: u64) {
-        self.inner.insert_merging_with(label, LatestTs(timestamp));
-    }
-
-    /// `(ε, δ)`-estimate of all distinct labels ever observed.
-    pub fn estimate_distinct(&self) -> Estimate {
-        self.inner.estimate_distinct()
+        self.insert_merging_with(label, LatestTs(timestamp));
     }
 
     /// Estimate of distinct labels whose **latest** arrival is at or
     /// after `since`. Unbiased; additive `± ε·F₀(total)` error with
     /// probability `1 − δ` (module docs).
     pub fn estimate_distinct_since(&self, since: u64) -> Estimate {
-        estimate_distinct_since_on(&self.inner, since)
-    }
-
-    /// Union with another party's sketch: per-label latest timestamps are
-    /// reconciled by `max`, so the union answers recency queries over the
-    /// combined streams.
-    pub fn merge_from(&mut self, other: &RecencySketch) -> Result<()> {
-        self.inner.merge_from(&other.inner)
-    }
-
-    /// Union as a new sketch.
-    pub fn merged(&self, other: &RecencySketch) -> Result<RecencySketch> {
-        let mut out = self.clone();
-        out.merge_from(other)?;
-        Ok(out)
-    }
-
-    /// Items observed (duplicates included).
-    pub fn items_observed(&self) -> u64 {
-        self.inner.items_observed()
-    }
-
-    /// The underlying generic sketch.
-    pub fn inner(&self) -> &GtSketch<LatestTs> {
-        &self.inner
-    }
-}
-
-/// Recency estimate over any timestamp-carrying sketch — the estimator
-/// behind [`RecencySketch::estimate_distinct_since`], exposed as a free
-/// function so aggregators that hold a raw `GtSketch<LatestTs>` (e.g. a
-/// referee's live union fed by the delta plane) can answer the same
-/// query without re-wrapping.
-pub fn estimate_distinct_since_on(sketch: &GtSketch<LatestTs>, since: u64) -> Estimate {
-    let mut per_trial: Vec<f64> = sketch
-        .trials()
-        .iter()
-        .map(|t| {
-            let hits = t.sample_iter().filter(|&(_, ts)| ts.0 >= since).count();
-            hits as f64 * 2f64.powi(t.level() as i32)
-        })
-        .collect();
-    Estimate {
-        value: median_f64(&mut per_trial),
-        epsilon: sketch.config().epsilon(),
-        delta: sketch.config().delta(),
-    }
-}
-
-impl crate::merge::Mergeable for RecencySketch {
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        RecencySketch::merge_from(self, other)
+        self.estimate_weighted(|_, ts| if ts.0 >= since { 1.0 } else { 0.0 })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::SketchConfig;
 
     fn cfg() -> SketchConfig {
         SketchConfig::new(0.1, 0.1).unwrap()

@@ -2,10 +2,11 @@
 //! sampling trials combined by the median, giving the paper's
 //! `(ε, δ)`-approximation of distinct-label aggregates.
 //!
-//! [`GtSketch`] is generic over the per-label payload `V`; the common
-//! instantiations have friendly aliases and wrappers:
-//! [`DistinctSketch`] (`V = ()`, distinct counting / F₀) here, and
-//! `SumDistinctSketch` in [`crate::sumdistinct`].
+//! [`GtSketch`] is generic over the per-label payload `V`, and the payload
+//! alone names what a sketch is for: [`DistinctSketch`] (`V = ()`,
+//! distinct counting / F₀) here, [`crate::SumDistinctSketch`] (`V = u64`)
+//! in [`crate::sumdistinct`], and [`crate::RecencySketch`]
+//! (`V = LatestTs`) in [`crate::recency`].
 
 use gt_hash::{HashFamily, SeedSequence};
 
@@ -14,10 +15,6 @@ use crate::estimate::{median_f64, Estimate};
 use crate::metrics::MetricsSnapshot;
 use crate::params::SketchConfig;
 use crate::trial::{CoordinatedTrial, Payload, KERNEL_CHUNK};
-
-/// Transmitted state of one trial: `(level, items observed, sample
-/// entries)` — the wire codec's unit of exchange.
-pub type TrialState<V> = (u8, u64, Vec<(u64, V)>);
 
 /// An `r`-trial coordinated-sampling sketch over labels in `[0, 2^61 − 1)`
 /// with per-label payloads `V`.
@@ -58,45 +55,6 @@ impl<V: Payload> GtSketch<V> {
             trials,
             metrics: MetricsSnapshot::default(),
         }
-    }
-
-    /// Reassemble a sketch from transmitted per-trial states (the decode
-    /// side of a wire codec): for each trial, its level, item count, and
-    /// sample entries. Hash functions are rebuilt from `(config,
-    /// master_seed)`, so only sample contents travel on the wire.
-    ///
-    /// # Errors
-    /// Rejects trial counts that do not match the config and any per-trial
-    /// state that violates the sample invariant.
-    pub fn reassemble(
-        config: &SketchConfig,
-        master_seed: u64,
-        trial_states: Vec<TrialState<V>>,
-    ) -> Result<Self> {
-        if trial_states.len() != config.trials() {
-            return Err(SketchError::ConfigMismatch {
-                detail: format!(
-                    "message carries {} trials, config expects {}",
-                    trial_states.len(),
-                    config.trials()
-                ),
-            });
-        }
-        let seq = config.seed_sequence(master_seed);
-        let trials = trial_states
-            .into_iter()
-            .enumerate()
-            .map(|(t, (level, items, entries))| {
-                let hasher = config.hash_kind().build(seq.trial_seed(t));
-                CoordinatedTrial::from_parts(hasher, config.capacity(), level, items, entries)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(GtSketch {
-            config: *config,
-            master_seed,
-            trials,
-            metrics: MetricsSnapshot::default(),
-        })
     }
 
     /// The sketch's configuration.
@@ -209,26 +167,30 @@ impl<V: Payload> GtSketch<V> {
     /// `(ε, δ)`-estimate of the number of **distinct labels** observed:
     /// the median over trials of `|Sᵢ| · 2^{lᵢ}`.
     pub fn estimate_distinct(&self) -> Estimate {
-        let mut per_trial: Vec<f64> = self.trials.iter().map(|t| t.estimate_distinct()).collect();
-        Estimate {
-            value: median_f64(&mut per_trial),
-            epsilon: self.config.epsilon(),
-            delta: self.config.delta(),
-        }
+        self.median_over_trials(|t| t.estimate_distinct())
     }
 
-    /// Median-of-trials estimate of `Σ_{distinct x} weight(x, payload(x))`.
+    /// `(ε, δ)`-estimate of `Σ_{distinct x} weight(x, payload(x))`: the
+    /// median over trials of `2^{lᵢ} · Σ_{x ∈ Sᵢ} weight(x, payload(x))`.
+    /// Every simple function of the distinct labels is one weight:
+    /// predicate counts, SumDistinct and recency are all this call.
     ///
     /// The estimator is unbiased for any weight function; the `(ε, δ)`
     /// *relative*-error contract carries over when weights are bounded
     /// (see `crate::sumdistinct` for the precise statement).
-    pub fn estimate_weighted(&self, weight: impl Fn(u64, V) -> f64 + Copy) -> f64 {
-        let mut per_trial: Vec<f64> = self
-            .trials
-            .iter()
-            .map(|t| t.estimate_weighted(weight))
-            .collect();
-        median_f64(&mut per_trial)
+    pub fn estimate_weighted(&self, weight: impl Fn(u64, V) -> f64 + Copy) -> Estimate {
+        self.median_over_trials(|t| t.estimate_weighted(weight))
+    }
+
+    /// The median over trials of a per-trial estimate, stamped with the
+    /// config's `(ε, δ)`.
+    fn median_over_trials(&self, per_trial: impl Fn(&CoordinatedTrial<V>) -> f64) -> Estimate {
+        let mut values: Vec<f64> = self.trials.iter().map(per_trial).collect();
+        Estimate {
+            value: median_f64(&mut values),
+            epsilon: self.config.epsilon(),
+            delta: self.config.delta(),
+        }
     }
 
     /// Merge `other` into `self` (the referee's union step).
@@ -322,18 +284,18 @@ impl<V: Payload> GtSketch<V> {
         Ok(out)
     }
 
-    /// In-place counterpart of [`GtSketch::reassemble`] for one trial:
-    /// reload trial `index` with transmitted state, reusing its sample
-    /// storage (see [`CoordinatedTrial::reload`]). The referee's decode
-    /// arena calls this once per wire trial to refill a pooled sketch
-    /// without allocating.
+    /// Reload trial `index` with transmitted state, reusing its sample
+    /// storage (see [`CoordinatedTrial::reload`]) — the one path that
+    /// rebuilds a sketch from per-trial state: the wire codec, the
+    /// referee's decode arena, compaction and delta extraction all start
+    /// from [`GtSketch::new`] and reload each trial through it.
     ///
     /// On `Err` the trial's state is unspecified; the sketch must be
     /// fully reloaded (or discarded) before use.
     ///
     /// # Errors
     /// [`SketchError::ConfigMismatch`] if `index` is out of range, plus
-    /// everything [`CoordinatedTrial::from_parts`] rejects.
+    /// everything [`CoordinatedTrial::reload`] rejects.
     pub fn reload_trial(
         &mut self,
         index: usize,
@@ -876,16 +838,16 @@ mod tests {
         let config = cfg(0.2, 0.2);
         let mut donor = DistinctSketch::new(&config, 70);
         donor.extend_labels(labels(5_000, 71));
-        let states: Vec<TrialState<()>> = donor
-            .trials()
-            .iter()
-            .map(|t| (t.level(), t.items_observed(), t.sample_iter().collect()))
-            .collect();
-        let reassembled = DistinctSketch::reassemble(&config, 70, states.clone()).unwrap();
+        let mut fresh = DistinctSketch::new(&config, 70);
         let mut pooled = DistinctSketch::new(&config, 70);
         pooled.extend_labels(labels(900, 72)); // dirty the pooled storage
-        for (i, (level, items, entries)) in states.into_iter().enumerate() {
-            pooled.reload_trial(i, level, items, entries).unwrap();
+        for (i, t) in donor.trials().iter().enumerate() {
+            fresh
+                .reload_trial(i, t.level(), t.items_observed(), t.sample_iter())
+                .unwrap();
+            pooled
+                .reload_trial(i, t.level(), t.items_observed(), t.sample_iter())
+                .unwrap();
         }
         let state = |s: &DistinctSketch| -> Vec<(u8, u64, std::collections::BTreeSet<u64>)> {
             s.trials()
@@ -899,7 +861,8 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(state(&pooled), state(&reassembled));
+        assert_eq!(state(&pooled), state(&fresh));
+        assert_eq!(state(&pooled), state(&donor));
         // Out-of-range index is an error, not a panic.
         assert!(matches!(
             pooled.reload_trial(usize::MAX, 0, 0, vec![]),

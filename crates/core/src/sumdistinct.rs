@@ -25,14 +25,19 @@
 //! within a constant factor of each other, and degrades gracefully with
 //! value skew. Experiment E7 measures both regimes. To purchase relative
 //! error `ε` under value bound `R` with mean value `v̄`, scale capacity by
-//! `(R/v̄)²` via [`SketchConfig::with_constants`].
+//! `(R/v̄)²` via [`crate::SketchConfig::with_constants`].
+//!
+//! The sum is one simple function, so it is one
+//! [`GtSketch::estimate_weighted`] call; the payload type `u64` is all
+//! that makes a [`GtSketch`] a [`SumDistinctSketch`].
 
-use crate::error::Result;
 use crate::estimate::Estimate;
-use crate::params::SketchConfig;
 use crate::sketch::GtSketch;
 
-/// An `(ε, δ)` sketch for duplicate-insensitive sums over distinct labels.
+/// An `(ε, δ)` sketch for duplicate-insensitive sums over distinct labels:
+/// a [`GtSketch`] whose payload is the label's value. Re-observations
+/// keep the first-seen value (the model assumes the value is determined
+/// by the label; disagreement means the *stream* violates the model).
 ///
 /// ```
 /// use gt_core::{SketchConfig, SumDistinctSketch};
@@ -45,29 +50,13 @@ use crate::sketch::GtSketch;
 /// assert_eq!(s.estimate_sum().value, 150.0);
 /// assert_eq!(s.estimate_distinct().value, 2.0);
 /// ```
-///
-/// Thin wrapper around [`GtSketch<u64>`] that fixes the payload semantics:
-/// the payload is the label's value, and re-observations keep the
-/// first-seen value (the model assumes the value is determined by the
-/// label; disagreement means the *stream* violates the model).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct SumDistinctSketch {
-    inner: GtSketch<u64>,
-}
+pub type SumDistinctSketch = GtSketch<u64>;
 
-impl SumDistinctSketch {
-    /// Create an empty sketch; same coordination contract as
-    /// [`crate::DistinctSketch`].
-    pub fn new(config: &SketchConfig, master_seed: u64) -> Self {
-        SumDistinctSketch {
-            inner: GtSketch::new(config, master_seed),
-        }
-    }
-
+impl GtSketch<u64> {
     /// Observe a `(label, value)` item.
     #[inline]
     pub fn insert(&mut self, label: u64, value: u64) {
-        self.inner.insert_with(label, value);
+        self.insert_with(label, value);
     }
 
     /// Observe every `(label, value)` pair from an iterator.
@@ -80,61 +69,24 @@ impl SumDistinctSketch {
     /// `(ε, δ)`-estimate of `Σ_{distinct x} value(x)` (see module docs for
     /// the precise error statement under value skew).
     pub fn estimate_sum(&self) -> Estimate {
-        let value = self.inner.estimate_weighted(|_, v| v as f64);
-        Estimate {
-            value,
-            epsilon: self.inner.config().epsilon(),
-            delta: self.inner.config().delta(),
-        }
-    }
-
-    /// `(ε, δ)`-estimate of the distinct-label count (comes for free).
-    pub fn estimate_distinct(&self) -> Estimate {
-        self.inner.estimate_distinct()
+        self.estimate_weighted(|_, v| v as f64)
     }
 
     /// Estimate of the mean value per distinct label (ratio estimator).
     pub fn estimate_mean_value(&self) -> f64 {
-        let d = self.inner.estimate_distinct().value;
+        let d = self.estimate_distinct().value;
         if d == 0.0 {
             0.0
         } else {
             self.estimate_sum().value / d
         }
     }
-
-    /// Union with another party's sketch.
-    pub fn merge_from(&mut self, other: &SumDistinctSketch) -> Result<()> {
-        self.inner.merge_from(&other.inner)
-    }
-
-    /// Union as a new sketch.
-    pub fn merged(&self, other: &SumDistinctSketch) -> Result<SumDistinctSketch> {
-        let mut out = self.clone();
-        out.merge_from(other)?;
-        Ok(out)
-    }
-
-    /// Items observed (duplicates included).
-    pub fn items_observed(&self) -> u64 {
-        self.inner.items_observed()
-    }
-
-    /// The underlying generic sketch (advanced estimators).
-    pub fn inner(&self) -> &GtSketch<u64> {
-        &self.inner
-    }
-}
-
-impl crate::merge::Mergeable for SumDistinctSketch {
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        SumDistinctSketch::merge_from(self, other)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::SketchConfig;
 
     fn cfg() -> SketchConfig {
         SketchConfig::new(0.1, 0.1).unwrap()

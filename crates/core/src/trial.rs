@@ -118,21 +118,6 @@ impl<V: Payload> CoordinatedTrial<V> {
         }
     }
 
-    /// Reconstruct a trial from transmitted state (the decode side of a
-    /// wire codec): a fresh [`CoordinatedTrial::new`] then
-    /// [`CoordinatedTrial::reload`], which validates the sample invariant.
-    pub fn from_parts(
-        hasher: HashFamily,
-        capacity: usize,
-        level: u8,
-        items_observed: u64,
-        entries: impl IntoIterator<Item = (u64, V)>,
-    ) -> Result<Self> {
-        let mut trial = Self::new(hasher, capacity);
-        trial.reload(level, items_observed, entries)?;
-        Ok(trial)
-    }
-
     /// Reload this trial with transmitted state, reusing the existing
     /// sample storage ([`FixedCapMap::clear`] keeps the allocation) — the
     /// referee's decode arena leans on this to decode thousands of
@@ -510,10 +495,15 @@ impl<V: Payload> CoordinatedTrial<V> {
         self.sample.len() as f64 * 2f64.powi(self.level as i32)
     }
 
-    /// This trial's estimate of `Σ_{distinct x} payload(x)` via
-    /// `2^l · Σ_{x ∈ S} payload(x)` (payload convertible to f64 by caller).
+    /// This trial's estimate of `Σ_{distinct x} weight(x, payload(x))` via
+    /// `2^l · Σ_{x ∈ S} weight(x, payload(x))`. The sum folds from `+0.0`
+    /// (`Iterator::sum` starts at `-0.0`), so an empty sample estimates
+    /// `+0`, as [`CoordinatedTrial::estimate_distinct`] does.
     pub fn estimate_weighted(&self, weight: impl Fn(u64, V) -> f64) -> f64 {
-        let sum: f64 = self.sample.iter().map(|(k, v)| weight(k, v)).sum();
+        let sum = self
+            .sample
+            .iter()
+            .fold(0.0, |acc, (k, v)| acc + weight(k, v));
         sum * 2f64.powi(self.level as i32)
     }
 
@@ -836,10 +826,11 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates_transmitted_state() {
+    fn reload_validates_transmitted_state() {
         let hasher = HashFamilyKind::Pairwise.build(FamilySeed(3));
+        let fresh = |capacity| CoordinatedTrial::<()>::new(hasher.clone(), capacity);
         // Out-of-field label rejected.
-        let r = CoordinatedTrial::<()>::from_parts(hasher.clone(), 8, 0, 1, vec![(u64::MAX, ())]);
+        let r = fresh(8).reload(0, 1, vec![(u64::MAX, ())]);
         assert!(matches!(r, Err(SketchError::LabelOutOfRange { .. })));
         // Level violation rejected: find a level-0 label, claim level 5.
         let lvl0 = (0..10_000u64)
@@ -849,14 +840,15 @@ mod tests {
                 hasher.level(x) == 0
             })
             .unwrap();
-        let r = CoordinatedTrial::<()>::from_parts(hasher.clone(), 8, 5, 1, vec![(lvl0, ())]);
+        let r = fresh(8).reload(5, 1, vec![(lvl0, ())]);
         assert!(r.is_err());
         // Over-capacity rejected.
         let entries: Vec<(u64, ())> = (0..10u64).map(|i| (gt_hash::fold61(i), ())).collect();
-        let r = CoordinatedTrial::from_parts(hasher.clone(), 4, 0, 10, entries.clone());
+        let r = fresh(4).reload(0, 10, entries.clone());
         assert!(r.is_err());
         // Valid state round-trips.
-        let ok = CoordinatedTrial::from_parts(hasher, 16, 0, 10, entries).unwrap();
+        let mut ok = fresh(16);
+        ok.reload(0, 10, entries).unwrap();
         assert_eq!(ok.sample_len(), 10);
         assert_eq!(ok.items_observed(), 10);
     }
@@ -1051,11 +1043,11 @@ mod tests {
     }
 
     #[test]
-    fn reload_matches_from_parts() {
+    fn reload_of_a_used_trial_matches_a_fresh_one() {
         let hasher = HashFamilyKind::Pairwise.build(FamilySeed(3));
         let entries: Vec<(u64, ())> = (0..10u64).map(|i| (gt_hash::fold61(i), ())).collect();
-        let fresh =
-            CoordinatedTrial::from_parts(hasher.clone(), 16, 0, 10, entries.clone()).unwrap();
+        let mut fresh: CoordinatedTrial<()> = CoordinatedTrial::new(hasher.clone(), 16);
+        fresh.reload(0, 10, entries.clone()).unwrap();
         let mut reused: CoordinatedTrial<()> = CoordinatedTrial::new(hasher.clone(), 16);
         // Dirty the trial first so clear() actually has work to do.
         for x in labels(200, 50) {
@@ -1068,7 +1060,7 @@ mod tests {
             t.sample_iter().map(|(k, _)| k).collect()
         };
         assert_eq!(set(&reused), set(&fresh));
-        // Same rejections as from_parts.
+        // Same rejections as a fresh trial's reload.
         assert!(matches!(
             reused.reload(0, 1, vec![(u64::MAX, ())]),
             Err(SketchError::LabelOutOfRange { .. })

@@ -649,10 +649,10 @@ mod tests {
         for i in 0..500u64 {
             s.insert(gt_hash::fold61(i), i % 13 + 1);
         }
-        let bytes = encode_sketch(s.inner());
+        let bytes = encode_sketch(&s);
         let inner: GtSketch<u64> = decode_sketch(bytes).unwrap();
         assert_eq!(
-            inner.estimate_weighted(|_, v| v as f64),
+            inner.estimate_weighted(|_, v| v as f64).value,
             s.estimate_sum().value
         );
     }
@@ -890,7 +890,7 @@ mod tests {
         for i in 0..2_000u64 {
             sum.insert(gt_hash::fold61(i), i % 7 + 1);
         }
-        let sum_base = encode_sketch(sum.inner()).to_vec();
+        let sum_base = encode_sketch(&sum).to_vec();
 
         let mut rng = 0x5EED_F0CC_u64;
         let mut accepted = 0u64;

@@ -900,7 +900,7 @@ impl RefereeOf<gt_core::LatestTs> {
     /// across parties, both on the classic path and under the delta
     /// plane's refresh merges).
     pub fn query_distinct_since(&self, since: u64) -> Estimate {
-        gt_core::estimate_distinct_since_on(&self.union, since)
+        self.union.estimate_distinct_since(since)
     }
 }
 
@@ -1177,15 +1177,18 @@ mod tests {
             }
             let msg = PartyMessage {
                 party_id: id,
-                payload: encode_sketch(s.inner()),
-                items_observed: s.inner().items_observed(),
+                payload: encode_sketch(&s),
+                items_observed: s.items_observed(),
             };
             assert_eq!(referee.receive(&msg).unwrap(), Receipt::Merged);
             // Redelivery of a weighted payload dedups too.
             assert_eq!(referee.receive(&msg).unwrap(), Receipt::Duplicate);
         }
         let expected: f64 = (0u64..450).map(|i| (i % 7 + 1) as f64).sum();
-        let estimated = referee.union_sketch().estimate_weighted(|_, v| v as f64);
+        let estimated = referee
+            .union_sketch()
+            .estimate_weighted(|_, v| v as f64)
+            .value;
         assert!(
             (estimated - expected).abs() / expected < 0.1,
             "weighted union {estimated} vs {expected}"

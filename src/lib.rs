@@ -10,10 +10,11 @@
 //! * [`DistinctSketch`] — `(ε, δ)`-approximate distinct counting (F₀) in
 //!   `O(ε⁻² log(1/δ) log n)` space, **losslessly mergeable** across any
 //!   number of independent observers that share a seed.
-//! * [`SumDistinctSketch`] — duplicate-insensitive sums over distinct
-//!   labels.
-//! * Predicate-restricted counts ([`GtSketch::estimate_distinct_where`]),
-//!   distinct-label samples ([`DistinctSample`]), and two-stream
+//! * Any simple function `Σ f(x)` over the distinct labels
+//!   ([`GtSketch::estimate_weighted`]): predicate-restricted counts
+//!   ([`GtSketch::estimate_distinct_where`]), duplicate-insensitive sums
+//!   ([`SumDistinctSketch`]) and "distinct since `t`" ([`RecencySketch`])
+//!   are payload aliases of the one sketch type, plus two-stream
 //!   intersection / Jaccard estimation ([`similarity()`]).
 //! * [`ShardedSketch`] and [`parallel`] — multicore ingestion with
 //!   bit-identical results to sequential processing.
@@ -45,11 +46,11 @@
 pub use gt_core::{
     compact, concurrent, error, estimate, eval_expr, expr, harmonize, jaccard_matrix, median_f64,
     merge, merge_all, merge_tree, metrics, parallel, params, predicate, quantile_f64, recency,
-    relative_error, sample, similarity, sketch, sumdistinct, trial, ConcurrentMetricsSnapshot,
-    ConcurrentSketch, CoordinatedTrial, DistinctSample, DistinctSketch, Estimate, ExprContext,
-    ExpressionEstimate, GtSketch, JaccardEstimate, LatestTs, Mergeable, MetricsSnapshot, Payload,
-    PropagationCause, RecencySketch, Result, SetExpr, ShardedSketch, SimilarityEstimate,
-    SketchConfig, SketchError, SketchSnapshot, SketchWriter, SumDistinctSketch, TrialInsert,
+    relative_error, similarity, sketch, sumdistinct, trial, ConcurrentMetricsSnapshot,
+    ConcurrentSketch, CoordinatedTrial, DistinctSketch, Estimate, ExprContext, ExpressionEstimate,
+    GtSketch, JaccardEstimate, LatestTs, Mergeable, MetricsSnapshot, Payload, PropagationCause,
+    RecencySketch, Result, SetExpr, ShardedSketch, SimilarityEstimate, SketchConfig, SketchError,
+    SketchSnapshot, SketchWriter, SumDistinctSketch, TrialInsert,
 };
 
 /// Hashing substrate: pairwise-independent families, levels, seeds.

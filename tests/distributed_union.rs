@@ -350,8 +350,8 @@ proptest! {
             }
             let msg = PartyMessage {
                 party_id: id,
-                payload: encode_sketch(s.inner()),
-                items_observed: s.inner().items_observed(),
+                payload: encode_sketch(&s),
+                items_observed: s.items_observed(),
             };
             prop_assert_eq!(once.receive(&msg).unwrap(), Receipt::Merged);
             prop_assert_eq!(noisy.receive(&msg).unwrap(), Receipt::Merged);
