@@ -15,6 +15,8 @@
 //!   invariant via `CoordinatedTrial::reload`), so a referee cannot silently
 //!   union a corrupt or uncoordinated message.
 
+use std::ops::Range;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gt_core::{GtSketch, SketchConfig, SketchError};
 use gt_hash::HashFamilyKind;
@@ -136,12 +138,23 @@ const FRAME_KIND_DELTA: u8 = 1;
 /// unchanged.
 pub fn encode_full_frame<V: WirePayload>(sketch: &GtSketch<V>, generation: u64) -> Bytes {
     let body = encode_sketch(sketch);
-    let mut buf = BytesMut::with_capacity(4 + 1 + varint_len(generation) + body.len());
+    let mut buf = BytesMut::with_capacity(full_frame_header_len(generation) + body.len());
     buf.put_u32(FRAME_MAGIC);
     buf.put_u8(FRAME_KIND_FULL);
     put_varint(&mut buf, generation);
     buf.put_slice(&body);
     buf.freeze()
+}
+
+/// Exact byte length [`encode_full_frame`] produces for `sketch` at
+/// `generation`, without encoding it.
+pub fn full_frame_len<V: WirePayload>(sketch: &GtSketch<V>, generation: u64) -> usize {
+    full_frame_header_len(generation) + encoded_sketch_len(sketch)
+}
+
+/// A full frame's header: magic, kind byte, generation varint.
+fn full_frame_header_len(generation: u64) -> usize {
+    4 + 1 + varint_len(generation)
 }
 
 /// Encode a delta (a [`gt_core::delta_between`] result) as a
@@ -316,31 +329,9 @@ fn get_hash_kind(buf: &mut Bytes) -> Result<HashFamilyKind, CodecError> {
 /// assert_eq!(at_referee.estimate_distinct().value, 800.0);
 /// ```
 pub fn encode_sketch<V: WirePayload>(sketch: &GtSketch<V>) -> Bytes {
-    // Pass 1: collect and sort every trial's entries once (one Vec with
-    // per-trial ranges, not one Vec per trial) and total the exact
-    // encoded length. The buffer is then reserved exactly — spilling
-    // millions of small sketches must not pay repeated `Vec` regrowth,
-    // and the capacity test pins `len == encoded_sketch_len`.
+    let (entries, ranges, total) = sorted_layout(sketch);
     let trials = sketch.trials();
-    let mut entries: Vec<(u64, V)> = Vec::with_capacity(sketch.sample_entries());
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(trials.len());
-    for trial in trials {
-        let start = entries.len();
-        entries.extend(trial.sample_iter());
-        entries[start..].sort_unstable_by_key(|&(label, _)| label);
-        ranges.push((start, entries.len()));
-    }
     let cfg = sketch.config();
-    let mut total = header_len(cfg);
-    for (trial, &(start, end)) in trials.iter().zip(&ranges) {
-        total += 1 + varint_len(trial.items_observed());
-        total += varint_len((end - start) as u64);
-        let mut prev = 0u64;
-        for &(label, payload) in &entries[start..end] {
-            total += varint_len(label - prev) + payload.encoded_len();
-            prev = label;
-        }
-    }
     // Pass 2: write.
     let mut buf = BytesMut::with_capacity(total);
     buf.put_u32(MAGIC);
@@ -350,16 +341,17 @@ pub fn encode_sketch<V: WirePayload>(sketch: &GtSketch<V>) -> Bytes {
     put_varint(&mut buf, cfg.capacity() as u64);
     put_varint(&mut buf, cfg.trials() as u64);
     put_hash_kind(&mut buf, cfg.hash_kind());
-    for (trial, &(start, end)) in trials.iter().zip(&ranges) {
+    for (trial, range) in trials.iter().zip(ranges) {
+        let sorted = &entries[range];
         buf.put_u8(trial.level());
         put_varint(&mut buf, trial.items_observed());
-        put_varint(&mut buf, (end - start) as u64);
+        put_varint(&mut buf, sorted.len() as u64);
         let mut prev = 0u64;
-        for &(label, _) in &entries[start..end] {
+        for &(label, _) in sorted {
             put_varint(&mut buf, label - prev);
             prev = label;
         }
-        for &(_, payload) in &entries[start..end] {
+        for &(_, payload) in sorted {
             payload.encode(&mut buf);
         }
     }
@@ -377,29 +369,39 @@ fn header_len(cfg: &gt_core::SketchConfig) -> usize {
     4 + 8 + 8 + 8 + varint_len(cfg.capacity() as u64) + varint_len(cfg.trials() as u64) + kind_len
 }
 
+/// Pass 1 of [`encode_sketch`]: every trial's entries sorted by label,
+/// collected once into one Vec with per-trial ranges (not one Vec per
+/// trial), and the exact encoded length. The encoder then reserves its
+/// buffer exactly — spilling millions of small sketches must not pay
+/// repeated `Vec` regrowth.
+fn sorted_layout<V: WirePayload>(
+    sketch: &GtSketch<V>,
+) -> (Vec<(u64, V)>, Vec<Range<usize>>, usize) {
+    let trials = sketch.trials();
+    let mut entries: Vec<(u64, V)> = Vec::with_capacity(sketch.sample_entries());
+    let mut ranges = Vec::with_capacity(trials.len());
+    let mut total = header_len(sketch.config());
+    for trial in trials {
+        let start = entries.len();
+        entries.extend(trial.sample_iter());
+        let sorted = &mut entries[start..];
+        sorted.sort_unstable_by_key(|&(label, _)| label);
+        total += 1 + varint_len(trial.items_observed()) + varint_len(sorted.len() as u64);
+        let mut prev = 0u64;
+        for &(label, payload) in sorted.iter() {
+            total += varint_len(label - prev) + payload.encoded_len();
+            prev = label;
+        }
+        ranges.push(start..entries.len());
+    }
+    (entries, ranges, total)
+}
+
 /// Exact byte length [`encode_sketch`] will produce for `sketch`, without
 /// encoding it — usable for spill-log capacity planning and asserted
 /// against the real encoder in tests.
 pub fn encoded_sketch_len<V: WirePayload>(sketch: &GtSketch<V>) -> usize {
-    let mut total = header_len(sketch.config());
-    let mut labels: Vec<u64> = Vec::new();
-    for trial in sketch.trials() {
-        total += 1 + varint_len(trial.items_observed());
-        total += varint_len(trial.sample_len() as u64);
-        labels.clear();
-        labels.extend(trial.sample_iter().map(|(label, _)| label));
-        labels.sort_unstable();
-        let mut prev = 0u64;
-        for &label in &labels {
-            total += varint_len(label - prev);
-            prev = label;
-        }
-        total += trial
-            .sample_iter()
-            .map(|(_, payload)| payload.encoded_len())
-            .sum::<usize>();
-    }
-    total
+    sorted_layout(sketch).2
 }
 
 /// Parse a sketch message's header — magic, master seed, ε, δ, capacity,
@@ -606,6 +608,34 @@ mod tests {
         let mut s = DistinctSketch::new(&kwise, 9);
         s.extend_labels((0..2_000u64).map(gt_hash::fold61));
         assert_eq!(encode_sketch(&s).len(), encoded_sketch_len(&s));
+    }
+
+    /// `full_frame_len` predicts `encode_full_frame` across the varint
+    /// width boundaries of the generation, at level 0 and past it, with
+    /// and without payloads.
+    #[test]
+    fn full_frame_len_matches_the_encoder() {
+        fn check<V: WirePayload>(s: &GtSketch<V>) {
+            for g in [1u64, 127, 128, 16_383, 16_384, u64::MAX] {
+                assert_eq!(
+                    full_frame_len(s, g),
+                    encode_full_frame(s, g).len(),
+                    "gen {g}"
+                );
+            }
+        }
+        for n in [40u64, 60_000] {
+            let mut labels = DistinctSketch::new(&cfg(), 5);
+            let mut stamped = GtSketch::<gt_core::LatestTs>::new(&cfg(), 5);
+            for i in 0..n {
+                labels.insert(gt_hash::fold61(i));
+                stamped.insert_merging_with(gt_hash::fold61(i), gt_core::LatestTs(i * 31));
+            }
+            assert_eq!(labels.max_level() > 0, n > 40);
+            assert_eq!(stamped.max_level() > 0, n > 40);
+            check(&labels);
+            check(&stamped);
+        }
     }
 
     #[test]

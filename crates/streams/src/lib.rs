@@ -13,7 +13,9 @@
 //! * [`codec`] — a compact wire format for sketches (sorted, delta- and
 //!   LEB128-encoded samples) with byte-accurate accounting, so experiment
 //!   E9 measures real message sizes rather than `size_of` guesses.
-//! * [`party`] / [`referee`] — the two roles, as plain types.
+//! * [`party`] / [`referee`] — the two roles, as plain types: one party
+//!   type, [`DeltaParty`] (with [`Party`] its label-only alias), and a
+//!   referee that keeps one record per heard party.
 //! * [`runner`] — the batch runs over a pre-generated stream set:
 //!   [`runner::run_batch`] (one OS thread per party, crossbeam channels
 //!   to the referee) returns a [`runner::BatchReport`] with estimates,
@@ -55,7 +57,7 @@ pub mod workload;
 
 pub use codec::{
     decode_sketch, decode_sketch_into, encode_delta_frame, encode_full_frame, encode_sketch,
-    encoded_sketch_len, payload_fingerprint, varint_len, CodecError, DecodeScratch, WirePayload,
+    payload_fingerprint, CodecError, DecodeScratch, WirePayload,
 };
 pub use collector::{collect_once, CollectionReport, PartyAttempts, RetryPolicy};
 pub use netflow::{FlowRecord, FlowWorkload};

@@ -1,20 +1,24 @@
-//! The party role: observe one stream, ship one message — and, for the
-//! continuous-monitoring plane, a [`DeltaParty`] that keeps observing
-//! and ships compact generation-stamped delta frames as its state
-//! evolves.
+//! The party role: one stream observer, [`DeltaParty`], whose report
+//! schedule is the caller's choice.
 //!
-//! A [`Party`] is deliberately thin — it owns a sketch, feeds it, and
-//! finalizes into a [`PartyMessage`] whose byte length *is* the party's
-//! total communication (the model allows no other traffic). The runner
-//! puts one of these on each thread.
+//! In the paper's model a party owns a coordinated sketch of its own
+//! stream and ships it to the referee. Shipping once at end of stream
+//! ([`Party::finish`]), re-shipping the whole sketch on a cadence
+//! ([`DeltaParty::full_message`]) and shipping generation-stamped delta
+//! frames as the state evolves ([`DeltaParty::emit_frame`]) are only
+//! different report schedules of that one object. Every report is a
+//! [`PartyMessage`] whose byte length *is* the communication it costs.
+//! [`Party`] is the label-only party (`DeltaParty<()>`) the runner puts
+//! on each thread.
 
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use gt_core::{delta_between, DistinctSketch, GtSketch, SketchConfig};
+use gt_core::{delta_between, GtSketch, SketchConfig};
 
 use crate::codec::{
-    encode_delta_frame, encode_full_frame, encode_sketch, payload_fingerprint, WirePayload,
+    encode_delta_frame, encode_full_frame, encode_sketch, full_frame_len, payload_fingerprint,
+    WirePayload,
 };
 
 /// A finalized party transmission: everything a party ever sends.
@@ -35,28 +39,10 @@ impl PartyMessage {
     }
 }
 
-/// One stream observer in the distributed-streams model.
-#[derive(Clone, Debug)]
-pub struct Party {
-    id: usize,
-    sketch: DistinctSketch,
-}
+/// The label-only party of the paper's one-shot model.
+pub type Party = DeltaParty<()>;
 
 impl Party {
-    /// Create party `id`. The `(config, master_seed)` pair is the only
-    /// shared setup the model permits, distributed before streams begin.
-    pub fn new(id: usize, config: &SketchConfig, master_seed: u64) -> Self {
-        Party {
-            id,
-            sketch: DistinctSketch::new(config, master_seed),
-        }
-    }
-
-    /// This party's id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Observe one label.
     #[inline]
     pub fn observe(&mut self, label: u64) {
@@ -64,25 +50,16 @@ impl Party {
     }
 
     /// Observe an entire stream through the batch-monomorphic kernel
-    /// (see [`DistinctSketch::extend_slice`]) — same state as calling
-    /// [`Party::observe`] per label, measured faster by experiment `e4`.
+    /// (see [`gt_core::DistinctSketch::extend_slice`]) — same state as
+    /// calling [`Party::observe`] per label, measured faster by
+    /// experiment `e4`.
     pub fn observe_stream(&mut self, stream: &[u64]) {
         self.sketch.extend_slice(stream);
     }
 
-    /// Read access to the local sketch (e.g. for local-only estimates).
-    pub fn sketch(&self) -> &DistinctSketch {
-        &self.sketch
-    }
-
     /// End of stream: encode and emit the single permitted message.
     pub fn finish(self) -> PartyMessage {
-        let items_observed = self.sketch.items_observed();
-        PartyMessage {
-            party_id: self.id,
-            payload: encode_sketch(&self.sketch),
-            items_observed,
-        }
+        self.full_message()
     }
 }
 
@@ -115,11 +92,13 @@ impl DeltaPartyStats {
     }
 }
 
-/// A continuously-monitoring party: observes its stream indefinitely
-/// and ships generation-stamped frames — compact deltas against the
-/// last acknowledged base when possible, full snapshots otherwise.
+/// A party: observes its stream indefinitely and reports it — as a
+/// plain sketch message ([`DeltaParty::full_message`]), or as
+/// generation-stamped frames, compact deltas against the last
+/// acknowledged base when possible and full snapshots otherwise
+/// ([`DeltaParty::emit_frame`]).
 ///
-/// Protocol state machine (referee side in
+/// Frame protocol state machine (referee side in
 /// [`crate::referee::RefereeOf::receive_frame`]):
 ///
 /// * Every emission gets a fresh **generation** from a monotone
@@ -175,6 +154,13 @@ impl<V: WirePayload + PartialEq> DeltaParty<V> {
         self.sketch.insert_merging_with(label, payload);
     }
 
+    /// Observe a batch of `(label, payload)` items through the merging
+    /// batch kernel ([`GtSketch::insert_batch_merging_with`]) — same
+    /// state and counters as [`DeltaParty::observe_with`] per item.
+    pub fn observe_batch(&mut self, items: &[(u64, V)]) {
+        self.sketch.insert_batch_merging_with(items);
+    }
+
     /// Read access to the live sketch.
     pub fn sketch(&self) -> &GtSketch<V> {
         &self.sketch
@@ -210,6 +196,16 @@ impl<V: WirePayload + PartialEq> DeltaParty<V> {
             .map(|(_, snap)| snap)
     }
 
+    /// The plain sketch message of the live state: what a full re-ship
+    /// and [`Party::finish`] send. Frame state is untouched.
+    pub fn full_message(&self) -> PartyMessage {
+        PartyMessage {
+            party_id: self.id,
+            payload: encode_sketch(&self.sketch),
+            items_observed: self.sketch.items_observed(),
+        }
+    }
+
     /// Emit the next frame: a fresh generation stamped over either a
     /// cumulative delta against the acked base or a full snapshot
     /// (first ship, post-resync, failed prefix check, or when the delta
@@ -220,11 +216,7 @@ impl<V: WirePayload + PartialEq> DeltaParty<V> {
         let delta_payload = self.acked.as_ref().and_then(|(base_gen, base, base_fp)| {
             let delta = delta_between(base, &self.sketch).ok()?;
             let frame = encode_delta_frame(&delta, generation, *base_gen, *base_fp);
-            let full_len = 4
-                + 1
-                + crate::codec::varint_len(generation)
-                + crate::codec::encoded_sketch_len(&self.sketch);
-            (frame.len() < full_len).then_some(frame)
+            (frame.len() < full_frame_len(&self.sketch, generation)).then_some(frame)
         });
         let payload = match delta_payload {
             Some(frame) => {

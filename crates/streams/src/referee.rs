@@ -28,6 +28,7 @@
 //! re-counted; see [`Receipt::MergedVariant`].
 
 use std::cell::OnceCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -44,11 +45,18 @@ use crate::codec::{
 };
 use crate::party::PartyMessage;
 
-/// Generations of applied-state fingerprints retained per party for
-/// delta-base validation; a delta whose base predates the window forces
-/// a resync (safe: the party falls back to a full frame). Matches the
-/// party side's own snapshot retention bound.
+/// Frame-path fingerprints retained per party: the applied-state window
+/// that validates delta bases, and the payload fingerprints of applied
+/// frames. A delta whose base predates the window forces a resync (safe:
+/// the party falls back to a full frame). Twice the party side's own
+/// snapshot retention bound, `MAX_PENDING_SNAPSHOTS = 32`.
 const MAX_FP_HISTORY: usize = 64;
+
+/// Drop all but the newest [`MAX_FP_HISTORY`] entries of `entries`.
+fn keep_newest<T>(entries: &mut Vec<T>) {
+    let excess = entries.len().saturating_sub(MAX_FP_HISTORY);
+    entries.drain(..excess);
+}
 
 /// Reading names of the [`RefereeTelemetry::summaries_per_batch`]
 /// buckets, named by each bucket's upper bound (the buckets are not
@@ -209,7 +217,7 @@ impl DeltaPlaneTelemetry {
 
 /// Per-party state of the continuous-monitoring frame path.
 #[derive(Clone, Debug, Default)]
-struct PartyDeltaState {
+struct FrameState {
     /// Highest applied generation; frames at or below it are duplicates.
     watermark: u64,
     /// Cumulative items the party last reported, for exactly-once
@@ -219,6 +227,24 @@ struct PartyDeltaState {
     /// states, newest last — the base-validation window for incoming
     /// delta frames (bounded by [`MAX_FP_HISTORY`]).
     history: Vec<(u64, u64)>,
+}
+
+/// Everything the referee keeps about one heard party.
+#[derive(Clone, Debug)]
+struct PartyRecord<V: WirePayload> {
+    /// The party's retained summary, which feeds the expression engine:
+    /// the union of every accepted sketch message (variants merge in).
+    /// An applied frame *replaces* it instead (cumulative snapshots
+    /// supersede, they don't accumulate).
+    summary: GtSketch<V>,
+    /// Accepted payload fingerprints; the first entry is the party's
+    /// first accepted message, later entries are merged variants and
+    /// applied frames. An applied frame keeps only the newest
+    /// [`MAX_FP_HISTORY`].
+    fingerprints: Vec<u64>,
+    /// Watermark and base-fingerprint window of the frame path, once a
+    /// frame was applied.
+    frames: Option<FrameState>,
 }
 
 /// A degraded-mode answer: the estimate plus how much of the fleet it
@@ -323,16 +349,8 @@ pub struct RefereeOf<V: WirePayload> {
     messages: usize,
     bytes_received: usize,
     items_reported: u64,
-    /// Accepted payload fingerprints per party; the first entry is the
-    /// party's first accepted message, later entries are merged variants.
-    accepted_payloads: HashMap<usize, Vec<u64>>,
-    /// Per-party retained summaries: the union of every accepted payload
-    /// from that party (variants merge in). Feeds the expression engine.
-    /// The frame path *replaces* a party's entry instead (cumulative
-    /// snapshots supersede, they don't accumulate).
-    party_sketches: HashMap<usize, GtSketch<V>>,
-    /// Per-party watermark + base-fingerprint window of the frame path.
-    delta_state: HashMap<usize, PartyDeltaState>,
+    /// One record per heard party: a party is heard iff it has one.
+    parties: HashMap<usize, PartyRecord<V>>,
     telemetry: RefereeTelemetry,
     delta_telemetry: DeltaPlaneTelemetry,
     /// Pooled scratch sketches for the admission step every ingress
@@ -340,9 +358,10 @@ pub struct RefereeOf<V: WirePayload> {
     /// from a first-heard party, or a full frame, leaves the pool and
     /// becomes that party's retained summary (moved, never cloned); one
     /// that merges into an existing summary returns to the pool, as does
-    /// the summary a full frame replaces. So the pool never holds a copy
-    /// of a retained summary, and it only grows past its current size in
-    /// a call with more accepted messages than it holds.
+    /// the summary a full frame replaces (an empty one for a first-heard
+    /// party). So the pool never holds a copy of a retained summary, and
+    /// it only grows past its current size in a call with more accepted
+    /// messages than it holds.
     decode_arena: Vec<GtSketch<V>>,
     /// Reusable decode buffers shared across the arena.
     scratch: DecodeScratch<V>,
@@ -374,9 +393,7 @@ impl<V: WirePayload> RefereeOf<V> {
             messages: 0,
             bytes_received: 0,
             items_reported: 0,
-            accepted_payloads: HashMap::new(),
-            party_sketches: HashMap::new(),
-            delta_state: HashMap::new(),
+            parties: HashMap::new(),
             telemetry: RefereeTelemetry::default(),
             delta_telemetry: DeltaPlaneTelemetry::default(),
             decode_arena: Vec::new(),
@@ -426,41 +443,45 @@ impl<V: WirePayload> RefereeOf<V> {
             return receipt;
         };
         let (party_id, (generation, base)) = (a.party_id, a.header);
-        if self
-            .delta_state
-            .get(&party_id)
-            .is_some_and(|s| generation <= s.watermark)
-        {
+        let record = self.parties.get(&party_id);
+        let frames = record.and_then(|r| r.frames.as_ref());
+        if frames.is_some_and(|f| generation <= f.watermark) {
             self.telemetry.duplicates_suppressed += 1;
             self.delta_telemetry.duplicate_frames += 1;
             return Ok(Receipt::Duplicate);
         }
 
+        // The debit vector of the refresh merge: per-trial item counters
+        // of the state the frame supersedes (zeros for an unheard party).
+        let old_items: Vec<u64> = match record {
+            Some(r) => r
+                .summary
+                .trials()
+                .iter()
+                .map(|t| t.items_observed())
+                .collect(),
+            None => vec![0; self.union.trials().len()],
+        };
         // The decoded body sits in `decode_arena[0]`. `next` is the
         // party's new state; `oldest_live` the oldest base it can still
         // reference.
-        let old_items = self.party_trial_items(party_id);
         let merge_start = Instant::now();
         let (next, oldest_live) = match base {
             // A full frame's slot becomes the state by move, and re-keys
             // the chain: older bases are dead.
             None => (self.decode_arena.swap_remove(0), generation),
             Some((base_generation, base_fingerprint)) => {
-                let base_known = self.delta_state.get(&party_id).is_some_and(|s| {
-                    s.history
+                let base_known = frames.is_some_and(|f| {
+                    f.history
                         .iter()
                         .any(|&(g, fp)| g == base_generation && fp == base_fingerprint)
                 });
-                if !base_known {
+                let (Some(record), true) = (record, base_known) else {
                     self.delta_telemetry.resyncs_requested += 1;
                     return Ok(Receipt::NeedResync);
-                }
+                };
                 // The delta's slot stays in the arena for the next frame.
-                let mut next = self
-                    .party_sketches
-                    .get(&party_id)
-                    .expect("a validated delta base implies a retained party sketch")
-                    .clone();
+                let mut next = record.summary.clone();
                 if let Err(e) = apply_delta(&mut next, &self.decode_arena[0]) {
                     self.telemetry.merge_time += merge_start.elapsed();
                     let e = CodecError::from(e);
@@ -477,65 +498,52 @@ impl<V: WirePayload> RefereeOf<V> {
             .expect("admitted sketches share the union's seed and config");
         self.telemetry.merge_time += merge_start.elapsed();
         let state_fp = payload_fingerprint(&encode_sketch(&next));
-        let replaced = self.party_sketches.insert(party_id, next);
+        // Only a full frame can come from an unheard party; its record
+        // starts from the empty summary the frame replaces.
+        let record = self.parties.entry(party_id).or_insert_with(|| PartyRecord {
+            summary: GtSketch::new(self.union.config(), self.master_seed),
+            fingerprints: Vec::new(),
+            frames: None,
+        });
+        let replaced = std::mem::replace(&mut record.summary, next);
         if base.is_none() {
             // The summary a full frame replaces goes back to the arena.
-            self.decode_arena.extend(replaced);
+            self.decode_arena.push(replaced);
+        }
+        if base.is_none() {
             self.delta_telemetry.full_frames += 1;
             self.delta_telemetry.full_bytes += a.bytes as u64;
         } else {
             self.delta_telemetry.delta_frames += 1;
             self.delta_telemetry.delta_bytes += a.bytes as u64;
         }
-        let state = self.delta_state.entry(party_id).or_default();
-        state.watermark = generation;
-        state.history.retain(|&(g, _)| g >= oldest_live);
-        state.history.push((generation, state_fp));
-        if state.history.len() > MAX_FP_HISTORY {
-            let excess = state.history.len() - MAX_FP_HISTORY;
-            state.history.drain(..excess);
-        }
-        self.commit_frame(party_id, a.fingerprint, a.bytes, a.items);
-        Ok(Receipt::Merged)
-    }
-
-    /// Bookkeeping for one applied frame: every applied frame counts as
-    /// a message (frames supersede, they are not redeliveries), while
-    /// `items_reported` advances by the *difference* of the party's
-    /// cumulative counter so it stays exactly-once across refreshes.
-    fn commit_frame(&mut self, party_id: usize, fingerprint: u64, bytes: usize, items: u64) {
-        let fps = self.accepted_payloads.entry(party_id).or_default();
-        fps.push(fingerprint);
-        if fps.len() > MAX_FP_HISTORY {
-            let excess = fps.len() - MAX_FP_HISTORY;
-            fps.drain(..excess);
-        }
+        let frames = record.frames.get_or_insert_with(FrameState::default);
+        frames.watermark = generation;
+        frames.history.retain(|&(g, _)| g >= oldest_live);
+        frames.history.push((generation, state_fp));
+        keep_newest(&mut frames.history);
+        // Every applied frame counts as a message (frames supersede, they
+        // are not redeliveries), while `items_reported` advances by the
+        // *difference* of the party's cumulative counter so it stays
+        // exactly-once across refreshes.
+        self.items_reported += a.items.saturating_sub(frames.items);
+        frames.items = a.items;
+        record.fingerprints.push(a.fingerprint);
+        keep_newest(&mut record.fingerprints);
         self.telemetry.accepted += 1;
         self.messages += 1;
-        self.bytes_received += bytes;
-        let state = self
-            .delta_state
-            .get_mut(&party_id)
-            .expect("commit_frame follows delta_state insertion");
-        self.items_reported += items.saturating_sub(state.items);
-        state.items = items;
-    }
-
-    /// Per-trial `items_observed` counters of a party's retained
-    /// summary, or zeros if the party is unheard — the debit vector for
-    /// a refresh merge.
-    fn party_trial_items(&self, party_id: usize) -> Vec<u64> {
-        match self.party_sketches.get(&party_id) {
-            Some(s) => s.trials().iter().map(|t| t.items_observed()).collect(),
-            None => vec![0; self.union.trials().len()],
-        }
+        self.bytes_received += a.bytes;
+        Ok(Receipt::Merged)
     }
 
     /// Highest frame generation applied for `party_id` (the generation
     /// the caller should ack back to the party), if any frame was
     /// applied.
     pub fn acked_generation(&self, party_id: usize) -> Option<u64> {
-        self.delta_state.get(&party_id).map(|s| s.watermark)
+        self.parties
+            .get(&party_id)
+            .and_then(|r| r.frames.as_ref())
+            .map(|f| f.watermark)
     }
 
     /// Frame-path accounting: applied delta/full frames and bytes,
@@ -588,16 +596,34 @@ impl<V: WirePayload> RefereeOf<V> {
         merged.expect("admitted sketches share the union's seed and config");
         let decoded: Vec<GtSketch<V>> = self.decode_arena.drain(..admitted.len()).collect();
         for (sketch, a) in decoded.into_iter().zip(admitted) {
-            if let Some(summary) = self.party_sketches.get_mut(&a.party_id) {
-                summary
-                    .merge_from(&sketch)
-                    .expect("party sketches share the union's seed and config");
-                self.decode_arena.push(sketch);
-            } else {
-                self.party_sketches.insert(a.party_id, sketch);
-            }
-            receipts[a.receipt_index] =
-                Ok(self.commit_accepted(a.party_id, a.fingerprint, a.bytes, a.items));
+            // Exactly-once: only a party's first accepted message is
+            // billed; later ones are variants.
+            let receipt = match self.parties.entry(a.party_id) {
+                Entry::Occupied(e) => {
+                    let record = e.into_mut();
+                    record
+                        .summary
+                        .merge_from(&sketch)
+                        .expect("party sketches share the union's seed and config");
+                    record.fingerprints.push(a.fingerprint);
+                    self.decode_arena.push(sketch);
+                    self.telemetry.duplicates_merged += 1;
+                    Receipt::MergedVariant
+                }
+                Entry::Vacant(e) => {
+                    e.insert(PartyRecord {
+                        summary: sketch,
+                        fingerprints: vec![a.fingerprint],
+                        frames: None,
+                    });
+                    self.telemetry.accepted += 1;
+                    self.messages += 1;
+                    self.bytes_received += a.bytes;
+                    self.items_reported += a.items;
+                    Receipt::Merged
+                }
+            };
+            receipts[a.receipt_index] = Ok(receipt);
         }
         receipts
     }
@@ -627,9 +653,9 @@ impl<V: WirePayload> RefereeOf<V> {
         for msg in msgs {
             let fingerprint = payload_fingerprint(&msg.payload);
             let dup = self
-                .accepted_payloads
+                .parties
                 .get(&msg.party_id)
-                .is_some_and(|fps| fps.contains(&fingerprint))
+                .is_some_and(|r| r.fingerprints.contains(&fingerprint))
                 || admitted
                     .iter()
                     .any(|a| a.party_id == msg.party_id && a.fingerprint == fingerprint);
@@ -667,32 +693,6 @@ impl<V: WirePayload> RefereeOf<V> {
         }
         self.telemetry.decode_time += decode_start.elapsed();
         (receipts, admitted)
-    }
-
-    /// Exactly-once bookkeeping for one accepted sketch message: push the
-    /// fingerprint and bill the party once.
-    fn commit_accepted(
-        &mut self,
-        party_id: usize,
-        fingerprint: u64,
-        bytes: usize,
-        items: u64,
-    ) -> Receipt {
-        let heard_before = self.accepted_payloads.contains_key(&party_id);
-        self.accepted_payloads
-            .entry(party_id)
-            .or_default()
-            .push(fingerprint);
-        if heard_before {
-            self.telemetry.duplicates_merged += 1;
-            Receipt::MergedVariant
-        } else {
-            self.telemetry.accepted += 1;
-            self.messages += 1;
-            self.bytes_received += bytes;
-            self.items_reported += items;
-            Receipt::Merged
-        }
     }
 
     /// Per-stage telemetry: decode outcomes by reason, duplicate counts,
@@ -734,7 +734,7 @@ impl<V: WirePayload> RefereeOf<V> {
     /// The retained summary of one party (the union of all its accepted
     /// payloads), if it has been heard.
     pub fn party_sketch(&self, party_id: usize) -> Option<&GtSketch<V>> {
-        self.party_sketches.get(&party_id)
+        self.parties.get(&party_id).map(|r| &r.summary)
     }
 
     /// The distinct referenced party ids of one or more expressions,
@@ -763,10 +763,10 @@ impl<V: WirePayload> RefereeOf<V> {
         let mut heard = 0usize;
         let mut operands: Vec<&GtSketch<V>> = Vec::with_capacity(ids.len());
         for &id in &ids {
-            match self.party_sketches.get(&id) {
-                Some(s) => {
+            match self.parties.get(&id) {
+                Some(r) => {
                     heard += 1;
-                    operands.push(s);
+                    operands.push(&r.summary);
                 }
                 None => match empty {
                     Some(cell) => operands.push(
@@ -863,12 +863,12 @@ impl<V: WirePayload> RefereeOf<V> {
 
     /// Distinct parties with at least one accepted message.
     pub fn parties_heard(&self) -> usize {
-        self.accepted_payloads.len()
+        self.parties.len()
     }
 
     /// Whether this party already has an accepted message.
     pub fn has_heard(&self, party_id: usize) -> bool {
-        self.accepted_payloads.contains_key(&party_id)
+        self.parties.contains_key(&party_id)
     }
 
     /// Messages accepted so far, exactly-once per party (redeliveries are

@@ -8,9 +8,10 @@
 //! [`run_sustained`] runs it: a load generator on the virtual clock
 //! ([`Tick`]) with per-item admission→queryable latency, live
 //! degraded-mode queries on a fixed cadence, mid-run churn and an
-//! [`E2eReport`] at the end. Its two [`ReportingMode`]s differ only in
-//! how a party's report is encoded and admitted: a full re-ship of the
-//! cumulative sketch, or a delta frame on the acked delta plane.
+//! [`E2eReport`] at the end. Every party is a [`DeltaParty`], and the
+//! two [`ReportingMode`]s are two report schedules of it: a full re-ship
+//! of the cumulative sketch, which the referee takes a tick at a time in
+//! one batch, or delta frames, which it applies one by one with acks.
 //!
 //! One-shot runs over a pre-generated [`crate::workload::StreamSet`] —
 //! the paper's model, each party shipping one end-of-stream summary —
@@ -44,7 +45,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use gt_core::metrics::Exposition;
-use gt_core::{GtSketch, LatestTs, SetExpr, SketchConfig};
+use gt_core::{LatestTs, SetExpr, SketchConfig};
 
 use crate::codec::{
     encode_full_frame, encode_sketch, payload_fingerprint, CodecError, WirePayload,
@@ -829,10 +830,9 @@ pub struct E2eDeterminismKey {
     pub samples: Vec<(Tick, usize, u64, u64)>,
 }
 
-/// Per-party runtime state of the sustained engine. `R` is the reporting
-/// mode's own per-party state ([`Plane::Party`]).
-struct PartyRt<R> {
-    reporter: R,
+/// Per-party runtime state of the sustained engine.
+struct PartyRt<V: WirePayload> {
+    party: DeltaParty<V>,
     rng: SmallRng,
     universe: Vec<u64>,
     zipf: Option<ZipfSampler>,
@@ -857,7 +857,7 @@ struct PartyRt<R> {
     sends: usize,
 }
 
-impl<R> PartyRt<R> {
+impl<V: WirePayload> PartyRt<V> {
     fn draw(&mut self) -> u64 {
         let idx = match &self.zipf {
             Some(z) => z.sample(&mut self.rng) as usize,
@@ -893,102 +893,22 @@ struct Ledger {
     items_acked: u64,
 }
 
-/// What the two [`ReportingMode`]s do differently inside the shared tick
-/// loop of [`run_engine`]: how a party encodes a report, how the referee
-/// admits deliveries, and what the mode adds to the report. `V` is the
-/// payload the parties' and the referee's sketches carry.
-trait Plane<V: WirePayload> {
-    /// Per-party reporting state.
-    type Party;
-
-    /// Fresh reporting state for party `id`.
-    fn party(&self, id: usize) -> Self::Party;
-
-    /// Fold one party's `(label, payload)` items into its state.
-    fn observe(&self, party: &mut Self::Party, items: &[(u64, V)]);
-
-    /// Encode party `id`'s next report.
-    fn emit(&self, party: &mut Self::Party, id: usize) -> PartyMessage;
-
-    /// Hand a non-empty set of deliveries to the referee, and route
-    /// anything the referee says back to the parties. One receipt per
-    /// delivery, in order.
-    fn deliver(
-        &mut self,
-        deliveries: &[Delivery],
-        referee: &mut RefereeOf<V>,
-        ps: &mut [PartyRt<Self::Party>],
-    ) -> Vec<Result<Receipt, CodecError>>;
-
-    /// Called after each tick in which the referee accepted a report.
-    fn accepted(&mut self, _referee: &RefereeOf<V>, _ps: &[PartyRt<Self::Party>]) {}
-
-    /// Called at each query tick, before the queries run.
-    fn query_tick(&mut self, _ps: &[PartyRt<Self::Party>], _t: Tick) {}
-
-    /// The mode's section of the report.
-    fn finish(self, referee: &RefereeOf<V>, parties: usize) -> Option<DeltaPlaneReport>;
-}
-
-/// Full re-ship: every report is the party's whole cumulative sketch,
-/// and the referee takes each tick's deliveries as one batch.
-struct FullReship<'a> {
-    config: &'a SketchConfig,
-    master_seed: u64,
-}
-
-impl<V: WirePayload> Plane<V> for FullReship<'_> {
-    type Party = GtSketch<V>;
-
-    fn party(&self, _id: usize) -> GtSketch<V> {
-        GtSketch::new(self.config, self.master_seed)
-    }
-
-    fn observe(&self, party: &mut GtSketch<V>, items: &[(u64, V)]) {
-        party.insert_batch_merging_with(items);
-    }
-
-    fn emit(&self, party: &mut GtSketch<V>, id: usize) -> PartyMessage {
-        PartyMessage {
-            party_id: id,
-            payload: encode_sketch(party),
-            items_observed: party.items_observed(),
-        }
-    }
-
-    fn deliver(
-        &mut self,
-        deliveries: &[Delivery],
-        referee: &mut RefereeOf<V>,
-        _ps: &mut [PartyRt<GtSketch<V>>],
-    ) -> Vec<Result<Receipt, CodecError>> {
-        let msgs: Vec<PartyMessage> = deliveries.iter().map(|d| d.msg.clone()).collect();
-        referee.receive_batch(&msgs)
-    }
-
-    fn finish(self, _referee: &RefereeOf<V>, _parties: usize) -> Option<DeltaPlaneReport> {
-        None
-    }
-}
-
-/// The continuous-monitoring delta plane: parties ship [`DeltaParty`]
-/// frames, the referee applies them one by one and acks each generation
-/// back (subject to return-path loss) or asks for a resync, and an
-/// always-on oracle checks the live union against a fresh full ship.
-struct DeltaPlane<'a> {
-    config: &'a SketchConfig,
-    master_seed: u64,
+/// What [`ReportingMode::DeltaPlane`] adds to the shared tick loop of
+/// [`run_engine`]: parties ship [`DeltaParty`] frames, the referee
+/// applies them one by one and acks each generation back (subject to
+/// return-path loss) or asks for a resync, an always-on oracle checks
+/// the live union against a fresh full ship, and the worst reporting
+/// staleness is tracked at every query tick.
+struct DeltaPlane {
     ack: AckPath,
     staleness_sum: u64,
     staleness_ticks: u64,
     report: DeltaPlaneReport,
 }
 
-impl<'a> DeltaPlane<'a> {
-    fn new(config: &'a SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> Self {
+impl DeltaPlane {
+    fn new(spec: &ScenarioSpec) -> Self {
         DeltaPlane {
-            config,
-            master_seed,
             ack: spec.faults.retry.ack_path(spec.workload.seed),
             staleness_sum: 0,
             staleness_ticks: 0,
@@ -996,57 +916,14 @@ impl<'a> DeltaPlane<'a> {
         }
     }
 
-    /// The equivalence oracle: a fresh referee full-shipped each party's
-    /// snapshot at its applied generation must produce canonical union
-    /// bytes identical to the live union. `None` when some party has
-    /// already pruned the needed snapshot (mid-resync window) — the
-    /// check is skipped, not failed.
-    fn live_union_matches_full_ship<V: WirePayload + PartialEq>(
-        &self,
-        referee: &RefereeOf<V>,
-        ps: &[PartyRt<DeltaParty<V>>],
-    ) -> Option<bool> {
-        let mut oracle: RefereeOf<V> = RefereeOf::new(self.config, self.master_seed);
-        for (p, rt) in ps.iter().enumerate() {
-            let Some(generation) = referee.acked_generation(p) else {
-                continue;
-            };
-            let snap = rt.reporter.snapshot_for(generation)?;
-            let msg = PartyMessage {
-                party_id: p,
-                payload: encode_full_frame(snap, 1),
-                items_observed: snap.items_observed(),
-            };
-            if !matches!(oracle.receive_frame(&msg), Ok(Receipt::Merged)) {
-                return Some(false);
-            }
-        }
-        Some(encode_sketch(oracle.union_sketch()) == encode_sketch(referee.union_sketch()))
-    }
-}
-
-impl<V: WirePayload + PartialEq> Plane<V> for DeltaPlane<'_> {
-    type Party = DeltaParty<V>;
-
-    fn party(&self, id: usize) -> DeltaParty<V> {
-        DeltaParty::new(id, self.config, self.master_seed)
-    }
-
-    fn observe(&self, party: &mut DeltaParty<V>, items: &[(u64, V)]) {
-        for &(label, payload) in items {
-            party.observe_with(label, payload);
-        }
-    }
-
-    fn emit(&self, party: &mut DeltaParty<V>, _id: usize) -> PartyMessage {
-        party.emit_frame()
-    }
-
-    fn deliver(
+    /// Hand deliveries to the referee frame by frame, and route each
+    /// ack or resync request back to its party. One receipt per
+    /// delivery, in order.
+    fn deliver<V: WirePayload + PartialEq>(
         &mut self,
         deliveries: &[Delivery],
         referee: &mut RefereeOf<V>,
-        ps: &mut [PartyRt<DeltaParty<V>>],
+        ps: &mut [PartyRt<V>],
     ) -> Vec<Result<Receipt, CodecError>> {
         let mut receipts = Vec::with_capacity(deliveries.len());
         for d in deliveries {
@@ -1064,12 +941,12 @@ impl<V: WirePayload + PartialEq> Plane<V> for DeltaPlane<'_> {
                         if self.ack.lost() {
                             self.report.acks_lost += 1;
                         } else {
-                            ps[p].reporter.handle_ack(generation);
+                            ps[p].party.handle_ack(generation);
                         }
                     }
                 }
                 Ok(Receipt::NeedResync) => {
-                    ps[p].reporter.handle_resync();
+                    ps[p].party.handle_resync();
                     ps[p].needs_reemit = true;
                 }
                 // MergedVariant is unreachable on the frame path; corrupt
@@ -1082,17 +959,45 @@ impl<V: WirePayload + PartialEq> Plane<V> for DeltaPlane<'_> {
         receipts
     }
 
-    fn accepted(&mut self, referee: &RefereeOf<V>, ps: &[PartyRt<DeltaParty<V>>]) {
-        match self.live_union_matches_full_ship(referee, ps) {
-            Some(matches) => {
-                self.report.oracle_checks += 1;
-                self.report.oracle_failures += u64::from(!matches);
+    /// The equivalence oracle, run after each tick in which the referee
+    /// accepted a report: a fresh referee full-shipped each party's
+    /// snapshot at its applied generation must produce canonical union
+    /// bytes identical to the live union. When some party has already
+    /// pruned the needed snapshot (mid-resync window) the check is
+    /// skipped, not failed.
+    fn check_oracle<V: WirePayload + PartialEq>(
+        &mut self,
+        referee: &RefereeOf<V>,
+        ps: &[PartyRt<V>],
+    ) {
+        let live = referee.union_sketch();
+        let mut oracle: RefereeOf<V> = RefereeOf::new(live.config(), live.master_seed());
+        let mut matches = true;
+        for (p, rt) in ps.iter().enumerate() {
+            let Some(generation) = referee.acked_generation(p) else {
+                continue;
+            };
+            let Some(snap) = rt.party.snapshot_for(generation) else {
+                self.report.oracle_skipped += 1;
+                return;
+            };
+            let msg = PartyMessage {
+                party_id: p,
+                payload: encode_full_frame(snap, 1),
+                items_observed: snap.items_observed(),
+            };
+            if !matches!(oracle.receive_frame(&msg), Ok(Receipt::Merged)) {
+                matches = false;
+                break;
             }
-            None => self.report.oracle_skipped += 1,
         }
+        matches = matches && encode_sketch(oracle.union_sketch()) == encode_sketch(live);
+        self.report.oracle_checks += 1;
+        self.report.oracle_failures += u64::from(!matches);
     }
 
-    fn query_tick(&mut self, ps: &[PartyRt<DeltaParty<V>>], t: Tick) {
+    /// Record the worst reporting staleness at query tick `t`.
+    fn track_staleness<V: WirePayload>(&mut self, ps: &[PartyRt<V>], t: Tick) {
         let worst = ps
             .iter()
             .filter(|rt| rt.sends > 0)
@@ -1104,7 +1009,12 @@ impl<V: WirePayload + PartialEq> Plane<V> for DeltaPlane<'_> {
         self.report.staleness_max = self.report.staleness_max.max(worst);
     }
 
-    fn finish(mut self, referee: &RefereeOf<V>, parties: usize) -> Option<DeltaPlaneReport> {
+    /// The delta plane's section of the report.
+    fn finish<V: WirePayload>(
+        mut self,
+        referee: &RefereeOf<V>,
+        parties: usize,
+    ) -> DeltaPlaneReport {
         let rt = referee.delta_telemetry();
         self.report.delta_frames = rt.delta_frames;
         self.report.full_frames = rt.full_frames;
@@ -1119,25 +1029,32 @@ impl<V: WirePayload + PartialEq> Plane<V> for DeltaPlane<'_> {
         } else {
             self.staleness_sum as f64 / self.staleness_ticks as f64
         };
-        Some(self.report)
+        self.report
     }
 }
 
-/// Feed deliveries to the referee through the plane, then account
-/// latency: an accepted report admits every pending item of its party
-/// generated at or before the report's encode tick. Returns whether the
-/// referee accepted any report.
-fn absorb<V: WirePayload, P: Plane<V>>(
-    plane: &mut P,
+/// Feed deliveries to the referee — frame by frame over the delta
+/// plane, otherwise as one [`RefereeOf::receive_batch`] of full
+/// re-ships — then account latency: an accepted report admits every
+/// pending item of its party generated at or before the report's encode
+/// tick. Returns whether the referee accepted any report.
+fn absorb<V: WirePayload + PartialEq>(
+    plane: &mut Option<DeltaPlane>,
     deliveries: &[Delivery],
     referee: &mut RefereeOf<V>,
-    ps: &mut [PartyRt<P::Party>],
+    ps: &mut [PartyRt<V>],
     ledger: &mut Ledger,
 ) -> bool {
     if deliveries.is_empty() {
         return false;
     }
-    let receipts = plane.deliver(deliveries, referee, ps);
+    let receipts = match plane {
+        Some(plane) => plane.deliver(deliveries, referee, ps),
+        None => {
+            let msgs: Vec<PartyMessage> = deliveries.iter().map(|d| d.msg.clone()).collect();
+            referee.receive_batch(&msgs)
+        }
+    };
     let mut any_accepted = false;
     for (d, receipt) in deliveries.iter().zip(receipts) {
         if !matches!(receipt, Ok(Receipt::Merged | Receipt::MergedVariant)) {
@@ -1165,19 +1082,23 @@ fn absorb<V: WirePayload, P: Plane<V>>(
     any_accepted
 }
 
-/// Encode party `id`'s next report at tick `t` and record it as the
+/// Encode a party's next report at tick `t` — a frame on the delta
+/// plane, otherwise its whole cumulative sketch — and record it as the
 /// party's latest.
-fn encode_report<V: WirePayload, P: Plane<V>>(
-    plane: &P,
-    rt: &mut PartyRt<P::Party>,
-    id: usize,
+fn encode_report<V: WirePayload + PartialEq>(
+    frames: bool,
+    rt: &mut PartyRt<V>,
     t: Tick,
     ledger: &mut Ledger,
 ) -> PartyMessage {
-    let msg = plane.emit(&mut rt.reporter, id);
+    let msg = if frames {
+        rt.party.emit_frame()
+    } else {
+        rt.party.full_message()
+    };
     ledger
         .encoded_at
-        .entry((id, payload_fingerprint(&msg.payload)))
+        .entry((msg.party_id, payload_fingerprint(&msg.payload)))
         .or_insert(t);
     rt.last_encode = Some((t, msg.clone()));
     rt.last_encoded_items = rt.generated;
@@ -1207,45 +1128,22 @@ fn multiplier_at(phases: &[LoadPhase], t: Tick) -> f64 {
 /// [`RefereeOf::query_distinct_since`]; otherwise their payload is `()`.
 pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpec) -> E2eReport {
     if spec.queries.window.is_some() {
-        run_mode(config, master_seed, spec, LatestTs, |r, now, w| {
+        run_engine(config, master_seed, spec, LatestTs, |r, now, w| {
             r.query_distinct_since(now.saturating_sub(w).saturating_add(1))
                 .value
         })
     } else {
-        run_mode(config, master_seed, spec, |_| (), |_, _, _| 0.0)
+        run_engine(config, master_seed, spec, |_| (), |_, _, _| 0.0)
     }
 }
 
-/// [`run_engine`] with the spec's reporting mode, for items stamped with
-/// `stamp(tick)` and windows answered by `window(referee, now, width)`.
-fn run_mode<V: WirePayload + PartialEq>(
+/// The sustained engine's tick loop, shared by both reporting modes, for
+/// items stamped with `stamp(tick)` and windows answered by
+/// `window(referee, now, width)`.
+fn run_engine<V: WirePayload + PartialEq>(
     config: &SketchConfig,
     master_seed: u64,
     spec: &ScenarioSpec,
-    stamp: fn(Tick) -> V,
-    window: fn(&RefereeOf<V>, Tick, Tick) -> f64,
-) -> E2eReport {
-    match spec.reporting {
-        ReportingMode::FullReship => {
-            let plane = FullReship {
-                config,
-                master_seed,
-            };
-            run_engine(config, master_seed, spec, plane, stamp, window)
-        }
-        ReportingMode::DeltaPlane => {
-            let plane = DeltaPlane::new(config, master_seed, spec);
-            run_engine(config, master_seed, spec, plane, stamp, window)
-        }
-    }
-}
-
-/// The sustained engine's tick loop, shared by both reporting modes.
-fn run_engine<V: WirePayload, P: Plane<V>>(
-    config: &SketchConfig,
-    master_seed: u64,
-    spec: &ScenarioSpec,
-    mut plane: P,
     stamp: fn(Tick) -> V,
     window: fn(&RefereeOf<V>, Tick, Tick) -> f64,
 ) -> E2eReport {
@@ -1266,7 +1164,8 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
         || !spec.queries.jaccard.is_empty();
 
     let wl = spec.workload.to_workload_spec(parties);
-    let mut ps: Vec<PartyRt<P::Party>> = (0..parties)
+    let mut plane = (spec.reporting == ReportingMode::DeltaPlane).then(|| DeltaPlane::new(spec));
+    let mut ps: Vec<PartyRt<V>> = (0..parties)
         .map(|p| {
             let universe: Vec<u64> = wl.party_universe(p).collect();
             let zipf = match spec.workload.distribution {
@@ -1276,7 +1175,7 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
                 _ => None,
             };
             PartyRt {
-                reporter: plane.party(p),
+                party: DeltaParty::new(p, config, master_seed),
                 rng: SmallRng::seed_from_u64(wl.seed ^ gt_hash::mix64(0x57EA_4000 + p as u64)),
                 universe,
                 zipf,
@@ -1339,7 +1238,7 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
                 rt.generated += 1;
                 gen_buf.push((label, stamp(t)));
             }
-            plane.observe(&mut rt.reporter, &gen_buf);
+            rt.party.observe_batch(&gen_buf);
             for &(label, _) in &gen_buf {
                 seen_exact.insert(label);
                 if spec.queries.window.is_some() {
@@ -1353,7 +1252,7 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
         // 2. Reporting: cadence ticks, parting reports at graceful
         // leaves, a final flush at the end of the run, and forced
         // re-emits after a resync.
-        for (p, rt) in ps.iter_mut().enumerate() {
+        for rt in ps.iter_mut() {
             if !rt.can_send(t) {
                 continue;
             }
@@ -1364,7 +1263,7 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
             if rt.generated == 0 || (rt.generated == rt.last_encoded_items && !rt.needs_reemit) {
                 continue; // nothing new to report
             }
-            let msg = encode_report(&plane, rt, p, t, &mut ledger);
+            let msg = encode_report(plane.is_some(), rt, t, &mut ledger);
             rt.sends += 1;
             reports_sent += 1;
             bytes_sent += msg.bytes() as u64;
@@ -1375,12 +1274,16 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
         // admission→queryable latency.
         let deliveries = transport.advance(t);
         if absorb(&mut plane, &deliveries, &mut referee, &mut ps, &mut ledger) {
-            plane.accepted(&referee, &ps);
+            if let Some(plane) = &mut plane {
+                plane.check_oracle(&referee, &ps);
+            }
         }
 
         // 4. Live queries on the cadence.
         if wants_queries && t % query_every == 0 {
-            plane.query_tick(&ps, t);
+            if let Some(plane) = &mut plane {
+                plane.track_staleness(&ps, t);
+            }
             let expected = ps.iter().filter(|rt| rt.joined_at <= t).count();
             if spec.queries.distinct {
                 let pe = referee.estimate_distinct_partial(expected);
@@ -1440,7 +1343,7 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
         &mut state,
         |(plane, _, ps, ledger), transport| {
             let mut sent = false;
-            for (p, rt) in ps.iter_mut().enumerate() {
+            for rt in ps.iter_mut() {
                 let unacked = (rt.needs_reemit && !rt.pending.is_empty())
                     || matches!(
                         (&rt.last_encode, rt.pending.front()),
@@ -1450,7 +1353,7 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
                     continue;
                 }
                 let msg = if rt.needs_reemit {
-                    encode_report(plane, rt, p, transport.now(), ledger)
+                    encode_report(plane.is_some(), rt, transport.now(), ledger)
                 } else {
                     rt.last_encode.clone().expect("checked above").1
                 };
@@ -1504,7 +1407,7 @@ fn run_engine<V: WirePayload, P: Plane<V>>(
         referee: *referee.telemetry(),
         union_canonical: encode_sketch(referee.union_sketch()),
         bytes_sent,
-        delta: plane.finish(&referee, parties),
+        delta: plane.map(|plane| plane.finish(&referee, parties)),
         run_wall: wall_start.elapsed(),
     }
 }

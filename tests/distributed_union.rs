@@ -4,12 +4,15 @@
 //! reordered, or late deliveries must leave the referee in a state
 //! bitwise-identical to clean exactly-once delivery.
 
+use std::time::Duration;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gt_sketch::streams::{
-    collect_once, encode_sketch, run_batch, Distribution, Party, PartyMessage, Receipt, Referee,
-    RefereeOf, RetryPolicy, StreamOracle, TransportSpec, WorkloadSpec,
+    collect_once, encode_sketch, run_batch, CodecError, DeltaParty, Distribution, Party,
+    PartyMessage, Receipt, Referee, RefereeOf, RefereeTelemetry, RetryPolicy, StreamOracle,
+    TransportSpec, WorkloadSpec,
 };
 use gt_sketch::SketchConfig;
 
@@ -388,4 +391,206 @@ fn accuracy_contract_over_many_seeds() {
         }
     }
     assert!(failures <= 9, "{failures}/25 seeds exceeded epsilon");
+}
+
+// ---------------------------------------------------------------------------
+// Mixed ingress: sketch messages and frames against one referee
+// ---------------------------------------------------------------------------
+
+/// FNV-1a, 64-bit, continued from `h`.
+fn fnv1a64_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Parties the mixed schedule talks about (ids `0..MIXED_PARTIES`).
+const MIXED_PARTIES: usize = 8;
+
+/// Digest the referee after one step: the step's receipts, the
+/// non-timing telemetry of both ingresses, the exactly-once counters,
+/// every party's heard flag, acked generation and retained summary,
+/// and the union's canonical bytes.
+fn digest_step(h: u64, r: &Referee, receipts: &[Result<Receipt, CodecError>]) -> u64 {
+    let counts = RefereeTelemetry {
+        decode_time: Duration::ZERO,
+        merge_time: Duration::ZERO,
+        ..*r.telemetry()
+    };
+    let mut text = format!(
+        "{receipts:?}|{counts:?}|{:?}|{} {} {} {}",
+        r.delta_telemetry(),
+        r.messages(),
+        r.bytes_received(),
+        r.items_reported(),
+        r.parties_heard()
+    );
+    for p in 0..MIXED_PARTIES {
+        text += &format!("|{p} {} {:?}", r.has_heard(p), r.acked_generation(p));
+    }
+    let sketches = (0..MIXED_PARTIES).filter_map(|p| r.party_sketch(p));
+    sketches
+        .chain([r.union_sketch()])
+        .fold(fnv1a64_from(h, text.as_bytes()), |h, s| {
+            fnv1a64_from(h, &encode_sketch(s))
+        })
+}
+
+/// A plain sketch message carrying `party`'s current state.
+fn sketch_message(party: &DeltaParty<()>) -> PartyMessage {
+    PartyMessage {
+        party_id: party.id(),
+        payload: encode_sketch(party.sketch()),
+        items_observed: party.sketch().items_observed(),
+    }
+}
+
+fn observe_range(party: &mut DeltaParty<()>, labels: std::ops::Range<u64>) {
+    for l in labels {
+        party.observe_with(gt_sketch::fold61(l), ());
+    }
+}
+
+/// A referee whose every ingress call folds into a running digest.
+struct DigestedReferee {
+    r: Referee,
+    h: u64,
+}
+
+impl DigestedReferee {
+    fn batch(&mut self, msgs: &[PartyMessage]) -> Vec<Result<Receipt, CodecError>> {
+        let receipts = self.r.receive_batch(msgs);
+        self.h = digest_step(self.h, &self.r, &receipts);
+        receipts
+    }
+
+    fn one(&mut self, msg: &PartyMessage) -> Result<Receipt, CodecError> {
+        let receipt = self.r.receive(msg);
+        self.h = digest_step(self.h, &self.r, std::slice::from_ref(&receipt));
+        receipt
+    }
+
+    fn frame(&mut self, msg: &PartyMessage) -> Result<Receipt, CodecError> {
+        let receipt = self.r.receive_frame(msg);
+        self.h = digest_step(self.h, &self.r, std::slice::from_ref(&receipt));
+        receipt
+    }
+}
+
+/// Pins the referee over one schedule that mixes both ingresses: batched
+/// and single sketch messages, a byte-identical redelivery, a merged
+/// variant, a corrupt message, full and delta frames with duplicates, a
+/// held-back (reordered) frame, lost acks, an orphan delta answered with
+/// `NeedResync`, a corrupt frame, a frame chain longer than the
+/// referee's fingerprint window, and one party that moves from sketch
+/// messages to frames and back. The digest covers every receipt and
+/// the referee's observable state after every step.
+#[test]
+fn mixed_ingress_schedule_is_pinned() {
+    let config = small_config();
+    let seed = 0x3A_11;
+    let mut r = DigestedReferee {
+        r: Referee::new(&config, seed),
+        h: 0xcbf2_9ce4_8422_2325,
+    };
+    let mut ps: Vec<DeltaParty<()>> = (0..MIXED_PARTIES)
+        .map(|p| DeltaParty::new(p, &config, seed))
+        .collect();
+    for (p, party) in ps.iter_mut().enumerate() {
+        let base = 1_000 * p as u64;
+        observe_range(party, base..base + 150 + 40 * p as u64);
+    }
+
+    // Sketch messages: a batch with an in-batch duplicate, a single
+    // message, a byte-identical redelivery, a merged variant, a corrupt
+    // message.
+    let m4 = sketch_message(&ps[4]);
+    let m6 = sketch_message(&ps[6]);
+    assert_eq!(
+        r.batch(&[m4.clone(), sketch_message(&ps[5]), m4.clone()]),
+        vec![
+            Ok(Receipt::Merged),
+            Ok(Receipt::Merged),
+            Ok(Receipt::Duplicate)
+        ]
+    );
+    assert_eq!(r.one(&m6), Ok(Receipt::Merged));
+    assert_eq!(r.one(&m4), Ok(Receipt::Duplicate));
+    observe_range(&mut ps[5], 9_000..9_100);
+    assert_eq!(
+        r.batch(&[sketch_message(&ps[5])]),
+        vec![Ok(Receipt::MergedVariant)]
+    );
+    let mut corrupt = sketch_message(&ps[7]);
+    corrupt.payload = corrupt.payload.slice(..corrupt.payload.len() / 2);
+    assert!(r.one(&corrupt).is_err());
+
+    // Frames from party 0: full, delta, duplicate, a lost ack, and a
+    // held-back frame delivered after a newer one.
+    let f1 = ps[0].emit_frame();
+    assert_eq!(r.frame(&f1), Ok(Receipt::Merged));
+    ps[0].handle_ack(1);
+    observe_range(&mut ps[0], 20_000..20_060);
+    let f2 = ps[0].emit_frame();
+    assert_eq!(r.frame(&f2), Ok(Receipt::Merged));
+    assert_eq!(r.frame(&f2), Ok(Receipt::Duplicate));
+    // The ack for generation 2 is lost: later deltas stay cumulative
+    // against generation 1.
+    observe_range(&mut ps[0], 20_060..20_090);
+    let f3 = ps[0].emit_frame();
+    observe_range(&mut ps[0], 20_090..20_200);
+    let f4 = ps[0].emit_frame();
+    assert_eq!(r.frame(&f4), Ok(Receipt::Merged));
+    assert_eq!(r.frame(&f3), Ok(Receipt::Duplicate));
+    ps[0].handle_ack(4);
+
+    // Party 1: an orphan delta (its full frame never arrived) gets
+    // NeedResync, and the resync's full frame is applied. A corrupt
+    // frame errors out.
+    let lost = ps[1].emit_frame();
+    ps[1].handle_ack(1);
+    observe_range(&mut ps[1], 30_000..30_020);
+    let orphan = ps[1].emit_frame();
+    assert_eq!(r.frame(&orphan), Ok(Receipt::NeedResync));
+    ps[1].handle_resync();
+    assert_eq!(r.frame(&ps[1].emit_frame()), Ok(Receipt::Merged));
+    let mut bad_frame = lost.clone();
+    bad_frame.payload = bad_frame.payload.slice(..bad_frame.payload.len() - 3);
+    assert!(r.frame(&bad_frame).is_err());
+
+    // Party 2 moves from sketch messages to frames and back.
+    assert_eq!(r.one(&sketch_message(&ps[2])), Ok(Receipt::Merged));
+    observe_range(&mut ps[2], 40_000..40_050);
+    assert_eq!(r.frame(&ps[2].emit_frame()), Ok(Receipt::Merged));
+    ps[2].handle_ack(1);
+    observe_range(&mut ps[2], 40_050..40_080);
+    assert_eq!(r.frame(&ps[2].emit_frame()), Ok(Receipt::Merged));
+    observe_range(&mut ps[2], 40_080..40_300);
+    assert_eq!(
+        r.batch(&[sketch_message(&ps[2]), m6.clone()]),
+        vec![Ok(Receipt::MergedVariant), Ok(Receipt::Duplicate)]
+    );
+    ps[2].handle_ack(2);
+    observe_range(&mut ps[2], 40_300..40_320);
+    assert_eq!(r.frame(&ps[2].emit_frame()), Ok(Receipt::Merged));
+
+    // Party 3: a frame chain longer than the fingerprint window, every
+    // ack delivered, then a redelivery of its first frame.
+    let first = ps[3].emit_frame();
+    assert_eq!(r.frame(&first), Ok(Receipt::Merged));
+    ps[3].handle_ack(1);
+    for round in 0..70u64 {
+        observe_range(&mut ps[3], 50_000 + 5 * round..50_005 + 5 * round);
+        assert_eq!(r.frame(&ps[3].emit_frame()), Ok(Receipt::Merged));
+        let generation = ps[3].generation();
+        ps[3].handle_ack(generation);
+    }
+    assert_eq!(r.frame(&first), Ok(Receipt::Duplicate));
+    assert_eq!(r.r.acked_generation(3), Some(71));
+
+    assert_eq!(
+        r.h, 0xf5b4_3f8f_5f06_416a,
+        "mixed-ingress digest drifted: {:#018x}",
+        r.h
+    );
 }

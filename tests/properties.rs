@@ -164,17 +164,17 @@ proptest! {
 
 mod batch_equivalence {
     use super::*;
-    use gt_sketch::GtSketch;
+    use gt_sketch::{GtSketch, LatestTs};
 
     /// Per-trial (level, items observed, sorted (label, payload) sample).
-    type PayloadState = Vec<(u8, u64, Vec<(u64, u64)>)>;
+    type PayloadState<V> = Vec<(u8, u64, Vec<(u64, V)>)>;
 
     /// Comparable state including payloads.
-    fn payload_state(s: &GtSketch<u64>) -> PayloadState {
+    fn payload_state<V: gt_sketch::Payload + Ord>(s: &GtSketch<V>) -> PayloadState<V> {
         s.trials()
             .iter()
             .map(|t| {
-                let mut v: Vec<(u64, u64)> = t.sample_iter().collect();
+                let mut v: Vec<(u64, V)> = t.sample_iter().collect();
                 v.sort_unstable();
                 (t.level(), t.items_observed(), v)
             })
@@ -254,7 +254,8 @@ mod batch_equivalence {
 
         /// The merging batch kernel must reconcile duplicate payloads
         /// exactly like per-item `insert_merging_with` — payload values
-        /// and reconciliation counters included. Labels drawn from a tiny
+        /// and reconciliation counters included — for `u64` (keep-first)
+        /// and `LatestTs` (keep-max) payloads. Labels drawn from a tiny
         /// universe so most arrivals are duplicates.
         #[test]
         fn merging_batch_matches_per_item(
@@ -273,6 +274,18 @@ mod batch_equivalence {
             }
             let mut batched = GtSketch::<u64>::new(&cfg, seed);
             batched.insert_batch_merging_with(&items);
+
+            prop_assert_eq!(payload_state(&batched), payload_state(&per_item));
+            prop_assert_eq!(batched.metrics_snapshot(), per_item.metrics_snapshot());
+
+            let stamped: Vec<(u64, LatestTs)> =
+                items.iter().map(|&(l, p)| (l, LatestTs(p))).collect();
+            let mut per_item = GtSketch::<LatestTs>::new(&cfg, seed);
+            for &(l, ts) in &stamped {
+                per_item.insert_merging_with(l, ts);
+            }
+            let mut batched = GtSketch::<LatestTs>::new(&cfg, seed);
+            batched.insert_batch_merging_with(&stamped);
 
             prop_assert_eq!(payload_state(&batched), payload_state(&per_item));
             prop_assert_eq!(batched.metrics_snapshot(), per_item.metrics_snapshot());
