@@ -9,10 +9,12 @@
 //! 64-bit seed, so failures reproduce run-to-run and are identified by a
 //! single `cc <seed>` token. `tests/*.proptest-regressions` files are
 //! honoured like upstream — stored seeds are replayed before fresh cases
-//! and a fresh failure appends its seed to the file (check it in). The
-//! one difference from upstream: no shrinking — the failing input is
+//! and a fresh failure appends its seed to the file (check it in). Two
+//! differences from upstream: no shrinking — the failing input is
 //! printed in full instead, and regressions worth a narrative are also
-//! ported into ordinary `#[test]`s.
+//! ported into ordinary `#[test]`s; and `PROPTEST_CASES` overrides every
+//! property's case count, including one set with
+//! `ProptestConfig::with_cases`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -83,8 +83,16 @@ pub struct TestRunner {
 }
 
 impl TestRunner {
-    /// Runner with the given config.
-    pub fn new(config: ProptestConfig) -> Self {
+    /// Runner with the given config. A `PROPTEST_CASES` environment
+    /// variable, when set to a number, replaces the configured case count,
+    /// so one run can deepen every property at once.
+    pub fn new(mut config: ProptestConfig) -> Self {
+        if let Some(cases) = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+        {
+            config.cases = cases;
+        }
         TestRunner { config }
     }
 

@@ -1,14 +1,14 @@
-//! Incremental delta extraction between two snapshots of one party's
-//! sketch — the `gt-core` half of the continuous-monitoring plane.
+//! Incremental deltas between two states of one party's sketch — the
+//! `gt-core` half of the continuous-monitoring plane.
 //!
 //! The paper's model ships each party's summary once, at the end.
 //! Continuous monitoring re-ships it periodically, paying
 //! `O(summary)` bytes per refresh even when almost nothing changed. The
-//! delta plane pays `O(changes)` instead: a party that holds an
-//! acknowledged **base** snapshot and a **current** sketch emits only
-//! the per-trial *difference* — the new level (level raises are
-//! monotone), the new item counter, and the labels that are in the
-//! current sample but would not be reconstructed from the base.
+//! delta plane pays `O(changes)` instead: against an acknowledged
+//! **base** state, a party emits only the per-trial *difference* — the
+//! new level (level raises are monotone), the new item counter, and the
+//! labels that are in the current sample but would not be reconstructed
+//! from the base.
 //!
 //! ## Why this is exact, not approximate
 //!
@@ -23,31 +23,40 @@
 //! current = subsample(base, current.level) ∪ delta.entries
 //! ```
 //!
-//! holds with equality — [`apply_delta`] rebuilds the current snapshot
-//! **bitwise**, payloads included (payload merges are reconciled with
-//! the canonical `stored.merge(incoming)` order, so keep-first and
-//! max-merge payloads land exactly where a fresh decode would put
-//! them). [`delta_between`] verifies the prefix property instead of
-//! assuming it and reports [`SketchError::ConfigMismatch`] when the
-//! snapshots do not lie on one party's timeline; callers fall back to
-//! shipping a full frame.
+//! holds with equality — [`apply_delta`] turns the base into the current
+//! state in place, **bitwise**, payloads included (payload merges are
+//! reconciled with the canonical `stored.merge(incoming)` order, so
+//! keep-first and max-merge payloads land exactly where a fresh decode
+//! would put them).
 //!
-//! The delta itself is represented as a [`GtSketch`] whose trials carry
-//! the current levels and item counters but only the difference
-//! entries. That makes it directly encodable by the canonical wire
-//! codec (every entry qualifies at its trial's level, counts fit
-//! capacity), so the delta plane reuses the codec's validation,
-//! canonical byte-string property, and fingerprinting wholesale. A
-//! delta sketch is a *transport* artifact: its own estimates are
-//! meaningless and it must only ever be fed to [`apply_delta`].
+//! ## The work is O(changes) on both sides
+//!
+//! A party does not keep its base: a [`ChangeJournal`] watches its
+//! ingest ([`SampleWatch`]) and lists what changed since the base, so
+//! [`ChangeJournal::delta`] reads the delta without comparing samples.
+//! [`delta_between`] computes the same delta from two whole states; it
+//! verifies the prefix property instead of assuming it and reports
+//! [`SketchError::ConfigMismatch`] when the states do not lie on one
+//! party's timeline. It stays as the oracle the journal is tested
+//! against. A referee applies a delta in place, after checking it fits.
+//! Both sides name a base state by its [`StateKey`], an
+//! order-independent hash they keep current change by change.
+//!
+//! A delta travels as a sketch message whose trials carry the current
+//! levels and item counters but only the difference entries: every
+//! entry qualifies at its trial's level and counts fit capacity, so the
+//! wire codec's validation and canonical byte string apply unchanged. A
+//! delta is a *transport* artifact: its own estimates are meaningless
+//! and it must only ever be fed to [`apply_delta`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 
-use gt_hash::LevelHasher;
+use gt_hash::{mix64, LevelHasher};
 
 use crate::error::{Result, SketchError};
 use crate::sketch::GtSketch;
-use crate::trial::Payload;
+use crate::trial::{Payload, SampleWatch};
 
 /// Extract the per-trial difference that turns `base` into `current`.
 ///
@@ -106,17 +115,19 @@ pub fn delta_between<V: Payload + PartialEq>(
     Ok(delta)
 }
 
-/// Apply a delta produced by [`delta_between`] onto `base`, rebuilding
-/// the successor snapshot in place — bitwise identical to the sketch
-/// the delta was extracted from.
+/// Apply a delta produced by [`delta_between`] onto `base` in place,
+/// leaving it bitwise identical to the sketch the delta was extracted
+/// from.
 ///
-/// Per trial: subsample the base to the delta's (monotone) level, merge
-/// the delta entries with the canonical `stored.merge(incoming)`
-/// payload order, and adopt the delta's absolute item counter. The
+/// Per trial: raise the base to the delta's (monotone) level, merge the
+/// delta entries in with the canonical `stored.merge(incoming)` payload
+/// order, and adopt the delta's absolute item counter. The
 /// cumulative-stream argument in the module docs is what makes this
-/// reconstruction exact; the reload path re-validates the sample
-/// invariant, so a delta applied against the wrong base surfaces as
-/// [`SketchError::InvalidConfig`] rather than a silently wrong sketch.
+/// reconstruction exact. The delta is checked against the whole base
+/// first: a delta staler than the base is
+/// [`SketchError::ConfigMismatch`], and one whose entries would overflow
+/// a trial's capacity (coded against a different base) is
+/// [`SketchError::InvalidConfig`]. On `Err`, `base` is untouched.
 ///
 /// A delta also applies exactly on top of any **later** base from the
 /// same timeline (base generation ≤ referee's generation ≤ delta
@@ -125,15 +136,35 @@ pub fn delta_between<V: Payload + PartialEq>(
 /// what lets a referee whose ack was lost keep applying the party's
 /// retransmitted cumulative deltas without rewinding.
 ///
-/// On `Err`, `base` may be partially updated; discard or resync it.
+/// Cost: one probe per delta entry, plus one re-hash per base entry of
+/// a trial whose level the delta raises.
 pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &GtSketch<V>) -> Result<()> {
+    apply_delta_watched(base, delta, &mut ())
+}
+
+/// [`apply_delta`], reporting the base's sample changes to `watch` — how
+/// a referee keeps a party's [`StateKey`] current without re-reading the
+/// whole summary.
+pub fn apply_delta_watched<V: Payload>(
+    base: &mut GtSketch<V>,
+    delta: &GtSketch<V>,
+    watch: &mut impl SampleWatch<V>,
+) -> Result<()> {
+    check_delta(base, delta)?;
+    for (t, (b, d)) in base.trials_mut().iter_mut().zip(delta.trials()).enumerate() {
+        watch.trial(t);
+        b.apply_delta(d, watch);
+    }
+    Ok(())
+}
+
+/// Everything that can make [`apply_delta`] fail, checked before any
+/// trial changes: coordination, then per trial in order a level
+/// regression or a capacity overflow.
+fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &GtSketch<V>) -> Result<()> {
     base.check_coordinated(delta)?;
     let capacity = base.config().capacity();
-    let mut merged: HashMap<u64, V> = HashMap::with_capacity(capacity);
-    let mut scratch: Vec<(u64, V)> = Vec::with_capacity(capacity);
-    for index in 0..base.trials().len() {
-        let b = &base.trials()[index];
-        let d = &delta.trials()[index];
+    for (b, d) in base.trials().iter().zip(delta.trials()) {
         if d.level() < b.level() {
             return Err(SketchError::ConfigMismatch {
                 detail: format!(
@@ -143,37 +174,404 @@ pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &GtSketch<V>) -> R
                 ),
             });
         }
-        merged.clear();
-        merged.extend(
+        // Delta entries qualify at the delta's level, so one the base
+        // holds survives the raise: the result is the surviving base
+        // entries plus the delta entries the base lacks.
+        let kept = if d.level() == b.level() {
+            b.sample_len()
+        } else {
             b.sample_iter()
-                .filter(|&(label, _)| b.hasher().level(label) >= d.level()),
-        );
-        for (label, incoming) in d.sample_iter() {
-            merged
-                .entry(label)
-                .and_modify(|stored| *stored = stored.merge(incoming))
-                .or_insert(incoming);
+                .filter(|&(label, _)| b.hasher().level(label) >= d.level())
+                .count()
+        };
+        // Every delta entry counts as added unless that overflows; only
+        // then are the ones the base already holds (lost acks, payload
+        // changes) probed out.
+        if kept + d.sample_len() <= capacity {
+            continue;
         }
-        if merged.len() > capacity {
+        let added = d
+            .sample_iter()
+            .filter(|&(label, _)| !b.contains_label(label))
+            .count();
+        if kept + added > capacity {
             return Err(SketchError::InvalidConfig {
                 parameter: "sample",
                 reason: format!(
                     "delta application overflows capacity {capacity} with {} entries \
                      (delta coded against a different base)",
-                    merged.len()
+                    kept + added
                 ),
             });
         }
-        scratch.clear();
-        scratch.extend(merged.iter().map(|(&label, &payload)| (label, payload)));
-        base.reload_trial(
-            index,
-            d.level(),
-            d.items_observed(),
-            scratch.iter().copied(),
-        )?;
     }
     Ok(())
+}
+
+/// A sketch state trial by trial, each trial's entries sorted by label:
+/// the order the wire codec writes, and the form in which
+/// [`ChangeJournal::delta`] hands out a delta without building a sketch.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SortedTrials<V> {
+    /// Every trial's entries, trial after trial.
+    entries: Vec<(u64, V)>,
+    /// Per trial: level, items observed, and the end of its entries.
+    trials: Vec<(u8, u64, usize)>,
+}
+
+impl<V: Payload> SortedTrials<V> {
+    /// The whole state of `sketch`.
+    pub fn of(sketch: &GtSketch<V>) -> Self {
+        let mut out = SortedTrials {
+            entries: Vec::with_capacity(sketch.sample_entries()),
+            trials: Vec::with_capacity(sketch.trials().len()),
+        };
+        for trial in sketch.trials() {
+            let start = out.entries.len();
+            out.entries.extend(trial.sample_iter());
+            out.entries[start..].sort_unstable_by_key(|&(label, _)| label);
+            out.trials
+                .push((trial.level(), trial.items_observed(), out.entries.len()));
+        }
+        out
+    }
+
+    /// Each trial's level, items observed and label-sorted entries, in
+    /// trial order.
+    pub fn iter(&self) -> impl Iterator<Item = (u8, u64, &[(u64, V)])> + '_ {
+        let mut start = 0;
+        self.trials.iter().map(move |&(level, items, end)| {
+            let entries = &self.entries[start..end];
+            start = end;
+            (level, items, entries)
+        })
+    }
+}
+
+/// The hash of one sample entry inside a [`StateKey`]: a bijection of the
+/// label for a fixed payload, and of the payload's hashed words for a
+/// fixed label, so a single changed label or payload always moves it.
+fn entry_hash<V: Hash>(label: u64, payload: V) -> u64 {
+    let mut h = WordFold(mix64(label));
+    payload.hash(&mut h);
+    mix64(h.0)
+}
+
+/// A [`Hasher`] that folds each written word into its state with
+/// [`mix64`] (`()` writes nothing, `u64` and `LatestTs` one word).
+struct WordFold(u64);
+
+impl Hasher for WordFold {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix64(self.0 ^ n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The base key of delta frames: an order-independent fingerprint of a
+/// sketch state that needs no sort and follows the state change by
+/// change.
+///
+/// Per trial it keeps the wrapping sum over the sample of a hash of
+/// each `(label, payload)` entry (a bijection of either half), a
+/// multiset hash that [`SampleWatch`] updates with each admission,
+/// payload change and eviction. [`StateKey::key`] chains
+/// every trial's sum, item counter and level through [`mix64`], a
+/// bijection at each step, so one changed level, counter, label or
+/// payload always changes the key. A party and a referee holding the same
+/// state compute the same key, however they reached it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StateKey {
+    /// Per trial: the wrapping sum of `entry_hash` over the sample.
+    sums: Vec<u64>,
+    /// The trial the watched changes belong to.
+    trial: usize,
+}
+
+impl StateKey {
+    /// The key state of `sketch`, from one pass over every sample.
+    pub fn of<V: Payload + Hash>(sketch: &GtSketch<V>) -> Self {
+        let sums = sketch
+            .trials()
+            .iter()
+            .map(|t| {
+                t.sample_iter().fold(0u64, |sum, (label, payload)| {
+                    sum.wrapping_add(entry_hash(label, payload))
+                })
+            })
+            .collect();
+        StateKey { sums, trial: 0 }
+    }
+
+    /// The key of `sketch`, whose samples this key state follows. O(r).
+    pub fn key<V: Payload>(&self, sketch: &GtSketch<V>) -> u64 {
+        sketch
+            .trials()
+            .iter()
+            .zip(&self.sums)
+            .fold(0, |key, (trial, &sum)| {
+                let key = mix64(key ^ sum);
+                let key = mix64(key ^ trial.items_observed());
+                mix64(key ^ u64::from(trial.level()))
+            })
+    }
+
+    fn add(&mut self, label: u64, payload: impl Hash) {
+        let sum = &mut self.sums[self.trial];
+        *sum = sum.wrapping_add(entry_hash(label, payload));
+    }
+
+    fn sub(&mut self, label: u64, payload: impl Hash) {
+        let sum = &mut self.sums[self.trial];
+        *sum = sum.wrapping_sub(entry_hash(label, payload));
+    }
+}
+
+impl<V: Payload + Hash + PartialEq> SampleWatch<V> for StateKey {
+    fn trial(&mut self, t: usize) {
+        self.trial = t;
+    }
+
+    fn admitted(&mut self, label: u64, payload: V) {
+        self.add(label, payload);
+    }
+
+    fn merged(&mut self, label: u64, stored: V, merged: V) {
+        if stored != merged {
+            self.sub(label, stored);
+            self.add(label, merged);
+        }
+    }
+
+    fn evicted(&mut self, label: u64, payload: V) {
+        self.sub(label, payload);
+    }
+}
+
+/// An emitted, not yet acknowledged generation.
+#[derive(Clone, Copy, Debug)]
+struct Mark {
+    generation: u64,
+    /// The [`StateKey::key`] of the state emitted.
+    key: u64,
+    /// The journal length when it was emitted: the changes after it are
+    /// the ones made since.
+    at: usize,
+}
+
+/// The change journal behind a party's delta frames: what changed in its
+/// sketch since the acknowledged base, kept instead of a copy of the base.
+///
+/// As the [`SampleWatch`] of the party's ingest, it records the
+/// `(trial, label)` of every admission and payload change, and keeps the
+/// live state's [`StateKey`] current. [`ChangeJournal::record`] marks each
+/// emitted generation; [`ChangeJournal::acknowledge`] makes an emitted
+/// generation the base and drops the changes before it;
+/// [`ChangeJournal::delta`] reads the delta from the base to the live
+/// state out of the changes since the base, in O(changes).
+///
+/// That delta equals [`delta_between`]`(base, live)`. Levels and item
+/// counters are read from the live sketch. A label in the live sample
+/// differs from the base iff it was admitted or its payload changed
+/// since, because an evicted label never returns (levels only rise), and
+/// a payload merge never returns a stored payload to an earlier value
+/// (keep-first `u64`, max-merged `LatestTs`; `()` never changes).
+///
+/// Memory stays bounded without acks: at most `max_pending` unacked
+/// generations are retained, and once the journal is twice the sample
+/// size, [`ChangeJournal::record`] compacts it to the last occurrence of
+/// each pair still in the sample.
+#[derive(Clone, Debug)]
+pub struct ChangeJournal {
+    /// `(trial, label)` of every admission and payload change since the
+    /// oldest retained generation, oldest first. A pair may repeat until
+    /// compaction.
+    changes: Vec<(u32, u64)>,
+    /// The live state's key, kept current change by change.
+    key: StateKey,
+    /// The acknowledged base: generation and key. Its changes start at 0.
+    base: Option<(u64, u64)>,
+    /// Emitted, unacknowledged generations, oldest first.
+    pending: VecDeque<Mark>,
+    /// Most unacknowledged generations retained.
+    max_pending: usize,
+}
+
+impl ChangeJournal {
+    /// A journal for `sketch` from its current state on, retaining at most
+    /// `max_pending` unacknowledged generations (at least one).
+    pub fn new<V: Payload + Hash>(sketch: &GtSketch<V>, max_pending: usize) -> Self {
+        ChangeJournal {
+            changes: Vec::new(),
+            key: StateKey::of(sketch),
+            base: None,
+            pending: VecDeque::new(),
+            max_pending: max_pending.max(1),
+        }
+    }
+
+    /// The acknowledged base generation, if any.
+    pub fn base_generation(&self) -> Option<u64> {
+        self.base.map(|(generation, _)| generation)
+    }
+
+    /// The generations a delta can still be coded against after an ack:
+    /// the base, then the pending ones oldest first.
+    pub fn retained_generations(&self) -> impl Iterator<Item = u64> + '_ {
+        let pending = self.pending.iter().map(|m| m.generation);
+        self.base_generation().into_iter().chain(pending)
+    }
+
+    /// The delta from the acknowledged base to `sketch`, the live state
+    /// this journal watched: `(base generation, base key, delta)`, or
+    /// `None` without a base.
+    pub fn delta<V: Payload>(&self, sketch: &GtSketch<V>) -> Option<(u64, u64, SortedTrials<V>)> {
+        let (generation, key) = self.base?;
+        let mut changed = self.changes.clone();
+        changed.sort_unstable();
+        changed.dedup();
+        let mut delta = SortedTrials {
+            entries: Vec::with_capacity(changed.len()),
+            trials: Vec::with_capacity(sketch.trials().len()),
+        };
+        let mut changed = changed.into_iter().peekable();
+        for (t, trial) in sketch.trials().iter().enumerate() {
+            while let Some((_, label)) = changed.next_if(|&(ct, _)| ct as usize == t) {
+                if let Some(payload) = trial.get(label) {
+                    delta.entries.push((label, payload));
+                }
+            }
+            delta
+                .trials
+                .push((trial.level(), trial.items_observed(), delta.entries.len()));
+        }
+        Some((generation, key, delta))
+    }
+
+    /// Mark `generation` as emitted at the current state of `sketch`. The
+    /// oldest pending generation beyond `max_pending` is forgotten (a
+    /// late ack for it is ignored).
+    pub fn record<V: Payload>(&mut self, generation: u64, sketch: &GtSketch<V>) {
+        if self.pending.len() == self.max_pending {
+            self.pending.pop_front();
+        }
+        let key = self.key.key(sketch);
+        let at = self.changes.len();
+        self.pending.push_back(Mark {
+            generation,
+            key,
+            at,
+        });
+        if self.base.is_none() {
+            // Nothing older than the oldest pending generation can
+            // become a base.
+            self.drop_before(self.pending[0].at);
+        }
+        if self.changes.len() > 2 * sketch.sample_entries().max(64) {
+            self.compact(sketch);
+        }
+    }
+
+    /// The referee acknowledged `generation`: if it is pending, it becomes
+    /// the base, and it and everything older leave the journal. A stale
+    /// or unknown generation is ignored.
+    pub fn acknowledge(&mut self, generation: u64) {
+        if self.base.is_some_and(|(base, _)| base >= generation) {
+            return;
+        }
+        let Some(i) = self.pending.iter().position(|m| m.generation == generation) else {
+            return;
+        };
+        let mark = self.pending[i];
+        self.pending.drain(..=i);
+        self.base = Some((generation, mark.key));
+        self.drop_before(mark.at);
+    }
+
+    /// Forget the base and every pending generation (a resync): the
+    /// next emission has nothing to code a delta against.
+    pub fn reset(&mut self) {
+        self.base = None;
+        self.pending.clear();
+        self.drop_before(self.changes.len());
+    }
+
+    /// Heap bytes the journal holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.changes.capacity() * std::mem::size_of::<(u32, u64)>()
+            + self.pending.capacity() * std::mem::size_of::<Mark>()
+            + self.key.sums.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Drop the changes before position `at`. An emptied journal gives
+    /// its storage back: what a burst of changes grew is not held once
+    /// they are behind the base.
+    fn drop_before(&mut self, at: usize) {
+        self.changes.drain(..at);
+        if self.changes.is_empty() {
+            self.changes = Vec::new();
+        }
+        for mark in &mut self.pending {
+            mark.at -= at;
+        }
+    }
+
+    /// Keep only the last occurrence of each `(trial, label)` pair, and
+    /// only pairs still in `sketch`'s sample: every delta reads the same
+    /// entries as before, from at most one change per sampled entry.
+    fn compact<V: Payload>(&mut self, sketch: &GtSketch<V>) {
+        let trials = sketch.trials();
+        let mut seen = HashSet::with_capacity(self.changes.len());
+        let mut keep = vec![false; self.changes.len()];
+        for (i, &(t, label)) in self.changes.iter().enumerate().rev() {
+            keep[i] = seen.insert((t, label)) && trials[t as usize].contains_label(label);
+        }
+        // A mark moves to the count of kept changes before it.
+        let mut kept_before = Vec::with_capacity(keep.len() + 1);
+        kept_before.push(0);
+        for &k in &keep {
+            kept_before.push(kept_before.last().copied().unwrap_or(0) + usize::from(k));
+        }
+        for mark in &mut self.pending {
+            mark.at = kept_before[mark.at];
+        }
+        let mut keep = keep.into_iter();
+        self.changes.retain(|_| keep.next().unwrap_or(false));
+    }
+}
+
+impl<V: Payload + Hash + PartialEq> SampleWatch<V> for ChangeJournal {
+    fn trial(&mut self, t: usize) {
+        self.key.trial = t;
+    }
+
+    fn admitted(&mut self, label: u64, payload: V) {
+        self.changes.push((self.key.trial as u32, label));
+        self.key.add(label, payload);
+    }
+
+    fn merged(&mut self, label: u64, stored: V, merged: V) {
+        if stored != merged {
+            self.changes.push((self.key.trial as u32, label));
+            self.key.sub(label, stored);
+            self.key.add(label, merged);
+        }
+    }
+
+    fn evicted(&mut self, label: u64, payload: V) {
+        self.key.sub(label, payload);
+    }
 }
 
 #[cfg(test)]
@@ -336,5 +734,227 @@ mod tests {
         let mut fresh = DistinctSketch::new(&config, 23);
         fresh.merge_from(&snap2).unwrap();
         assert_eq!(state(&live), state(&fresh));
+    }
+
+    #[test]
+    fn a_failed_apply_leaves_the_base_untouched() {
+        let config = cfg();
+        let mut base = DistinctSketch::new(&config, 31);
+        base.extend_labels((0..60u64).map(gt_hash::fold61));
+        let before = state(&base);
+        // An unrelated full sample at level 0 overflows the base.
+        let mut stranger = DistinctSketch::new(&config, 31);
+        stranger.extend_labels((1_000..1_060u64).map(gt_hash::fold61));
+        assert!(matches!(
+            apply_delta(&mut base, &stranger),
+            Err(SketchError::InvalidConfig { .. })
+        ));
+        assert_eq!(state(&base), before);
+        // Trial 0 would apply cleanly; a later trial is staler than the
+        // base. Nothing may change, trial 0 included.
+        base.extend_labels((0..5_000u64).map(gt_hash::fold61));
+        let before = state(&base);
+        let mut stale = base.clone();
+        let t = &base.trials()[4];
+        stale
+            .reload_trial(4, 0, t.items_observed(), std::iter::empty())
+            .unwrap();
+        stale
+            .reload_trial(0, base.trials()[0].level(), 99, std::iter::empty())
+            .unwrap();
+        assert!(base.trials()[4].level() > 0, "need a raised trial");
+        assert!(matches!(
+            apply_delta(&mut base, &stale),
+            Err(SketchError::ConfigMismatch { .. })
+        ));
+        assert_eq!(state(&base), before);
+    }
+
+    fn key_of<V: Payload + Hash>(s: &GtSketch<V>) -> u64 {
+        StateKey::of(s).key(s)
+    }
+
+    #[test]
+    fn state_key_is_equal_for_equal_states() {
+        let config = cfg();
+        let labels: Vec<u64> = (0..3_000u64).map(gt_hash::fold61).collect();
+        let mut forward = DistinctSketch::new(&config, 41);
+        forward.extend_labels(labels.iter().copied());
+        let mut backward = DistinctSketch::new(&config, 41);
+        backward.extend_labels(labels.iter().rev().copied());
+        assert_eq!(state(&forward), state(&backward));
+        assert_eq!(key_of(&forward), key_of(&backward));
+
+        // Union of two halves, as a referee holds it.
+        let (a, b) = labels.split_at(1_700);
+        let mut halves = DistinctSketch::new(&config, 41);
+        halves.extend_labels(a.iter().copied());
+        let mut other = DistinctSketch::new(&config, 41);
+        other.extend_labels(b.iter().copied());
+        halves.merge_from(&other).unwrap();
+        assert_eq!(state(&halves), state(&forward));
+        assert_eq!(key_of(&halves), key_of(&forward));
+
+        // A delta applied in place, with the key followed change by change.
+        let mut base = DistinctSketch::new(&config, 41);
+        base.extend_labels(a.iter().copied());
+        let delta = delta_between(&base, &forward).unwrap();
+        let mut key = StateKey::of(&base);
+        apply_delta_watched(&mut base, &delta, &mut key).unwrap();
+        assert_eq!(key.key(&base), key_of(&forward));
+
+        // The key an ingest watch keeps equals a fresh pass, payloads too.
+        let mut recency = GtSketch::<LatestTs>::new(&config, 41);
+        let mut watched = StateKey::of(&recency);
+        for (i, &label) in labels.iter().chain(&labels[..500]).enumerate() {
+            recency.insert_merging_watched(label, LatestTs(i as u64), &mut watched);
+        }
+        assert_eq!(watched.key(&recency), key_of(&recency));
+    }
+
+    #[test]
+    fn state_key_moves_under_every_single_change() {
+        let config =
+            SketchConfig::from_shape(0.3, 0.3, 6, 3, gt_hash::HashFamilyKind::Pairwise).unwrap();
+        let mut s = GtSketch::<u64>::new(&config, 43);
+        // Labels at hash level >= 2 in every trial, so level 1 and 2 both
+        // hold the same sample.
+        let deep: Vec<u64> = (0..)
+            .map(gt_hash::fold61)
+            .filter(|&l| s.trials().iter().all(|t| t.hasher().level(l) >= 2))
+            .take(8)
+            .collect();
+        for t in 0..3 {
+            let entries = deep[..4].iter().map(|&l| (l, l % 5));
+            s.reload_trial(t, 1, 10 + t as u64, entries).unwrap();
+        }
+        let base = key_of(&s);
+        let mut keys = vec![base];
+        let trial = |s: &GtSketch<u64>, t: usize| -> (u8, u64, Vec<(u64, u64)>) {
+            let tr = &s.trials()[t];
+            (tr.level(), tr.items_observed(), tr.sample_iter().collect())
+        };
+        for t in 0..3 {
+            let (level, items, entries) = trial(&s, t);
+            let mut changed = Vec::new();
+            changed.push((level + 1, items, entries.clone()));
+            changed.push((level, items + 1, entries.clone()));
+            for i in 0..entries.len() {
+                let mut relabeled = entries.clone();
+                relabeled[i].0 = deep[4 + i];
+                changed.push((level, items, relabeled));
+                let mut repaid = entries.clone();
+                repaid[i].1 += 1;
+                changed.push((level, items, repaid));
+            }
+            for (level, items, entries) in changed {
+                let mut c = s.clone();
+                c.reload_trial(t, level, items, entries).unwrap();
+                keys.push(key_of(&c));
+            }
+        }
+        let n = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), n, "two states share a key");
+        assert_eq!(key_of(&s), base);
+    }
+
+    /// Drive a journaled sketch through `rounds` of ingest and emissions
+    /// under a seeded ack schedule (lost, late, stale and out-of-window
+    /// acks, and resyncs), checking every journal delta against
+    /// [`delta_between`] of the retained snapshot.
+    fn journal_matches_delta_between<V: Payload + Hash + PartialEq + Ord + std::fmt::Debug>(
+        payload: impl Fn(u64, u64) -> V,
+        rounds: u64,
+        seed: u64,
+    ) -> usize {
+        let config = cfg();
+        let mut live = GtSketch::<V>::new(&config, 47);
+        let mut journal = ChangeJournal::new(&live, 4);
+        let mut snapshots: Vec<(u64, GtSketch<V>)> = Vec::new();
+        let mut rng = seed;
+        let mut next = || {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            gt_hash::mix64(rng)
+        };
+        let mut checked = 0;
+        for generation in 1..=rounds {
+            let items: Vec<(u64, V)> = (0..next() % 90)
+                .map(|i| {
+                    let label = gt_hash::fold61(next() % (200 * generation + 50));
+                    (label, payload(label, generation * 100 + i))
+                })
+                .collect();
+            if generation % 2 == 0 {
+                live.insert_batch_merging_watched(&items, &mut journal);
+            } else {
+                for &(label, v) in &items {
+                    live.insert_merging_watched(label, v, &mut journal);
+                }
+            }
+            if let Some((base_gen, base_key, delta)) = journal.delta(&live) {
+                let base = &snapshots.iter().find(|(g, _)| *g == base_gen).unwrap().1;
+                let oracle = delta_between(base, &live).unwrap();
+                assert_eq!(delta, SortedTrials::of(&oracle), "generation {generation}");
+                assert_eq!(base_key, key_of(base));
+                checked += 1;
+            }
+            journal.record(generation, &live);
+            snapshots.push((generation, live.clone()));
+            let retained: Vec<u64> = journal.retained_generations().collect();
+            snapshots.retain(|(g, _)| retained.contains(g));
+            match next() % 8 {
+                0..=2 => journal.acknowledge(generation),
+                3 => journal.acknowledge(generation.saturating_sub(next() % 8)),
+                4 => journal.reset(),
+                _ => {} // lost
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn journal_deltas_equal_delta_between() {
+        for seed in 0..6 {
+            let a = journal_matches_delta_between(|_, _| (), 120, seed);
+            let b = journal_matches_delta_between(|l, _| l % 97, 120, seed);
+            let c = journal_matches_delta_between(|_, t| LatestTs(t), 120, seed);
+            assert!(a > 40 && b > 40 && c > 40, "{a} {b} {c}");
+        }
+    }
+
+    #[test]
+    fn journal_compacts_to_the_sample_when_acks_stop() {
+        let config = cfg();
+        let mut live = GtSketch::<LatestTs>::new(&config, 53);
+        let mut journal = ChangeJournal::new(&live, 32);
+        journal.record(1, &live);
+        journal.acknowledge(1);
+        let base = live.clone();
+        let mut peak = 0;
+        for generation in 2..400u64 {
+            for i in 0..40 {
+                let label = gt_hash::fold61(generation * 40 + i);
+                live.insert_merging_watched(label, LatestTs(generation), &mut journal);
+                // Re-arrivals of early labels change payloads, not the sample.
+                let old = gt_hash::fold61(i * 7);
+                live.insert_merging_watched(old, LatestTs(generation), &mut journal);
+            }
+            let (_, _, delta) = journal.delta(&live).unwrap();
+            assert_eq!(
+                delta,
+                SortedTrials::of(&delta_between(&base, &live).unwrap())
+            );
+            journal.record(generation, &live);
+            peak = peak.max(journal.changes.len());
+        }
+        // Every pair left is distinct and sampled, so a compaction leaves
+        // at most one sample's worth; growth until the next is bounded.
+        let sample_bound = config.trials() * config.capacity();
+        assert!(
+            peak <= 2 * sample_bound + 2 * 40 * config.trials(),
+            "{peak}"
+        );
     }
 }

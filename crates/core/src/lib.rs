@@ -70,7 +70,9 @@ pub mod workers;
 
 pub use compact::harmonize;
 pub use concurrent::{ConcurrentSketch, ShardedSketch, SketchSnapshot, SketchWriter, WRITER_BUF};
-pub use delta::{apply_delta, delta_between};
+pub use delta::{
+    apply_delta, apply_delta_watched, delta_between, ChangeJournal, SortedTrials, StateKey,
+};
 pub use error::{Result, SketchError};
 pub use estimate::{median_f64, quantile_f64, relative_error, Estimate};
 pub use expr::{eval_expr, ExprContext, ExpressionEstimate, JaccardEstimate, SetExpr};
@@ -83,6 +85,6 @@ pub use recency::{LatestTs, RecencySketch};
 pub use similarity::{jaccard_matrix, similarity, SimilarityEstimate};
 pub use sketch::{DistinctSketch, GtSketch};
 pub use sumdistinct::SumDistinctSketch;
-pub use trial::{CoordinatedTrial, Payload, TrialInsert};
+pub use trial::{CoordinatedTrial, Payload, SampleWatch, TrialInsert};
 pub use window::SlidingWindowSketch;
 pub use workers::{balanced_chunks, effective_workers};

@@ -41,6 +41,7 @@ use crate::trial::Payload;
     Default,
     PartialEq,
     Eq,
+    Hash,
     PartialOrd,
     Ord,
     serde::Serialize,

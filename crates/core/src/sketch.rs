@@ -14,7 +14,7 @@ use crate::error::{Result, SketchError};
 use crate::estimate::{median_f64, Estimate};
 use crate::metrics::MetricsSnapshot;
 use crate::params::SketchConfig;
-use crate::trial::{CoordinatedTrial, Payload, KERNEL_CHUNK};
+use crate::trial::{CoordinatedTrial, Payload, SampleWatch, KERNEL_CHUNK};
 
 /// An `r`-trial coordinated-sampling sketch over labels in `[0, 2^61 − 1)`
 /// with per-label payloads `V`.
@@ -79,10 +79,35 @@ impl<V: Payload> GtSketch<V> {
     /// [`gt_hash::fold61`] or use [`GtSketch::insert_hashed`].
     #[inline]
     pub fn insert_with(&mut self, label: u64, payload: V) {
+        self.insert_watched(label, payload, &mut ());
+    }
+
+    /// [`GtSketch::insert_with`], reporting sample changes to `watch`.
+    #[inline]
+    pub fn insert_watched(&mut self, label: u64, payload: V, watch: &mut impl SampleWatch<V>) {
+        self.insert_each(label, payload, false, watch);
+    }
+
+    /// The per-item insert behind [`GtSketch::insert_watched`] and, with
+    /// `merging`, [`GtSketch::insert_merging_watched`].
+    #[inline]
+    fn insert_each(
+        &mut self,
+        label: u64,
+        payload: V,
+        merging: bool,
+        watch: &mut impl SampleWatch<V>,
+    ) {
         let m = &mut self.metrics;
-        for trial in &mut self.trials {
+        for (t, trial) in self.trials.iter_mut().enumerate() {
+            watch.trial(t);
             let level_before = trial.level();
-            m.count_insert(trial.insert(label, payload), 1);
+            let outcome = trial.insert_watched(label, payload, merging, watch);
+            if merging {
+                m.count_merging_insert(outcome, 1);
+            } else {
+                m.count_insert(outcome, 1);
+            }
             m.level_promotions += u64::from(trial.level() - level_before);
         }
     }
@@ -99,12 +124,19 @@ impl<V: Payload> GtSketch<V> {
     /// [`CoordinatedTrial::insert_merging`]).
     #[inline]
     pub fn insert_merging_with(&mut self, label: u64, payload: V) {
-        let m = &mut self.metrics;
-        for trial in &mut self.trials {
-            let level_before = trial.level();
-            m.count_merging_insert(trial.insert_merging(label, payload), 1);
-            m.level_promotions += u64::from(trial.level() - level_before);
-        }
+        self.insert_merging_watched(label, payload, &mut ());
+    }
+
+    /// [`GtSketch::insert_merging_with`], reporting sample changes to
+    /// `watch`.
+    #[inline]
+    pub fn insert_merging_watched(
+        &mut self,
+        label: u64,
+        payload: V,
+        watch: &mut impl SampleWatch<V>,
+    ) {
+        self.insert_each(label, payload, true, watch);
     }
 
     /// Batch counterpart of [`GtSketch::insert_merging_with`]: observe
@@ -123,6 +155,16 @@ impl<V: Payload> GtSketch<V> {
     /// batched vs kernel gap is measured by experiment `e4`
     /// (`experiments e4`, checked in-binary with `Table::check`).
     pub fn insert_batch_merging_with(&mut self, items: &[(u64, V)]) {
+        self.insert_batch_merging_watched(items, &mut ());
+    }
+
+    /// [`GtSketch::insert_batch_merging_with`], reporting sample changes
+    /// to `watch`.
+    pub fn insert_batch_merging_watched(
+        &mut self,
+        items: &[(u64, V)],
+        watch: &mut impl SampleWatch<V>,
+    ) {
         let mut labels = [0u64; KERNEL_CHUNK];
         let mut payloads = [V::default(); KERNEL_CHUNK];
         let mut hashes = [0u64; KERNEL_CHUNK];
@@ -132,13 +174,10 @@ impl<V: Payload> GtSketch<V> {
                 payloads[i] = payload;
             }
             let n = chunk.len();
-            for trial in &mut self.trials {
-                trial.extend_pairs_kernel(
-                    &labels[..n],
-                    &payloads[..n],
-                    &mut hashes,
-                    &mut self.metrics,
-                );
+            for (t, trial) in self.trials.iter_mut().enumerate() {
+                watch.trial(t);
+                let (labels, payloads) = (&labels[..n], &payloads[..n]);
+                trial.extend_pairs_kernel(labels, payloads, &mut hashes, &mut self.metrics, watch);
             }
         }
     }
@@ -222,6 +261,11 @@ impl<V: Payload> GtSketch<V> {
             mine.merge_from_reference(theirs, &mut self.metrics)?;
         }
         Ok(())
+    }
+
+    /// Mutable per-trial state, for in-place delta application.
+    pub(crate) fn trials_mut(&mut self) -> &mut [CoordinatedTrial<V>] {
+        &mut self.trials
     }
 
     /// The coordination check every operation combining two sketches
@@ -408,8 +452,15 @@ impl DistinctSketch {
     /// the fastest bulk-ingest path (see [`GtSketch::insert_batch_merging_with`]
     /// for the kernel description; experiment `e4` for the numbers).
     pub fn extend_slice(&mut self, labels: &[u64]) {
-        for trial in &mut self.trials {
-            trial.extend_labels_kernel(labels, &mut self.metrics);
+        self.extend_slice_watched(labels, &mut ());
+    }
+
+    /// [`DistinctSketch::extend_slice`], reporting sample changes to
+    /// `watch`.
+    pub fn extend_slice_watched(&mut self, labels: &[u64], watch: &mut impl SampleWatch<()>) {
+        for (t, trial) in self.trials.iter_mut().enumerate() {
+            watch.trial(t);
+            trial.extend_labels_kernel(labels, &mut self.metrics, watch);
         }
     }
 

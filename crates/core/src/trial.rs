@@ -79,6 +79,55 @@ impl Payload for f64 {
     }
 }
 
+/// Observes the sample changes an operation makes, trial by trial: the
+/// change journal and state key behind delta frames
+/// ([`crate::ChangeJournal`], [`crate::StateKey`]) implement it, and
+/// every other path passes `()`, whose no-op methods compile to nothing.
+pub trait SampleWatch<V> {
+    /// The changes reported next belong to trial `t`.
+    #[inline]
+    fn trial(&mut self, _t: usize) {}
+    /// `label` entered the sample with `payload`.
+    #[inline]
+    fn admitted(&mut self, _label: u64, _payload: V) {}
+    /// A duplicate arrival merged the payload stored for `label` from
+    /// `stored` to `merged` (possibly equal).
+    #[inline]
+    fn merged(&mut self, _label: u64, _stored: V, _merged: V) {}
+    /// A level raise evicted `label`, stored with `payload`.
+    #[inline]
+    fn evicted(&mut self, _label: u64, _payload: V) {}
+}
+
+impl<V> SampleWatch<V> for () {}
+
+impl<V, W: SampleWatch<V>> SampleWatch<V> for Option<W> {
+    #[inline]
+    fn trial(&mut self, t: usize) {
+        if let Some(w) = self {
+            w.trial(t);
+        }
+    }
+    #[inline]
+    fn admitted(&mut self, label: u64, payload: V) {
+        if let Some(w) = self {
+            w.admitted(label, payload);
+        }
+    }
+    #[inline]
+    fn merged(&mut self, label: u64, stored: V, merged: V) {
+        if let Some(w) = self {
+            w.merged(label, stored, merged);
+        }
+    }
+    #[inline]
+    fn evicted(&mut self, label: u64, payload: V) {
+        if let Some(w) = self {
+            w.evicted(label, payload);
+        }
+    }
+}
+
 /// What [`CoordinatedTrial::insert`] did with an item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrialInsert {
@@ -219,6 +268,11 @@ impl<V: Payload> CoordinatedTrial<V> {
         self.sample.contains(label)
     }
 
+    /// The payload stored for `label`, if it is in the sample.
+    pub(crate) fn get(&self, label: u64) -> Option<V> {
+        self.sample.get(label)
+    }
+
     /// The sample as a label-sorted `Vec` of `(label, hash level)` pairs —
     /// the precomputed view the expression engine aligns trials with.
     ///
@@ -251,33 +305,62 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// over the whole stream, O(log F₀) sub-sampling sweeps.
     #[inline]
     pub fn insert(&mut self, label: u64, payload: V) -> TrialInsert {
+        self.insert_watched(label, payload, false, &mut ())
+    }
+
+    /// [`CoordinatedTrial::insert`], or with `merging`
+    /// [`CoordinatedTrial::insert_merging`], reporting sample changes to
+    /// `watch`.
+    #[inline]
+    pub(crate) fn insert_watched(
+        &mut self,
+        label: u64,
+        payload: V,
+        merging: bool,
+        watch: &mut impl SampleWatch<V>,
+    ) -> TrialInsert {
         self.items_observed += 1;
         let lvl = self.hasher.level(label);
         if lvl < self.level {
             return TrialInsert::BelowLevel;
         }
-        self.insert_qualified(label, lvl, payload)
+        self.insert_qualified(label, lvl, payload, merging, watch)
     }
 
     /// Sample-insertion slow path shared by [`CoordinatedTrial::insert`]
     /// and the batch kernels: the label is already known to qualify
     /// (`lvl ≥ self.level`) and `items_observed` is already counted.
+    /// With `merging`, a duplicate folds its payload in as
+    /// `stored.merge(incoming)`; without, it leaves the stored one alone.
     #[inline]
-    fn insert_qualified(&mut self, label: u64, lvl: u8, payload: V) -> TrialInsert {
+    fn insert_qualified(
+        &mut self,
+        label: u64,
+        lvl: u8,
+        payload: V,
+        merging: bool,
+        watch: &mut impl SampleWatch<V>,
+    ) -> TrialInsert {
         debug_assert!(lvl >= self.level);
         let mut promoted = false;
         loop {
             match self.sample.try_insert(label, payload) {
                 InsertOutcome::Inserted => {
+                    watch.admitted(label, payload);
                     return if promoted {
                         TrialInsert::SampledAfterPromotion
                     } else {
                         TrialInsert::Sampled
                     };
                 }
-                InsertOutcome::AlreadyPresent => return TrialInsert::Duplicate,
+                InsertOutcome::AlreadyPresent => {
+                    if merging {
+                        self.merge_payload(label, payload, watch);
+                    }
+                    return TrialInsert::Duplicate;
+                }
                 InsertOutcome::Full => {
-                    self.promote();
+                    self.raise_level(self.level + 1, watch);
                     promoted = true;
                     if lvl < self.level {
                         return TrialInsert::EvictedByPromotion;
@@ -285,6 +368,17 @@ impl<V: Payload> CoordinatedTrial<V> {
                 }
             }
         }
+    }
+
+    /// Fold `incoming` into the payload stored for the sampled `label` as
+    /// `stored.merge(incoming)`, the canonical order.
+    #[inline]
+    fn merge_payload(&mut self, label: u64, incoming: V, watch: &mut impl SampleWatch<V>) {
+        self.sample.update(label, |v| {
+            let stored = *v;
+            *v = stored.merge(incoming);
+            watch.merged(label, stored, *v);
+        });
     }
 
     /// The one screen-and-insert loop behind label ingest, pair ingest and
@@ -320,6 +414,7 @@ impl<V: Payload> CoordinatedTrial<V> {
         payloads: Option<&[V]>,
         hashes: &mut [u64; KERNEL_CHUNK],
         mut count: impl FnMut(TrialInsert, u64),
+        watch: &mut impl SampleWatch<V>,
     ) {
         let hashes = &mut hashes[..labels.len()];
         self.hasher.hash_slice_into(labels, hashes);
@@ -342,10 +437,9 @@ impl<V: Payload> CoordinatedTrial<V> {
                 }
                 let at = w * SCREEN_WINDOW + i;
                 let payload = payloads.map_or_else(V::default, |p| p[at]);
-                let outcome = self.insert_qualified(labels[at], level_of_hash(h), payload);
-                if payloads.is_some() && outcome == TrialInsert::Duplicate {
-                    self.sample.update(labels[at], |v| *v = v.merge(payload));
-                }
+                let merging = payloads.is_some();
+                let outcome =
+                    self.insert_qualified(labels[at], level_of_hash(h), payload, merging, watch);
                 count(outcome, 1);
                 mask = survival_mask(self.level);
             }
@@ -357,12 +451,18 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// Bitwise-identical in sample, level, `items_observed` and counters
     /// to calling [`CoordinatedTrial::insert`] per item in slice order
     /// (property-tested).
-    pub(crate) fn extend_labels_kernel(&mut self, labels: &[u64], m: &mut MetricsSnapshot) {
+    pub(crate) fn extend_labels_kernel(
+        &mut self,
+        labels: &[u64],
+        m: &mut MetricsSnapshot,
+        watch: &mut impl SampleWatch<V>,
+    ) {
         let level_before = self.level;
         self.items_observed += labels.len() as u64;
         let mut hashes = [0u64; KERNEL_CHUNK];
         for chunk in labels.chunks(KERNEL_CHUNK) {
-            self.screen_and_insert(chunk, None, &mut hashes, |o, n| m.count_insert(o, n));
+            let count = |o, n| m.count_insert(o, n);
+            self.screen_and_insert(chunk, None, &mut hashes, count, watch);
         }
         m.level_promotions += u64::from(self.level - level_before);
     }
@@ -379,12 +479,12 @@ impl<V: Payload> CoordinatedTrial<V> {
         payloads: &[V],
         hashes: &mut [u64; KERNEL_CHUNK],
         m: &mut MetricsSnapshot,
+        watch: &mut impl SampleWatch<V>,
     ) {
         let level_before = self.level;
         self.items_observed += labels.len() as u64;
-        self.screen_and_insert(labels, Some(payloads), hashes, |o, n| {
-            m.count_merging_insert(o, n)
-        });
+        let count = |o, n| m.count_merging_insert(o, n);
+        self.screen_and_insert(labels, Some(payloads), hashes, count, watch);
         m.level_promotions += u64::from(self.level - level_before);
     }
 
@@ -399,28 +499,7 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// probe work on duplicates.
     #[inline]
     pub fn insert_merging(&mut self, label: u64, payload: V) -> TrialInsert {
-        let outcome = self.insert(label, payload);
-        if outcome == TrialInsert::Duplicate {
-            self.sample.update(label, |v| *v = v.merge(payload));
-        }
-        outcome
-    }
-
-    /// Raise the level by one and sub-sample. Each stored label survives
-    /// iff its hash level clears the new threshold (prob. ½ each,
-    /// pairwise-independently).
-    fn promote(&mut self) {
-        assert!(
-            self.level < MAX_LEVEL,
-            "level overflow: >{} labels share {MAX_LEVEL} trailing zero bits — \
-             astronomically unlikely under a sound hash; check the hash family",
-            self.capacity()
-        );
-        self.level += 1;
-        let threshold = self.level;
-        let hasher = self.hasher.clone();
-        self.sample
-            .retain(|label, _| hasher.level(label) >= threshold);
+        self.insert_watched(label, payload, true, &mut ())
     }
 
     /// Force the trial down to sampling level `target ≥ self.level`,
@@ -432,12 +511,67 @@ impl<V: Payload> CoordinatedTrial<V> {
             "cannot lower a sampling level ({} -> {target}): discarded labels cannot be recovered",
             self.level
         );
-        if target == self.level {
+        self.raise_level(target, &mut ());
+    }
+
+    /// Raise the level to `target` (no-op at or below the current one)
+    /// and sub-sample, reporting each evicted entry to `watch`: one
+    /// promotion when the sample overflows (each stored label survives
+    /// iff its hash level clears the new threshold, prob. ½ each,
+    /// pairwise-independently), or an alignment to another trial's level.
+    pub(crate) fn raise_level(&mut self, target: u8, watch: &mut impl SampleWatch<V>) {
+        assert!(
+            target <= MAX_LEVEL,
+            "level overflow: >{} labels share {MAX_LEVEL} trailing zero bits — \
+             astronomically unlikely under a sound hash; check the hash family",
+            self.capacity()
+        );
+        if target <= self.level {
             return;
         }
         self.level = target;
         let hasher = self.hasher.clone();
-        self.sample.retain(|label, _| hasher.level(label) >= target);
+        self.sample.retain(|label, &payload| {
+            let keep = hasher.level(label) >= target;
+            if !keep {
+                watch.evicted(label, payload);
+            }
+            keep
+        });
+    }
+
+    /// Apply one trial of a delta (see [`crate::delta`]) in place: raise
+    /// the level to the delta's, fold its entries in (a duplicate merges
+    /// as `stored.merge(incoming)`), and adopt its item counter. The
+    /// caller has checked that the result fits the capacity.
+    pub(crate) fn apply_delta(
+        &mut self,
+        delta: &CoordinatedTrial<V>,
+        watch: &mut impl SampleWatch<V>,
+    ) {
+        self.raise_level(delta.level, watch);
+        // Gathered a chunk at a time, as union does: probes from a dense
+        // array overlap their table misses, a sparse-table scan does not.
+        let mut chunk = [(0u64, V::default()); KERNEL_CHUNK];
+        let mut entries = delta.sample.iter();
+        loop {
+            let mut n = 0;
+            for entry in entries.by_ref().take(KERNEL_CHUNK) {
+                chunk[n] = entry;
+                n += 1;
+            }
+            if n == 0 {
+                break;
+            }
+            for &(label, incoming) in &chunk[..n] {
+                match self.sample.try_insert(label, incoming) {
+                    InsertOutcome::Inserted => watch.admitted(label, incoming),
+                    InsertOutcome::AlreadyPresent => self.merge_payload(label, incoming, watch),
+                    InsertOutcome::Full => unreachable!("delta fit was checked before applying"),
+                }
+            }
+        }
+        self.items_observed = delta.items_observed;
     }
 
     /// A copy of this trial shrunk to a smaller capacity: the level is
@@ -560,7 +694,8 @@ impl<V: Payload> CoordinatedTrial<V> {
                 break;
             }
             let count = |outcome, k| m.count_union(outcome, k);
-            self.screen_and_insert(&labels[..n], Some(&payloads[..n]), &mut hashes, count);
+            let (labels, payloads) = (&labels[..n], Some(&payloads[..n]));
+            self.screen_and_insert(labels, payloads, &mut hashes, count, &mut ());
         }
         self.items_observed += other.items_observed;
         m.level_promotions += u64::from(self.level - level_before);
@@ -604,7 +739,7 @@ impl<V: Payload> CoordinatedTrial<V> {
                         break;
                     }
                     InsertOutcome::Full => {
-                        self.promote();
+                        self.raise_level(self.level + 1, &mut ());
                         if self.hasher.level(label) < self.level {
                             m.merge_below_level += 1;
                             break;
@@ -924,7 +1059,7 @@ mod tests {
             }
             let mut kernel = trial(32, 31);
             let mut kernel_counts = MetricsSnapshot::default();
-            kernel.extend_labels_kernel(&v, &mut kernel_counts);
+            kernel.extend_labels_kernel(&v, &mut kernel_counts, &mut ());
             assert_eq!(kernel.level(), per_item.level(), "n = {n}");
             assert_eq!(kernel.items_observed(), per_item.items_observed());
             let set = |t: &CoordinatedTrial<()>| -> std::collections::BTreeSet<u64> {
@@ -955,7 +1090,7 @@ mod tests {
         let mut hashes = [0u64; KERNEL_CHUNK];
         for chunk in items.chunks(KERNEL_CHUNK) {
             let (labels, payloads): (Vec<u64>, Vec<u64>) = chunk.iter().copied().unzip();
-            kernel.extend_pairs_kernel(&labels, &payloads, &mut hashes, &mut m);
+            kernel.extend_pairs_kernel(&labels, &payloads, &mut hashes, &mut m, &mut ());
         }
         let state = |t: &CoordinatedTrial<u64>| -> std::collections::BTreeMap<u64, u64> {
             t.sample_iter().collect()

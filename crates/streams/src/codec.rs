@@ -15,10 +15,10 @@
 //!   invariant via `CoordinatedTrial::reload`), so a referee cannot silently
 //!   union a corrupt or uncoordinated message.
 
-use std::ops::Range;
+use std::hash::Hash;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gt_core::{GtSketch, SketchConfig, SketchError};
+use gt_core::{GtSketch, SketchConfig, SketchError, SortedTrials};
 use gt_hash::HashFamilyKind;
 
 /// Format magic: "GTS" + version 1.
@@ -73,7 +73,10 @@ impl From<SketchError> for CodecError {
 /// `Send + Sync` is part of the contract: referee-side batch unions fan
 /// the decoded sketches out across scoped worker threads
 /// (`gt_core::merge_tree`), so any payload that travels must be shareable.
-pub trait WirePayload: gt_core::Payload + Send + Sync {
+/// `PartialEq + Hash` is what the delta plane needs: a party journals
+/// only payloads that changed, and the base key
+/// ([`gt_core::StateKey`]) hashes them.
+pub trait WirePayload: gt_core::Payload + PartialEq + Hash + Send + Sync {
     /// Append the payload.
     fn encode(self, buf: &mut BytesMut);
     /// Read the payload back.
@@ -131,30 +134,40 @@ const FRAME_KIND_DELTA: u8 = 1;
 ///
 /// Wire layout of a frame: `FRAME_MAGIC` u32, kind u8, generation
 /// varint; delta frames continue with the base generation varint and the
-/// base fingerprint u64 (the continuation header that lets a referee
+/// 8-byte base key, the [`gt_core::StateKey::key`] of the state the
+/// delta was coded against (the continuation header that lets a referee
 /// detect gaps and request resync); then the canonical sketch encoding —
 /// [`encode_sketch`] bytes verbatim, magic included, so frames inherit
 /// the codec's validation, canonical-bytes property, and fingerprinting
 /// unchanged.
 pub fn encode_full_frame<V: WirePayload>(sketch: &GtSketch<V>, generation: u64) -> Bytes {
-    let body = encode_sketch(sketch);
-    let mut buf = BytesMut::with_capacity(full_frame_header_len(generation) + body.len());
-    buf.put_u32(FRAME_MAGIC);
-    buf.put_u8(FRAME_KIND_FULL);
-    put_varint(&mut buf, generation);
-    buf.put_slice(&body);
-    buf.freeze()
+    let trials = SortedTrials::of(sketch);
+    encode_frame(sketch, &trials, generation, None)
 }
 
 /// Exact byte length [`encode_full_frame`] produces for `sketch` at
 /// `generation`, without encoding it.
 pub fn full_frame_len<V: WirePayload>(sketch: &GtSketch<V>, generation: u64) -> usize {
-    full_frame_header_len(generation) + encoded_sketch_len(sketch)
+    frame_header_len(generation, None) + encoded_sketch_len(sketch)
 }
 
-/// A full frame's header: magic, kind byte, generation varint.
-fn full_frame_header_len(generation: u64) -> usize {
-    4 + 1 + varint_len(generation)
+/// A lower bound on [`full_frame_len`] in O(trials), with no sort: every
+/// sampled label costs at least one byte and a payload at least none.
+pub fn full_frame_len_floor<V: WirePayload>(sketch: &GtSketch<V>, generation: u64) -> usize {
+    let trials: usize = sketch
+        .trials()
+        .iter()
+        .map(|t| {
+            1 + varint_len(t.items_observed()) + varint_len(t.sample_len() as u64) + t.sample_len()
+        })
+        .sum();
+    frame_header_len(generation, None) + header_len(sketch.config()) + trials
+}
+
+/// A frame's header: magic, kind byte, generation varint, and for a
+/// delta frame the base generation varint and the 8-byte base key.
+fn frame_header_len(generation: u64, base: Option<(u64, u64)>) -> usize {
+    4 + 1 + varint_len(generation) + base.map_or(0, |(g, _)| varint_len(g) + 8)
 }
 
 /// Encode a delta (a [`gt_core::delta_between`] result) as a
@@ -163,18 +176,43 @@ pub fn encode_delta_frame<V: WirePayload>(
     delta: &GtSketch<V>,
     generation: u64,
     base_generation: u64,
-    base_fingerprint: u64,
+    base_key: u64,
 ) -> Bytes {
-    let body = encode_sketch(delta);
-    let mut buf = BytesMut::with_capacity(
-        4 + 1 + varint_len(generation) + varint_len(base_generation) + 8 + body.len(),
-    );
+    let trials = SortedTrials::of(delta);
+    encode_frame(
+        delta,
+        &trials,
+        generation,
+        Some((base_generation, base_key)),
+    )
+}
+
+/// Write a frame whose body is the sketch message of `trials`, under the
+/// config and seed of `sketch`: a full frame without `base`, a delta
+/// frame coded against `base = (generation, key)` with it.
+pub(crate) fn encode_frame<V: WirePayload>(
+    sketch: &GtSketch<V>,
+    trials: &SortedTrials<V>,
+    generation: u64,
+    base: Option<(u64, u64)>,
+) -> Bytes {
+    let total = frame_header_len(generation, base) + sketch_len(sketch.config(), trials);
+    let mut buf = BytesMut::with_capacity(total);
     buf.put_u32(FRAME_MAGIC);
-    buf.put_u8(FRAME_KIND_DELTA);
-    put_varint(&mut buf, generation);
-    put_varint(&mut buf, base_generation);
-    buf.put_u64(base_fingerprint);
-    buf.put_slice(&body);
+    match base {
+        None => {
+            buf.put_u8(FRAME_KIND_FULL);
+            put_varint(&mut buf, generation);
+        }
+        Some((base_generation, base_key)) => {
+            buf.put_u8(FRAME_KIND_DELTA);
+            put_varint(&mut buf, generation);
+            put_varint(&mut buf, base_generation);
+            buf.put_u64(base_key);
+        }
+    }
+    put_sketch(&mut buf, sketch.config(), sketch.master_seed(), trials);
+    debug_assert_eq!(buf.len(), total, "frame length prediction drifted");
     buf.freeze()
 }
 
@@ -329,34 +367,41 @@ fn get_hash_kind(buf: &mut Bytes) -> Result<HashFamilyKind, CodecError> {
 /// assert_eq!(at_referee.estimate_distinct().value, 800.0);
 /// ```
 pub fn encode_sketch<V: WirePayload>(sketch: &GtSketch<V>) -> Bytes {
-    let (entries, ranges, total) = sorted_layout(sketch);
-    let trials = sketch.trials();
-    let cfg = sketch.config();
-    // Pass 2: write.
+    let trials = SortedTrials::of(sketch);
+    let total = sketch_len(sketch.config(), &trials);
     let mut buf = BytesMut::with_capacity(total);
+    put_sketch(&mut buf, sketch.config(), sketch.master_seed(), &trials);
+    debug_assert_eq!(buf.len(), total, "encoded length prediction drifted");
+    buf.freeze()
+}
+
+/// Append the sketch message of `trials` under `cfg` and `master_seed`.
+fn put_sketch<V: WirePayload>(
+    buf: &mut BytesMut,
+    cfg: &SketchConfig,
+    master_seed: u64,
+    trials: &SortedTrials<V>,
+) {
     buf.put_u32(MAGIC);
-    buf.put_u64(sketch.master_seed());
+    buf.put_u64(master_seed);
     buf.put_f64(cfg.epsilon());
     buf.put_f64(cfg.delta());
-    put_varint(&mut buf, cfg.capacity() as u64);
-    put_varint(&mut buf, cfg.trials() as u64);
-    put_hash_kind(&mut buf, cfg.hash_kind());
-    for (trial, range) in trials.iter().zip(ranges) {
-        let sorted = &entries[range];
-        buf.put_u8(trial.level());
-        put_varint(&mut buf, trial.items_observed());
-        put_varint(&mut buf, sorted.len() as u64);
+    put_varint(buf, cfg.capacity() as u64);
+    put_varint(buf, cfg.trials() as u64);
+    put_hash_kind(buf, cfg.hash_kind());
+    for (level, items, sorted) in trials.iter() {
+        buf.put_u8(level);
+        put_varint(buf, items);
+        put_varint(buf, sorted.len() as u64);
         let mut prev = 0u64;
         for &(label, _) in sorted {
-            put_varint(&mut buf, label - prev);
+            put_varint(buf, label - prev);
             prev = label;
         }
         for &(_, payload) in sorted {
-            payload.encode(&mut buf);
+            payload.encode(buf);
         }
     }
-    debug_assert_eq!(buf.len(), total, "encoded length prediction drifted");
-    buf.freeze()
 }
 
 /// Fixed-size wire header length for `cfg`: magic, seed, epsilon, delta,
@@ -369,39 +414,27 @@ fn header_len(cfg: &gt_core::SketchConfig) -> usize {
     4 + 8 + 8 + 8 + varint_len(cfg.capacity() as u64) + varint_len(cfg.trials() as u64) + kind_len
 }
 
-/// Pass 1 of [`encode_sketch`]: every trial's entries sorted by label,
-/// collected once into one Vec with per-trial ranges (not one Vec per
-/// trial), and the exact encoded length. The encoder then reserves its
-/// buffer exactly — spilling millions of small sketches must not pay
-/// repeated `Vec` regrowth.
-fn sorted_layout<V: WirePayload>(
-    sketch: &GtSketch<V>,
-) -> (Vec<(u64, V)>, Vec<Range<usize>>, usize) {
-    let trials = sketch.trials();
-    let mut entries: Vec<(u64, V)> = Vec::with_capacity(sketch.sample_entries());
-    let mut ranges = Vec::with_capacity(trials.len());
-    let mut total = header_len(sketch.config());
-    for trial in trials {
-        let start = entries.len();
-        entries.extend(trial.sample_iter());
-        let sorted = &mut entries[start..];
-        sorted.sort_unstable_by_key(|&(label, _)| label);
-        total += 1 + varint_len(trial.items_observed()) + varint_len(sorted.len() as u64);
+/// The exact length of the sketch message of `trials` under `cfg`, so
+/// the encoder reserves its buffer once — spilling millions of small
+/// sketches must not pay repeated `Vec` regrowth.
+fn sketch_len<V: WirePayload>(cfg: &SketchConfig, trials: &SortedTrials<V>) -> usize {
+    let mut total = header_len(cfg);
+    for (_, items, sorted) in trials.iter() {
+        total += 1 + varint_len(items) + varint_len(sorted.len() as u64);
         let mut prev = 0u64;
-        for &(label, payload) in sorted.iter() {
+        for &(label, payload) in sorted {
             total += varint_len(label - prev) + payload.encoded_len();
             prev = label;
         }
-        ranges.push(start..entries.len());
     }
-    (entries, ranges, total)
+    total
 }
 
 /// Exact byte length [`encode_sketch`] will produce for `sketch`, without
 /// encoding it — usable for spill-log capacity planning and asserted
 /// against the real encoder in tests.
 pub fn encoded_sketch_len<V: WirePayload>(sketch: &GtSketch<V>) -> usize {
-    sorted_layout(sketch).2
+    sketch_len(sketch.config(), &SortedTrials::of(sketch))
 }
 
 /// Parse a sketch message's header — magic, master seed, ε, δ, capacity,
@@ -612,7 +645,7 @@ mod tests {
 
     /// `full_frame_len` predicts `encode_full_frame` across the varint
     /// width boundaries of the generation, at level 0 and past it, with
-    /// and without payloads.
+    /// and without payloads, and `full_frame_len_floor` never exceeds it.
     #[test]
     fn full_frame_len_matches_the_encoder() {
         fn check<V: WirePayload>(s: &GtSketch<V>) {
@@ -620,6 +653,10 @@ mod tests {
                 assert_eq!(
                     full_frame_len(s, g),
                     encode_full_frame(s, g).len(),
+                    "gen {g}"
+                );
+                assert!(
+                    full_frame_len_floor(s, g) <= full_frame_len(s, g),
                     "gen {g}"
                 );
             }
@@ -1221,5 +1258,21 @@ mod tests {
         // Known vectors so the function cannot silently change: FNV-1a.
         assert_eq!(payload_fingerprint(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(payload_fingerprint(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// The base key is a function of the state: a sketch decoded from the
+    /// wire keys exactly as the sender's.
+    #[test]
+    fn a_decoded_sketch_has_the_senders_state_key() {
+        use gt_core::{LatestTs, StateKey};
+        let mut s = GtSketch::<LatestTs>::new(&cfg(), 3);
+        for i in 0..20_000u64 {
+            s.insert_merging_with(gt_hash::fold61(i % 7_000), LatestTs(i));
+        }
+        let decoded: GtSketch<LatestTs> = decode_sketch(encode_sketch(&s)).unwrap();
+        assert_eq!(
+            StateKey::of(&decoded).key(&decoded),
+            StateKey::of(&s).key(&s)
+        );
     }
 }

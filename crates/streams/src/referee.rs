@@ -35,21 +35,21 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use gt_core::metrics::Exposition;
 use gt_core::{
-    apply_delta, merge_tree, Estimate, ExprContext, ExpressionEstimate, GtSketch, JaccardEstimate,
-    SetExpr, SketchConfig, SketchError,
+    apply_delta_watched, merge_tree, Estimate, ExprContext, ExpressionEstimate, GtSketch,
+    JaccardEstimate, SetExpr, SketchConfig, SketchError, StateKey,
 };
 
 use crate::codec::{
-    decode_sketch_into, encode_sketch, get_frame_header, payload_fingerprint, CodecError,
-    DecodeScratch, WirePayload,
+    decode_sketch_into, get_frame_header, payload_fingerprint, CodecError, DecodeScratch,
+    WirePayload,
 };
 use crate::party::PartyMessage;
 
 /// Frame-path fingerprints retained per party: the applied-state window
-/// that validates delta bases, and the payload fingerprints of applied
-/// frames. A delta whose base predates the window forces a resync (safe:
-/// the party falls back to a full frame). Twice the party side's own
-/// snapshot retention bound, `MAX_PENDING_SNAPSHOTS = 32`.
+/// of base keys that validates delta bases, and the payload fingerprints
+/// of applied frames. A delta whose base predates the window forces a
+/// resync (safe: the party falls back to a full frame). Twice the party
+/// side's own retention bound, `MAX_PENDING_GENERATIONS = 32`.
 const MAX_FP_HISTORY: usize = 64;
 
 /// Drop all but the newest [`MAX_FP_HISTORY`] entries of `entries`.
@@ -181,7 +181,7 @@ pub enum Receipt {
     /// `messages`/`bytes_received`/`items_reported` stay exactly-once.
     MergedVariant,
     /// A delta frame whose base generation is unknown to the referee (or
-    /// whose base fingerprint disagrees with the state the referee
+    /// whose base key disagrees with the state the referee
     /// applied at that generation): nothing was merged, and the caller
     /// must route a resync notice back to the party so it falls back to
     /// a full frame. Only [`RefereeOf::receive_frame`] produces this.
@@ -216,17 +216,20 @@ impl DeltaPlaneTelemetry {
 }
 
 /// Per-party state of the continuous-monitoring frame path.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct FrameState {
     /// Highest applied generation; frames at or below it are duplicates.
     watermark: u64,
     /// Cumulative items the party last reported, for exactly-once
     /// `items_reported` accounting across refreshing frames.
     items: u64,
-    /// `(generation, canonical-bytes fingerprint)` of recently applied
-    /// states, newest last — the base-validation window for incoming
-    /// delta frames (bounded by [`MAX_FP_HISTORY`]).
+    /// `(generation, base key)` of recently applied states, newest last —
+    /// the base-validation window for incoming delta frames (bounded by
+    /// [`MAX_FP_HISTORY`]).
     history: Vec<(u64, u64)>,
+    /// The key state of the party's summary, kept current through each
+    /// applied delta.
+    key: StateKey,
 }
 
 /// Everything the referee keeps about one heard party.
@@ -242,7 +245,7 @@ struct PartyRecord<V: WirePayload> {
     /// applied frames. An applied frame keeps only the newest
     /// [`MAX_FP_HISTORY`].
     fingerprints: Vec<u64>,
-    /// Watermark and base-fingerprint window of the frame path, once a
+    /// Watermark and base-key window of the frame path, once a
     /// frame was applied.
     frames: Option<FrameState>,
 }
@@ -426,13 +429,20 @@ impl<V: WirePayload> RefereeOf<V> {
     ///
     /// Idempotence and ordering: frames at or below the party's applied
     /// watermark return [`Receipt::Duplicate`] untouched, so duplicates
-    /// and reorders are safe. A delta whose `(base generation, base
-    /// fingerprint)` is not in the referee's applied history returns
+    /// and reorders are safe. A delta whose `(base generation, base key)`
+    /// is not in the referee's applied history returns
     /// [`Receipt::NeedResync`] — the caller routes that back to the
     /// party, which falls back to a full frame. Because parties code
     /// deltas cumulatively against their last *acked* base, a delta is
     /// exact on any applied state between its base and its own
     /// generation, so lost acks never corrupt the union.
+    ///
+    /// A delta costs O(delta), not O(summary): it is checked against the
+    /// party's summary, then applied to it in place
+    /// ([`gt_core::apply_delta_watched`], which also keeps the summary's
+    /// [`StateKey`] current), and the union absorbs only the delta's
+    /// entries. A delta that fails the check leaves the summary, the
+    /// union and the history untouched.
     pub fn receive_frame(&mut self, msg: &PartyMessage) -> Result<Receipt, CodecError> {
         let (mut receipts, mut admitted) = self.admit(std::slice::from_ref(msg), get_frame_header);
         let Some(a) = admitted.pop() else {
@@ -443,84 +453,94 @@ impl<V: WirePayload> RefereeOf<V> {
             return receipt;
         };
         let (party_id, (generation, base)) = (a.party_id, a.header);
-        let record = self.parties.get(&party_id);
-        let frames = record.and_then(|r| r.frames.as_ref());
+        let frames = self.parties.get(&party_id).and_then(|r| r.frames.as_ref());
         if frames.is_some_and(|f| generation <= f.watermark) {
             self.telemetry.duplicates_suppressed += 1;
             self.delta_telemetry.duplicate_frames += 1;
             return Ok(Receipt::Duplicate);
         }
+        if let Some((base_generation, base_key)) = base {
+            let base_known =
+                frames.is_some_and(|f| f.history.contains(&(base_generation, base_key)));
+            if !base_known {
+                self.delta_telemetry.resyncs_requested += 1;
+                return Ok(Receipt::NeedResync);
+            }
+        }
 
-        // The debit vector of the refresh merge: per-trial item counters
-        // of the state the frame supersedes (zeros for an unheard party).
-        let old_items: Vec<u64> = match record {
-            Some(r) => r
-                .summary
+        // The decoded body sits in `decode_arena[0]`. The union absorbs it
+        // by a refresh merge, which debits the per-trial item counters of
+        // the state it supersedes (zeros for an unheard party).
+        let merge_start = Instant::now();
+        let items_of = |summary: &GtSketch<V>| -> Vec<u64> {
+            summary
                 .trials()
                 .iter()
                 .map(|t| t.items_observed())
-                .collect(),
-            None => vec![0; self.union.trials().len()],
+                .collect()
         };
-        // The decoded body sits in `decode_arena[0]`. `next` is the
-        // party's new state; `oldest_live` the oldest base it can still
-        // reference.
-        let merge_start = Instant::now();
-        let (next, oldest_live) = match base {
+        let record = match base {
             // A full frame's slot becomes the state by move, and re-keys
-            // the chain: older bases are dead.
-            None => (self.decode_arena.swap_remove(0), generation),
-            Some((base_generation, base_fingerprint)) => {
-                let base_known = frames.is_some_and(|f| {
-                    f.history
-                        .iter()
-                        .any(|&(g, fp)| g == base_generation && fp == base_fingerprint)
+            // the chain: older bases are dead. Only a full frame can come
+            // from an unheard party; its record starts from the empty
+            // summary the frame replaces, which goes back to the arena.
+            None => {
+                let next = self.decode_arena.swap_remove(0);
+                let record = self.parties.entry(party_id).or_insert_with(|| PartyRecord {
+                    summary: GtSketch::new(self.union.config(), self.master_seed),
+                    fingerprints: Vec::new(),
+                    frames: None,
                 });
-                let (Some(record), true) = (record, base_known) else {
-                    self.delta_telemetry.resyncs_requested += 1;
-                    return Ok(Receipt::NeedResync);
-                };
-                // The delta's slot stays in the arena for the next frame.
-                let mut next = record.summary.clone();
-                if let Err(e) = apply_delta(&mut next, &self.decode_arena[0]) {
+                self.union
+                    .merge_refresh_from(&next, &items_of(&record.summary))
+                    .expect("admitted sketches share the union's seed and config");
+                let items = record.frames.as_ref().map_or(0, |f| f.items);
+                record.frames = Some(FrameState {
+                    watermark: generation,
+                    items,
+                    history: Vec::new(),
+                    key: StateKey::of(&next),
+                });
+                let replaced = std::mem::replace(&mut record.summary, next);
+                self.decode_arena.push(replaced);
+                self.delta_telemetry.full_frames += 1;
+                self.delta_telemetry.full_bytes += a.bytes as u64;
+                record
+            }
+            // A delta is checked against the summary, then applied to it
+            // in place; the union merges only the delta's entries. The
+            // delta's slot stays in the arena for the next frame.
+            Some((base_generation, _)) => {
+                let record = self.parties.get_mut(&party_id).expect("base is known");
+                let frames = record.frames.as_mut().expect("base is known");
+                let old_items = items_of(&record.summary);
+                let delta = &self.decode_arena[0];
+                if let Err(e) = apply_delta_watched(&mut record.summary, delta, &mut frames.key) {
                     self.telemetry.merge_time += merge_start.elapsed();
                     let e = CodecError::from(e);
                     self.telemetry.record_reject(&e);
                     return Err(e);
                 }
+                self.union
+                    .merge_refresh_from(delta, &old_items)
+                    .expect("admitted sketches share the union's seed and config");
                 // Bases older than the one just consumed can never be
                 // referenced again (the party's acked base only advances).
-                (next, base_generation)
+                frames.history.retain(|&(g, _)| g >= base_generation);
+                self.delta_telemetry.delta_frames += 1;
+                self.delta_telemetry.delta_bytes += a.bytes as u64;
+                record
             }
         };
-        self.union
-            .merge_refresh_from(&next, &old_items)
-            .expect("admitted sketches share the union's seed and config");
         self.telemetry.merge_time += merge_start.elapsed();
-        let state_fp = payload_fingerprint(&encode_sketch(&next));
-        // Only a full frame can come from an unheard party; its record
-        // starts from the empty summary the frame replaces.
-        let record = self.parties.entry(party_id).or_insert_with(|| PartyRecord {
-            summary: GtSketch::new(self.union.config(), self.master_seed),
-            fingerprints: Vec::new(),
-            frames: None,
-        });
-        let replaced = std::mem::replace(&mut record.summary, next);
-        if base.is_none() {
-            // The summary a full frame replaces goes back to the arena.
-            self.decode_arena.push(replaced);
-        }
-        if base.is_none() {
-            self.delta_telemetry.full_frames += 1;
-            self.delta_telemetry.full_bytes += a.bytes as u64;
-        } else {
-            self.delta_telemetry.delta_frames += 1;
-            self.delta_telemetry.delta_bytes += a.bytes as u64;
-        }
-        let frames = record.frames.get_or_insert_with(FrameState::default);
+        let frames = record
+            .frames
+            .as_mut()
+            .expect("set by the frame just applied");
         frames.watermark = generation;
-        frames.history.retain(|&(g, _)| g >= oldest_live);
-        frames.history.push((generation, state_fp));
+        frames
+            .history
+            .push((generation, frames.key.key(&record.summary)));
         keep_newest(&mut frames.history);
         // Every applied frame counts as a message (frames supersede, they
         // are not redeliveries), while `items_reported` advances by the
@@ -605,6 +625,10 @@ impl<V: WirePayload> RefereeOf<V> {
                         .summary
                         .merge_from(&sketch)
                         .expect("party sketches share the union's seed and config");
+                    if let Some(frames) = &mut record.frames {
+                        // The summary moved outside the frame path.
+                        frames.key = StateKey::of(&record.summary);
+                    }
                     record.fingerprints.push(a.fingerprint);
                     self.decode_arena.push(sketch);
                     self.telemetry.duplicates_merged += 1;
@@ -917,7 +941,7 @@ fn remap_leaves(expr: &SetExpr, remap: &HashMap<usize, usize>) -> SetExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_sketch, get_frame_header};
+    use crate::codec::{decode_sketch, encode_sketch, get_frame_header};
     use crate::party::Party;
 
     fn cfg() -> SketchConfig {
@@ -1587,6 +1611,86 @@ mod tests {
             "base fingerprint mismatch must refuse the delta"
         );
         assert_eq!(referee.delta_telemetry().resyncs_requested, 2);
+    }
+
+    /// The referee keys every applied state as the party keyed it when
+    /// it emitted that generation, through payload changes, level raises
+    /// and lost acks.
+    #[test]
+    fn party_and_referee_key_each_generation_alike() {
+        use gt_core::{LatestTs, StateKey};
+        let config = cfg();
+        let mut referee: RefereeOf<LatestTs> = RefereeOf::new(&config, 5);
+        let mut p = DeltaParty::<LatestTs>::new(0, &config, 5);
+        for round in 0..12u64 {
+            for i in 0..300u64 {
+                // New labels raise levels; re-arrivals refresh timestamps.
+                p.observe_with(
+                    gt_hash::fold61(round * 200 + i),
+                    LatestTs(round * 1_000 + i),
+                );
+            }
+            let msg = p.emit_frame();
+            assert_eq!(referee.receive_frame(&msg).unwrap(), Receipt::Merged);
+            let frames = referee.parties[&0].frames.as_ref().unwrap();
+            let &(generation, key) = frames.history.last().unwrap();
+            assert_eq!(generation, p.generation());
+            assert_eq!(key, StateKey::of(p.sketch()).key(p.sketch()));
+            if round % 3 != 2 {
+                p.handle_ack(generation); // every third ack is lost
+            }
+        }
+        assert_eq!(referee.delta_telemetry().resyncs_requested, 0);
+        assert_eq!(referee.delta_telemetry().full_frames, 1);
+    }
+
+    #[test]
+    fn a_delta_that_fails_to_apply_leaves_the_party_untouched() {
+        use crate::codec::encode_delta_frame;
+        use gt_core::StateKey;
+        let config = cfg();
+        let half = config.capacity() / 2 + 1;
+        let mut referee = Referee::new(&config, 13);
+        let mut p = DeltaParty::<()>::new(0, &config, 13);
+        for i in 0..half as u64 {
+            p.observe_with(gt_hash::fold61(i), ());
+        }
+        assert_eq!(
+            referee.receive_frame(&p.emit_frame()).unwrap(),
+            Receipt::Merged
+        );
+        p.handle_ack(1);
+        // A delta on the right base whose entries overflow every trial.
+        let mut other = gt_core::DistinctSketch::new(&config, 13);
+        other.extend_labels((0..half as u64).map(|i| gt_hash::fold61(1 << 40 | i)));
+        assert_eq!(other.max_level(), 0);
+        let key = StateKey::of(p.sketch()).key(p.sketch());
+        let bad = PartyMessage {
+            party_id: 0,
+            payload: encode_delta_frame(&other, 2, 1, key),
+            items_observed: 0,
+        };
+        let (summary, union) = (
+            encode_sketch(referee.party_sketch(0).unwrap()),
+            encode_sketch(referee.union_sketch()),
+        );
+        assert!(matches!(
+            referee.receive_frame(&bad),
+            Err(CodecError::Sketch(SketchError::InvalidConfig { .. }))
+        ));
+        assert_eq!(encode_sketch(referee.party_sketch(0).unwrap()), summary);
+        assert_eq!(encode_sketch(referee.union_sketch()), union);
+        assert_eq!(referee.acked_generation(0), Some(1));
+        // The party's own generation 2 still applies on the same base.
+        p.observe_with(gt_hash::fold61(1 << 50), ());
+        assert_eq!(
+            referee.receive_frame(&p.emit_frame()).unwrap(),
+            Receipt::Merged
+        );
+        assert_eq!(
+            encode_sketch(referee.party_sketch(0).unwrap()),
+            encode_sketch(p.sketch())
+        );
     }
 
     #[test]

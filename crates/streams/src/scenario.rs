@@ -45,7 +45,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use gt_core::metrics::Exposition;
-use gt_core::{LatestTs, SetExpr, SketchConfig};
+use gt_core::{GtSketch, LatestTs, SetExpr, SketchConfig};
 
 use crate::codec::{
     encode_full_frame, encode_sketch, payload_fingerprint, CodecError, WirePayload,
@@ -592,7 +592,7 @@ pub struct DeltaPlaneReport {
     /// count means the incremental union diverged from a fresh full
     /// ship.
     pub oracle_failures: u64,
-    /// Checks skipped because a party had already pruned the snapshot
+    /// Checks skipped because a party no longer retained the generation
     /// for its acked generation (mid-resync windows).
     pub oracle_skipped: u64,
 }
@@ -855,6 +855,9 @@ struct PartyRt<V: WirePayload> {
     leave_at: Option<Tick>,
     graceful: bool,
     sends: usize,
+    /// The delta plane's oracle copies of the party's state at each
+    /// generation it still retains ([`DeltaParty::retained_generations`]).
+    snapshots: Vec<(u64, GtSketch<V>)>,
 }
 
 impl<V: WirePayload> PartyRt<V> {
@@ -919,7 +922,7 @@ impl DeltaPlane {
     /// Hand deliveries to the referee frame by frame, and route each
     /// ack or resync request back to its party. One receipt per
     /// delivery, in order.
-    fn deliver<V: WirePayload + PartialEq>(
+    fn deliver<V: WirePayload>(
         &mut self,
         deliveries: &[Delivery],
         referee: &mut RefereeOf<V>,
@@ -962,14 +965,10 @@ impl DeltaPlane {
     /// The equivalence oracle, run after each tick in which the referee
     /// accepted a report: a fresh referee full-shipped each party's
     /// snapshot at its applied generation must produce canonical union
-    /// bytes identical to the live union. When some party has already
-    /// pruned the needed snapshot (mid-resync window) the check is
+    /// bytes identical to the live union. When some party no longer
+    /// retains the needed generation (mid-resync window) the check is
     /// skipped, not failed.
-    fn check_oracle<V: WirePayload + PartialEq>(
-        &mut self,
-        referee: &RefereeOf<V>,
-        ps: &[PartyRt<V>],
-    ) {
+    fn check_oracle<V: WirePayload>(&mut self, referee: &RefereeOf<V>, ps: &[PartyRt<V>]) {
         let live = referee.union_sketch();
         let mut oracle: RefereeOf<V> = RefereeOf::new(live.config(), live.master_seed());
         let mut matches = true;
@@ -977,7 +976,9 @@ impl DeltaPlane {
             let Some(generation) = referee.acked_generation(p) else {
                 continue;
             };
-            let Some(snap) = rt.party.snapshot_for(generation) else {
+            let retained = rt.party.retained_generations().any(|g| g == generation);
+            let snap = rt.snapshots.iter().find(|&&(g, _)| g == generation);
+            let (true, Some((_, snap))) = (retained, snap) else {
                 self.report.oracle_skipped += 1;
                 return;
             };
@@ -1038,7 +1039,7 @@ impl DeltaPlane {
 /// re-ships — then account latency: an accepted report admits every
 /// pending item of its party generated at or before the report's encode
 /// tick. Returns whether the referee accepted any report.
-fn absorb<V: WirePayload + PartialEq>(
+fn absorb<V: WirePayload>(
     plane: &mut Option<DeltaPlane>,
     deliveries: &[Delivery],
     referee: &mut RefereeOf<V>,
@@ -1085,14 +1086,21 @@ fn absorb<V: WirePayload + PartialEq>(
 /// Encode a party's next report at tick `t` — a frame on the delta
 /// plane, otherwise its whole cumulative sketch — and record it as the
 /// party's latest.
-fn encode_report<V: WirePayload + PartialEq>(
+fn encode_report<V: WirePayload>(
     frames: bool,
     rt: &mut PartyRt<V>,
     t: Tick,
     ledger: &mut Ledger,
 ) -> PartyMessage {
     let msg = if frames {
-        rt.party.emit_frame()
+        let msg = rt.party.emit_frame();
+        // Keep the oracle's copy of every generation the party retains.
+        let party = &rt.party;
+        rt.snapshots
+            .retain(|&(g, _)| party.retained_generations().any(|r| r == g));
+        rt.snapshots
+            .push((party.generation(), party.sketch().clone()));
+        msg
     } else {
         rt.party.full_message()
     };
@@ -1140,7 +1148,7 @@ pub fn run_sustained(config: &SketchConfig, master_seed: u64, spec: &ScenarioSpe
 /// The sustained engine's tick loop, shared by both reporting modes, for
 /// items stamped with `stamp(tick)` and windows answered by
 /// `window(referee, now, width)`.
-fn run_engine<V: WirePayload + PartialEq>(
+fn run_engine<V: WirePayload>(
     config: &SketchConfig,
     master_seed: u64,
     spec: &ScenarioSpec,
@@ -1190,6 +1198,7 @@ fn run_engine<V: WirePayload + PartialEq>(
                 leave_at: None,
                 graceful: false,
                 sends: 0,
+                snapshots: Vec::new(),
             }
         })
         .collect();
