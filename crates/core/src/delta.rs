@@ -29,6 +29,15 @@
 //! keep-first and max-merge payloads land exactly where a fresh decode
 //! would put them).
 //!
+//! ## One delta type
+//!
+//! A delta is a [`SortedTrials`]: per trial, the level, the item counter
+//! and the label-sorted new entries, nothing sized by the capacity. A
+//! whole state is a delta from the empty sketch ([`SortedTrials::of`]),
+//! so one apply path serves both. The wire codec writes the same order,
+//! and a referee decodes a frame straight back into one
+//! ([`SortedTrials::push_checked`]).
+//!
 //! ## The work is O(changes) on both sides
 //!
 //! A party does not keep its base: a [`ChangeJournal`] watches its
@@ -38,16 +47,11 @@
 //! verifies the prefix property instead of assuming it and reports
 //! [`SketchError::ConfigMismatch`] when the states do not lie on one
 //! party's timeline. It stays as the oracle the journal is tested
-//! against. A referee applies a delta in place, after checking it fits.
-//! Both sides name a base state by its [`StateKey`], an
-//! order-independent hash they keep current change by change.
-//!
-//! A delta travels as a sketch message whose trials carry the current
-//! levels and item counters but only the difference entries: every
-//! entry qualifies at its trial's level and counts fit capacity, so the
-//! wire codec's validation and canonical byte string apply unchanged. A
-//! delta is a *transport* artifact: its own estimates are meaningless
-//! and it must only ever be fed to [`apply_delta`].
+//! against. A referee applies a delta in place, after checking it fits,
+//! and refresh-merges only its entries into the union
+//! ([`GtSketch::merge_refresh_from`]). Both sides name a base state by
+//! its [`StateKey`], an order-independent hash they keep current change
+//! by change.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -56,7 +60,7 @@ use gt_hash::{mix64, LevelHasher};
 
 use crate::error::{Result, SketchError};
 use crate::sketch::GtSketch;
-use crate::trial::{Payload, SampleWatch};
+use crate::trial::{check_transmitted, CoordinatedTrial, Payload, SampleWatch};
 
 /// Extract the per-trial difference that turns `base` into `current`.
 ///
@@ -74,12 +78,11 @@ use crate::trial::{Payload, SampleWatch};
 pub fn delta_between<V: Payload + PartialEq>(
     base: &GtSketch<V>,
     current: &GtSketch<V>,
-) -> Result<GtSketch<V>> {
+) -> Result<SortedTrials<V>> {
     base.check_coordinated(current)?;
-    let mut delta = GtSketch::new(current.config(), current.master_seed());
+    let mut delta = SortedTrials::default();
     let mut base_map: HashMap<u64, V> = HashMap::new();
-    let mut entries: Vec<(u64, V)> = Vec::new();
-    for (index, (b, c)) in base.trials().iter().zip(current.trials()).enumerate() {
+    for (b, c) in base.trials().iter().zip(current.trials()) {
         if c.level() < b.level() {
             return Err(SketchError::ConfigMismatch {
                 detail: format!(
@@ -104,30 +107,28 @@ pub fn delta_between<V: Payload + PartialEq>(
                 });
             }
         }
-        entries.clear();
-        entries.extend(
-            c.sample_iter()
-                .filter(|(label, payload)| base_map.get(label) != Some(payload)),
-        );
-        entries.sort_unstable_by_key(|&(label, _)| label);
-        delta.reload_trial(index, c.level(), c.items_observed(), entries.drain(..))?;
+        let changed = c
+            .sample_iter()
+            .filter(|(label, payload)| base_map.get(label) != Some(payload));
+        delta.push_sorting(c.level(), c.items_observed(), changed);
     }
     Ok(delta)
 }
 
-/// Apply a delta produced by [`delta_between`] onto `base` in place,
-/// leaving it bitwise identical to the sketch the delta was extracted
-/// from.
+/// Apply a delta onto `base` in place, leaving it bitwise identical to
+/// the state the delta was extracted from.
 ///
 /// Per trial: raise the base to the delta's (monotone) level, merge the
 /// delta entries in with the canonical `stored.merge(incoming)` payload
 /// order, and adopt the delta's absolute item counter. The
 /// cumulative-stream argument in the module docs is what makes this
 /// reconstruction exact. The delta is checked against the whole base
-/// first: a delta staler than the base is
-/// [`SketchError::ConfigMismatch`], and one whose entries would overflow
-/// a trial's capacity (coded against a different base) is
-/// [`SketchError::InvalidConfig`]. On `Err`, `base` is untouched.
+/// first: one with a different trial count or a trial staler than the
+/// base is [`SketchError::ConfigMismatch`], and one whose entries would
+/// overflow a trial's capacity (coded against a different base) is
+/// [`SketchError::InvalidConfig`]. On `Err`, `base` is untouched. A delta
+/// carries no seed: a referee checks a frame's seed and config before
+/// it decodes the body against the union's hashes.
 ///
 /// A delta also applies exactly on top of any **later** base from the
 /// same timeline (base generation ≤ referee's generation ≤ delta
@@ -136,9 +137,10 @@ pub fn delta_between<V: Payload + PartialEq>(
 /// what lets a referee whose ack was lost keep applying the party's
 /// retransmitted cumulative deltas without rewinding.
 ///
-/// Cost: one probe per delta entry, plus one re-hash per base entry of
-/// a trial whose level the delta raises.
-pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &GtSketch<V>) -> Result<()> {
+/// Cost: one probe per delta entry, plus two re-hashes per base entry of
+/// a trial whose level the delta raises — one to check the fit, one to
+/// sub-sample.
+pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &SortedTrials<V>) -> Result<()> {
     apply_delta_watched(base, delta, &mut ())
 }
 
@@ -147,29 +149,38 @@ pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &GtSketch<V>) -> R
 /// whole summary.
 pub fn apply_delta_watched<V: Payload>(
     base: &mut GtSketch<V>,
-    delta: &GtSketch<V>,
+    delta: &SortedTrials<V>,
     watch: &mut impl SampleWatch<V>,
 ) -> Result<()> {
     check_delta(base, delta)?;
-    for (t, (b, d)) in base.trials_mut().iter_mut().zip(delta.trials()).enumerate() {
+    for (t, (b, (level, items, entries))) in
+        base.trials_mut().iter_mut().zip(delta.iter()).enumerate()
+    {
         watch.trial(t);
-        b.apply_delta(d, watch);
+        b.apply_delta(level, items, entries, watch);
     }
     Ok(())
 }
 
 /// Everything that can make [`apply_delta`] fail, checked before any
-/// trial changes: coordination, then per trial in order a level
+/// trial changes: the trial count, then per trial in order a level
 /// regression or a capacity overflow.
-fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &GtSketch<V>) -> Result<()> {
-    base.check_coordinated(delta)?;
+fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &SortedTrials<V>) -> Result<()> {
+    if delta.trials() != base.trials().len() {
+        return Err(SketchError::ConfigMismatch {
+            detail: format!(
+                "delta carries {} trials for {}",
+                delta.trials(),
+                base.trials().len()
+            ),
+        });
+    }
     let capacity = base.config().capacity();
-    for (b, d) in base.trials().iter().zip(delta.trials()) {
-        if d.level() < b.level() {
+    for (b, (level, _, entries)) in base.trials().iter().zip(delta.iter()) {
+        if level < b.level() {
             return Err(SketchError::ConfigMismatch {
                 detail: format!(
-                    "delta at level {} is staler than base level {}",
-                    d.level(),
+                    "delta at level {level} is staler than base level {}",
                     b.level()
                 ),
             });
@@ -177,22 +188,22 @@ fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &GtSketch<V>) -> Result<()
         // Delta entries qualify at the delta's level, so one the base
         // holds survives the raise: the result is the surviving base
         // entries plus the delta entries the base lacks.
-        let kept = if d.level() == b.level() {
+        let kept = if level == b.level() {
             b.sample_len()
         } else {
             b.sample_iter()
-                .filter(|&(label, _)| b.hasher().level(label) >= d.level())
+                .filter(|&(label, _)| b.hasher().level(label) >= level)
                 .count()
         };
         // Every delta entry counts as added unless that overflows; only
         // then are the ones the base already holds (lost acks, payload
         // changes) probed out.
-        if kept + d.sample_len() <= capacity {
+        if kept + entries.len() <= capacity {
             continue;
         }
-        let added = d
-            .sample_iter()
-            .filter(|&(label, _)| !b.contains_label(label))
+        let added = entries
+            .iter()
+            .filter(|&&(label, _)| !b.contains_label(label))
             .count();
         if kept + added > capacity {
             return Err(SketchError::InvalidConfig {
@@ -208,10 +219,10 @@ fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &GtSketch<V>) -> Result<()
     Ok(())
 }
 
-/// A sketch state trial by trial, each trial's entries sorted by label:
-/// the order the wire codec writes, and the form in which
-/// [`ChangeJournal::delta`] hands out a delta without building a sketch.
-#[derive(Clone, Debug, PartialEq)]
+/// A delta, or a whole state, trial by trial: each trial's level, item
+/// counter and label-sorted entries — the order the wire codec writes,
+/// with no table sized by the capacity, so a delta costs what it carries.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SortedTrials<V> {
     /// Every trial's entries, trial after trial.
     entries: Vec<(u64, V)>,
@@ -220,18 +231,14 @@ pub struct SortedTrials<V> {
 }
 
 impl<V: Payload> SortedTrials<V> {
-    /// The whole state of `sketch`.
+    /// The whole state of `sketch`: the delta from its empty sketch.
     pub fn of(sketch: &GtSketch<V>) -> Self {
         let mut out = SortedTrials {
             entries: Vec::with_capacity(sketch.sample_entries()),
             trials: Vec::with_capacity(sketch.trials().len()),
         };
         for trial in sketch.trials() {
-            let start = out.entries.len();
-            out.entries.extend(trial.sample_iter());
-            out.entries[start..].sort_unstable_by_key(|&(label, _)| label);
-            out.trials
-                .push((trial.level(), trial.items_observed(), out.entries.len()));
+            out.push_sorting(trial.level(), trial.items_observed(), trial.sample_iter());
         }
         out
     }
@@ -245,6 +252,65 @@ impl<V: Payload> SortedTrials<V> {
             start = end;
             (level, items, entries)
         })
+    }
+
+    /// Number of trials.
+    pub fn trials(&self) -> usize {
+        self.trials.len()
+    }
+
+    /// Total entries across trials.
+    pub fn sample_entries(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Empty it, keeping its storage, for the next state decoded into it.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.trials.clear();
+    }
+
+    /// Append the next trial from transmitted state — `level`, `items`
+    /// and label-sorted `entries` — once it passes the checks
+    /// [`CoordinatedTrial::reload`] runs, against `trial`, the receiving
+    /// sketch's trial of the same index: the level, then each label's
+    /// range, qualification and uniqueness; entries out of label order
+    /// are refused too. (A delta's fit is [`apply_delta`]'s to check.) On
+    /// `Err` nothing is appended.
+    pub fn push_checked(
+        &mut self,
+        trial: &CoordinatedTrial<V>,
+        level: u8,
+        items: u64,
+        entries: &[(u64, V)],
+    ) -> Result<()> {
+        // A repeat follows its first occurrence in a sorted list.
+        let mut prev = None;
+        check_transmitted(
+            trial.hasher(),
+            level,
+            entries.iter().copied(),
+            |label, _| {
+                if prev.is_some_and(|p| p > label) {
+                    return Err(SketchError::InvalidConfig {
+                        parameter: "sample",
+                        reason: format!("label {label} out of label order"),
+                    });
+                }
+                Ok(prev.replace(label) != Some(label))
+            },
+        )?;
+        self.entries.extend_from_slice(entries);
+        self.trials.push((level, items, self.entries.len()));
+        Ok(())
+    }
+
+    /// Append the next trial from unsorted `entries`, sorting them.
+    fn push_sorting(&mut self, level: u8, items: u64, entries: impl Iterator<Item = (u64, V)>) {
+        let start = self.entries.len();
+        self.entries.extend(entries);
+        self.entries[start..].sort_unstable_by_key(|&(label, _)| label);
+        self.trials.push((level, items, self.entries.len()));
     }
 }
 
@@ -707,10 +773,14 @@ mod tests {
             delta_between(&a, &b),
             Err(SketchError::SeedMismatch)
         ));
+        // A delta carries no seed; one shaped for another config is refused.
         let mut a2 = a.clone();
+        let other =
+            SketchConfig::from_shape(0.2, 0.2, 64, 3, gt_hash::HashFamilyKind::Pairwise).unwrap();
+        let b = DistinctSketch::new(&other, 1);
         assert!(matches!(
-            apply_delta(&mut a2, &b),
-            Err(SketchError::SeedMismatch)
+            apply_delta(&mut a2, &SortedTrials::of(&b)),
+            Err(SketchError::ConfigMismatch { .. })
         ));
     }
 
@@ -729,11 +799,19 @@ mod tests {
         let mut live = DistinctSketch::new(&config, 23);
         live.merge_from(&snap1).unwrap();
         let old_items: Vec<u64> = snap1.trials().iter().map(|t| t.items_observed()).collect();
-        live.merge_refresh_from(&snap2, &old_items).unwrap();
+        live.merge_refresh_from(&SortedTrials::of(&snap2), &old_items)
+            .unwrap();
 
         let mut fresh = DistinctSketch::new(&config, 23);
         fresh.merge_from(&snap2).unwrap();
         assert_eq!(state(&live), state(&fresh));
+
+        // Refreshing with only the delta lands on the same union.
+        let mut by_delta = DistinctSketch::new(&config, 23);
+        by_delta.merge_from(&snap1).unwrap();
+        let delta = delta_between(&snap1, &snap2).unwrap();
+        by_delta.merge_refresh_from(&delta, &old_items).unwrap();
+        assert_eq!(state(&by_delta), state(&fresh));
     }
 
     #[test]
@@ -746,7 +824,7 @@ mod tests {
         let mut stranger = DistinctSketch::new(&config, 31);
         stranger.extend_labels((1_000..1_060u64).map(gt_hash::fold61));
         assert!(matches!(
-            apply_delta(&mut base, &stranger),
+            apply_delta(&mut base, &SortedTrials::of(&stranger)),
             Err(SketchError::InvalidConfig { .. })
         ));
         assert_eq!(state(&base), before);
@@ -764,7 +842,7 @@ mod tests {
             .unwrap();
         assert!(base.trials()[4].level() > 0, "need a raised trial");
         assert!(matches!(
-            apply_delta(&mut base, &stale),
+            apply_delta(&mut base, &SortedTrials::of(&stale)),
             Err(SketchError::ConfigMismatch { .. })
         ));
         assert_eq!(state(&base), before);
@@ -896,7 +974,7 @@ mod tests {
             if let Some((base_gen, base_key, delta)) = journal.delta(&live) {
                 let base = &snapshots.iter().find(|(g, _)| *g == base_gen).unwrap().1;
                 let oracle = delta_between(base, &live).unwrap();
-                assert_eq!(delta, SortedTrials::of(&oracle), "generation {generation}");
+                assert_eq!(delta, oracle, "generation {generation}");
                 assert_eq!(base_key, key_of(base));
                 checked += 1;
             }
@@ -942,10 +1020,7 @@ mod tests {
                 live.insert_merging_watched(old, LatestTs(generation), &mut journal);
             }
             let (_, _, delta) = journal.delta(&live).unwrap();
-            assert_eq!(
-                delta,
-                SortedTrials::of(&delta_between(&base, &live).unwrap())
-            );
+            assert_eq!(delta, delta_between(&base, &live).unwrap());
             journal.record(generation, &live);
             peak = peak.max(journal.changes.len());
         }

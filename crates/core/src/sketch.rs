@@ -10,6 +10,7 @@
 
 use gt_hash::{HashFamily, SeedSequence};
 
+use crate::delta::SortedTrials;
 use crate::error::{Result, SketchError};
 use crate::estimate::{median_f64, Estimate};
 use crate::metrics::MetricsSnapshot;
@@ -285,37 +286,42 @@ impl<V: Payload> GtSketch<V> {
         Ok(())
     }
 
-    /// Absorb a party's **refreshed** snapshot when an older snapshot
-    /// from the same party has already been merged into `self`.
+    /// Absorb a party's **refreshed** state, given as the delta from a
+    /// state of the party's already merged into `self` (a full state is
+    /// the delta from the empty one).
     ///
-    /// Sample sets, levels, and payloads merge exactly as
-    /// [`GtSketch::merge_from`] — by the cumulative-stream argument in
-    /// [`crate::delta`], having merged the stale snapshot earlier leaves
-    /// the union's final sample bitwise identical to merging only the
-    /// latest one. The item counters would double-count, though, so this
-    /// variant debits the old snapshot's per-trial item counts
-    /// (`old_trial_items`, read from
-    /// [`CoordinatedTrial::items_observed`] before the refresh): the
-    /// union's counters stay equal to "each party's latest snapshot
-    /// merged exactly once", which the continuous-monitoring plane's
-    /// canonical-bytes equivalence oracle relies on.
+    /// Samples, levels and payloads merge exactly as
+    /// [`GtSketch::merge_from`]: by the cumulative-stream argument in
+    /// [`crate::delta`], the union already holds every surviving entry of
+    /// the older state. Item counters would double-count, so this adds
+    /// the delta's absolute counters and debits the older state's
+    /// (`old_trial_items`, read before the refresh): the union's counters
+    /// stay equal to "each party's latest state merged exactly once",
+    /// which the monitoring plane's canonical-bytes oracle relies on.
     ///
     /// # Errors
-    /// Everything [`GtSketch::merge_from`] rejects, plus
-    /// [`SketchError::ConfigMismatch`] if `old_trial_items` does not
-    /// cover every trial.
-    pub fn merge_refresh_from(&mut self, new: &GtSketch<V>, old_trial_items: &[u64]) -> Result<()> {
-        if old_trial_items.len() != self.trials.len() {
+    /// [`SketchError::ConfigMismatch`] if `new` or `old_trial_items` does
+    /// not cover every trial. Entries are not checked against the hashes:
+    /// a referee checks them when it decodes them.
+    pub fn merge_refresh_from(
+        &mut self,
+        new: &SortedTrials<V>,
+        old_trial_items: &[u64],
+    ) -> Result<()> {
+        let trials = self.trials.len();
+        if new.trials() != trials || old_trial_items.len() != trials {
             return Err(SketchError::ConfigMismatch {
                 detail: format!(
-                    "refresh carries {} old item counters for {} trials",
+                    "refresh carries {} trials and {} old item counters for {trials} trials",
+                    new.trials(),
                     old_trial_items.len(),
-                    self.trials.len()
                 ),
             });
         }
-        self.merge_from(new)?;
-        for (trial, &old) in self.trials.iter_mut().zip(old_trial_items) {
+        self.metrics.merge_calls += 1;
+        let refreshed = self.trials.iter_mut().zip(new.iter()).zip(old_trial_items);
+        for ((trial, (level, items, entries)), &old) in refreshed {
+            trial.merge_entries(level, items, entries.iter().copied(), &mut self.metrics);
             trial.debit_items(old);
         }
         Ok(())
@@ -331,8 +337,8 @@ impl<V: Payload> GtSketch<V> {
     /// Reload trial `index` with transmitted state, reusing its sample
     /// storage (see [`CoordinatedTrial::reload`]) — the one path that
     /// rebuilds a sketch from per-trial state: the wire codec, the
-    /// referee's decode arena, compaction and delta extraction all start
-    /// from [`GtSketch::new`] and reload each trial through it.
+    /// referee's decode arena and compaction all start from
+    /// [`GtSketch::new`] and reload each trial through it.
     ///
     /// On `Err` the trial's state is unspecified; the sketch must be
     /// fully reloaded (or discarded) before use.

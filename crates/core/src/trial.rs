@@ -128,6 +128,47 @@ impl<V, W: SampleWatch<V>> SampleWatch<V> for Option<W> {
     }
 }
 
+/// The checks every transmitted trial passes, whichever decoder takes it
+/// ([`CoordinatedTrial::reload`], [`crate::SortedTrials::push_checked`]):
+/// a level the hash can reach, then per entry a label in the field that
+/// qualifies at `level` and that `admit` takes — `admit` answers `false`
+/// for a label it already holds.
+pub(crate) fn check_transmitted<V>(
+    hasher: &HashFamily,
+    level: u8,
+    entries: impl IntoIterator<Item = (u64, V)>,
+    mut admit: impl FnMut(u64, V) -> Result<bool>,
+) -> Result<()> {
+    if level > MAX_LEVEL {
+        return Err(SketchError::InvalidConfig {
+            parameter: "level",
+            reason: format!("level {level} exceeds maximum {MAX_LEVEL}"),
+        });
+    }
+    for (label, payload) in entries {
+        // Range check before hashing: corrupted wire input can carry
+        // labels outside the field (caught by the codec fuzz tests).
+        if label >= gt_hash::P61 {
+            return Err(SketchError::LabelOutOfRange { label });
+        }
+        // Every label qualifies at level 0, so the hash is only
+        // evaluated above it.
+        if level > 0 && hasher.level(label) < level {
+            return Err(SketchError::InvalidConfig {
+                parameter: "sample",
+                reason: format!("label {label} does not qualify for level {level} (corrupt or uncoordinated message)"),
+            });
+        }
+        if !admit(label, payload)? {
+            return Err(SketchError::InvalidConfig {
+                parameter: "sample",
+                reason: format!("duplicate label {label} in transmitted sample"),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// What [`CoordinatedTrial::insert`] did with an item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrialInsert {
@@ -182,46 +223,20 @@ impl<V: Payload> CoordinatedTrial<V> {
         items_observed: u64,
         entries: impl IntoIterator<Item = (u64, V)>,
     ) -> Result<()> {
-        if level > MAX_LEVEL {
-            return Err(SketchError::InvalidConfig {
-                parameter: "level",
-                reason: format!("level {level} exceeds maximum {MAX_LEVEL}"),
-            });
-        }
+        let capacity = self.capacity();
         self.sample.clear();
+        check_transmitted(&self.hasher, level, entries, |label, payload| {
+            match self.sample.try_insert(label, payload) {
+                InsertOutcome::Inserted => Ok(true),
+                InsertOutcome::AlreadyPresent => Ok(false),
+                InsertOutcome::Full => Err(SketchError::InvalidConfig {
+                    parameter: "sample",
+                    reason: format!("transmitted sample exceeds capacity {capacity}"),
+                }),
+            }
+        })?;
         self.level = level;
         self.items_observed = items_observed;
-        let capacity = self.capacity();
-        for (label, payload) in entries {
-            // Range check before hashing: corrupted wire input can carry
-            // labels outside the field (caught by the codec fuzz tests).
-            if label >= gt_hash::P61 {
-                return Err(SketchError::LabelOutOfRange { label });
-            }
-            // Every label qualifies at level 0, so the hash is only
-            // evaluated above it.
-            if level > 0 && self.hasher.level(label) < level {
-                return Err(SketchError::InvalidConfig {
-                    parameter: "sample",
-                    reason: format!("label {label} does not qualify for level {level} (corrupt or uncoordinated message)"),
-                });
-            }
-            match self.sample.try_insert(label, payload) {
-                InsertOutcome::Inserted => {}
-                InsertOutcome::AlreadyPresent => {
-                    return Err(SketchError::InvalidConfig {
-                        parameter: "sample",
-                        reason: format!("duplicate label {label} in transmitted sample"),
-                    })
-                }
-                InsertOutcome::Full => {
-                    return Err(SketchError::InvalidConfig {
-                        parameter: "sample",
-                        reason: format!("transmitted sample exceeds capacity {capacity}"),
-                    })
-                }
-            }
-        }
         Ok(())
     }
 
@@ -541,37 +556,26 @@ impl<V: Payload> CoordinatedTrial<V> {
     }
 
     /// Apply one trial of a delta (see [`crate::delta`]) in place: raise
-    /// the level to the delta's, fold its entries in (a duplicate merges
-    /// as `stored.merge(incoming)`), and adopt its item counter. The
-    /// caller has checked that the result fits the capacity.
+    /// the level to the delta's `level`, fold its `entries` in (a
+    /// duplicate merges as `stored.merge(incoming)`), and adopt its
+    /// `items` counter. The caller has checked that the result fits the
+    /// capacity.
     pub(crate) fn apply_delta(
         &mut self,
-        delta: &CoordinatedTrial<V>,
+        level: u8,
+        items: u64,
+        entries: &[(u64, V)],
         watch: &mut impl SampleWatch<V>,
     ) {
-        self.raise_level(delta.level, watch);
-        // Gathered a chunk at a time, as union does: probes from a dense
-        // array overlap their table misses, a sparse-table scan does not.
-        let mut chunk = [(0u64, V::default()); KERNEL_CHUNK];
-        let mut entries = delta.sample.iter();
-        loop {
-            let mut n = 0;
-            for entry in entries.by_ref().take(KERNEL_CHUNK) {
-                chunk[n] = entry;
-                n += 1;
-            }
-            if n == 0 {
-                break;
-            }
-            for &(label, incoming) in &chunk[..n] {
-                match self.sample.try_insert(label, incoming) {
-                    InsertOutcome::Inserted => watch.admitted(label, incoming),
-                    InsertOutcome::AlreadyPresent => self.merge_payload(label, incoming, watch),
-                    InsertOutcome::Full => unreachable!("delta fit was checked before applying"),
-                }
+        self.raise_level(level, watch);
+        for &(label, incoming) in entries {
+            match self.sample.try_insert(label, incoming) {
+                InsertOutcome::Inserted => watch.admitted(label, incoming),
+                InsertOutcome::AlreadyPresent => self.merge_payload(label, incoming, watch),
+                InsertOutcome::Full => unreachable!("delta fit was checked before applying"),
             }
         }
-        self.items_observed = delta.items_observed;
+        self.items_observed = items;
     }
 
     /// A copy of this trial shrunk to a smaller capacity: the level is
@@ -675,14 +679,27 @@ impl<V: Payload> CoordinatedTrial<V> {
         m: &mut MetricsSnapshot,
     ) -> Result<()> {
         self.check_mergeable(other)?;
+        self.merge_entries(other.level, other.items_observed, other.sample.iter(), m);
+        Ok(())
+    }
+
+    /// The union step once coordination is known: align to `level`, run
+    /// `entries` through the trial kernel a gathered chunk at a time,
+    /// and add `items` to the item counter. [`CoordinatedTrial::merge_from`]
+    /// feeds it another trial's sample, a refresh merge
+    /// ([`crate::GtSketch::merge_refresh_from`]) a delta's entries.
+    pub(crate) fn merge_entries(
+        &mut self,
+        level: u8,
+        items: u64,
+        mut entries: impl Iterator<Item = (u64, V)>,
+        m: &mut MetricsSnapshot,
+    ) {
         let level_before = self.level;
-        if other.level > self.level {
-            self.subsample_to_level(other.level);
-        }
+        self.raise_level(level, &mut ());
         let mut labels = [0u64; KERNEL_CHUNK];
         let mut payloads = [V::default(); KERNEL_CHUNK];
         let mut hashes = [0u64; KERNEL_CHUNK];
-        let mut entries = other.sample.iter();
         loop {
             let mut n = 0;
             for (label, payload) in entries.by_ref().take(KERNEL_CHUNK) {
@@ -697,9 +714,8 @@ impl<V: Payload> CoordinatedTrial<V> {
             let (labels, payloads) = (&labels[..n], Some(&payloads[..n]));
             self.screen_and_insert(labels, payloads, &mut hashes, count, &mut ());
         }
-        self.items_observed += other.items_observed;
+        self.items_observed += items;
         m.level_promotions += u64::from(self.level - level_before);
-        Ok(())
     }
 
     /// The per-entry union path: one `hasher.level(label)` re-hash and one
@@ -964,9 +980,16 @@ mod tests {
     fn reload_validates_transmitted_state() {
         let hasher = HashFamilyKind::Pairwise.build(FamilySeed(3));
         let fresh = |capacity| CoordinatedTrial::<()>::new(hasher.clone(), capacity);
+        // A frame's sorted entries are refused exactly as reload refuses
+        // them.
+        let sorted_agrees = |level: u8, entries: &[(u64, ())], reloaded: &Result<()>| {
+            let mut sorted = crate::SortedTrials::default();
+            assert_eq!(&sorted.push_checked(&fresh(8), level, 1, entries), reloaded);
+        };
         // Out-of-field label rejected.
         let r = fresh(8).reload(0, 1, vec![(u64::MAX, ())]);
         assert!(matches!(r, Err(SketchError::LabelOutOfRange { .. })));
+        sorted_agrees(0, &[(u64::MAX, ())], &r);
         // Level violation rejected: find a level-0 label, claim level 5.
         let lvl0 = (0..10_000u64)
             .map(gt_hash::fold61)
@@ -977,13 +1000,25 @@ mod tests {
             .unwrap();
         let r = fresh(8).reload(5, 1, vec![(lvl0, ())]);
         assert!(r.is_err());
+        sorted_agrees(5, &[(lvl0, ())], &r);
+        // A level past the hash's reach, and a repeated label, rejected.
+        let r = fresh(8).reload(MAX_LEVEL + 1, 1, vec![]);
+        assert!(r.is_err());
+        sorted_agrees(MAX_LEVEL + 1, &[], &r);
+        let repeated = [(lvl0, ()), (lvl0, ())];
+        let r = fresh(8).reload(0, 2, repeated);
+        assert!(r.is_err());
+        sorted_agrees(0, &repeated, &r);
         // Over-capacity rejected.
         let entries: Vec<(u64, ())> = (0..10u64).map(|i| (gt_hash::fold61(i), ())).collect();
         let r = fresh(4).reload(0, 10, entries.clone());
         assert!(r.is_err());
         // Valid state round-trips.
         let mut ok = fresh(16);
-        ok.reload(0, 10, entries).unwrap();
+        ok.reload(0, 10, entries.clone()).unwrap();
+        let mut in_order = entries.clone();
+        in_order.sort_unstable();
+        sorted_agrees(0, &in_order[..8], &Ok(()));
         assert_eq!(ok.sample_len(), 10);
         assert_eq!(ok.items_observed(), 10);
     }

@@ -139,7 +139,8 @@ const FRAME_KIND_DELTA: u8 = 1;
 /// detect gaps and request resync); then the canonical sketch encoding —
 /// [`encode_sketch`] bytes verbatim, magic included, so frames inherit
 /// the codec's validation, canonical-bytes property, and fingerprinting
-/// unchanged.
+/// unchanged. A delta frame's sketch carries the current levels and item
+/// counters but only the difference entries.
 pub fn encode_full_frame<V: WirePayload>(sketch: &GtSketch<V>, generation: u64) -> Bytes {
     let trials = SortedTrials::of(sketch);
     encode_frame(sketch, &trials, generation, None)
@@ -168,23 +169,6 @@ pub fn full_frame_len_floor<V: WirePayload>(sketch: &GtSketch<V>, generation: u6
 /// delta frame the base generation varint and the 8-byte base key.
 fn frame_header_len(generation: u64, base: Option<(u64, u64)>) -> usize {
     4 + 1 + varint_len(generation) + base.map_or(0, |(g, _)| varint_len(g) + 8)
-}
-
-/// Encode a delta (a [`gt_core::delta_between`] result) as a
-/// monitoring-plane frame with its continuation header.
-pub fn encode_delta_frame<V: WirePayload>(
-    delta: &GtSketch<V>,
-    generation: u64,
-    base_generation: u64,
-    base_key: u64,
-) -> Bytes {
-    let trials = SortedTrials::of(delta);
-    encode_frame(
-        delta,
-        &trials,
-        generation,
-        Some((base_generation, base_key)),
-    )
 }
 
 /// Write a frame whose body is the sketch message of `trials`, under the
@@ -216,13 +200,13 @@ pub(crate) fn encode_frame<V: WirePayload>(
     buf.freeze()
 }
 
-/// Parse a frame header, leaving `buf` at the embedded sketch message:
-/// the generation, plus `(base generation, base fingerprint)` for a delta
-/// frame. The one frame-header parser: the referee's frame ingress
-/// decodes the embedded sketch that follows through
-/// [`decode_sketch_into`], with the full sketch validation, so a corrupt
-/// frame is rejected, never silently applied.
-pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<(u64, Option<(u64, u64)>), CodecError> {
+/// A frame's header: its generation, plus `(base generation, base key)`
+/// for a delta frame.
+pub(crate) type FrameHeader = (u64, Option<(u64, u64)>);
+
+/// Parse a frame header, leaving `buf` at the embedded sketch message.
+/// The one frame-header parser.
+pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<FrameHeader, CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
@@ -247,6 +231,30 @@ pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<(u64, Option<(u64, u64
         }
         t => Err(CodecError::BadTag(t)),
     }
+}
+
+/// Decode a frame for the sketch `like` belongs with: the header, then
+/// the embedded sketch message into `body` as per-trial sorted entries —
+/// the whole state for a full frame, the delta for a delta frame. The
+/// message must carry `like`'s seed and config, and each trial passes
+/// the checks [`decode_sketch`] runs, against `like`'s trial hashes
+/// ([`SortedTrials::push_checked`]). Nothing sized by the sketch's
+/// capacity is touched, so a delta costs O(delta) to decode.
+///
+/// On `Err`, `body` holds an unspecified prefix of the trials.
+pub(crate) fn decode_frame<V: WirePayload>(
+    like: &GtSketch<V>,
+    mut buf: Bytes,
+    body: &mut SortedTrials<V>,
+    scratch: &mut DecodeScratch<V>,
+) -> Result<FrameHeader, CodecError> {
+    let header = get_frame_header(&mut buf)?;
+    get_coordinated_header(&mut buf, like)?;
+    body.clear();
+    get_sketch_body(buf, like.config(), scratch, |t, level, items, entries| {
+        body.push_checked(&like.trials()[t], level, items, entries)
+    })?;
+    Ok(header)
 }
 
 /// LEB128 varint append.
@@ -471,10 +479,10 @@ fn get_sketch_header(buf: &mut Bytes) -> Result<(u64, SketchConfig), CodecError>
 }
 
 /// Deserialize and validate a sketch message.
-pub fn decode_sketch<V: WirePayload>(mut buf: Bytes) -> Result<GtSketch<V>, CodecError> {
-    let (master_seed, config) = get_sketch_header(&mut buf)?;
+pub fn decode_sketch<V: WirePayload>(buf: Bytes) -> Result<GtSketch<V>, CodecError> {
+    let (master_seed, config) = get_sketch_header(&mut buf.clone())?;
     let mut sketch = GtSketch::new(&config, master_seed);
-    get_sketch_body(&mut sketch, buf, &mut DecodeScratch::new())?;
+    decode_sketch_into(&mut sketch, buf, &mut DecodeScratch::new())?;
     Ok(sketch)
 }
 
@@ -519,30 +527,47 @@ pub fn decode_sketch_into<V: WirePayload>(
     mut buf: Bytes,
     scratch: &mut DecodeScratch<V>,
 ) -> Result<(), CodecError> {
-    let (master_seed, config) = get_sketch_header(&mut buf)?;
-    if master_seed != sketch.master_seed() {
-        return Err(CodecError::Sketch(SketchError::SeedMismatch));
-    }
-    if config != *sketch.config() {
-        return Err(CodecError::Sketch(SketchError::ConfigMismatch {
-            detail: format!("{:?} vs {:?}", config, sketch.config()),
-        }));
-    }
-    get_sketch_body(sketch, buf, scratch)
+    get_coordinated_header(&mut buf, sketch)?;
+    let config = *sketch.config();
+    get_sketch_body(buf, &config, scratch, |t, level, items, entries| {
+        sketch.reload_trial(t, level, items, entries.iter().copied())
+    })
 }
 
-/// Parse the per-trial level / items / labels / payloads that follow the
-/// header into `sketch`'s trials, then reject trailing bytes. The one
-/// body parser of both sketch decoders; `sketch` already has the
-/// header's config.
-fn get_sketch_body<V: WirePayload>(
-    sketch: &mut GtSketch<V>,
-    mut buf: Bytes,
-    scratch: &mut DecodeScratch<V>,
+/// Parse a sketch message's header and require `like`'s master seed and
+/// config: the coordination check of the decoders that already know the
+/// sketch they decode for.
+fn get_coordinated_header<V: WirePayload>(
+    buf: &mut Bytes,
+    like: &GtSketch<V>,
 ) -> Result<(), CodecError> {
-    let (capacity, trials) = (sketch.config().capacity(), sketch.config().trials());
+    let (master_seed, config) = get_sketch_header(buf)?;
+    if master_seed != like.master_seed() {
+        return Err(CodecError::Sketch(SketchError::SeedMismatch));
+    }
+    if config != *like.config() {
+        return Err(CodecError::Sketch(SketchError::ConfigMismatch {
+            detail: format!("{:?} vs {:?}", config, like.config()),
+        }));
+    }
+    Ok(())
+}
+
+/// Parse the per-trial level / items / labels / payloads that follow a
+/// `config` header, handing each trial to `load` as `(index, level,
+/// items, label-sorted entries)` — entries decode in label order, since
+/// the wire stores non-negative gaps — then reject trailing bytes. The
+/// one body parser of every decoder: the sketch decoders reload a trial
+/// from each, the frame decoder checks and keeps them.
+fn get_sketch_body<V: WirePayload>(
+    mut buf: Bytes,
+    config: &SketchConfig,
+    scratch: &mut DecodeScratch<V>,
+    mut load: impl FnMut(usize, u8, u64, &[(u64, V)]) -> Result<(), SketchError>,
+) -> Result<(), CodecError> {
+    let capacity = config.capacity();
     scratch.entries.reserve(capacity);
-    for t in 0..trials {
+    for t in 0..config.trials() {
         let level = get_u8(&mut buf)?;
         let items = get_varint(&mut buf)?;
         let n = get_varint(&mut buf)? as usize;
@@ -563,7 +588,7 @@ fn get_sketch_body<V: WirePayload>(
         for entry in scratch.entries.iter_mut() {
             entry.1 = V::decode(&mut buf)?;
         }
-        sketch.reload_trial(t, level, items, scratch.entries.iter().copied())?;
+        load(t, level, items, &scratch.entries)?;
     }
     reject_trailing_bytes(&buf)
 }
@@ -1076,39 +1101,56 @@ mod tests {
     /// mutation schedule as the main fuzz. Error *variants* may differ
     /// (the into-variant front-loads the coordination checks), but the
     /// accept sets may not.
+    ///
+    /// Mutated full and delta frames are a second input: the frame
+    /// decoder must agree with [`decode_sketch`] on the embedded body of
+    /// every frame whose header checks pass: both accept with the same
+    /// entries, or both reject with the same error.
     #[test]
     fn decode_into_agrees_with_decode_under_mutation_fuzz() {
         let mut s = DistinctSketch::new(&cfg(), 9);
         s.extend_labels((0..20_000).map(gt_hash::fold61));
         let base = encode_sketch(&s).to_vec();
+        let mut later = s.clone();
+        later.extend_labels((20_000..26_000).map(gt_hash::fold61));
+        let delta = gt_core::delta_between(&s, &later).unwrap();
+        let frames = [
+            encode_full_frame(&s, 2).to_vec(),
+            encode_frame(&later, &delta, 5, Some((2, 0xBA5E))).to_vec(),
+        ];
         let mut arena = DistinctSketch::new(&cfg(), 9);
+        let like = DistinctSketch::new(&cfg(), 9);
         let mut scratch = DecodeScratch::new();
+        let mut body = SortedTrials::default();
         let mut rng = 0xF1A9_5EED_u64;
+        let mut frame_rng = 0xF4A3_5EED_u64;
         let (mut both_ok, mut both_err) = (0u64, 0u64);
+        let (mut frames_ok, mut frames_err) = (0u64, 0u64);
+        // 1-3 stacked mutations: truncation, a byte flip, a varint splice.
+        let mutate = |raw: &mut Vec<u8>, rng: &mut u64| {
+            for _ in 0..splitmix(rng) % 3 + 1 {
+                if raw.is_empty() {
+                    break;
+                }
+                let at = (splitmix(rng) as usize) % raw.len();
+                match splitmix(rng) % 3 {
+                    0 => raw.truncate(at),
+                    1 => raw[at] ^= (splitmix(rng) % 255 + 1) as u8,
+                    _ => {
+                        raw[at] |= 0x80;
+                        raw.insert(at + 1, (splitmix(rng) & 0x7F) as u8);
+                    }
+                }
+            }
+        };
         for round in 0..800u64 {
             let mut raw = base.clone();
             // Most rounds mutate; every 8th passes the message through
             // clean so the accept path is exercised even though the
             // coordination filter rejects most seed/config-touching
             // mutations outright.
-            let mutations = if round % 8 == 0 {
-                0
-            } else {
-                splitmix(&mut rng) % 3 + 1
-            };
-            for _ in 0..mutations {
-                if raw.is_empty() {
-                    break;
-                }
-                let at = (splitmix(&mut rng) as usize) % raw.len();
-                match splitmix(&mut rng) % 3 {
-                    0 => raw.truncate(at),
-                    1 => raw[at] ^= (splitmix(&mut rng) % 255 + 1) as u8,
-                    _ => {
-                        raw[at] |= 0x80;
-                        raw.insert(at + 1, (splitmix(&mut rng) & 0x7F) as u8);
-                    }
-                }
+            if round % 8 != 0 {
+                mutate(&mut raw, &mut rng);
             }
             let bytes = Bytes::from(raw);
             let oracle = decode_sketch::<()>(bytes.clone())
@@ -1131,17 +1173,49 @@ mod tests {
                     into.map(|()| "accepted")
                 ),
             }
+
+            let mut raw = frames[round as usize % 2].clone();
+            if round % 8 != 1 {
+                mutate(&mut raw, &mut frame_rng);
+            }
+            let bytes = Bytes::from(raw);
+            let got = decode_frame(&like, bytes.clone(), &mut body, &mut scratch);
+            // The oracle: the same header checks, then `decode_sketch` on
+            // the embedded body.
+            let mut embedded = bytes;
+            let want = get_frame_header(&mut embedded).and_then(|header| {
+                get_coordinated_header(&mut embedded.clone(), &like)?;
+                let d = decode_sketch::<()>(embedded)?;
+                Ok((header, SortedTrials::of(&d)))
+            });
+            match (got, want) {
+                (Ok(header), Ok((want_header, want_body))) => {
+                    frames_ok += 1;
+                    assert_eq!(header, want_header, "round {round}");
+                    assert_eq!(body, want_body, "round {round}: frame bodies diverged");
+                }
+                (Err(e), Err(want)) => {
+                    frames_err += 1;
+                    assert_eq!(e, want, "round {round}: frame errors diverged");
+                }
+                (got, want) => panic!(
+                    "round {round}: frame accept sets diverged (frame decoder: {:?}, oracle: {:?})",
+                    got.map(|_| "accepted"),
+                    want.map(|_| "accepted")
+                ),
+            }
         }
         assert!(both_err > 0, "no mutation was ever rejected");
         assert!(both_ok > 0, "every mutation was rejected");
+        assert!(frames_err > 0 && frames_ok > 0, "{frames_ok} {frames_err}");
     }
 
-    /// A frame decoded the way the referee's ingress does: the header
-    /// with [`get_frame_header`], then the embedded sketch with its full
-    /// validation.
+    /// A frame decoded to a sketch: the header with
+    /// [`get_frame_header`], then the embedded sketch with
+    /// [`decode_sketch`]'s full validation.
     type DecodedFrame<V> = (u64, Option<(u64, u64)>, GtSketch<V>);
 
-    fn decode_frame<V: WirePayload>(mut buf: Bytes) -> Result<DecodedFrame<V>, CodecError> {
+    fn parse_frame<V: WirePayload>(mut buf: Bytes) -> Result<DecodedFrame<V>, CodecError> {
         let (generation, base) = get_frame_header(&mut buf)?;
         Ok((generation, base, decode_sketch(buf)?))
     }
@@ -1154,15 +1228,15 @@ mod tests {
         s.extend_labels((4_000..6_000u64).map(gt_hash::fold61));
 
         let full = encode_full_frame(&s, 9);
-        let (generation, header, sketch) = decode_frame::<()>(full).unwrap();
+        let (generation, header, sketch) = parse_frame::<()>(full).unwrap();
         assert_eq!(header, None, "expected full frame");
         assert_eq!(generation, 9);
         assert_eq!(encode_sketch(&sketch), encode_sketch(&s));
 
         let d = gt_core::delta_between(&base, &s).unwrap();
         let base_fp = payload_fingerprint(&encode_sketch(&base));
-        let bytes = encode_delta_frame(&d, 9, 4, base_fp);
-        let (generation, header, delta) = decode_frame::<()>(bytes).unwrap();
+        let bytes = encode_frame(&s, &d, 9, Some((4, base_fp)));
+        let (generation, header, delta) = parse_frame::<()>(bytes).unwrap();
         let (base_generation, base_fingerprint) = header.expect("expected delta frame");
         assert_eq!(
             (generation, base_generation, base_fingerprint),
@@ -1170,7 +1244,7 @@ mod tests {
         );
         // The decoded delta must still apply exactly.
         let mut rebuilt = base.clone();
-        gt_core::apply_delta(&mut rebuilt, &delta).unwrap();
+        gt_core::apply_delta(&mut rebuilt, &SortedTrials::of(&delta)).unwrap();
         assert_eq!(encode_sketch(&rebuilt), encode_sketch(&s));
     }
 
@@ -1184,7 +1258,7 @@ mod tests {
         s.extend_labels((0..500u64).map(gt_hash::fold61)); // re-arrivals only
         let d = gt_core::delta_between(&base, &s).unwrap();
         let full = encode_full_frame(&s, 2).len();
-        let delta = encode_delta_frame(&d, 2, 1, 0).len();
+        let delta = encode_frame(&s, &d, 2, Some((1, 0))).len();
         assert!(
             delta * 5 <= full,
             "steady-state delta frame {delta}B not >=5x smaller than full {full}B"
@@ -1198,28 +1272,25 @@ mod tests {
         let bytes = encode_full_frame(&s, 3);
         // Wrong magic (a bare sketch message is not a frame).
         assert!(matches!(
-            decode_frame::<()>(encode_sketch(&s)),
+            parse_frame::<()>(encode_sketch(&s)),
             Err(CodecError::BadMagic(_))
         ));
         // Unknown kind byte.
         let mut raw = bytes.to_vec();
         raw[4] = 7;
         assert!(matches!(
-            decode_frame::<()>(Bytes::from(raw)),
+            parse_frame::<()>(Bytes::from(raw)),
             Err(CodecError::BadTag(7))
         ));
         // Truncations anywhere must not panic.
         for cut in [0, 4, 5, 6, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                decode_frame::<()>(bytes.slice(0..cut)).is_err(),
-                "cut {cut}"
-            );
+            assert!(parse_frame::<()>(bytes.slice(0..cut)).is_err(), "cut {cut}");
         }
         // A delta frame claiming to be its own base is malformed.
         let d = DistinctSketch::new(&cfg(), 5);
-        let frame = encode_delta_frame(&d, 4, 4, 0);
+        let frame = encode_frame(&d, &SortedTrials::of(&d), 4, Some((4, 0)));
         assert!(matches!(
-            decode_frame::<()>(frame),
+            parse_frame::<()>(frame),
             Err(CodecError::Malformed(_))
         ));
     }
@@ -1235,7 +1306,7 @@ mod tests {
         let d: GtSketch<LatestTs> = decode_sketch(bytes.clone()).unwrap();
         assert_eq!(encode_sketch(&d), bytes);
         assert_eq!(bytes.len(), encoded_sketch_len(&s));
-        let (_, header, sketch) = decode_frame::<LatestTs>(encode_full_frame(&s, 1)).unwrap();
+        let (_, header, sketch) = parse_frame::<LatestTs>(encode_full_frame(&s, 1)).unwrap();
         assert_eq!(header, None, "expected full frame");
         assert_eq!(encode_sketch(&sketch), bytes);
     }

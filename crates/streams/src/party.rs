@@ -272,7 +272,6 @@ impl<V: WirePayload> DeltaParty<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_delta_frame;
     use gt_core::{delta_between, StateKey};
 
     fn cfg() -> SketchConfig {
@@ -367,7 +366,7 @@ mod tests {
         if let Some((base_generation, base)) = base {
             let delta = delta_between(base, live).unwrap();
             let key = StateKey::of(base).key(base);
-            let frame = encode_delta_frame(&delta, generation, base_generation, key);
+            let frame = encode_frame(live, &delta, generation, Some((base_generation, key)));
             if frame.len() < full_frame_len(live, generation) {
                 return frame;
             }

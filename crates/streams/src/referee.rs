@@ -32,15 +32,14 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use gt_core::metrics::Exposition;
 use gt_core::{
     apply_delta_watched, merge_tree, Estimate, ExprContext, ExpressionEstimate, GtSketch,
-    JaccardEstimate, SetExpr, SketchConfig, SketchError, StateKey,
+    JaccardEstimate, SetExpr, SketchConfig, SketchError, SortedTrials, StateKey,
 };
 
 use crate::codec::{
-    decode_sketch_into, get_frame_header, payload_fingerprint, CodecError, DecodeScratch,
+    decode_frame, decode_sketch_into, payload_fingerprint, CodecError, DecodeScratch, FrameHeader,
     WirePayload,
 };
 use crate::party::PartyMessage;
@@ -108,9 +107,11 @@ pub struct RefereeTelemetry {
     /// Rejects: decoded but failed sketch validation (bad seed, sample
     /// invariant violation, config mismatch).
     pub rejected_sketch: usize,
-    /// Time spent decoding payloads (successful and failed).
+    /// Time spent decoding payloads and frames, headers included
+    /// (successful and failed).
     pub decode_time: Duration,
-    /// Time spent merging decoded sketches into the union.
+    /// Time spent merging decoded sketches into the union, and applying
+    /// frames to party summaries and the union.
     pub merge_time: Duration,
     /// Batched receive calls ([`RefereeOf::receive_batch`] with a
     /// non-empty slice); per-message [`RefereeOf::receive`] never counts
@@ -237,8 +238,9 @@ struct FrameState {
 struct PartyRecord<V: WirePayload> {
     /// The party's retained summary, which feeds the expression engine:
     /// the union of every accepted sketch message (variants merge in).
-    /// An applied frame *replaces* it instead (cumulative snapshots
-    /// supersede, they don't accumulate).
+    /// A frame supersedes it instead (cumulative snapshots don't
+    /// accumulate): a delta frame is applied to it in place, and a full
+    /// frame is applied to it after clearing it.
     summary: GtSketch<V>,
     /// Accepted payload fingerprints; the first entry is the party's
     /// first accepted message, later entries are merged variants and
@@ -356,31 +358,21 @@ pub struct RefereeOf<V: WirePayload> {
     parties: HashMap<usize, PartyRecord<V>>,
     telemetry: RefereeTelemetry,
     delta_telemetry: DeltaPlaneTelemetry,
-    /// Pooled scratch sketches for the admission step every ingress
-    /// shares: messages decode into these in place. An accepted sketch
-    /// from a first-heard party, or a full frame, leaves the pool and
-    /// becomes that party's retained summary (moved, never cloned); one
-    /// that merges into an existing summary returns to the pool, as does
-    /// the summary a full frame replaces (an empty one for a first-heard
-    /// party). So the pool never holds a copy of a retained summary, and
-    /// it only grows past its current size in a call with more accepted
-    /// messages than it holds.
+    /// Pooled scratch sketches for the sketch-message ingress
+    /// ([`RefereeOf::receive`], [`RefereeOf::receive_batch`]): messages
+    /// decode into these in place. An accepted sketch from a first-heard
+    /// party leaves the pool and becomes that party's retained summary
+    /// (moved, never cloned); one that merges into an existing summary
+    /// returns to the pool. So the pool never holds a copy of a retained
+    /// summary, and it only grows past its current size in a call with
+    /// more accepted messages than it holds. The frame ingress never
+    /// touches it.
     decode_arena: Vec<GtSketch<V>>,
-    /// Reusable decode buffers shared across the arena.
+    /// The frame ingress's decode target: the last frame's body as
+    /// per-trial sorted entries, its storage reused frame after frame.
+    frame_body: SortedTrials<V>,
+    /// Reusable decode buffers shared by both ingresses.
     scratch: DecodeScratch<V>,
-}
-
-/// A delivery that passed admission, awaiting its commit; its decoded
-/// sketch is in the referee's decode arena.
-struct Admitted<H> {
-    receipt_index: usize,
-    party_id: usize,
-    fingerprint: u64,
-    bytes: usize,
-    items: u64,
-    /// The frame header (see `get_frame_header`), or `()` for a sketch
-    /// message.
-    header: H,
 }
 
 /// The referee for plain distinct-count sketches (no payload).
@@ -400,6 +392,7 @@ impl<V: WirePayload> RefereeOf<V> {
             telemetry: RefereeTelemetry::default(),
             delta_telemetry: DeltaPlaneTelemetry::default(),
             decode_arena: Vec::new(),
+            frame_body: SortedTrials::default(),
             scratch: DecodeScratch::new(),
         }
     }
@@ -417,7 +410,7 @@ impl<V: WirePayload> RefereeOf<V> {
 
     /// Receive one continuous-monitoring **frame** (see
     /// [`crate::codec::encode_full_frame`] and
-    /// [`crate::codec::encode_delta_frame`]): a full cumulative snapshot,
+    /// [`crate::DeltaParty::emit_frame`]): a full cumulative snapshot,
     /// or a delta coded against a previously acked base.
     ///
     /// The live union is maintained incrementally and stays **bitwise
@@ -427,133 +420,133 @@ impl<V: WirePayload> RefereeOf<V> {
     /// counters so nothing is double-counted (`tests/delta_plane.rs`
     /// proves this over arbitrary delivery schedules).
     ///
-    /// Idempotence and ordering: frames at or below the party's applied
-    /// watermark return [`Receipt::Duplicate`] untouched, so duplicates
-    /// and reorders are safe. A delta whose `(base generation, base key)`
-    /// is not in the referee's applied history returns
-    /// [`Receipt::NeedResync`] — the caller routes that back to the
-    /// party, which falls back to a full frame. Because parties code
-    /// deltas cumulatively against their last *acked* base, a delta is
-    /// exact on any applied state between its base and its own
-    /// generation, so lost acks never corrupt the union.
+    /// In order: a byte-identical redelivery is a [`Receipt::Duplicate`]
+    /// before any decode; the frame decodes and validates against the
+    /// union's seed, config and trial hashes, or is an `Err`; a frame at
+    /// or below the party's applied watermark is a [`Receipt::Duplicate`];
+    /// a delta whose `(base generation, base key)` is not in the
+    /// referee's applied history is a [`Receipt::NeedResync`], which the
+    /// caller routes back to the party so it falls back to a full frame.
+    /// Parties code deltas cumulatively against their last *acked* base,
+    /// so a delta is exact on any applied state between its base and its
+    /// own generation, and lost acks never corrupt the union.
     ///
-    /// A delta costs O(delta), not O(summary): it is checked against the
-    /// party's summary, then applied to it in place
-    /// ([`gt_core::apply_delta_watched`], which also keeps the summary's
-    /// [`StateKey`] current), and the union absorbs only the delta's
-    /// entries. A delta that fails the check leaves the summary, the
-    /// union and the history untouched.
+    /// Both frame kinds then take one path, which costs O(frame) plus
+    /// re-hashing the trials a delta raises: the body, decoded as
+    /// [`SortedTrials`], is applied to the party's summary in place
+    /// ([`gt_core::apply_delta_watched`], which keeps the summary's
+    /// [`StateKey`] current) — a full frame onto the cleared summary —
+    /// and the union absorbs only the body's entries. A delta that fails
+    /// to apply leaves the summary, the union and the history untouched.
     pub fn receive_frame(&mut self, msg: &PartyMessage) -> Result<Receipt, CodecError> {
-        let (mut receipts, mut admitted) = self.admit(std::slice::from_ref(msg), get_frame_header);
-        let Some(a) = admitted.pop() else {
-            let receipt = receipts.pop().expect("one receipt per message");
-            if matches!(receipt, Ok(Receipt::Duplicate)) {
-                self.delta_telemetry.duplicate_frames += 1;
-            }
-            return receipt;
-        };
-        let (party_id, (generation, base)) = (a.party_id, a.header);
-        let frames = self.parties.get(&party_id).and_then(|r| r.frames.as_ref());
-        if frames.is_some_and(|f| generation <= f.watermark) {
+        // Timed as the sketch ingress's admission is: fingerprint, dedup
+        // and decode.
+        let decode_start = Instant::now();
+        let fingerprint = payload_fingerprint(&msg.payload);
+        let decoded = (!self.heard_bytes(msg.party_id, fingerprint)).then(|| {
+            let body = &mut self.frame_body;
+            decode_frame(&self.union, msg.payload.clone(), body, &mut self.scratch)
+        });
+        self.telemetry.decode_time += decode_start.elapsed();
+        // `None` is a byte-identical redelivery, suppressed undecoded.
+        let decoded = decoded.transpose();
+        let decoded = decoded.inspect_err(|e| self.telemetry.record_reject(e))?;
+        // The watermark is checked only after the body decodes, so that a
+        // corrupt stale frame is a reject, not a duplicate; the decode
+        // costs O(frame), so checking it first would save little.
+        let frames = self
+            .parties
+            .get(&msg.party_id)
+            .and_then(|r| r.frames.as_ref());
+        let fresh =
+            |&(generation, _): &FrameHeader| frames.is_none_or(|f| generation > f.watermark);
+        let Some((generation, base)) = decoded.filter(fresh) else {
             self.telemetry.duplicates_suppressed += 1;
             self.delta_telemetry.duplicate_frames += 1;
             return Ok(Receipt::Duplicate);
-        }
-        if let Some((base_generation, base_key)) = base {
-            let base_known =
-                frames.is_some_and(|f| f.history.contains(&(base_generation, base_key)));
-            if !base_known {
-                self.delta_telemetry.resyncs_requested += 1;
-                return Ok(Receipt::NeedResync);
-            }
+        };
+        if base.is_some_and(|b| frames.is_none_or(|f| !f.history.contains(&b))) {
+            self.delta_telemetry.resyncs_requested += 1;
+            return Ok(Receipt::NeedResync);
         }
 
-        // The decoded body sits in `decode_arena[0]`. The union absorbs it
-        // by a refresh merge, which debits the per-trial item counters of
-        // the state it supersedes (zeros for an unheard party).
         let merge_start = Instant::now();
-        let items_of = |summary: &GtSketch<V>| -> Vec<u64> {
-            summary
-                .trials()
-                .iter()
-                .map(|t| t.items_observed())
-                .collect()
-        };
-        let record = match base {
-            // A full frame's slot becomes the state by move, and re-keys
-            // the chain: older bases are dead. Only a full frame can come
-            // from an unheard party; its record starts from the empty
-            // summary the frame replaces, which goes back to the arena.
+        // Only a full frame can come from an unheard party.
+        let record = self
+            .parties
+            .entry(msg.party_id)
+            .or_insert_with(|| PartyRecord {
+                summary: GtSketch::new(self.union.config(), self.master_seed),
+                fingerprints: Vec::new(),
+                frames: None,
+            });
+        let summary = &mut record.summary;
+        let old_items: Vec<u64> = summary
+            .trials()
+            .iter()
+            .map(|t| t.items_observed())
+            .collect();
+        let frames = match base {
+            // A full frame re-keys the chain: older bases are dead. It
+            // fits the cleared summary, as the decode bounded each trial
+            // by the capacity.
             None => {
-                let next = self.decode_arena.swap_remove(0);
-                let record = self.parties.entry(party_id).or_insert_with(|| PartyRecord {
-                    summary: GtSketch::new(self.union.config(), self.master_seed),
-                    fingerprints: Vec::new(),
-                    frames: None,
-                });
-                self.union
-                    .merge_refresh_from(&next, &items_of(&record.summary))
-                    .expect("admitted sketches share the union's seed and config");
-                let items = record.frames.as_ref().map_or(0, |f| f.items);
-                record.frames = Some(FrameState {
+                summary.clear();
+                record.frames.insert(FrameState {
                     watermark: generation,
-                    items,
+                    items: record.frames.as_ref().map_or(0, |f| f.items),
                     history: Vec::new(),
-                    key: StateKey::of(&next),
-                });
-                let replaced = std::mem::replace(&mut record.summary, next);
-                self.decode_arena.push(replaced);
-                self.delta_telemetry.full_frames += 1;
-                self.delta_telemetry.full_bytes += a.bytes as u64;
-                record
+                    key: StateKey::of(summary),
+                })
             }
-            // A delta is checked against the summary, then applied to it
-            // in place; the union merges only the delta's entries. The
-            // delta's slot stays in the arena for the next frame.
-            Some((base_generation, _)) => {
-                let record = self.parties.get_mut(&party_id).expect("base is known");
-                let frames = record.frames.as_mut().expect("base is known");
-                let old_items = items_of(&record.summary);
-                let delta = &self.decode_arena[0];
-                if let Err(e) = apply_delta_watched(&mut record.summary, delta, &mut frames.key) {
-                    self.telemetry.merge_time += merge_start.elapsed();
-                    let e = CodecError::from(e);
-                    self.telemetry.record_reject(&e);
-                    return Err(e);
-                }
-                self.union
-                    .merge_refresh_from(delta, &old_items)
-                    .expect("admitted sketches share the union's seed and config");
-                // Bases older than the one just consumed can never be
-                // referenced again (the party's acked base only advances).
-                frames.history.retain(|&(g, _)| g >= base_generation);
-                self.delta_telemetry.delta_frames += 1;
-                self.delta_telemetry.delta_bytes += a.bytes as u64;
-                record
-            }
+            Some(_) => record.frames.as_mut().expect("base is known"),
         };
+        let applied = apply_delta_watched(summary, &self.frame_body, &mut frames.key);
+        if applied.is_ok() {
+            self.union
+                .merge_refresh_from(&self.frame_body, &old_items)
+                .expect("a decoded frame has the union's trial count");
+        }
         self.telemetry.merge_time += merge_start.elapsed();
-        let frames = record
-            .frames
-            .as_mut()
-            .expect("set by the frame just applied");
+        applied.map_err(|e| {
+            let e = CodecError::from(e);
+            self.telemetry.record_reject(&e);
+            e
+        })?;
+        let t = &mut self.delta_telemetry;
+        if let Some((base_generation, _)) = base {
+            // Bases older than the one just consumed can never be
+            // referenced again (the party's acked base only advances).
+            frames.history.retain(|&(g, _)| g >= base_generation);
+            t.delta_frames += 1;
+            t.delta_bytes += msg.bytes() as u64;
+        } else {
+            t.full_frames += 1;
+            t.full_bytes += msg.bytes() as u64;
+        }
         frames.watermark = generation;
-        frames
-            .history
-            .push((generation, frames.key.key(&record.summary)));
+        frames.history.push((generation, frames.key.key(summary)));
         keep_newest(&mut frames.history);
         // Every applied frame counts as a message (frames supersede, they
         // are not redeliveries), while `items_reported` advances by the
         // *difference* of the party's cumulative counter so it stays
         // exactly-once across refreshes.
-        self.items_reported += a.items.saturating_sub(frames.items);
-        frames.items = a.items;
-        record.fingerprints.push(a.fingerprint);
+        self.items_reported += msg.items_observed.saturating_sub(frames.items);
+        frames.items = msg.items_observed;
+        record.fingerprints.push(fingerprint);
         keep_newest(&mut record.fingerprints);
         self.telemetry.accepted += 1;
         self.messages += 1;
-        self.bytes_received += a.bytes;
+        self.bytes_received += msg.bytes();
         Ok(Receipt::Merged)
+    }
+
+    /// Whether `party_id` already had a message or frame with payload
+    /// `fingerprint` accepted.
+    fn heard_bytes(&self, party_id: usize, fingerprint: u64) -> bool {
+        self.parties
+            .get(&party_id)
+            .is_some_and(|r| r.fingerprints.contains(&fingerprint))
     }
 
     /// Highest frame generation applied for `party_id` (the generation
@@ -596,14 +589,51 @@ impl<V: WirePayload> RefereeOf<V> {
         self.union_messages(msgs)
     }
 
-    /// Admit sketch messages and fold them into the union: the admitted
-    /// sketch itself for a batch of one, otherwise their balanced tree
-    /// union, in one merge. Then, left to right so in-batch variants
-    /// reconcile payloads exactly as sequential receives do, hand each
-    /// sketch to its party's retained summary — by move for a first-heard
-    /// party, otherwise merged in with the sketch returned to the arena.
+    /// Admit sketch messages and fold them into the union. Per message:
+    /// fingerprint-dedup against the party's accepted payloads and the
+    /// messages admitted earlier in this call, then decode into a pooled
+    /// arena slot — [`decode_sketch_into`] checks seed and config before
+    /// the body — recording every reject. Only a message that decodes
+    /// suppresses later identical bytes, so a corrupt message redelivered
+    /// within one call errors twice, exactly as sequential receives would.
+    ///
+    /// The admitted sketches fold into the union: the sketch itself for
+    /// one, otherwise their balanced tree union, in one merge. Then, left
+    /// to right so in-batch variants reconcile payloads exactly as
+    /// sequential receives do, each sketch goes to its party's retained
+    /// summary — by move for a first-heard party, otherwise merged in with
+    /// the sketch returned to the arena.
     fn union_messages(&mut self, msgs: &[PartyMessage]) -> Vec<Result<Receipt, CodecError>> {
-        let (mut receipts, admitted) = self.admit(msgs, |_| Ok(()));
+        let mut receipts = Vec::with_capacity(msgs.len());
+        // Receipt index, message and fingerprint of each decoded message;
+        // the `k`-th one's sketch is `decode_arena[k]`.
+        let mut admitted: Vec<(usize, &PartyMessage, u64)> = Vec::new();
+        let decode_start = Instant::now();
+        for msg in msgs {
+            let fingerprint = payload_fingerprint(&msg.payload);
+            let dup = self.heard_bytes(msg.party_id, fingerprint)
+                || admitted
+                    .iter()
+                    .any(|&(_, a, f)| a.party_id == msg.party_id && f == fingerprint);
+            if dup {
+                self.telemetry.duplicates_suppressed += 1;
+                receipts.push(Ok(Receipt::Duplicate));
+                continue;
+            }
+            if self.decode_arena.len() == admitted.len() {
+                self.decode_arena
+                    .push(GtSketch::new(self.union.config(), self.master_seed));
+            }
+            let slot = &mut self.decode_arena[admitted.len()];
+            let decoded = decode_sketch_into(slot, msg.payload.clone(), &mut self.scratch);
+            if let Err(e) = &decoded {
+                self.telemetry.record_reject(e);
+            } else {
+                admitted.push((receipts.len(), msg, fingerprint));
+            }
+            receipts.push(decoded.map(|()| Receipt::Merged));
+        }
+        self.telemetry.decode_time += decode_start.elapsed();
         if admitted.is_empty() {
             return receipts;
         }
@@ -615,10 +645,10 @@ impl<V: WirePayload> RefereeOf<V> {
         self.telemetry.merge_time += merge_start.elapsed();
         merged.expect("admitted sketches share the union's seed and config");
         let decoded: Vec<GtSketch<V>> = self.decode_arena.drain(..admitted.len()).collect();
-        for (sketch, a) in decoded.into_iter().zip(admitted) {
+        for (sketch, (index, msg, fingerprint)) in decoded.into_iter().zip(admitted) {
             // Exactly-once: only a party's first accepted message is
             // billed; later ones are variants.
-            let receipt = match self.parties.entry(a.party_id) {
+            let receipt = match self.parties.entry(msg.party_id) {
                 Entry::Occupied(e) => {
                     let record = e.into_mut();
                     record
@@ -629,7 +659,7 @@ impl<V: WirePayload> RefereeOf<V> {
                         // The summary moved outside the frame path.
                         frames.key = StateKey::of(&record.summary);
                     }
-                    record.fingerprints.push(a.fingerprint);
+                    record.fingerprints.push(fingerprint);
                     self.decode_arena.push(sketch);
                     self.telemetry.duplicates_merged += 1;
                     Receipt::MergedVariant
@@ -637,86 +667,19 @@ impl<V: WirePayload> RefereeOf<V> {
                 Entry::Vacant(e) => {
                     e.insert(PartyRecord {
                         summary: sketch,
-                        fingerprints: vec![a.fingerprint],
+                        fingerprints: vec![fingerprint],
                         frames: None,
                     });
                     self.telemetry.accepted += 1;
                     self.messages += 1;
-                    self.bytes_received += a.bytes;
-                    self.items_reported += a.items;
+                    self.bytes_received += msg.bytes();
+                    self.items_reported += msg.items_observed;
                     Receipt::Merged
                 }
             };
-            receipts[a.receipt_index] = Ok(receipt);
+            receipts[index] = Ok(receipt);
         }
         receipts
-    }
-
-    /// The admission step every ingress shares. Per message:
-    /// fingerprint-dedup against the party's accepted payloads and the
-    /// messages admitted earlier in this call, parse the header with
-    /// `parse_header` (frames carry one, sketch messages do not), and
-    /// decode the sketch body into a pooled arena slot —
-    /// [`decode_sketch_into`] checks seed and config before the body —
-    /// recording every reject.
-    ///
-    /// Returns one receipt per message, where an admitted message holds a
-    /// placeholder for the caller to settle, plus the admitted messages
-    /// in order: the `k`-th one's sketch is `decode_arena[k]`. Only a
-    /// message that decodes suppresses later identical bytes, so a
-    /// corrupt message redelivered within one call errors twice, exactly
-    /// as sequential receives would.
-    fn admit<H>(
-        &mut self,
-        msgs: &[PartyMessage],
-        parse_header: fn(&mut Bytes) -> Result<H, CodecError>,
-    ) -> (Vec<Result<Receipt, CodecError>>, Vec<Admitted<H>>) {
-        let mut receipts = Vec::with_capacity(msgs.len());
-        let mut admitted: Vec<Admitted<H>> = Vec::new();
-        let decode_start = Instant::now();
-        for msg in msgs {
-            let fingerprint = payload_fingerprint(&msg.payload);
-            let dup = self
-                .parties
-                .get(&msg.party_id)
-                .is_some_and(|r| r.fingerprints.contains(&fingerprint))
-                || admitted
-                    .iter()
-                    .any(|a| a.party_id == msg.party_id && a.fingerprint == fingerprint);
-            if dup {
-                self.telemetry.duplicates_suppressed += 1;
-                receipts.push(Ok(Receipt::Duplicate));
-                continue;
-            }
-            if self.decode_arena.len() == admitted.len() {
-                self.decode_arena
-                    .push(GtSketch::new(self.union.config(), self.master_seed));
-            }
-            let slot = &mut self.decode_arena[admitted.len()];
-            let mut body = msg.payload.clone();
-            let decoded = parse_header(&mut body).and_then(|header| {
-                decode_sketch_into(slot, body, &mut self.scratch).map(|()| header)
-            });
-            match decoded {
-                Ok(header) => {
-                    admitted.push(Admitted {
-                        receipt_index: receipts.len(),
-                        party_id: msg.party_id,
-                        fingerprint,
-                        bytes: msg.bytes(),
-                        items: msg.items_observed,
-                        header,
-                    });
-                    receipts.push(Ok(Receipt::Merged));
-                }
-                Err(e) => {
-                    self.telemetry.record_reject(&e);
-                    receipts.push(Err(e));
-                }
-            }
-        }
-        self.telemetry.decode_time += decode_start.elapsed();
-        (receipts, admitted)
     }
 
     /// Per-stage telemetry: decode outcomes by reason, duplicate counts,
@@ -1499,6 +1462,16 @@ mod tests {
                 next_label += 150;
                 let msg = p.emit_frame();
                 assert_eq!(referee.receive_frame(&msg).unwrap(), Receipt::Merged);
+                assert!(
+                    referee.decode_arena.is_empty(),
+                    "round {round}: a frame left a slot in the decode arena"
+                );
+                assert_eq!(
+                    referee.party_sketch(p.id()).map(encode_sketch),
+                    Some(encode_sketch(p.sketch())),
+                    "round {round}: party {} summary diverged",
+                    p.id()
+                );
                 p.handle_ack(referee.acked_generation(p.id()).unwrap());
             }
             // The live union is bitwise the full-ship union at every ack
@@ -1611,6 +1584,17 @@ mod tests {
             "base fingerprint mismatch must refuse the delta"
         );
         assert_eq!(referee.delta_telemetry().resyncs_requested, 2);
+        // The fork's resync full frame replaces the summary outright: a
+        // full frame is applied to the cleared summary, not merged in.
+        fork.handle_resync();
+        assert_eq!(
+            referee.receive_frame(&fork.emit_frame()).unwrap(),
+            Receipt::Merged
+        );
+        assert_eq!(
+            referee.party_sketch(0).map(encode_sketch),
+            Some(encode_sketch(fork.sketch()))
+        );
     }
 
     /// The referee keys every applied state as the party keyed it when
@@ -1646,8 +1630,8 @@ mod tests {
 
     #[test]
     fn a_delta_that_fails_to_apply_leaves_the_party_untouched() {
-        use crate::codec::encode_delta_frame;
-        use gt_core::StateKey;
+        use crate::codec::encode_frame;
+        use gt_core::{SortedTrials, StateKey};
         let config = cfg();
         let half = config.capacity() / 2 + 1;
         let mut referee = Referee::new(&config, 13);
@@ -1667,7 +1651,7 @@ mod tests {
         let key = StateKey::of(p.sketch()).key(p.sketch());
         let bad = PartyMessage {
             party_id: 0,
-            payload: encode_delta_frame(&other, 2, 1, key),
+            payload: encode_frame(&other, &SortedTrials::of(&other), 2, Some((1, key))),
             items_observed: 0,
         };
         let (summary, union) = (

@@ -82,7 +82,7 @@ pub enum ReportingMode {
     /// The continuous-monitoring delta plane: parties ship compact
     /// frames — a full frame first ([`crate::codec::encode_full_frame`]),
     /// then deltas coded against the last acked base
-    /// ([`crate::codec::encode_delta_frame`]) — and the referee maintains
+    /// ([`crate::DeltaParty::emit_frame`]) — and the referee maintains
     /// a live union that is bitwise identical to a fresh full ship at
     /// every ack point. `O(changes)` bytes per cadence tick in steady
     /// state.
