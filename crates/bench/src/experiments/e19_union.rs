@@ -2,10 +2,9 @@
 //! parallel tree reduction over `t` party messages.
 //!
 //! Claim: the referee's cost of answering a union query is linear in the
-//! number of parties and independent of stream length, and the batched
-//! pipeline (zero-copy decode into a reusable arena + tree-reduction
-//! merge) beats the per-entry sequential reference fold at realistic
-//! fleet sizes. Every variant must produce a union that is
+//! number of parties and independent of stream length, and the
+//! tree-reduction merge beats the per-entry sequential reference fold at
+//! realistic fleet sizes. Every variant must produce a union that is
 //! canonical-wire-bytes **identical** to the sequential left fold — the
 //! experiment asserts this per rep and panics on divergence, so the
 //! speedup is free of accuracy (or even representation) cost.
@@ -16,10 +15,8 @@
 //! * `kernel_fold` — decode each message, merge via the batch-monomorphic
 //!   kernel ([`gt_core::GtSketch::merge_from`]); same left fold, faster
 //!   inner loop.
-//! * `tree` — decode into a reusable arena with
-//!   [`gt_streams::decode_sketch_into`] (no per-message sketch
-//!   allocation), then union via [`gt_core::merge_tree`] on worker
-//!   threads.
+//! * `tree` — decode each message, then union via
+//!   [`gt_core::merge_tree`] on worker threads.
 //!
 //! The check: at the largest `t`, the tree's merge phase beats the
 //! sequential reference fold's (parity with noise, ≥ 0.9, on a
@@ -29,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::table::Table;
 use gt_core::{merge_tree, DistinctSketch, SketchConfig};
-use gt_streams::{decode_sketch, decode_sketch_into, encode_sketch, DecodeScratch};
+use gt_streams::{decode_sketch, encode_sketch};
 use gt_streams::{Party, PartyMessage};
 
 /// One measured (t, overlap, variant) cell.
@@ -79,8 +76,8 @@ fn party_messages(
         .collect()
 }
 
-/// Sequential left fold into a fresh union: decode all `t` messages with
-/// the allocating decoder, then fold. The phases are kept separate (as in
+/// Sequential left fold into a fresh union: decode all `t` messages,
+/// then fold. The phases are kept separate (as in
 /// the tree variant) so decode and merge are each compared like for like.
 /// `reference` selects the per-entry oracle merge instead of the batch
 /// kernel.
@@ -91,10 +88,7 @@ fn union_fold(
     reference: bool,
 ) -> (DistinctSketch, Duration, Duration) {
     let start = Instant::now();
-    let decoded: Vec<DistinctSketch> = msgs
-        .iter()
-        .map(|msg| decode_sketch(msg.payload.clone()).expect("coordinated"))
-        .collect();
+    let decoded = decode_all(msgs);
     let decode = start.elapsed();
     let start = Instant::now();
     let mut union = DistinctSketch::new(config, seed);
@@ -108,22 +102,22 @@ fn union_fold(
     (union, decode, start.elapsed())
 }
 
-/// The batched pipeline: zero-copy decode into a reusable arena, then a
-/// parallel tree reduction. The arena and scratch are passed in so reps
-/// measure steady-state (allocation-free) decoding, as the referee sees.
-fn union_tree(
-    msgs: &[PartyMessage],
-    arena: &mut [DistinctSketch],
-    scratch: &mut DecodeScratch<()>,
-) -> (DistinctSketch, Duration, Duration) {
+/// The tree pipeline: decode every message as the fold does, then a
+/// parallel tree reduction.
+fn union_tree(msgs: &[PartyMessage]) -> (DistinctSketch, Duration, Duration) {
     let start = Instant::now();
-    for (slot, msg) in arena.iter_mut().zip(msgs) {
-        decode_sketch_into(slot, msg.payload.clone(), scratch).expect("coordinated");
-    }
+    let decoded = decode_all(msgs);
     let decode = start.elapsed();
     let start = Instant::now();
-    let union = merge_tree(&arena[..msgs.len()]).expect("non-empty");
+    let union = merge_tree(&decoded).expect("non-empty");
     (union, decode, start.elapsed())
+}
+
+/// Decode every message with [`decode_sketch`].
+fn decode_all(msgs: &[PartyMessage]) -> Vec<DistinctSketch> {
+    msgs.iter()
+        .map(|msg| decode_sketch(msg.payload.clone()).expect("coordinated"))
+        .collect()
 }
 
 /// Run E19.
@@ -156,10 +150,6 @@ pub fn run(quick: bool) -> Vec<Table> {
     );
 
     let max_t = *ts.last().unwrap();
-    let mut arena: Vec<DistinctSketch> = (0..max_t)
-        .map(|_| DistinctSketch::new(&config, seed))
-        .collect();
-    let mut scratch = DecodeScratch::new();
 
     for &t in ts {
         for &overlap in overlaps {
@@ -170,13 +160,13 @@ pub fn run(quick: bool) -> Vec<Table> {
             // the first timed variant doesn't pay first-touch costs the
             // later ones skip.
             union_fold(&config, seed, &msgs, true);
-            union_tree(&msgs, &mut arena, &mut scratch);
+            union_tree(&msgs);
 
             let mut best: [Option<Row>; 3] = [None, None, None];
             for _ in 0..reps {
                 let (seq, seq_dec, seq_mrg) = union_fold(&config, seed, &msgs, true);
                 let (ker, ker_dec, ker_mrg) = union_fold(&config, seed, &msgs, false);
-                let (tree, tree_dec, tree_mrg) = union_tree(&msgs, &mut arena, &mut scratch);
+                let (tree, tree_dec, tree_mrg) = union_tree(&msgs);
                 // The whole point: every variant is the same union, down
                 // to the canonical wire bytes.
                 let canon = encode_sketch(&seq);

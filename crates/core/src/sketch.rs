@@ -335,10 +335,11 @@ impl<V: Payload> GtSketch<V> {
     }
 
     /// Reload trial `index` with transmitted state, reusing its sample
-    /// storage (see [`CoordinatedTrial::reload`]) — the one path that
-    /// rebuilds a sketch from per-trial state: the wire codec, the
-    /// referee's decode arena and compaction all start from
-    /// [`GtSketch::new`] and reload each trial through it.
+    /// storage (see [`CoordinatedTrial::reload`]): `gt-store`'s packed
+    /// slots and compaction rebuild a sketch from per-trial state through
+    /// it. (The wire codec checks decoded state with
+    /// [`crate::SortedTrials::push_checked`] and applies it with
+    /// [`crate::apply_delta`] instead.)
     ///
     /// On `Err` the trial's state is unspecified; the sketch must be
     /// fully reloaded (or discarded) before use.

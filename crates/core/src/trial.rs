@@ -209,10 +209,9 @@ impl<V: Payload> CoordinatedTrial<V> {
     }
 
     /// Reload this trial with transmitted state, reusing the existing
-    /// sample storage ([`FixedCapMap::clear`] keeps the allocation) — the
-    /// referee's decode arena leans on this to decode thousands of
-    /// messages with zero per-message allocation. Validates the sample
-    /// invariant: every entry's label must be in the field and clear
+    /// sample storage ([`FixedCapMap::clear`] keeps the allocation) — how
+    /// pooled sketches are refilled: `gt-store`'s packed slots, compaction
+    /// and [`crate::GtSketch::clear`]. Validates the sample invariant: every entry's label must be in the field and clear
     /// `level`, with no duplicates and at most `capacity` entries.
     ///
     /// On `Err` the trial's state is unspecified (partially reloaded);

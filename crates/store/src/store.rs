@@ -43,7 +43,7 @@
 //!   the next epoch boundary.
 //! * **Spilled** — evicted under memory pressure: folded, encoded with the
 //!   canonical codec, appended to the shard's [`SpillLog`]. The next touch
-//!   restores it bitwise-identically via `decode_sketch_into`.
+//!   restores it bitwise-identically via `decode_trials` + `apply_delta`.
 //!
 //! ## Sharding and locking
 //!
@@ -70,9 +70,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use crossbeam::utils::CachePadded;
+use gt_core::{apply_delta, SortedTrials};
 use gt_core::{effective_workers, CoordinatedTrial, Estimate, GtSketch, SketchConfig};
 use gt_hash::mix64;
-use gt_streams::{decode_sketch_into, encode_sketch, DecodeScratch, WirePayload};
+use gt_streams::{decode_trials, encode_sketch, CodecError, WirePayload};
 use parking_lot::Mutex;
 
 use crate::arena::{SketchHandle, SlotArena};
@@ -262,7 +263,7 @@ struct ShardState<V: StorePayload> {
     run_buf: Vec<(u64, V)>,
     spill: SpillLog,
     spill_buf: Vec<u8>,
-    decode_scratch: DecodeScratch<V>,
+    spill_body: SortedTrials<V>,
     /// Approximate-LRU touch queue of `(key, stamp)`.
     lru: VecDeque<(u64, u64)>,
     stamp: u64,
@@ -387,7 +388,7 @@ impl<V: StorePayload> ShardState<V> {
         let ew = Self::ENTRY_WORDS;
         let exact = Self::is_exact(sketch);
         debug_assert!(
-            !exact || Self::trials_agree(sketch),
+            !exact || Self::trials_agree(&SortedTrials::of(sketch)),
             "exact-form trials must hold equal samples and item counts"
         );
         let mut pos = 0usize;
@@ -409,22 +410,11 @@ impl<V: StorePayload> ShardState<V> {
         pos
     }
 
-    /// Whether every trial holds the first trial's item count and sample
-    /// (labels and payload words) — what packing one shared list assumes.
-    fn trials_agree(sketch: &GtSketch<V>) -> bool {
-        let state = |t: &CoordinatedTrial<V>| {
-            let mut sample: Vec<(u64, u64)> = t
-                .sample_iter()
-                .map(|(label, payload)| {
-                    let word = if V::WORDS == 1 { payload.to_word() } else { 0 };
-                    (label, word)
-                })
-                .collect();
-            sample.sort_unstable();
-            (t.items_observed(), sample)
-        };
-        let first = state(&sketch.trials()[0]);
-        sketch.trials()[1..].iter().all(|t| state(t) == first)
+    /// Whether every trial holds the first trial's level, item count and
+    /// sample — what packing one shared list assumes.
+    fn trials_agree(trials: &SortedTrials<V>) -> bool {
+        let first = trials.iter().next();
+        trials.iter().all(|t| Some(t) == first)
     }
 
     /// 1 when `handle`'s packed section is in exact form, else 0: the
@@ -652,16 +642,24 @@ impl<V: StorePayload> ShardState<V> {
     }
 
     /// Restore a spilled key into a fresh packed slot, bitwise-identically
-    /// (the canonical codec enforces seed/config and round-trips exactly).
-    /// The key's log range is dead afterwards; when enough of the log is
-    /// dead, compact it in the same breath.
+    /// (the canonical codec enforces seed/config and round-trips exactly),
+    /// or leave it spilled if its record fails to read or decode, or has
+    /// every trial at level 0 but trials that disagree (no stream makes
+    /// that). The key's log range is dead afterwards; when enough of the
+    /// log is dead, compact it in the same breath.
     fn restore(&mut self, key: u64) -> Result<()> {
         let KeyState::Spilled { offset, len } = self.index[&key].state else {
             return Ok(());
         };
         self.spill.read(offset, len, &mut self.spill_buf)?;
         let bytes = Bytes::from(self.spill_buf.as_slice());
-        decode_sketch_into(&mut self.scratch, bytes, &mut self.decode_scratch)?;
+        decode_trials(&self.scratch, bytes, &mut self.spill_body)?;
+        let exact = self.spill_body.iter().all(|(level, ..)| level == 0);
+        if exact && !Self::trials_agree(&self.spill_body) {
+            return Err(CodecError::Malformed("spill record's level-0 trials disagree").into());
+        }
+        self.scratch.clear();
+        apply_delta(&mut self.scratch, &self.spill_body)?;
         self.writeback_scratch(key);
         self.spilled_keys -= 1;
         self.resident_keys += 1;
@@ -1032,7 +1030,7 @@ impl<V: StorePayload> SketchStore<V> {
                     run_buf: Vec::new(),
                     spill,
                     spill_buf: Vec::new(),
-                    decode_scratch: DecodeScratch::new(),
+                    spill_body: SortedTrials::default(),
                     lru: VecDeque::new(),
                     stamp: 0,
                     resident_bytes: 0,
@@ -1723,6 +1721,103 @@ mod tests {
         // headroom fits the 16-word class; five per-trial copies (30 + 8
         // words) would need the 64-word class.
         assert_eq!(store.resident_bytes(), keys as usize * 16 * 8);
+    }
+
+    /// Spill records are bytes from outside the process. With bytes
+    /// flipped inside the on-disk records, every query returns `Ok` or a
+    /// typed error and never panics; a key that restores reports exactly
+    /// its record's bytes, and only a record the codec accepts restores.
+    #[test]
+    fn corrupt_spill_records_fail_typed_or_restore_exactly() {
+        use crate::StoreError;
+        use std::io::{Read, Seek, SeekFrom, Write};
+        let config = tiny_cfg();
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("gt-store-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let options = opts(1 << 10).with_hot_threshold(0).with_spill_dir(&dir);
+        let store = DistinctStore::new(&config, 3, options).unwrap();
+        // Even keys stay under capacity (exact form, every trial at level
+        // 0); odd keys overflow it.
+        let items: Vec<(u64, u64)> = (0..240u64)
+            .flat_map(|k| (0..6 + k % 2 * 54).map(move |j| (k, fold61(k * 1_000 + j))))
+            .collect();
+        store.extend(&items).unwrap();
+
+        // Every spilled key's record, then 1-2 flipped bytes in three of
+        // every four records, written back to the log file.
+        let mut records = Vec::new();
+        for shard in &store.shards {
+            let guard = shard.lock();
+            for (&key, entry) in &guard.index {
+                if let KeyState::Spilled { offset, len } = entry.state {
+                    records.push((key, guard.spill.path().to_path_buf(), offset, len));
+                }
+            }
+        }
+        records.sort_unstable_by_key(|r| r.0);
+        assert!(records.len() > 120, "only {} keys spilled", records.len());
+        let mut rng = 0u64;
+        let mut next = || {
+            rng += 1;
+            mix64(rng)
+        };
+        let mut flipped = HashMap::new();
+        for (key, path, offset, len) in &records {
+            let mut file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(path)
+                .unwrap();
+            let mut record = vec![0u8; *len as usize];
+            file.seek(SeekFrom::Start(*offset)).unwrap();
+            file.read_exact(&mut record).unwrap();
+            if key % 4 != 0 {
+                for _ in 0..1 + next() % 2 {
+                    let at = (next() % u64::from(*len)) as usize;
+                    record[at] ^= (next() % 255 + 1) as u8;
+                }
+                file.seek(SeekFrom::Start(*offset)).unwrap();
+                file.write_all(&record).unwrap();
+            }
+            flipped.insert(*key, Bytes::from(record));
+        }
+
+        let disagree = CodecError::Malformed("spill record's level-0 trials disagree");
+        let (mut restored, mut refused, mut disagreeing) = (0, 0, 0);
+        for (key, ..) in &records {
+            let record = &flipped[key];
+            let decodes = gt_streams::decode_sketch::<()>(record.clone())
+                .is_ok_and(|d| d.master_seed() == 3 && *d.config() == config);
+            // Query twice: a refused key stays spilled and refuses again.
+            for _ in 0..2 {
+                match store.canonical_bytes(*key) {
+                    Ok(bytes) => {
+                        assert!(decodes, "key {key}: a record the codec refuses restored");
+                        assert_eq!(bytes.as_ref(), Some(record), "key {key}");
+                        restored += 1;
+                    }
+                    Err(StoreError::Codec(e)) if decodes => {
+                        assert_eq!(e, disagree, "key {key}");
+                        disagreeing += 1;
+                    }
+                    Err(StoreError::Codec(_)) => refused += 1,
+                    Err(e) => panic!("key {key}: {e}"),
+                }
+            }
+            // The other queries take the same restore.
+            assert_eq!(
+                store.estimate(*key).is_ok(),
+                store.items_observed(*key).is_ok()
+            );
+        }
+        assert!(restored > 0 && refused > 0, "{restored} {refused}");
+        assert!(
+            disagreeing > 0,
+            "no flip made an exact record's trials disagree"
+        );
+        drop(store);
+        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]

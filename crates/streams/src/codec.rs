@@ -12,13 +12,14 @@
 //!   are ≈ `2^61/c` and each costs ≈ `(61 − log₂ c)/7` bytes — within a
 //!   small constant of the information-theoretic minimum.
 //! * Integrity is checked on decode (magic, version, config echo, sample
-//!   invariant via `CoordinatedTrial::reload`), so a referee cannot silently
-//!   union a corrupt or uncoordinated message.
+//!   invariant via `SortedTrials::push_checked`, in [`decode_trials`], the
+//!   one body parser), so a referee cannot silently union a corrupt or
+//!   uncoordinated message.
 
 use std::hash::Hash;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gt_core::{GtSketch, SketchConfig, SketchError, SortedTrials};
+use gt_core::{apply_delta, GtSketch, SketchConfig, SketchError, SortedTrials};
 use gt_hash::HashFamilyKind;
 
 /// Format magic: "GTS" + version 1.
@@ -70,13 +71,10 @@ impl From<SketchError> for CodecError {
 
 /// Payloads that know how to put themselves on the wire.
 ///
-/// `Send + Sync` is part of the contract: referee-side batch unions fan
-/// the decoded sketches out across scoped worker threads
-/// (`gt_core::merge_tree`), so any payload that travels must be shareable.
 /// `PartialEq + Hash` is what the delta plane needs: a party journals
 /// only payloads that changed, and the base key
 /// ([`gt_core::StateKey`]) hashes them.
-pub trait WirePayload: gt_core::Payload + PartialEq + Hash + Send + Sync {
+pub trait WirePayload: gt_core::Payload + PartialEq + Hash {
     /// Append the payload.
     fn encode(self, buf: &mut BytesMut);
     /// Read the payload back.
@@ -234,26 +232,17 @@ pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<FrameHeader, CodecErro
 }
 
 /// Decode a frame for the sketch `like` belongs with: the header, then
-/// the embedded sketch message into `body` as per-trial sorted entries —
-/// the whole state for a full frame, the delta for a delta frame. The
-/// message must carry `like`'s seed and config, and each trial passes
-/// the checks [`decode_sketch`] runs, against `like`'s trial hashes
-/// ([`SortedTrials::push_checked`]). Nothing sized by the sketch's
-/// capacity is touched, so a delta costs O(delta) to decode.
+/// the embedded sketch message into `body` with [`decode_trials`] — the
+/// whole state for a full frame, the delta for a delta frame.
 ///
 /// On `Err`, `body` holds an unspecified prefix of the trials.
 pub(crate) fn decode_frame<V: WirePayload>(
     like: &GtSketch<V>,
     mut buf: Bytes,
     body: &mut SortedTrials<V>,
-    scratch: &mut DecodeScratch<V>,
 ) -> Result<FrameHeader, CodecError> {
     let header = get_frame_header(&mut buf)?;
-    get_coordinated_header(&mut buf, like)?;
-    body.clear();
-    get_sketch_body(buf, like.config(), scratch, |t, level, items, entries| {
-        body.push_checked(&like.trials()[t], level, items, entries)
-    })?;
+    decode_trials(like, buf, body)?;
     Ok(header)
 }
 
@@ -447,8 +436,7 @@ pub fn encoded_sketch_len<V: WirePayload>(sketch: &GtSketch<V>) -> usize {
 
 /// Parse a sketch message's header — magic, master seed, ε, δ, capacity,
 /// trials, hash kind — bounding the declared shape by [`MAX_WIRE_ENTRIES`]
-/// before anything is allocated. The one header parser of both sketch
-/// decoders.
+/// before anything is allocated. The one sketch-header parser.
 fn get_sketch_header(buf: &mut Bytes) -> Result<(u64, SketchConfig), CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
@@ -478,65 +466,20 @@ fn get_sketch_header(buf: &mut Bytes) -> Result<(u64, SketchConfig), CodecError>
     Ok((master_seed, config))
 }
 
-/// Deserialize and validate a sketch message.
+/// Deserialize and validate a sketch message: its header gives the
+/// config and seed of a new sketch, [`decode_trials`] checks the body
+/// against that sketch's trials, and the body is applied to it.
 pub fn decode_sketch<V: WirePayload>(buf: Bytes) -> Result<GtSketch<V>, CodecError> {
     let (master_seed, config) = get_sketch_header(&mut buf.clone())?;
     let mut sketch = GtSketch::new(&config, master_seed);
-    decode_sketch_into(&mut sketch, buf, &mut DecodeScratch::new())?;
+    let mut body = SortedTrials::default();
+    decode_trials(&sketch, buf, &mut body)?;
+    apply_delta(&mut sketch, &body)?;
     Ok(sketch)
 }
 
-/// Reusable decode buffers for [`decode_sketch_into`]: one entries vector,
-/// grown once to the configured capacity and kept across messages.
-#[derive(Clone, Debug, Default)]
-pub struct DecodeScratch<V> {
-    entries: Vec<(u64, V)>,
-}
-
-impl<V> DecodeScratch<V> {
-    /// Fresh scratch (buffers grow on first use and then stay).
-    pub fn new() -> Self {
-        DecodeScratch {
-            entries: Vec::new(),
-        }
-    }
-}
-
-/// Deserialize a sketch message *into* an existing sketch, reusing its
-/// trial storage and the caller's [`DecodeScratch`] — the allocation-free
-/// counterpart of [`decode_sketch`] for referees that decode thousands of
-/// messages per collection round.
-///
-/// Beyond [`decode_sketch`]'s validation, this variant enforces the
-/// coordination contract up front (the receiving sketch already knows the
-/// expected seed and config, so there is no reason to build an
-/// uncoordinated sketch only to reject it at merge time):
-///
-/// * a master-seed mismatch is [`CodecError::Sketch`] /
-///   [`SketchError::SeedMismatch`];
-/// * a config mismatch (shape, epsilon/delta, hash kind) is
-///   [`CodecError::Sketch`] / [`SketchError::ConfigMismatch`].
-///
-/// On `Err` the sketch's state is unspecified (some trials may hold the
-/// new message, others the old one); reload or discard it before use. On
-/// `Ok` the sketch state is bitwise-identical to what [`decode_sketch`]
-/// would have returned — property-tested, including under the structured
-/// mutation fuzz.
-pub fn decode_sketch_into<V: WirePayload>(
-    sketch: &mut GtSketch<V>,
-    mut buf: Bytes,
-    scratch: &mut DecodeScratch<V>,
-) -> Result<(), CodecError> {
-    get_coordinated_header(&mut buf, sketch)?;
-    let config = *sketch.config();
-    get_sketch_body(buf, &config, scratch, |t, level, items, entries| {
-        sketch.reload_trial(t, level, items, entries.iter().copied())
-    })
-}
-
 /// Parse a sketch message's header and require `like`'s master seed and
-/// config: the coordination check of the decoders that already know the
-/// sketch they decode for.
+/// config: the coordination check of [`decode_trials`].
 fn get_coordinated_header<V: WirePayload>(
     buf: &mut Bytes,
     like: &GtSketch<V>,
@@ -553,21 +496,31 @@ fn get_coordinated_header<V: WirePayload>(
     Ok(())
 }
 
-/// Parse the per-trial level / items / labels / payloads that follow a
-/// `config` header, handing each trial to `load` as `(index, level,
-/// items, label-sorted entries)` — entries decode in label order, since
-/// the wire stores non-negative gaps — then reject trailing bytes. The
-/// one body parser of every decoder: the sketch decoders reload a trial
-/// from each, the frame decoder checks and keeps them.
-fn get_sketch_body<V: WirePayload>(
+/// Decode a sketch message for the sketch `like` belongs with into
+/// `body`, as per-trial label-sorted entries: the one body parser, under
+/// every decoder and both referee ingresses.
+///
+/// The message must carry `like`'s master seed and config, or it is
+/// [`CodecError::Sketch`] with [`SketchError::SeedMismatch`] or
+/// [`SketchError::ConfigMismatch`]. No trial may declare more entries
+/// than the capacity, and each trial passes
+/// [`SortedTrials::push_checked`] against `like`'s trial of the same
+/// index: the level bound, then each label's range, qualification, order
+/// and uniqueness. Entries decode in label order, since the wire stores
+/// non-negative gaps. Trailing bytes are refused. Nothing sized by the
+/// capacity is allocated up front, so a delta costs O(delta) to decode.
+///
+/// On `Err`, `body` holds an unspecified prefix of the trials.
+pub fn decode_trials<V: WirePayload>(
+    like: &GtSketch<V>,
     mut buf: Bytes,
-    config: &SketchConfig,
-    scratch: &mut DecodeScratch<V>,
-    mut load: impl FnMut(usize, u8, u64, &[(u64, V)]) -> Result<(), SketchError>,
+    body: &mut SortedTrials<V>,
 ) -> Result<(), CodecError> {
-    let capacity = config.capacity();
-    scratch.entries.reserve(capacity);
-    for t in 0..config.trials() {
+    get_coordinated_header(&mut buf, like)?;
+    body.clear();
+    let capacity = like.config().capacity();
+    let mut entries: Vec<(u64, V)> = Vec::new();
+    for trial in like.trials() {
         let level = get_u8(&mut buf)?;
         let items = get_varint(&mut buf)?;
         let n = get_varint(&mut buf)? as usize;
@@ -577,18 +530,19 @@ fn get_sketch_body<V: WirePayload>(
                 reason: format!("sample size {n} exceeds capacity {capacity}"),
             }));
         }
-        scratch.entries.clear();
+        entries.clear();
+        entries.reserve(n);
         let mut prev = 0u64;
         for _ in 0..n {
             prev = prev
                 .checked_add(get_varint(&mut buf)?)
                 .ok_or(CodecError::Malformed("label delta overflows u64"))?;
-            scratch.entries.push((prev, V::default()));
+            entries.push((prev, V::default()));
         }
-        for entry in scratch.entries.iter_mut() {
+        for entry in entries.iter_mut() {
             entry.1 = V::decode(&mut buf)?;
         }
-        load(t, level, items, &scratch.entries)?;
+        body.push_checked(trial, level, items, &entries)?;
     }
     reject_trailing_bytes(&buf)
 }
@@ -1057,57 +1011,61 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_matches_decode_and_reuses_storage() {
+    fn decode_trials_matches_decode_and_reuses_its_body() {
         let mut s = GtSketch::<u64>::new(&cfg(), 42);
         for i in 0..30_000u64 {
             s.insert_merging_with(gt_hash::fold61(i), i);
         }
         let bytes = encode_sketch(&s);
         let fresh: GtSketch<u64> = decode_sketch(bytes.clone()).unwrap();
-        let mut arena = GtSketch::<u64>::new(&cfg(), 42);
-        let mut scratch = DecodeScratch::new();
-        // Decode twice into the same arena: the second pass overwrites the
-        // first, proving the reload path doesn't accumulate stale entries.
-        decode_sketch_into(&mut arena, bytes.clone(), &mut scratch).unwrap();
-        decode_sketch_into(&mut arena, bytes, &mut scratch).unwrap();
-        assert_eq!(encode_sketch(&arena), encode_sketch(&fresh));
-        assert_eq!(arena.items_observed(), fresh.items_observed());
+        let like = GtSketch::<u64>::new(&cfg(), 42);
+        let mut body = SortedTrials::default();
+        // Decode twice into the same body: the second pass replaces the
+        // first rather than appending to it.
+        decode_trials(&like, bytes.clone(), &mut body).unwrap();
+        decode_trials(&like, bytes, &mut body).unwrap();
+        assert_eq!(body, SortedTrials::of(&fresh));
+        assert_eq!(body, SortedTrials::of(&s));
     }
 
     #[test]
-    fn decode_into_enforces_the_coordination_contract() {
+    fn decode_trials_enforces_the_coordination_contract() {
         let mut s = DistinctSketch::new(&cfg(), 42);
         s.extend_labels((0..500).map(gt_hash::fold61));
         let bytes = encode_sketch(&s);
-        let mut scratch = DecodeScratch::new();
+        let mut body = SortedTrials::default();
         // Wrong seed in the receiving sketch.
-        let mut wrong_seed = DistinctSketch::new(&cfg(), 43);
+        let wrong_seed = DistinctSketch::new(&cfg(), 43);
         assert!(matches!(
-            decode_sketch_into(&mut wrong_seed, bytes.clone(), &mut scratch),
+            decode_trials(&wrong_seed, bytes.clone(), &mut body),
             Err(CodecError::Sketch(SketchError::SeedMismatch))
         ));
         // Wrong config in the receiving sketch.
         let other_cfg = SketchConfig::new(0.2, 0.2).unwrap();
-        let mut wrong_cfg = DistinctSketch::new(&other_cfg, 42);
+        let wrong_cfg = DistinctSketch::new(&other_cfg, 42);
         assert!(matches!(
-            decode_sketch_into(&mut wrong_cfg, bytes, &mut scratch),
+            decode_trials(&wrong_cfg, bytes, &mut body),
             Err(CodecError::Sketch(SketchError::ConfigMismatch { .. }))
         ));
     }
 
-    /// The into-variant must accept exactly the messages the allocating
-    /// decoder (followed by the referee's seed/config checks) accepts, and
-    /// produce bitwise-identical sketches — under the same structured
-    /// mutation schedule as the main fuzz. Error *variants* may differ
-    /// (the into-variant front-loads the coordination checks), but the
-    /// accept sets may not.
+    /// Mutated sketch messages go through both [`decode_sketch`] and a
+    /// referee's [`crate::Referee::receive`], under the same structured
+    /// mutation schedule as the main fuzz. The oracle is the same
+    /// header check the referee runs (`like`'s seed and config), then
+    /// [`decode_sketch`]. Either both reject with the same error and the
+    /// referee's state and counters stay as they were, bar the one
+    /// reject counter; or both accept, the message re-encodes to itself,
+    /// and the referee's union equals the fold of every accepted message.
     ///
     /// Mutated full and delta frames are a second input: the frame
     /// decoder must agree with [`decode_sketch`] on the embedded body of
     /// every frame whose header checks pass: both accept with the same
     /// entries, or both reject with the same error.
     #[test]
-    fn decode_into_agrees_with_decode_under_mutation_fuzz() {
+    fn decode_and_receive_agree_under_mutation_fuzz() {
+        use crate::party::PartyMessage;
+        use crate::referee::{Receipt, Referee};
         let mut s = DistinctSketch::new(&cfg(), 9);
         s.extend_labels((0..20_000).map(gt_hash::fold61));
         let base = encode_sketch(&s).to_vec();
@@ -1118,9 +1076,9 @@ mod tests {
             encode_full_frame(&s, 2).to_vec(),
             encode_frame(&later, &delta, 5, Some((2, 0xBA5E))).to_vec(),
         ];
-        let mut arena = DistinctSketch::new(&cfg(), 9);
         let like = DistinctSketch::new(&cfg(), 9);
-        let mut scratch = DecodeScratch::new();
+        let mut referee = Referee::new(&cfg(), 9);
+        let mut fold = DistinctSketch::new(&cfg(), 9);
         let mut body = SortedTrials::default();
         let mut rng = 0xF1A9_5EED_u64;
         let mut frame_rng = 0xF4A3_5EED_u64;
@@ -1143,6 +1101,12 @@ mod tests {
                 }
             }
         };
+        // Everything a reject must leave as it was.
+        let state = |r: &Referee| {
+            let t = r.telemetry();
+            let counts = (r.messages(), r.bytes_received(), r.items_reported());
+            (counts, t.accepted, t.duplicates(), r.union_metrics())
+        };
         for round in 0..800u64 {
             let mut raw = base.clone();
             // Most rounds mutate; every 8th passes the message through
@@ -1153,24 +1117,37 @@ mod tests {
                 mutate(&mut raw, &mut rng);
             }
             let bytes = Bytes::from(raw);
-            let oracle = decode_sketch::<()>(bytes.clone())
-                .ok()
-                .filter(|d| d.master_seed() == arena.master_seed() && d.config() == arena.config());
-            let into = decode_sketch_into(&mut arena, bytes, &mut scratch);
-            match (oracle, into) {
-                (Some(d), Ok(())) => {
+            let oracle = get_coordinated_header(&mut bytes.clone(), &like)
+                .and_then(|()| decode_sketch::<()>(bytes.clone()));
+            // One party per round, so no message is a redelivery.
+            let msg = PartyMessage {
+                party_id: round as usize,
+                payload: bytes.clone(),
+                items_observed: 0,
+            };
+            let before = state(&referee);
+            let rejected = referee.telemetry().rejected();
+            match (oracle, referee.receive(&msg)) {
+                (Ok(d), Ok(receipt)) => {
                     both_ok += 1;
+                    assert_eq!(receipt, Receipt::Merged, "round {round}");
+                    assert_eq!(encode_sketch(&d), bytes, "round {round}: not canonical");
+                    fold.merge_from(&d).unwrap();
                     assert_eq!(
-                        encode_sketch(&arena),
-                        encode_sketch(&d),
-                        "round {round}: accepted states diverged"
+                        encode_sketch(referee.union_sketch()),
+                        encode_sketch(&fold),
+                        "round {round}: the union diverged from the fold"
                     );
                 }
-                (None, Err(_)) => both_err += 1,
-                (oracle, into) => panic!(
-                    "round {round}: accept sets diverged (oracle accepted: {}, into: {:?})",
-                    oracle.is_some(),
-                    into.map(|()| "accepted")
+                (Err(want), Err(got)) => {
+                    both_err += 1;
+                    assert_eq!(got, want, "round {round}: errors diverged");
+                    assert_eq!(state(&referee), before, "round {round}");
+                    assert_eq!(referee.telemetry().rejected(), rejected + 1);
+                }
+                (oracle, got) => panic!(
+                    "round {round}: accept sets diverged (decode_sketch: {:?}, receive: {got:?})",
+                    oracle.map(|_| "accepted"),
                 ),
             }
 
@@ -1179,7 +1156,7 @@ mod tests {
                 mutate(&mut raw, &mut frame_rng);
             }
             let bytes = Bytes::from(raw);
-            let got = decode_frame(&like, bytes.clone(), &mut body, &mut scratch);
+            let got = decode_frame(&like, bytes.clone(), &mut body);
             // The oracle: the same header checks, then `decode_sketch` on
             // the embedded body.
             let mut embedded = bytes;

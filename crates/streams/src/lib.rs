@@ -56,8 +56,8 @@ pub mod transport;
 pub mod workload;
 
 pub use codec::{
-    decode_sketch, decode_sketch_into, encode_full_frame, encode_sketch, payload_fingerprint,
-    CodecError, DecodeScratch, WirePayload,
+    decode_sketch, decode_trials, encode_full_frame, encode_sketch, payload_fingerprint,
+    CodecError, WirePayload,
 };
 pub use collector::{collect_once, CollectionReport, PartyAttempts, RetryPolicy};
 pub use netflow::{FlowRecord, FlowWorkload};

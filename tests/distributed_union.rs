@@ -202,10 +202,12 @@ fn referee_state(r: &Referee) -> (Vec<u8>, usize, usize, u64, gt_sketch::Metrics
 }
 
 /// The order-independent subset of [`referee_state`]: canonical union
-/// bytes and exactly-once counters. `merge_calls` is deliberately
-/// excluded: the batched collection plane folds each retry round in one
-/// union merge, so the count depends on how deliveries clumped into
-/// rounds (it is an observability counter, never on the wire).
+/// bytes and exactly-once counters. The merge metrics are excluded: the
+/// union merges once per accepted message, so `merge_calls` does not
+/// depend on how deliveries clump into batches, but the entry counters
+/// (`merge_entries_absorbed`, `merge_below_level`, ...) depend on the
+/// order the messages arrived in. They are observability counters, never
+/// on the wire.
 fn referee_state_order_free(r: &Referee) -> (Vec<u8>, usize, usize, u64) {
     (
         encode_sketch(r.union_sketch()).to_vec(),
