@@ -270,6 +270,12 @@ impl<V: Payload> SortedTrials<V> {
         self.trials.clear();
     }
 
+    /// Make room for at least `entries` more entries, so a body of known
+    /// bound is read without regrowing.
+    pub fn reserve(&mut self, entries: usize) {
+        self.entries.reserve(entries);
+    }
+
     /// Append the next trial from transmitted state — `level`, `items`
     /// and label-sorted `entries` — once it passes the checks
     /// [`CoordinatedTrial::reload`] runs, against `trial`, the receiving
@@ -718,12 +724,12 @@ mod tests {
         let config = cfg();
         let mut s = GtSketch::<LatestTs>::new(&config, 5);
         for t in 0..200u64 {
-            s.insert_merging_with(gt_hash::fold61(t), LatestTs(t));
+            s.insert_with(gt_hash::fold61(t), LatestTs(t));
         }
         let base = s.clone();
         // Re-arrivals refresh timestamps without adding labels.
         for t in 0..50u64 {
-            s.insert_merging_with(gt_hash::fold61(t), LatestTs(1_000 + t));
+            s.insert_with(gt_hash::fold61(t), LatestTs(1_000 + t));
         }
         let delta = delta_between(&base, &s).unwrap();
         assert!(delta.sample_entries() > 0, "ts refreshes must be carried");
@@ -885,7 +891,7 @@ mod tests {
         let mut recency = GtSketch::<LatestTs>::new(&config, 41);
         let mut watched = StateKey::of(&recency);
         for (i, &label) in labels.iter().chain(&labels[..500]).enumerate() {
-            recency.insert_merging_watched(label, LatestTs(i as u64), &mut watched);
+            recency.insert_watched(label, LatestTs(i as u64), &mut watched);
         }
         assert_eq!(watched.key(&recency), key_of(&recency));
     }
@@ -965,10 +971,10 @@ mod tests {
                 })
                 .collect();
             if generation % 2 == 0 {
-                live.insert_batch_merging_watched(&items, &mut journal);
+                live.insert_batch_watched(&items, &mut journal);
             } else {
                 for &(label, v) in &items {
-                    live.insert_merging_watched(label, v, &mut journal);
+                    live.insert_watched(label, v, &mut journal);
                 }
             }
             if let Some((base_gen, base_key, delta)) = journal.delta(&live) {
@@ -1014,10 +1020,10 @@ mod tests {
         for generation in 2..400u64 {
             for i in 0..40 {
                 let label = gt_hash::fold61(generation * 40 + i);
-                live.insert_merging_watched(label, LatestTs(generation), &mut journal);
+                live.insert_watched(label, LatestTs(generation), &mut journal);
                 // Re-arrivals of early labels change payloads, not the sample.
                 let old = gt_hash::fold61(i * 7);
-                live.insert_merging_watched(old, LatestTs(generation), &mut journal);
+                live.insert_watched(old, LatestTs(generation), &mut journal);
             }
             let (_, _, delta) = journal.delta(&live).unwrap();
             assert_eq!(delta, delta_between(&base, &live).unwrap());

@@ -194,19 +194,18 @@ mod tests {
     }
 
     #[test]
-    fn payload_chunk_union_matches_sequential_merging_build() {
+    fn payload_chunk_union_matches_sequential_build() {
         // Duplicate labels straddle chunk boundaries with distinct
-        // payloads, so chunk-local reconciliation (the merging batch
-        // kernel) AND union-time reconciliation both fire; the union must
-        // still equal the single-observer merging build exactly, payloads
-        // included.
+        // payloads, so chunk-local reconciliation (the batch kernel) AND
+        // union-time reconciliation both fire; the union must still equal
+        // the single-observer build exactly, payloads included.
         let config = SketchConfig::new(0.1, 0.1).unwrap();
         let items: Vec<(u64, u64)> = (0..30_000u64)
             .map(|i| (gt_hash::fold61(i % 9_000), i))
             .collect();
         let mut seq = GtSketch::<u64>::new(&config, 26);
         for &(l, p) in &items {
-            seq.insert_merging_with(l, p);
+            seq.insert_with(l, p);
         }
         let state = |s: &GtSketch<u64>| -> Vec<(u8, std::collections::BTreeMap<u64, u64>)> {
             s.trials()
@@ -219,7 +218,7 @@ mod tests {
                 .into_iter()
                 .map(|chunk| {
                     let mut s = GtSketch::new(&config, 26);
-                    s.insert_batch_merging_with(chunk);
+                    s.insert_batch_with(chunk);
                     s
                 })
                 .collect();

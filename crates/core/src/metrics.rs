@@ -2,12 +2,8 @@
 //! sampling and union machinery takes.
 //!
 //! Production sketch services need to see what their sketches are *doing*
-//! — duplicate rates, promotion cadence, and above all whether the local
-//! insert path and the union path take the same decisions (the
-//! payload-reconciliation counters here are what would have surfaced the
-//! historical `insert_merging` argument-order bug: a union and a single
-//! observer of the same stream must report identical reconciliation
-//! counts and identical final state).
+//! — duplicate rates, promotion cadence, and how a union's entries fared
+//! (absorbed, reconciled with a sampled label, or dropped below level).
 //!
 //! Every [`crate::GtSketch`] keeps its counters in one plain
 //! [`MetricsSnapshot`] field: no atomics, no locks, no allocation on the
@@ -120,9 +116,6 @@ pub struct MetricsSnapshot {
     pub inserts_evicted_by_promotion: u64,
     /// Level promotions from any cause (insert overflow or union).
     pub level_promotions: u64,
-    /// Payload reconciliations on local duplicate arrivals
-    /// (`insert_merging`).
-    pub local_reconciliations: u64,
     /// Sketch-level union operations.
     pub merge_calls: u64,
     /// Entries copied from the other side's samples during unions.
@@ -143,14 +136,6 @@ impl MetricsSnapshot {
             + self.inserts_evicted_by_promotion
     }
 
-    /// Total payload reconciliations, local and union. A single observer
-    /// and an equivalent union must agree on per-label payloads even
-    /// though this total differs (which is why the two are tracked
-    /// separately).
-    pub fn reconciliations(&self) -> u64 {
-        self.local_reconciliations + self.merge_reconciliations
-    }
-
     /// Field-wise sum, for aggregating shard or party snapshots.
     pub fn absorb(&mut self, other: &MetricsSnapshot) {
         self.inserts_sampled += other.inserts_sampled;
@@ -159,7 +144,6 @@ impl MetricsSnapshot {
         self.inserts_sampled_after_promotion += other.inserts_sampled_after_promotion;
         self.inserts_evicted_by_promotion += other.inserts_evicted_by_promotion;
         self.level_promotions += other.level_promotions;
-        self.local_reconciliations += other.local_reconciliations;
         self.merge_calls += other.merge_calls;
         self.merge_entries_absorbed += other.merge_entries_absorbed;
         self.merge_reconciliations += other.merge_reconciliations;
@@ -176,16 +160,6 @@ impl MetricsSnapshot {
             TrialInsert::SampledAfterPromotion => &mut self.inserts_sampled_after_promotion,
             TrialInsert::EvictedByPromotion => &mut self.inserts_evicted_by_promotion,
         } += n;
-    }
-
-    /// [`MetricsSnapshot::count_insert`] for `insert_merging` arrivals: a
-    /// duplicate also reconciles its payload into the stored one.
-    #[inline]
-    pub(crate) fn count_merging_insert(&mut self, outcome: TrialInsert, n: u64) {
-        self.count_insert(outcome, n);
-        if outcome == TrialInsert::Duplicate {
-            self.local_reconciliations += n;
-        }
     }
 
     /// Count `n` outcomes of the other side's entries during a union: a
@@ -210,7 +184,7 @@ impl Exposition for MetricsSnapshot {
     fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
         crate::expose!(f, "gt_sketch_", self; inserts_sampled, inserts_duplicate,
             inserts_below_level, inserts_sampled_after_promotion, inserts_evicted_by_promotion,
-            level_promotions, local_reconciliations, merge_calls, merge_entries_absorbed,
+            level_promotions, merge_calls, merge_entries_absorbed,
             merge_reconciliations, merge_below_level);
     }
 }
@@ -361,18 +335,14 @@ mod tests {
         s.count_insert(BelowLevel, 1);
         s.count_insert(SampledAfterPromotion, 1);
         s.count_insert(EvictedByPromotion, 1);
-        s.count_merging_insert(Duplicate, 1);
-        s.count_merging_insert(Sampled, 1);
+        s.count_insert(Duplicate, 1);
+        s.count_insert(Sampled, 1);
         assert_eq!(s.inserts_sampled, 3);
         assert_eq!(s.inserts_duplicate, 2);
         assert_eq!(s.inserts_below_level, 1);
         assert_eq!(s.inserts_sampled_after_promotion, 1);
         assert_eq!(s.inserts_evicted_by_promotion, 1);
         assert_eq!(s.trial_inserts(), 8);
-        assert_eq!(
-            s.local_reconciliations, 1,
-            "only a merging duplicate reconciles"
-        );
 
         // A union's outcomes land in `merge_*` and never in `inserts_*`.
         for (outcome, n) in [
@@ -388,7 +358,6 @@ mod tests {
         assert_eq!(s.merge_reconciliations, 2);
         assert_eq!(s.merge_below_level, 2);
         assert_eq!(s.trial_inserts(), 8);
-        assert_eq!(s.reconciliations(), 3);
         assert_eq!((s.level_promotions, s.merge_calls), (0, 0));
     }
 
@@ -455,14 +424,13 @@ mod tests {
         readings
     }
 
-    const SKETCH_FIELDS: [&str; 11] = [
+    const SKETCH_FIELDS: [&str; 10] = [
         "inserts_sampled",
         "inserts_duplicate",
         "inserts_below_level",
         "inserts_sampled_after_promotion",
         "inserts_evicted_by_promotion",
         "level_promotions",
-        "local_reconciliations",
         "merge_calls",
         "merge_entries_absorbed",
         "merge_reconciliations",

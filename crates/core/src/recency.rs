@@ -76,7 +76,7 @@ impl GtSketch<LatestTs> {
     /// any order (out-of-order streams keep the max per label).
     #[inline]
     pub fn insert(&mut self, label: u64, timestamp: u64) {
-        self.insert_merging_with(label, LatestTs(timestamp));
+        self.insert_with(label, LatestTs(timestamp));
     }
 
     /// Estimate of distinct labels whose **latest** arrival is at or

@@ -27,7 +27,8 @@ use gt_hash::mix64;
 pub enum InsertOutcome {
     /// The key was new and has been stored.
     Inserted,
-    /// The key was already present; the stored payload is untouched.
+    /// The key was already present; `value` was not stored (see
+    /// [`FixedCapMap::try_insert_with`] for updating the stored payload).
     AlreadyPresent,
     /// The map is at capacity and the key is not present; nothing changed.
     /// The caller must make room (the sketch promotes its level) and retry.
@@ -121,6 +122,19 @@ impl<V: Copy + Default> FixedCapMap<V> {
     /// the common case in duplicate-heavy streams and must be cheap.
     #[inline]
     pub fn try_insert(&mut self, key: u64, value: V) -> InsertOutcome {
+        self.try_insert_with(key, value, |_| {})
+    }
+
+    /// [`FixedCapMap::try_insert`], except that a key already present has
+    /// its stored payload handed to `on_present` to update in place, in
+    /// the slot the same probe found.
+    #[inline]
+    pub fn try_insert_with(
+        &mut self,
+        key: u64,
+        value: V,
+        on_present: impl FnOnce(&mut V),
+    ) -> InsertOutcome {
         debug_assert!(
             key != EMPTY,
             "u64::MAX is the empty sentinel, not a valid label"
@@ -129,6 +143,7 @@ impl<V: Copy + Default> FixedCapMap<V> {
         loop {
             let k = self.keys[idx];
             if k == key {
+                on_present(&mut self.values[idx]);
                 return InsertOutcome::AlreadyPresent;
             }
             if k == EMPTY {
@@ -161,23 +176,6 @@ impl<V: Copy + Default> FixedCapMap<V> {
             }
             if k == EMPTY {
                 return None;
-            }
-            idx = (idx + 1) & self.mask;
-        }
-    }
-
-    /// Apply `f` to the payload stored for `key`, if present. Returns
-    /// whether the key was found. Cost: one probe chain.
-    pub fn update(&mut self, key: u64, f: impl FnOnce(&mut V)) -> bool {
-        let mut idx = self.slot_of(key);
-        loop {
-            let k = self.keys[idx];
-            if k == key {
-                f(&mut self.values[idx]);
-                return true;
-            }
-            if k == EMPTY {
-                return false;
             }
             idx = (idx + 1) & self.mask;
         }
@@ -251,6 +249,11 @@ mod tests {
         assert_eq!(m.try_insert(9, 2), InsertOutcome::AlreadyPresent);
         assert_eq!(m.get(9), Some(1));
         assert_eq!(m.len(), 1);
+        // `try_insert_with` updates a present key in place, and only then.
+        let bump = |v: &mut u64| *v += 10;
+        assert_eq!(m.try_insert_with(9, 2, bump), InsertOutcome::AlreadyPresent);
+        assert_eq!(m.try_insert_with(8, 2, bump), InsertOutcome::Inserted);
+        assert_eq!((m.get(9), m.get(8)), (Some(11), Some(2)));
     }
 
     #[test]
@@ -368,7 +371,6 @@ mod tests {
             let missing = cap as u64;
             assert_eq!(m.get(missing), None, "cap {cap}");
             assert!(!m.contains(missing), "cap {cap}");
-            assert!(!m.update(missing, |v| *v += 1), "cap {cap}");
             assert_eq!(m.try_insert(missing, 0), InsertOutcome::Full, "cap {cap}");
         }
     }

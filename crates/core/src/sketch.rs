@@ -74,7 +74,11 @@ impl<V: Payload> GtSketch<V> {
         &self.trials
     }
 
-    /// Observe one `(label, payload)` item.
+    /// Observe one `(label, payload)` item. A label already in a trial's
+    /// sample reconciles its payload there as `stored.merge(incoming)`,
+    /// the one arrival rule of [`Payload`]: union, delta and batch ingest
+    /// follow it too, so a union of partial streams holds exactly what a
+    /// single observer of their concatenation holds, payloads included.
     ///
     /// Labels must lie in `[0, 2^61 − 1)`; fold bigger identifiers through
     /// [`gt_hash::fold61`] or use [`GtSketch::insert_hashed`].
@@ -86,29 +90,11 @@ impl<V: Payload> GtSketch<V> {
     /// [`GtSketch::insert_with`], reporting sample changes to `watch`.
     #[inline]
     pub fn insert_watched(&mut self, label: u64, payload: V, watch: &mut impl SampleWatch<V>) {
-        self.insert_each(label, payload, false, watch);
-    }
-
-    /// The per-item insert behind [`GtSketch::insert_watched`] and, with
-    /// `merging`, [`GtSketch::insert_merging_watched`].
-    #[inline]
-    fn insert_each(
-        &mut self,
-        label: u64,
-        payload: V,
-        merging: bool,
-        watch: &mut impl SampleWatch<V>,
-    ) {
         let m = &mut self.metrics;
         for (t, trial) in self.trials.iter_mut().enumerate() {
             watch.trial(t);
             let level_before = trial.level();
-            let outcome = trial.insert_watched(label, payload, merging, watch);
-            if merging {
-                m.count_merging_insert(outcome, 1);
-            } else {
-                m.count_insert(outcome, 1);
-            }
+            m.count_insert(trial.insert_watched(label, payload, watch), 1);
             m.level_promotions += u64::from(trial.level() - level_before);
         }
     }
@@ -120,32 +106,11 @@ impl<V: Payload> GtSketch<V> {
         self.insert_with(gt_hash::mix::fold_label(item), payload);
     }
 
-    /// Observe one `(label, payload)` item, merging the payload into the
-    /// stored one on duplicate arrivals (see
-    /// [`CoordinatedTrial::insert_merging`]).
-    #[inline]
-    pub fn insert_merging_with(&mut self, label: u64, payload: V) {
-        self.insert_merging_watched(label, payload, &mut ());
-    }
-
-    /// [`GtSketch::insert_merging_with`], reporting sample changes to
-    /// `watch`.
-    #[inline]
-    pub fn insert_merging_watched(
-        &mut self,
-        label: u64,
-        payload: V,
-        watch: &mut impl SampleWatch<V>,
-    ) {
-        self.insert_each(label, payload, true, watch);
-    }
-
-    /// Batch counterpart of [`GtSketch::insert_merging_with`]: observe
-    /// `(label, payload)` items through the kernel, reconciling duplicate
-    /// arrivals as `stored.merge(incoming)` — so payload-carrying
-    /// workloads get the same fast path as plain distinct counting.
-    /// Bitwise-identical (samples, levels, and metric snapshots) to the
-    /// per-item merging loop.
+    /// Batch counterpart of [`GtSketch::insert_with`]: observe
+    /// `(label, payload)` items through the trial kernel, so
+    /// payload-carrying workloads get the same fast path as plain
+    /// distinct counting. Bitwise-identical (samples, payloads, levels,
+    /// and metric snapshots) to the per-item loop.
     ///
     /// The batch is gathered once per [`KERNEL_CHUNK`] items into label
     /// and payload arrays shared by every trial, and each trial runs the
@@ -155,17 +120,13 @@ impl<V: Payload> GtSketch<V> {
     /// a bitmap word at a time against the raw hashes. The per-item vs
     /// batched vs kernel gap is measured by experiment `e4`
     /// (`experiments e4`, checked in-binary with `Table::check`).
-    pub fn insert_batch_merging_with(&mut self, items: &[(u64, V)]) {
-        self.insert_batch_merging_watched(items, &mut ());
+    pub fn insert_batch_with(&mut self, items: &[(u64, V)]) {
+        self.insert_batch_watched(items, &mut ());
     }
 
-    /// [`GtSketch::insert_batch_merging_with`], reporting sample changes
-    /// to `watch`.
-    pub fn insert_batch_merging_watched(
-        &mut self,
-        items: &[(u64, V)],
-        watch: &mut impl SampleWatch<V>,
-    ) {
+    /// [`GtSketch::insert_batch_with`], reporting sample changes to
+    /// `watch`.
+    pub fn insert_batch_watched(&mut self, items: &[(u64, V)], watch: &mut impl SampleWatch<V>) {
         let mut labels = [0u64; KERNEL_CHUNK];
         let mut payloads = [V::default(); KERNEL_CHUNK];
         let mut hashes = [0u64; KERNEL_CHUNK];
@@ -178,7 +139,7 @@ impl<V: Payload> GtSketch<V> {
             for (t, trial) in self.trials.iter_mut().enumerate() {
                 watch.trial(t);
                 let (labels, payloads) = (&labels[..n], &payloads[..n]);
-                trial.extend_pairs_kernel(labels, payloads, &mut hashes, &mut self.metrics, watch);
+                trial.extend_kernel(labels, payloads, &mut hashes, &mut self.metrics, watch);
             }
         }
     }
@@ -456,7 +417,7 @@ impl DistinctSketch {
     }
 
     /// Observe a slice of labels through the batch-monomorphic kernel —
-    /// the fastest bulk-ingest path (see [`GtSketch::insert_batch_merging_with`]
+    /// the fastest bulk-ingest path (see [`GtSketch::insert_batch_with`]
     /// for the kernel description; experiment `e4` for the numbers).
     pub fn extend_slice(&mut self, labels: &[u64]) {
         self.extend_slice_watched(labels, &mut ());
@@ -465,9 +426,13 @@ impl DistinctSketch {
     /// [`DistinctSketch::extend_slice`], reporting sample changes to
     /// `watch`.
     pub fn extend_slice_watched(&mut self, labels: &[u64], watch: &mut impl SampleWatch<()>) {
+        let mut hashes = [0u64; KERNEL_CHUNK];
         for (t, trial) in self.trials.iter_mut().enumerate() {
             watch.trial(t);
-            trial.extend_labels_kernel(labels, &mut self.metrics, watch);
+            for chunk in labels.chunks(KERNEL_CHUNK) {
+                let units = &[(); KERNEL_CHUNK][..chunk.len()];
+                trial.extend_kernel(chunk, units, &mut hashes, &mut self.metrics, watch);
+            }
         }
     }
 
@@ -496,6 +461,8 @@ pub const INGEST_BUF: usize = 1024;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recency::LatestTs;
+    use std::fmt::Debug;
 
     fn cfg(eps: f64, delta: f64) -> SketchConfig {
         SketchConfig::new(eps, delta).unwrap()
@@ -691,123 +658,127 @@ mod tests {
 
         let mut pairs = GtSketch::<u64>::new(&config, 12);
         let items: Vec<(u64, u64)> = data.iter().map(|&l| (l, 1)).collect();
-        pairs.insert_batch_merging_with(&items);
+        pairs.insert_batch_with(&items);
         assert_eq!(
             pairs.estimate_distinct().value,
             per_item.estimate_distinct().value
         );
     }
 
+    /// Feed `items` per item and as two batches; both must leave the same
+    /// state and metric snapshot. Returns the per-item sketch.
+    fn batch_matches_per_item<V: Payload + PartialEq + Debug>(items: &[(u64, V)]) -> GtSketch<V> {
+        let config = cfg(0.2, 0.2);
+        let mut per_item = GtSketch::new(&config, 41);
+        for &(l, p) in items {
+            per_item.insert_with(l, p);
+        }
+        let mut batched = GtSketch::new(&config, 41);
+        let (head, tail) = items.split_at(items.len() / 2);
+        batched.insert_batch_with(head);
+        batched.insert_batch_with(tail);
+        assert_eq!(SortedTrials::of(&batched), SortedTrials::of(&per_item));
+        assert_eq!(batched.metrics_snapshot(), per_item.metrics_snapshot());
+        per_item
+    }
+
     #[test]
     fn every_ingest_path_agrees_on_state_and_metrics() {
-        // The kernel, the reference trial-major loop, the buffered
-        // iterator path, and plain per-item inserts must all leave the
-        // sketch in bitwise-identical state AND report identical metric
-        // snapshots. Length > INGEST_BUF exercises the buffer flush.
-        let config = cfg(0.2, 0.2);
-        let data: Vec<u64> = labels(3 * INGEST_BUF as u64 + 17, 40).collect();
+        // Per-item inserts and the batch kernel must leave bitwise-identical
+        // state, payloads included, and identical metric snapshots for
+        // every payload. A second pass over the labels with new payloads
+        // makes sampled labels arrive again, so keep-first `u64` and
+        // keep-max `LatestTs` reconcile. For `()` the label-only paths —
+        // the kernel, the reference trial-major loop and the buffered
+        // iterator path (longer than INGEST_BUF, so its buffer flushes) —
+        // must agree too.
+        let pass: Vec<u64> = labels(3 * INGEST_BUF as u64 + 17, 40).collect();
+        let twice = || pass.iter().chain(&pass).copied().zip(0u64..);
+        batch_matches_per_item(&twice().map(|(l, i)| (l, l ^ i)).collect::<Vec<_>>());
+        batch_matches_per_item(&twice().map(|(l, i)| (l, LatestTs(i))).collect::<Vec<_>>());
+        let per_item = batch_matches_per_item(&twice().map(|(l, _)| (l, ())).collect::<Vec<_>>());
 
-        let mut per_item = DistinctSketch::new(&config, 41);
-        for &l in &data {
-            per_item.insert(l);
-        }
+        let data: Vec<u64> = twice().map(|(l, _)| l).collect();
+        let config = cfg(0.2, 0.2);
         let mut kernel = DistinctSketch::new(&config, 41);
         kernel.extend_slice(&data);
         let mut reference = DistinctSketch::new(&config, 41);
         reference.extend_slice_reference(&data);
         let mut buffered = DistinctSketch::new(&config, 41);
         buffered.extend_labels(data.iter().copied());
-
-        let state = |s: &DistinctSketch| -> Vec<(u8, u64, std::collections::BTreeSet<u64>)> {
-            s.trials()
-                .iter()
-                .map(|t| {
-                    (
-                        t.level(),
-                        t.items_observed(),
-                        t.sample_iter().map(|(k, _)| k).collect(),
-                    )
-                })
-                .collect()
-        };
-        let want_state = state(&per_item);
-        let want_metrics = per_item.metrics_snapshot();
         for (name, s) in [
             ("kernel", &kernel),
             ("reference", &reference),
             ("buffered", &buffered),
         ] {
-            assert_eq!(state(s), want_state, "{name} state diverged");
+            assert_eq!(
+                SortedTrials::of(s),
+                SortedTrials::of(&per_item),
+                "{name} state diverged"
+            );
             assert_eq!(
                 s.metrics_snapshot(),
-                want_metrics,
+                per_item.metrics_snapshot(),
                 "{name} metrics diverged"
             );
         }
     }
 
-    #[test]
-    fn batch_merging_matches_per_item_merging() {
-        let config = cfg(0.2, 0.2);
-        let items: Vec<(u64, u64)> = labels(4_000, 42).map(|l| (l, l ^ 0x1234)).collect();
-        // Two passes with different payloads so duplicates must reconcile.
-        let second: Vec<(u64, u64)> = items.iter().map(|&(l, p)| (l, p ^ 0xFFFF)).collect();
-
-        let mut per_item = GtSketch::<u64>::new(&config, 43);
-        for &(l, p) in items.iter().chain(second.iter()) {
-            per_item.insert_merging_with(l, p);
+    /// For every ingest entry and several cut points, the union of a
+    /// sketch fed the stream's prefix and one fed the rest must equal a
+    /// single observer of the whole stream, payloads included.
+    fn union_of_any_split_is_a_single_observer<V: Payload + PartialEq + Debug>(items: &[(u64, V)]) {
+        type Feed<V> = fn(&mut GtSketch<V>, &[(u64, V)]);
+        let feeds: [(&str, Feed<V>); 4] = [
+            ("insert_with", |s, items| {
+                items.iter().for_each(|&(l, p)| s.insert_with(l, p))
+            }),
+            ("insert_hashed", |s, items| {
+                items.iter().for_each(|&(l, p)| s.insert_hashed(&l, p))
+            }),
+            ("insert_watched", |s, items| {
+                items
+                    .iter()
+                    .for_each(|&(l, p)| s.insert_watched(l, p, &mut ()))
+            }),
+            ("insert_batch_with", |s, items| s.insert_batch_with(items)),
+        ];
+        let config = cfg(0.1, 0.1);
+        for (name, feed) in feeds {
+            let mut single = GtSketch::new(&config, 21);
+            feed(&mut single, items);
+            for cut in [0, items.len() / 3, items.len() / 2, items.len()] {
+                let (head, tail) = items.split_at(cut);
+                let mut a = GtSketch::new(&config, 21);
+                feed(&mut a, head);
+                let mut b = GtSketch::new(&config, 21);
+                feed(&mut b, tail);
+                let union = a.merged(&b).unwrap();
+                assert_eq!(
+                    SortedTrials::of(&union),
+                    SortedTrials::of(&single),
+                    "{name}, cut {cut}"
+                );
+            }
         }
-        let mut batched = GtSketch::<u64>::new(&config, 43);
-        batched.insert_batch_merging_with(&items);
-        batched.insert_batch_merging_with(&second);
-
-        let state = |s: &GtSketch<u64>| -> Vec<(u8, std::collections::BTreeMap<u64, u64>)> {
-            s.trials()
-                .iter()
-                .map(|t| (t.level(), t.sample_iter().collect()))
-                .collect()
-        };
-        assert_eq!(state(&batched), state(&per_item));
-        assert_eq!(batched.metrics_snapshot(), per_item.metrics_snapshot());
     }
 
     #[test]
     fn union_reconciles_payloads_like_a_single_observer() {
-        // Regression for the payload-merge asymmetry: u64's keep-first
-        // `merge` is non-commutative, so this fails if the local duplicate
-        // path and the union path reconcile in different argument orders.
-        let config = cfg(0.1, 0.1);
-        let seed = 21;
-        let first: Vec<(u64, u64)> = labels(2_000, 20).map(|l| (l, l ^ 0xAAAA)).collect();
-        let second: Vec<(u64, u64)> = first.iter().map(|&(l, _)| (l, l ^ 0x5555)).collect();
-
-        // One observer sees both passes over the labels.
-        let mut single = GtSketch::<u64>::new(&config, seed);
-        for &(l, p) in first.iter().chain(second.iter()) {
-            single.insert_merging_with(l, p);
-        }
-
-        // Two parties split the passes; the referee unions them.
-        let mut a = GtSketch::<u64>::new(&config, seed);
-        for &(l, p) in &first {
-            a.insert_merging_with(l, p);
-        }
-        let mut b = GtSketch::<u64>::new(&config, seed);
-        for &(l, p) in &second {
-            b.insert_merging_with(l, p);
-        }
-        let union = a.merged(&b).unwrap();
-
-        // Identical state means identical levels AND identical payloads —
-        // union-equals-single-observer for payloads, not just labels.
-        let state = |s: &GtSketch<u64>| -> Vec<(u8, std::collections::BTreeMap<u64, u64>)> {
-            s.trials()
-                .iter()
-                .map(|t| (t.level(), t.sample_iter().collect()))
-                .collect()
-        };
-        assert_eq!(state(&union), state(&single));
-        assert_eq!(union.items_observed(), single.items_observed());
+        // Every arrival of a sampled label leaves `stored.merge(incoming)`,
+        // on every ingest path and in the union. Keep-first `u64` fails if
+        // the union reconciles in the other argument order; keep-max
+        // `LatestTs` fails if an ingest path keeps the stored payload
+        // instead of merging. Two passes over the labels make every
+        // sampled label arrive again with a new payload.
+        let pass: Vec<u64> = labels(2_000, 20).collect();
+        let twice = || pass.iter().chain(&pass).copied().zip(0u64..);
+        union_of_any_split_is_a_single_observer(
+            &twice().map(|(l, i)| (l, l ^ i)).collect::<Vec<_>>(),
+        );
+        union_of_any_split_is_a_single_observer(
+            &twice().map(|(l, i)| (l, LatestTs(i))).collect::<Vec<_>>(),
+        );
     }
 
     #[test]
@@ -849,29 +820,15 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_local_reconciliations() {
-        let config = cfg(0.2, 0.2);
-        let mut s = GtSketch::<u64>::new(&config, 35);
-        let label = gt_hash::fold61(7);
-        s.insert_merging_with(label, 1);
-        assert_eq!(s.metrics_snapshot().local_reconciliations, 0);
-        s.insert_merging_with(label, 2);
-        let snap = s.metrics_snapshot();
-        // The duplicate reconciles once per trial (level 0 everywhere).
-        assert_eq!(snap.local_reconciliations, config.trials() as u64);
-        assert_eq!(snap.reconciliations(), snap.local_reconciliations);
-    }
-
-    #[test]
     fn reference_union_matches_kernel_union_bitwise() {
         let config = cfg(0.1, 0.1);
         let mut a = GtSketch::<u64>::new(&config, 60);
         let mut b = GtSketch::<u64>::new(&config, 60);
         for (i, l) in labels(30_000, 61).enumerate() {
-            a.insert_merging_with(l, i as u64);
+            a.insert_with(l, i as u64);
         }
         for (i, l) in labels(30_000, 62).enumerate() {
-            b.insert_merging_with(l, (i as u64) ^ 0xBEEF);
+            b.insert_with(l, (i as u64) ^ 0xBEEF);
         }
         let mut via_kernel = a.clone();
         via_kernel.merge_from(&b).unwrap();

@@ -40,23 +40,24 @@ const SCREEN_WINDOW: usize = 64;
 ///
 /// For plain distinct counting the payload is `()`. For SumDistinct-style
 /// aggregates it carries the label's value. `merge` reconciles payloads
-/// when the same label arrives twice (locally or via sketch union); the
-/// paper's model has the value be a function of the label, so agreement is
-/// expected — implementations for numeric types keep the first-seen value,
-/// matching "duplicate-insensitive" semantics.
+/// whenever a label already in the sample arrives again; the paper's model
+/// has the value be a function of the label, so agreement is expected —
+/// implementations for numeric types keep the first-seen value, matching
+/// "duplicate-insensitive" semantics.
 ///
-/// # Canonical argument order
+/// # The arrival rule
 ///
-/// `merge` is **always** invoked as `stored.merge(incoming)`: `self` is
-/// the payload already in the sample (first observed), `other` is the one
-/// arriving later — whether the later arrival comes from the local stream
-/// ([`CoordinatedTrial::insert_merging`]) or from another party's sketch
-/// ([`crate::GtSketch::merge_from`]). Implementations may rely on this
-/// order; it is what makes a union of partial streams reconcile payloads
-/// exactly like a single observer of the concatenated stream would.
+/// Every arrival of a sampled label — a local insert, per item or in a
+/// batch, an entry of another party's sketch in a union
+/// ([`crate::GtSketch::merge_from`]), or an entry of a delta — leaves
+/// `stored.merge(incoming)` in the sample: `self` is the payload already
+/// there (first observed), `other` the one arriving later. There is no
+/// other path. Implementations may rely on this order; it is what makes a
+/// union of partial streams reconcile payloads exactly like a single
+/// observer of the concatenated stream would.
 pub trait Payload: Copy + Default {
     /// Reconcile two payloads observed for the same label. Invoked as
-    /// `stored.merge(incoming)` (see the trait docs on argument order).
+    /// `stored.merge(incoming)` (see the trait docs on the arrival rule).
     fn merge(self, other: Self) -> Self;
 }
 
@@ -317,20 +318,20 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// `2^61 − 1` by the hash arithmetic (use `gt_hash::fold61` for
     /// full-range labels). Amortized cost is O(1) hash evaluations plus,
     /// over the whole stream, O(log F₀) sub-sampling sweeps.
+    ///
+    /// A label already in the sample reconciles its payload as
+    /// `stored.merge(incoming)` (see [`Payload`]).
     #[inline]
     pub fn insert(&mut self, label: u64, payload: V) -> TrialInsert {
-        self.insert_watched(label, payload, false, &mut ())
+        self.insert_watched(label, payload, &mut ())
     }
 
-    /// [`CoordinatedTrial::insert`], or with `merging`
-    /// [`CoordinatedTrial::insert_merging`], reporting sample changes to
-    /// `watch`.
+    /// [`CoordinatedTrial::insert`], reporting sample changes to `watch`.
     #[inline]
     pub(crate) fn insert_watched(
         &mut self,
         label: u64,
         payload: V,
-        merging: bool,
         watch: &mut impl SampleWatch<V>,
     ) -> TrialInsert {
         self.items_observed += 1;
@@ -338,41 +339,27 @@ impl<V: Payload> CoordinatedTrial<V> {
         if lvl < self.level {
             return TrialInsert::BelowLevel;
         }
-        self.insert_qualified(label, lvl, payload, merging, watch)
+        self.insert_qualified(label, lvl, payload, watch)
     }
 
     /// Sample-insertion slow path shared by [`CoordinatedTrial::insert`]
-    /// and the batch kernels: the label is already known to qualify
+    /// and the trial kernel: the label is already known to qualify
     /// (`lvl ≥ self.level`) and `items_observed` is already counted.
-    /// With `merging`, a duplicate folds its payload in as
-    /// `stored.merge(incoming)`; without, it leaves the stored one alone.
     #[inline]
     fn insert_qualified(
         &mut self,
         label: u64,
         lvl: u8,
         payload: V,
-        merging: bool,
         watch: &mut impl SampleWatch<V>,
     ) -> TrialInsert {
         debug_assert!(lvl >= self.level);
         let mut promoted = false;
         loop {
-            match self.sample.try_insert(label, payload) {
-                InsertOutcome::Inserted => {
-                    watch.admitted(label, payload);
-                    return if promoted {
-                        TrialInsert::SampledAfterPromotion
-                    } else {
-                        TrialInsert::Sampled
-                    };
-                }
-                InsertOutcome::AlreadyPresent => {
-                    if merging {
-                        self.merge_payload(label, payload, watch);
-                    }
-                    return TrialInsert::Duplicate;
-                }
+            match self.offer(label, payload, watch) {
+                InsertOutcome::Inserted if promoted => return TrialInsert::SampledAfterPromotion,
+                InsertOutcome::Inserted => return TrialInsert::Sampled,
+                InsertOutcome::AlreadyPresent => return TrialInsert::Duplicate,
                 InsertOutcome::Full => {
                     self.raise_level(self.level + 1, watch);
                     promoted = true;
@@ -384,19 +371,25 @@ impl<V: Payload> CoordinatedTrial<V> {
         }
     }
 
-    /// Fold `incoming` into the payload stored for the sampled `label` as
-    /// `stored.merge(incoming)`, the canonical order.
+    /// The arrival rule, in one probe of the sample: a new `label` is
+    /// stored with `incoming` if there is room, and a sampled one has its
+    /// payload replaced by `stored.merge(incoming)` in place. Either
+    /// change is reported to `watch`.
     #[inline]
-    fn merge_payload(&mut self, label: u64, incoming: V, watch: &mut impl SampleWatch<V>) {
-        self.sample.update(label, |v| {
+    fn offer(&mut self, label: u64, incoming: V, watch: &mut impl SampleWatch<V>) -> InsertOutcome {
+        let outcome = self.sample.try_insert_with(label, incoming, |v| {
             let stored = *v;
             *v = stored.merge(incoming);
             watch.merged(label, stored, *v);
         });
+        if outcome == InsertOutcome::Inserted {
+            watch.admitted(label, incoming);
+        }
+        outcome
     }
 
-    /// The one screen-and-insert loop behind label ingest, pair ingest and
-    /// union, over a chunk of at most [`KERNEL_CHUNK`] labels.
+    /// The one screen-and-insert loop behind ingest and union, over a
+    /// chunk of at most [`KERNEL_CHUNK`] labels.
     ///
     /// One [`HashFamily::hash_slice_into`] call hashes the whole chunk
     /// with the family enum dispatched once; `SCREEN_WINDOW`-wide windows
@@ -414,18 +407,14 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// against the *current* mask in slice order, because an insert earlier
     /// in the window may have promoted the level.
     ///
-    /// With `payloads`, label `i` carries `payloads[i]` and a duplicate
-    /// folds it in as `stored.merge(incoming)` (the canonical order);
-    /// without, every label carries `V::default()` and a duplicate leaves
-    /// the stored payload alone, like [`CoordinatedTrial::insert`]. Each
-    /// item's outcome goes to `count(outcome, n)`, below-level items a
-    /// window at a time. The caller counts `items_observed` and the level
-    /// promotions.
+    /// Label `i` carries `payloads[i]`. Each item's outcome goes to
+    /// `count(outcome, n)`, below-level items a window at a time. The
+    /// caller counts `items_observed` and the level promotions.
     #[inline]
     fn screen_and_insert(
         &mut self,
         labels: &[u64],
-        payloads: Option<&[V]>,
+        payloads: &[V],
         hashes: &mut [u64; KERNEL_CHUNK],
         mut count: impl FnMut(TrialInsert, u64),
         watch: &mut impl SampleWatch<V>,
@@ -450,44 +439,22 @@ impl<V: Payload> CoordinatedTrial<V> {
                     continue;
                 }
                 let at = w * SCREEN_WINDOW + i;
-                let payload = payloads.map_or_else(V::default, |p| p[at]);
-                let merging = payloads.is_some();
                 let outcome =
-                    self.insert_qualified(labels[at], level_of_hash(h), payload, merging, watch);
+                    self.insert_qualified(labels[at], level_of_hash(h), payloads[at], watch);
                 count(outcome, 1);
                 mask = survival_mask(self.level);
             }
         }
     }
 
-    /// Batch-observe a slice of labels (payload `V::default()`) through
-    /// the trial kernel, counting outcomes and promotions into `m`.
-    /// Bitwise-identical in sample, level, `items_observed` and counters
-    /// to calling [`CoordinatedTrial::insert`] per item in slice order
+    /// Batch-observe one chunk of `(labels[i], payloads[i])` pairs (at
+    /// most [`KERNEL_CHUNK`]) through the trial kernel, counting outcomes
+    /// and promotions into `m` — the ingest side of the kernel; label-only
+    /// callers pass `()` payloads. Bitwise-identical in sample, payloads,
+    /// level, `items_observed` and counters to calling
+    /// [`CoordinatedTrial::insert`] per item in slice order
     /// (property-tested).
-    pub(crate) fn extend_labels_kernel(
-        &mut self,
-        labels: &[u64],
-        m: &mut MetricsSnapshot,
-        watch: &mut impl SampleWatch<V>,
-    ) {
-        let level_before = self.level;
-        self.items_observed += labels.len() as u64;
-        let mut hashes = [0u64; KERNEL_CHUNK];
-        for chunk in labels.chunks(KERNEL_CHUNK) {
-            let count = |o, n| m.count_insert(o, n);
-            self.screen_and_insert(chunk, None, &mut hashes, count, watch);
-        }
-        m.level_promotions += u64::from(self.level - level_before);
-    }
-
-    /// Batch-observe one gathered chunk of `(labels[i], payloads[i])`
-    /// pairs (at most [`KERNEL_CHUNK`]) through the trial kernel.
-    /// Duplicate arrivals reconcile payloads in place as
-    /// `stored.merge(incoming)` — the canonical argument order, matching
-    /// [`CoordinatedTrial::insert_merging`] — and count into
-    /// `m.local_reconciliations`.
-    pub(crate) fn extend_pairs_kernel(
+    pub(crate) fn extend_kernel(
         &mut self,
         labels: &[u64],
         payloads: &[V],
@@ -497,23 +464,9 @@ impl<V: Payload> CoordinatedTrial<V> {
     ) {
         let level_before = self.level;
         self.items_observed += labels.len() as u64;
-        let count = |o, n| m.count_merging_insert(o, n);
-        self.screen_and_insert(labels, Some(payloads), hashes, count, watch);
+        let count = |o, n| m.count_insert(o, n);
+        self.screen_and_insert(labels, payloads, hashes, count, watch);
         m.level_promotions += u64::from(self.level - level_before);
-    }
-
-    /// Like [`CoordinatedTrial::insert`], but a duplicate arrival *merges*
-    /// its payload into the stored one as `stored.merge(incoming)` —
-    /// the **same argument order** [`crate::GtSketch::merge_from`] uses
-    /// when both sides of a union sampled the label, so a local stream and
-    /// a union of partial streams reconcile identically (keep-first for
-    /// the built-in payload types). Used by payloads that accumulate
-    /// per-label state across arrivals (e.g. latest-timestamp tracking);
-    /// plain distinct counting sticks with `insert`, which skips the extra
-    /// probe work on duplicates.
-    #[inline]
-    pub fn insert_merging(&mut self, label: u64, payload: V) -> TrialInsert {
-        self.insert_watched(label, payload, true, &mut ())
     }
 
     /// Force the trial down to sampling level `target ≥ self.level`,
@@ -555,10 +508,9 @@ impl<V: Payload> CoordinatedTrial<V> {
     }
 
     /// Apply one trial of a delta (see [`crate::delta`]) in place: raise
-    /// the level to the delta's `level`, fold its `entries` in (a
-    /// duplicate merges as `stored.merge(incoming)`), and adopt its
-    /// `items` counter. The caller has checked that the result fits the
-    /// capacity.
+    /// the level to the delta's `level`, offer its `entries` to the sample
+    /// under the arrival rule, and adopt its `items` counter. The caller
+    /// has checked that the result fits the capacity.
     pub(crate) fn apply_delta(
         &mut self,
         level: u8,
@@ -568,11 +520,11 @@ impl<V: Payload> CoordinatedTrial<V> {
     ) {
         self.raise_level(level, watch);
         for &(label, incoming) in entries {
-            match self.sample.try_insert(label, incoming) {
-                InsertOutcome::Inserted => watch.admitted(label, incoming),
-                InsertOutcome::AlreadyPresent => self.merge_payload(label, incoming, watch),
-                InsertOutcome::Full => unreachable!("delta fit was checked before applying"),
-            }
+            let outcome = self.offer(label, incoming, watch);
+            assert!(
+                outcome != InsertOutcome::Full,
+                "delta fit was checked before applying"
+            );
         }
         self.items_observed = items;
     }
@@ -710,7 +662,7 @@ impl<V: Payload> CoordinatedTrial<V> {
                 break;
             }
             let count = |outcome, k| m.count_union(outcome, k);
-            let (labels, payloads) = (&labels[..n], Some(&payloads[..n]));
+            let (labels, payloads) = (&labels[..n], &payloads[..n]);
             self.screen_and_insert(labels, payloads, &mut hashes, count, &mut ());
         }
         self.items_observed += items;
@@ -738,18 +690,14 @@ impl<V: Payload> CoordinatedTrial<V> {
                 continue; // other ran at a lower level; this label no longer qualifies
             }
             loop {
-                match self.sample.try_insert(label, payload) {
+                match self.offer(label, payload, &mut ()) {
                     InsertOutcome::Inserted => {
                         m.merge_entries_absorbed += 1;
                         break;
                     }
                     InsertOutcome::AlreadyPresent => {
-                        // Both sides sampled this label: reconcile payloads
-                        // in place as `stored.merge(incoming)` — the same
-                        // argument order `insert_merging` uses locally
-                        // (keep-first for the built-in payload types,
-                        // custom for user payloads).
-                        self.sample.update(label, |v| *v = v.merge(payload));
+                        // Both sides sampled this label: `offer` left
+                        // `stored.merge(incoming)`, as every arrival does.
                         m.merge_reconciliations += 1;
                         break;
                     }
@@ -772,6 +720,7 @@ impl<V: Payload> CoordinatedTrial<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recency::LatestTs;
     use gt_hash::{FamilySeed, HashFamilyKind};
 
     fn trial(capacity: usize, seed: u64) -> CoordinatedTrial<()> {
@@ -1050,23 +999,23 @@ mod tests {
     }
 
     #[test]
-    fn local_merging_and_union_reconcile_in_the_same_order() {
+    fn local_and_union_arrivals_reconcile_in_the_same_order() {
         // Regression for the payload-merge asymmetry: with a keep-first
         // payload (u64), the same label carrying different payloads must
         // resolve to the *first observed* payload both when the duplicate
-        // arrives locally (insert_merging) and when it arrives via union
+        // arrives locally (insert) and when it arrives via union
         // (merge_from).
         let hasher = HashFamilyKind::Pairwise.build(FamilySeed(31));
         let label = gt_hash::fold61(0xFEED);
 
         let mut local: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher.clone(), 16);
-        local.insert_merging(label, 111);
-        local.insert_merging(label, 222);
+        local.insert(label, 111);
+        local.insert(label, 222);
 
         let mut first: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher.clone(), 16);
-        first.insert_merging(label, 111);
+        first.insert(label, 111);
         let mut second: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher, 16);
-        second.insert_merging(label, 222);
+        second.insert(label, 222);
         let mut m = MetricsSnapshot::default();
         first.merge_from(&second, &mut m).unwrap();
         assert_eq!(m.merge_reconciliations, 1);
@@ -1077,63 +1026,55 @@ mod tests {
         assert_eq!(union_payload, 111, "union path must keep the first payload");
     }
 
-    #[test]
-    fn labels_kernel_is_bitwise_identical_to_per_item_insert() {
-        // Sizes straddle KERNEL_CHUNK so both the full-chunk and the
-        // remainder paths run, and the capacity forces mid-batch
-        // promotions (the mask-refresh path).
-        for n in [0u64, 1, 255, 256, 257, 5_000] {
-            let v: Vec<u64> = labels(n, 30).collect();
-            let mut per_item = trial(32, 31);
-            let mut per_item_counts = MetricsSnapshot::default();
-            for &x in &v {
-                let before = per_item.level();
-                per_item_counts.count_insert(per_item.insert(x, ()), 1);
-                per_item_counts.level_promotions += u64::from(per_item.level() - before);
-            }
-            let mut kernel = trial(32, 31);
-            let mut kernel_counts = MetricsSnapshot::default();
-            kernel.extend_labels_kernel(&v, &mut kernel_counts, &mut ());
-            assert_eq!(kernel.level(), per_item.level(), "n = {n}");
-            assert_eq!(kernel.items_observed(), per_item.items_observed());
-            let set = |t: &CoordinatedTrial<()>| -> std::collections::BTreeSet<u64> {
-                t.sample_iter().map(|(k, _)| k).collect()
-            };
-            assert_eq!(set(&kernel), set(&per_item), "n = {n}");
-            assert_eq!(kernel_counts, per_item_counts, "n = {n}");
+    /// Drive `items` through per-item `insert` and through the kernel a
+    /// chunk at a time, require the same state (payloads included) and the
+    /// same counters, and return the counters.
+    fn kernel_matches_per_item<V: Payload + PartialEq + std::fmt::Debug>(
+        items: &[(u64, V)],
+    ) -> MetricsSnapshot {
+        let hasher = HashFamilyKind::Pairwise.build(FamilySeed(31));
+        let mut per_item: CoordinatedTrial<V> = CoordinatedTrial::new(hasher.clone(), 32);
+        let mut per_item_counts = MetricsSnapshot::default();
+        for &(l, p) in items {
+            let before = per_item.level();
+            per_item_counts.count_insert(per_item.insert(l, p), 1);
+            per_item_counts.level_promotions += u64::from(per_item.level() - before);
         }
+        let mut kernel: CoordinatedTrial<V> = CoordinatedTrial::new(hasher, 32);
+        let mut kernel_counts = MetricsSnapshot::default();
+        let mut hashes = [0u64; KERNEL_CHUNK];
+        for chunk in items.chunks(KERNEL_CHUNK) {
+            let (labels, payloads): (Vec<u64>, Vec<V>) = chunk.iter().copied().unzip();
+            kernel.extend_kernel(&labels, &payloads, &mut hashes, &mut kernel_counts, &mut ());
+        }
+        let state = |t: &CoordinatedTrial<V>| {
+            let mut sample: Vec<(u64, V)> = t.sample_iter().collect();
+            sample.sort_unstable_by_key(|&(k, _)| k);
+            (t.level(), t.items_observed(), sample)
+        };
+        assert_eq!(state(&kernel), state(&per_item), "n = {}", items.len());
+        assert_eq!(kernel_counts, per_item_counts, "n = {}", items.len());
+        kernel_counts
     }
 
     #[test]
-    fn merging_pairs_kernel_reconciles_like_insert_merging() {
-        let hasher = HashFamilyKind::Pairwise.build(FamilySeed(33));
-        let items: Vec<(u64, u64)> = labels(3_000, 32)
-            .chain(labels(3_000, 32)) // second pass: all duplicates
-            .enumerate()
-            .map(|(i, l)| (l, i as u64))
-            .collect();
-        let mut per_item: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher.clone(), 64);
-        let mut per_item_counts = MetricsSnapshot::default();
-        for &(l, p) in &items {
-            let before = per_item.level();
-            per_item_counts.count_merging_insert(per_item.insert_merging(l, p), 1);
-            per_item_counts.level_promotions += u64::from(per_item.level() - before);
+    fn kernel_is_bitwise_identical_to_per_item_insert() {
+        // Pass lengths straddle KERNEL_CHUNK so both the full-chunk and
+        // the remainder paths run, capacity 32 forces mid-batch promotions
+        // (the mask-refresh path), and a second pass with new payloads
+        // makes every sampled label arrive again: keep-first `u64` and
+        // keep-max `LatestTs` must reconcile as per-item inserts do.
+        for n in [0u64, 1, 255, 256, 257, 5_000] {
+            let pass: Vec<u64> = labels(n, 30).collect();
+            let twice = || pass.iter().chain(&pass).copied().zip(0u64..);
+            let units: Vec<(u64, ())> = twice().map(|(l, _)| (l, ())).collect();
+            let counts = kernel_matches_per_item(&units);
+            assert_eq!(counts.inserts_duplicate > 0, n > 0, "n = {n}");
+            let values: Vec<(u64, u64)> = twice().collect();
+            kernel_matches_per_item(&values);
+            let stamps: Vec<(u64, LatestTs)> = twice().map(|(l, i)| (l, LatestTs(i))).collect();
+            kernel_matches_per_item(&stamps);
         }
-        let mut kernel: CoordinatedTrial<u64> = CoordinatedTrial::new(hasher, 64);
-        let mut m = MetricsSnapshot::default();
-        let mut hashes = [0u64; KERNEL_CHUNK];
-        for chunk in items.chunks(KERNEL_CHUNK) {
-            let (labels, payloads): (Vec<u64>, Vec<u64>) = chunk.iter().copied().unzip();
-            kernel.extend_pairs_kernel(&labels, &payloads, &mut hashes, &mut m, &mut ());
-        }
-        let state = |t: &CoordinatedTrial<u64>| -> std::collections::BTreeMap<u64, u64> {
-            t.sample_iter().collect()
-        };
-        assert_eq!(state(&kernel), state(&per_item));
-        assert_eq!(kernel.level(), per_item.level());
-        assert_eq!(m, per_item_counts);
-        assert!(m.inserts_duplicate > 0);
-        assert_eq!(m.inserts_duplicate, m.local_reconciliations);
     }
 
     #[test]
@@ -1162,7 +1103,7 @@ mod tests {
                 for x in labels(n, salt) {
                     // Shared label prefix across parties, but payloads
                     // disagree — reconciliation order is observable.
-                    t.insert_merging(x, x.wrapping_mul(3) ^ payload_salt);
+                    t.insert(x, x.wrapping_mul(3) ^ payload_salt);
                 }
                 t
             };

@@ -324,7 +324,7 @@ impl<V: StorePayload> ShardState<V> {
 
     /// Materialize a packed slot into `sketch`: reload the sketch section
     /// (or clear, when the key has only ever buffered deltas), then replay
-    /// the delta items in arrival order through the merging batch kernel.
+    /// the delta items in arrival order through the batch kernel.
     /// An exact section reloads every trial at level 0 from its one list;
     /// a replay that overflows it promotes every trial, and the next
     /// writeback packs the per-trial form. Pure function of the slot
@@ -378,7 +378,7 @@ impl<V: StorePayload> ShardState<V> {
             at += ew;
         }
         if !replay.is_empty() {
-            sketch.insert_batch_merging_with(replay);
+            sketch.insert_batch_with(replay);
         }
     }
 
@@ -877,14 +877,12 @@ impl<V: StorePayload> ShardState<V> {
         Ok(())
     }
 
-    /// Hot-tier ingest: straight through the merging batch kernel.
+    /// Hot-tier ingest: straight through the batch kernel.
     fn ingest_pinned(&mut self, idx: usize, run: &[Staged<V>]) {
         self.run_buf.clear();
         self.run_buf
             .extend(run.iter().map(|s| (s.label, s.payload)));
-        self.pinned[idx]
-            .sketch
-            .insert_batch_merging_with(&self.run_buf);
+        self.pinned[idx].sketch.insert_batch_with(&self.run_buf);
     }
 
     /// Run `f` on `key`'s authoritative sketch and record the touch:
@@ -1467,7 +1465,7 @@ mod tests {
     }
 
     #[test]
-    fn payload_store_matches_standalone_merging_sketch() {
+    fn payload_store_matches_standalone_sketch() {
         let config = tiny_cfg();
         let store = SketchStore::<u64>::new(&config, 13, opts(64 << 20)).unwrap();
         let mut items = Vec::new();
@@ -1481,7 +1479,7 @@ mod tests {
             let mut standalone = GtSketch::<u64>::new(&config, 13);
             for &(k, l, p) in &items {
                 if k == key {
-                    standalone.insert_merging_with(l, p);
+                    standalone.insert_with(l, p);
                 }
             }
             assert_eq!(
@@ -1559,7 +1557,7 @@ mod tests {
     ) -> Bytes {
         let mut sketch = GtSketch::<V>::new(config, seed);
         for &(label, payload) in items {
-            sketch.insert_merging_with(label, payload);
+            sketch.insert_with(label, payload);
         }
         encode_sketch(&sketch)
     }

@@ -507,8 +507,10 @@ fn get_coordinated_header<V: WirePayload>(
 /// [`SortedTrials::push_checked`] against `like`'s trial of the same
 /// index: the level bound, then each label's range, qualification, order
 /// and uniqueness. Entries decode in label order, since the wire stores
-/// non-negative gaps. Trailing bytes are refused. Nothing sized by the
-/// capacity is allocated up front, so a delta costs O(delta) to decode.
+/// non-negative gaps. Trailing bytes are refused. `body` is reserved once
+/// for at most min(message bytes, trials × capacity) entries — every
+/// entry costs at least one wire byte — so what is allocated stays
+/// bounded by the input and a delta costs O(delta) to decode.
 ///
 /// On `Err`, `body` holds an unspecified prefix of the trials.
 pub fn decode_trials<V: WirePayload>(
@@ -519,6 +521,7 @@ pub fn decode_trials<V: WirePayload>(
     get_coordinated_header(&mut buf, like)?;
     body.clear();
     let capacity = like.config().capacity();
+    body.reserve(buf.remaining().min(like.trials().len() * capacity));
     let mut entries: Vec<(u64, V)> = Vec::new();
     for trial in like.trials() {
         let level = get_u8(&mut buf)?;
@@ -610,7 +613,7 @@ mod tests {
 
         let mut payload = GtSketch::<u64>::new(&cfg(), 3);
         for i in 0..5_000u64 {
-            payload.insert_merging_with(gt_hash::fold61(i), i * 977);
+            payload.insert_with(gt_hash::fold61(i), i * 977);
         }
         assert_eq!(encode_sketch(&payload).len(), encoded_sketch_len(&payload));
 
@@ -645,7 +648,7 @@ mod tests {
             let mut stamped = GtSketch::<gt_core::LatestTs>::new(&cfg(), 5);
             for i in 0..n {
                 labels.insert(gt_hash::fold61(i));
-                stamped.insert_merging_with(gt_hash::fold61(i), gt_core::LatestTs(i * 31));
+                stamped.insert_with(gt_hash::fold61(i), gt_core::LatestTs(i * 31));
             }
             assert_eq!(labels.max_level() > 0, n > 40);
             assert_eq!(stamped.max_level() > 0, n > 40);
@@ -1014,7 +1017,7 @@ mod tests {
     fn decode_trials_matches_decode_and_reuses_its_body() {
         let mut s = GtSketch::<u64>::new(&cfg(), 42);
         for i in 0..30_000u64 {
-            s.insert_merging_with(gt_hash::fold61(i), i);
+            s.insert_with(gt_hash::fold61(i), i);
         }
         let bytes = encode_sketch(&s);
         let fresh: GtSketch<u64> = decode_sketch(bytes.clone()).unwrap();
@@ -1277,7 +1280,7 @@ mod tests {
         use gt_core::LatestTs;
         let mut s = GtSketch::<LatestTs>::new(&cfg(), 15);
         for t in 0..3_000u64 {
-            s.insert_merging_with(gt_hash::fold61(t % 2_000), LatestTs(t));
+            s.insert_with(gt_hash::fold61(t % 2_000), LatestTs(t));
         }
         let bytes = encode_sketch(&s);
         let d: GtSketch<LatestTs> = decode_sketch(bytes.clone()).unwrap();
@@ -1315,7 +1318,7 @@ mod tests {
         use gt_core::{LatestTs, StateKey};
         let mut s = GtSketch::<LatestTs>::new(&cfg(), 3);
         for i in 0..20_000u64 {
-            s.insert_merging_with(gt_hash::fold61(i % 7_000), LatestTs(i));
+            s.insert_with(gt_hash::fold61(i % 7_000), LatestTs(i));
         }
         let decoded: GtSketch<LatestTs> = decode_sketch(encode_sketch(&s)).unwrap();
         assert_eq!(

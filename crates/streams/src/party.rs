@@ -151,20 +151,21 @@ impl<V: WirePayload> DeltaParty<V> {
         self.id
     }
 
-    /// Observe one `(label, payload)` item (payload-merging, so
-    /// re-arrivals reconcile exactly like a single observer's would).
+    /// Observe one `(label, payload)` item. A label already sampled
+    /// reconciles its payload as `stored.merge(incoming)`, the rule every
+    /// arrival follows, so the referee's union of parties holds what a
+    /// single observer of their streams would.
     #[inline]
     pub fn observe_with(&mut self, label: u64, payload: V) {
         self.sketch
-            .insert_merging_watched(label, payload, &mut self.journal);
+            .insert_watched(label, payload, &mut self.journal);
     }
 
-    /// Observe a batch of `(label, payload)` items through the merging
-    /// batch kernel ([`GtSketch::insert_batch_merging_with`]) — same
-    /// state and counters as [`DeltaParty::observe_with`] per item.
+    /// Observe a batch of `(label, payload)` items through the batch
+    /// kernel ([`GtSketch::insert_batch_with`]) — same state and counters
+    /// as [`DeltaParty::observe_with`] per item.
     pub fn observe_batch(&mut self, items: &[(u64, V)]) {
-        self.sketch
-            .insert_batch_merging_watched(items, &mut self.journal);
+        self.sketch.insert_batch_watched(items, &mut self.journal);
     }
 
     /// Read access to the live sketch.
@@ -272,7 +273,7 @@ impl<V: WirePayload> DeltaParty<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_core::{delta_between, StateKey};
+    use gt_core::{delta_between, SortedTrials, StateKey};
 
     fn cfg() -> SketchConfig {
         SketchConfig::new(0.1, 0.1).unwrap()
@@ -532,5 +533,51 @@ mod tests {
         let b_many = many.finish().bytes();
         // Only the items_observed varint grows (few bytes per trial).
         assert!(b_many < b_once + 3 * cfg().trials(), "{b_once} vs {b_many}");
+    }
+
+    /// Feed `items` to parties through `observe_with` and `observe_batch`:
+    /// for several cut points the union of a party fed the prefix and one
+    /// fed the rest must equal one party fed everything, payloads and
+    /// item counters included.
+    fn observed_union_is_a_single_observer<V: WirePayload + std::fmt::Debug>(items: &[(u64, V)]) {
+        type Feed<V> = fn(&mut DeltaParty<V>, &[(u64, V)]);
+        let feeds: [(&str, Feed<V>); 2] = [
+            ("observe_with", |p, items| {
+                items.iter().for_each(|&(l, v)| p.observe_with(l, v))
+            }),
+            ("observe_batch", |p, items| p.observe_batch(items)),
+        ];
+        for (name, feed) in feeds {
+            let mut single = DeltaParty::new(0, &cfg(), 9);
+            feed(&mut single, items);
+            for cut in [0, items.len() / 3, items.len() / 2, items.len()] {
+                let (head, tail) = items.split_at(cut);
+                let (mut a, mut b) = (DeltaParty::new(1, &cfg(), 9), DeltaParty::new(2, &cfg(), 9));
+                feed(&mut a, head);
+                feed(&mut b, tail);
+                let union = a.sketch().merged(b.sketch()).unwrap();
+                assert_eq!(
+                    SortedTrials::of(&union),
+                    SortedTrials::of(single.sketch()),
+                    "{name}, cut {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn observed_payloads_reconcile_like_a_union() {
+        // A second pass over the labels with new payloads makes every
+        // sampled label arrive again: keep-max `LatestTs` fails if a
+        // party keeps the stored payload instead of merging, keep-first
+        // `u64` if the union merges in the other argument order.
+        let pass: Vec<u64> = (0..2_000u64).map(gt_hash::fold61).collect();
+        let twice = || pass.iter().chain(&pass).copied().zip(0u64..);
+        observed_union_is_a_single_observer(&twice().map(|(l, i)| (l, l ^ i)).collect::<Vec<_>>());
+        observed_union_is_a_single_observer(
+            &twice()
+                .map(|(l, i)| (l, gt_core::LatestTs(i)))
+                .collect::<Vec<_>>(),
+        );
     }
 }

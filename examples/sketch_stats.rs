@@ -2,9 +2,9 @@
 //!
 //! Run with: `cargo run --release --example sketch_stats`
 //!
-//! Every `GtSketch` carries zero-dependency atomic counters recording what
-//! its trials did — insert outcomes, level promotions, merge accounting,
-//! and payload reconciliations on both the local and the union path. This
+//! Every `GtSketch` carries zero-dependency counters recording what its
+//! trials did — insert outcomes, level promotions, and merge accounting,
+//! payload reconciliations on the union path included. This
 //! example drives a small two-site scenario plus a referee round-trip and
 //! prints the counters as Prometheus text and as JSON.
 

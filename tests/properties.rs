@@ -181,6 +181,24 @@ mod batch_equivalence {
             .collect()
     }
 
+    /// Feed `items` per item and as one batch: both must leave the same
+    /// state, payloads included, and the same metric snapshot.
+    fn batch_matches_per_item<V: gt_sketch::Payload + Ord + std::fmt::Debug>(
+        items: &[(u64, V)],
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let cfg = small_config();
+        let mut per_item = GtSketch::<V>::new(&cfg, seed);
+        for &(l, p) in items {
+            per_item.insert_with(l, p);
+        }
+        let mut batched = GtSketch::<V>::new(&cfg, seed);
+        batched.insert_batch_with(items);
+        prop_assert_eq!(payload_state(&batched), payload_state(&per_item));
+        prop_assert_eq!(batched.metrics_snapshot(), per_item.metrics_snapshot());
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -233,7 +251,7 @@ mod batch_equivalence {
             let side = |raw: &[u64], salt: u64| {
                 let mut s = GtSketch::<u64>::new(&cfg, seed);
                 for &l in raw {
-                    s.insert_merging_with(gt_sketch::fold61(l), l ^ salt);
+                    s.insert_with(gt_sketch::fold61(l), l ^ salt);
                 }
                 s
             };
@@ -252,43 +270,26 @@ mod batch_equivalence {
             prop_assert_eq!(via_kernel.metrics_snapshot(), via_reference.metrics_snapshot());
         }
 
-        /// The merging batch kernel must reconcile duplicate payloads
-        /// exactly like per-item `insert_merging_with` — payload values
-        /// and reconciliation counters included — for `u64` (keep-first)
-        /// and `LatestTs` (keep-max) payloads. Labels drawn from a tiny
-        /// universe so most arrivals are duplicates.
+        /// The batch kernel must reconcile duplicate payloads exactly like
+        /// per-item `insert_with` — payload values and counters included —
+        /// for `()`, `u64` (keep-first) and `LatestTs` (keep-max)
+        /// payloads. Labels drawn from a tiny universe so most arrivals
+        /// are duplicates.
         #[test]
         fn merging_batch_matches_per_item(
             pairs in vec((0u64..300, 0u64..1_000), 0..400),
             seed in 0u64..8,
         ) {
-            let cfg = small_config();
             let items: Vec<(u64, u64)> = pairs
                 .iter()
                 .map(|&(l, p)| (gt_sketch::fold61(l), p))
                 .collect();
-
-            let mut per_item = GtSketch::<u64>::new(&cfg, seed);
-            for &(l, p) in &items {
-                per_item.insert_merging_with(l, p);
-            }
-            let mut batched = GtSketch::<u64>::new(&cfg, seed);
-            batched.insert_batch_merging_with(&items);
-
-            prop_assert_eq!(payload_state(&batched), payload_state(&per_item));
-            prop_assert_eq!(batched.metrics_snapshot(), per_item.metrics_snapshot());
-
+            let units: Vec<(u64, ())> = items.iter().map(|&(l, _)| (l, ())).collect();
+            batch_matches_per_item(&units, seed)?;
+            batch_matches_per_item(&items, seed)?;
             let stamped: Vec<(u64, LatestTs)> =
                 items.iter().map(|&(l, p)| (l, LatestTs(p))).collect();
-            let mut per_item = GtSketch::<LatestTs>::new(&cfg, seed);
-            for &(l, ts) in &stamped {
-                per_item.insert_merging_with(l, ts);
-            }
-            let mut batched = GtSketch::<LatestTs>::new(&cfg, seed);
-            batched.insert_batch_merging_with(&stamped);
-
-            prop_assert_eq!(payload_state(&batched), payload_state(&per_item));
-            prop_assert_eq!(batched.metrics_snapshot(), per_item.metrics_snapshot());
+            batch_matches_per_item(&stamped, seed)?;
         }
 
         /// Splitting a batch arbitrarily and ingesting the pieces through

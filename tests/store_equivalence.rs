@@ -159,7 +159,7 @@ fn evict_restore_cycles_are_bitwise_lossless() {
 
 /// Payload-carrying keys through the full tier churn: keep-first `u64`
 /// payloads with duplicate labels must reconcile exactly as a standalone
-/// merging sketch does, across delta replay, spill, and restore.
+/// sketch does, across delta replay, spill, and restore.
 #[test]
 fn payload_keys_survive_tier_churn_bitwise() {
     let config = small_config();
@@ -185,7 +185,7 @@ fn payload_keys_survive_tier_churn_bitwise() {
         let mut expect = GtSketch::<u64>::new(&config, SEED);
         for &(k, l, p) in &items {
             if k == key {
-                expect.insert_merging_with(l, p);
+                expect.insert_with(l, p);
             }
         }
         assert_eq!(
