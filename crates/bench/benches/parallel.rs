@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gt_core::parallel::build_parallel;
-use gt_core::{ConcurrentSketch, ShardedSketch, SketchConfig};
+use gt_core::{ConcurrentSketch, SketchConfig};
 use std::hint::black_box;
 
 fn data(n: u64) -> Vec<u64> {
@@ -34,59 +34,36 @@ fn batch_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn sharded_online(c: &mut Criterion) {
-    let labels = data(400_000);
-    let config = SketchConfig::new(0.1, 0.05).unwrap();
-    let mut group = c.benchmark_group("e14_sharded_online");
-    group.throughput(Throughput::Elements(labels.len() as u64));
-    for writers in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(writers), &writers, |b, &w| {
-            b.iter(|| {
-                let sharded = ShardedSketch::new(&config, 7, 8);
-                crossbeam::scope(|scope| {
-                    for chunk in labels.chunks(labels.len().div_ceil(w)) {
-                        let sharded = &sharded;
-                        scope.spawn(move |_| {
-                            for &l in chunk {
-                                sharded.insert(l);
-                            }
-                        });
-                    }
-                })
-                .unwrap();
-                black_box(sharded.items_observed())
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The same online job as `sharded_online` through `ConcurrentSketch`:
-/// each writer buffers thread-locally and propagates into one shared sketch.
+/// The online job: each writer buffers thread-locally and propagates into
+/// one shared `ConcurrentSketch`, at a large and a small ε (r·c below and
+/// far above `WRITER_BUF`, so both sides of the default threshold run).
 fn concurrent_online(c: &mut Criterion) {
     let labels = data(400_000);
-    let config = SketchConfig::new(0.1, 0.05).unwrap();
     let mut group = c.benchmark_group("e14_concurrent_online");
     group.throughput(Throughput::Elements(labels.len() as u64));
-    for writers in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(writers), &writers, |b, &w| {
-            b.iter(|| {
-                let sketch = ConcurrentSketch::new(&config, 7);
-                crossbeam::scope(|scope| {
-                    for chunk in labels.chunks(labels.len().div_ceil(w)) {
-                        let sketch = &sketch;
-                        scope.spawn(move |_| {
-                            let mut writer = sketch.writer();
-                            for &l in chunk {
-                                writer.insert(l);
-                            }
-                        });
-                    }
-                })
-                .unwrap();
-                black_box(sketch.items_observed())
+    for eps in [0.1, 0.02] {
+        let config = SketchConfig::new(eps, 0.05).unwrap();
+        for writers in [1usize, 2, 4] {
+            let id = BenchmarkId::new(format!("eps{eps}"), writers);
+            group.bench_with_input(id, &writers, |b, &w| {
+                b.iter(|| {
+                    let sketch = ConcurrentSketch::new(&config, 7);
+                    crossbeam::scope(|scope| {
+                        for chunk in labels.chunks(labels.len().div_ceil(w)) {
+                            let sketch = &sketch;
+                            scope.spawn(move |_| {
+                                let mut writer = sketch.writer();
+                                for &l in chunk {
+                                    writer.insert(l);
+                                }
+                            });
+                        }
+                    })
+                    .unwrap();
+                    black_box(sketch.items_observed())
+                });
             });
-        });
+        }
     }
     group.finish();
 }
@@ -94,6 +71,6 @@ fn concurrent_online(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = batch_build, sharded_online, concurrent_online
+    targets = batch_build, concurrent_online
 );
 criterion_main!(benches);

@@ -11,16 +11,21 @@
 //! deterministic single-writer schedule — the relaxed-consistency bound
 //! of *Fast Concurrent Data Sketches* (PAPERS.md).
 //!
+//! A third table times default writers ([`ConcurrentSketch::writer`],
+//! which propagate every `max(WRITER_BUF, r·c)` items) at ε ∈ {0.1,
+//! 0.05, 0.02} with 1 and 2 writers, through the batch and the per-item
+//! path. It is a record, not a gate.
+//!
 //! Note on checks: monotonicity is asserted per rep, and the final and
 //! snapshot ε contracts are checked; they hold on any core count. The
 //! *speedup* check (4 writers beat 1) is unconditional too, so it fails
 //! on a host without the cores to scale — a noisy timing gate on small
 //! hosts, kept as strict as it always was.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::table::Table;
-use gt_core::{ConcurrentSketch, SketchConfig};
+use gt_core::{ConcurrentSketch, SketchConfig, WRITER_BUF};
 use gt_streams::runner::run_live;
 use gt_streams::workload::{Distribution, WorkloadSpec};
 
@@ -143,7 +148,76 @@ pub fn run(quick: bool) -> Vec<Table> {
             eps_check.max_rel_err
         ),
     );
-    vec![table, eps_table]
+    vec![table, eps_table, default_writer_table(quick)]
+}
+
+/// Throughput of default writers across (ε, writers, path): one row per
+/// (ε, writers), batch (`extend_slice`) and per-item (`insert`) columns.
+fn default_writer_table(quick: bool) -> Table {
+    let n: u64 = if quick { 600_000 } else { 4_000_000 };
+    let reps = if quick { 1 } else { 3 };
+    let labels: Vec<u64> = (0..n).map(|i| gt_hash::fold61(i % (n / 2))).collect();
+    let mut table = Table::new(
+        "E18c",
+        "default writers: throughput at the max(WRITER_BUF, r*c) threshold",
+        &[
+            "epsilon",
+            "r_c",
+            "threshold",
+            "writers",
+            "batch_items_per_sec",
+            "per_item_items_per_sec",
+            "propagations",
+        ],
+    );
+    for eps in [0.1, 0.05, 0.02] {
+        let config = SketchConfig::new(eps, DELTA).unwrap();
+        let r_c = (config.trials() * config.capacity()) as u64;
+        for writers in [1usize, 2] {
+            let mut rates = [0f64; 2];
+            let mut propagations = 0;
+            for (rate, batch) in rates.iter_mut().zip([true, false]) {
+                for _ in 0..reps {
+                    let shared = ConcurrentSketch::new(&config, SEED);
+                    let start = Instant::now();
+                    crossbeam::scope(|scope| {
+                        for chunk in labels.chunks(labels.len().div_ceil(writers)) {
+                            let shared = &shared;
+                            scope.spawn(move |_| {
+                                let mut writer = shared.writer();
+                                if batch {
+                                    writer.extend_slice(chunk);
+                                } else {
+                                    chunk.iter().for_each(|&l| writer.insert(l));
+                                }
+                            });
+                        }
+                    })
+                    .unwrap();
+                    *rate = rate.max(n as f64 / start.elapsed().as_secs_f64());
+                    assert_eq!(shared.items_observed(), n, "every writer flushed");
+                    propagations = shared.metrics_snapshot().propagations();
+                }
+            }
+            table.row(vec![
+                format!("{eps}"),
+                r_c.to_string(),
+                WRITER_BUF.max(r_c).to_string(),
+                writers.to_string(),
+                format!("{:.3e}", rates[0]),
+                format!("{:.3e}", rates[1]),
+                propagations.to_string(),
+            ]);
+        }
+    }
+    table.note(format!(
+        "{n} labels over {} distinct, split into contiguous per-writer chunks, \
+         delta {DELTA}, best of {reps} reps; propagations from the last per-item run. \
+         Expected (unchecked): throughput falls as r*c grows, and propagations \
+         are ceil(n / threshold) for one writer (level lag adds some with two)",
+        n / 2
+    ));
+    table
 }
 
 struct EpsCheck {

@@ -1,39 +1,35 @@
-//! Thread-safe sketches for shared-memory ingest and live serving.
+//! A thread-safe sketch for shared-memory ingest and live serving.
 //!
-//! Two designs live here, for two workloads:
+//! The distributed-streams model maps directly onto multicore ingestion:
+//! every writer is a "party" holding its own coordinated sketch, and the
+//! shared sketch is the "referee" holding their union. [`ConcurrentSketch`]
+//! follows the local-buffer / global-sketch pattern of Rinberg et al.
+//! (*Fast Concurrent Data Sketches*, PAPERS.md). Each writer owns a
+//! thread-local [`DistinctSketch`] buffer fed through the batch kernels
+//! and *propagates* it into one shared global sketch in epochs — when the
+//! buffer fills, when the writer's local level falls behind the published
+//! global level (the buffered labels are mostly doomed to subsampling, so
+//! ship them and adopt the higher level), or on flush/drop. Every
+//! propagation publishes an immutable [`SketchSnapshot`] behind an `Arc`,
+//! so readers serve [`ConcurrentSketch::estimate_distinct`] from an O(1)
+//! pointer copy without ever touching the global ingest lock.
 //!
-//! - [`ShardedSketch`] — ingest-optimised. The distributed-streams model
-//!   maps directly onto multicore ingestion: every shard is a "party"
-//!   holding its own coordinated sketch, and a query is the "referee"
-//!   merging them. Sharding by label keeps each label's duplicates on one
-//!   shard, so writers on different shards never contend — but a query
-//!   must merge every shard, which makes reads expensive and
-//!   writer-blocking.
-//! - [`ConcurrentSketch`] — serving-optimised, after the local-buffer /
-//!   global-sketch pattern of Rinberg et al. (*Fast Concurrent Data
-//!   Sketches*, PAPERS.md). Each writer owns a thread-local
-//!   [`DistinctSketch`] buffer fed through the batch kernels and
-//!   *propagates* it into one shared global sketch in epochs — when the
-//!   buffer fills, when the writer's local level falls behind the
-//!   published global level (the buffered labels are mostly doomed to
-//!   subsampling, so ship them and adopt the higher level), or on
-//!   flush/drop. Every propagation publishes an immutable
-//!   [`SketchSnapshot`] behind an `Arc`, so readers serve
-//!   [`ConcurrentSketch::estimate_distinct`] from an O(1) pointer copy
-//!   without ever touching the global ingest lock.
+//! A propagation clones the whole O(r·c) global sketch into the published
+//! snapshot, so a default writer buffers `max(WRITER_BUF, r·c)` items per
+//! propagation (r trials of capacity c): the clone then costs O(1) per
+//! item at every (ε, δ).
 //!
 //! Coordination (same config + master seed everywhere) is what makes the
-//! concurrent design *exact*: the final global sketch is the lossless
-//! union of the writers' buffers, bitwise-identical to a sequential
-//! sketch of the same label multiset regardless of interleaving. The
-//! propagation/snapshot protocol is model-checked exhaustively in
-//! `tests/loom_model.rs` and differentially tested against sequential
-//! ingest in `tests/concurrent_equivalence.rs` (canonical encoded bytes).
+//! design *exact*: the final global sketch is the lossless union of the
+//! writers' buffers, bitwise-identical to a sequential sketch of the same
+//! label multiset regardless of interleaving. The propagation/snapshot
+//! protocol is model-checked exhaustively in `tests/loom_model.rs` and
+//! differentially tested against sequential ingest in
+//! `tests/concurrent_equivalence.rs` (canonical encoded bytes).
 //!
 //! Lock choice per the concurrency guide: `parking_lot::Mutex` (no
-//! poisoning to handle, word-sized, fast uncontended path) wrapped in
-//! `CachePadded` so shard locks do not false-share a cache line. This
-//! crate forbids `unsafe`, so snapshot publication uses a second,
+//! poisoning to handle, word-sized, fast uncontended path). This crate
+//! forbids `unsafe`, so snapshot publication uses a second,
 //! pointer-copy-only mutex rather than a seqlock or raw atomic pointer
 //! swap; the lock ordering is global-before-published and readers take
 //! only the published lock, so readers can never block on ingest work.
@@ -41,158 +37,16 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
-use crate::error::Result;
 use crate::estimate::Estimate;
-use crate::merge::merge_all;
 use crate::metrics::{ConcurrentMetrics, ConcurrentMetricsSnapshot, PropagationCause};
 use crate::params::SketchConfig;
 use crate::sketch::DistinctSketch;
 
-/// A concurrently updatable distinct-count sketch.
-///
-/// `insert` takes `&self` and may be called from any number of threads;
-/// `estimate_distinct`/`snapshot` merge the shards on demand.
-///
-/// ```
-/// use gt_core::{ShardedSketch, SketchConfig};
-/// let cfg = SketchConfig::new(0.1, 0.1).unwrap();
-/// let sketch = ShardedSketch::new(&cfg, 7, 4);
-/// crossbeam::scope(|scope| {
-///     for t in 0..4u64 {
-///         let sketch = &sketch;
-///         scope.spawn(move |_| {
-///             for i in 0..250 {
-///                 sketch.insert(t * 250 + i); // disjoint ranges
-///             }
-///         });
-///     }
-/// })
-/// .unwrap();
-/// assert_eq!(sketch.estimate_distinct().unwrap().value, 1000.0);
-/// ```
-pub struct ShardedSketch {
-    shards: Vec<CachePadded<Mutex<DistinctSketch>>>,
-    /// Bit mask selecting a shard from a mixed label (shards is a power of
-    /// two).
-    mask: u64,
-}
-
-/// Per-shard staging-buffer length used by [`ShardedSketch::extend_labels`]
-/// before draining a shard under one lock acquisition.
-pub const SHARD_BUF: usize = 256;
-
-impl ShardedSketch {
-    /// Create a sketch with `shards` independent stripes (rounded up to a
-    /// power of two). All stripes share the config and master seed, so
-    /// they are mutually mergeable — and mergeable with any other party's
-    /// sketch built from the same material.
-    pub fn new(config: &SketchConfig, master_seed: u64, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let shards = (0..n)
-            .map(|_| CachePadded::new(Mutex::new(DistinctSketch::new(config, master_seed))))
-            .collect();
-        ShardedSketch {
-            shards,
-            mask: (n - 1) as u64,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn shard_of(&self, label: u64) -> usize {
-        // Shard by mixed label so duplicates always land on the same shard
-        // and the choice is independent of the sketch's seeded hashes.
-        (gt_hash::mix64(label ^ 0xA5A5_A5A5_A5A5_A5A5) & self.mask) as usize
-    }
-
-    /// Observe a label (thread-safe).
-    #[inline]
-    pub fn insert(&self, label: u64) {
-        let shard = self.shard_of(label);
-        self.shards[shard].lock().insert(label);
-    }
-
-    /// Observe a batch: labels are staged into a per-shard buffer
-    /// ([`SHARD_BUF`] entries each) and every full buffer is drained under
-    /// one lock acquisition through the shard's batch kernel
-    /// ([`DistinctSketch::extend_slice`]). This both cuts lock traffic
-    /// (one acquisition per `SHARD_BUF` labels per shard instead of one
-    /// per run of same-shard labels) and gives each shard the
-    /// monomorphic bulk-hash path. Equivalent to per-item
-    /// [`ShardedSketch::insert`]: each shard sees its labels in stream
-    /// order either way, and shards are independent sketches.
-    pub fn extend_labels(&self, labels: impl IntoIterator<Item = u64>) {
-        let mut bufs: Vec<Vec<u64>> = (0..self.shards.len())
-            .map(|_| Vec::with_capacity(SHARD_BUF))
-            .collect();
-        for label in labels {
-            let shard = self.shard_of(label);
-            let buf = &mut bufs[shard];
-            buf.push(label);
-            if buf.len() == SHARD_BUF {
-                self.shards[shard].lock().extend_slice(buf);
-                buf.clear();
-            }
-        }
-        for (shard, buf) in bufs.iter().enumerate() {
-            if !buf.is_empty() {
-                self.shards[shard].lock().extend_slice(buf);
-            }
-        }
-    }
-
-    /// Merge all shards into one [`DistinctSketch`] (the referee step).
-    pub fn snapshot(&self) -> Result<DistinctSketch> {
-        let copies: Vec<DistinctSketch> = self.shards.iter().map(|s| s.lock().clone()).collect();
-        merge_all(&copies)
-    }
-
-    /// `(ε, δ)`-estimate of the distinct labels observed across all
-    /// threads.
-    pub fn estimate_distinct(&self) -> Result<Estimate> {
-        Ok(self.snapshot()?.estimate_distinct())
-    }
-
-    /// Total items observed across shards.
-    pub fn items_observed(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().items_observed()).sum()
-    }
-
-    /// Aggregated observability counters: the field-wise sum of every
-    /// shard's [`crate::metrics::MetricsSnapshot`], read at one consistent
-    /// cut.
-    ///
-    /// All shard locks are acquired (in index order) before the first
-    /// counter is read. A shard's sketch counts only while its lock is
-    /// held, so the aggregate includes each ingest call's counts entirely
-    /// or not at all, and includes the counts of every ingest call that
-    /// returned before this call began — see the
-    /// "aggregation ordering guarantee" in [`crate::metrics`]. The
-    /// historical lock-at-a-time implementation could return totals that
-    /// never existed at any instant (a concurrent writer's *later* work on
-    /// a high-index shard counted while its *earlier* work on a low-index
-    /// shard was missed); `metrics_cut_is_consistent` below is the
-    /// regression test. Only this method takes more than one shard lock,
-    /// and always in index order, so it cannot deadlock against ingest.
-    pub fn metrics_snapshot(&self) -> crate::metrics::MetricsSnapshot {
-        let guards: Vec<_> = self.shards.iter().map(|shard| shard.lock()).collect();
-        let mut total = crate::metrics::MetricsSnapshot::default();
-        for guard in &guards {
-            total.absorb(&guard.metrics_snapshot());
-        }
-        total
-    }
-}
-
-/// Default number of buffered items after which a [`SketchWriter`]
-/// propagates into the global sketch.
+/// The least number of buffered items after which a default
+/// [`SketchWriter`] propagates into the global sketch; see
+/// [`ConcurrentSketch::writer`].
 pub const WRITER_BUF: u64 = 8 * 1024;
 
 /// An immutable point-in-time view of a [`ConcurrentSketch`], published
@@ -251,7 +105,10 @@ impl SketchSnapshot {
 /// epoch and the covered item count are monotone across the snapshots a
 /// reader takes. What a mid-stream snapshot does **not** promise is
 /// proximity to the final answer: labels still sitting in writer-local
-/// buffers (at most `threshold` items per writer) are not yet covered.
+/// buffers are not yet covered. With N writers whose buffers hold at
+/// most b items each, a snapshot misses at most N·b items (the
+/// relaxation bound of Rinberg et al.); a default writer's b is
+/// `max(WRITER_BUF, r·c)`, 870,000 items at (ε, δ) = (0.02, 0.01).
 /// After every writer flushes (or drops), the snapshot equals the
 /// sequential sketch of the entire multiset, bitwise.
 ///
@@ -325,10 +182,17 @@ impl ConcurrentSketch {
         self.master_seed
     }
 
-    /// A writer handle with the default propagation threshold
-    /// ([`WRITER_BUF`] items). One per ingesting thread.
+    /// A writer handle that propagates after `max(WRITER_BUF, r·c)`
+    /// buffered items, for r = `config.trials()` and c =
+    /// `config.capacity()`. One per ingesting thread.
+    ///
+    /// A propagation clones the O(r·c) global sketch into the published
+    /// snapshot, so this threshold keeps that clone at O(1) per item. The
+    /// cost is staleness: a snapshot can miss up to this many items per
+    /// live writer (the N·b bound in the type docs).
     pub fn writer(&self) -> SketchWriter<'_> {
-        self.writer_with_threshold(WRITER_BUF)
+        let sketch_entries = (self.config.trials() * self.config.capacity()) as u64;
+        self.writer_with_threshold(WRITER_BUF.max(sketch_entries))
     }
 
     /// A writer handle that propagates after `threshold` buffered items
@@ -520,193 +384,72 @@ mod tests {
     }
 
     #[test]
-    fn sharded_equals_sequential_exactly() {
-        let sharded = ShardedSketch::new(&cfg(), 11, 8);
-        let mut sequential = DistinctSketch::new(&cfg(), 11);
-        let labels: Vec<u64> = (0..30_000).map(gt_hash::fold61).collect();
-        for &l in &labels {
-            sharded.insert(l);
-            sequential.insert(l);
-        }
-        let snap = sharded.snapshot().unwrap();
-        assert_eq!(
-            snap.estimate_distinct().value,
-            sequential.estimate_distinct().value
-        );
-        assert_eq!(snap.sample_entries(), sequential.sample_entries());
-    }
-
-    #[test]
-    fn concurrent_ingest_from_many_threads() {
-        let sharded = ShardedSketch::new(&cfg(), 12, 8);
-        let threads = 8;
-        let per_thread = 20_000u64;
-        crossbeam::scope(|scope| {
-            for t in 0..threads {
-                let sharded = &sharded;
-                scope.spawn(move |_| {
-                    // Overlapping ranges: half of each thread's labels are
-                    // shared with its neighbour.
-                    let start = t * per_thread / 2;
-                    for i in start..start + per_thread {
-                        sharded.insert(gt_hash::fold61(i));
-                    }
-                });
-            }
-        })
-        .unwrap();
-        let truth = (threads + 1) * per_thread / 2;
-        let est = sharded.estimate_distinct().unwrap().value;
-        let rel = (est - truth as f64).abs() / truth as f64;
-        assert!(rel < 0.1, "est {est}, truth {truth}");
-        assert_eq!(sharded.items_observed(), threads * per_thread);
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedSketch::new(&cfg(), 1, 3).shard_count(), 4);
-        assert_eq!(ShardedSketch::new(&cfg(), 1, 0).shard_count(), 1);
-        assert_eq!(ShardedSketch::new(&cfg(), 1, 16).shard_count(), 16);
-    }
-
-    #[test]
-    fn duplicates_across_threads_are_free() {
+    fn duplicates_across_writers_are_free() {
         // Stay under the per-trial capacity so the estimate is exact and
-        // any duplicate leakage across threads would be visible as a
+        // any duplicate leakage across writers would be visible as a
         // deviation from the precise count.
-        let sharded = ShardedSketch::new(&cfg(), 13, 4);
+        let concurrent = ConcurrentSketch::new(&cfg(), 13);
         let labels: Vec<u64> = (0..1_000).map(gt_hash::fold61).collect();
         crossbeam::scope(|scope| {
             for _ in 0..4 {
-                let sharded = &sharded;
+                let concurrent = &concurrent;
                 let labels = &labels;
-                scope.spawn(move |_| {
-                    for &l in labels {
-                        sharded.insert(l);
-                    }
-                });
+                scope.spawn(move |_| concurrent.writer().extend_slice(labels));
             }
         })
         .unwrap();
-        assert_eq!(sharded.estimate_distinct().unwrap().value, 1_000.0);
-    }
-
-    #[test]
-    fn batched_extend_equals_per_item_insert() {
-        // The run-grouped lock path must produce exactly the state the
-        // per-item path does, including on shard-ping-pong orderings.
-        let batched = ShardedSketch::new(&cfg(), 15, 8);
-        let per_item = ShardedSketch::new(&cfg(), 15, 8);
-        // Interleave two ranges so consecutive labels rarely share a shard,
-        // then append a sorted run so same-shard runs also occur.
-        let mut labels: Vec<u64> = (0..5_000u64)
-            .flat_map(|i| [gt_hash::fold61(i), gt_hash::fold61(i + 100_000)])
-            .collect();
-        labels.extend((0..2_000u64).map(gt_hash::fold61));
-        batched.extend_labels(labels.iter().copied());
-        for &l in &labels {
-            per_item.insert(l);
-        }
-        let a = batched.snapshot().unwrap();
-        let b = per_item.snapshot().unwrap();
-        assert_eq!(a.estimate_distinct().value, b.estimate_distinct().value);
-        assert_eq!(a.sample_entries(), b.sample_entries());
-        assert_eq!(batched.items_observed(), per_item.items_observed());
-        assert_eq!(batched.metrics_snapshot(), per_item.metrics_snapshot());
-    }
-
-    #[test]
-    fn metrics_aggregate_across_shards() {
-        let sharded = ShardedSketch::new(&cfg(), 16, 4);
-        sharded.extend_labels((0..1_000).map(gt_hash::fold61));
-        let snap = sharded.metrics_snapshot();
-        let trials = cfg().trials() as u64;
-        // Every label records one outcome per trial on exactly one shard.
-        assert_eq!(snap.trial_inserts(), 1_000 * trials);
-        assert_eq!(snap.merge_calls, 0);
-        // The referee-side snapshot records its merges on the snapshot
-        // sketch, not the shards.
-        let _ = sharded.snapshot().unwrap();
-        assert_eq!(sharded.metrics_snapshot().merge_calls, 0);
-    }
-
-    #[test]
-    fn metrics_cut_is_consistent() {
-        // Regression for the lock-at-a-time aggregate: one writer loops
-        // "insert a pre-seeded duplicate into a LOW-index shard, then a
-        // fresh label into a HIGHER-index shard". Duplicate i happens
-        // before fresh i, so at every consistent cut
-        //   inserts_sampled ≤ inserts_duplicate + trials  (the pre-seed).
-        // The old implementation read shard 0's counters, released its
-        // lock, and only later read the high shard — so a loop iteration
-        // running in between was counted fresh-side but not dup-side,
-        // breaking the inequality. The all-locks cut cannot.
-        let config =
-            SketchConfig::from_shape(0.3, 0.3, 1 << 16, 3, gt_hash::HashFamilyKind::Pairwise)
-                .unwrap();
-        let trials = config.trials() as u64;
-        let sharded = ShardedSketch::new(&config, 17, 4);
-
-        // A label on shard 0 and a supply of labels on shards 1..4.
-        // Capacity 2^16 >> the loop count keeps every trial at level 0,
-        // so each dup insert records `trials` Duplicate outcomes and each
-        // fresh insert `trials` Sampled outcomes.
-        let dup_label = (0..)
-            .map(gt_hash::fold61)
-            .find(|&l| sharded.shard_of(l) == 0)
-            .unwrap();
-        let fresh: Vec<u64> = (1u64..)
-            .map(gt_hash::fold61)
-            .filter(|&l| l != dup_label && sharded.shard_of(l) > 0)
-            .take(20_000)
-            .collect();
-        sharded.insert(dup_label); // pre-seed: `trials` Sampled outcomes
-
-        crossbeam::scope(|scope| {
-            let sharded = &sharded;
-            let fresh = &fresh;
-            scope.spawn(move |_| {
-                for &label in fresh {
-                    sharded.insert(dup_label);
-                    sharded.insert(label);
-                }
-            });
-            for _ in 0..300 {
-                let snap = sharded.metrics_snapshot();
-                assert!(
-                    snap.inserts_sampled <= snap.inserts_duplicate + trials,
-                    "inconsistent cut: {} sampled vs {} duplicate",
-                    snap.inserts_sampled,
-                    snap.inserts_duplicate,
-                );
-                // Totals must also be a multiple of one whole per-item
-                // flush (`trials` outcomes), never a torn tally.
-                assert_eq!(snap.trial_inserts() % trials, 0);
-            }
-        })
-        .unwrap();
-
-        let final_snap = sharded.metrics_snapshot();
-        assert_eq!(
-            final_snap.inserts_sampled,
-            (1 + fresh.len() as u64) * trials
-        );
-        assert_eq!(final_snap.inserts_duplicate, fresh.len() as u64 * trials);
+        assert_eq!(concurrent.estimate_distinct().value, 1_000.0);
+        assert_eq!(concurrent.items_observed(), 4_000);
     }
 
     #[test]
     fn snapshot_is_mergeable_with_external_parties() {
-        // A sharded local sketch and a remote single-threaded party union
-        // cleanly when they share seeds.
-        let local = ShardedSketch::new(&cfg(), 14, 4);
-        local.extend_labels((0..800).map(gt_hash::fold61));
+        // A concurrent local sketch and a remote single-threaded party
+        // union cleanly when they share seeds.
+        let local = ConcurrentSketch::new(&cfg(), 14);
+        local.writer().extend_labels((0..800).map(gt_hash::fold61));
         let mut remote = DistinctSketch::new(&cfg(), 14);
         remote.extend_labels((400..1_200).map(gt_hash::fold61));
-        let mut snap = local.snapshot().unwrap();
-        snap.merge_from(&remote).unwrap();
+        let mut union = local.snapshot().sketch().clone();
+        union.merge_from(&remote).unwrap();
         // 1200 distinct labels fit the per-trial capacity (1200 at ε=0.1),
         // so the union estimate is exact.
-        assert_eq!(snap.estimate_distinct().value, 1_200.0);
+        assert_eq!(union.estimate_distinct().value, 1_200.0);
+    }
+
+    /// Propagations of one default writer fed `n` disjoint labels, as
+    /// `(buffer_full, level_lag, flush)`.
+    fn default_writer_propagations(config: &SketchConfig, n: u64) -> (u64, u64, u64) {
+        let concurrent = ConcurrentSketch::new(config, 26);
+        concurrent
+            .writer()
+            .extend_slice(&(0..n).map(gt_hash::fold61).collect::<Vec<_>>());
+        let m = concurrent.metrics_snapshot();
+        assert_eq!(m.items_propagated, n);
+        (
+            m.propagations_buffer_full,
+            m.propagations_level_lag,
+            m.propagations_flush,
+        )
+    }
+
+    #[test]
+    fn default_writer_propagates_every_max_of_floor_and_sketch_entries() {
+        // r·c above the floor: one propagation per r·c items, so each
+        // snapshot clone is paid for by as many items as it copies.
+        let config = SketchConfig::new(0.05, 0.05).unwrap();
+        let entries = (config.trials() * config.capacity()) as u64;
+        assert!(entries > WRITER_BUF);
+        let n = 2 * entries + entries / 2;
+        // ⌈n / r·c⌉ = 3: two full buffers and the final flush. One writer
+        // adopts the global levels at every propagation, so it never lags.
+        assert_eq!(default_writer_propagations(&config, n), (2, 0, 1));
+
+        // r·c below the floor: WRITER_BUF items per propagation.
+        let config = SketchConfig::new(0.2, 0.2).unwrap();
+        assert!(((config.trials() * config.capacity()) as u64) < WRITER_BUF);
+        let n = 2 * WRITER_BUF + 100;
+        assert_eq!(default_writer_propagations(&config, n), (2, 0, 1));
     }
 
     /// Per-trial state fingerprint for bitwise-identity assertions.

@@ -69,7 +69,7 @@ pub mod window;
 pub mod workers;
 
 pub use compact::harmonize;
-pub use concurrent::{ConcurrentSketch, ShardedSketch, SketchSnapshot, SketchWriter, WRITER_BUF};
+pub use concurrent::{ConcurrentSketch, SketchSnapshot, SketchWriter, WRITER_BUF};
 pub use delta::{
     apply_delta, apply_delta_watched, delta_between, ChangeJournal, SortedTrials, StateKey,
 };

@@ -35,10 +35,9 @@
 //! ingest or merge call either entirely or not at all, and contains every
 //! call that completed (released its lock) before the aggregate began — a
 //! prefix-closed view of each thread's history. Aggregates taken
-//! lock-by-lock (the historical `ShardedSketch::metrics_snapshot` bug) do
-//! not have this property: work recorded on a later-read shard can
-//! causally *follow* work missed on an earlier-read shard, producing
-//! totals that never existed at any instant.
+//! lock-by-lock do not have this property: work recorded on a later-read
+//! shard can causally *follow* work missed on an earlier-read shard,
+//! producing totals that never existed at any instant.
 
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -100,8 +99,8 @@ pub fn to_text(e: &dyn Exposition) -> String {
 
 /// Monotone counters recording what a sketch's trials did: the plain
 /// field every [`crate::GtSketch`] counts into, and the copy
-/// [`crate::GtSketch::metrics_snapshot`] returns. Sharded sketches and
-/// parties aggregate one per sketch with [`MetricsSnapshot::absorb`].
+/// [`crate::GtSketch::metrics_snapshot`] returns. Concurrent writers
+/// aggregate one per propagated buffer with [`MetricsSnapshot::absorb`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Labels that entered a trial's sample directly.

@@ -51,10 +51,9 @@
 //! [`effective_workers`]. Ingest stages up to [`STORE_STAGE`] items,
 //! sorts them by `(shard, key, arrival)` — arrival order is preserved
 //! *within* a key, which is what keep-first payload semantics need — and
-//! takes each shard lock once per staged batch, mirroring
-//! `ShardedSketch::extend_labels`. All store counters are recorded under
-//! the owning shard's lock; [`SketchStore::metrics_snapshot`] takes every
-//! shard lock in index order for a consistent cut.
+//! takes each shard lock once per staged batch. All store counters are
+//! recorded under the owning shard's lock; [`SketchStore::metrics_snapshot`]
+//! takes every shard lock in index order for a consistent cut.
 //!
 //! ## Eviction
 //!
@@ -71,7 +70,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bytes::Bytes;
 use crossbeam::utils::CachePadded;
 use gt_core::{apply_delta, SortedTrials};
-use gt_core::{effective_workers, CoordinatedTrial, Estimate, GtSketch, SketchConfig};
+use gt_core::{effective_workers, CoordinatedTrial, Estimate, GtSketch, SketchConfig, SketchError};
 use gt_hash::mix64;
 use gt_streams::{decode_trials, encode_sketch, CodecError, WirePayload};
 use parking_lot::Mutex;
@@ -1073,7 +1072,13 @@ impl<V: StorePayload> SketchStore<V> {
         }
     }
 
-    fn extend_iter(&self, items: impl IntoIterator<Item = (u64, u64, V)>) -> Result<()> {
+    fn extend_iter(&self, items: impl IntoIterator<Item = (u64, u64, V)> + Clone) -> Result<()> {
+        // Reject the whole batch before anything is staged: an
+        // out-of-field label would be written into packed state and fail
+        // the next read of its key.
+        if let Some((_, label, _)) = items.clone().into_iter().find(|i| i.1 >= gt_hash::P61) {
+            return Err(SketchError::LabelOutOfRange { label }.into());
+        }
         let mut stage: Vec<Staged<V>> = Vec::with_capacity(STORE_STAGE);
         let mut iter = items.into_iter();
         loop {
@@ -1129,9 +1134,13 @@ impl<V: StorePayload> SketchStore<V> {
     /// any number of threads may call this concurrently.
     ///
     /// # Errors
-    /// Spill-log I/O or decode errors surfaced while restoring a spilled
-    /// key touched by this batch; items staged before the failing run are
-    /// ingested, the rest of the batch is dropped.
+    /// [`crate::StoreError::Sketch`] with [`SketchError::LabelOutOfRange`]
+    /// if any label lies outside `[0, 2^61 − 1)` (fold larger labels with
+    /// `gt_hash::fold61`); the check runs before anything is staged, so
+    /// such a batch ingests nothing. Otherwise, spill-log I/O or decode
+    /// errors surfaced while restoring a spilled key touched by this
+    /// batch; items staged before the failing run are ingested, the rest
+    /// of the batch is dropped.
     pub fn extend(&self, items: &[(u64, u64)]) -> Result<()> {
         self.extend_iter(items.iter().map(|&(key, label)| (key, label, V::default())))
     }
@@ -1816,6 +1825,36 @@ mod tests {
         );
         drop(store);
         std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn out_of_range_labels_reject_the_whole_batch() {
+        use crate::StoreError;
+        let out_of_range = |r: Result<()>, bad: u64| {
+            assert!(
+                matches!(r, Err(StoreError::Sketch(SketchError::LabelOutOfRange { label })) if label == bad),
+                "{r:?}"
+            );
+        };
+        let store = DistinctStore::new(&cfg(), 12, opts(64 << 20)).unwrap();
+        let bad = 1u64 << 62;
+        out_of_range(
+            store.extend(&[(1, fold61(5)), (1, bad), (2, fold61(6))]),
+            bad,
+        );
+        out_of_range(store.extend(&[(3, gt_hash::P61)]), gt_hash::P61);
+        // Nothing was staged, and later queries and ingest work.
+        assert_eq!(store.key_count(), 0);
+        assert!(store.estimate(1).unwrap().is_none());
+        store.extend(&[(1, fold61(5))]).unwrap();
+        for _ in 0..2 {
+            assert_eq!(store.estimate(1).unwrap().unwrap().value, 1.0);
+        }
+
+        let payloads = SketchStore::<u64>::new(&cfg(), 12, opts(64 << 20)).unwrap();
+        out_of_range(payloads.extend_with(&[(1, fold61(5), 7), (1, bad, 8)]), bad);
+        assert_eq!(payloads.key_count(), 0);
+        assert!(payloads.items_observed(1).unwrap().is_none());
     }
 
     #[test]

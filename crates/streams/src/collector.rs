@@ -188,9 +188,9 @@ impl CollectionReport {
 /// `messages` must be unique. Returns the report plus the referee.
 ///
 /// Each round (see [`RetryPolicy`]) hands its deliveries to the referee
-/// as one batch (unioned via tree reduction) and acknowledges the parties
-/// whose data is in; a lost ack or a corrupt delivery leaves the party
-/// pending for the next round. Stragglers drained after the budget is
+/// as one batch (received message by message, in order) and acknowledges
+/// the parties whose data is in; a lost ack or a corrupt delivery leaves
+/// the party pending for the next round. Stragglers drained after the budget is
 /// spent still count toward the union.
 pub fn collect_once(
     config: &SketchConfig,

@@ -303,8 +303,8 @@ pub fn run_batch(
         // Referee loop, pipelined: runs on this thread while party
         // threads are still observing; exits when every sender is done.
         // Messages that queued up while the referee was busy are drained
-        // into one batch and unioned through the tree-reduction batch
-        // path.
+        // into one batch, which the referee receives message by message,
+        // in order.
         let mut batch: Vec<PartyMessage> = Vec::with_capacity(t);
         while let Ok((msg, phases)) = rx.recv() {
             let busy_start = Instant::now();

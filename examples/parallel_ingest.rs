@@ -7,15 +7,15 @@
 //! example measures it both ways:
 //!
 //! * [`gt_sketch::parallel::build_parallel`] — batch: chunk a slice.
-//! * [`gt_sketch::ShardedSketch`] — online: concurrent writers, labels
-//!   routed to shards.
+//! * [`gt_sketch::ConcurrentSketch`] — online: concurrent writers, each
+//!   buffering locally and propagating into one shared sketch.
 //!
 //! Run with: `cargo run --release --example parallel_ingest`
 
 use std::time::Instant;
 
 use gt_sketch::parallel::build_parallel;
-use gt_sketch::{ShardedSketch, SketchConfig};
+use gt_sketch::{ConcurrentSketch, SketchConfig};
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -68,23 +68,30 @@ fn main() {
         );
     }
 
-    // --- online: concurrent writers into a sharded sketch --------------
-    println!("\nonline sharded ingest (8 writers):");
-    let sharded = ShardedSketch::new(&config, master_seed, 16);
+    // --- online: concurrent writers into one shared sketch -------------
+    println!("\nonline concurrent ingest (8 writers):");
+    let concurrent = ConcurrentSketch::new(&config, master_seed);
     let t0 = Instant::now();
     crossbeam::scope(|scope| {
         for chunk in labels.chunks(labels.len().div_ceil(8)) {
-            let sharded = &sharded;
+            let concurrent = &concurrent;
             scope.spawn(move |_| {
+                let mut writer = concurrent.writer();
                 for &l in chunk {
-                    sharded.insert(l);
+                    writer.insert(l);
                 }
-            });
+            }); // drop flushes the writer's buffer
         }
     })
     .unwrap();
     let dt = t0.elapsed();
-    let snap = sharded.snapshot().unwrap();
+    let snap = concurrent.snapshot();
+    // Every writer flushed, so the shared sketch is the sequential one.
+    assert_eq!(
+        snap.estimate_distinct().value,
+        sequential.estimate_distinct().value,
+        "flushed concurrent sketch must be bit-identical"
+    );
     println!(
         "  {:.1?}  estimate {:.0}  ({:.1} M items/s)",
         dt,
@@ -92,12 +99,12 @@ fn main() {
         n_items as f64 / dt.as_secs_f64() / 1e6
     );
 
-    // The sharded result is also mergeable with the batch-built sketch —
+    // The concurrent result is also mergeable with the batch-built sketch —
     // they are all parties in the same coordinated universe.
-    let combined = snap.merged(&sequential).unwrap();
+    let combined = snap.sketch().merged(&sequential).unwrap();
     let rel = (combined.estimate_distinct().value - n_distinct as f64).abs() / n_distinct as f64;
     println!(
-        "\nsharded ∪ batch estimate: {:.0} (rel err {:.2}%)",
+        "\nconcurrent ∪ batch estimate: {:.0} (rel err {:.2}%)",
         combined.estimate_distinct().value,
         rel * 100.0
     );

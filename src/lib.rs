@@ -16,7 +16,7 @@
 //!   ([`SumDistinctSketch`]) and "distinct since `t`" ([`RecencySketch`])
 //!   are payload aliases of the one sketch type, plus two-stream
 //!   intersection / Jaccard estimation ([`similarity()`]).
-//! * [`ShardedSketch`] and [`parallel`] — multicore ingestion with
+//! * [`ConcurrentSketch`] and [`parallel`] — multicore ingestion with
 //!   bit-identical results to sequential processing.
 //! * A full distributed-streams runtime ([`streams`]): parties, referee,
 //!   byte-counted wire codec, workload generators, scenario runner.
@@ -49,8 +49,8 @@ pub use gt_core::{
     relative_error, similarity, sketch, sumdistinct, trial, ConcurrentMetricsSnapshot,
     ConcurrentSketch, CoordinatedTrial, DistinctSketch, Estimate, ExprContext, ExpressionEstimate,
     GtSketch, JaccardEstimate, LatestTs, Mergeable, MetricsSnapshot, Payload, PropagationCause,
-    RecencySketch, Result, SetExpr, ShardedSketch, SimilarityEstimate, SketchConfig, SketchError,
-    SketchSnapshot, SketchWriter, SumDistinctSketch, TrialInsert,
+    RecencySketch, Result, SetExpr, SimilarityEstimate, SketchConfig, SketchError, SketchSnapshot,
+    SketchWriter, SumDistinctSketch, TrialInsert,
 };
 
 /// Hashing substrate: pairwise-independent families, levels, seeds.
