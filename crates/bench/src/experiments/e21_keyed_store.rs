@@ -19,9 +19,9 @@
 //! The run drives a two-phase workload: a coverage sweep that touches
 //! every key once (so the full key population exists and cold keys spill
 //! to disk under the budget), then Zipf-skewed traffic concentrated on
-//! popular keys (so the hot tier and front caches engage). Point-query
-//! latency is sampled from the same Zipf distribution, so the p50 lands
-//! on hot/resident keys and the p99 captures spill restores.
+//! popular keys. Point-query latency is sampled from the same Zipf
+//! distribution, so the p50 lands on resident keys (a packed-slot fold)
+//! and the p99 captures spill restores.
 //!
 //! Checks the ingest ratio vs the dense keyed baseline (workers-aware, as
 //! in E14), resident bytes vs budget, tier accounting, and that both
@@ -138,8 +138,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     let keyed_items_per_sec = items.len() as f64 / keyed_elapsed.as_secs_f64();
     let ratio = keyed_items_per_sec / dense_map_items_per_sec;
 
-    // Point queries sampled from the same Zipf popularity: mostly hot or
-    // resident keys, with a tail of spilled keys that must restore.
+    // Point queries sampled from the same Zipf popularity: mostly resident
+    // keys, with a tail of spilled keys that must restore.
     let zipf = ZipfSampler::new(keys, theta);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xF00D);
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(queries);
@@ -193,10 +193,10 @@ pub fn run(quick: bool) -> Vec<Table> {
         format!("{} / {}", snap.resident_bytes, snap.budget_bytes),
     ]);
     table.row(vec![
-        "tiers (resident/pinned/spilled)".into(),
+        "tiers (resident/spilled)".into(),
         format!(
-            "{} ({} exact) / {} / {}",
-            snap.resident_keys, snap.exact_keys, snap.pinned_keys, snap.spilled_keys
+            "{} ({} exact) / {}",
+            snap.resident_keys, snap.exact_keys, snap.spilled_keys
         ),
     ]);
     table.row(vec![
@@ -207,13 +207,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             snap.spilled_bytes >> 20,
             snap.restores,
             snap.restored_bytes >> 20
-        ),
-    ]);
-    table.row(vec![
-        "hot tier".into(),
-        format!(
-            "{} pins, {} front hits / {} refreshes",
-            snap.pins, snap.front_hits, snap.front_refreshes
         ),
     ]);
     table.note(format!(
@@ -229,7 +222,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         "host workers (effective_workers) = {workers}; keyed ingest used {threads} threads, \
          both baselines are inherently single-threaded"
     ));
-    let tiers = snap.resident_keys + snap.pinned_keys + snap.spilled_keys;
+    let tiers = snap.resident_keys + snap.spilled_keys;
     table.check(
         tiers == snap.keys && snap.keys == keys,
         format!(

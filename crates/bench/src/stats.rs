@@ -50,8 +50,7 @@ pub fn demo_store() -> StoreMetricsSnapshot {
             .expect("static shape");
     let options = gt_store::StoreOptions::default()
         .with_shards(2)
-        .with_byte_budget(16 << 10)
-        .with_hot_threshold(64);
+        .with_byte_budget(16 << 10);
     let store = gt_store::DistinctStore::new(&config, 0x5_7A75, options).expect("demo store");
     let items: Vec<(u64, u64)> = (0..30_000u64)
         .map(|i| (i % 300, gt_hash::fold61(i)))

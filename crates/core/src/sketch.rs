@@ -331,8 +331,8 @@ impl<V: Payload> GtSketch<V> {
     /// sample storage.
     ///
     /// This is what makes pooled sketches reusable: `gt-store`'s scratch
-    /// and hot-tier sketches are cleared and refilled for a different key
-    /// instead of being rebuilt with [`GtSketch::new`] (which re-walks the
+    /// sketch is cleared and refilled for a different key instead of
+    /// being rebuilt with [`GtSketch::new`] (which re-walks the
     /// whole seed schedule) or cloned (which re-allocates every sample
     /// table). A cleared sketch is bitwise-indistinguishable from a
     /// freshly constructed one with the same config and seed, counters

@@ -2,23 +2,20 @@
 //!
 //! One process, millions of small coordinated GT sketches, production
 //! memory behavior. [`SketchStore`] keys each sketch by `u64` and layers
-//! four mechanisms (see [`store`] for the full design):
+//! three mechanisms (see [`store`] for the full design):
 //!
 //! 1. **Arena-packed state** ([`arena`]) — per-shard slab arenas with
 //!    power-of-two slot classes and free-list reuse; no per-key `Vec`s.
 //! 2. **Sharded concurrent ingest** ([`store`]) — `(key, label)` batches
 //!    staged, sorted by `(shard, key)`, and applied per key-run under one
 //!    shard lock acquisition per batch.
-//! 3. **Two-stage hot keys** — popular keys get a pooled full sketch plus
-//!    an epoch-refreshed front cache answering point queries without
-//!    touching the arena (the SF-sketch shape).
-//! 4. **Eviction + spill** ([`spill`]) — approximate-LRU eviction of cold
+//! 3. **Eviction + spill** ([`spill`]) — approximate-LRU eviction of cold
 //!    keys under a byte budget, through the canonical codec to a per-shard
 //!    on-disk log, restored bitwise-identically on the next touch.
 //!
 //! The store's contract with correctness is simple to state and is tested
-//! property-style: for every key, whatever tier it is in and however many
-//! evict/restore and pin/demote cycles it went through,
+//! property-style: for every key, whichever tier it is in and however many
+//! evict/restore cycles it went through,
 //! [`SketchStore::canonical_bytes`] equals `encode_sketch` of a standalone
 //! [`gt_core::GtSketch`] fed that key's labels in arrival order.
 

@@ -5,7 +5,7 @@
 //! the shard it describes, and [`crate::SketchStore::metrics_snapshot`]
 //! acquires **all** shard locks (in index order) before reading the first
 //! counter. The snapshot is therefore a consistent cut — sums like
-//! `resident_keys + pinned_keys + spilled_keys == keys` hold exactly, and
+//! `resident_keys + spilled_keys == keys` hold exactly, and
 //! no in-flight batch is half-counted.
 //!
 //! Like the sketch-level metrics there are no atomics here: each shard
@@ -37,15 +37,10 @@ pub struct StoreMetricsSnapshot {
     /// Slot-class promotions (key outgrew its slot, moved to a larger
     /// class).
     pub promotions: u64,
-    /// Keys promoted to the pinned hot tier.
-    pub pins: u64,
-    /// Hot keys demoted back to packed slots.
-    pub demotions: u64,
-    /// Point queries answered by a hot key's front cache without touching
-    /// the arena or the full sketch.
+    /// Always 0: every point query folds the key's current state, so no
+    /// query is answered from a cache. Kept only for readers that still
+    /// report it.
     pub front_hits: u64,
-    /// Front-cache refreshes (epoch boundaries and first-query fills).
-    pub front_refreshes: u64,
     /// Cold keys evicted to the spill log.
     pub evictions: u64,
     /// Canonical-codec bytes appended to spill logs.
@@ -59,9 +54,9 @@ pub struct StoreMetricsSnapshot {
     pub compactions: u64,
     /// Dead spill-log bytes reclaimed by compaction passes.
     pub reclaimed_bytes: u64,
-    /// Point queries served (all tiers).
+    /// Point queries served (both tiers).
     pub queries: u64,
-    /// Keys currently tracked (resident + pinned + spilled).
+    /// Keys currently tracked (resident + spilled).
     pub keys: u64,
     /// Keys currently resident in packed arena slots.
     pub resident_keys: u64,
@@ -70,11 +65,9 @@ pub struct StoreMetricsSnapshot {
     /// `resident_keys`; keys that have only buffered deltas are not
     /// counted.
     pub exact_keys: u64,
-    /// Keys currently pinned in the hot tier.
-    pub pinned_keys: u64,
     /// Keys currently only on disk.
     pub spilled_keys: u64,
-    /// Budget-accounted bytes: live packed slots plus pinned sketch heap.
+    /// Budget-accounted bytes: live packed slots.
     pub resident_bytes: u64,
     /// Actual arena slab footprint (live + free-listed slots).
     pub arena_bytes: u64,
@@ -91,10 +84,7 @@ impl StoreMetricsSnapshot {
         self.folds += t.folds;
         self.delta_replayed += t.delta_replayed;
         self.promotions += t.promotions;
-        self.pins += t.pins;
-        self.demotions += t.demotions;
         self.front_hits += t.front_hits;
-        self.front_refreshes += t.front_refreshes;
         self.evictions += t.evictions;
         self.spilled_bytes += t.spilled_bytes;
         self.restores += t.restores;
@@ -108,9 +98,9 @@ impl StoreMetricsSnapshot {
 impl Exposition for StoreMetricsSnapshot {
     fn visit(&self, f: &mut dyn FnMut(&str, f64)) {
         gt_core::expose!(f, "gt_store_", self; shards, items, key_runs, folds, delta_replayed,
-            promotions, pins, demotions, front_hits, front_refreshes, evictions, spilled_bytes,
-            restores, restored_bytes, compactions, reclaimed_bytes, queries, keys, resident_keys,
-            exact_keys, pinned_keys, spilled_keys, resident_bytes, arena_bytes, budget_bytes);
+            promotions, front_hits, evictions, spilled_bytes, restores, restored_bytes, compactions,
+            reclaimed_bytes, queries, keys, resident_keys, exact_keys, spilled_keys, resident_bytes,
+            arena_bytes, budget_bytes);
     }
 }
 
@@ -154,10 +144,7 @@ mod tests {
             "folds",
             "delta_replayed",
             "promotions",
-            "pins",
-            "demotions",
             "front_hits",
-            "front_refreshes",
             "evictions",
             "spilled_bytes",
             "restores",
@@ -168,7 +155,6 @@ mod tests {
             "keys",
             "resident_keys",
             "exact_keys",
-            "pinned_keys",
             "spilled_keys",
             "resident_bytes",
             "arena_bytes",
@@ -185,7 +171,7 @@ mod tests {
             .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_')))));
         assert_eq!(readings[0].1, 4.0);
         assert_eq!(readings[1].1, 123.0);
-        assert_eq!(readings[22].1, 456.0);
+        assert_eq!(readings[18].1, 456.0);
         let json = gt_core::metrics::to_json(&snap);
         assert_eq!(json.matches("\":").count(), readings.len());
         assert!(json.contains("\"gt_store_items\":123"));

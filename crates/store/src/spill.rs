@@ -121,18 +121,27 @@ impl SpillLog {
     /// lengths) is ≤ the source offset, so a move only overwrites dead
     /// space or bytes already copied out.
     ///
+    /// A record that reaches past the end of the file (cut short outside
+    /// the process) can never be read back; it compacts to an empty
+    /// record, which the codec refuses on every later read, and the
+    /// records before it still move.
+    ///
     /// # Errors
     /// Propagates seek/read/write/truncate errors. On error the log may
     /// hold a partially-moved record; callers should treat that as fatal
     /// for the shard (the store propagates it out of the ingest path).
     pub fn compact(&mut self, live: &mut [(u64, u32)]) -> std::io::Result<u64> {
         live.sort_unstable_by_key(|&(offset, _)| offset);
+        let file_len = self.file.metadata()?.len();
         let mut buf = Vec::new();
         let mut write_at = 0u64;
         for record in live.iter_mut() {
-            let (offset, len) = *record;
+            let (offset, mut len) = *record;
             debug_assert!(write_at <= offset, "live records overlap");
-            if offset != write_at {
+            if offset + u64::from(len) > file_len {
+                len = 0;
+            }
+            if offset != write_at && len > 0 {
                 buf.clear();
                 buf.resize(len as usize, 0);
                 self.file.seek(SeekFrom::Start(offset))?;
@@ -140,7 +149,7 @@ impl SpillLog {
                 self.file.seek(SeekFrom::Start(write_at))?;
                 self.file.write_all(&buf)?;
             }
-            record.0 = write_at;
+            *record = (write_at, len);
             write_at += u64::from(len);
         }
         let reclaimed = self.end - write_at;

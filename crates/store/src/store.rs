@@ -9,20 +9,20 @@
 //!
 //! ## Tiers
 //!
-//! A key lives in exactly one of three tiers:
+//! A key lives in exactly one of two tiers:
 //!
-//! * **Resident (packed)** — the common case. State lives in a per-shard
-//!   [`SlotArena`] slot: a packed sketch section (per trial: level+count
-//!   word, items word, then the sample entries) followed by a *delta
-//!   buffer* of raw labels appended with no hashing at all. Because a
-//!   coordinated sketch's state is a pure function of the observed label
-//!   multiset (the interleaving-independence property the concurrent tests
-//!   prove), deferring the hash work is lossless: when the slot fills — or
-//!   a query/eviction/pin needs real state — the packed section is
+//! * **Resident (packed)** — state lives in a per-shard [`SlotArena`]
+//!   slot: a packed sketch section (per trial: level+count word, items
+//!   word, then the sample entries) followed by a *delta buffer* of raw
+//!   labels appended with no hashing at all. Because a coordinated
+//!   sketch's state is a pure function of the observed label multiset
+//!   (the interleaving-independence property the concurrent tests
+//!   prove), deferring the hash work is lossless: when the slot fills —
+//!   or a query or eviction needs real state — the packed section is
 //!   reloaded into a pooled scratch sketch, the delta is replayed in
 //!   arrival order through the batch kernel, and the folded state is
-//!   written back. Cold keys therefore pay ~1 word write per item on the
-//!   ingest path.
+//!   written back. Ingest therefore pays ~1 word write per item, and
+//!   every query reads the key's current state.
 //!
 //!   Below capacity every trial is at level 0 and holds the same labels,
 //!   payloads and item count, so the section packs in *exact form*: one
@@ -32,15 +32,6 @@
 //!   every trial from the one list; the first overflow promotes them all
 //!   during the delta replay, and the next writeback packs the per-trial
 //!   form. Canonical bytes and spill records do not depend on the form.
-//! * **Pinned (hot)** — keys whose per-epoch traffic crosses
-//!   [`StoreOptions::hot_threshold`] are promoted to a pooled full
-//!   [`GtSketch`] ingested directly through the batch kernels, plus a tiny
-//!   *front cache* (SF-sketch shape): the estimate computed at the last
-//!   epoch boundary, served to point queries without touching sketch or
-//!   arena. Front answers are at most one epoch stale; the authoritative
-//!   paths ([`SketchStore::canonical_bytes`], eviction) always read the
-//!   full sketch. Keys that cool down are demoted back to a packed slot at
-//!   the next epoch boundary.
 //! * **Spilled** — evicted under memory pressure: folded, encoded with the
 //!   canonical codec, appended to the shard's [`SpillLog`]. The next touch
 //!   restores it bitwise-identically via `decode_trials` + `apply_delta`.
@@ -57,11 +48,10 @@
 //!
 //! ## Eviction
 //!
-//! Each shard enforces `byte_budget / shards` over its *budgeted* resident
-//! bytes (live slot bytes + pinned sketch heap). Pressure pops an
-//! approximate-LRU queue of `(key, stamp)` touches (stale stamps are
-//! lazily skipped; pinned victims are demoted first), spilling until the
-//! shard is back under budget or nothing evictable remains.
+//! Each shard enforces `byte_budget / shards` over its resident bytes
+//! (live slot-class bytes). Pressure pops an approximate-LRU queue of
+//! `(key, stamp)` touches (stale stamps are lazily skipped), spilling
+//! until the shard is back under budget or nothing evictable remains.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -126,17 +116,9 @@ pub struct StoreOptions {
     /// Shard count; `0` (the default) means [`effective_workers`]. Rounded
     /// up to a power of two.
     pub shards: usize,
-    /// Total budgeted resident bytes across all shards (live packed slots
-    /// plus pinned sketch heap). Crossing it triggers LRU eviction to the
-    /// spill log. Default 64 MiB.
+    /// Total resident bytes across all shards (live packed slots).
+    /// Crossing it triggers LRU eviction to the spill log. Default 64 MiB.
     pub byte_budget: usize,
-    /// Items a key must receive within one epoch to be pinned into the hot
-    /// tier; `0` disables the hot tier entirely. Default 4096.
-    pub hot_threshold: u32,
-    /// Ingested items per automatic epoch advance (front-cache refresh
-    /// cadence); `0` disables automatic advances — call
-    /// [`SketchStore::advance_epoch`] yourself. Default 1 Mi items.
-    pub epoch_items: u64,
     /// Directory for the per-shard spill logs. `None` (the default) makes
     /// a unique directory under [`std::env::temp_dir`] that is removed on
     /// drop; a provided directory is created if missing and its log files
@@ -149,8 +131,6 @@ impl Default for StoreOptions {
         StoreOptions {
             shards: 0,
             byte_budget: 64 << 20,
-            hot_threshold: 4096,
-            epoch_items: 1 << 20,
             spill_dir: None,
         }
     }
@@ -168,20 +148,6 @@ impl StoreOptions {
     #[must_use]
     pub fn with_byte_budget(mut self, bytes: usize) -> Self {
         self.byte_budget = bytes;
-        self
-    }
-
-    /// Set the hot-key threshold (see [`StoreOptions::hot_threshold`]).
-    #[must_use]
-    pub fn with_hot_threshold(mut self, items: u32) -> Self {
-        self.hot_threshold = items;
-        self
-    }
-
-    /// Set the automatic epoch cadence (see [`StoreOptions::epoch_items`]).
-    #[must_use]
-    pub fn with_epoch_items(mut self, items: u64) -> Self {
-        self.epoch_items = items;
         self
     }
 
@@ -214,8 +180,6 @@ enum KeyState {
         sketch_words: u32,
         delta_items: u32,
     },
-    /// Pinned in the hot tier at `pinned[idx]`.
-    Pinned { idx: u32 },
     /// On disk in the shard's spill log.
     Spilled { offset: u64, len: u32 },
 }
@@ -226,39 +190,14 @@ struct KeyEntry {
     /// Stamp of this key's latest LRU touch (stale queue entries carry an
     /// older stamp and are skipped).
     last_stamp: u64,
-    /// Epoch `epoch_items` was last reset in.
-    epoch: u64,
-    /// Items seen this epoch — the popularity signal for pinning.
-    epoch_items: u32,
-}
-
-/// Epoch-refreshed point-query answer for a hot key (the SF-sketch style
-/// "front" stage). At most one epoch stale.
-#[derive(Clone, Copy)]
-struct FrontCache {
-    estimate: Estimate,
-    epoch: u64,
-}
-
-/// Hot-tier slot: a pooled full sketch plus its front cache.
-struct PinnedSlot<V: StorePayload> {
-    key: u64,
-    live: bool,
-    sketch: GtSketch<V>,
-    front: Option<FrontCache>,
 }
 
 struct ShardState<V: StorePayload> {
     index: HashMap<u64, KeyEntry>,
     arena: SlotArena,
-    pinned: Vec<PinnedSlot<V>>,
-    pinned_free: Vec<u32>,
-    /// Empty coordinated sketch cloned for new pinned slots.
-    prototype: GtSketch<V>,
     /// Pooled sketch every fold/query/evict materializes into.
     scratch: GtSketch<V>,
-    /// Reusable `(label, payload)` buffer for delta replay and hot-tier
-    /// batch ingest.
+    /// Reusable `(label, payload)` buffer for delta replay.
     run_buf: Vec<(u64, V)>,
     spill: SpillLog,
     spill_buf: Vec<u8>,
@@ -266,19 +205,13 @@ struct ShardState<V: StorePayload> {
     /// Approximate-LRU touch queue of `(key, stamp)`.
     lru: VecDeque<(u64, u64)>,
     stamp: u64,
-    /// Budgeted bytes: live slot-class bytes + pinned sketch heap.
+    /// Budgeted bytes: live slot-class bytes.
     resident_bytes: usize,
     resident_keys: u64,
     /// Resident keys whose packed section is in exact form.
     exact_keys: u64,
-    pinned_keys: u64,
     spilled_keys: u64,
-    seen_epoch: u64,
     budget: usize,
-    hot_threshold: u32,
-    /// `heap_bytes()` of one pooled sketch (constant per config — the
-    /// sample tables are fixed-capacity).
-    pinned_heap_bytes: usize,
     /// This shard's event counters; the gauge fields stay zero (the
     /// snapshot reads those from the shard state).
     tally: StoreMetricsSnapshot,
@@ -446,46 +379,6 @@ impl<V: StorePayload> ShardState<V> {
         }
     }
 
-    /// Bring the shard up to the store's current epoch: refresh the front
-    /// cache of every still-hot pinned key and demote the ones that cooled
-    /// off. Lazy — runs once per shard per epoch, on the first lock
-    /// acquisition that observes the new epoch.
-    fn sync_epoch(&mut self, global: u64) {
-        if self.seen_epoch == global {
-            return;
-        }
-        let ended = self.seen_epoch;
-        self.seen_epoch = global;
-        let mut cooled = Vec::new();
-        for idx in 0..self.pinned.len() {
-            if !self.pinned[idx].live {
-                continue;
-            }
-            let key = self.pinned[idx].key;
-            let (epoch, epoch_items) = {
-                let e = &self.index[&key];
-                (e.epoch, e.epoch_items)
-            };
-            // Hysteresis: stay pinned on half the promotion threshold, so
-            // a key oscillating around the threshold does not ping-pong.
-            let still_hot =
-                epoch == ended && u64::from(epoch_items) * 2 >= u64::from(self.hot_threshold);
-            if still_hot {
-                let estimate = self.pinned[idx].sketch.estimate_distinct();
-                self.pinned[idx].front = Some(FrontCache {
-                    estimate,
-                    epoch: global,
-                });
-                self.tally.front_refreshes += 1;
-            } else {
-                cooled.push(idx);
-            }
-        }
-        for idx in cooled {
-            self.demote(idx);
-        }
-    }
-
     /// Write the scratch sketch back as `key`'s resident state, promoting
     /// (or shrinking) the slot class as needed. A resident key rewrites
     /// its current slot; a restored key gets a fresh one.
@@ -563,83 +456,6 @@ impl<V: StorePayload> ShardState<V> {
         }
     }
 
-    /// Promote a resident key into the hot tier.
-    fn pin(&mut self, key: u64) {
-        let KeyState::Resident {
-            handle,
-            sketch_words,
-            delta_items,
-        } = self.index[&key].state
-        else {
-            return;
-        };
-        let idx = match self.pinned_free.pop() {
-            Some(i) => i as usize,
-            None => {
-                self.pinned.push(PinnedSlot {
-                    key: 0,
-                    live: false,
-                    sketch: self.prototype.clone(),
-                    front: None,
-                });
-                self.pinned.len() - 1
-            }
-        };
-        Self::parse_into(
-            &mut self.pinned[idx].sketch,
-            self.arena.slot(handle),
-            sketch_words as usize,
-            delta_items as usize,
-            &mut self.run_buf,
-        );
-        if delta_items > 0 {
-            self.tally.folds += 1;
-            self.tally.delta_replayed += u64::from(delta_items);
-        }
-        self.exact_keys -= self.exact_flag(handle, sketch_words);
-        self.resident_bytes -= self.arena.class_bytes(handle.class);
-        self.arena.free(handle);
-        self.resident_bytes += self.pinned_heap_bytes;
-        let slot = &mut self.pinned[idx];
-        slot.key = key;
-        slot.live = true;
-        slot.front = None;
-        self.index.get_mut(&key).expect("pin of unknown key").state =
-            KeyState::Pinned { idx: idx as u32 };
-        self.resident_keys -= 1;
-        self.pinned_keys += 1;
-        self.tally.pins += 1;
-    }
-
-    /// Demote a hot key back to a packed arena slot.
-    fn demote(&mut self, idx: usize) {
-        let key = self.pinned[idx].key;
-        let needed = Self::packed_words(&self.pinned[idx].sketch);
-        let class = self.arena.class_for(needed + Self::headroom(needed));
-        let handle = self.arena.alloc(class);
-        let written =
-            Self::write_sketch_section(&self.pinned[idx].sketch, self.arena.slot_mut(handle));
-        debug_assert_eq!(written, needed);
-        self.exact_keys += self.exact_flag(handle, needed as u32);
-        self.resident_bytes += self.arena.class_bytes(class);
-        self.resident_bytes -= self.pinned_heap_bytes;
-        let slot = &mut self.pinned[idx];
-        slot.live = false;
-        slot.front = None;
-        self.pinned_free.push(idx as u32);
-        self.index
-            .get_mut(&key)
-            .expect("demote of unknown key")
-            .state = KeyState::Resident {
-            handle,
-            sketch_words: needed as u32,
-            delta_items: 0,
-        };
-        self.pinned_keys -= 1;
-        self.resident_keys += 1;
-        self.tally.demotions += 1;
-    }
-
     /// Restore a spilled key into a fresh packed slot, bitwise-identically
     /// (the canonical codec enforces seed/config and round-trips exactly),
     /// or leave it spilled if its record fails to read or decode, or has
@@ -714,16 +530,11 @@ impl<V: StorePayload> ShardState<V> {
             if entry.last_stamp != stamp {
                 continue;
             }
-            let mut state = entry.state;
-            if let KeyState::Pinned { idx } = state {
-                self.demote(idx as usize);
-                state = self.index[&key].state;
-            }
             let KeyState::Resident {
                 handle,
                 sketch_words,
                 delta_items,
-            } = state
+            } = entry.state
             else {
                 continue;
             };
@@ -774,17 +585,14 @@ impl<V: StorePayload> ShardState<V> {
     }
 
     /// Ingest one staged key-run (all entries share `key`, arrival order
-    /// preserved). The steady-state resident path holds a single index
-    /// borrow: epoch/LRU bookkeeping, the hot check, and the delta append
-    /// all happen against one `get_mut`, with the arena accessed as a
-    /// disjoint field. Only the rare transitions (create, restore, pin,
-    /// slot-full fold) release the borrow.
+    /// preserved). The steady-state path holds a single index borrow: the
+    /// LRU stamp and the delta append happen against one `get_mut`, with
+    /// the arena accessed as a disjoint field. Only the rare transitions
+    /// (create, restore, slot-full fold) release the borrow.
     fn ingest_run(&mut self, key: u64, run: &[Staged<V>]) -> Result<()> {
         self.tally.key_runs += 1;
         self.tally.items += run.len() as u64;
         let ew = Self::ENTRY_WORDS;
-        let seen = self.seen_epoch;
-        let threshold = self.hot_threshold;
         self.stamp += 1;
         let stamp = self.stamp;
 
@@ -801,143 +609,82 @@ impl<V: StorePayload> ShardState<V> {
                             delta_items: 0,
                         },
                         last_stamp: 0,
-                        epoch: seen,
-                        epoch_items: 0,
                     },
                 );
                 self.resident_keys += 1;
             }
             Some(KeyState::Spilled { .. }) => self.restore(key)?,
-            Some(_) => {}
+            Some(KeyState::Resident { .. }) => {}
         }
 
-        let entry = self.index.get_mut(&key).expect("entry ensured above");
-        if entry.epoch != seen {
-            entry.epoch = seen;
-            entry.epoch_items = 0;
-        }
-        entry.epoch_items = entry.epoch_items.saturating_add(run.len() as u32);
-        entry.last_stamp = stamp;
-        let hot = threshold != 0 && entry.epoch_items >= threshold;
-
-        match entry.state {
-            KeyState::Pinned { idx } => self.ingest_pinned(idx as usize, run),
-            KeyState::Resident { .. } if hot => {
-                self.pin(key);
-                let KeyState::Pinned { idx } = self.index[&key].state else {
-                    unreachable!("pin left the key unpinned");
-                };
-                self.ingest_pinned(idx as usize, run);
-            }
-            KeyState::Resident { .. } => {
-                let mut rest = run;
-                loop {
-                    let entry = self.index.get_mut(&key).expect("entry ensured above");
-                    let KeyState::Resident {
-                        handle,
-                        sketch_words,
-                        mut delta_items,
-                    } = entry.state
-                    else {
-                        unreachable!("fold left the key non-resident");
-                    };
-                    let cap = self.arena.class_words(handle.class);
-                    let base = sketch_words as usize + delta_items as usize * ew;
-                    let space = (cap - base) / ew;
-                    let take = space.min(rest.len());
-                    if take > 0 {
-                        let slot = self.arena.slot_mut(handle);
-                        for (i, item) in rest[..take].iter().enumerate() {
-                            let at = base + i * ew;
-                            slot[at] = item.label;
-                            if V::WORDS == 1 {
-                                slot[at + 1] = item.payload.to_word();
-                            }
-                        }
-                        delta_items += take as u32;
-                        entry.state = KeyState::Resident {
-                            handle,
-                            sketch_words,
-                            delta_items,
-                        };
-                        rest = &rest[take..];
+        let mut rest = run;
+        loop {
+            let entry = self.index.get_mut(&key).expect("entry ensured above");
+            entry.last_stamp = stamp;
+            let KeyState::Resident {
+                handle,
+                sketch_words,
+                mut delta_items,
+            } = entry.state
+            else {
+                unreachable!("spilled key restored above");
+            };
+            let cap = self.arena.class_words(handle.class);
+            let base = sketch_words as usize + delta_items as usize * ew;
+            let space = (cap - base) / ew;
+            let take = space.min(rest.len());
+            if take > 0 {
+                let slot = self.arena.slot_mut(handle);
+                for (i, item) in rest[..take].iter().enumerate() {
+                    let at = base + i * ew;
+                    slot[at] = item.label;
+                    if V::WORDS == 1 {
+                        slot[at + 1] = item.payload.to_word();
                     }
-                    if rest.is_empty() {
-                        break;
-                    }
-                    // Slot full: fold the delta in, which re-sizes the
-                    // slot with fresh delta headroom.
-                    self.fold_resident(key, true);
                 }
+                delta_items += take as u32;
+                entry.state = KeyState::Resident {
+                    handle,
+                    sketch_words,
+                    delta_items,
+                };
+                rest = &rest[take..];
             }
-            KeyState::Spilled { .. } => unreachable!("spilled key restored above"),
+            if rest.is_empty() {
+                break;
+            }
+            // Slot full: fold the delta in, which re-sizes the slot with
+            // fresh delta headroom.
+            self.fold_resident(key, true);
         }
         self.note_touch(key, stamp);
         Ok(())
     }
 
-    /// Hot-tier ingest: straight through the batch kernel.
-    fn ingest_pinned(&mut self, idx: usize, run: &[Staged<V>]) {
-        self.run_buf.clear();
-        self.run_buf
-            .extend(run.iter().map(|s| (s.label, s.payload)));
-        self.pinned[idx].sketch.insert_batch_with(&self.run_buf);
-    }
-
-    /// Run `f` on `key`'s authoritative sketch and record the touch:
-    /// the pinned sketch, or the folded resident state in `scratch`. A
-    /// spilled key's restore already leaves its state in `scratch`, so
-    /// the slot it wrote back is not parsed a second time. `None` for a
-    /// key the store has never seen.
+    /// Run `f` on `key`'s current sketch, folded into `scratch`, and
+    /// record the touch. A spilled key's restore already leaves its state
+    /// in `scratch`, so the slot it wrote back is not parsed a second
+    /// time. `None` for a key the store has never seen.
     fn with_sketch<T>(&mut self, key: u64, f: impl FnOnce(&GtSketch<V>) -> T) -> Result<Option<T>> {
         let Some(entry) = self.index.get(&key) else {
             return Ok(None);
         };
-        let out = match entry.state {
-            KeyState::Pinned { idx } => f(&self.pinned[idx as usize].sketch),
-            KeyState::Resident { .. } => {
-                self.fold_resident(key, false);
-                f(&self.scratch)
-            }
-            KeyState::Spilled { .. } => {
-                self.restore(key)?;
-                f(&self.scratch)
-            }
-        };
+        match entry.state {
+            KeyState::Resident { .. } => self.fold_resident(key, false),
+            KeyState::Spilled { .. } => self.restore(key)?,
+        }
         self.touch_lru(key);
-        Ok(Some(out))
+        Ok(Some(f(&self.scratch)))
     }
 
-    /// Point query. `None` for a key the store has never seen. A pinned
-    /// key answers from its front cache while that is current, and
-    /// refreshes it otherwise.
+    /// Point query on the key's current state. `None` for a key the store
+    /// has never seen.
     fn estimate(&mut self, key: u64) -> Result<Option<Estimate>> {
         self.tally.queries += 1;
-        let pinned = match self.index.get(&key).map(|e| e.state) {
-            Some(KeyState::Pinned { idx }) => Some(idx as usize),
-            _ => None,
-        };
-        if let Some(idx) = pinned {
-            if let Some(front) = self.pinned[idx].front {
-                if front.epoch == self.seen_epoch {
-                    self.tally.front_hits += 1;
-                    self.touch_lru(key);
-                    return Ok(Some(front.estimate));
-                }
-            }
-        }
-        let est = self.with_sketch(key, GtSketch::estimate_distinct)?;
-        if let (Some(idx), Some(estimate)) = (pinned, est) {
-            self.pinned[idx].front = Some(FrontCache {
-                estimate,
-                epoch: self.seen_epoch,
-            });
-            self.tally.front_refreshes += 1;
-        }
-        Ok(est)
+        self.with_sketch(key, GtSketch::estimate_distinct)
     }
 
-    /// Items observed for `key` (exact, all tiers).
+    /// Items observed for `key` (exact, both tiers).
     fn items_observed(&mut self, key: u64) -> Result<Option<u64>> {
         self.with_sketch(key, GtSketch::items_observed)
     }
@@ -968,9 +715,6 @@ pub struct SketchStore<V: StorePayload = ()> {
     shards: Vec<CachePadded<Mutex<ShardState<V>>>>,
     shard_mask: u64,
     byte_budget: usize,
-    epoch: AtomicU64,
-    items_since_epoch: AtomicU64,
-    epoch_item_target: u64,
     spill_dir: PathBuf,
     owns_spill_dir: bool,
 }
@@ -1007,7 +751,7 @@ impl<V: StorePayload> SketchStore<V> {
             }
         };
         std::fs::create_dir_all(&spill_dir)?;
-        let prototype = GtSketch::<V>::new(config, master_seed);
+        let scratch = GtSketch::<V>::new(config, master_seed);
         let ew = 1 + V::WORDS;
         let trials = config.trials();
         let full = trials * (2 + config.capacity() * ew);
@@ -1020,10 +764,7 @@ impl<V: StorePayload> SketchStore<V> {
                 Ok(CachePadded::new(Mutex::new(ShardState {
                     index: HashMap::new(),
                     arena: SlotArena::new(min_words, max_words),
-                    pinned: Vec::new(),
-                    pinned_free: Vec::new(),
-                    prototype: prototype.clone(),
-                    scratch: prototype.clone(),
+                    scratch: scratch.clone(),
                     run_buf: Vec::new(),
                     spill,
                     spill_buf: Vec::new(),
@@ -1033,12 +774,8 @@ impl<V: StorePayload> SketchStore<V> {
                     resident_bytes: 0,
                     resident_keys: 0,
                     exact_keys: 0,
-                    pinned_keys: 0,
                     spilled_keys: 0,
-                    seen_epoch: 0,
                     budget,
-                    hot_threshold: options.hot_threshold,
-                    pinned_heap_bytes: prototype.heap_bytes(),
                     tally: StoreMetricsSnapshot::default(),
                 })))
             })
@@ -1049,9 +786,6 @@ impl<V: StorePayload> SketchStore<V> {
             shards,
             shard_mask: shard_count as u64 - 1,
             byte_budget: options.byte_budget,
-            epoch: AtomicU64::new(0),
-            items_since_epoch: AtomicU64::new(0),
-            epoch_item_target: options.epoch_items,
             spill_dir,
             owns_spill_dir,
         })
@@ -1059,17 +793,6 @@ impl<V: StorePayload> SketchStore<V> {
 
     fn shard_of(&self, key: u64) -> usize {
         (mix64(key ^ 0xC3C3_C3C3_C3C3_C3C3) & self.shard_mask) as usize
-    }
-
-    fn note_items(&self, n: u64) {
-        if self.epoch_item_target == 0 {
-            return;
-        }
-        let before = self.items_since_epoch.fetch_add(n, Ordering::Relaxed);
-        if before + n >= self.epoch_item_target {
-            self.items_since_epoch.store(0, Ordering::Relaxed);
-            self.epoch.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     fn extend_iter(&self, items: impl IntoIterator<Item = (u64, u64, V)> + Clone) -> Result<()> {
@@ -1101,7 +824,6 @@ impl<V: StorePayload> SketchStore<V> {
             // Group by (shard, key); `seq` keeps arrival order within a
             // key so keep-first payload semantics survive the sort.
             stage.sort_unstable_by_key(|s| (s.shard, s.key, s.seq));
-            let staged = stage.len() as u64;
             let mut i = 0;
             while i < stage.len() {
                 let shard = stage[i].shard;
@@ -1109,9 +831,7 @@ impl<V: StorePayload> SketchStore<V> {
                 while j < stage.len() && stage[j].shard == shard {
                     j += 1;
                 }
-                let global = self.epoch.load(Ordering::Relaxed);
                 let mut guard = self.shards[shard as usize].lock();
-                guard.sync_epoch(global);
                 let mut k = i;
                 while k < j {
                     let key = stage[k].key;
@@ -1126,7 +846,6 @@ impl<V: StorePayload> SketchStore<V> {
                 drop(guard);
                 i = j;
             }
-            self.note_items(staged);
         }
     }
 
@@ -1155,30 +874,25 @@ impl<V: StorePayload> SketchStore<V> {
         self.extend_iter(items.iter().copied())
     }
 
-    /// Point query: the distinct estimate for `key`, or `None` if the
-    /// store has never seen it. Hot keys answer from the front cache (at
-    /// most one epoch stale); everything else folds authoritative state.
+    /// Point query: the distinct estimate of `key`'s current state, or
+    /// `None` if the store has never seen it. The key's buffered delta is
+    /// folded first, so the answer covers every label ingested so far.
     ///
     /// # Errors
     /// As [`SketchStore::extend`] (querying a spilled key restores it).
     pub fn estimate(&self, key: u64) -> Result<Option<Estimate>> {
-        let global = self.epoch.load(Ordering::Relaxed);
         let mut guard = self.shards[self.shard_of(key)].lock();
-        guard.sync_epoch(global);
         let out = guard.estimate(key);
         guard.maybe_evict();
         out
     }
 
-    /// Exact items observed for `key` (always authoritative, never the
-    /// front cache), or `None` for an unknown key.
+    /// Exact items observed for `key`, or `None` for an unknown key.
     ///
     /// # Errors
     /// As [`SketchStore::estimate`].
     pub fn items_observed(&self, key: u64) -> Result<Option<u64>> {
-        let global = self.epoch.load(Ordering::Relaxed);
         let mut guard = self.shards[self.shard_of(key)].lock();
-        guard.sync_epoch(global);
         let out = guard.items_observed(key);
         guard.maybe_evict();
         out
@@ -1186,39 +900,24 @@ impl<V: StorePayload> SketchStore<V> {
 
     /// Canonical wire bytes of `key`'s sketch — bitwise identical to
     /// `encode_sketch` of a standalone coordinated [`GtSketch`] fed the
-    /// same labels, whatever tier the key is in (a spilled key is restored
-    /// first). `None` for an unknown key.
+    /// same labels, whichever tier the key is in (a spilled key is
+    /// restored first). `None` for an unknown key.
     ///
     /// # Errors
     /// As [`SketchStore::estimate`].
     pub fn canonical_bytes(&self, key: u64) -> Result<Option<Bytes>> {
-        let global = self.epoch.load(Ordering::Relaxed);
         let mut guard = self.shards[self.shard_of(key)].lock();
-        guard.sync_epoch(global);
         let out = guard.canonical_bytes(key);
         guard.maybe_evict();
         out
     }
 
-    /// Advance the store epoch: shards refresh hot-key front caches and
-    /// demote cooled keys on their next lock acquisition. Also advanced
-    /// automatically every [`StoreOptions::epoch_items`] ingested items.
-    pub fn advance_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Keys tracked across all tiers (resident + pinned + spilled).
+    /// Keys tracked across both tiers (resident + spilled).
     pub fn key_count(&self) -> usize {
         self.shards.iter().map(|s| s.lock().index.len()).sum()
     }
 
-    /// Budgeted resident bytes across all shards (live packed slots plus
-    /// pinned sketch heap).
+    /// Budgeted resident bytes across all shards (live packed slots).
     pub fn resident_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().resident_bytes).sum()
     }
@@ -1264,7 +963,6 @@ impl<V: StorePayload> SketchStore<V> {
             snap.keys += g.index.len() as u64;
             snap.resident_keys += g.resident_keys;
             snap.exact_keys += g.exact_keys;
-            snap.pinned_keys += g.pinned_keys;
             snap.spilled_keys += g.spilled_keys;
             snap.resident_bytes += g.resident_bytes as u64;
             snap.arena_bytes += g.arena.allocated_bytes() as u64;
@@ -1303,7 +1001,6 @@ mod tests {
         StoreOptions::default()
             .with_shards(2)
             .with_byte_budget(budget)
-            .with_epoch_items(0)
     }
 
     #[test]
@@ -1340,7 +1037,7 @@ mod tests {
         let config = tiny_cfg();
         // A budget small enough that most of 600 keys cannot stay
         // resident, forcing evict/restore cycles mid-stream.
-        let store = DistinctStore::new(&config, 5, opts(16 << 10).with_hot_threshold(0)).unwrap();
+        let store = DistinctStore::new(&config, 5, opts(16 << 10)).unwrap();
         let keys = 600u64;
         let mut items = Vec::new();
         for round in 0..6u64 {
@@ -1379,7 +1076,7 @@ mod tests {
         // spilled key restores it (killing its log record) and the next
         // budget squeeze spills it again (appending a new one), so dead
         // bytes accumulate until the dead-fraction threshold fires.
-        let store = DistinctStore::new(&config, 5, opts(16 << 10).with_hot_threshold(0)).unwrap();
+        let store = DistinctStore::new(&config, 5, opts(16 << 10)).unwrap();
         let keys = 600u64;
         let mut items = Vec::new();
         for round in 0..10u64 {
@@ -1416,61 +1113,26 @@ mod tests {
         }
     }
 
+    /// Every point query reads the key's current state: under the default
+    /// options, after each of three batches of fresh labels into one key,
+    /// `estimate` equals a standalone sketch's estimate bit for bit.
     #[test]
-    fn hot_keys_pin_and_front_cache_serves_queries() {
-        let config = cfg();
-        let store = DistinctStore::new(&config, 9, opts(64 << 20).with_hot_threshold(64)).unwrap();
-        let mut items = Vec::new();
-        for i in 0..5_000u64 {
-            items.push((7, fold61(i)));
-            if i % 50 == 0 {
-                items.push((i, fold61(i)));
-            }
-        }
-        store.extend(&items).unwrap();
-        let snap = store.metrics_snapshot();
-        assert!(snap.pins >= 1, "hot key never pinned");
-        assert_eq!(snap.pinned_keys, 1);
-        // Epoch boundary refreshes the front; repeated queries hit it.
-        store.advance_epoch();
-        let first = store.estimate(7).unwrap().unwrap();
-        for _ in 0..5 {
-            assert_eq!(store.estimate(7).unwrap().unwrap(), first);
-        }
-        let snap = store.metrics_snapshot();
-        assert!(snap.front_hits >= 5, "front cache never served a query");
-        // The authoritative bytes still match a standalone sketch.
-        let mut standalone = DistinctSketch::new(&config, 9);
-        standalone.extend_labels(items.iter().filter(|&&(k, _)| k == 7).map(|&(_, l)| l));
-        assert_eq!(
-            store.canonical_bytes(7).unwrap().unwrap(),
-            encode_sketch(&standalone)
-        );
-    }
-
-    #[test]
-    fn cooled_hot_keys_demote_at_epoch_boundaries() {
+    fn estimate_reads_current_state_after_every_batch() {
         let config = tiny_cfg();
-        let store = DistinctStore::new(&config, 3, opts(64 << 20).with_hot_threshold(32)).unwrap();
-        let hot: Vec<(u64, u64)> = (0..200u64).map(|i| (1, fold61(i))).collect();
-        store.extend(&hot).unwrap();
-        assert_eq!(store.metrics_snapshot().pinned_keys, 1);
-        // Two quiet epochs: the key's per-epoch traffic is zero, so the
-        // first sync after the boundary demotes it.
-        store.advance_epoch();
-        store.extend(&[(2, fold61(9_999))]).unwrap();
-        store.advance_epoch();
-        store.extend(&[(2, fold61(9_998))]).unwrap();
-        let snap = store.metrics_snapshot();
-        assert_eq!(snap.pinned_keys, 0, "cooled key stayed pinned");
-        assert!(snap.demotions >= 1);
-        // State survived the demotion bit-for-bit.
-        let mut standalone = DistinctSketch::new(&config, 3);
-        standalone.extend_labels(hot.iter().map(|&(_, l)| l));
-        assert_eq!(
-            store.canonical_bytes(1).unwrap().unwrap(),
-            encode_sketch(&standalone)
-        );
+        let store = DistinctStore::new(&config, 29, StoreOptions::default()).unwrap();
+        let mut standalone = DistinctSketch::new(&config, 29);
+        for batch in 0..3u64 {
+            let items: Vec<(u64, u64)> = (0..5_000u64)
+                .map(|i| (1, fold61(batch * 5_000 + i)))
+                .collect();
+            store.extend(&items).unwrap();
+            standalone.extend_labels(items.iter().map(|&(_, l)| l));
+            assert_eq!(
+                store.estimate(1).unwrap().unwrap().value.to_bits(),
+                standalone.estimate_distinct().value.to_bits(),
+                "after batch {batch}"
+            );
+        }
     }
 
     #[test]
@@ -1547,10 +1209,7 @@ mod tests {
         let items: Vec<(u64, u64)> = (0..30_000u64).map(|i| (i % 900, fold61(i))).collect();
         store.extend(&items).unwrap();
         let snap = store.metrics_snapshot();
-        assert_eq!(
-            snap.resident_keys + snap.pinned_keys + snap.spilled_keys,
-            snap.keys
-        );
+        assert_eq!(snap.resident_keys + snap.spilled_keys, snap.keys);
         assert!(snap.exact_keys <= snap.resident_keys);
         assert_eq!(snap.keys as usize, store.key_count());
         assert_eq!(snap.items, items.len() as u64);
@@ -1580,8 +1239,7 @@ mod tests {
     fn exact_form_tracks_standalone_through_overflow<V: StorePayload>(payload: fn(u64) -> V) {
         let config = tiny_cfg();
         let c = config.capacity() as u64;
-        let store =
-            SketchStore::<V>::new(&config, 31, opts(64 << 20).with_hot_threshold(0)).unwrap();
+        let store = SketchStore::<V>::new(&config, 31, opts(64 << 20)).unwrap();
         let mut fed = Vec::new();
         for i in 0..=c {
             let label = fold61(i * 7 + 3);
@@ -1614,7 +1272,7 @@ mod tests {
     /// a tight budget; every key still matches its standalone sketch.
     fn exact_keys_survive_evict_restore<V: StorePayload>(payload: fn(u64) -> V) {
         let config = tiny_cfg();
-        let store = SketchStore::<V>::new(&config, 5, opts(4 << 10).with_hot_threshold(0)).unwrap();
+        let store = SketchStore::<V>::new(&config, 5, opts(4 << 10)).unwrap();
         let keys = 200u64;
         let mut items = Vec::new();
         for round in 0..3u64 {
@@ -1663,52 +1321,6 @@ mod tests {
         exact_keys_survive_evict_restore::<u64>(|i| i);
     }
 
-    /// A key pinned below capacity (hot threshold under c) demotes into an
-    /// exact slot, then overflows from there.
-    fn pinned_key_demotes_to_exact_slot<V: StorePayload>(payload: fn(u64) -> V) {
-        let config = tiny_cfg();
-        let store =
-            SketchStore::<V>::new(&config, 3, opts(64 << 20).with_hot_threshold(4)).unwrap();
-        let mut fed: Vec<(u64, V)> = (0..8u64).map(|i| (fold61(i), payload(i))).collect();
-        let batch: Vec<(u64, u64, V)> = fed.iter().map(|&(l, p)| (1, l, p)).collect();
-        store.extend_with(&batch).unwrap();
-        assert_eq!(store.metrics_snapshot().pinned_keys, 1);
-        store.advance_epoch();
-        store
-            .extend_with(&[(2, fold61(9_999), payload(0))])
-            .unwrap();
-        store.advance_epoch();
-        store
-            .extend_with(&[(2, fold61(9_998), payload(0))])
-            .unwrap();
-        let snap = store.metrics_snapshot();
-        assert_eq!(snap.pinned_keys, 0, "cooled key stayed pinned");
-        assert_eq!(snap.exact_keys, 1, "demoted key not packed exact");
-        assert_eq!(
-            store.canonical_bytes(1).unwrap().unwrap(),
-            standalone_bytes(&config, 3, &fed)
-        );
-        for i in 8..20u64 {
-            let item = (fold61(i), payload(i));
-            store.extend_with(&[(1, item.0, item.1)]).unwrap();
-            fed.push(item);
-        }
-        assert_eq!(
-            store.canonical_bytes(1).unwrap().unwrap(),
-            standalone_bytes(&config, 3, &fed)
-        );
-    }
-
-    #[test]
-    fn pinned_key_demotes_to_exact_slot_distinct() {
-        pinned_key_demotes_to_exact_slot::<()>(|_| ());
-    }
-
-    #[test]
-    fn pinned_key_demotes_to_exact_slot_payload() {
-        pinned_key_demotes_to_exact_slot::<u64>(|i| i);
-    }
-
     #[test]
     fn exact_slots_pack_one_shared_list() {
         let config = tiny_cfg();
@@ -1742,7 +1354,7 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("gt-store-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let options = opts(1 << 10).with_hot_threshold(0).with_spill_dir(&dir);
+        let options = opts(1 << 10).with_spill_dir(&dir);
         let store = DistinctStore::new(&config, 3, options).unwrap();
         // Even keys stay under capacity (exact form, every trial at level
         // 0); odd keys overflow it.
@@ -1822,6 +1434,103 @@ mod tests {
         assert!(
             disagreeing > 0,
             "no flip made an exact record's trials disagree"
+        );
+        drop(store);
+        std::fs::remove_dir(&dir).ok();
+    }
+
+    /// A shard log cut short inside a live record, just before a restore
+    /// compacts the log: every query on that shard restores bitwise or
+    /// returns a typed error, and none panics. Keys whose records lie
+    /// wholly before the cut restore exactly, across the compaction that
+    /// meets the cut; a key whose record the cut reaches is refused, stays
+    /// spilled and refuses again.
+    #[test]
+    fn truncated_spill_log_fails_typed_or_restores_exactly() {
+        use crate::StoreError;
+        let config = tiny_cfg();
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("gt-store-truncated-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = DistinctStore::new(&config, 3, opts(1 << 10).with_spill_dir(&dir)).unwrap();
+        let items: Vec<(u64, u64)> = (0..240u64)
+            .flat_map(|k| (0..6 + k % 2 * 54).map(move |j| (k, fold61(k * 1_000 + j))))
+            .collect();
+        store.extend(&items).unwrap();
+        // Shard 0's spilled keys as `(offset, len, key)`, in log order.
+        let spilled = || {
+            let guard = store.shards[0].lock();
+            let mut spilled: Vec<(u64, u32, u64)> = guard
+                .index
+                .iter()
+                .filter_map(|(&key, entry)| match entry.state {
+                    KeyState::Spilled { offset, len } => Some((offset, len, key)),
+                    KeyState::Resident { .. } => None,
+                })
+                .collect();
+            spilled.sort_unstable();
+            spilled
+        };
+        let keys: Vec<u64> = spilled().iter().map(|r| r.2).collect();
+        assert!(keys.len() > 60, "only {} keys spilled", keys.len());
+
+        // Restore keys in turn (the tight budget spills each straight back)
+        // until the next restore would compact the log, so that compaction
+        // meets the cut before any append extends the file again.
+        let first = 'churn: loop {
+            for &key in &keys {
+                let guard = store.shards[0].lock();
+                if let KeyState::Spilled { len, .. } = guard.index[&key].state {
+                    let dead = guard.spill.dead_bytes() + u64::from(len);
+                    if dead >= 4096 && 2 * dead >= guard.spill.appended_bytes() {
+                        break 'churn key;
+                    }
+                }
+                drop(guard);
+                store.canonical_bytes(key).unwrap();
+            }
+        };
+        let mut records = Vec::new();
+        for (offset, len, key) in spilled() {
+            let mut record = Vec::new();
+            let mut guard = store.shards[0].lock();
+            guard.spill.read(offset, len, &mut record).unwrap();
+            records.push((offset, len, key, Bytes::from(record)));
+        }
+        // Cut halfway through the last record that is not `first`'s, and
+        // query `first` first.
+        let (offset, len, ..) = *records.iter().rev().find(|r| r.2 != first).unwrap();
+        let cut = offset + u64::from(len) / 2;
+        let path = store.shards[0].lock().spill.path().to_path_buf();
+        let log = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        log.set_len(cut).unwrap();
+        records.sort_by_key(|r| r.2 != first);
+
+        let compactions = store.metrics_snapshot().compactions;
+        let (mut restored, mut refused) = (0, 0);
+        for (offset, len, key, record) in &records {
+            let intact = offset + u64::from(*len) <= cut;
+            for _ in 0..2 {
+                match store.canonical_bytes(*key) {
+                    Ok(bytes) => {
+                        assert!(intact, "key {key}: a record the cut reaches restored");
+                        assert_eq!(bytes.as_ref(), Some(record), "key {key}");
+                        restored += 1;
+                    }
+                    Err(StoreError::Io(_) | StoreError::Codec(_)) if !intact => {
+                        let state = store.shards[0].lock().index[key].state;
+                        assert!(matches!(state, KeyState::Spilled { .. }), "key {key}");
+                        refused += 1;
+                    }
+                    Err(e) => panic!("key {key} (intact: {intact}): {e}"),
+                }
+                assert_eq!(store.estimate(*key).is_ok(), intact, "key {key}");
+            }
+        }
+        assert!(restored > 0 && refused > 0, "{restored} {refused}");
+        assert!(
+            store.metrics_snapshot().compactions > compactions,
+            "no restore compacted the cut log"
         );
         drop(store);
         std::fs::remove_dir(&dir).ok();

@@ -99,13 +99,11 @@ fn main() {
     // The keyed multi-tenant store: per-key sketches behind one sharded
     // ingest path, with a byte budget tight enough here that eviction,
     // spill, and restore all fire. Its snapshot is a consistent cut —
-    // the three tiers always sum to the key count exactly.
+    // the two tiers always sum to the key count exactly.
     let store = gt_sketch::store::DistinctStore::new(
         &config,
         master_seed,
-        gt_sketch::store::StoreOptions::default()
-            .with_byte_budget(256 << 10)
-            .with_hot_threshold(128),
+        gt_sketch::store::StoreOptions::default().with_byte_budget(256 << 10),
     )
     .expect("store construction");
     let keyed: Vec<(u64, u64)> = (0..120_000u64)
@@ -121,5 +119,5 @@ fn main() {
         to_text(&s)
     );
     println!("store as JSON: {}", to_json(&s));
-    assert_eq!(s.resident_keys + s.pinned_keys + s.spilled_keys, s.keys);
+    assert_eq!(s.resident_keys + s.spilled_keys, s.keys);
 }

@@ -21,8 +21,8 @@
 //! * A full distributed-streams runtime ([`streams`]): parties, referee,
 //!   byte-counted wire codec, workload generators, scenario runner.
 //! * A keyed multi-tenant sketch store ([`store`]): millions of per-key
-//!   sketches behind one sharded ingest path, with arena-packed state,
-//!   hot-key front caches, and LRU eviction to an on-disk spill log.
+//!   sketches behind one sharded ingest path, with arena-packed state and
+//!   LRU eviction to an on-disk spill log.
 //! * Baselines ([`baselines`]): exact, FM/PCSA, LogLog, linear counting,
 //!   KMV, reservoir sampling — behind one trait.
 //!
@@ -61,7 +61,7 @@ pub use gt_hash::{fold61, mix64, HashFamilyKind};
 pub use gt_streams as streams;
 
 /// Keyed multi-tenant sketch store: arena-packed per-key state, sharded
-/// ingest, hot-key front caches, eviction + spill.
+/// ingest, eviction + spill.
 pub use gt_store as store;
 
 /// Baseline distinct counters for comparison.

@@ -1,9 +1,10 @@
 //! Per-key differential oracle for the keyed store
 //! ([`gt_sketch::store::SketchStore`]): for any interleaved keyed stream —
-//! including evict/restore and pin/demote cycles mid-stream — every key's
-//! store-resident sketch must be **bitwise identical** (canonical wire
-//! bytes) to a standalone [`gt_sketch::DistinctSketch`] fed that key's
-//! labels in arrival order. Same harness shape as
+//! including evict/restore cycles mid-stream — every key's sketch in the
+//! store must be **bitwise identical** (canonical wire bytes) to a
+//! standalone [`gt_sketch::DistinctSketch`] fed that key's labels in
+//! arrival order, and its point estimate must equal the standalone
+//! sketch's bit for bit. Same harness shape as
 //! `concurrent_equivalence.rs`: a proptest over deterministic seeded
 //! streams plus targeted non-prop cycles, and count/ordering assertions
 //! only (no wall-clock) per the de-flake rule.
@@ -34,31 +35,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any interleaved keyed stream, any tier churn: budgets small enough
-    /// to force evictions mid-stream, hot thresholds low enough to force
-    /// pins, and epoch advances at every checkpoint to force front
-    /// refreshes and demotions. At each checkpoint the key that was just
-    /// touched must match its standalone sketch bitwise; at the end every
-    /// key must.
+    /// to force evictions mid-stream, over one to three shards. At each
+    /// checkpoint the key that was just touched must match its standalone
+    /// sketch bitwise, bytes and estimate; at the end every key must.
     #[test]
     fn interleaved_keyed_streams_match_standalone_sketches(
         pairs in vec((0u64..24, 0u64..2_000), 1..500),
         budget in prop_oneof![Just(2usize << 10), Just(16usize << 10), Just(64usize << 20)],
-        hot_threshold in prop_oneof![Just(0u32), Just(24u32), Just(u32::MAX)],
         shards in 1usize..4,
     ) {
         let config = small_config();
         let options = StoreOptions::default()
             .with_shards(shards)
-            .with_byte_budget(budget)
-            .with_hot_threshold(hot_threshold)
-            .with_epoch_items(0); // epochs advance only at checkpoints
+            .with_byte_budget(budget);
         let store = DistinctStore::new(&config, SEED, options).unwrap();
         let folded: Vec<(u64, u64)> = pairs.iter().map(|&(k, l)| (k, fold61(l))).collect();
 
         let checkpoint = 96usize;
         for (i, chunk) in folded.chunks(checkpoint).enumerate() {
             store.extend(chunk).unwrap();
-            store.advance_epoch();
             // The key touched last this chunk must already be exact.
             let key = chunk.last().unwrap().0;
             let upto = (i * checkpoint + chunk.len()).min(folded.len());
@@ -72,6 +67,13 @@ proptest! {
                 got.as_ref(),
                 want.as_ref(),
                 "checkpoint {} key {} diverged",
+                i,
+                key
+            );
+            prop_assert_eq!(
+                store.estimate(key).unwrap().unwrap().value.to_bits(),
+                expect.estimate_distinct().value.to_bits(),
+                "checkpoint {} key {} estimate diverged",
                 i,
                 key
             );
@@ -105,7 +107,7 @@ proptest! {
         let snap = store.metrics_snapshot();
         prop_assert_eq!(snap.items, folded.len() as u64);
         prop_assert_eq!(
-            snap.resident_keys + snap.pinned_keys + snap.spilled_keys,
+            snap.resident_keys + snap.spilled_keys,
             snap.keys
         );
     }
@@ -119,8 +121,7 @@ fn evict_restore_cycles_are_bitwise_lossless() {
     let config = small_config();
     let options = StoreOptions::default()
         .with_shards(2)
-        .with_byte_budget(12 << 10)
-        .with_hot_threshold(0); // everything stays in the packed tier
+        .with_byte_budget(12 << 10);
     let store = DistinctStore::new(&config, SEED, options).unwrap();
 
     let keys = 400u64;
@@ -165,8 +166,7 @@ fn payload_keys_survive_tier_churn_bitwise() {
     let config = small_config();
     let options = StoreOptions::default()
         .with_shards(2)
-        .with_byte_budget(6 << 10)
-        .with_hot_threshold(64);
+        .with_byte_budget(6 << 10);
     let store = SketchStore::<u64>::new(&config, SEED, options).unwrap();
 
     let mut items: Vec<(u64, u64, u64)> = Vec::new();
@@ -204,9 +204,7 @@ fn threaded_keyed_ingest_matches_standalone() {
     const WRITERS: u64 = 4;
     const PER_WRITER: u64 = 8_000;
     let config = small_config();
-    let options = StoreOptions::default()
-        .with_byte_budget(48 << 10)
-        .with_hot_threshold(256);
+    let options = StoreOptions::default().with_byte_budget(48 << 10);
     let store = DistinctStore::new(&config, SEED, options).unwrap();
 
     crossbeam::scope(|scope| {
