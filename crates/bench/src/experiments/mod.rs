@@ -133,7 +133,7 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "e19",
-        description: "referee union pipeline: sequential vs kernel vs tree-reduction merge",
+        description: "referee union pipeline: per-entry reference fold vs kernel fold",
         run: e19_union::run,
     },
     Experiment {

@@ -109,11 +109,6 @@ mod tests {
                 "gt_referee_rejected_malformed",
                 "gt_referee_rejected_sketch",
                 "gt_referee_rejected_truncated",
-                "gt_referee_summaries_per_batch_le_1",
-                "gt_referee_summaries_per_batch_le_16",
-                "gt_referee_summaries_per_batch_le_4",
-                "gt_referee_summaries_per_batch_le_64",
-                "gt_referee_summaries_per_batch_le_inf",
             ]
         );
         // Eight scalars, three readings per party, and the referee's and
@@ -128,14 +123,9 @@ mod tests {
             batch.bytes_per_party[3] as f64
         );
         // The referee folds 4 messages in one union merge each, in 1..=4
-        // batches, and the batch-size histogram accounts for every batch.
+        // batches.
         let batches = run["gt_referee_batches"];
         assert!((1.0..=4.0).contains(&batches), "batches {batches}");
-        let histogram: f64 = ["1", "4", "16", "64", "inf"]
-            .iter()
-            .map(|le| run[&format!("gt_referee_summaries_per_batch_le_{le}")])
-            .sum();
-        assert_eq!(histogram, batches);
         assert_eq!(run["gt_sketch_merge_calls"], 4.0);
 
         // Twenty-seven run readings and the referee's walk, then twelve

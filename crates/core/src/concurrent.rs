@@ -607,4 +607,49 @@ mod tests {
             40_000 * cfg().trials() as u64
         );
     }
+
+    #[test]
+    fn snapshots_miss_at_most_n_times_b_items() {
+        // The relaxation bound in the type docs: with N writers at
+        // threshold b, a snapshot misses at most N·b of the items whose
+        // `insert` has returned. `finished` counts those items; `started`
+        // counts items whose `insert` has begun, which bounds the snapshot
+        // from above (a propagation publishes inside `insert`, before
+        // `finished` can count the item that triggered it).
+        use std::sync::atomic::Ordering::SeqCst;
+        const N: u64 = 4;
+        const B: u64 = 300;
+        const PER_WRITER: u64 = 20_000;
+        let concurrent = ConcurrentSketch::new(&cfg(), 27);
+        let (started, finished) = (AtomicU64::new(0), AtomicU64::new(0));
+        crossbeam::scope(|scope| {
+            for w in 0..N {
+                let (concurrent, started, finished) = (&concurrent, &started, &finished);
+                scope.spawn(move |_| {
+                    let mut writer = concurrent.writer_with_threshold(B);
+                    for i in 0..PER_WRITER {
+                        started.fetch_add(1, SeqCst);
+                        writer.insert(gt_hash::fold61(w * PER_WRITER + i));
+                        finished.fetch_add(1, SeqCst);
+                    }
+                });
+            }
+            // Poll until every insert has returned, at least once.
+            loop {
+                let before = finished.load(SeqCst);
+                let covered = concurrent.snapshot().items_observed();
+                let after = started.load(SeqCst);
+                assert!(
+                    before.saturating_sub(covered) <= N * B,
+                    "{covered} of {before}"
+                );
+                assert!(covered <= after, "{covered} > {after} started");
+                if before == N * PER_WRITER {
+                    break;
+                }
+            }
+        })
+        .unwrap();
+        assert_eq!(concurrent.items_observed(), N * PER_WRITER);
+    }
 }

@@ -30,7 +30,7 @@ pub enum SketchError {
     /// element to return: a sketch needs a config and seed, and an empty
     /// slice carries neither.
     EmptyUnion,
-    /// A worker thread spawned by a parallel build or merge panicked. The
+    /// A worker thread spawned by a parallel build panicked. The
     /// panic is caught at the join and surfaced as this error — a poisoned
     /// worker closure must not abort the whole process — so callers can
     /// fall back to a sequential path or fail the one request.

@@ -76,7 +76,7 @@ pub use delta::{
 pub use error::{Result, SketchError};
 pub use estimate::{median_f64, quantile_f64, relative_error, Estimate};
 pub use expr::{eval_expr, ExprContext, ExpressionEstimate, JaccardEstimate, SetExpr};
-pub use merge::{merge_all, merge_tree, Mergeable, MERGE_TREE_CROSSOVER};
+pub use merge::{merge_all, Mergeable};
 pub use metrics::{
     ConcurrentMetrics, ConcurrentMetricsSnapshot, MetricsSnapshot, PropagationCause,
 };

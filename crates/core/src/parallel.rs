@@ -11,21 +11,14 @@
 //!
 //! ## Why the worker count is clamped
 //!
-//! The PR-3 bench recorded `build_parallel` *losing* to sequential (0.75×
-//! at 2 threads, 0.53× at 4). The cause was not the merge or the kernel
-//! but oversubscription: the builder spawned exactly the requested thread
-//! count even when the host had fewer cores, so every "worker" paid
-//! spawn/join, scheduler migration, and per-thread sketch setup while
-//! time-slicing a single core. [`build_parallel`] now treats `threads` as
-//! a *ceiling* and clamps it to [`effective_workers`]; on a one-core host
-//! every width degrades to the sequential build (parity, not slowdown),
-//! and on a multi-core host the sweep measures real parallelism. Three
-//! further costs are amortized: chunks are balanced to within one item
-//! ([`balanced_chunks`] — the old `div_ceil` split left the last worker
-//! nearly idle while adding a full-size chunk to the critical path),
-//! per-worker sketch setup clones one prototype instead of re-deriving
-//! the seed sequence and hash tables per thread, and the worker-local
-//! union goes through [`merge_tree`].
+//! [`build_parallel`] treats `threads` as a *ceiling* and clamps it to
+//! [`effective_workers`]: spawning more threads than cores made an early
+//! version lose to its own sequential path (0.53× at 4 threads; DESIGN.md
+//! §13 has the post-mortem). Chunks are balanced to within one item
+//! ([`balanced_chunks`]), workers clone one prototype sketch instead of
+//! re-deriving the seed schedule, and the worker-local sketches are
+//! unioned in chunk order by [`merge_all`]: at most one local per core,
+//! kept in stream order, which is all the bitwise identity needs.
 //!
 //! Workers ingest their chunk through the batch-monomorphic kernel
 //! ([`DistinctSketch::extend_slice`]), not per-item inserts — the scaling
@@ -35,7 +28,7 @@
 //! and checks the speedup curve against the host's worker count.
 
 use crate::error::Result;
-use crate::merge::merge_tree;
+use crate::merge::merge_all;
 use crate::params::SketchConfig;
 use crate::sketch::DistinctSketch;
 use crate::workers::{balanced_chunks, effective_workers, run_workers};
@@ -95,7 +88,7 @@ fn build_parallel_exact(
         s.extend_slice(chunk);
         s
     })?;
-    merge_tree(&locals)
+    merge_all(&locals)
 }
 
 #[cfg(test)]

@@ -1,22 +1,8 @@
-//! Shared worker-thread plumbing for the parallel build and merge paths.
-//!
-//! Three things live here, each previously duplicated (or missing) at its
-//! call sites:
-//!
-//! * [`effective_workers`] — the host's usable parallelism. Spawning more
-//!   threads than cores is not a no-op: the PR-3 parallel-ingest bench
-//!   regressed to 0.53× *because* `build_parallel` obeyed the requested
-//!   thread count on a host with fewer cores, paying spawn, migration and
-//!   cache-churn costs with zero parallel capacity to buy back.
-//! * [`balanced_chunks`] — splits a slice into `parts` contiguous chunks
-//!   whose lengths differ by at most one. The old `chunks(div_ceil(n, t))`
-//!   split hands the last worker a fragment (or nothing): 10 items over 4
-//!   threads became `[3, 3, 3, 1]` instead of `[3, 3, 2, 2]`, so the
-//!   critical path was ~`div_ceil` items regardless of how the remainder
-//!   fell.
-//! * `run_workers` — scoped fan-out that converts worker panics into
-//!   [`SketchError::WorkerPanicked`] instead of aborting the process from
-//!   a referee thread.
+//! Worker-thread plumbing for the parallel build: the host's usable
+//! parallelism ([`effective_workers`]), balanced contiguous chunks
+//! ([`balanced_chunks`]) and a scoped fan-out that turns a worker panic
+//! into [`SketchError::WorkerPanicked`] (`run_workers`). DESIGN.md §13
+//! records why each exists.
 
 use crate::error::{Result, SketchError};
 

@@ -1343,13 +1343,13 @@ mod tests {
     }
 
     /// Spill records are bytes from outside the process. With bytes
-    /// flipped inside the on-disk records, every query returns `Ok` or a
-    /// typed error and never panics; a key that restores reports exactly
-    /// its record's bytes, and only a record the codec accepts restores.
+    /// flipped or spliced inside the on-disk records, every query returns
+    /// `Ok` or a typed error and never panics; a key that restores reports
+    /// exactly its record's bytes, and only a record the codec accepts
+    /// restores.
     #[test]
     fn corrupt_spill_records_fail_typed_or_restore_exactly() {
         use crate::StoreError;
-        use std::io::{Read, Seek, SeekFrom, Write};
         let config = tiny_cfg();
         let mut dir = std::env::temp_dir();
         dir.push(format!("gt-store-corrupt-{}", std::process::id()));
@@ -1363,8 +1363,8 @@ mod tests {
             .collect();
         store.extend(&items).unwrap();
 
-        // Every spilled key's record, then 1-2 flipped bytes in three of
-        // every four records, written back to the log file.
+        // Every spilled key's record, mutated and written back to the log
+        // file.
         let mut records = Vec::new();
         for shard in &store.shards {
             let guard = shard.lock();
@@ -1381,25 +1381,38 @@ mod tests {
             rng += 1;
             mix64(rng)
         };
+        let mut logs: HashMap<_, _> = records
+            .iter()
+            .map(|r| (r.1.clone(), std::fs::read(&r.1).unwrap()))
+            .collect();
+        // A quarter of the records stay intact, an eighth are spliced (a
+        // record's bytes up to a random cut, then another record's bytes
+        // from the same offset), and the rest take byte flips.
+        let span = |offset: u64, len: u32| offset as usize..(offset + u64::from(len)) as usize;
+        let originals: Vec<Vec<u8>> = records
+            .iter()
+            .map(|(_, path, offset, len)| logs[path][span(*offset, *len)].to_vec())
+            .collect();
         let mut flipped = HashMap::new();
-        for (key, path, offset, len) in &records {
-            let mut file = std::fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(path)
-                .unwrap();
-            let mut record = vec![0u8; *len as usize];
-            file.seek(SeekFrom::Start(*offset)).unwrap();
-            file.read_exact(&mut record).unwrap();
-            if key % 4 != 0 {
+        for (i, (key, path, offset, len)) in records.iter().enumerate() {
+            let mut record = originals[i].clone();
+            if key % 8 == 2 {
+                let donor =
+                    &originals[(i + 1 + next() as usize % (records.len() - 1)) % records.len()];
+                let end = record.len().min(donor.len());
+                let cut = (next() % end as u64) as usize;
+                record[cut..end].copy_from_slice(&donor[cut..end]);
+            } else if key % 4 != 0 {
                 for _ in 0..1 + next() % 2 {
                     let at = (next() % u64::from(*len)) as usize;
                     record[at] ^= (next() % 255 + 1) as u8;
                 }
-                file.seek(SeekFrom::Start(*offset)).unwrap();
-                file.write_all(&record).unwrap();
             }
+            logs.get_mut(path).unwrap()[span(*offset, *len)].copy_from_slice(&record);
             flipped.insert(*key, Bytes::from(record));
+        }
+        for (path, log) in &logs {
+            std::fs::write(path, log).unwrap();
         }
 
         let disagree = CodecError::Malformed("spill record's level-0 trials disagree");

@@ -548,9 +548,9 @@ mod tests {
         assert_eq!(
             digests,
             [
-                0xfa13_c66a_f42e_ad2f,
-                0xd27b_b458_661e_dd26,
-                0x3fbb_e32e_8b93_e1b3
+                0x600d_da80_9041_bbc2,
+                0xea32_afde_7203_61a1,
+                0x0400_9178_47fd_c5da
             ]
         );
     }

@@ -56,40 +56,19 @@ use crate::codec::{
 };
 use crate::party::PartyMessage;
 
-/// Frame-path fingerprints retained per party: the applied-state window
-/// of base keys that validates delta bases, and the payload fingerprints
-/// of applied frames. A delta whose base predates the window forces a
-/// resync (safe: the party falls back to a full frame). Twice the party
-/// side's own retention bound, `MAX_PENDING_GENERATIONS = 32`.
+/// Fingerprints retained per party: the applied-state window of base keys
+/// that validates delta bases, and the payload fingerprints of accepted
+/// messages and applied frames. A delta whose base predates the window
+/// forces a resync (safe: the party falls back to a full frame); a
+/// redelivery of a payload that left the window merges again as a variant
+/// (safe: re-merging is idempotent, and nothing is re-counted). Twice the
+/// party side's own retention bound, `MAX_PENDING_GENERATIONS = 32`.
 const MAX_FP_HISTORY: usize = 64;
 
 /// Drop all but the newest [`MAX_FP_HISTORY`] entries of `entries`.
 fn keep_newest<T>(entries: &mut Vec<T>) {
     let excess = entries.len().saturating_sub(MAX_FP_HISTORY);
     entries.drain(..excess);
-}
-
-/// Reading names of the [`RefereeTelemetry::summaries_per_batch`]
-/// buckets, named by each bucket's upper bound (the buckets are not
-/// cumulative).
-const BATCH_BUCKET_NAMES: [&str; 5] = [
-    "gt_referee_summaries_per_batch_le_1",
-    "gt_referee_summaries_per_batch_le_4",
-    "gt_referee_summaries_per_batch_le_16",
-    "gt_referee_summaries_per_batch_le_64",
-    "gt_referee_summaries_per_batch_le_inf",
-];
-
-/// Map a batch size to its [`RefereeTelemetry::summaries_per_batch`]
-/// bucket index.
-fn batch_size_bucket(summaries: usize) -> usize {
-    match summaries {
-        0..=1 => 0,
-        2..=4 => 1,
-        5..=16 => 2,
-        17..=64 => 3,
-        _ => 4,
-    }
 }
 
 /// Per-stage accounting of everything the referee was handed.
@@ -129,9 +108,6 @@ pub struct RefereeTelemetry {
     /// non-empty slice); per-message [`RefereeOf::receive`] never counts
     /// here.
     pub batches: usize,
-    /// Histogram of batch sizes (messages per batch), one count per
-    /// size range: 1, 2–4, 5–16, 17–64 and 65 or more.
-    pub summaries_per_batch: [usize; 5],
 }
 
 impl RefereeTelemetry {
@@ -175,9 +151,6 @@ impl Exposition for RefereeTelemetry {
         f("gt_referee_decode_time_seconds", decode.as_secs_f64());
         f("gt_referee_merge_time_seconds", merge.as_secs_f64());
         f("gt_referee_batches", self.batches as f64);
-        for (name, &n) in BATCH_BUCKET_NAMES.iter().zip(&self.summaries_per_batch) {
-            f(name, n as f64);
-        }
     }
 }
 
@@ -254,10 +227,9 @@ struct PartyRecord<V: WirePayload> {
     /// accumulate): a delta frame is applied to it in place, and a full
     /// frame is applied to it after clearing it.
     summary: GtSketch<V>,
-    /// Accepted payload fingerprints; the first entry is the party's
-    /// first accepted message, later entries are merged variants and
-    /// applied frames. An applied frame keeps only the newest
-    /// [`MAX_FP_HISTORY`].
+    /// Accepted payload fingerprints, oldest first: the party's accepted
+    /// messages, merged variants and applied frames, of which only the
+    /// newest [`MAX_FP_HISTORY`] are kept.
     fingerprints: Vec<u64>,
     /// Watermark and base-key window of the frame path, once a
     /// frame was applied.
@@ -436,6 +408,7 @@ impl<V: WirePayload> RefereeOf<V> {
                     frames.key = StateKey::of(&record.summary);
                 }
                 record.fingerprints.push(fingerprint);
+                keep_newest(&mut record.fingerprints);
                 self.telemetry.duplicates_merged += 1;
                 Receipt::MergedVariant
             }
@@ -625,15 +598,14 @@ impl<V: WirePayload> RefereeOf<V> {
         &self.delta_telemetry
     }
 
-    /// Receive a batch of sketch messages: the batch counters, then
+    /// Receive a batch of sketch messages: the batch counter, then
     /// [`RefereeOf::receive`] on each message in order. Returns one
-    /// receipt per message; apart from [`RefereeTelemetry::batches`] and
-    /// the summaries-per-batch histogram, every state, counter and metric
-    /// is what the per-message calls would leave.
+    /// receipt per message; apart from [`RefereeTelemetry::batches`],
+    /// every state, counter and metric is what the per-message calls would
+    /// leave.
     pub fn receive_batch(&mut self, msgs: &[PartyMessage]) -> Vec<Result<Receipt, CodecError>> {
         if !msgs.is_empty() {
             self.telemetry.batches += 1;
-            self.telemetry.summaries_per_batch[batch_size_bucket(msgs.len())] += 1;
         }
         msgs.iter().map(|msg| self.receive(msg)).collect()
     }
@@ -954,6 +926,24 @@ mod tests {
     }
 
     #[test]
+    fn re_ships_keep_a_bounded_fingerprint_window() {
+        // A party that keeps observing and re-ships its whole sketch 200
+        // times: the referee keeps only the newest fingerprints, still
+        // suppresses a redelivery of the newest, and bills the party once.
+        let mut referee = Referee::new(&cfg(), 5);
+        let ships: Vec<PartyMessage> = (1..=200).map(|n| message(7, 0..n, 5)).collect();
+        assert_eq!(referee.receive(&ships[0]).unwrap(), Receipt::Merged);
+        for ship in &ships[1..] {
+            assert_eq!(referee.receive(ship).unwrap(), Receipt::MergedVariant);
+        }
+        assert!(referee.parties[&7].fingerprints.len() <= MAX_FP_HISTORY);
+        let newest = ships.last().unwrap();
+        assert_eq!(referee.receive(newest).unwrap(), Receipt::Duplicate);
+        assert_eq!(referee.items_reported(), ships[0].items_observed);
+        assert_eq!(referee.messages(), 1);
+    }
+
+    #[test]
     fn partial_estimate_reports_coverage() {
         let mut referee = Referee::new(&cfg(), 5);
         referee.receive(&message(0, 0..400, 5)).unwrap();
@@ -1140,14 +1130,13 @@ mod tests {
     }
 
     /// Zero the fields that legitimately differ between the batch and
-    /// per-message paths (timings are nondeterministic; batch counters
-    /// only advance on the batch path), leaving every exactly-once count.
+    /// per-message paths (timings are nondeterministic; the batch counter
+    /// only advances on the batch path), leaving every exactly-once count.
     fn countable(t: &RefereeTelemetry) -> RefereeTelemetry {
         RefereeTelemetry {
             decode_time: Duration::ZERO,
             merge_time: Duration::ZERO,
             batches: 0,
-            summaries_per_batch: [0; 5],
             ..*t
         }
     }
@@ -1231,7 +1220,6 @@ mod tests {
             pin_to_oracle(&format!("receive_batch split {split}"), &batched);
         }
         assert_eq!(sequential.telemetry().batches, 0);
-        assert_eq!(sequential.telemetry().summaries_per_batch, [0; 5]);
         pin_to_oracle("receive", &sequential);
 
         // The frame ingress, handed one full frame per party holding the
@@ -1299,16 +1287,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_telemetry_histogram_buckets_sizes() {
-        assert_eq!(batch_size_bucket(1), 0);
-        assert_eq!(batch_size_bucket(2), 1);
-        assert_eq!(batch_size_bucket(4), 1);
-        assert_eq!(batch_size_bucket(5), 2);
-        assert_eq!(batch_size_bucket(16), 2);
-        assert_eq!(batch_size_bucket(17), 3);
-        assert_eq!(batch_size_bucket(64), 3);
-        assert_eq!(batch_size_bucket(65), 4);
-
+    fn batch_counter_counts_non_empty_batches() {
         let mut referee = Referee::new(&cfg(), 5);
         // Empty batch: no state change, not even the batch counter.
         assert!(referee.receive_batch(&[]).is_empty());
@@ -1320,7 +1299,6 @@ mod tests {
         referee.receive_batch(&msgs[0..6]);
         let t = referee.telemetry();
         assert_eq!(t.batches, 3);
-        assert_eq!(t.summaries_per_batch, [1, 1, 1, 0, 0]);
     }
 
     /// A batch is the per-message step in order: over rounds of

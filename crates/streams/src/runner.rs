@@ -554,11 +554,9 @@ mod tests {
         assert_eq!(t.duplicates(), 0);
         assert_eq!(t.attempts(), 4);
         assert!(t.decode_time + t.merge_time <= report.referee_time);
-        // Batched referee: one union merge per accepted message, at most
-        // one batch per message, and the histogram accounts for every
-        // batch.
+        // Batched referee: one union merge per accepted message, and at
+        // most one batch per message.
         assert!(t.batches >= 1 && t.batches <= 4, "batches {}", t.batches);
-        assert_eq!(t.summaries_per_batch.iter().sum::<usize>(), t.batches);
         assert_eq!(report.union_metrics.merge_calls, t.accepted as u64);
         assert!(report.union_metrics.merge_entries_absorbed > 0);
     }

@@ -45,10 +45,10 @@
 
 pub use gt_core::{
     compact, concurrent, error, estimate, eval_expr, expr, harmonize, jaccard_matrix, median_f64,
-    merge, merge_all, merge_tree, metrics, parallel, params, predicate, quantile_f64, recency,
-    relative_error, similarity, sketch, sumdistinct, trial, ConcurrentMetricsSnapshot,
-    ConcurrentSketch, CoordinatedTrial, DistinctSketch, Estimate, ExprContext, ExpressionEstimate,
-    GtSketch, JaccardEstimate, LatestTs, Mergeable, MetricsSnapshot, Payload, PropagationCause,
+    merge, merge_all, metrics, parallel, params, predicate, quantile_f64, recency, relative_error,
+    similarity, sketch, sumdistinct, trial, ConcurrentMetricsSnapshot, ConcurrentSketch,
+    CoordinatedTrial, DistinctSketch, Estimate, ExprContext, ExpressionEstimate, GtSketch,
+    JaccardEstimate, LatestTs, Mergeable, MetricsSnapshot, Payload, PropagationCause,
     RecencySketch, Result, SetExpr, SimilarityEstimate, SketchConfig, SketchError, SketchSnapshot,
     SketchWriter, SumDistinctSketch, TrialInsert,
 };

@@ -591,7 +591,7 @@ fn mixed_ingress_schedule_is_pinned() {
     assert_eq!(r.r.acked_generation(3), Some(71));
 
     assert_eq!(
-        r.h, 0xf5b4_3f8f_5f06_416a,
+        r.h, 0x91e5_a360_4d89_9599,
         "mixed-ingress digest drifted: {:#018x}",
         r.h
     );
