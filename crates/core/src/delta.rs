@@ -61,6 +61,7 @@ use gt_hash::{mix64, LevelHasher};
 use crate::error::{Result, SketchError};
 use crate::sketch::GtSketch;
 use crate::trial::{check_transmitted, CoordinatedTrial, Payload, SampleWatch};
+use crate::view::LeveledTrials;
 
 /// Extract the per-trial difference that turns `base` into `current`.
 ///
@@ -166,55 +167,79 @@ pub fn apply_delta_watched<V: Payload>(
 /// trial changes: the trial count, then per trial in order a level
 /// regression or a capacity overflow.
 fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &SortedTrials<V>) -> Result<()> {
-    if delta.trials() != base.trials().len() {
-        return Err(SketchError::ConfigMismatch {
-            detail: format!(
-                "delta carries {} trials for {}",
-                delta.trials(),
-                base.trials().len()
-            ),
-        });
-    }
+    check_trial_count(delta.trials(), base.trials().len())?;
     let capacity = base.config().capacity();
     for (b, (level, _, entries)) in base.trials().iter().zip(delta.iter()) {
-        if level < b.level() {
-            return Err(SketchError::ConfigMismatch {
-                detail: format!(
-                    "delta at level {level} is staler than base level {}",
-                    b.level()
-                ),
-            });
-        }
-        // Delta entries qualify at the delta's level, so one the base
-        // holds survives the raise: the result is the surviving base
-        // entries plus the delta entries the base lacks.
-        let kept = if level == b.level() {
-            b.sample_len()
-        } else {
-            b.sample_iter()
-                .filter(|&(label, _)| b.hasher().level(label) >= level)
-                .count()
-        };
-        // Every delta entry counts as added unless that overflows; only
-        // then are the ones the base already holds (lost acks, payload
-        // changes) probed out.
-        if kept + entries.len() <= capacity {
-            continue;
-        }
-        let added = entries
-            .iter()
-            .filter(|&&(label, _)| !b.contains_label(label))
-            .count();
-        if kept + added > capacity {
-            return Err(SketchError::InvalidConfig {
-                parameter: "sample",
-                reason: format!(
-                    "delta application overflows capacity {capacity} with {} entries \
-                     (delta coded against a different base)",
-                    kept + added
-                ),
-            });
-        }
+        check_trial_fit(
+            b.level(),
+            b.sample_len(),
+            level,
+            entries,
+            capacity,
+            || {
+                b.sample_iter()
+                    .filter(|&(label, _)| b.hasher().level(label) >= level)
+                    .count()
+            },
+            |label| b.contains_label(label),
+        )?;
+    }
+    Ok(())
+}
+
+/// A delta must carry one trial per base trial.
+pub(crate) fn check_trial_count(delta: usize, base: usize) -> Result<()> {
+    if delta != base {
+        return Err(SketchError::ConfigMismatch {
+            detail: format!("delta carries {delta} trials for {base}"),
+        });
+    }
+    Ok(())
+}
+
+/// The fit of one delta trial (`level`, `entries`) on a base trial at
+/// `base_level` holding `base_len` entries, whichever form holds the base:
+/// a level regression, then a capacity overflow. `kept` counts the base
+/// entries at or above `level` (called only if the delta raises the
+/// level), and `holds` says whether the base holds a label.
+pub(crate) fn check_trial_fit<V>(
+    base_level: u8,
+    base_len: usize,
+    level: u8,
+    entries: &[(u64, V)],
+    capacity: usize,
+    kept: impl FnOnce() -> usize,
+    holds: impl Fn(u64) -> bool,
+) -> Result<()> {
+    if level < base_level {
+        return Err(SketchError::ConfigMismatch {
+            detail: format!("delta at level {level} is staler than base level {base_level}"),
+        });
+    }
+    // Delta entries qualify at the delta's level, so one the base holds
+    // survives the raise: the result is the surviving base entries plus
+    // the delta entries the base lacks.
+    let kept = if level == base_level {
+        base_len
+    } else {
+        kept()
+    };
+    // Every delta entry counts as added unless that overflows; only then
+    // are the ones the base already holds (lost acks, payload changes)
+    // probed out.
+    if kept + entries.len() <= capacity {
+        return Ok(());
+    }
+    let added = entries.iter().filter(|&&(label, _)| !holds(label)).count();
+    if kept + added > capacity {
+        return Err(SketchError::InvalidConfig {
+            parameter: "sample",
+            reason: format!(
+                "delta application overflows capacity {capacity} with {} entries \
+                 (delta coded against a different base)",
+                kept + added
+            ),
+        });
     }
     Ok(())
 }
@@ -225,9 +250,75 @@ fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &SortedTrials<V>) -> Resul
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SortedTrials<V> {
     /// Every trial's entries, trial after trial.
-    entries: Vec<(u64, V)>,
+    pub(crate) entries: Vec<(u64, V)>,
     /// Per trial: level, items observed, and the end of its entries.
-    trials: Vec<(u8, u64, usize)>,
+    pub(crate) trials: Vec<(u8, u64, usize)>,
+}
+
+/// What the codec's body parser checks transmitted trials into, trial by
+/// trial: a [`SortedTrials`], or a [`crate::LeveledTrials`], which also
+/// keeps each entry's hash level.
+pub trait TrialSink<V> {
+    /// Empty it, keeping its storage, and make room for `entries` entries,
+    /// so a body of known bound is read without regrowing.
+    fn start(&mut self, entries: usize);
+
+    /// Append the next trial once it passes
+    /// [`SortedTrials::push_checked`]'s checks; on `Err` nothing is
+    /// appended.
+    fn push_checked(
+        &mut self,
+        trial: &CoordinatedTrial<V>,
+        level: u8,
+        items: u64,
+        entries: &[(u64, V)],
+    ) -> Result<()>;
+}
+
+impl<V: Payload> TrialSink<V> for SortedTrials<V> {
+    fn start(&mut self, entries: usize) {
+        self.clear();
+        self.entries.reserve_exact(entries);
+    }
+
+    fn push_checked(
+        &mut self,
+        trial: &CoordinatedTrial<V>,
+        level: u8,
+        items: u64,
+        entries: &[(u64, V)],
+    ) -> Result<()> {
+        SortedTrials::push_checked(self, trial, level, items, entries)
+    }
+}
+
+/// [`check_transmitted`] on label-sorted `entries`, which also refuses
+/// entries out of label order; `on_level` sees the hash level the check
+/// computed for each entry (0 at a level-0 trial, where nothing is
+/// hashed).
+pub(crate) fn check_sorted<V: Payload>(
+    trial: &CoordinatedTrial<V>,
+    level: u8,
+    entries: &[(u64, V)],
+    mut on_level: impl FnMut(u8),
+) -> Result<()> {
+    // A repeat follows its first occurrence in a sorted list.
+    let mut prev = None;
+    check_transmitted(
+        trial.hasher(),
+        level,
+        entries.iter().copied(),
+        |label, _, lvl| {
+            if prev.is_some_and(|p| p > label) {
+                return Err(SketchError::InvalidConfig {
+                    parameter: "sample",
+                    reason: format!("label {label} out of label order"),
+                });
+            }
+            on_level(lvl);
+            Ok(prev.replace(label) != Some(label))
+        },
+    )
 }
 
 impl<V: Payload> SortedTrials<V> {
@@ -270,10 +361,9 @@ impl<V: Payload> SortedTrials<V> {
         self.trials.clear();
     }
 
-    /// Make room for at least `entries` more entries, so a body of known
-    /// bound is read without regrowing.
-    pub fn reserve(&mut self, entries: usize) {
-        self.entries.reserve(entries);
+    /// Entries its storage holds without regrowing.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
     }
 
     /// Append the next trial from transmitted state — `level`, `items`
@@ -290,29 +380,24 @@ impl<V: Payload> SortedTrials<V> {
         items: u64,
         entries: &[(u64, V)],
     ) -> Result<()> {
-        // A repeat follows its first occurrence in a sorted list.
-        let mut prev = None;
-        check_transmitted(
-            trial.hasher(),
-            level,
-            entries.iter().copied(),
-            |label, _| {
-                if prev.is_some_and(|p| p > label) {
-                    return Err(SketchError::InvalidConfig {
-                        parameter: "sample",
-                        reason: format!("label {label} out of label order"),
-                    });
-                }
-                Ok(prev.replace(label) != Some(label))
-            },
-        )?;
-        self.entries.extend_from_slice(entries);
-        self.trials.push((level, items, self.entries.len()));
+        check_sorted(trial, level, entries, |_| {})?;
+        self.push_unchecked(level, items, entries);
         Ok(())
     }
 
+    /// Append the next trial's label-sorted `entries`.
+    pub(crate) fn push_unchecked(&mut self, level: u8, items: u64, entries: &[(u64, V)]) {
+        self.entries.extend_from_slice(entries);
+        self.trials.push((level, items, self.entries.len()));
+    }
+
     /// Append the next trial from unsorted `entries`, sorting them.
-    fn push_sorting(&mut self, level: u8, items: u64, entries: impl Iterator<Item = (u64, V)>) {
+    pub(crate) fn push_sorting(
+        &mut self,
+        level: u8,
+        items: u64,
+        entries: impl Iterator<Item = (u64, V)>,
+    ) {
         let start = self.entries.len();
         self.entries.extend(entries);
         self.entries[start..].sort_unstable_by_key(|&(label, _)| label);
@@ -374,11 +459,22 @@ pub struct StateKey {
 impl StateKey {
     /// The key state of `sketch`, from one pass over every sample.
     pub fn of<V: Payload + Hash>(sketch: &GtSketch<V>) -> Self {
-        let sums = sketch
-            .trials()
-            .iter()
-            .map(|t| {
-                t.sample_iter().fold(0u64, |sum, (label, payload)| {
+        Self::of_samples(sketch.trials().iter().map(|t| t.sample_iter()))
+    }
+
+    /// The key state of a leveled view, from one pass over its entries:
+    /// equal to [`StateKey::of`] of the sketch whose state it holds.
+    pub fn of_view<V: Payload + Hash>(view: &LeveledTrials<V>) -> Self {
+        Self::of_samples(
+            view.iter()
+                .map(|(_, _, entries, _)| entries.iter().copied()),
+        )
+    }
+
+    fn of_samples<V: Hash>(samples: impl Iterator<Item = impl Iterator<Item = (u64, V)>>) -> Self {
+        let sums = samples
+            .map(|sample| {
+                sample.fold(0u64, |sum, (label, payload)| {
                     sum.wrapping_add(entry_hash(label, payload))
                 })
             })
@@ -388,14 +484,28 @@ impl StateKey {
 
     /// The key of `sketch`, whose samples this key state follows. O(r).
     pub fn key<V: Payload>(&self, sketch: &GtSketch<V>) -> u64 {
-        sketch
-            .trials()
-            .iter()
+        self.chain(
+            sketch
+                .trials()
+                .iter()
+                .map(|t| (t.level(), t.items_observed())),
+        )
+    }
+
+    /// The key of `view`, whose entries this key state follows: equal to
+    /// [`StateKey::key`] of the sketch whose state it holds. O(r).
+    pub fn view_key<V: Payload>(&self, view: &LeveledTrials<V>) -> u64 {
+        self.chain(view.iter().map(|(level, items, _, _)| (level, items)))
+    }
+
+    /// Chain every trial's sum, item counter and level.
+    fn chain(&self, trials: impl Iterator<Item = (u8, u64)>) -> u64 {
+        trials
             .zip(&self.sums)
-            .fold(0, |key, (trial, &sum)| {
+            .fold(0, |key, ((level, items), &sum)| {
                 let key = mix64(key ^ sum);
-                let key = mix64(key ^ trial.items_observed());
-                mix64(key ^ u64::from(trial.level()))
+                let key = mix64(key ^ items);
+                mix64(key ^ u64::from(level))
             })
     }
 

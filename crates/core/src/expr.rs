@@ -27,13 +27,16 @@
 //! value-identical to [`crate::similarity::similarity`] and wastes no
 //! sampling rate on operands the expression never mentions.
 //!
-//! [`ExprContext`] precomputes, **once per sketch**, a label-sorted
-//! `(label, hash level)` view of every trial's sample. Because the sample
-//! invariant is `S = {x : lvl(x) ≥ level}`, filtering that view by
+//! [`ExprContext`] evaluates over [`LeveledTrials`] views: per trial the
+//! label-sorted sample with each entry's hash level. Because the sample
+//! invariant is `S = {x : lvl(x) ≥ level}`, filtering a view by
 //! `hash level ≥ l*` reproduces `subsample_to_level(l*)` exactly, for any
 //! `l*`, with no cloning — one context supports any number of queries at
-//! any mix of alignment levels (this is what fixes the O(k²) re-clone
-//! behaviour `jaccard_matrix` used to have).
+//! any mix of alignment levels. A context over sketches
+//! ([`ExprContext::new`]) builds each operand's view once, hashing each
+//! sampled label once; a referee keeps its parties' summaries as views
+//! already, and a context over them ([`ExprContext::over`]) borrows them
+//! and computes nothing before the first query.
 //!
 //! ## Error contract
 //!
@@ -47,13 +50,16 @@
 //! per-trial variance and a ±2·SE confidence interval around the
 //! per-trial mean.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 
 use crate::error::{Result, SketchError};
 use crate::estimate::{median_f64, Estimate};
+use crate::params::SketchConfig;
 use crate::sketch::GtSketch;
 use crate::trial::Payload;
+use crate::view::LeveledTrials;
 
 /// A set expression over stream operands, identified by index into the
 /// operand slice an [`ExprContext`] was built from.
@@ -232,12 +238,11 @@ pub struct JaccardEstimate {
     pub populated_trials: usize,
 }
 
-/// Evaluation context over a fixed slice of coordinated operand sketches.
-///
-/// Construction validates coordination (same seed and config for every
-/// operand) and precomputes the per-trial `(label, hash level)` views —
-/// the only O(operands · trials · capacity) work. Each [`ExprContext::eval`] /
-/// [`ExprContext::eval_jaccard`] call then runs on the shared views.
+/// Evaluation context over a fixed slice of coordinated operands, each a
+/// [`LeveledTrials`] view: built from operand sketches
+/// ([`ExprContext::new`]), or borrowed from a caller that keeps views
+/// ([`ExprContext::over`]). Each [`ExprContext::eval`] /
+/// [`ExprContext::eval_jaccard`] call runs on the shared views.
 ///
 /// ```
 /// use gt_core::{DistinctSketch, ExprContext, SetExpr, SketchConfig};
@@ -257,17 +262,15 @@ pub struct JaccardEstimate {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ExprContext<'a, V: Payload> {
-    operands: Vec<&'a GtSketch<V>>,
-    /// `views[s][t]`: operand `s`, trial `t`, label-sorted
-    /// `(label, hash level)` pairs of the trial's sample.
-    views: Vec<Vec<Vec<(u64, u8)>>>,
-    /// `levels[s][t]`: operand `s`'s trial `t` current level.
-    levels: Vec<Vec<u8>>,
-    trials: usize,
+    /// One view per operand, built by the context or borrowed.
+    views: Vec<Cow<'a, LeveledTrials<V>>>,
+    /// The operands' shared configuration.
+    config: SketchConfig,
 }
 
 impl<'a, V: Payload> ExprContext<'a, V> {
-    /// Build a context over `operands`, validating coordination.
+    /// Build a context over `operands`, validating coordination, with
+    /// each operand's view built once ([`LeveledTrials::of`]).
     ///
     /// # Errors
     /// [`SketchError::InvalidConfig`] for an empty operand slice;
@@ -275,41 +278,57 @@ impl<'a, V: Payload> ExprContext<'a, V> {
     /// when any operand disagrees with the first on seed or shape (the
     /// same rejections [`crate::similarity::similarity`] performs).
     pub fn new(operands: &[&'a GtSketch<V>]) -> Result<Self> {
-        let first = operands.first().ok_or(SketchError::InvalidConfig {
-            parameter: "expr",
-            reason: "at least one operand sketch is required".to_string(),
-        })?;
+        let first = operands.first().ok_or_else(no_operands)?;
         for s in &operands[1..] {
             first.check_coordinated(s)?;
         }
-        let mut views = Vec::with_capacity(operands.len());
-        let mut levels = Vec::with_capacity(operands.len());
-        for s in operands {
-            views.push(s.trials().iter().map(|t| t.leveled_sample()).collect());
-            levels.push(s.trials().iter().map(|t| t.level()).collect());
-        }
+        let views = operands.iter().map(|s| Cow::Owned(LeveledTrials::of(s)));
         Ok(ExprContext {
-            operands: operands.to_vec(),
-            views,
-            levels,
-            trials: first.trials().len(),
+            views: views.collect(),
+            config: *first.config(),
         })
     }
 
-    /// The operand sketches this context was built over.
-    pub fn operands(&self) -> &[&'a GtSketch<V>] {
-        &self.operands
+    /// A context over views the caller keeps, borrowed as they are: the
+    /// states of sketches under `config` and one master seed, such as a
+    /// referee's party summaries, which were checked against its union
+    /// when they were decoded.
+    ///
+    /// # Errors
+    /// [`SketchError::InvalidConfig`] for an empty view slice;
+    /// [`SketchError::ConfigMismatch`] for a view whose trial count is not
+    /// `config`'s.
+    pub fn over(config: &SketchConfig, views: &[&'a LeveledTrials<V>]) -> Result<Self> {
+        if views.is_empty() {
+            return Err(no_operands());
+        }
+        if let Some(v) = views
+            .iter()
+            .find(|v| v.sorted().trials() != config.trials())
+        {
+            return Err(SketchError::ConfigMismatch {
+                detail: format!(
+                    "view of {} trials for {} configured",
+                    v.sorted().trials(),
+                    config.trials()
+                ),
+            });
+        }
+        Ok(ExprContext {
+            views: views.iter().map(|&v| Cow::Borrowed(v)).collect(),
+            config: *config,
+        })
     }
 
     /// Number of trials every query is computed over.
     pub fn trials(&self) -> usize {
-        self.trials
+        self.config.trials()
     }
 
     /// Which operands `expr` references, as a mask over the operand
     /// slice; errors on out-of-range leaves.
     fn referenced(&self, expr: &SetExpr) -> Result<Vec<bool>> {
-        let mut mask = vec![false; self.operands.len()];
+        let mut mask = vec![false; self.views.len()];
         let mut bad = None;
         expr.for_each_leaf(&mut |i| match mask.get_mut(i) {
             Some(slot) => *slot = true,
@@ -318,10 +337,7 @@ impl<'a, V: Payload> ExprContext<'a, V> {
         match bad {
             Some(i) => Err(SketchError::InvalidConfig {
                 parameter: "expr",
-                reason: format!(
-                    "leaf s{i} out of range for {} operands",
-                    self.operands.len()
-                ),
+                reason: format!("leaf s{i} out of range for {} operands", self.views.len()),
             }),
             None => Ok(mask),
         }
@@ -331,9 +347,9 @@ impl<'a, V: Payload> ExprContext<'a, V> {
     /// `max` of their trial-`t` levels.
     fn alignment_level(&self, mask: &[bool], trial: usize) -> u8 {
         mask.iter()
-            .zip(self.levels.iter())
+            .zip(&self.views)
             .filter(|&(&referenced, _)| referenced)
-            .map(|(_, levels)| levels[trial])
+            .map(|(_, view)| view.trial(trial).0)
             .max()
             .unwrap_or(0)
     }
@@ -342,11 +358,19 @@ impl<'a, V: Payload> ExprContext<'a, V> {
     /// returning the surviving labels sorted ascending.
     fn eval_node(&self, expr: &SetExpr, trial: usize, level: u8) -> Vec<u64> {
         match expr {
-            SetExpr::Leaf(i) => self.views[*i][trial]
-                .iter()
-                .filter(|&&(_, lvl)| lvl >= level)
-                .map(|&(label, _)| label)
-                .collect(),
+            SetExpr::Leaf(i) => {
+                let (_, (entries, levels)) = self.views[*i].trial(trial);
+                // Branch-free: every label is written, and the cursor
+                // advances past the ones that qualify.
+                let mut out = vec![0; entries.len()];
+                let mut n = 0;
+                for (&(label, _), &lvl) in entries.iter().zip(levels) {
+                    out[n] = label;
+                    n += usize::from(lvl >= level);
+                }
+                out.truncate(n);
+                out
+            }
             SetExpr::Union(a, b) => union_sorted(
                 &self.eval_node(a, trial, level),
                 &self.eval_node(b, trial, level),
@@ -371,8 +395,8 @@ impl<'a, V: Payload> ExprContext<'a, V> {
     /// [`SketchError::InvalidConfig`] on out-of-range leaves.
     pub fn per_trial_estimates(&self, expr: &SetExpr) -> Result<Vec<f64>> {
         let mask = self.referenced(expr)?;
-        let mut out = Vec::with_capacity(self.trials);
-        for t in 0..self.trials {
+        let mut out = Vec::with_capacity(self.trials());
+        for t in 0..self.trials() {
             let l = self.alignment_level(&mask, t);
             let count = self.eval_node(expr, t, l).len();
             out.push(count as f64 * 2f64.powi(i32::from(l)));
@@ -394,12 +418,11 @@ impl<'a, V: Payload> ExprContext<'a, V> {
         } else {
             0.0
         };
-        let config = self.operands[0].config();
         Ok(ExpressionEstimate {
             estimate: Estimate {
                 value: median_f64(&mut per_trial),
-                epsilon: config.epsilon(),
-                delta: config.delta(),
+                epsilon: self.config.epsilon(),
+                delta: self.config.delta(),
             },
             mean,
             variance,
@@ -421,9 +444,9 @@ impl<'a, V: Payload> ExprContext<'a, V> {
         let m1 = self.referenced(e1)?;
         let m2 = self.referenced(e2)?;
         let mask: Vec<bool> = m1.iter().zip(&m2).map(|(&a, &b)| a || b).collect();
-        let mut per_trial = Vec::with_capacity(self.trials);
+        let mut per_trial = Vec::with_capacity(self.trials());
         let mut populated = 0usize;
-        for t in 0..self.trials {
+        for t in 0..self.trials() {
             let l = self.alignment_level(&mask, t);
             let s1 = self.eval_node(e1, t, l);
             let s2 = self.eval_node(e2, t, l);
@@ -438,7 +461,7 @@ impl<'a, V: Payload> ExprContext<'a, V> {
         }
         Ok(JaccardEstimate {
             jaccard: median_f64(&mut per_trial),
-            trials: self.trials,
+            trials: self.trials(),
             populated_trials: populated,
         })
     }
@@ -456,27 +479,30 @@ pub fn eval_expr<V: Payload>(
     ExprContext::new(operands)?.eval(expr)
 }
 
+/// The error for a context with no operands.
+fn no_operands() -> SketchError {
+    SketchError::InvalidConfig {
+        parameter: "expr",
+        reason: "at least one operand sketch is required".to_string(),
+    }
+}
+
+// The sorted-set kernels below take one step per compared pair and no
+// data-dependent branch: each writes its candidate and advances the
+// output and input cursors by comparison results.
+
 /// Merge two ascending dedup'd slices into their ascending union.
 fn union_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
+    let mut out = vec![0; a.len() + b.len()];
+    let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        out[n] = x.min(y);
+        n += 1;
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    out.truncate(n);
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
@@ -484,39 +510,31 @@ fn union_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
 
 /// Intersect two ascending dedup'd slices.
 fn intersect_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
+    let mut out = vec![0; a.len().min(b.len())];
+    let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        out[n] = x;
+        n += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    out.truncate(n);
     out
 }
 
 /// `a ∖ b` over two ascending dedup'd slices.
 fn difference_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len());
-    let (mut i, mut j) = (0, 0);
+    let mut out = vec![0; a.len()];
+    let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        out[n] = x;
+        n += usize::from(x < y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    out.truncate(n);
     out.extend_from_slice(&a[i..]);
     out
 }
@@ -525,15 +543,10 @@ fn difference_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
 fn count_intersect_sorted(a: &[u64], b: &[u64]) -> usize {
     let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        n += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
     n
 }

@@ -65,6 +65,7 @@ pub mod similarity;
 pub mod sketch;
 pub mod sumdistinct;
 pub mod trial;
+pub mod view;
 pub mod window;
 pub mod workers;
 
@@ -72,6 +73,7 @@ pub use compact::harmonize;
 pub use concurrent::{ConcurrentSketch, SketchSnapshot, SketchWriter, WRITER_BUF};
 pub use delta::{
     apply_delta, apply_delta_watched, delta_between, ChangeJournal, SortedTrials, StateKey,
+    TrialSink,
 };
 pub use error::{Result, SketchError};
 pub use estimate::{median_f64, quantile_f64, relative_error, Estimate};
@@ -86,5 +88,6 @@ pub use similarity::{jaccard_matrix, similarity, SimilarityEstimate};
 pub use sketch::{DistinctSketch, GtSketch};
 pub use sumdistinct::SumDistinctSketch;
 pub use trial::{CoordinatedTrial, Payload, SampleWatch, TrialInsert};
+pub use view::LeveledTrials;
 pub use window::SlidingWindowSketch;
 pub use workers::{balanced_chunks, effective_workers};

@@ -133,12 +133,14 @@ impl<V, W: SampleWatch<V>> SampleWatch<V> for Option<W> {
 /// ([`CoordinatedTrial::reload`], [`crate::SortedTrials::push_checked`]):
 /// a level the hash can reach, then per entry a label in the field that
 /// qualifies at `level` and that `admit` takes — `admit` answers `false`
-/// for a label it already holds.
+/// for a label it already holds. Above level 0, `admit` is also handed the
+/// hash level the check computed; at level 0 nothing is hashed and it is
+/// handed 0.
 pub(crate) fn check_transmitted<V>(
     hasher: &HashFamily,
     level: u8,
     entries: impl IntoIterator<Item = (u64, V)>,
-    mut admit: impl FnMut(u64, V) -> Result<bool>,
+    mut admit: impl FnMut(u64, V, u8) -> Result<bool>,
 ) -> Result<()> {
     if level > MAX_LEVEL {
         return Err(SketchError::InvalidConfig {
@@ -154,13 +156,14 @@ pub(crate) fn check_transmitted<V>(
         }
         // Every label qualifies at level 0, so the hash is only
         // evaluated above it.
-        if level > 0 && hasher.level(label) < level {
+        let lvl = if level > 0 { hasher.level(label) } else { 0 };
+        if lvl < level {
             return Err(SketchError::InvalidConfig {
                 parameter: "sample",
                 reason: format!("label {label} does not qualify for level {level} (corrupt or uncoordinated message)"),
             });
         }
-        if !admit(label, payload)? {
+        if !admit(label, payload, lvl)? {
             return Err(SketchError::InvalidConfig {
                 parameter: "sample",
                 reason: format!("duplicate label {label} in transmitted sample"),
@@ -225,15 +228,16 @@ impl<V: Payload> CoordinatedTrial<V> {
     ) -> Result<()> {
         let capacity = self.capacity();
         self.sample.clear();
-        check_transmitted(&self.hasher, level, entries, |label, payload| {
-            match self.sample.try_insert(label, payload) {
-                InsertOutcome::Inserted => Ok(true),
-                InsertOutcome::AlreadyPresent => Ok(false),
-                InsertOutcome::Full => Err(SketchError::InvalidConfig {
-                    parameter: "sample",
-                    reason: format!("transmitted sample exceeds capacity {capacity}"),
-                }),
-            }
+        check_transmitted(&self.hasher, level, entries, |label, payload, _| match self
+            .sample
+            .try_insert(label, payload)
+        {
+            InsertOutcome::Inserted => Ok(true),
+            InsertOutcome::AlreadyPresent => Ok(false),
+            InsertOutcome::Full => Err(SketchError::InvalidConfig {
+                parameter: "sample",
+                reason: format!("transmitted sample exceeds capacity {capacity}"),
+            }),
         })?;
         self.level = level;
         self.items_observed = items_observed;
@@ -286,25 +290,6 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// The payload stored for `label`, if it is in the sample.
     pub(crate) fn get(&self, label: u64) -> Option<V> {
         self.sample.get(label)
-    }
-
-    /// The sample as a label-sorted `Vec` of `(label, hash level)` pairs —
-    /// the precomputed view the expression engine aligns trials with.
-    ///
-    /// Because the sample invariant is `S = {x : lvl(x) ≥ level}`, the
-    /// subset of this view with `hash level ≥ l` for any `l ≥ level` is
-    /// *exactly* the sample this trial would hold after
-    /// [`CoordinatedTrial::subsample_to_level`]`(l)` — so one pass over
-    /// the sample (hashing each entry once) supports alignment to every
-    /// later-chosen common level with no cloning or re-subsampling.
-    pub fn leveled_sample(&self) -> Vec<(u64, u8)> {
-        let mut view: Vec<(u64, u8)> = self
-            .sample
-            .iter()
-            .map(|(label, _)| (label, self.hasher.level(label)))
-            .collect();
-        view.sort_unstable_by_key(|&(label, _)| label);
-        view
     }
 
     /// Bytes of heap storage used by the sample (space accounting).

@@ -19,7 +19,7 @@
 use std::hash::Hash;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gt_core::{apply_delta, GtSketch, SketchConfig, SketchError, SortedTrials};
+use gt_core::{apply_delta, GtSketch, SketchConfig, SketchError, SortedTrials, TrialSink};
 use gt_hash::HashFamilyKind;
 
 /// Format magic: "GTS" + version 1.
@@ -239,7 +239,7 @@ pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<FrameHeader, CodecErro
 pub(crate) fn decode_frame<V: WirePayload>(
     like: &GtSketch<V>,
     mut buf: Bytes,
-    body: &mut SortedTrials<V>,
+    body: &mut impl TrialSink<V>,
 ) -> Result<FrameHeader, CodecError> {
     let header = get_frame_header(&mut buf)?;
     decode_trials(like, buf, body)?;
@@ -497,7 +497,8 @@ fn get_coordinated_header<V: WirePayload>(
 }
 
 /// Decode a sketch message for the sketch `like` belongs with into
-/// `body`, as per-trial label-sorted entries: the one body parser, under
+/// `body`, as per-trial label-sorted entries (with their hash levels, if
+/// `body` is a [`gt_core::LeveledTrials`]): the one body parser, under
 /// every decoder and both referee ingresses.
 ///
 /// The message must carry `like`'s master seed and config, or it is
@@ -516,12 +517,11 @@ fn get_coordinated_header<V: WirePayload>(
 pub fn decode_trials<V: WirePayload>(
     like: &GtSketch<V>,
     mut buf: Bytes,
-    body: &mut SortedTrials<V>,
+    body: &mut impl TrialSink<V>,
 ) -> Result<(), CodecError> {
     get_coordinated_header(&mut buf, like)?;
-    body.clear();
     let capacity = like.config().capacity();
-    body.reserve(buf.remaining().min(like.trials().len() * capacity));
+    body.start(buf.remaining().min(like.trials().len() * capacity));
     let mut entries: Vec<(u64, V)> = Vec::new();
     for trial in like.trials() {
         let level = get_u8(&mut buf)?;
@@ -534,7 +534,7 @@ pub fn decode_trials<V: WirePayload>(
             }));
         }
         entries.clear();
-        entries.reserve(n);
+        entries.reserve(n.min(buf.remaining()));
         let mut prev = 0u64;
         for _ in 0..n {
             prev = prev
@@ -562,7 +562,8 @@ fn reject_trailing_bytes(buf: &Bytes) -> Result<(), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_core::{DistinctSketch, SumDistinctSketch};
+    use gt_core::{DistinctSketch, LeveledTrials, SumDistinctSketch};
+    use gt_hash::LevelHasher;
 
     fn cfg() -> SketchConfig {
         SketchConfig::new(0.1, 0.1).unwrap()
@@ -1082,7 +1083,16 @@ mod tests {
         let like = DistinctSketch::new(&cfg(), 9);
         let mut referee = Referee::new(&cfg(), 9);
         let mut fold = DistinctSketch::new(&cfg(), 9);
-        let mut body = SortedTrials::default();
+        // A decode reserves once, for at most min(message bytes, trials ×
+        // capacity) entries; a fresh body's capacity is that reserve.
+        let shape = cfg().trials() * cfg().capacity();
+        let reserved_within_bound = |bytes: &Bytes, reserved: usize, round: u64| {
+            let bound = bytes.len().min(shape);
+            assert!(
+                reserved <= bound,
+                "round {round}: reserved {reserved} > {bound}"
+            );
+        };
         let mut rng = 0xF1A9_5EED_u64;
         let mut frame_rng = 0xF4A3_5EED_u64;
         let (mut both_ok, mut both_err) = (0u64, 0u64);
@@ -1122,6 +1132,9 @@ mod tests {
             let bytes = Bytes::from(raw);
             let oracle = get_coordinated_header(&mut bytes.clone(), &like)
                 .and_then(|()| decode_sketch::<()>(bytes.clone()));
+            let mut body = SortedTrials::default();
+            let _ = decode_trials(&like, bytes.clone(), &mut body);
+            reserved_within_bound(&bytes, body.capacity(), round);
             // One party per round, so no message is a redelivery.
             let msg = PartyMessage {
                 party_id: round as usize,
@@ -1159,7 +1172,23 @@ mod tests {
                 mutate(&mut raw, &mut frame_rng);
             }
             let bytes = Bytes::from(raw);
+            let mut body = SortedTrials::default();
             let got = decode_frame(&like, bytes.clone(), &mut body);
+            reserved_within_bound(&bytes, body.capacity(), round);
+            // The referee's leveled decode agrees, within the same bound,
+            // and each entry carries its label's hash level.
+            let mut leveled = LeveledTrials::default();
+            let got_leveled = decode_frame(&like, bytes.clone(), &mut leveled);
+            reserved_within_bound(&bytes, leveled.sorted().capacity(), round);
+            assert_eq!(got_leveled, got, "round {round}");
+            if got.is_ok() {
+                assert_eq!(leveled.sorted(), &body, "round {round}");
+                for (trial, (_, _, entries, levels)) in like.trials().iter().zip(leveled.iter()) {
+                    for (&(label, ()), &level) in entries.iter().zip(levels) {
+                        assert_eq!(level, trial.hasher().level(label), "round {round}");
+                    }
+                }
+            }
             // The oracle: the same header checks, then `decode_sketch` on
             // the embedded body.
             let mut embedded = bytes;

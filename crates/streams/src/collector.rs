@@ -527,11 +527,20 @@ mod tests {
                 .iter()
                 .map(|p| (p.sends, p.last_fate, p.acked_at))
                 .collect();
-            let referee_counts = RefereeTelemetry {
-                decode_time: Default::default(),
-                merge_time: Default::default(),
-                ..report.referee
-            };
+            // Named counters, not `Debug` text, so a telemetry field
+            // added or removed does not move the pin.
+            let t = &report.referee;
+            let referee_counts = [
+                t.accepted,
+                t.duplicates_suppressed,
+                t.duplicates_merged,
+                t.rejected_truncated,
+                t.rejected_bad_magic,
+                t.rejected_bad_tag,
+                t.rejected_malformed,
+                t.rejected_sketch,
+                t.batches,
+            ];
             let key = (
                 fates,
                 report.rounds,
@@ -548,9 +557,9 @@ mod tests {
         assert_eq!(
             digests,
             [
-                0x600d_da80_9041_bbc2,
-                0xea32_afde_7203_61a1,
-                0x0400_9178_47fd_c5da
+                0x06b7_86f8_9f24_6077,
+                0xb51a_7f44_3914_d0b0,
+                0x9bac_612e_a86c_14c7
             ]
         );
     }

@@ -10,13 +10,16 @@
 //!
 //! Both ingresses, sketch messages ([`RefereeOf::receive`],
 //! [`RefereeOf::receive_batch`]) and frames ([`RefereeOf::receive_frame`]),
-//! decode a message body into one reusable [`SortedTrials`] with
+//! decode a message body into one reusable [`LeveledTrials`] with
 //! [`crate::codec::decode_trials`]: per trial, the level, the item counter
 //! and the label-sorted entries, checked against the union's trial
-//! hashes. The union absorbs a body through the entry merge
-//! ([`GtSketch::merge_refresh_from`]), and a party's summary gets it
-//! applied ([`gt_core::apply_delta`]) or merged in the same way. A batch
-//! is the per-message step, message by message in order.
+//! hashes, with the hash level of each entry. The union absorbs a body
+//! through the entry merge ([`GtSketch::merge_refresh_from`]). A party's
+//! summary is a [`LeveledTrials`] too, sized to what it holds: a copy of
+//! its first body, which later bodies union into
+//! ([`LeveledTrials::union_from`]), are applied to
+//! ([`LeveledTrials::apply_delta_watched`]) or replace. A batch is the
+//! per-message step, message by message in order.
 //!
 //! ## At-least-once delivery
 //!
@@ -47,8 +50,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use gt_core::metrics::Exposition;
 use gt_core::{
-    apply_delta, apply_delta_watched, Estimate, ExprContext, ExpressionEstimate, GtSketch,
-    JaccardEstimate, SetExpr, SketchConfig, SketchError, SortedTrials, StateKey,
+    apply_delta, Estimate, ExprContext, ExpressionEstimate, GtSketch, JaccardEstimate,
+    LeveledTrials, SetExpr, SketchConfig, SketchError, StateKey,
 };
 
 use crate::codec::{
@@ -222,11 +225,12 @@ struct FrameState {
 #[derive(Clone, Debug)]
 struct PartyRecord<V: WirePayload> {
     /// The party's retained summary, which feeds the expression engine:
-    /// the union of every accepted sketch message (variants merge in).
-    /// A frame supersedes it instead (cumulative snapshots don't
-    /// accumulate): a delta frame is applied to it in place, and a full
-    /// frame is applied to it after clearing it.
-    summary: GtSketch<V>,
+    /// a leveled view holding exactly the state a sketch would, in arrays
+    /// sized to its entries. It is the union of every accepted sketch
+    /// message (the first one copied, variants unioned in). A frame
+    /// supersedes it instead (cumulative snapshots don't accumulate): a
+    /// delta frame is applied to it, and a full frame replaces it.
+    summary: LeveledTrials<V>,
     /// Accepted payload fingerprints, oldest first: the party's accepted
     /// messages, merged variants and applied frames, of which only the
     /// newest [`MAX_FP_HISTORY`] are kept.
@@ -328,9 +332,10 @@ pub type PartialJaccardEstimate = PartialQuery<JaccardEstimate>;
 /// Most code wants the label-only alias [`Referee`].
 ///
 /// Besides the running union, the referee retains each party's own
-/// merged summary (one sketch per party heard — logarithmic space each,
-/// the same order as the messages themselves), which is what powers the
-/// set-expression query API ([`RefereeOf::query`]) over the fleet.
+/// merged summary (one [`LeveledTrials`] view per party heard, sized to
+/// the entries it holds — logarithmic space each, the same order as the
+/// messages themselves), which is what powers the set-expression query
+/// API ([`RefereeOf::query`]) over the fleet.
 #[derive(Clone, Debug)]
 pub struct RefereeOf<V: WirePayload> {
     master_seed: u64,
@@ -343,9 +348,9 @@ pub struct RefereeOf<V: WirePayload> {
     telemetry: RefereeTelemetry,
     delta_telemetry: DeltaPlaneTelemetry,
     /// The decode target of both ingresses: the last message's or
-    /// frame's body as per-trial sorted entries, its storage reused
-    /// message after message.
-    body: SortedTrials<V>,
+    /// frame's body as per-trial sorted entries with their hash levels,
+    /// its storage reused message after message.
+    body: LeveledTrials<V>,
 }
 
 /// The referee for plain distinct-count sketches (no payload).
@@ -364,7 +369,7 @@ impl<V: WirePayload> RefereeOf<V> {
             parties: HashMap::new(),
             telemetry: RefereeTelemetry::default(),
             delta_telemetry: DeltaPlaneTelemetry::default(),
-            body: SortedTrials::default(),
+            body: LeveledTrials::default(),
         }
     }
 
@@ -377,10 +382,11 @@ impl<V: WirePayload> RefereeOf<V> {
     /// The union then absorbs the body's entries and item counters — a
     /// refresh merge with nothing to debit, which is
     /// [`GtSketch::merge_from`] of the decoded sketch. A first-heard
-    /// party's summary is the body applied to an empty sketch, and the
-    /// party is counted ([`Receipt::Merged`]); an already-heard party's
-    /// summary absorbs the body as the union does, and nothing is
-    /// re-counted ([`Receipt::MergedVariant`]).
+    /// party's summary is a copy of the body, and the party is counted
+    /// ([`Receipt::Merged`]); an already-heard party's summary is unioned
+    /// with the body ([`LeveledTrials::union_from`], the same union the
+    /// sketch would take), and nothing is re-counted
+    /// ([`Receipt::MergedVariant`]).
     ///
     /// Safe to call any number of times with redeliveries of the same
     /// message — see the module docs on at-least-once idempotence.
@@ -390,22 +396,23 @@ impl<V: WirePayload> RefereeOf<V> {
             return Ok(Receipt::Duplicate);
         };
         let merge_start = Instant::now();
-        let nothing_to_debit = vec![0; self.body.trials()];
+        let nothing_to_debit = vec![0; self.body.sorted().trials()];
         self.union
-            .merge_refresh_from(&self.body, &nothing_to_debit)
+            .merge_refresh_from(self.body.sorted(), &nothing_to_debit)
             .expect("a decoded body has the union's trial count");
         // Exactly-once: only a party's first accepted message is billed;
         // later ones are variants.
         let receipt = match self.parties.entry(msg.party_id) {
             Entry::Occupied(e) => {
                 let record = e.into_mut();
+                let capacity = self.union.config().capacity();
                 record
                     .summary
-                    .merge_refresh_from(&self.body, &nothing_to_debit)
+                    .union_from(&self.body, capacity)
                     .expect("a decoded body has the union's trial count");
                 if let Some(frames) = &mut record.frames {
                     // The summary moved outside the frame path.
-                    frames.key = StateKey::of(&record.summary);
+                    frames.key = StateKey::of_view(&record.summary);
                 }
                 record.fingerprints.push(fingerprint);
                 keep_newest(&mut record.fingerprints);
@@ -413,10 +420,10 @@ impl<V: WirePayload> RefereeOf<V> {
                 Receipt::MergedVariant
             }
             Entry::Vacant(e) => {
-                let mut summary = GtSketch::new(self.union.config(), self.master_seed);
-                apply_delta(&mut summary, &self.body).expect("a decoded body fits an empty sketch");
+                // A copy sized to the body, where the body buffer has
+                // the room its decode reserved.
                 e.insert(PartyRecord {
-                    summary,
+                    summary: self.body.clone(),
                     fingerprints: vec![fingerprint],
                     frames: None,
                 });
@@ -439,7 +446,7 @@ impl<V: WirePayload> RefereeOf<V> {
     fn admit<T>(
         &mut self,
         msg: &PartyMessage,
-        decode: impl FnOnce(&GtSketch<V>, Bytes, &mut SortedTrials<V>) -> Result<T, CodecError>,
+        decode: impl FnOnce(&GtSketch<V>, Bytes, &mut LeveledTrials<V>) -> Result<T, CodecError>,
     ) -> Result<Option<(u64, T)>, CodecError> {
         let decode_start = Instant::now();
         let fingerprint = payload_fingerprint(&msg.payload);
@@ -474,13 +481,14 @@ impl<V: WirePayload> RefereeOf<V> {
     /// so a delta is exact on any applied state between its base and its
     /// own generation, and lost acks never corrupt the union.
     ///
-    /// Both frame kinds then take one path, which costs O(frame) plus
-    /// re-hashing the trials a delta raises: the body, decoded as
-    /// [`SortedTrials`], is applied to the party's summary in place
-    /// ([`gt_core::apply_delta_watched`], which keeps the summary's
-    /// [`StateKey`] current) — a full frame onto the cleared summary —
-    /// and the union absorbs only the body's entries. A delta that fails
-    /// to apply leaves the summary, the union and the history untouched.
+    /// Then the body, decoded as a [`LeveledTrials`] (decode hashes each
+    /// label once), updates the party's summary. A full frame replaces
+    /// it with a copy of the body. A delta frame is applied to it
+    /// ([`LeveledTrials::apply_delta_watched`], which keeps the summary's
+    /// [`StateKey`] current): one merge of sorted runs, O(summary + frame),
+    /// whose raises compare stored level bytes and hash nothing. The union
+    /// absorbs only the body's entries. A delta that fails to apply leaves
+    /// the summary, the union and the history untouched.
     pub fn receive_frame(&mut self, msg: &PartyMessage) -> Result<Receipt, CodecError> {
         let decoded = self.admit(msg, decode_frame)?;
         // The watermark is checked only after the body decodes, so that a
@@ -509,35 +517,38 @@ impl<V: WirePayload> RefereeOf<V> {
             .parties
             .entry(msg.party_id)
             .or_insert_with(|| PartyRecord {
-                summary: GtSketch::new(self.union.config(), self.master_seed),
+                summary: LeveledTrials::default(),
                 fingerprints: Vec::new(),
                 frames: None,
             });
         let summary = &mut record.summary;
-        let old_items: Vec<u64> = summary
-            .trials()
-            .iter()
-            .map(|t| t.items_observed())
-            .collect();
-        let frames = match base {
+        // The counters the union debits: the superseded state's, none
+        // for a new party.
+        let mut old_items: Vec<u64> = summary.iter().map(|(_, items, _, _)| items).collect();
+        old_items.resize(self.body.sorted().trials(), 0);
+        let (frames, applied) = match base {
             // A full frame re-keys the chain: older bases are dead. It
-            // fits the cleared summary, as the decode bounded each trial
-            // by the capacity.
+            // replaces the summary with a copy sized to the body.
             None => {
-                summary.clear();
-                record.frames.insert(FrameState {
+                *summary = self.body.clone();
+                let frames = record.frames.insert(FrameState {
                     watermark: generation,
                     items: record.frames.as_ref().map_or(0, |f| f.items),
                     history: Vec::new(),
-                    key: StateKey::of(summary),
-                })
+                    key: StateKey::of_view(summary),
+                });
+                (frames, Ok(()))
             }
-            Some(_) => record.frames.as_mut().expect("base is known"),
+            Some(_) => {
+                let frames = record.frames.as_mut().expect("base is known");
+                let capacity = self.union.config().capacity();
+                let applied = summary.apply_delta_watched(&self.body, capacity, &mut frames.key);
+                (frames, applied)
+            }
         };
-        let applied = apply_delta_watched(summary, &self.body, &mut frames.key);
         if applied.is_ok() {
             self.union
-                .merge_refresh_from(&self.body, &old_items)
+                .merge_refresh_from(self.body.sorted(), &old_items)
                 .expect("a decoded frame has the union's trial count");
         }
         self.telemetry.merge_time += merge_start.elapsed();
@@ -558,7 +569,9 @@ impl<V: WirePayload> RefereeOf<V> {
             t.full_bytes += msg.bytes() as u64;
         }
         frames.watermark = generation;
-        frames.history.push((generation, frames.key.key(summary)));
+        frames
+            .history
+            .push((generation, frames.key.view_key(summary)));
         keep_newest(&mut frames.history);
         // Every applied frame counts as a message (frames supersede, they
         // are not redeliveries), while `items_reported` advances by the
@@ -647,9 +660,15 @@ impl<V: WirePayload> RefereeOf<V> {
     }
 
     /// The retained summary of one party (the union of all its accepted
-    /// payloads), if it has been heard.
-    pub fn party_sketch(&self, party_id: usize) -> Option<&GtSketch<V>> {
-        self.parties.get(&party_id).map(|r| &r.summary)
+    /// payloads, or its last applied frame), if it has been heard, as a
+    /// sketch built from the referee's leveled view of it: the same state,
+    /// so the same canonical bytes, in a sketch's full-size tables.
+    pub fn party_sketch(&self, party_id: usize) -> Option<GtSketch<V>> {
+        self.parties.get(&party_id).map(|r| {
+            let mut sketch = GtSketch::new(self.union.config(), self.master_seed);
+            apply_delta(&mut sketch, r.summary.sorted()).expect("a summary fits an empty sketch");
+            sketch
+        })
     }
 
     /// The distinct referenced party ids of one or more expressions,
@@ -664,19 +683,20 @@ impl<V: WirePayload> RefereeOf<V> {
         ids
     }
 
-    /// Build the evaluation context for `exprs`, with leaves remapped
+    /// Build the evaluation context for `exprs` over the referenced
+    /// parties' summaries, borrowed as they are, with leaves remapped
     /// from party ids to dense operand indices. With `empty` = `None`
     /// (strict mode) an unheard referenced party is an error; otherwise
-    /// it evaluates as an empty stream, backed by an empty sketch built in
-    /// `empty` on first need (the caller keeps it alive for the borrow).
+    /// it evaluates as an empty stream, backed by an empty summary built
+    /// in `empty` on first need (the caller keeps it alive for the borrow).
     fn expr_context<'s>(
         &'s self,
         exprs: &[&SetExpr],
-        empty: Option<&'s OnceCell<GtSketch<V>>>,
+        empty: Option<&'s OnceCell<LeveledTrials<V>>>,
     ) -> gt_core::Result<(ExprContext<'s, V>, Vec<SetExpr>, usize, usize)> {
         let ids = Self::referenced_parties(exprs);
         let mut heard = 0usize;
-        let mut operands: Vec<&GtSketch<V>> = Vec::with_capacity(ids.len());
+        let mut operands: Vec<&LeveledTrials<V>> = Vec::with_capacity(ids.len());
         for &id in &ids {
             match self.parties.get(&id) {
                 Some(r) => {
@@ -684,9 +704,9 @@ impl<V: WirePayload> RefereeOf<V> {
                     operands.push(&r.summary);
                 }
                 None => match empty {
-                    Some(cell) => operands.push(
-                        cell.get_or_init(|| GtSketch::new(self.union.config(), self.master_seed)),
-                    ),
+                    Some(cell) => operands.push(cell.get_or_init(|| {
+                        LeveledTrials::of(&GtSketch::new(self.union.config(), self.master_seed))
+                    })),
                     None => {
                         return Err(SketchError::InvalidConfig {
                             parameter: "expr",
@@ -702,7 +722,8 @@ impl<V: WirePayload> RefereeOf<V> {
             .map(|(dense, &id)| (id, dense))
             .collect();
         let remapped = exprs.iter().map(|e| remap_leaves(e, &remap)).collect();
-        Ok((ExprContext::new(&operands)?, remapped, heard, ids.len()))
+        let ctx = ExprContext::over(self.union.config(), &operands)?;
+        Ok((ctx, remapped, heard, ids.len()))
     }
 
     /// Evaluate a set expression over the retained party summaries.
@@ -1036,8 +1057,8 @@ mod tests {
         referee.receive(&message(1, 30_000..90_000, 5)).unwrap();
 
         let sim = gt_core::similarity(
-            referee.party_sketch(0).unwrap(),
-            referee.party_sketch(1).unwrap(),
+            &referee.party_sketch(0).unwrap(),
+            &referee.party_sketch(1).unwrap(),
         )
         .unwrap();
         let (a, b) = (SetExpr::leaf(0), SetExpr::leaf(1));
@@ -1190,7 +1211,7 @@ mod tests {
             );
             for party in 0..4usize {
                 assert_eq!(
-                    referee.party_sketch(party).map(encode_sketch),
+                    referee.party_sketch(party).as_ref().map(encode_sketch),
                     oracle_parties.get(&party).map(encode_sketch),
                     "{path}: party {party} summary diverged from the fold"
                 );
@@ -1256,7 +1277,7 @@ mod tests {
         let clean = message(0, 0..300, 5);
         let padded = pad(&clean);
         assert_eq!(decode_sketch::<()>(padded.payload.clone()).err(), trailing);
-        let mut body = SortedTrials::default();
+        let mut body = gt_core::SortedTrials::default();
         let like = GtSketch::<()>::new(&cfg(), 5);
         let into = decode_trials(&like, padded.payload.clone(), &mut body);
         assert_eq!(into.err(), trailing);
@@ -1330,8 +1351,8 @@ mod tests {
         );
         for party in 0..t {
             assert_eq!(
-                batched.party_sketch(party).map(encode_sketch),
-                sequential.party_sketch(party).map(encode_sketch),
+                batched.party_sketch(party).as_ref().map(encode_sketch),
+                sequential.party_sketch(party).as_ref().map(encode_sketch),
                 "party {party} summary diverged"
             );
         }
@@ -1394,7 +1415,7 @@ mod tests {
                 let msg = p.emit_frame();
                 assert_eq!(referee.receive_frame(&msg).unwrap(), Receipt::Merged);
                 assert_eq!(
-                    referee.party_sketch(p.id()).map(encode_sketch),
+                    referee.party_sketch(p.id()).as_ref().map(encode_sketch),
                     Some(encode_sketch(p.sketch())),
                     "round {round}: party {} summary diverged",
                     p.id()
@@ -1519,7 +1540,7 @@ mod tests {
             Receipt::Merged
         );
         assert_eq!(
-            referee.party_sketch(0).map(encode_sketch),
+            referee.party_sketch(0).as_ref().map(encode_sketch),
             Some(encode_sketch(fork.sketch()))
         );
     }
@@ -1582,14 +1603,14 @@ mod tests {
             items_observed: 0,
         };
         let (summary, union) = (
-            encode_sketch(referee.party_sketch(0).unwrap()),
+            encode_sketch(&referee.party_sketch(0).unwrap()),
             encode_sketch(referee.union_sketch()),
         );
         assert!(matches!(
             referee.receive_frame(&bad),
             Err(CodecError::Sketch(SketchError::InvalidConfig { .. }))
         ));
-        assert_eq!(encode_sketch(referee.party_sketch(0).unwrap()), summary);
+        assert_eq!(encode_sketch(&referee.party_sketch(0).unwrap()), summary);
         assert_eq!(encode_sketch(referee.union_sketch()), union);
         assert_eq!(referee.acked_generation(0), Some(1));
         // The party's own generation 2 still applies on the same base.
@@ -1599,7 +1620,7 @@ mod tests {
             Receipt::Merged
         );
         assert_eq!(
-            encode_sketch(referee.party_sketch(0).unwrap()),
+            encode_sketch(&referee.party_sketch(0).unwrap()),
             encode_sketch(p.sketch())
         );
     }
@@ -1640,6 +1661,44 @@ mod tests {
             "live union bitwise equals the party's own state"
         );
         assert_eq!(referee.acked_generation(0), Some(3));
+    }
+
+    /// Every retained summary is sized to what it holds — no slack in
+    /// its entry, level or trial arrays — after first messages, variants,
+    /// full frames and delta frames alike.
+    #[test]
+    fn retained_summaries_are_exactly_sized() {
+        let config = cfg();
+        let per_entry = std::mem::size_of::<(u64, ())>() + 1;
+        let per_trial = std::mem::size_of::<(u8, u64, usize)>();
+        let exact = |referee: &Referee, step: &str| {
+            for (id, r) in &referee.parties {
+                let entries = r.summary.sorted().sample_entries();
+                let want = entries * per_entry + config.trials() * per_trial;
+                assert_eq!(r.summary.heap_bytes(), want, "{step}: party {id}");
+            }
+        };
+        let mut referee = Referee::new(&config, 5);
+        // Two first messages, then a variant that raises levels.
+        for (party, range) in [(0, 0..300), (1, 100..5_000), (0, 0..9_000)] {
+            referee.receive(&message(party, range, 5)).unwrap();
+            exact(&referee, "message");
+        }
+        assert_eq!(referee.telemetry().duplicates_merged, 1);
+        let mut p = DeltaParty::<()>::new(2, &config, 5);
+        for generation in 1..=6u64 {
+            for i in 0..700 {
+                p.observe_with(gt_hash::fold61(generation * 600 + i), ());
+            }
+            assert_eq!(referee.receive_frame(&p.emit_frame()), Ok(Receipt::Merged));
+            exact(&referee, "frame");
+            p.handle_ack(generation);
+        }
+        assert_eq!(referee.delta_telemetry().full_frames, 1);
+        assert_eq!(referee.delta_telemetry().delta_frames, 5);
+        // A variant onto a frame-fed summary.
+        referee.receive(&message(2, 0..400, 5)).unwrap();
+        exact(&referee, "variant after frames");
     }
 
     #[test]

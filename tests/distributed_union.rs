@@ -4,15 +4,13 @@
 //! reordered, or late deliveries must leave the referee in a state
 //! bitwise-identical to clean exactly-once delivery.
 
-use std::time::Duration;
-
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use gt_sketch::streams::{
     collect_once, encode_sketch, run_batch, CodecError, DeltaParty, Distribution, Party,
-    PartyMessage, Receipt, Referee, RefereeOf, RefereeTelemetry, RetryPolicy, StreamOracle,
-    TransportSpec, WorkloadSpec,
+    PartyMessage, Receipt, Referee, RefereeOf, RetryPolicy, StreamOracle, TransportSpec,
+    WorkloadSpec,
 };
 use gt_sketch::SketchConfig;
 
@@ -414,14 +412,31 @@ const MIXED_PARTIES: usize = 8;
 /// every party's heard flag, acked generation and retained summary,
 /// and the union's canonical bytes.
 fn digest_step(h: u64, r: &Referee, receipts: &[Result<Receipt, CodecError>]) -> u64 {
-    let counts = RefereeTelemetry {
-        decode_time: Duration::ZERO,
-        merge_time: Duration::ZERO,
-        ..*r.telemetry()
-    };
+    // Named counters, not `Debug` text: adding or removing a telemetry
+    // field must not move the digest when no behaviour changed.
+    let t = r.telemetry();
+    let counts = [
+        t.accepted,
+        t.duplicates_suppressed,
+        t.duplicates_merged,
+        t.rejected_truncated,
+        t.rejected_bad_magic,
+        t.rejected_bad_tag,
+        t.rejected_malformed,
+        t.rejected_sketch,
+        t.batches,
+    ];
+    let d = r.delta_telemetry();
+    let frames = [
+        d.delta_frames,
+        d.full_frames,
+        d.delta_bytes,
+        d.full_bytes,
+        d.resyncs_requested,
+        d.duplicate_frames,
+    ];
     let mut text = format!(
-        "{receipts:?}|{counts:?}|{:?}|{} {} {} {}",
-        r.delta_telemetry(),
+        "{receipts:?}|{counts:?}|{frames:?}|{} {} {} {}",
         r.messages(),
         r.bytes_received(),
         r.items_reported(),
@@ -432,9 +447,10 @@ fn digest_step(h: u64, r: &Referee, receipts: &[Result<Receipt, CodecError>]) ->
     }
     let sketches = (0..MIXED_PARTIES).filter_map(|p| r.party_sketch(p));
     sketches
-        .chain([r.union_sketch()])
-        .fold(fnv1a64_from(h, text.as_bytes()), |h, s| {
-            fnv1a64_from(h, &encode_sketch(s))
+        .map(|s| encode_sketch(&s))
+        .chain([encode_sketch(r.union_sketch())])
+        .fold(fnv1a64_from(h, text.as_bytes()), |h, bytes| {
+            fnv1a64_from(h, &bytes)
         })
 }
 
@@ -591,7 +607,7 @@ fn mixed_ingress_schedule_is_pinned() {
     assert_eq!(r.r.acked_generation(3), Some(71));
 
     assert_eq!(
-        r.h, 0x91e5_a360_4d89_9599,
+        r.h, 0xaa84_dd64_52e9_84ff,
         "mixed-ingress digest drifted: {:#018x}",
         r.h
     );
