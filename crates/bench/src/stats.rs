@@ -146,8 +146,11 @@ mod tests {
         let store = walk(&demo_store());
         assert_eq!(store["gt_store_shards"], 2.0);
         assert_eq!(store["gt_store_keys"], 300.0);
-        // The demo budget is tight enough that the spill path is live.
+        // The demo budget is tight enough that the spill path is live,
+        // in both directions.
         assert!(store["gt_store_evictions"] > 0.0);
+        assert!(store["gt_store_restores"] > 0.0);
+        assert!(store["gt_store_restored_bytes"] > 0.0);
         assert!(store["gt_store_queries"] >= 300.0);
     }
 }

@@ -30,10 +30,13 @@
 //!   construct *identical* hash functions, the heart of coordination.
 //! * [`mix`] — a fixed 64-bit finalizer for folding arbitrary labels into
 //!   the `[0, 2^61 − 1)` universe.
+//! * [`crc32c`] — a table-driven CRC32C for checksummed bytes that leave
+//!   the process and come back (spill records).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod crc32c;
 pub mod field61;
 pub mod lanes;
 pub mod level;
@@ -45,6 +48,7 @@ pub mod sabotage;
 pub mod seeds;
 pub mod tabulation;
 
+pub use crc32c::{crc32c, crc32c_append};
 pub use field61::{Field61, P61};
 pub use lanes::LANES;
 pub use level::{

@@ -1,12 +1,12 @@
 //! Slab arenas for packed per-key sketch state.
 //!
-//! A store shard keeps the state of every resident (non-hot) key inside a
-//! handful of large `Vec<u64>` slabs instead of one heap allocation per
-//! key. Slots come in power-of-two size classes: class `c` holds
-//! `base << c` words. Allocation is a free-list pop (or a slab extension
-//! when the free list is empty) and freeing is a free-list push — no
-//! allocator traffic on the steady-state path, which is the point: with
-//! millions of small sketches the per-`Vec` malloc/free overhead and heap
+//! A store shard keeps the state of every resident key inside a handful
+//! of large `Vec<u64>` slabs instead of one heap allocation per key.
+//! Slots come in power-of-two size classes: class `c` holds `base << c`
+//! words. Allocation is a free-list pop (or a slab extension when the
+//! free list is empty) and freeing is a free-list push — no allocator
+//! traffic on the steady-state path, which is the point: with millions
+//! of small sketches the per-`Vec` malloc/free overhead and heap
 //! fragmentation would dominate the resident footprint.
 //!
 //! A [`SketchHandle`] names a slot as `(class, index)`; the slot's byte

@@ -10,8 +10,9 @@
 //!    staged, sorted by `(shard, key)`, and applied per key-run under one
 //!    shard lock acquisition per batch.
 //! 3. **Eviction + spill** ([`spill`]) — approximate-LRU eviction of cold
-//!    keys under a byte budget, through the canonical codec to a per-shard
-//!    on-disk log, restored bitwise-identically on the next touch.
+//!    keys under a byte budget: the key's packed words, checksummed, go to
+//!    a per-shard on-disk log and are checked and restored
+//!    bitwise-identically on the next touch.
 //!
 //! The store's contract with correctness is simple to state and is tested
 //! property-style: for every key, whichever tier it is in and however many
@@ -32,16 +33,16 @@ pub use metrics::StoreMetricsSnapshot;
 pub use spill::SpillLog;
 pub use store::{DistinctStore, SketchStore, StoreOptions, StorePayload, STORE_STAGE};
 
-use gt_streams::CodecError;
-
-/// Errors a [`SketchStore`] can surface: sketch-level coordination errors,
-/// spill-log I/O, and canonical-codec failures while restoring.
+/// Errors a [`SketchStore`] can surface: sketch-level errors, a spill
+/// record that fails its checks on restore, and spill-log I/O.
 #[derive(Debug)]
 pub enum StoreError {
-    /// Sketch-level error (coordination, invalid state).
+    /// Sketch-level error (an ingested label outside the field).
     Sketch(gt_core::SketchError),
-    /// Canonical-codec error while encoding or restoring spilled state.
-    Codec(CodecError),
+    /// A spill record failed its checksum or a structural check while
+    /// restoring; the string names the first failed check. The key stays
+    /// spilled, and every later restore of it fails the same way.
+    CorruptRecord(String),
     /// Spill-log I/O error.
     Io(std::io::Error),
 }
@@ -50,7 +51,7 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Sketch(e) => write!(f, "sketch error: {e}"),
-            StoreError::Codec(e) => write!(f, "spill codec error: {e}"),
+            StoreError::CorruptRecord(reason) => write!(f, "corrupt spill record: {reason}"),
             StoreError::Io(e) => write!(f, "spill io error: {e}"),
         }
     }
@@ -60,7 +61,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Sketch(e) => Some(e),
-            StoreError::Codec(e) => Some(e),
+            StoreError::CorruptRecord(_) => None,
             StoreError::Io(e) => Some(e),
         }
     }
@@ -69,12 +70,6 @@ impl std::error::Error for StoreError {
 impl From<gt_core::SketchError> for StoreError {
     fn from(e: gt_core::SketchError) -> Self {
         StoreError::Sketch(e)
-    }
-}
-
-impl From<CodecError> for StoreError {
-    fn from(e: CodecError) -> Self {
-        StoreError::Codec(e)
     }
 }
 

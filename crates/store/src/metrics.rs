@@ -43,11 +43,11 @@ pub struct StoreMetricsSnapshot {
     pub front_hits: u64,
     /// Cold keys evicted to the spill log.
     pub evictions: u64,
-    /// Canonical-codec bytes appended to spill logs.
+    /// Spill-record bytes appended: packed words + an 8-byte trailer each.
     pub spilled_bytes: u64,
     /// Spilled keys restored on touch.
     pub restores: u64,
-    /// Bytes read back and decoded during restores.
+    /// Spill-record bytes read back by restores that passed every check.
     pub restored_bytes: u64,
     /// Spill-log compaction passes (a shard crossed its dead-fraction
     /// threshold and rewrote the live records).

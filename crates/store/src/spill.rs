@@ -1,12 +1,11 @@
 //! Per-shard on-disk spill log for evicted sketch state.
 //!
-//! Each shard owns one append-only log file. Evicting a key folds its
-//! packed state into canonical wire bytes (`gt_streams::encode_sketch`)
-//! and appends them here; the index entry keeps `(offset, len)`. Restoring
-//! reads that exact range back and decodes it — the canonical codec is
-//! bitwise round-trip stable, so a restored key is indistinguishable from
-//! one that never left memory (the per-key oracle test asserts exactly
-//! this across evict/restore cycles).
+//! Each shard owns one append-only log file. Evicting a key appends its
+//! checksummed record of packed words (the format is the store's) and the
+//! index entry keeps `(offset, len)`. Restoring reads that exact range
+//! back and the store checks it, so a restored key is indistinguishable
+//! from one that never left memory (the per-key oracle test asserts
+//! exactly this across evict/restore cycles).
 //!
 //! The log is write-once per record: a key that is restored and later
 //! evicted again appends a *new* record, and the old range becomes dead
@@ -62,8 +61,8 @@ impl SpillLog {
         })
     }
 
-    /// Append one encoded sketch; returns the `(offset, len)` the caller
-    /// must remember to read it back.
+    /// Append one record; returns the `(offset, len)` the caller must
+    /// remember to read it back.
     ///
     /// # Errors
     /// Propagates seek/write errors.
@@ -123,8 +122,8 @@ impl SpillLog {
     ///
     /// A record that reaches past the end of the file (cut short outside
     /// the process) can never be read back; it compacts to an empty
-    /// record, which the codec refuses on every later read, and the
-    /// records before it still move.
+    /// record, which the store's restore refuses on every later read, and
+    /// the records before it still move.
     ///
     /// # Errors
     /// Propagates seek/read/write/truncate errors. On error the log may

@@ -31,10 +31,11 @@
 //!   `2 + n·entry` words instead of `r·(2 + n·entry)`. Parsing reloads
 //!   every trial from the one list; the first overflow promotes them all
 //!   during the delta replay, and the next writeback packs the per-trial
-//!   form. Canonical bytes and spill records do not depend on the form.
-//! * **Spilled** — evicted under memory pressure: folded, encoded with the
-//!   canonical codec, appended to the shard's [`SpillLog`]. The next touch
-//!   restores it bitwise-identically via `decode_trials` + `apply_delta`.
+//!   form. Canonical bytes do not depend on the form.
+//! * **Spilled** — evicted to the shard's [`SpillLog`] as the folded
+//!   packed section's words, a word count and a CRC32C (`seal`). The next
+//!   touch checks the checksum, then the structure (`parse_into`), before
+//!   writing back; a failure is a [`crate::StoreError::CorruptRecord`].
 //!
 //! ## Sharding and locking
 //!
@@ -59,16 +60,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use crossbeam::utils::CachePadded;
-use gt_core::{apply_delta, SortedTrials};
 use gt_core::{effective_workers, CoordinatedTrial, Estimate, GtSketch, SketchConfig, SketchError};
-use gt_hash::mix64;
-use gt_streams::{decode_trials, encode_sketch, CodecError, WirePayload};
+use gt_hash::{crc32c, crc32c_append, mix64};
+use gt_streams::{encode_sketch, WirePayload};
 use parking_lot::Mutex;
 
 use crate::arena::{SketchHandle, SlotArena};
 use crate::metrics::StoreMetricsSnapshot;
 use crate::spill::SpillLog;
-use crate::Result;
+use crate::{Result, StoreError};
 
 /// Staging-buffer size for keyed ingest: items are grouped by
 /// `(shard, key)` in chunks of this many entries so each shard lock is
@@ -79,6 +79,47 @@ pub const STORE_STAGE: usize = 1024;
 /// for every trial). No trial can reach it: levels stop at `MAX_LEVEL`.
 const EXACT: u8 = 0xFF;
 const _: () = assert!(EXACT > gt_hash::MAX_LEVEL);
+
+/// A [`StoreError::CorruptRecord`] for `reason`.
+fn corrupt(reason: impl std::fmt::Display) -> StoreError {
+    StoreError::CorruptRecord(reason.to_string())
+}
+
+/// CRC32C over `key` and then its record `body`: binds a record to its key.
+fn record_crc(key: u64, body: &[u8]) -> u32 {
+    crc32c_append(crc32c(&key.to_le_bytes()), body)
+}
+
+/// Pack `words` into `record` as `key`'s spill record: the words
+/// little-endian, then a `u32` word count, then the record checksum.
+fn seal(key: u64, words: &[u64], record: &mut Vec<u8>) {
+    record.clear();
+    record.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+    record.extend((words.len() as u32).to_le_bytes());
+    record.extend(record_crc(key, record).to_le_bytes());
+}
+
+/// Check `key`'s spill record's checksum and word count (never 0: every
+/// spilled key has state) and unpack its words for the parse to check.
+fn unseal(key: u64, record: &[u8], words: &mut Vec<u64>) -> Result<()> {
+    let Some((body, crc)) = record.split_last_chunk::<4>() else {
+        return Err(corrupt("record shorter than its trailer"));
+    };
+    if record_crc(key, body) != u32::from_le_bytes(*crc) {
+        return Err(corrupt("checksum mismatch"));
+    }
+    let Some((packed, &count)) = body.split_last_chunk::<4>() else {
+        return Err(corrupt("record shorter than its trailer"));
+    };
+    let (chunks, tail) = packed.as_chunks::<8>();
+    let count = u32::from_le_bytes(count) as usize;
+    if count == 0 || !tail.is_empty() || chunks.len() != count {
+        return Err(corrupt("word count is 0 or not the record length"));
+    }
+    words.clear();
+    words.extend(chunks.iter().map(|&w| u64::from_le_bytes(w)));
+    Ok(())
+}
 
 /// Payloads a [`SketchStore`] can pack into arena words. `WORDS` is the
 /// packed width per sample entry — `0` for `()` (distinct counting), `1`
@@ -200,8 +241,10 @@ struct ShardState<V: StorePayload> {
     /// Reusable `(label, payload)` buffer for delta replay.
     run_buf: Vec<(u64, V)>,
     spill: SpillLog,
+    /// Reusable spill record bytes, for both directions.
     spill_buf: Vec<u8>,
-    spill_body: SortedTrials<V>,
+    /// Reusable record words (eviction's packed fold, restore's unpack).
+    spill_words: Vec<u64>,
     /// Approximate-LRU touch queue of `(key, stamp)`.
     lru: VecDeque<(u64, u64)>,
     stamp: u64,
@@ -254,64 +297,62 @@ impl<V: StorePayload> ShardState<V> {
         (needed / 4).max(8 * Self::ENTRY_WORDS)
     }
 
-    /// Materialize a packed slot into `sketch`: reload the sketch section
-    /// (or clear, when the key has only ever buffered deltas), then replay
-    /// the delta items in arrival order through the batch kernel.
+    /// Materialize a packed section and its delta into `sketch`: reload
+    /// the section (or clear, when the key has only ever buffered deltas),
+    /// then replay the delta in arrival order through the batch kernel.
     /// An exact section reloads every trial at level 0 from its one list;
-    /// a replay that overflows it promotes every trial, and the next
-    /// writeback packs the per-trial form. Pure function of the slot
-    /// contents — callers decide whether to write the folded state back.
+    /// an overflowing replay promotes them all. Restore parses spill
+    /// records here too, so nothing is trusted: the section must be one
+    /// exact list or r per-trial lists, each inside `section`, with
+    /// nothing after them and, per-trial, some trial above level 0 (the
+    /// writer packs that state exact); `reload_trial` checks each sample.
+    /// On [`StoreError::CorruptRecord`] the sketch state is unspecified.
     fn parse_into(
         sketch: &mut GtSketch<V>,
-        slot: &[u64],
-        sketch_words: usize,
-        delta_items: usize,
+        section: &[u64],
+        delta: &[u64],
         replay: &mut Vec<(u64, V)>,
-    ) {
+    ) -> Result<()> {
         let ew = Self::ENTRY_WORDS;
-        if sketch_words == 0 {
-            sketch.clear();
-        } else {
+        let entry = |e: &[u64]| (e[0], e.get(1).map_or_else(V::default, |&w| V::from_word(w)));
+        if let Some(&first) = section.first() {
             let trials = sketch.trials().len();
-            let exact = (slot[0] >> 56) as u8 == EXACT;
-            let mut pos = 0usize;
-            for t in 0..trials {
-                let start = if exact { 0 } else { pos };
-                let meta = slot[start];
+            let exact = (first >> 56) as u8 == EXACT;
+            let mut rest = section;
+            let mut leveled = false;
+            for t in 0..if exact { 1 } else { trials } {
+                let [meta, items, tail @ ..] = rest else {
+                    return Err(corrupt("section header past the end of the record"));
+                };
                 let level = if exact { 0 } else { (meta >> 56) as u8 };
                 let n = (meta & ((1u64 << 56) - 1)) as usize;
-                let items = slot[start + 1];
-                let base = start + 2;
-                let entries = (0..n).map(|i| {
-                    let at = base + i * ew;
-                    let payload = if V::WORDS == 1 {
-                        V::from_word(slot[at + 1])
-                    } else {
-                        V::default()
-                    };
-                    (slot[at], payload)
-                });
-                sketch
-                    .reload_trial(t, level, items, entries)
-                    .expect("packed slot state is self-consistent");
-                pos = base + n * ew;
+                let Some((entries, tail)) = tail.split_at_checked(n * ew) else {
+                    return Err(corrupt("sample past the end of the record"));
+                };
+                let targets = if exact { 0..trials } else { t..t + 1 };
+                for target in targets {
+                    sketch
+                        .reload_trial(target, level, *items, entries.chunks_exact(ew).map(entry))
+                        .map_err(corrupt)?;
+                }
+                leveled |= level > 0;
+                rest = tail;
             }
-            debug_assert_eq!(pos, sketch_words);
+            if !rest.is_empty() {
+                return Err(corrupt("words past the last section"));
+            }
+            if !exact && !leveled {
+                return Err(corrupt("per-trial section with every trial at level 0"));
+            }
+        } else {
+            sketch.clear();
         }
         replay.clear();
-        let mut at = sketch_words;
-        for _ in 0..delta_items {
-            let payload = if V::WORDS == 1 {
-                V::from_word(slot[at + 1])
-            } else {
-                V::default()
-            };
-            replay.push((slot[at], payload));
-            at += ew;
-        }
+        replay.extend(delta.chunks_exact(ew).map(entry));
         if !replay.is_empty() {
             sketch.insert_batch_with(replay);
         }
+        Ok(())
     }
 
     /// Write `sketch`'s packed section into `slot`, returning the words
@@ -319,10 +360,6 @@ impl<V: StorePayload> ShardState<V> {
     fn write_sketch_section(sketch: &GtSketch<V>, slot: &mut [u64]) -> usize {
         let ew = Self::ENTRY_WORDS;
         let exact = Self::is_exact(sketch);
-        debug_assert!(
-            !exact || Self::trials_agree(&SortedTrials::of(sketch)),
-            "exact-form trials must hold equal samples and item counts"
-        );
         let mut pos = 0usize;
         for t in Self::packed_trials(sketch) {
             let n = t.sample_len();
@@ -340,13 +377,6 @@ impl<V: StorePayload> ShardState<V> {
             pos = at;
         }
         pos
-    }
-
-    /// Whether every trial holds the first trial's level, item count and
-    /// sample — what packing one shared list assumes.
-    fn trials_agree(trials: &SortedTrials<V>) -> bool {
-        let first = trials.iter().next();
-        trials.iter().all(|t| Some(t) == first)
     }
 
     /// 1 when `handle`'s packed section is in exact form, else 0: the
@@ -398,20 +428,14 @@ impl<V: StorePayload> ShardState<V> {
         let class = self.arena.class_for(needed + Self::headroom(needed));
         let handle = match old {
             Some(h) if h.class == class => h,
-            Some(h) => {
-                self.resident_bytes -= self.arena.class_bytes(h.class);
-                self.arena.free(h);
-                if class > h.class {
-                    self.tally.promotions += 1;
+            _ => {
+                if let Some(h) = old {
+                    self.resident_bytes -= self.arena.class_bytes(h.class);
+                    self.arena.free(h);
+                    self.tally.promotions += u64::from(class > h.class);
                 }
-                let fresh = self.arena.alloc(class);
                 self.resident_bytes += self.arena.class_bytes(class);
-                fresh
-            }
-            None => {
-                let fresh = self.arena.alloc(class);
-                self.resident_bytes += self.arena.class_bytes(class);
-                fresh
+                self.arena.alloc(class)
             }
         };
         let written = Self::write_sketch_section(&self.scratch, self.arena.slot_mut(handle));
@@ -431,7 +455,7 @@ impl<V: StorePayload> ShardState<V> {
     /// state back when a delta was replayed (the fold should be paid once,
     /// not per query) or when `force_writeback` asks for a fresh slot
     /// sizing (the append path uses this to promote a full slot).
-    fn fold_resident(&mut self, key: u64, force_writeback: bool) {
+    fn fold_resident(&mut self, key: u64, force_writeback: bool) -> Result<()> {
         let KeyState::Resident {
             handle,
             sketch_words,
@@ -440,41 +464,36 @@ impl<V: StorePayload> ShardState<V> {
         else {
             unreachable!("fold_resident on a non-resident key");
         };
-        Self::parse_into(
-            &mut self.scratch,
-            self.arena.slot(handle),
-            sketch_words as usize,
-            delta_items as usize,
-            &mut self.run_buf,
-        );
-        if delta_items > 0 {
-            self.tally.folds += 1;
-            self.tally.delta_replayed += u64::from(delta_items);
-        }
+        self.fold_slot(handle, sketch_words, delta_items)?;
         if force_writeback || delta_items > 0 {
             self.writeback_scratch(key);
         }
+        Ok(())
     }
 
-    /// Restore a spilled key into a fresh packed slot, bitwise-identically
-    /// (the canonical codec enforces seed/config and round-trips exactly),
-    /// or leave it spilled if its record fails to read or decode, or has
-    /// every trial at level 0 but trials that disagree (no stream makes
-    /// that). The key's log range is dead afterwards; when enough of the
-    /// log is dead, compact it in the same breath.
+    /// Parse a resident slot into the scratch sketch, counting the fold.
+    fn fold_slot(&mut self, handle: SketchHandle, words: u32, items: u32) -> Result<()> {
+        let (section, delta) = self.arena.slot(handle).split_at(words as usize);
+        let delta = &delta[..items as usize * Self::ENTRY_WORDS];
+        Self::parse_into(&mut self.scratch, section, delta, &mut self.run_buf)?;
+        if items > 0 {
+            self.tally.folds += 1;
+            self.tally.delta_replayed += u64::from(items);
+        }
+        Ok(())
+    }
+
+    /// Restore a spilled key into a fresh slot, bitwise-identically, or
+    /// leave it spilled if its record fails to read, [`unseal`] or
+    /// [`ShardState::parse_into`]: no unchecked word reaches the arena. The
+    /// log range is dead afterwards; compact the log if enough of it is.
     fn restore(&mut self, key: u64) -> Result<()> {
         let KeyState::Spilled { offset, len } = self.index[&key].state else {
             return Ok(());
         };
         self.spill.read(offset, len, &mut self.spill_buf)?;
-        let bytes = Bytes::from(self.spill_buf.as_slice());
-        decode_trials(&self.scratch, bytes, &mut self.spill_body)?;
-        let exact = self.spill_body.iter().all(|(level, ..)| level == 0);
-        if exact && !Self::trials_agree(&self.spill_body) {
-            return Err(CodecError::Malformed("spill record's level-0 trials disagree").into());
-        }
-        self.scratch.clear();
-        apply_delta(&mut self.scratch, &self.spill_body)?;
+        unseal(key, &self.spill_buf, &mut self.spill_words)?;
+        Self::parse_into(&mut self.scratch, &self.spill_words, &[], &mut self.run_buf)?;
         self.writeback_scratch(key);
         self.spilled_keys -= 1;
         self.resident_keys += 1;
@@ -492,23 +511,18 @@ impl<V: StorePayload> ShardState<V> {
     /// bitwise-identical across the move: the records themselves are
     /// copied verbatim, only their offsets change.
     fn compact_spill(&mut self) -> Result<()> {
-        let mut keys: Vec<u64> = Vec::with_capacity(self.spilled_keys as usize);
-        let mut live: Vec<(u64, u32)> = Vec::with_capacity(self.spilled_keys as usize);
-        for (&key, entry) in &self.index {
-            if let KeyState::Spilled { offset, len } = entry.state {
-                keys.push(key);
-                live.push((offset, len));
-            }
-        }
-        // `compact` sorts by offset; offsets are unique, so sorting the
-        // keys by the same offset keeps the two vectors aligned.
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_unstable_by_key(|&i| live[i].0);
-        let keys: Vec<u64> = order.iter().map(|&i| keys[i]).collect();
-        let mut live: Vec<(u64, u32)> = order.iter().map(|&i| live[i]).collect();
-
+        // Sorted by offset (unique), as `compact` sorts `live`, so the
+        // keys stay aligned with their rewritten ranges.
+        let mut spilled: Vec<(u64, u32, u64)> = (self.index.iter())
+            .filter_map(|(&key, e)| match e.state {
+                KeyState::Spilled { offset, len } => Some((offset, len, key)),
+                KeyState::Resident { .. } => None,
+            })
+            .collect();
+        spilled.sort_unstable();
+        let mut live: Vec<(u64, u32)> = spilled.iter().map(|&(o, l, _)| (o, l)).collect();
         let reclaimed = self.spill.compact(&mut live)?;
-        for (key, &(offset, len)) in keys.iter().zip(&live) {
+        for ((.., key), &(offset, len)) in spilled.iter().zip(&live) {
             self.index
                 .get_mut(key)
                 .expect("compacted key vanished")
@@ -522,7 +536,7 @@ impl<V: StorePayload> ShardState<V> {
     /// Evict the least-recently-used evictable key to the spill log.
     /// Returns `false` when nothing evictable remains (or the disk refused
     /// the spill — the victim stays resident).
-    fn evict_one(&mut self) -> bool {
+    fn evict_one(&mut self) -> Result<bool> {
         while let Some((key, stamp)) = self.lru.pop_front() {
             let Some(entry) = self.index.get(&key) else {
                 continue;
@@ -538,50 +552,42 @@ impl<V: StorePayload> ShardState<V> {
             else {
                 continue;
             };
-            Self::parse_into(
-                &mut self.scratch,
-                self.arena.slot(handle),
-                sketch_words as usize,
-                delta_items as usize,
-                &mut self.run_buf,
-            );
-            if delta_items > 0 {
-                self.tally.folds += 1;
-                self.tally.delta_replayed += u64::from(delta_items);
-            }
-            let bytes = encode_sketch(&self.scratch);
-            match self.spill.append(&bytes) {
-                Ok((offset, len)) => {
-                    self.exact_keys -= self.exact_flag(handle, sketch_words);
-                    self.resident_bytes -= self.arena.class_bytes(handle.class);
-                    self.arena.free(handle);
-                    let entry = self.index.get_mut(&key).expect("evict of unknown key");
-                    entry.state = KeyState::Spilled { offset, len };
-                    self.resident_keys -= 1;
-                    self.spilled_keys += 1;
-                    self.tally.evictions += 1;
-                    self.tally.spilled_bytes += u64::from(len);
-                    return true;
-                }
-                Err(_) => {
-                    // Disk refused the spill: keep the victim resident
-                    // (its slot is untouched) and stop evicting.
-                    self.lru.push_back((key, stamp));
-                    return false;
-                }
-            }
+            // A folded slot holds the record's words; else fold, pack aside.
+            let words = if delta_items == 0 && sketch_words > 0 {
+                &self.arena.slot(handle)[..sketch_words as usize]
+            } else {
+                self.fold_slot(handle, sketch_words, delta_items)?;
+                let needed = Self::packed_words(&self.scratch);
+                self.spill_words.resize(needed, 0);
+                Self::write_sketch_section(&self.scratch, &mut self.spill_words);
+                &self.spill_words
+            };
+            seal(key, words, &mut self.spill_buf);
+            let Ok((offset, len)) = self.spill.append(&self.spill_buf) else {
+                // Disk refused the spill: keep the victim resident (its
+                // slot is untouched) and stop evicting.
+                self.lru.push_back((key, stamp));
+                return Ok(false);
+            };
+            self.exact_keys -= self.exact_flag(handle, sketch_words);
+            self.resident_bytes -= self.arena.class_bytes(handle.class);
+            self.arena.free(handle);
+            let entry = self.index.get_mut(&key).expect("evict of unknown key");
+            entry.state = KeyState::Spilled { offset, len };
+            self.resident_keys -= 1;
+            self.spilled_keys += 1;
+            self.tally.evictions += 1;
+            self.tally.spilled_bytes += u64::from(len);
+            return Ok(true);
         }
-        false
+        Ok(false)
     }
 
     /// Evict until the shard is back under its byte budget or nothing
     /// evictable remains.
-    fn maybe_evict(&mut self) {
-        while self.resident_bytes > self.budget {
-            if !self.evict_one() {
-                break;
-            }
-        }
+    fn maybe_evict(&mut self) -> Result<()> {
+        while self.resident_bytes > self.budget && self.evict_one()? {}
+        Ok(())
     }
 
     /// Ingest one staged key-run (all entries share `key`, arrival order
@@ -655,7 +661,7 @@ impl<V: StorePayload> ShardState<V> {
             }
             // Slot full: fold the delta in, which re-sizes the slot with
             // fresh delta headroom.
-            self.fold_resident(key, true);
+            self.fold_resident(key, true)?;
         }
         self.note_touch(key, stamp);
         Ok(())
@@ -670,7 +676,7 @@ impl<V: StorePayload> ShardState<V> {
             return Ok(None);
         };
         match entry.state {
-            KeyState::Resident { .. } => self.fold_resident(key, false),
+            KeyState::Resident { .. } => self.fold_resident(key, false)?,
             KeyState::Spilled { .. } => self.restore(key)?,
         }
         self.touch_lru(key);
@@ -768,7 +774,7 @@ impl<V: StorePayload> SketchStore<V> {
                     run_buf: Vec::new(),
                     spill,
                     spill_buf: Vec::new(),
-                    spill_body: SortedTrials::default(),
+                    spill_words: Vec::new(),
                     lru: VecDeque::new(),
                     stamp: 0,
                     resident_bytes: 0,
@@ -842,7 +848,7 @@ impl<V: StorePayload> SketchStore<V> {
                     guard.ingest_run(key, &stage[k..m])?;
                     k = m;
                 }
-                guard.maybe_evict();
+                guard.maybe_evict()?;
                 drop(guard);
                 i = j;
             }
@@ -856,10 +862,10 @@ impl<V: StorePayload> SketchStore<V> {
     /// [`crate::StoreError::Sketch`] with [`SketchError::LabelOutOfRange`]
     /// if any label lies outside `[0, 2^61 − 1)` (fold larger labels with
     /// `gt_hash::fold61`); the check runs before anything is staged, so
-    /// such a batch ingests nothing. Otherwise, spill-log I/O or decode
-    /// errors surfaced while restoring a spilled key touched by this
-    /// batch; items staged before the failing run are ingested, the rest
-    /// of the batch is dropped.
+    /// such a batch ingests nothing. Otherwise, spill-log I/O errors or
+    /// corrupt spill records met while restoring a spilled key touched
+    /// by this batch; items staged before the failing run are ingested,
+    /// the rest of the batch is dropped.
     pub fn extend(&self, items: &[(u64, u64)]) -> Result<()> {
         self.extend_iter(items.iter().map(|&(key, label)| (key, label, V::default())))
     }
@@ -882,9 +888,9 @@ impl<V: StorePayload> SketchStore<V> {
     /// As [`SketchStore::extend`] (querying a spilled key restores it).
     pub fn estimate(&self, key: u64) -> Result<Option<Estimate>> {
         let mut guard = self.shards[self.shard_of(key)].lock();
-        let out = guard.estimate(key);
-        guard.maybe_evict();
-        out
+        let out = guard.estimate(key)?;
+        guard.maybe_evict()?;
+        Ok(out)
     }
 
     /// Exact items observed for `key`, or `None` for an unknown key.
@@ -893,9 +899,9 @@ impl<V: StorePayload> SketchStore<V> {
     /// As [`SketchStore::estimate`].
     pub fn items_observed(&self, key: u64) -> Result<Option<u64>> {
         let mut guard = self.shards[self.shard_of(key)].lock();
-        let out = guard.items_observed(key);
-        guard.maybe_evict();
-        out
+        let out = guard.items_observed(key)?;
+        guard.maybe_evict()?;
+        Ok(out)
     }
 
     /// Canonical wire bytes of `key`'s sketch — bitwise identical to
@@ -907,9 +913,9 @@ impl<V: StorePayload> SketchStore<V> {
     /// As [`SketchStore::estimate`].
     pub fn canonical_bytes(&self, key: u64) -> Result<Option<Bytes>> {
         let mut guard = self.shards[self.shard_of(key)].lock();
-        let out = guard.canonical_bytes(key);
-        guard.maybe_evict();
-        out
+        let out = guard.canonical_bytes(key)?;
+        guard.maybe_evict()?;
+        Ok(out)
     }
 
     /// Keys tracked across both tiers (resident + spilled).
@@ -1342,11 +1348,151 @@ mod tests {
         assert_eq!(store.resident_bytes(), keys as usize * 16 * 8);
     }
 
+    /// Every item of `items` fed to `key`, as `(label, payload)` pairs in
+    /// arrival order.
+    fn fed<V: StorePayload>(items: &[(u64, u64, V)], key: u64) -> Vec<(u64, V)> {
+        items
+            .iter()
+            .filter(|i| i.0 == key)
+            .map(|&(_, l, p)| (l, p))
+            .collect()
+    }
+
+    /// The 240-key workload of the spill fuzz tests, under a budget so
+    /// tight that most keys are spilled. Even keys stay under capacity
+    /// (exact form, every trial at level 0); odd keys overflow it.
+    fn spilled_store(dir: Option<&Path>) -> (DistinctStore, Vec<(u64, u64, ())>) {
+        let mut options = opts(1 << 10);
+        options.spill_dir = dir.map(Path::to_path_buf);
+        let store = DistinctStore::new(&tiny_cfg(), 3, options).unwrap();
+        let items: Vec<(u64, u64, ())> = (0..240u64)
+            .flat_map(|k| (0..6 + k % 2 * 54).map(move |j| (k, fold61(k * 1_000 + j), ())))
+            .collect();
+        store.extend_with(&items).unwrap();
+        (store, items)
+    }
+
+    /// Spilled keys with their shard, record offset and length, by key.
+    fn spilled_keys<V: StorePayload>(store: &SketchStore<V>) -> Vec<(u64, usize, u64, u32)> {
+        let mut spilled = Vec::new();
+        for (shard, state) in store.shards.iter().enumerate() {
+            for (&key, entry) in &state.lock().index {
+                if let KeyState::Spilled { offset, len } = entry.state {
+                    spilled.push((key, shard, offset, len));
+                }
+            }
+        }
+        spilled.sort_unstable();
+        spilled
+    }
+
+    /// The spill record of spilled `key`.
+    fn read_record<V: StorePayload>(store: &SketchStore<V>, key: u64) -> Vec<u8> {
+        let mut guard = store.shards[store.shard_of(key)].lock();
+        let KeyState::Spilled { offset, len } = guard.index[&key].state else {
+            panic!("key {key} is resident");
+        };
+        let mut record = Vec::new();
+        guard.spill.read(offset, len, &mut record).unwrap();
+        record
+    }
+
+    /// Point spilled `key` at `record`, appended to its shard's log.
+    fn replace_record<V: StorePayload>(store: &SketchStore<V>, key: u64, record: &[u8]) {
+        let mut guard = store.shards[store.shard_of(key)].lock();
+        let KeyState::Spilled { len, .. } = guard.index[&key].state else {
+            panic!("key {key} is resident");
+        };
+        guard.spill.note_dead(len);
+        let (offset, len) = guard.spill.append(record).unwrap();
+        guard.index.get_mut(&key).unwrap().state = KeyState::Spilled { offset, len };
+    }
+
+    /// Query spilled `key` twice: both queries must refuse it with a
+    /// corrupt-record error and leave it spilled. Returns the reason.
+    fn assert_refused<V: StorePayload>(store: &SketchStore<V>, key: u64, case: &str) -> String {
+        use crate::StoreError;
+        let mut reasons = Vec::new();
+        for _ in 0..2 {
+            match store.canonical_bytes(key) {
+                Err(StoreError::CorruptRecord(reason)) => reasons.push(reason),
+                other => panic!("key {key}, {case}: {other:?}"),
+            }
+            let state = store.shards[store.shard_of(key)].lock().index[&key].state;
+            assert!(
+                matches!(state, KeyState::Spilled { .. }),
+                "key {key}, {case}"
+            );
+        }
+        assert_eq!(reasons[0], reasons[1], "key {key}, {case}");
+        reasons.swap_remove(0)
+    }
+
+    /// A record's words, without its trailer.
+    fn words_of(record: &[u8]) -> Vec<u64> {
+        record[..record.len() - 8]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect()
+    }
+
+    /// `words` sealed as `key`'s spill record (fresh word count and
+    /// checksum).
+    fn sealed(key: u64, words: &[u64]) -> Vec<u8> {
+        let mut record = Vec::new();
+        seal(key, words, &mut record);
+        record
+    }
+
+    /// What a fresh sketch makes of a record's words, fed section by
+    /// section through `reload_trial`: `None` if a section runs past the
+    /// words, the sections leave words over, a per-trial record has every
+    /// trial at level 0, or `reload_trial` refuses a sample.
+    fn reload_words<V: StorePayload>(
+        config: &SketchConfig,
+        seed: u64,
+        words: &[u64],
+    ) -> Option<GtSketch<V>> {
+        let ew = 1 + V::WORDS;
+        let trials = config.trials();
+        let exact = words.first().is_some_and(|w| w >> 56 == u64::from(EXACT));
+        let mut sections = Vec::new();
+        let mut at = 0;
+        for _ in 0..if exact { 1 } else { trials } {
+            let meta = *words.get(at)?;
+            let n = (meta & ((1 << 56) - 1)) as usize;
+            let level = if exact { 0 } else { (meta >> 56) as u8 };
+            sections.push((
+                level,
+                *words.get(at + 1)?,
+                words.get(at + 2..at + 2 + n * ew)?,
+            ));
+            at += 2 + n * ew;
+        }
+        if at != words.len() || (!exact && sections.iter().all(|s| s.0 == 0)) {
+            return None;
+        }
+        let mut sketch = GtSketch::<V>::new(config, seed);
+        for t in 0..trials {
+            let (level, items, entries) = sections[if exact { 0 } else { t }];
+            let pairs = entries.chunks_exact(ew).map(|e| {
+                let payload = if V::WORDS == 1 {
+                    V::from_word(e[1])
+                } else {
+                    V::default()
+                };
+                (e[0], payload)
+            });
+            sketch.reload_trial(t, level, items, pairs).ok()?;
+        }
+        Some(sketch)
+    }
+
     /// Spill records are bytes from outside the process. With bytes
     /// flipped or spliced inside the on-disk records, every query returns
-    /// `Ok` or a typed error and never panics; a key that restores reports
-    /// exactly its record's bytes, and only a record the codec accepts
-    /// restores.
+    /// `Ok` or a corrupt-record error and never panics; a key that
+    /// restores reports exactly the canonical bytes of a standalone sketch
+    /// of its items, and an intact record always restores.
     #[test]
     fn corrupt_spill_records_fail_typed_or_restore_exactly() {
         use crate::StoreError;
@@ -1354,28 +1500,13 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("gt-store-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let options = opts(1 << 10).with_spill_dir(&dir);
-        let store = DistinctStore::new(&config, 3, options).unwrap();
-        // Even keys stay under capacity (exact form, every trial at level
-        // 0); odd keys overflow it.
-        let items: Vec<(u64, u64)> = (0..240u64)
-            .flat_map(|k| (0..6 + k % 2 * 54).map(move |j| (k, fold61(k * 1_000 + j))))
-            .collect();
-        store.extend(&items).unwrap();
+        let (store, items) = spilled_store(Some(&dir));
 
         // Every spilled key's record, mutated and written back to the log
         // file.
-        let mut records = Vec::new();
-        for shard in &store.shards {
-            let guard = shard.lock();
-            for (&key, entry) in &guard.index {
-                if let KeyState::Spilled { offset, len } = entry.state {
-                    records.push((key, guard.spill.path().to_path_buf(), offset, len));
-                }
-            }
-        }
-        records.sort_unstable_by_key(|r| r.0);
+        let records = spilled_keys(&store);
         assert!(records.len() > 120, "only {} keys spilled", records.len());
+        let path = |shard: usize| store.shards[shard].lock().spill.path().to_path_buf();
         let mut rng = 0u64;
         let mut next = || {
             rng += 1;
@@ -1383,7 +1514,7 @@ mod tests {
         };
         let mut logs: HashMap<_, _> = records
             .iter()
-            .map(|r| (r.1.clone(), std::fs::read(&r.1).unwrap()))
+            .map(|r| (r.1, std::fs::read(path(r.1)).unwrap()))
             .collect();
         // A quarter of the records stay intact, an eighth are spliced (a
         // record's bytes up to a random cut, then another record's bytes
@@ -1391,10 +1522,10 @@ mod tests {
         let span = |offset: u64, len: u32| offset as usize..(offset + u64::from(len)) as usize;
         let originals: Vec<Vec<u8>> = records
             .iter()
-            .map(|(_, path, offset, len)| logs[path][span(*offset, *len)].to_vec())
+            .map(|(_, shard, offset, len)| logs[shard][span(*offset, *len)].to_vec())
             .collect();
-        let mut flipped = HashMap::new();
-        for (i, (key, path, offset, len)) in records.iter().enumerate() {
+        let mut intact = HashMap::new();
+        for (i, (key, shard, offset, len)) in records.iter().enumerate() {
             let mut record = originals[i].clone();
             if key % 8 == 2 {
                 let donor =
@@ -1408,48 +1539,264 @@ mod tests {
                     record[at] ^= (next() % 255 + 1) as u8;
                 }
             }
-            logs.get_mut(path).unwrap()[span(*offset, *len)].copy_from_slice(&record);
-            flipped.insert(*key, Bytes::from(record));
+            logs.get_mut(shard).unwrap()[span(*offset, *len)].copy_from_slice(&record);
+            intact.insert(*key, record == originals[i]);
         }
-        for (path, log) in &logs {
-            std::fs::write(path, log).unwrap();
+        for (&shard, log) in &logs {
+            std::fs::write(path(shard), log).unwrap();
         }
 
-        let disagree = CodecError::Malformed("spill record's level-0 trials disagree");
-        let (mut restored, mut refused, mut disagreeing) = (0, 0, 0);
-        for (key, ..) in &records {
-            let record = &flipped[key];
-            let decodes = gt_streams::decode_sketch::<()>(record.clone())
-                .is_ok_and(|d| d.master_seed() == 3 && *d.config() == config);
+        let (mut restored, mut refused) = (0, 0);
+        for &(key, ..) in &records {
+            let expected = standalone_bytes(&config, 3, &fed(&items, key));
             // Query twice: a refused key stays spilled and refuses again.
             for _ in 0..2 {
-                match store.canonical_bytes(*key) {
+                match store.canonical_bytes(key) {
                     Ok(bytes) => {
-                        assert!(decodes, "key {key}: a record the codec refuses restored");
-                        assert_eq!(bytes.as_ref(), Some(record), "key {key}");
+                        assert_eq!(bytes.as_ref(), Some(&expected), "key {key}");
                         restored += 1;
                     }
-                    Err(StoreError::Codec(e)) if decodes => {
-                        assert_eq!(e, disagree, "key {key}");
-                        disagreeing += 1;
-                    }
-                    Err(StoreError::Codec(_)) => refused += 1,
+                    Err(StoreError::CorruptRecord(_)) if !intact[&key] => refused += 1,
                     Err(e) => panic!("key {key}: {e}"),
                 }
             }
             // The other queries take the same restore.
             assert_eq!(
-                store.estimate(*key).is_ok(),
-                store.items_observed(*key).is_ok()
+                store.estimate(key).is_ok(),
+                store.items_observed(key).is_ok()
             );
         }
         assert!(restored > 0 && refused > 0, "{restored} {refused}");
-        assert!(
-            disagreeing > 0,
-            "no flip made an exact record's trials disagree"
-        );
         drop(store);
         std::fs::remove_dir(&dir).ok();
+    }
+
+    /// Records resealed after a mutation (fresh word count and checksum)
+    /// reach the structural checks. Each named mutation is refused with a
+    /// corrupt-record error, leaves the key spilled and refuses again;
+    /// random resealed bit flips restore exactly when a fresh sketch fed
+    /// the same words through `reload_trial` accepts them, with that
+    /// sketch's canonical bytes.
+    #[test]
+    fn resealed_spill_records_fail_typed_or_restore_exactly() {
+        let config = tiny_cfg();
+        let (c, r) = (config.capacity(), config.trials());
+        let (store, items) = spilled_store(None);
+        let spilled = spilled_keys(&store);
+        let exact_key = spilled.iter().find(|s| s.0 % 2 == 0).unwrap().0;
+        let leveled_key = spilled.iter().find(|s| s.0 % 2 == 1).unwrap().0;
+        let exact = words_of(&read_record(&store, exact_key));
+        let leveled = words_of(&read_record(&store, leveled_key));
+        assert_eq!(exact[0] >> 56, u64::from(EXACT));
+        assert_eq!(exact.len(), 2 + 6);
+
+        // Per-trial sections of `leveled` as (meta word index, level, n).
+        let mut sections = Vec::new();
+        let mut at = 0;
+        while at < leveled.len() {
+            let n = (leveled[at] & ((1 << 56) - 1)) as usize;
+            sections.push((at, (leveled[at] >> 56) as u8, n));
+            at += 2 + n;
+        }
+        assert_eq!(sections.len(), r);
+        let (meta_at, level, n) = *sections.iter().find(|s| s.1 > 0 && s.2 > 0).unwrap();
+        let trial = sections.iter().position(|s| s.0 == meta_at).unwrap();
+        let hasher = GtSketch::<()>::new(&config, 3).trials()[trial]
+            .hasher()
+            .clone();
+        let low = (0..)
+            .map(|i| fold61(7_000_000 + i))
+            .find(|&l| gt_hash::LevelHasher::level(&hasher, l) < level)
+            .unwrap();
+
+        let edit = |words: &[u64], f: &dyn Fn(&mut Vec<u64>)| {
+            let mut words = words.to_vec();
+            f(&mut words);
+            words
+        };
+        let cases: Vec<(&str, u64, Vec<u64>)> = vec![
+            (
+                "exact, a word short",
+                exact_key,
+                exact[..exact.len() - 1].to_vec(),
+            ),
+            (
+                "per-trial, a word short",
+                leveled_key,
+                leveled[..leveled.len() - 1].to_vec(),
+            ),
+            (
+                "exact, a word long",
+                exact_key,
+                edit(&exact, &|w| w.push(0)),
+            ),
+            (
+                "per-trial, a word long",
+                leveled_key,
+                edit(&leveled, &|w| w.push(0)),
+            ),
+            ("no words", exact_key, Vec::new()),
+            (
+                "n > capacity",
+                exact_key,
+                edit(&exact, &|w| {
+                    w[0] = (u64::from(EXACT) << 56) | (c as u64 + 1);
+                    w.extend((0..c as u64 + 1 - 6).map(|i| fold61(9_000_000 + i)));
+                }),
+            ),
+            (
+                "level > MAX_LEVEL",
+                leveled_key,
+                edit(&leveled, &|w| {
+                    w[meta_at] = (u64::from(gt_hash::MAX_LEVEL + 1) << 56) | n as u64;
+                }),
+            ),
+            (
+                "exact, label out of field",
+                exact_key,
+                edit(&exact, &|w| w[2] = gt_hash::P61),
+            ),
+            (
+                "per-trial, label out of field",
+                leveled_key,
+                edit(&leveled, &|w| w[meta_at + 2] = u64::MAX),
+            ),
+            ("duplicate label", exact_key, edit(&exact, &|w| w[3] = w[2])),
+            (
+                "label below its level",
+                leveled_key,
+                edit(&leveled, &|w| w[meta_at + 2] = low),
+            ),
+            (
+                "per-trial, every trial at level 0",
+                exact_key,
+                (0..r)
+                    .flat_map(|_| [6, exact[1]].into_iter().chain(exact[2..].iter().copied()))
+                    .collect(),
+            ),
+        ];
+        let mut disagreeing = 0;
+        for (case, key, words) in &cases {
+            replace_record(&store, *key, &sealed(*key, words));
+            let reason = assert_refused(&store, *key, case);
+            disagreeing += usize::from(reason.contains("every trial at level 0"));
+        }
+        // A zero-length record, as compaction leaves for a record cut off
+        // the end of the log.
+        {
+            let mut guard = store.shards[store.shard_of(exact_key)].lock();
+            let entry = guard.index.get_mut(&exact_key).unwrap();
+            let KeyState::Spilled { offset, .. } = entry.state else {
+                unreachable!()
+            };
+            entry.state = KeyState::Spilled { offset, len: 0 };
+        }
+        assert_refused(&store, exact_key, "zero-length record");
+        // Another key's intact record fails the key-bound checksum.
+        replace_record(&store, exact_key, &read_record(&store, leveled_key));
+        assert_refused(&store, exact_key, "another key's record");
+        assert_eq!(
+            disagreeing, 1,
+            "the all-level-0 record was not refused as such"
+        );
+
+        // The original words still restore exactly.
+        for (key, words) in [(exact_key, &exact), (leveled_key, &leveled)] {
+            replace_record(&store, key, &sealed(key, words));
+            assert_eq!(
+                store.canonical_bytes(key).unwrap().unwrap(),
+                standalone_bytes(&config, 3, &fed(&items, key)),
+                "key {key}"
+            );
+        }
+
+        // Random resealed flips of 1–2 bits in every other spilled key.
+        let mut rng = 0u64;
+        let mut next = || {
+            rng += 1;
+            mix64(rng ^ 0x5EA1)
+        };
+        let (mut restored, mut refused) = (0, 0);
+        for (key, ..) in spilled_keys(&store) {
+            let mut words = words_of(&read_record(&store, key));
+            for _ in 0..1 + next() % 2 {
+                let bit = next() % (64 * words.len() as u64);
+                words[(bit / 64) as usize] ^= 1 << (bit % 64);
+            }
+            replace_record(&store, key, &sealed(key, &words));
+            match reload_words::<()>(&config, 3, &words) {
+                Some(sketch) => {
+                    for _ in 0..2 {
+                        let bytes = store.canonical_bytes(key).unwrap().unwrap();
+                        assert_eq!(bytes, encode_sketch(&sketch), "key {key}");
+                    }
+                    restored += 1;
+                }
+                None => {
+                    assert_refused(&store, key, "resealed flip");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(restored > 0 && refused > 0, "{restored} {refused}");
+    }
+
+    /// Every single-bit flip of a small exact record and of a small
+    /// per-trial record fails the checksum: the restore is refused with a
+    /// corrupt-record error and the key stays spilled. The intact record
+    /// then restores exactly.
+    fn every_single_bit_flip_is_refused<V: StorePayload>(payload: fn(u64) -> V) {
+        use std::io::{Seek, SeekFrom, Write};
+        let config = tiny_cfg();
+        let store = SketchStore::<V>::new(&config, 9, opts(1 << 10)).unwrap();
+        // Key 0 stays exact with 3 labels and key 1 overflows with 30;
+        // 60 later keys push both out.
+        let mut items: Vec<(u64, u64, V)> = Vec::new();
+        for (key, count) in [(0u64, 3u64), (1, 30)] {
+            items.extend((0..count).map(|j| (key, fold61(key * 1_000 + j), payload(j))));
+        }
+        items.extend(
+            (2..62u64).flat_map(|k| (0..4u64).map(move |j| (k, fold61(k * 1_000 + j), payload(j)))),
+        );
+        store.extend_with(&items).unwrap();
+        for key in [0, 1] {
+            let record = read_record(&store, key);
+            let exact = words_of(&record)[0] >> 56 == u64::from(EXACT);
+            assert_eq!(exact, key == 0, "key {key}");
+            // Flip each bit in place in the log file, then put it back.
+            let (path, offset) = {
+                let guard = store.shards[store.shard_of(key)].lock();
+                let KeyState::Spilled { offset, .. } = guard.index[&key].state else {
+                    unreachable!()
+                };
+                (guard.spill.path().to_path_buf(), offset)
+            };
+            let mut log = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+            let mut write_byte = |at: usize, byte: u8| {
+                log.seek(SeekFrom::Start(offset + at as u64)).unwrap();
+                log.write_all(&[byte]).unwrap();
+            };
+            for bit in 0..record.len() * 8 {
+                write_byte(bit / 8, record[bit / 8] ^ (1 << (bit % 8)));
+                assert_refused(&store, key, &format!("bit {bit}"));
+                write_byte(bit / 8, record[bit / 8]);
+            }
+            assert_eq!(
+                store.canonical_bytes(key).unwrap().unwrap(),
+                standalone_bytes(&config, 9, &fed(&items, key)),
+                "key {key}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_refused_distinct() {
+        every_single_bit_flip_is_refused::<()>(|_| ());
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_refused_payload() {
+        every_single_bit_flip_is_refused::<u64>(|j| j * 3 + 1);
     }
 
     /// A shard log cut short inside a live record, just before a restore
@@ -1465,21 +1812,13 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("gt-store-truncated-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let store = DistinctStore::new(&config, 3, opts(1 << 10).with_spill_dir(&dir)).unwrap();
-        let items: Vec<(u64, u64)> = (0..240u64)
-            .flat_map(|k| (0..6 + k % 2 * 54).map(move |j| (k, fold61(k * 1_000 + j))))
-            .collect();
-        store.extend(&items).unwrap();
+        let (store, items) = spilled_store(Some(&dir));
         // Shard 0's spilled keys as `(offset, len, key)`, in log order.
         let spilled = || {
-            let guard = store.shards[0].lock();
-            let mut spilled: Vec<(u64, u32, u64)> = guard
-                .index
-                .iter()
-                .filter_map(|(&key, entry)| match entry.state {
-                    KeyState::Spilled { offset, len } => Some((offset, len, key)),
-                    KeyState::Resident { .. } => None,
-                })
+            let mut spilled: Vec<(u64, u32, u64)> = spilled_keys(&store)
+                .into_iter()
+                .filter(|s| s.1 == 0)
+                .map(|(key, _, offset, len)| (offset, len, key))
                 .collect();
             spilled.sort_unstable();
             spilled
@@ -1503,13 +1842,7 @@ mod tests {
                 store.canonical_bytes(key).unwrap();
             }
         };
-        let mut records = Vec::new();
-        for (offset, len, key) in spilled() {
-            let mut record = Vec::new();
-            let mut guard = store.shards[0].lock();
-            guard.spill.read(offset, len, &mut record).unwrap();
-            records.push((offset, len, key, Bytes::from(record)));
-        }
+        let mut records = spilled();
         // Cut halfway through the last record that is not `first`'s, and
         // query `first` first.
         let (offset, len, ..) = *records.iter().rev().find(|r| r.2 != first).unwrap();
@@ -1521,16 +1854,17 @@ mod tests {
 
         let compactions = store.metrics_snapshot().compactions;
         let (mut restored, mut refused) = (0, 0);
-        for (offset, len, key, record) in &records {
+        for (offset, len, key) in &records {
             let intact = offset + u64::from(*len) <= cut;
+            let expected = standalone_bytes(&config, 3, &fed(&items, *key));
             for _ in 0..2 {
                 match store.canonical_bytes(*key) {
                     Ok(bytes) => {
                         assert!(intact, "key {key}: a record the cut reaches restored");
-                        assert_eq!(bytes.as_ref(), Some(record), "key {key}");
+                        assert_eq!(bytes.as_ref(), Some(&expected), "key {key}");
                         restored += 1;
                     }
-                    Err(StoreError::Io(_) | StoreError::Codec(_)) if !intact => {
+                    Err(StoreError::Io(_) | StoreError::CorruptRecord(_)) if !intact => {
                         let state = store.shards[0].lock().index[key].state;
                         assert!(matches!(state, KeyState::Spilled { .. }), "key {key}");
                         refused += 1;

@@ -428,8 +428,8 @@ fn sketch_len<V: WirePayload>(cfg: &SketchConfig, trials: &SortedTrials<V>) -> u
 }
 
 /// Exact byte length [`encode_sketch`] will produce for `sketch`, without
-/// encoding it — usable for spill-log capacity planning and asserted
-/// against the real encoder in tests.
+/// encoding it — what [`full_frame_len`] builds on, asserted against the
+/// real encoder in tests.
 pub fn encoded_sketch_len<V: WirePayload>(sketch: &GtSketch<V>) -> usize {
     sketch_len(sketch.config(), &SortedTrials::of(sketch))
 }

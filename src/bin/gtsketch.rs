@@ -289,4 +289,94 @@ mod tests {
         assert!(err.contains("cannot union"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Sketch files and input lines come from outside the process.
+    /// Truncated, flipped and spliced sketch files read as an error or as
+    /// a sketch that re-encodes to the file's bytes, alone and merged
+    /// after an intact file; random byte lines parse to `None` exactly
+    /// when blank, and otherwise to a label in the field. Nothing panics.
+    #[test]
+    fn mutated_files_and_random_lines_fail_or_read_validly() {
+        let dir = std::env::temp_dir().join(format!("gtsketch_cli_fuzz_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = SketchConfig::new(0.2, 0.2).unwrap();
+        let mut a = DistinctSketch::new(&config, 4);
+        let mut b = DistinctSketch::new(&config, 4);
+        a.extend_labels((0..3_000).map(gt_sketch::fold61));
+        b.extend_labels((2_000..2_050).map(gt_sketch::fold61));
+        let (a_bytes, b_bytes) = (encode_sketch(&a), encode_sketch(&b));
+        let intact = dir.join("a.gts").to_str().unwrap().to_string();
+        write_sketch(&intact, &a).unwrap();
+        let mutant = dir.join("m.gts").to_str().unwrap().to_string();
+
+        let mut rng = 0u64;
+        let mut next = || {
+            rng += 1;
+            gt_sketch::hash::mix64(rng ^ 0x0C11)
+        };
+        let (mut read, mut refused) = (0, 0);
+        for case in 0..900u64 {
+            let (src, other) = if case % 2 == 0 {
+                (&a_bytes, &b_bytes)
+            } else {
+                (&b_bytes, &a_bytes)
+            };
+            let mut bytes = src.to_vec();
+            match case % 3 {
+                0 => bytes.truncate((next() % bytes.len() as u64) as usize),
+                1 => {
+                    for _ in 0..1 + next() % 3 {
+                        let at = (next() % bytes.len() as u64) as usize;
+                        bytes[at] ^= (next() % 255 + 1) as u8;
+                    }
+                }
+                _ => {
+                    let cut = (next() % bytes.len() as u64) as usize;
+                    bytes.truncate(cut);
+                    bytes.extend_from_slice(&other[cut.min(other.len())..]);
+                }
+            }
+            std::fs::write(&mutant, &bytes).unwrap();
+            match read_sketch(&mutant) {
+                Ok(sketch) => {
+                    assert_eq!(encode_sketch(&sketch).as_ref(), &bytes[..], "case {case}");
+                    let union = read_and_merge(&[&intact, &mutant]);
+                    match a.merged(&sketch) {
+                        Ok(expect) => assert_eq!(
+                            encode_sketch(&union.unwrap()),
+                            encode_sketch(&expect),
+                            "case {case}"
+                        ),
+                        Err(_) => assert!(union.is_err(), "case {case}"),
+                    }
+                    read += 1;
+                }
+                Err(msg) => {
+                    assert!(msg.starts_with(&mutant), "case {case}: {msg}");
+                    assert!(read_and_merge(&[&intact, &mutant]).is_err(), "case {case}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(read > 0 && refused > 0, "{read} {refused}");
+
+        for case in 0..2_000u64 {
+            let len = (next() % 24) as usize;
+            let raw: Vec<u8> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => b"0123456789"[(next() % 10) as usize],
+                    1 => b" \t-+"[(next() % 4) as usize],
+                    _ => next() as u8,
+                })
+                .collect();
+            let line = String::from_utf8_lossy(&raw);
+            for force_hash in [false, true] {
+                match parse_label(&line, force_hash) {
+                    None => assert!(line.trim().is_empty(), "case {case}: {line:?}"),
+                    Some(label) => assert!(label < gt_sketch::hash::P61, "case {case}: {line:?}"),
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
