@@ -1,14 +1,14 @@
 //! E14 — parallel ingest: fan-out/merge vs sequential.
 //!
-//! Claim: the parallel build produces bit-identical state (verified in
-//! tests) at `~1/threads` the wall time on a multicore host. On a
+//! Claim: a batch build as scoped `ConcurrentSketch` writers, one per
+//! balanced chunk, produces bit-identical state (verified in tests) at
+//! `~1/threads` the wall time on a multicore host. On a
 //! single-core host (like CI containers) this bench instead quantifies the
 //! fan-out overhead; EXPERIMENTS.md records which regime the numbers came
 //! from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gt_core::parallel::build_parallel;
-use gt_core::{ConcurrentSketch, SketchConfig};
+use gt_core::{balanced_chunks, effective_workers, ConcurrentSketch, SketchConfig};
 use std::hint::black_box;
 
 fn data(n: u64) -> Vec<u64> {
@@ -23,11 +23,17 @@ fn batch_build(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             b.iter(|| {
-                black_box(
-                    build_parallel(&config, 7, &labels, t)
-                        .unwrap()
-                        .sample_entries(),
-                )
+                let sketch = ConcurrentSketch::new(&config, 7);
+                crossbeam::scope(|scope| {
+                    for chunk in balanced_chunks(&labels, t.min(effective_workers())) {
+                        let sketch = &sketch;
+                        scope.spawn(move |_| {
+                            sketch.writer_with_threshold(u64::MAX).extend_slice(chunk)
+                        });
+                    }
+                })
+                .unwrap();
+                black_box(sketch.snapshot().sketch().sample_entries())
             });
         });
     }

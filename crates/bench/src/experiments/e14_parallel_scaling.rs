@@ -1,17 +1,19 @@
 //! E14 — parallel scaling: fan-out/merge ingest vs thread count.
 //!
 //! Claim: because the union of coordinated sketches is *exactly* the
-//! sketch of the concatenated input, [`gt_core::parallel::build_parallel`]
-//! can spread ingest across threads with zero accuracy cost. This
+//! sketch of the concatenated input, a batch build can spread ingest
+//! across threads with zero accuracy cost. Each thread is a scoped
+//! [`gt_core::ConcurrentSketch`] writer over one [`balanced_chunks`]
+//! chunk; its threshold never fills, so it propagates once, on drop. This
 //! experiment (a) **asserts** bitwise identity of the per-trial sample
-//! sets at every thread count against the single-threaded build, and
-//! (b) records and checks the speedup curve.
+//! sets at every thread count against a sequential build, and (b) records
+//! and checks the speedup curve.
 //!
 //! The table records the host's worker count
 //! ([`gt_core::effective_workers`]) next to the speedups, because the
 //! numbers are meaningless without it: an early "regression" (0.53× at 4
 //! threads) was this bench oversubscribing a one-core runner. Since the
-//! builder clamps to the host's cores, a one-core run reads parity
+//! writer count is clamped to the host's cores, a one-core run reads parity
 //! (~1.0×) at every width, so the speedup check demands > 1 at every
 //! width the host can honour when `workers >= 2`, and parity (≥ 0.9)
 //! everywhere otherwise.
@@ -20,8 +22,7 @@ use std::time::{Duration, Instant};
 
 use crate::experiments::common::labels;
 use crate::table::Table;
-use gt_core::parallel::build_parallel;
-use gt_core::{effective_workers, DistinctSketch, SketchConfig};
+use gt_core::{balanced_chunks, effective_workers, ConcurrentSketch, DistinctSketch, SketchConfig};
 
 fn sample_sets(s: &DistinctSketch) -> Vec<std::collections::BTreeSet<u64>> {
     s.trials()
@@ -39,7 +40,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     let data = labels(n, 0xE14);
     let workers = effective_workers();
 
-    let baseline = build_parallel(&config, 0xE14, &data, 1).expect("sequential build");
+    let mut baseline = DistinctSketch::new(&config, 0xE14);
+    baseline.extend_slice(&data);
     let baseline_sets = sample_sets(&baseline);
 
     let mut single_thread_best = Duration::MAX;
@@ -59,12 +61,21 @@ pub fn run(quick: bool) -> Vec<Table> {
         let mut best = Duration::MAX;
         for _ in 0..reps {
             let start = Instant::now();
-            let sketch = build_parallel(&config, 0xE14, &data, t).expect("parallel build");
+            let sketch = ConcurrentSketch::new(&config, 0xE14);
+            crossbeam::scope(|scope| {
+                for chunk in balanced_chunks(&data, t.min(workers)) {
+                    let sketch = &sketch;
+                    scope
+                        .spawn(move |_| sketch.writer_with_threshold(u64::MAX).extend_slice(chunk));
+                }
+            })
+            .expect("writer threads join");
+            let snapshot = sketch.snapshot();
             let elapsed = start.elapsed();
             best = best.min(elapsed);
             // The whole point: parallelism must not change the state.
             assert_eq!(
-                sample_sets(&sketch),
+                sample_sets(snapshot.sketch()),
                 baseline_sets,
                 "parallel build diverged at {t} threads"
             );
@@ -99,7 +110,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     ));
     table.note(format!(
         "host workers (effective_workers) = {workers}; requested thread counts are \
-         ceilings, clamped to the host — 'effective' is what actually ran"
+         ceilings, clamped to the host — 'effective' is the writer count that ran"
     ));
     vec![table]
 }

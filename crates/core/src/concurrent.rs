@@ -489,6 +489,53 @@ mod tests {
     }
 
     #[test]
+    fn batch_writers_over_balanced_chunks_equal_sequential() {
+        // The batch build: one never-filling writer per balanced chunk, fed
+        // the whole chunk in one call, so each propagates once, on drop.
+        let build = |labels: &[u64], parts: usize| {
+            let concurrent = ConcurrentSketch::new(&cfg(), 21);
+            let chunks = crate::workers::balanced_chunks(labels, parts);
+            assert_eq!(chunks.len(), parts.min(labels.len()).max(1));
+            crossbeam::scope(|scope| {
+                for chunk in chunks {
+                    let concurrent = &concurrent;
+                    scope.spawn(move |_| {
+                        concurrent
+                            .writer_with_threshold(u64::MAX)
+                            .extend_slice(chunk)
+                    });
+                }
+            })
+            .unwrap();
+            let mut sequential = DistinctSketch::new(&cfg(), 21);
+            sequential.extend_slice(labels);
+            let built = concurrent.snapshot().sketch().clone();
+            assert_eq!(state(&built), state(&sequential), "{parts} parts");
+            assert_eq!(built.items_observed(), sequential.items_observed());
+            assert_eq!(
+                built.estimate_distinct().value.to_bits(),
+                sequential.estimate_distinct().value.to_bits()
+            );
+            built.estimate_distinct().value
+        };
+
+        // 3 and 7 do not divide the input evenly.
+        let labels: Vec<u64> = (0..40_000).map(gt_hash::fold61).collect();
+        for parts in [1, 2, 3, 7] {
+            build(&labels, parts);
+        }
+        let mut repeated: Vec<u64> = (0..1_000).map(gt_hash::fold61).collect();
+        repeated.extend_from_within(..);
+        repeated.extend_from_within(..);
+        assert_eq!(build(&repeated, 4), 1_000.0);
+        assert_eq!(build(&[], 4), 0.0);
+        assert_eq!(build(&[42], 4), 1.0);
+        // 64 parts requested, clamped to one writer per label.
+        let five: Vec<u64> = (0..5).map(gt_hash::fold61).collect();
+        assert_eq!(build(&five, 64), 5.0);
+    }
+
+    #[test]
     fn snapshots_are_epoch_and_item_monotone() {
         let concurrent = ConcurrentSketch::new(&cfg(), 22);
         let mut w = concurrent.writer_with_threshold(500);

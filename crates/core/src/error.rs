@@ -30,11 +30,6 @@ pub enum SketchError {
     /// element to return: a sketch needs a config and seed, and an empty
     /// slice carries neither.
     EmptyUnion,
-    /// A worker thread spawned by a parallel build panicked. The
-    /// panic is caught at the join and surfaced as this error — a poisoned
-    /// worker closure must not abort the whole process — so callers can
-    /// fall back to a sequential path or fail the one request.
-    WorkerPanicked,
 }
 
 impl std::fmt::Display for SketchError {
@@ -63,9 +58,6 @@ impl std::fmt::Display for SketchError {
                     f,
                     "cannot union zero summaries: no config/seed to build a result from"
                 )
-            }
-            SketchError::WorkerPanicked => {
-                write!(f, "a parallel worker thread panicked; result discarded")
             }
         }
     }
@@ -98,7 +90,6 @@ mod tests {
             .to_string()
             .contains("fold"));
         assert!(SketchError::EmptyUnion.to_string().contains("zero"));
-        assert!(SketchError::WorkerPanicked.to_string().contains("panicked"));
     }
 
     #[test]

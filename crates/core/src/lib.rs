@@ -56,7 +56,6 @@ pub mod estimate;
 pub mod expr;
 pub mod merge;
 pub mod metrics;
-pub mod parallel;
 pub mod params;
 pub mod predicate;
 pub mod recency;

@@ -1,10 +1,6 @@
-//! Worker-thread plumbing for the parallel build: the host's usable
-//! parallelism ([`effective_workers`]), balanced contiguous chunks
-//! ([`balanced_chunks`]) and a scoped fan-out that turns a worker panic
-//! into [`SketchError::WorkerPanicked`] (`run_workers`). DESIGN.md §13
-//! records why each exists.
-
-use crate::error::{Result, SketchError};
+//! Fan-out sizing for multi-writer builds: the host's usable parallelism
+//! ([`effective_workers`]) and balanced contiguous chunks
+//! ([`balanced_chunks`]). DESIGN.md §13 records why each exists.
 
 /// Number of worker threads worth spawning on this host: the OS-reported
 /// available parallelism, or 1 when that cannot be queried (the
@@ -21,10 +17,9 @@ pub fn effective_workers() -> usize {
 /// item). `parts` is clamped to `[1, len]` — no empty chunks are produced
 /// for a non-empty slice, and an empty slice yields one empty chunk.
 ///
-/// Concatenating the chunks in order reproduces `items` exactly, which is
-/// what lets the parallel build stay bitwise-identical to the sequential
-/// one: contiguous chunks + ordered fold preserve first-arrival order for
-/// keep-first payloads.
+/// Concatenating the chunks in order reproduces `items` exactly. The
+/// chunks are balanced, not merely bounded, because the slowest worker of a
+/// fan-out sets its wall time.
 pub fn balanced_chunks<T>(items: &[T], parts: usize) -> Vec<&[T]> {
     let parts = parts.min(items.len()).max(1);
     let base = items.len() / parts;
@@ -39,33 +34,6 @@ pub fn balanced_chunks<T>(items: &[T], parts: usize) -> Vec<&[T]> {
     }
     debug_assert!(rest.is_empty());
     out
-}
-
-/// Run `f` over each item on its own scoped thread and collect the results
-/// in item order.
-///
-/// A panicking worker — or a panic escaping the scope itself — surfaces as
-/// [`SketchError::WorkerPanicked`] rather than unwinding through (or
-/// aborting) the caller: a poisoned closure fails the one request, and the
-/// caller can retry sequentially.
-pub(crate) fn run_workers<I, U, F>(items: Vec<I>, f: F) -> Result<Vec<U>>
-where
-    I: Send,
-    U: Send,
-    F: Fn(I) -> U + Sync,
-{
-    let f = &f;
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| scope.spawn(move |_| f(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| SketchError::WorkerPanicked))
-            .collect()
-    })
-    .unwrap_or(Err(SketchError::WorkerPanicked))
 }
 
 #[cfg(test)]
@@ -114,22 +82,5 @@ mod tests {
         let chunks = balanced_chunks(&empty, 8);
         assert_eq!(chunks.len(), 1);
         assert!(chunks[0].is_empty());
-    }
-
-    #[test]
-    fn run_workers_preserves_item_order() {
-        let out = run_workers((0..20u64).collect(), |x| x * x).unwrap();
-        assert_eq!(out, (0..20u64).map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn poisoned_worker_surfaces_as_error_not_abort() {
-        let result = run_workers(vec![1u32, 2, 3], |x| {
-            if x == 2 {
-                panic!("poisoned closure");
-            }
-            x
-        });
-        assert_eq!(result.unwrap_err(), SketchError::WorkerPanicked);
     }
 }

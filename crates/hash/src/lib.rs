@@ -30,7 +30,7 @@
 //!   construct *identical* hash functions, the heart of coordination.
 //! * [`mix`] — a fixed 64-bit finalizer for folding arbitrary labels into
 //!   the `[0, 2^61 − 1)` universe.
-//! * [`crc32c`] — a table-driven CRC32C for checksummed bytes that leave
+//! * [`crc32c`](mod@crc32c) — a table-driven CRC32C for checksummed bytes that leave
 //!   the process and come back (spill records).
 
 #![forbid(unsafe_code)]

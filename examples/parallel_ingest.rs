@@ -3,22 +3,24 @@
 //!
 //! Coordinated sketches merge losslessly, so "split the input across
 //! threads, sketch locally, merge" produces *bit-identical* state to a
-//! sequential pass — parallel speedup with zero accuracy cost. This
-//! example measures it both ways:
+//! sequential pass — parallel speedup with zero accuracy cost. Both ways
+//! below are scoped [`gt_sketch::ConcurrentSketch`] writers, one per
+//! balanced chunk of the input:
 //!
-//! * [`gt_sketch::parallel::build_parallel`] — batch: chunk a slice.
-//! * [`gt_sketch::ConcurrentSketch`] — online: concurrent writers, each
-//!   buffering locally and propagating into one shared sketch.
+//! * batch: each writer takes its whole chunk in one `extend_slice` call
+//!   and a threshold that never fills, so it propagates once, on drop;
+//! * online: default writers insert item by item, each buffering locally
+//!   and propagating into the shared sketch as its buffer fills.
 //!
 //! Run with: `cargo run --release --example parallel_ingest`
 
 use std::time::Instant;
 
-use gt_sketch::parallel::build_parallel;
-use gt_sketch::{ConcurrentSketch, SketchConfig};
+use gt_core::{balanced_chunks, effective_workers};
+use gt_sketch::{ConcurrentSketch, DistinctSketch, SketchConfig};
 
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = effective_workers();
     println!("available parallelism: {cores} core(s)");
     if cores == 1 {
         println!("(single-core host: expect NO speedup — the demonstration is that");
@@ -35,9 +37,10 @@ fn main() {
         .map(|i| gt_sketch::fold61(i % n_distinct))
         .collect();
 
-    // --- batch: sequential vs parallel build ---------------------------
+    // --- batch: sequential reference vs scoped writers ------------------
     let t0 = Instant::now();
-    let sequential = build_parallel(&config, master_seed, &labels, 1).unwrap();
+    let mut sequential = DistinctSketch::new(&config, master_seed);
+    sequential.extend_slice(&labels);
     let t_seq = t0.elapsed();
 
     println!("\nthreads  time      speedup  estimate (truth {n_distinct})");
@@ -51,11 +54,19 @@ fn main() {
 
     for threads in [2, 4, 8] {
         let t0 = Instant::now();
-        let parallel = build_parallel(&config, master_seed, &labels, threads).unwrap();
+        let batch = ConcurrentSketch::new(&config, master_seed);
+        crossbeam::scope(|scope| {
+            // More writers than cores only time-slice, so clamp.
+            for chunk in balanced_chunks(&labels, threads.min(cores)) {
+                let batch = &batch;
+                scope.spawn(move |_| batch.writer_with_threshold(u64::MAX).extend_slice(chunk));
+            }
+        })
+        .unwrap();
         let dt = t0.elapsed();
         // Accuracy cost of parallelism: none. Same samples, same estimate.
         assert_eq!(
-            parallel.estimate_distinct().value,
+            batch.estimate_distinct().value,
             sequential.estimate_distinct().value,
             "parallel build must be bit-identical"
         );
@@ -64,7 +75,7 @@ fn main() {
             threads,
             dt,
             t_seq.as_secs_f64() / dt.as_secs_f64(),
-            parallel.estimate_distinct().value
+            batch.estimate_distinct().value
         );
     }
 
@@ -73,7 +84,7 @@ fn main() {
     let concurrent = ConcurrentSketch::new(&config, master_seed);
     let t0 = Instant::now();
     crossbeam::scope(|scope| {
-        for chunk in labels.chunks(labels.len().div_ceil(8)) {
+        for chunk in balanced_chunks(&labels, 8) {
             let concurrent = &concurrent;
             scope.spawn(move |_| {
                 let mut writer = concurrent.writer();

@@ -16,8 +16,8 @@
 //!   ([`SumDistinctSketch`]) and "distinct since `t`" ([`RecencySketch`])
 //!   are payload aliases of the one sketch type, plus two-stream
 //!   intersection / Jaccard estimation ([`similarity()`]).
-//! * [`ConcurrentSketch`] and [`parallel`] — multicore ingestion with
-//!   bit-identical results to sequential processing.
+//! * [`ConcurrentSketch`] — multicore ingestion, online or as a batch
+//!   build, with bit-identical results to sequential processing.
 //! * A full distributed-streams runtime ([`streams`]): parties, referee,
 //!   byte-counted wire codec, workload generators, scenario runner.
 //! * A keyed multi-tenant sketch store ([`store`]): millions of per-key
@@ -45,7 +45,7 @@
 
 pub use gt_core::{
     compact, concurrent, error, estimate, eval_expr, expr, harmonize, jaccard_matrix, median_f64,
-    merge, merge_all, metrics, parallel, params, predicate, quantile_f64, recency, relative_error,
+    merge, merge_all, metrics, params, predicate, quantile_f64, recency, relative_error,
     similarity, sketch, sumdistinct, trial, ConcurrentMetricsSnapshot, ConcurrentSketch,
     CoordinatedTrial, DistinctSketch, Estimate, ExprContext, ExpressionEstimate, GtSketch,
     JaccardEstimate, LatestTs, Mergeable, MetricsSnapshot, Payload, PropagationCause,

@@ -44,7 +44,8 @@ proptest! {
 
     /// Deterministic-schedule differential test. Labels are dealt
     /// round-robin across `writers` handles with a small propagation
-    /// threshold, and at every checkpoint (all writers flushed) the
+    /// threshold, or with `u64::MAX` (the batch shape: a buffer that never
+    /// fills, propagated at flushes and on level lag), and at every checkpoint (all writers flushed) the
     /// published snapshot must encode to exactly the bytes of a
     /// sequential sketch over the prefix dealt so far. Mid-checkpoint,
     /// snapshots may trail ingestion by at most the sum of writer
@@ -53,7 +54,7 @@ proptest! {
     fn seeded_schedules_match_sequential_at_every_checkpoint(
         labels in vec(0u64..5_000, 1..400),
         writers in 1usize..5,
-        threshold in prop_oneof![Just(8u64), Just(32u64), Just(127u64)],
+        threshold in prop_oneof![Just(8u64), Just(32u64), Just(127u64), Just(u64::MAX)],
     ) {
         let config = small_config();
         let shared = ConcurrentSketch::new(&config, SEED);
