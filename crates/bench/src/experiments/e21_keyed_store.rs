@@ -6,10 +6,11 @@
 //! replaces — one fully-materialized standalone sketch per key in a
 //! `HashMap` — while holding resident memory to a configured budget the
 //! dense map cannot respect at all (every key stays fully allocated
-//! forever). The win comes from arena packing (per-key state is a few
-//! cache lines, not a whole sketch), delta buffering (no hashing at
-//! append time), and run-grouped shard batches (one lock + one index
-//! probe per key-run instead of per item).
+//! forever). The win comes from packing (each key owns one slot of a few
+//! cache lines, sized to its packed state, not a whole sketch's hash
+//! tables), delta buffering (no hashing at append time), and run-grouped
+//! shard batches (one lock + one index probe per key-run instead of per
+//! item), not from how the slots are allocated.
 //!
 //! A single *shared* dense sketch (all tenants folded together) is also
 //! timed as a floor reference: it does no per-key dispatch at all, so it

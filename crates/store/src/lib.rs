@@ -4,15 +4,17 @@
 //! memory behavior. [`SketchStore`] keys each sketch by `u64` and layers
 //! three mechanisms (see [`store`] for the full design):
 //!
-//! 1. **Arena-packed state** ([`arena`]) — per-shard slab arenas with
-//!    power-of-two slot classes and free-list reuse; no per-key `Vec`s.
-//! 2. **Sharded concurrent ingest** ([`store`]) — `(key, label)` batches
-//!    staged, sorted by `(shard, key)`, and applied per key-run under one
-//!    shard lock acquisition per batch.
-//! 3. **Eviction + spill** ([`spill`]) — approximate-LRU eviction of cold
-//!    keys under a byte budget: the key's packed words, checksummed, go to
-//!    a per-shard on-disk log and are checked and restored
-//!    bitwise-identically on the next touch.
+//! 1. **Packed state** — each resident key owns one slot of `u64` words
+//!    (its packed sketch section plus a buffer of unhashed labels), sized
+//!    in power-of-two multiples of the smallest slot and dropped when the
+//!    key is evicted.
+//! 2. **Sharded concurrent ingest** — `(key, label)` batches staged,
+//!    sorted by `(shard, key)`, and applied per key-run under one shard
+//!    lock acquisition per batch.
+//! 3. **Eviction + spill** — approximate-LRU eviction of cold keys under a
+//!    byte budget: the key's packed words, checksummed, go to a per-shard
+//!    on-disk log and are checked and restored bitwise-identically on the
+//!    next touch.
 //!
 //! The store's contract with correctness is simple to state and is tested
 //! property-style: for every key, whichever tier it is in and however many
@@ -23,14 +25,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod metrics;
-pub mod spill;
+mod spill;
 pub mod store;
 
-pub use arena::{SketchHandle, SlotArena};
 pub use metrics::StoreMetricsSnapshot;
-pub use spill::SpillLog;
 pub use store::{DistinctStore, SketchStore, StoreOptions, StorePayload, STORE_STAGE};
 
 /// Errors a [`SketchStore`] can surface: sketch-level errors, a spill

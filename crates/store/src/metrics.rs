@@ -58,7 +58,7 @@ pub struct StoreMetricsSnapshot {
     pub queries: u64,
     /// Keys currently tracked (resident + spilled).
     pub keys: u64,
-    /// Keys currently resident in packed arena slots.
+    /// Keys currently resident, each in its own packed slot.
     pub resident_keys: u64,
     /// Resident keys whose packed section is in exact form: every trial
     /// still at level 0, stored as one shared label list. A subset of
@@ -67,10 +67,8 @@ pub struct StoreMetricsSnapshot {
     pub exact_keys: u64,
     /// Keys currently only on disk.
     pub spilled_keys: u64,
-    /// Budget-accounted bytes: live packed slots.
+    /// Budget-accounted bytes: the slots of the resident keys.
     pub resident_bytes: u64,
-    /// Actual arena slab footprint (live + free-listed slots).
-    pub arena_bytes: u64,
     /// The store's configured byte budget.
     pub budget_bytes: u64,
 }
@@ -100,7 +98,7 @@ impl Exposition for StoreMetricsSnapshot {
         gt_core::expose!(f, "gt_store_", self; shards, items, key_runs, folds, delta_replayed,
             promotions, front_hits, evictions, spilled_bytes, restores, restored_bytes, compactions,
             reclaimed_bytes, queries, keys, resident_keys, exact_keys, spilled_keys, resident_bytes,
-            arena_bytes, budget_bytes);
+            budget_bytes);
     }
 }
 
@@ -157,7 +155,6 @@ mod tests {
             "exact_keys",
             "spilled_keys",
             "resident_bytes",
-            "arena_bytes",
             "budget_bytes",
         ]
         .iter()

@@ -16,8 +16,8 @@
 //! calls [`SpillLog::compact`], which slides the live records forward
 //! in place (sorted by offset, so every move is to a strictly smaller
 //! offset — the copy never clobbers unread bytes), truncates the file,
-//! and hands back the rewritten offsets. [`SpillLog::appended_bytes`]
-//! reports the raw log size so the bench can show the amplification.
+//! and hands back the rewritten offsets. The tests read the raw log size
+//! and the dead bytes through two test-only accessors.
 //!
 //! Everything here is plain seek + read/write on one `File` handle under
 //! the owning shard's lock — no positional-IO platform traps, no unsafe.
@@ -36,7 +36,6 @@ pub struct SpillLog {
     file: File,
     path: PathBuf,
     end: u64,
-    records: u64,
     dead: u64,
 }
 
@@ -56,7 +55,6 @@ impl SpillLog {
             file,
             path: path.to_path_buf(),
             end: 0,
-            records: 0,
             dead: 0,
         })
     }
@@ -71,7 +69,6 @@ impl SpillLog {
         self.file.seek(SeekFrom::Start(offset))?;
         self.file.write_all(bytes)?;
         self.end += bytes.len() as u64;
-        self.records += 1;
         Ok((offset, bytes.len() as u32))
     }
 
@@ -95,13 +92,9 @@ impl SpillLog {
 
     /// Bytes currently dead (noted via [`SpillLog::note_dead`], not yet
     /// reclaimed by compaction).
+    #[cfg(test)]
     pub fn dead_bytes(&self) -> u64 {
         self.dead
-    }
-
-    /// Bytes still reachable through some index entry.
-    pub fn live_bytes(&self) -> u64 {
-        self.end - self.dead
     }
 
     /// Whether the dead fraction warrants a compaction pass (≥ 50% dead
@@ -160,13 +153,9 @@ impl SpillLog {
 
     /// Current log size in bytes: live records plus dead space not yet
     /// reclaimed by compaction.
+    #[cfg(test)]
     pub fn appended_bytes(&self) -> u64 {
         self.end
-    }
-
-    /// Total records ever appended.
-    pub fn records(&self) -> u64 {
-        self.records
     }
 
     /// Path of the backing file (for cleanup by the owning store).
@@ -198,7 +187,6 @@ mod tests {
         let (off_b, len_b) = log.append(&b).unwrap();
         assert_eq!(off_a, 0);
         assert_eq!(off_b, a.len() as u64);
-        assert_eq!(log.records(), 2);
         assert_eq!(log.appended_bytes(), (a.len() + b.len()) as u64);
 
         let mut buf = Vec::new();
@@ -228,14 +216,14 @@ mod tests {
         }
         let dead: u64 = (0..8).step_by(2).map(|i| u64::from(ranges[i].1)).sum();
         assert_eq!(log.dead_bytes(), dead);
-        assert_eq!(log.live_bytes(), log.appended_bytes() - dead);
+        let live_bytes = log.appended_bytes() - dead;
 
         // Present the live entries out of order: compact sorts by offset.
         let mut live: Vec<(u64, u32)> = [7usize, 1, 5, 3].iter().map(|&i| ranges[i]).collect();
         let reclaimed = log.compact(&mut live).unwrap();
         assert_eq!(reclaimed, dead);
         assert_eq!(log.dead_bytes(), 0);
-        assert_eq!(log.appended_bytes(), log.live_bytes());
+        assert_eq!(log.appended_bytes(), live_bytes);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             log.appended_bytes()

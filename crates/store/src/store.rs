@@ -11,18 +11,18 @@
 //!
 //! A key lives in exactly one of two tiers:
 //!
-//! * **Resident (packed)** — state lives in a per-shard [`SlotArena`]
-//!   slot: a packed sketch section (per trial: level+count word, items
-//!   word, then the sample entries) followed by a *delta buffer* of raw
-//!   labels appended with no hashing at all. Because a coordinated
-//!   sketch's state is a pure function of the observed label multiset
-//!   (the interleaving-independence property the concurrent tests
-//!   prove), deferring the hash work is lossless: when the slot fills —
-//!   or a query or eviction needs real state — the packed section is
-//!   reloaded into a pooled scratch sketch, the delta is replayed in
-//!   arrival order through the batch kernel, and the folded state is
-//!   written back. Ingest therefore pays ~1 word write per item, and
-//!   every query reads the key's current state.
+//! * **Resident (packed)** — state lives in the key's own slot, a
+//!   `Box<[u64]>` held by its index entry: a packed sketch section (per
+//!   trial: level+count word, items word, then the sample entries)
+//!   followed by a *delta buffer* of raw labels appended with no hashing
+//!   at all. Because a coordinated sketch's state is a pure function of
+//!   the observed label multiset (the interleaving-independence property
+//!   the concurrent tests prove), deferring the hash work is lossless:
+//!   when the slot fills — or a query or eviction needs real state — the
+//!   packed section is reloaded into a pooled scratch sketch, the delta
+//!   is replayed in arrival order through the batch kernel, and the
+//!   folded state is written back. Ingest therefore pays ~1 word write
+//!   per item, and every query reads the key's current state.
 //!
 //!   Below capacity every trial is at level 0 and holds the same labels,
 //!   payloads and item count, so the section packs in *exact form*: one
@@ -32,7 +32,7 @@
 //!   every trial from the one list; the first overflow promotes them all
 //!   during the delta replay, and the next writeback packs the per-trial
 //!   form. Canonical bytes do not depend on the form.
-//! * **Spilled** — evicted to the shard's [`SpillLog`] as the folded
+//! * **Spilled** — evicted to the shard's spill log as the folded
 //!   packed section's words, a word count and a CRC32C (`seal`). The next
 //!   touch checks the checksum, then the structure (`parse_into`), before
 //!   writing back; a failure is a [`crate::StoreError::CorruptRecord`].
@@ -50,9 +50,11 @@
 //! ## Eviction
 //!
 //! Each shard enforces `byte_budget / shards` over its resident bytes
-//! (live slot-class bytes). Pressure pops an approximate-LRU queue of
-//! `(key, stamp)` touches (stale stamps are lazily skipped), spilling
-//! until the shard is back under budget or nothing evictable remains.
+//! (the bytes of its resident keys' slots). Pressure pops an
+//! approximate-LRU queue of `(key, stamp)` touches (stale stamps are
+//! lazily skipped), spilling until the shard is back under budget or
+//! nothing evictable remains. An evicted key's slot is dropped, so the
+//! budget bounds the memory the slots hold, not only their accounting.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -65,7 +67,6 @@ use gt_hash::{crc32c, crc32c_append, mix64};
 use gt_streams::{encode_sketch, WirePayload};
 use parking_lot::Mutex;
 
-use crate::arena::{SketchHandle, SlotArena};
 use crate::metrics::StoreMetricsSnapshot;
 use crate::spill::SpillLog;
 use crate::{Result, StoreError};
@@ -121,15 +122,20 @@ fn unseal(key: u64, record: &[u8], words: &mut Vec<u64>) -> Result<()> {
     Ok(())
 }
 
-/// Payloads a [`SketchStore`] can pack into arena words. `WORDS` is the
+/// The smallest power-of-two multiple of `unit` words that holds `words`.
+fn pow2_multiple(words: usize, unit: usize) -> usize {
+    unit * words.div_ceil(unit).next_power_of_two()
+}
+
+/// Payloads a [`SketchStore`] can pack into slot words. `WORDS` is the
 /// packed width per sample entry — `0` for `()` (distinct counting), `1`
 /// for word-sized payloads like `u64`.
 pub trait StorePayload: WirePayload {
     /// Packed words per payload (0 or 1).
     const WORDS: usize;
-    /// Pack into one arena word. Never called when `WORDS == 0`.
+    /// Pack into one slot word. Never called when `WORDS == 0`.
     fn to_word(self) -> u64;
-    /// Unpack from one arena word. Never called when `WORDS == 0`.
+    /// Unpack from one slot word. Never called when `WORDS == 0`.
     fn from_word(word: u64) -> Self;
 }
 
@@ -212,12 +218,12 @@ struct Staged<V> {
 }
 
 /// Where a key's state currently lives.
-#[derive(Clone, Copy, Debug)]
 enum KeyState {
-    /// Packed in an arena slot: `sketch_words` words of packed sketch
-    /// section followed by `delta_items` raw unfolded items.
+    /// Packed in the key's own slot: `sketch_words` words of packed sketch
+    /// section followed by `delta_items` raw unfolded items. The slot's
+    /// length follows [`ShardState::slot_len`].
     Resident {
-        handle: SketchHandle,
+        slot: Box<[u64]>,
         sketch_words: u32,
         delta_items: u32,
     },
@@ -235,7 +241,11 @@ struct KeyEntry {
 
 struct ShardState<V: StorePayload> {
     index: HashMap<u64, KeyEntry>,
-    arena: SlotArena,
+    /// Words of the smallest slot: `2r + 6` rounded up to a power of two.
+    min_slot: usize,
+    /// Words of the largest slot: the first power-of-two multiple of
+    /// `min_slot` that holds a key's worst-case section plus headroom.
+    max_slot: usize,
     /// Pooled sketch every fold/query/evict materializes into.
     scratch: GtSketch<V>,
     /// Reusable `(label, payload)` buffer for delta replay.
@@ -248,7 +258,7 @@ struct ShardState<V: StorePayload> {
     /// Approximate-LRU touch queue of `(key, stamp)`.
     lru: VecDeque<(u64, u64)>,
     stamp: u64,
-    /// Budgeted bytes: live slot-class bytes.
+    /// Budgeted bytes: 8 × the words of every resident key's slot.
     resident_bytes: usize,
     resident_keys: u64,
     /// Resident keys whose packed section is in exact form.
@@ -291,10 +301,18 @@ impl<V: StorePayload> ShardState<V> {
     }
 
     /// Delta headroom a written-back slot must keep: at least 8 items, and
-    /// at least a quarter of the sketch section (so slot classes roughly
-    /// double alongside the state they hold).
+    /// at least a quarter of the sketch section (so slots roughly double
+    /// alongside the state they hold).
     fn headroom(needed: usize) -> usize {
         (needed / 4).max(8 * Self::ENTRY_WORDS)
+    }
+
+    /// Words of the slot for a packed section of `needed` words: the
+    /// smallest power-of-two multiple of `min_slot` that holds `needed`
+    /// plus its headroom, clamped to `max_slot`. Slots come in few sizes,
+    /// so a key changes slot only when its state doubles or halves.
+    fn slot_len(&self, needed: usize) -> usize {
+        pow2_multiple(needed + Self::headroom(needed), self.min_slot).min(self.max_slot)
     }
 
     /// Materialize a packed section and its delta into `sketch`: reload
@@ -379,11 +397,11 @@ impl<V: StorePayload> ShardState<V> {
         pos
     }
 
-    /// 1 when `handle`'s packed section is in exact form, else 0: the
+    /// 1 when `slot`'s packed section is in exact form, else 0: the
     /// `exact_keys` gauge moves by this whenever a slot is written or
-    /// freed. A slot that has only buffered deltas has no section.
-    fn exact_flag(&self, handle: SketchHandle, sketch_words: u32) -> u64 {
-        u64::from(sketch_words > 0 && (self.arena.slot(handle)[0] >> 56) as u8 == EXACT)
+    /// dropped. A slot that has only buffered deltas has no section.
+    fn exact_flag(slot: &[u64], sketch_words: u32) -> u64 {
+        u64::from(sketch_words > 0 && (slot[0] >> 56) as u8 == EXACT)
     }
 
     /// Record a touch for the LRU queue, compacting stale entries when the
@@ -409,43 +427,32 @@ impl<V: StorePayload> ShardState<V> {
         }
     }
 
-    /// Write the scratch sketch back as `key`'s resident state, promoting
-    /// (or shrinking) the slot class as needed. A resident key rewrites
-    /// its current slot; a restored key gets a fresh one.
+    /// Write the scratch sketch back as `key`'s resident state. A resident
+    /// key whose slot length still fits rewrites its slot in place;
+    /// otherwise (a restore, growth or shrinkage) the key gets a fresh
+    /// slot and the old one is dropped.
     fn writeback_scratch(&mut self, key: u64) {
-        let old = match self.index[&key].state {
-            KeyState::Resident {
-                handle,
-                sketch_words,
-                ..
-            } => {
-                self.exact_keys -= self.exact_flag(handle, sketch_words);
-                Some(handle)
-            }
-            _ => None,
-        };
         let needed = Self::packed_words(&self.scratch);
-        let class = self.arena.class_for(needed + Self::headroom(needed));
-        let handle = match old {
-            Some(h) if h.class == class => h,
-            _ => {
-                if let Some(h) = old {
-                    self.resident_bytes -= self.arena.class_bytes(h.class);
-                    self.arena.free(h);
-                    self.tally.promotions += u64::from(class > h.class);
-                }
-                self.resident_bytes += self.arena.class_bytes(class);
-                self.arena.alloc(class)
+        let len = self.slot_len(needed);
+        let entry = self.index.get_mut(&key).expect("writeback of unknown key");
+        let kept = match &mut entry.state {
+            KeyState::Resident {
+                slot, sketch_words, ..
+            } => {
+                self.exact_keys -= Self::exact_flag(slot, *sketch_words);
+                self.resident_bytes -= slot.len() * 8;
+                self.tally.promotions += u64::from(len > slot.len());
+                Some(std::mem::take(slot)).filter(|s| s.len() == len)
             }
+            KeyState::Spilled { .. } => None,
         };
-        let written = Self::write_sketch_section(&self.scratch, self.arena.slot_mut(handle));
+        let mut slot = kept.unwrap_or_else(|| vec![0; len].into_boxed_slice());
+        self.resident_bytes += len * 8;
+        let written = Self::write_sketch_section(&self.scratch, &mut slot);
         debug_assert_eq!(written, needed);
-        self.exact_keys += self.exact_flag(handle, needed as u32);
-        self.index
-            .get_mut(&key)
-            .expect("writeback of unknown key")
-            .state = KeyState::Resident {
-            handle,
+        self.exact_keys += Self::exact_flag(&slot, needed as u32);
+        entry.state = KeyState::Resident {
+            slot,
             sketch_words: needed as u32,
             delta_items: 0,
         };
@@ -456,36 +463,37 @@ impl<V: StorePayload> ShardState<V> {
     /// not per query) or when `force_writeback` asks for a fresh slot
     /// sizing (the append path uses this to promote a full slot).
     fn fold_resident(&mut self, key: u64, force_writeback: bool) -> Result<()> {
-        let KeyState::Resident {
-            handle,
-            sketch_words,
-            delta_items,
-        } = self.index[&key].state
-        else {
-            unreachable!("fold_resident on a non-resident key");
-        };
-        self.fold_slot(handle, sketch_words, delta_items)?;
-        if force_writeback || delta_items > 0 {
+        if self.fold_slot(key)? > 0 || force_writeback {
             self.writeback_scratch(key);
         }
         Ok(())
     }
 
-    /// Parse a resident slot into the scratch sketch, counting the fold.
-    fn fold_slot(&mut self, handle: SketchHandle, words: u32, items: u32) -> Result<()> {
-        let (section, delta) = self.arena.slot(handle).split_at(words as usize);
+    /// Parse resident `key`'s slot into the scratch sketch, counting the
+    /// fold. Returns the delta items replayed.
+    fn fold_slot(&mut self, key: u64) -> Result<u32> {
+        let KeyState::Resident {
+            slot,
+            sketch_words,
+            delta_items,
+        } = &self.index[&key].state
+        else {
+            unreachable!("fold of a spilled key");
+        };
+        let (section, delta) = slot.split_at(*sketch_words as usize);
+        let items = *delta_items;
         let delta = &delta[..items as usize * Self::ENTRY_WORDS];
         Self::parse_into(&mut self.scratch, section, delta, &mut self.run_buf)?;
         if items > 0 {
             self.tally.folds += 1;
             self.tally.delta_replayed += u64::from(items);
         }
-        Ok(())
+        Ok(items)
     }
 
     /// Restore a spilled key into a fresh slot, bitwise-identically, or
     /// leave it spilled if its record fails to read, [`unseal`] or
-    /// [`ShardState::parse_into`]: no unchecked word reaches the arena. The
+    /// [`ShardState::parse_into`]: no unchecked word reaches a slot. The
     /// log range is dead afterwards; compact the log if enough of it is.
     fn restore(&mut self, key: u64) -> Result<()> {
         let KeyState::Spilled { offset, len } = self.index[&key].state else {
@@ -544,23 +552,21 @@ impl<V: StorePayload> ShardState<V> {
             if entry.last_stamp != stamp {
                 continue;
             }
-            let KeyState::Resident {
-                handle,
-                sketch_words,
-                delta_items,
-            } = entry.state
-            else {
-                continue;
-            };
             // A folded slot holds the record's words; else fold, pack aside.
-            let words = if delta_items == 0 && sketch_words > 0 {
-                &self.arena.slot(handle)[..sketch_words as usize]
-            } else {
-                self.fold_slot(handle, sketch_words, delta_items)?;
-                let needed = Self::packed_words(&self.scratch);
-                self.spill_words.resize(needed, 0);
-                Self::write_sketch_section(&self.scratch, &mut self.spill_words);
-                &self.spill_words
+            let words = match &entry.state {
+                KeyState::Spilled { .. } => continue,
+                KeyState::Resident {
+                    slot,
+                    sketch_words: words @ 1..,
+                    delta_items: 0,
+                } => &slot[..*words as usize],
+                KeyState::Resident { .. } => {
+                    self.fold_slot(key)?;
+                    let needed = Self::packed_words(&self.scratch);
+                    self.spill_words.resize(needed, 0);
+                    Self::write_sketch_section(&self.scratch, &mut self.spill_words);
+                    &self.spill_words
+                }
             };
             seal(key, words, &mut self.spill_buf);
             let Ok((offset, len)) = self.spill.append(&self.spill_buf) else {
@@ -569,11 +575,16 @@ impl<V: StorePayload> ShardState<V> {
                 self.lru.push_back((key, stamp));
                 return Ok(false);
             };
-            self.exact_keys -= self.exact_flag(handle, sketch_words);
-            self.resident_bytes -= self.arena.class_bytes(handle.class);
-            self.arena.free(handle);
             let entry = self.index.get_mut(&key).expect("evict of unknown key");
-            entry.state = KeyState::Spilled { offset, len };
+            let spilled = KeyState::Spilled { offset, len };
+            let KeyState::Resident {
+                slot, sketch_words, ..
+            } = std::mem::replace(&mut entry.state, spilled)
+            else {
+                unreachable!("evicted key was resident");
+            };
+            self.exact_keys -= Self::exact_flag(&slot, sketch_words);
+            self.resident_bytes -= slot.len() * 8;
             self.resident_keys -= 1;
             self.spilled_keys += 1;
             self.tally.evictions += 1;
@@ -592,9 +603,9 @@ impl<V: StorePayload> ShardState<V> {
 
     /// Ingest one staged key-run (all entries share `key`, arrival order
     /// preserved). The steady-state path holds a single index borrow: the
-    /// LRU stamp and the delta append happen against one `get_mut`, with
-    /// the arena accessed as a disjoint field. Only the rare transitions
-    /// (create, restore, slot-full fold) release the borrow.
+    /// LRU stamp and the delta append happen against one `get_mut`, and
+    /// the slot is the entry's own. Only the rare transitions (create,
+    /// restore, slot-full fold) release the borrow.
     fn ingest_run(&mut self, key: u64, run: &[Staged<V>]) -> Result<()> {
         self.tally.key_runs += 1;
         self.tally.items += run.len() as u64;
@@ -602,21 +613,19 @@ impl<V: StorePayload> ShardState<V> {
         self.stamp += 1;
         let stamp = self.stamp;
 
-        match self.index.get(&key).map(|e| e.state) {
+        match self.index.get(&key).map(|e| &e.state) {
             None => {
-                let handle = self.arena.alloc(0);
-                self.resident_bytes += self.arena.class_bytes(0);
-                self.index.insert(
-                    key,
-                    KeyEntry {
-                        state: KeyState::Resident {
-                            handle,
-                            sketch_words: 0,
-                            delta_items: 0,
-                        },
-                        last_stamp: 0,
-                    },
-                );
+                self.resident_bytes += self.min_slot * 8;
+                let state = KeyState::Resident {
+                    slot: vec![0; self.min_slot].into_boxed_slice(),
+                    sketch_words: 0,
+                    delta_items: 0,
+                };
+                let entry = KeyEntry {
+                    state,
+                    last_stamp: 0,
+                };
+                self.index.insert(key, entry);
                 self.resident_keys += 1;
             }
             Some(KeyState::Spilled { .. }) => self.restore(key)?,
@@ -628,34 +637,24 @@ impl<V: StorePayload> ShardState<V> {
             let entry = self.index.get_mut(&key).expect("entry ensured above");
             entry.last_stamp = stamp;
             let KeyState::Resident {
-                handle,
+                slot,
                 sketch_words,
-                mut delta_items,
-            } = entry.state
+                delta_items,
+            } = &mut entry.state
             else {
                 unreachable!("spilled key restored above");
             };
-            let cap = self.arena.class_words(handle.class);
-            let base = sketch_words as usize + delta_items as usize * ew;
-            let space = (cap - base) / ew;
-            let take = space.min(rest.len());
-            if take > 0 {
-                let slot = self.arena.slot_mut(handle);
-                for (i, item) in rest[..take].iter().enumerate() {
-                    let at = base + i * ew;
-                    slot[at] = item.label;
-                    if V::WORDS == 1 {
-                        slot[at + 1] = item.payload.to_word();
-                    }
+            let base = *sketch_words as usize + *delta_items as usize * ew;
+            let take = ((slot.len() - base) / ew).min(rest.len());
+            for (i, item) in rest[..take].iter().enumerate() {
+                let at = base + i * ew;
+                slot[at] = item.label;
+                if V::WORDS == 1 {
+                    slot[at + 1] = item.payload.to_word();
                 }
-                delta_items += take as u32;
-                entry.state = KeyState::Resident {
-                    handle,
-                    sketch_words,
-                    delta_items,
-                };
-                rest = &rest[take..];
             }
+            *delta_items += take as u32;
+            rest = &rest[take..];
             if rest.is_empty() {
                 break;
             }
@@ -762,14 +761,16 @@ impl<V: StorePayload> SketchStore<V> {
         let trials = config.trials();
         let full = trials * (2 + config.capacity() * ew);
         let max_words = full + (full / 4).max(8 * ew);
-        let min_words = 2 * trials + 6;
+        let min_slot = (2 * trials + 6).next_power_of_two();
+        let max_slot = pow2_multiple(max_words, min_slot);
         let budget = (options.byte_budget / shard_count).max(1);
         let shards = (0..shard_count)
             .map(|i| {
                 let spill = SpillLog::create(&spill_dir.join(format!("shard-{i:03}.spill")))?;
                 Ok(CachePadded::new(Mutex::new(ShardState {
                     index: HashMap::new(),
-                    arena: SlotArena::new(min_words, max_words),
+                    min_slot,
+                    max_slot,
                     scratch: scratch.clone(),
                     run_buf: Vec::new(),
                     spill,
@@ -971,7 +972,6 @@ impl<V: StorePayload> SketchStore<V> {
             snap.exact_keys += g.exact_keys;
             snap.spilled_keys += g.spilled_keys;
             snap.resident_bytes += g.resident_bytes as u64;
-            snap.arena_bytes += g.arena.allocated_bytes() as u64;
         }
         snap
     }
@@ -1057,6 +1057,19 @@ mod tests {
         let snap = store.metrics_snapshot();
         assert!(snap.evictions > 0, "budget never forced an eviction");
         assert!(snap.restores > 0, "revisited keys never restored");
+        // Every eviction decision and spill byte is pinned: a change to
+        // the slot-size rule, the budget accounting or the record format
+        // moves these.
+        let pinned = (
+            snap.evictions,
+            snap.restores,
+            snap.promotions,
+            snap.spilled_bytes,
+            snap.restored_bytes,
+            snap.resident_bytes,
+            snap.exact_keys,
+        );
+        assert_eq!(pinned, (3584, 3000, 0, 866_232, 541_600, 16_384, 0));
         assert!(
             snap.resident_bytes <= snap.budget_bytes,
             "resident {} exceeds budget {}",
@@ -1219,8 +1232,20 @@ mod tests {
         assert!(snap.exact_keys <= snap.resident_keys);
         assert_eq!(snap.keys as usize, store.key_count());
         assert_eq!(snap.items, items.len() as u64);
-        assert!(snap.arena_bytes > 0);
         assert_eq!(snap.keys, 900);
+        // The budget counts exactly the resident keys' slots.
+        let slot_words: usize = (store.shards.iter())
+            .map(|s| {
+                (s.lock().index.values())
+                    .map(|e| match &e.state {
+                        KeyState::Resident { slot, .. } => slot.len(),
+                        KeyState::Spilled { .. } => 0,
+                    })
+                    .sum::<usize>()
+            })
+            .sum();
+        assert!(slot_words > 0);
+        assert_eq!(snap.resident_bytes, 8 * slot_words as u64);
     }
 
     /// Canonical bytes of a standalone sketch fed `items` in order.
@@ -1327,6 +1352,36 @@ mod tests {
         exact_keys_survive_evict_restore::<u64>(|i| i);
     }
 
+    /// A slot is the smallest power-of-two multiple of the smallest slot
+    /// (`2r + 6` words rounded up to a power of two) that holds the packed
+    /// section plus its headroom (at least 8 entries, at least a quarter
+    /// of the section), clamped to the largest slot: the first such
+    /// multiple that holds a full sketch plus its headroom.
+    #[test]
+    fn slot_len_is_the_smallest_fitting_power_of_two_multiple() {
+        let slot_len = |config: &SketchConfig, needed: usize| {
+            let store = DistinctStore::new(config, 1, opts(64 << 20)).unwrap();
+            let shard = store.shards[0].lock();
+            (shard.min_slot, shard.max_slot, shard.slot_len(needed))
+        };
+        // r = 5 and c = 16: the smallest slot is 16 words; a full sketch
+        // is 5 · (2 + 16) = 90 words, plus 22 of headroom is 112, so the
+        // largest slot is 128.
+        let tiny = tiny_cfg();
+        for (needed, len) in [(0, 16), (8, 16), (9, 32), (24, 32), (25, 64), (90, 128)] {
+            assert_eq!(slot_len(&tiny, needed), (16, 128, len), "needed {needed}");
+        }
+        assert_eq!(slot_len(&tiny, usize::MAX >> 8).2, 128);
+        // r = 6: 2r + 6 = 18 rounds up to a 32-word smallest slot, and the
+        // largest slot is the first power-of-two multiple of 32 at or above
+        // 6 · (2 + 16) + 27 = 135 words.
+        let six =
+            SketchConfig::from_shape(0.3, 0.3, 16, 6, gt_hash::HashFamilyKind::Pairwise).unwrap();
+        for (needed, len) in [(0, 32), (24, 32), (25, 64), (200, 256)] {
+            assert_eq!(slot_len(&six, needed), (32, 256, len), "needed {needed}");
+        }
+    }
+
     #[test]
     fn exact_slots_pack_one_shared_list() {
         let config = tiny_cfg();
@@ -1418,9 +1473,9 @@ mod tests {
                 Err(StoreError::CorruptRecord(reason)) => reasons.push(reason),
                 other => panic!("key {key}, {case}: {other:?}"),
             }
-            let state = store.shards[store.shard_of(key)].lock().index[&key].state;
+            let shard = store.shards[store.shard_of(key)].lock();
             assert!(
-                matches!(state, KeyState::Spilled { .. }),
+                matches!(shard.index[&key].state, KeyState::Spilled { .. }),
                 "key {key}, {case}"
             );
         }
@@ -1865,8 +1920,10 @@ mod tests {
                         restored += 1;
                     }
                     Err(StoreError::Io(_) | StoreError::CorruptRecord(_)) if !intact => {
-                        let state = store.shards[0].lock().index[key].state;
+                        let shard = store.shards[0].lock();
+                        let state = &shard.index[key].state;
                         assert!(matches!(state, KeyState::Spilled { .. }), "key {key}");
+                        drop(shard);
                         refused += 1;
                     }
                     Err(e) => panic!("key {key} (intact: {intact}): {e}"),

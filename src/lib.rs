@@ -21,8 +21,8 @@
 //! * A full distributed-streams runtime ([`streams`]): parties, referee,
 //!   byte-counted wire codec, workload generators, scenario runner.
 //! * A keyed multi-tenant sketch store ([`store`]): millions of per-key
-//!   sketches behind one sharded ingest path, with arena-packed state and
-//!   LRU eviction to an on-disk spill log.
+//!   sketches behind one sharded ingest path, each resident key packed in
+//!   a slot of its own, and LRU eviction to an on-disk spill log.
 //! * Baselines ([`baselines`]): exact, FM/PCSA, LogLog, linear counting,
 //!   KMV, reservoir sampling — behind one trait.
 //!
@@ -60,8 +60,8 @@ pub use gt_hash::{fold61, mix64, HashFamilyKind};
 /// Distributed-streams runtime: parties, referee, codec, workloads.
 pub use gt_streams as streams;
 
-/// Keyed multi-tenant sketch store: arena-packed per-key state, sharded
-/// ingest, eviction + spill.
+/// Keyed multi-tenant sketch store: packed per-key slots, sharded ingest,
+/// eviction + spill.
 pub use gt_store as store;
 
 /// Baseline distinct counters for comparison.
