@@ -23,11 +23,11 @@
 //! current = subsample(base, current.level) ∪ delta.entries
 //! ```
 //!
-//! holds with equality — [`apply_delta`] turns the base into the current
-//! state in place, **bitwise**, payloads included (payload merges are
-//! reconciled with the canonical `stored.merge(incoming)` order, so
-//! keep-first and max-merge payloads land exactly where a fresh decode
-//! would put them).
+//! holds with equality — [`LeveledTrials::apply_delta_watched`] turns the
+//! base into the current state in place, **bitwise**, payloads included
+//! (payload merges are reconciled with the canonical
+//! `stored.merge(incoming)` order, so keep-first and max-merge payloads
+//! land exactly where a fresh decode would put them).
 //!
 //! ## One delta type
 //!
@@ -35,8 +35,9 @@
 //! and the label-sorted new entries, nothing sized by the capacity. A
 //! whole state is a delta from the empty sketch ([`SortedTrials::of`]),
 //! so one apply path serves both. The wire codec writes the same order,
-//! and a referee decodes a frame straight back into one
-//! ([`SortedTrials::push_checked`]).
+//! and a referee decodes a frame straight back into a
+//! [`LeveledTrials`] ([`LeveledTrials::push_checked`]), which keeps each
+//! entry's hash level beside it.
 //!
 //! ## The work is O(changes) on both sides
 //!
@@ -47,11 +48,11 @@
 //! verifies the prefix property instead of assuming it and reports
 //! [`SketchError::ConfigMismatch`] when the states do not lie on one
 //! party's timeline. It stays as the oracle the journal is tested
-//! against. A referee applies a delta in place, after checking it fits,
-//! and refresh-merges only its entries into the union
-//! ([`GtSketch::merge_refresh_from`]). Both sides name a base state by
-//! its [`StateKey`], an order-independent hash they keep current change
-//! by change.
+//! against. A referee applies a delta in place, after checking it fits
+//! ([`LeveledTrials::apply_delta_watched`]), and refresh-merges only its
+//! entries into the union ([`GtSketch::merge_refresh_from`]). Both sides
+//! name a base state by its [`StateKey`], an order-independent hash they
+//! keep current change by change.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -60,7 +61,7 @@ use gt_hash::{mix64, LevelHasher};
 
 use crate::error::{Result, SketchError};
 use crate::sketch::GtSketch;
-use crate::trial::{check_transmitted, CoordinatedTrial, Payload, SampleWatch};
+use crate::trial::{Payload, SampleWatch};
 use crate::view::LeveledTrials;
 
 /// Extract the per-trial difference that turns `base` into `current`.
@@ -74,8 +75,8 @@ use crate::view::LeveledTrials;
 ///
 /// Entries whose payload changed between the snapshots (e.g. a
 /// [`crate::LatestTs`] refreshed by a re-arrival) are included with the
-/// current payload; [`apply_delta`] reconciles them through the
-/// canonical `stored.merge(incoming)` order.
+/// current payload; [`LeveledTrials::apply_delta_watched`] reconciles
+/// them through the canonical `stored.merge(incoming)` order.
 pub fn delta_between<V: Payload + PartialEq>(
     base: &GtSketch<V>,
     current: &GtSketch<V>,
@@ -114,77 +115,6 @@ pub fn delta_between<V: Payload + PartialEq>(
         delta.push_sorting(c.level(), c.items_observed(), changed);
     }
     Ok(delta)
-}
-
-/// Apply a delta onto `base` in place, leaving it bitwise identical to
-/// the state the delta was extracted from.
-///
-/// Per trial: raise the base to the delta's (monotone) level, merge the
-/// delta entries in with the canonical `stored.merge(incoming)` payload
-/// order, and adopt the delta's absolute item counter. The
-/// cumulative-stream argument in the module docs is what makes this
-/// reconstruction exact. The delta is checked against the whole base
-/// first: one with a different trial count or a trial staler than the
-/// base is [`SketchError::ConfigMismatch`], and one whose entries would
-/// overflow a trial's capacity (coded against a different base) is
-/// [`SketchError::InvalidConfig`]. On `Err`, `base` is untouched. A delta
-/// carries no seed: a referee checks a frame's seed and config before
-/// it decodes the body against the union's hashes.
-///
-/// A delta also applies exactly on top of any **later** base from the
-/// same timeline (base generation ≤ referee's generation ≤ delta
-/// generation): the delta carries every change since its coded base,
-/// so entries the newer base already holds merge idempotently. This is
-/// what lets a referee whose ack was lost keep applying the party's
-/// retransmitted cumulative deltas without rewinding.
-///
-/// Cost: one probe per delta entry, plus two re-hashes per base entry of
-/// a trial whose level the delta raises — one to check the fit, one to
-/// sub-sample.
-pub fn apply_delta<V: Payload>(base: &mut GtSketch<V>, delta: &SortedTrials<V>) -> Result<()> {
-    apply_delta_watched(base, delta, &mut ())
-}
-
-/// [`apply_delta`], reporting the base's sample changes to `watch` — how
-/// a referee keeps a party's [`StateKey`] current without re-reading the
-/// whole summary.
-pub fn apply_delta_watched<V: Payload>(
-    base: &mut GtSketch<V>,
-    delta: &SortedTrials<V>,
-    watch: &mut impl SampleWatch<V>,
-) -> Result<()> {
-    check_delta(base, delta)?;
-    for (t, (b, (level, items, entries))) in
-        base.trials_mut().iter_mut().zip(delta.iter()).enumerate()
-    {
-        watch.trial(t);
-        b.apply_delta(level, items, entries, watch);
-    }
-    Ok(())
-}
-
-/// Everything that can make [`apply_delta`] fail, checked before any
-/// trial changes: the trial count, then per trial in order a level
-/// regression or a capacity overflow.
-fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &SortedTrials<V>) -> Result<()> {
-    check_trial_count(delta.trials(), base.trials().len())?;
-    let capacity = base.config().capacity();
-    for (b, (level, _, entries)) in base.trials().iter().zip(delta.iter()) {
-        check_trial_fit(
-            b.level(),
-            b.sample_len(),
-            level,
-            entries,
-            capacity,
-            || {
-                b.sample_iter()
-                    .filter(|&(label, _)| b.hasher().level(label) >= level)
-                    .count()
-            },
-            |label| b.contains_label(label),
-        )?;
-    }
-    Ok(())
 }
 
 /// A delta must carry one trial per base trial.
@@ -255,72 +185,6 @@ pub struct SortedTrials<V> {
     pub(crate) trials: Vec<(u8, u64, usize)>,
 }
 
-/// What the codec's body parser checks transmitted trials into, trial by
-/// trial: a [`SortedTrials`], or a [`crate::LeveledTrials`], which also
-/// keeps each entry's hash level.
-pub trait TrialSink<V> {
-    /// Empty it, keeping its storage, and make room for `entries` entries,
-    /// so a body of known bound is read without regrowing.
-    fn start(&mut self, entries: usize);
-
-    /// Append the next trial once it passes
-    /// [`SortedTrials::push_checked`]'s checks; on `Err` nothing is
-    /// appended.
-    fn push_checked(
-        &mut self,
-        trial: &CoordinatedTrial<V>,
-        level: u8,
-        items: u64,
-        entries: &[(u64, V)],
-    ) -> Result<()>;
-}
-
-impl<V: Payload> TrialSink<V> for SortedTrials<V> {
-    fn start(&mut self, entries: usize) {
-        self.clear();
-        self.entries.reserve_exact(entries);
-    }
-
-    fn push_checked(
-        &mut self,
-        trial: &CoordinatedTrial<V>,
-        level: u8,
-        items: u64,
-        entries: &[(u64, V)],
-    ) -> Result<()> {
-        SortedTrials::push_checked(self, trial, level, items, entries)
-    }
-}
-
-/// [`check_transmitted`] on label-sorted `entries`, which also refuses
-/// entries out of label order; `on_level` sees the hash level the check
-/// computed for each entry (0 at a level-0 trial, where nothing is
-/// hashed).
-pub(crate) fn check_sorted<V: Payload>(
-    trial: &CoordinatedTrial<V>,
-    level: u8,
-    entries: &[(u64, V)],
-    mut on_level: impl FnMut(u8),
-) -> Result<()> {
-    // A repeat follows its first occurrence in a sorted list.
-    let mut prev = None;
-    check_transmitted(
-        trial.hasher(),
-        level,
-        entries.iter().copied(),
-        |label, _, lvl| {
-            if prev.is_some_and(|p| p > label) {
-                return Err(SketchError::InvalidConfig {
-                    parameter: "sample",
-                    reason: format!("label {label} out of label order"),
-                });
-            }
-            on_level(lvl);
-            Ok(prev.replace(label) != Some(label))
-        },
-    )
-}
-
 impl<V: Payload> SortedTrials<V> {
     /// The whole state of `sketch`: the delta from its empty sketch.
     pub fn of(sketch: &GtSketch<V>) -> Self {
@@ -356,7 +220,7 @@ impl<V: Payload> SortedTrials<V> {
     }
 
     /// Empty it, keeping its storage, for the next state decoded into it.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.trials.clear();
     }
@@ -364,31 +228,6 @@ impl<V: Payload> SortedTrials<V> {
     /// Entries its storage holds without regrowing.
     pub fn capacity(&self) -> usize {
         self.entries.capacity()
-    }
-
-    /// Append the next trial from transmitted state — `level`, `items`
-    /// and label-sorted `entries` — once it passes the checks
-    /// [`CoordinatedTrial::reload`] runs, against `trial`, the receiving
-    /// sketch's trial of the same index: the level, then each label's
-    /// range, qualification and uniqueness; entries out of label order
-    /// are refused too. (A delta's fit is [`apply_delta`]'s to check.) On
-    /// `Err` nothing is appended.
-    pub fn push_checked(
-        &mut self,
-        trial: &CoordinatedTrial<V>,
-        level: u8,
-        items: u64,
-        entries: &[(u64, V)],
-    ) -> Result<()> {
-        check_sorted(trial, level, entries, |_| {})?;
-        self.push_unchecked(level, items, entries);
-        Ok(())
-    }
-
-    /// Append the next trial's label-sorted `entries`.
-    pub(crate) fn push_unchecked(&mut self, level: u8, items: u64, entries: &[(u64, V)]) {
-        self.entries.extend_from_slice(entries);
-        self.trials.push((level, items, self.entries.len()));
     }
 
     /// Append the next trial from unsorted `entries`, sorting them.
@@ -758,6 +597,7 @@ impl<V: Payload + Hash + PartialEq> SampleWatch<V> for ChangeJournal {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{apply_delta, apply_delta_watched};
     use super::*;
     use crate::params::SketchConfig;
     use crate::recency::LatestTs;
@@ -765,22 +605,6 @@ mod tests {
 
     fn cfg() -> SketchConfig {
         SketchConfig::from_shape(0.2, 0.2, 64, 5, gt_hash::HashFamilyKind::Pairwise).unwrap()
-    }
-
-    /// Per-trial (level, items, sorted entries).
-    type TrialState<V> = Vec<(u8, u64, Vec<(u64, V)>)>;
-
-    /// Canonical comparable view of a sketch: per-trial (level, items,
-    /// sorted entries).
-    fn state<V: Payload + std::fmt::Debug + Ord>(s: &GtSketch<V>) -> TrialState<V> {
-        s.trials()
-            .iter()
-            .map(|t| {
-                let mut entries: Vec<(u64, V)> = t.sample_iter().collect();
-                entries.sort_unstable();
-                (t.level(), t.items_observed(), entries)
-            })
-            .collect()
     }
 
     #[test]
@@ -793,7 +617,7 @@ mod tests {
         let delta = delta_between(&base, &s).unwrap();
         let mut rebuilt = base.clone();
         apply_delta(&mut rebuilt, &delta).unwrap();
-        assert_eq!(state(&rebuilt), state(&s));
+        assert_eq!(SortedTrials::of(&rebuilt), SortedTrials::of(&s));
     }
 
     #[test]
@@ -813,7 +637,7 @@ mod tests {
         );
         let mut rebuilt = base.clone();
         apply_delta(&mut rebuilt, &delta).unwrap();
-        assert_eq!(state(&rebuilt), state(&s));
+        assert_eq!(SortedTrials::of(&rebuilt), SortedTrials::of(&s));
     }
 
     #[test]
@@ -826,7 +650,7 @@ mod tests {
         assert_eq!(delta.sample_entries(), s.sample_entries());
         let mut rebuilt = base.clone();
         apply_delta(&mut rebuilt, &delta).unwrap();
-        assert_eq!(state(&rebuilt), state(&s));
+        assert_eq!(SortedTrials::of(&rebuilt), SortedTrials::of(&s));
     }
 
     #[test]
@@ -845,7 +669,7 @@ mod tests {
         assert!(delta.sample_entries() > 0, "ts refreshes must be carried");
         let mut rebuilt = base.clone();
         apply_delta(&mut rebuilt, &delta).unwrap();
-        assert_eq!(state(&rebuilt), state(&s));
+        assert_eq!(SortedTrials::of(&rebuilt), SortedTrials::of(&s));
     }
 
     #[test]
@@ -863,7 +687,7 @@ mod tests {
         let delta = delta_between(&g0, &s).unwrap();
         let mut rebuilt = g1.clone();
         apply_delta(&mut rebuilt, &delta).unwrap();
-        assert_eq!(state(&rebuilt), state(&s));
+        assert_eq!(SortedTrials::of(&rebuilt), SortedTrials::of(&s));
     }
 
     #[test]
@@ -920,14 +744,14 @@ mod tests {
 
         let mut fresh = DistinctSketch::new(&config, 23);
         fresh.merge_from(&snap2).unwrap();
-        assert_eq!(state(&live), state(&fresh));
+        assert_eq!(SortedTrials::of(&live), SortedTrials::of(&fresh));
 
         // Refreshing with only the delta lands on the same union.
         let mut by_delta = DistinctSketch::new(&config, 23);
         by_delta.merge_from(&snap1).unwrap();
         let delta = delta_between(&snap1, &snap2).unwrap();
         by_delta.merge_refresh_from(&delta, &old_items).unwrap();
-        assert_eq!(state(&by_delta), state(&fresh));
+        assert_eq!(SortedTrials::of(&by_delta), SortedTrials::of(&fresh));
     }
 
     #[test]
@@ -935,7 +759,7 @@ mod tests {
         let config = cfg();
         let mut base = DistinctSketch::new(&config, 31);
         base.extend_labels((0..60u64).map(gt_hash::fold61));
-        let before = state(&base);
+        let before = SortedTrials::of(&base);
         // An unrelated full sample at level 0 overflows the base.
         let mut stranger = DistinctSketch::new(&config, 31);
         stranger.extend_labels((1_000..1_060u64).map(gt_hash::fold61));
@@ -943,11 +767,11 @@ mod tests {
             apply_delta(&mut base, &SortedTrials::of(&stranger)),
             Err(SketchError::InvalidConfig { .. })
         ));
-        assert_eq!(state(&base), before);
+        assert_eq!(SortedTrials::of(&base), before);
         // Trial 0 would apply cleanly; a later trial is staler than the
         // base. Nothing may change, trial 0 included.
         base.extend_labels((0..5_000u64).map(gt_hash::fold61));
-        let before = state(&base);
+        let before = SortedTrials::of(&base);
         let mut stale = base.clone();
         let t = &base.trials()[4];
         stale
@@ -961,7 +785,7 @@ mod tests {
             apply_delta(&mut base, &SortedTrials::of(&stale)),
             Err(SketchError::ConfigMismatch { .. })
         ));
-        assert_eq!(state(&base), before);
+        assert_eq!(SortedTrials::of(&base), before);
     }
 
     fn key_of<V: Payload + Hash>(s: &GtSketch<V>) -> u64 {
@@ -976,7 +800,7 @@ mod tests {
         forward.extend_labels(labels.iter().copied());
         let mut backward = DistinctSketch::new(&config, 41);
         backward.extend_labels(labels.iter().rev().copied());
-        assert_eq!(state(&forward), state(&backward));
+        assert_eq!(SortedTrials::of(&forward), SortedTrials::of(&backward));
         assert_eq!(key_of(&forward), key_of(&backward));
 
         // Union of two halves, as a referee holds it.
@@ -986,7 +810,7 @@ mod tests {
         let mut other = DistinctSketch::new(&config, 41);
         other.extend_labels(b.iter().copied());
         halves.merge_from(&other).unwrap();
-        assert_eq!(state(&halves), state(&forward));
+        assert_eq!(SortedTrials::of(&halves), SortedTrials::of(&forward));
         assert_eq!(key_of(&halves), key_of(&forward));
 
         // A delta applied in place, with the key followed change by change.
@@ -1147,5 +971,65 @@ mod tests {
             peak <= 2 * sample_bound + 2 * 40 * config.trials(),
             "{peak}"
         );
+    }
+}
+
+/// The delta apply on a [`GtSketch`]: the reference that
+/// [`LeveledTrials::apply_delta_watched`] is tested against. Nothing
+/// outside tests applies a delta to a sketch.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Apply a delta onto `base` in place, with the checks, errors and
+    /// result of [`LeveledTrials::apply_delta_watched`]: per trial, raise
+    /// the base to the delta's level, offer the delta entries under the
+    /// arrival rule, and adopt the delta's item counter. On `Err`, `base`
+    /// is untouched.
+    pub(crate) fn apply_delta<V: Payload>(
+        base: &mut GtSketch<V>,
+        delta: &SortedTrials<V>,
+    ) -> Result<()> {
+        apply_delta_watched(base, delta, &mut ())
+    }
+
+    /// [`apply_delta`], reporting the base's sample changes to `watch`.
+    pub(crate) fn apply_delta_watched<V: Payload>(
+        base: &mut GtSketch<V>,
+        delta: &SortedTrials<V>,
+        watch: &mut impl SampleWatch<V>,
+    ) -> Result<()> {
+        check_delta(base, delta)?;
+        for (t, (b, (level, items, entries))) in
+            base.trials_mut().iter_mut().zip(delta.iter()).enumerate()
+        {
+            watch.trial(t);
+            b.apply_delta(level, items, entries, watch);
+        }
+        Ok(())
+    }
+
+    /// Everything that can make [`apply_delta`] fail, checked before any
+    /// trial changes: the trial count, then per trial in order a level
+    /// regression or a capacity overflow.
+    fn check_delta<V: Payload>(base: &GtSketch<V>, delta: &SortedTrials<V>) -> Result<()> {
+        check_trial_count(delta.trials(), base.trials().len())?;
+        let capacity = base.config().capacity();
+        for (b, (level, _, entries)) in base.trials().iter().zip(delta.iter()) {
+            check_trial_fit(
+                b.level(),
+                b.sample_len(),
+                level,
+                entries,
+                capacity,
+                || {
+                    b.sample_iter()
+                        .filter(|&(label, _)| b.hasher().level(label) >= level)
+                        .count()
+                },
+                |label| b.contains_label(label),
+            )?;
+        }
+        Ok(())
     }
 }

@@ -70,10 +70,7 @@ pub mod workers;
 
 pub use compact::harmonize;
 pub use concurrent::{ConcurrentSketch, SketchSnapshot, SketchWriter, WRITER_BUF};
-pub use delta::{
-    apply_delta, apply_delta_watched, delta_between, ChangeJournal, SortedTrials, StateKey,
-    TrialSink,
-};
+pub use delta::{delta_between, ChangeJournal, SortedTrials, StateKey};
 pub use error::{Result, SketchError};
 pub use estimate::{median_f64, quantile_f64, relative_error, Estimate};
 pub use expr::{eval_expr, ExprContext, ExpressionEstimate, JaccardEstimate, SetExpr};

@@ -225,11 +225,6 @@ impl<V: Payload> GtSketch<V> {
         Ok(())
     }
 
-    /// Mutable per-trial state, for in-place delta application.
-    pub(crate) fn trials_mut(&mut self) -> &mut [CoordinatedTrial<V>] {
-        &mut self.trials
-    }
-
     /// The coordination check every operation combining two sketches
     /// runs: same master seed, then same config.
     ///
@@ -296,11 +291,9 @@ impl<V: Payload> GtSketch<V> {
     }
 
     /// Reload trial `index` with transmitted state, reusing its sample
-    /// storage (see [`CoordinatedTrial::reload`]): `gt-store`'s packed
-    /// slots and compaction rebuild a sketch from per-trial state through
-    /// it. (The wire codec checks decoded state with
-    /// [`crate::SortedTrials::push_checked`] and applies it with
-    /// [`crate::apply_delta`] instead.)
+    /// storage (see [`CoordinatedTrial::reload`]): the one checked loader
+    /// that rebuilds a sketch from per-trial state — the wire codec's
+    /// sketch decoder, `gt-store`'s packed slots and compaction.
     ///
     /// On `Err` the trial's state is unspecified; the sketch must be
     /// fully reloaded (or discarded) before use.
@@ -919,5 +912,12 @@ mod tests {
         s.extend_labels(labels(50, 10));
         s.extend_labels(labels(50, 10));
         assert_eq!(s.items_observed(), 100);
+    }
+
+    impl<V: Payload> GtSketch<V> {
+        /// Mutable trials, for the reference delta apply.
+        pub(crate) fn trials_mut(&mut self) -> &mut [CoordinatedTrial<V>] {
+            &mut self.trials
+        }
     }
 }

@@ -130,7 +130,7 @@ impl<V, W: SampleWatch<V>> SampleWatch<V> for Option<W> {
 }
 
 /// The checks every transmitted trial passes, whichever decoder takes it
-/// ([`CoordinatedTrial::reload`], [`crate::SortedTrials::push_checked`]):
+/// ([`CoordinatedTrial::reload`], [`crate::LeveledTrials::push_checked`]):
 /// a level the hash can reach, then per entry a label in the field that
 /// qualifies at `level` and that `admit` takes — `admit` answers `false`
 /// for a label it already holds. Above level 0, `admit` is also handed the
@@ -471,7 +471,7 @@ impl<V: Payload> CoordinatedTrial<V> {
     /// promotion when the sample overflows (each stored label survives
     /// iff its hash level clears the new threshold, prob. ½ each,
     /// pairwise-independently), or an alignment to another trial's level.
-    pub(crate) fn raise_level(&mut self, target: u8, watch: &mut impl SampleWatch<V>) {
+    fn raise_level(&mut self, target: u8, watch: &mut impl SampleWatch<V>) {
         assert!(
             target <= MAX_LEVEL,
             "level overflow: >{} labels share {MAX_LEVEL} trailing zero bits — \
@@ -490,28 +490,6 @@ impl<V: Payload> CoordinatedTrial<V> {
             }
             keep
         });
-    }
-
-    /// Apply one trial of a delta (see [`crate::delta`]) in place: raise
-    /// the level to the delta's `level`, offer its `entries` to the sample
-    /// under the arrival rule, and adopt its `items` counter. The caller
-    /// has checked that the result fits the capacity.
-    pub(crate) fn apply_delta(
-        &mut self,
-        level: u8,
-        items: u64,
-        entries: &[(u64, V)],
-        watch: &mut impl SampleWatch<V>,
-    ) {
-        self.raise_level(level, watch);
-        for &(label, incoming) in entries {
-            let outcome = self.offer(label, incoming, watch);
-            assert!(
-                outcome != InsertOutcome::Full,
-                "delta fit was checked before applying"
-            );
-        }
-        self.items_observed = items;
     }
 
     /// A copy of this trial shrunk to a smaller capacity: the level is
@@ -916,7 +894,7 @@ mod tests {
         // A frame's sorted entries are refused exactly as reload refuses
         // them.
         let sorted_agrees = |level: u8, entries: &[(u64, ())], reloaded: &Result<()>| {
-            let mut sorted = crate::SortedTrials::default();
+            let mut sorted = crate::LeveledTrials::default();
             assert_eq!(&sorted.push_checked(&fresh(8), level, 1, entries), reloaded);
         };
         // Out-of-field label rejected.
@@ -1195,5 +1173,28 @@ mod tests {
         }
         assert!(t.level() >= 1);
         assert_eq!(t.insert(lvl0, ()), TrialInsert::BelowLevel);
+    }
+
+    impl<V: Payload> CoordinatedTrial<V> {
+        /// One trial of the reference delta apply ([`crate::delta::reference`]),
+        /// whose caller has checked the fit: raise the level, offer the
+        /// entries under the arrival rule, adopt the item counter.
+        pub(crate) fn apply_delta(
+            &mut self,
+            level: u8,
+            items: u64,
+            entries: &[(u64, V)],
+            watch: &mut impl SampleWatch<V>,
+        ) {
+            self.raise_level(level, watch);
+            for &(label, incoming) in entries {
+                let outcome = self.offer(label, incoming, watch);
+                assert!(
+                    outcome != InsertOutcome::Full,
+                    "delta fit was checked before applying"
+                );
+            }
+            self.items_observed = items;
+        }
     }
 }

@@ -11,15 +11,16 @@
 //!   for a level-`l` sample of size `c` drawn from `[0, 2^61)` the gaps
 //!   are ≈ `2^61/c` and each costs ≈ `(61 − log₂ c)/7` bytes — within a
 //!   small constant of the information-theoretic minimum.
-//! * Integrity is checked on decode (magic, version, config echo, sample
-//!   invariant via `SortedTrials::push_checked`, in [`decode_trials`], the
-//!   one body parser), so a referee cannot silently union a corrupt or
-//!   uncoordinated message.
+//! * Integrity is checked on decode (magic, version, config echo, and the
+//!   sample invariant of every trial: `LeveledTrials::push_checked` in
+//!   [`decode_trials`], `GtSketch::reload_trial` in [`decode_sketch`],
+//!   both over one trial parser), so a referee cannot silently union a
+//!   corrupt or uncoordinated message.
 
 use std::hash::Hash;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gt_core::{apply_delta, GtSketch, SketchConfig, SketchError, SortedTrials, TrialSink};
+use gt_core::{GtSketch, LeveledTrials, SketchConfig, SketchError, SortedTrials};
 use gt_hash::HashFamilyKind;
 
 /// Format magic: "GTS" + version 1.
@@ -239,7 +240,7 @@ pub(crate) fn get_frame_header(buf: &mut Bytes) -> Result<FrameHeader, CodecErro
 pub(crate) fn decode_frame<V: WirePayload>(
     like: &GtSketch<V>,
     mut buf: Bytes,
-    body: &mut impl TrialSink<V>,
+    body: &mut LeveledTrials<V>,
 ) -> Result<FrameHeader, CodecError> {
     let header = get_frame_header(&mut buf)?;
     decode_trials(like, buf, body)?;
@@ -467,14 +468,20 @@ fn get_sketch_header(buf: &mut Bytes) -> Result<(u64, SketchConfig), CodecError>
 }
 
 /// Deserialize and validate a sketch message: its header gives the
-/// config and seed of a new sketch, [`decode_trials`] checks the body
-/// against that sketch's trials, and the body is applied to it.
-pub fn decode_sketch<V: WirePayload>(buf: Bytes) -> Result<GtSketch<V>, CodecError> {
-    let (master_seed, config) = get_sketch_header(&mut buf.clone())?;
+/// config and seed of a new sketch, and each trial, parsed as
+/// [`decode_trials`] parses it, is checked and loaded by
+/// [`GtSketch::reload_trial`]. Both decoders accept the same messages
+/// with the same errors: wire labels never decrease, and no trial is
+/// read past the capacity.
+pub fn decode_sketch<V: WirePayload>(mut buf: Bytes) -> Result<GtSketch<V>, CodecError> {
+    let (master_seed, config) = get_sketch_header(&mut buf)?;
     let mut sketch = GtSketch::new(&config, master_seed);
-    let mut body = SortedTrials::default();
-    decode_trials(&sketch, buf, &mut body)?;
-    apply_delta(&mut sketch, &body)?;
+    let mut entries = Vec::new();
+    for t in 0..config.trials() {
+        let (level, items) = get_trial(&mut buf, config.capacity(), &mut entries)?;
+        sketch.reload_trial(t, level, items, entries.iter().copied())?;
+    }
+    reject_trailing_bytes(&buf)?;
     Ok(sketch)
 }
 
@@ -497,15 +504,14 @@ fn get_coordinated_header<V: WirePayload>(
 }
 
 /// Decode a sketch message for the sketch `like` belongs with into
-/// `body`, as per-trial label-sorted entries (with their hash levels, if
-/// `body` is a [`gt_core::LeveledTrials`]): the one body parser, under
-/// every decoder and both referee ingresses.
+/// `body`, as per-trial label-sorted entries with their hash levels: the
+/// body decoder under every frame decode and both referee ingresses.
 ///
 /// The message must carry `like`'s master seed and config, or it is
 /// [`CodecError::Sketch`] with [`SketchError::SeedMismatch`] or
 /// [`SketchError::ConfigMismatch`]. No trial may declare more entries
 /// than the capacity, and each trial passes
-/// [`SortedTrials::push_checked`] against `like`'s trial of the same
+/// [`LeveledTrials::push_checked`] against `like`'s trial of the same
 /// index: the level bound, then each label's range, qualification, order
 /// and uniqueness. Entries decode in label order, since the wire stores
 /// non-negative gaps. Trailing bytes are refused. `body` is reserved once
@@ -517,37 +523,50 @@ fn get_coordinated_header<V: WirePayload>(
 pub fn decode_trials<V: WirePayload>(
     like: &GtSketch<V>,
     mut buf: Bytes,
-    body: &mut impl TrialSink<V>,
+    body: &mut LeveledTrials<V>,
 ) -> Result<(), CodecError> {
     get_coordinated_header(&mut buf, like)?;
     let capacity = like.config().capacity();
     body.start(buf.remaining().min(like.trials().len() * capacity));
-    let mut entries: Vec<(u64, V)> = Vec::new();
+    let mut entries = Vec::new();
     for trial in like.trials() {
-        let level = get_u8(&mut buf)?;
-        let items = get_varint(&mut buf)?;
-        let n = get_varint(&mut buf)? as usize;
-        if n > capacity {
-            return Err(CodecError::Sketch(SketchError::InvalidConfig {
-                parameter: "sample",
-                reason: format!("sample size {n} exceeds capacity {capacity}"),
-            }));
-        }
-        entries.clear();
-        entries.reserve(n.min(buf.remaining()));
-        let mut prev = 0u64;
-        for _ in 0..n {
-            prev = prev
-                .checked_add(get_varint(&mut buf)?)
-                .ok_or(CodecError::Malformed("label delta overflows u64"))?;
-            entries.push((prev, V::default()));
-        }
-        for entry in entries.iter_mut() {
-            entry.1 = V::decode(&mut buf)?;
-        }
+        let (level, items) = get_trial(&mut buf, capacity, &mut entries)?;
         body.push_checked(trial, level, items, &entries)?;
     }
     reject_trailing_bytes(&buf)
+}
+
+/// Parse the next trial of a sketch message into its level, its item
+/// counter and `entries` (replaced, in label order: the wire stores
+/// non-negative gaps), refusing more than `capacity` entries before
+/// reading any. The caller checks the entries against the hashes.
+fn get_trial<V: WirePayload>(
+    buf: &mut Bytes,
+    capacity: usize,
+    entries: &mut Vec<(u64, V)>,
+) -> Result<(u8, u64), CodecError> {
+    let level = get_u8(buf)?;
+    let items = get_varint(buf)?;
+    let n = get_varint(buf)? as usize;
+    if n > capacity {
+        return Err(CodecError::Sketch(SketchError::InvalidConfig {
+            parameter: "sample",
+            reason: format!("sample size {n} exceeds capacity {capacity}"),
+        }));
+    }
+    entries.clear();
+    entries.reserve(n.min(buf.remaining()));
+    let mut prev = 0u64;
+    for _ in 0..n {
+        prev = prev
+            .checked_add(get_varint(buf)?)
+            .ok_or(CodecError::Malformed("label delta overflows u64"))?;
+        entries.push((prev, V::default()));
+    }
+    for entry in entries.iter_mut() {
+        entry.1 = V::decode(buf)?;
+    }
+    Ok((level, items))
 }
 
 /// A sketch message ends at its last trial. Accepting padding would give
@@ -1023,13 +1042,13 @@ mod tests {
         let bytes = encode_sketch(&s);
         let fresh: GtSketch<u64> = decode_sketch(bytes.clone()).unwrap();
         let like = GtSketch::<u64>::new(&cfg(), 42);
-        let mut body = SortedTrials::default();
+        let mut body = LeveledTrials::default();
         // Decode twice into the same body: the second pass replaces the
         // first rather than appending to it.
         decode_trials(&like, bytes.clone(), &mut body).unwrap();
         decode_trials(&like, bytes, &mut body).unwrap();
-        assert_eq!(body, SortedTrials::of(&fresh));
-        assert_eq!(body, SortedTrials::of(&s));
+        assert_eq!(body.sorted(), &SortedTrials::of(&fresh));
+        assert_eq!(body.sorted(), &SortedTrials::of(&s));
     }
 
     #[test]
@@ -1037,7 +1056,7 @@ mod tests {
         let mut s = DistinctSketch::new(&cfg(), 42);
         s.extend_labels((0..500).map(gt_hash::fold61));
         let bytes = encode_sketch(&s);
-        let mut body = SortedTrials::default();
+        let mut body = LeveledTrials::default();
         // Wrong seed in the receiving sketch.
         let wrong_seed = DistinctSketch::new(&cfg(), 43);
         assert!(matches!(
@@ -1053,6 +1072,56 @@ mod tests {
         ));
     }
 
+    /// One sketch message, as party `round`, through [`decode_sketch`] and
+    /// `referee`, held to the agreement stated below; whether both accepted.
+    fn decode_and_receive_agree<V: WirePayload>(
+        like: &GtSketch<V>,
+        referee: &mut crate::RefereeOf<V>,
+        fold: &mut GtSketch<V>,
+        bytes: &Bytes,
+        round: u64,
+    ) -> bool {
+        use crate::referee::Receipt;
+        // Everything a reject must leave as it was.
+        let state = |r: &crate::RefereeOf<V>| {
+            let t = r.telemetry();
+            let counts = (r.messages(), r.bytes_received(), r.items_reported());
+            (counts, t.accepted, t.duplicates(), r.union_metrics())
+        };
+        let oracle = get_coordinated_header(&mut bytes.clone(), like)
+            .and_then(|()| decode_sketch::<V>(bytes.clone()));
+        let msg = crate::party::PartyMessage {
+            party_id: round as usize,
+            payload: bytes.clone(),
+            items_observed: 0,
+        };
+        let before = state(referee);
+        let rejected = referee.telemetry().rejected();
+        match (oracle, referee.receive(&msg)) {
+            (Ok(d), Ok(receipt)) => {
+                assert_eq!(receipt, Receipt::Merged, "round {round}");
+                assert_eq!(&encode_sketch(&d), bytes, "round {round}: not canonical");
+                fold.merge_from(&d).unwrap();
+                assert_eq!(
+                    encode_sketch(referee.union_sketch()),
+                    encode_sketch(fold),
+                    "round {round}: the union diverged from the fold"
+                );
+                true
+            }
+            (Err(want), Err(got)) => {
+                assert_eq!(got, want, "round {round}: errors diverged");
+                assert_eq!(state(referee), before, "round {round}");
+                assert_eq!(referee.telemetry().rejected(), rejected + 1);
+                false
+            }
+            (oracle, got) => panic!(
+                "round {round}: accept sets diverged (decode_sketch: {:?}, receive: {got:?})",
+                oracle.map(|_| "accepted"),
+            ),
+        }
+    }
+
     /// Mutated sketch messages go through both [`decode_sketch`] and a
     /// referee's [`crate::Referee::receive`], under the same structured
     /// mutation schedule as the main fuzz. The oracle is the same
@@ -1061,15 +1130,16 @@ mod tests {
     /// referee's state and counters stay as they were, bar the one
     /// reject counter; or both accept, the message re-encodes to itself,
     /// and the referee's union equals the fold of every accepted message.
+    /// Keep-first `u64` payload messages, on a schedule of their own, are
+    /// held to the same against a `RefereeOf<u64>`.
     ///
-    /// Mutated full and delta frames are a second input: the frame
+    /// Mutated full and delta frames are a third input: the frame
     /// decoder must agree with [`decode_sketch`] on the embedded body of
     /// every frame whose header checks pass: both accept with the same
     /// entries, or both reject with the same error.
     #[test]
     fn decode_and_receive_agree_under_mutation_fuzz() {
-        use crate::party::PartyMessage;
-        use crate::referee::{Receipt, Referee};
+        use crate::referee::{Referee, RefereeOf};
         let mut s = DistinctSketch::new(&cfg(), 9);
         s.extend_labels((0..20_000).map(gt_hash::fold61));
         let base = encode_sketch(&s).to_vec();
@@ -1083,6 +1153,14 @@ mod tests {
         let like = DistinctSketch::new(&cfg(), 9);
         let mut referee = Referee::new(&cfg(), 9);
         let mut fold = DistinctSketch::new(&cfg(), 9);
+        let mut sum = SumDistinctSketch::new(&cfg(), 9);
+        for i in 0..20_000u64 {
+            sum.insert(gt_hash::fold61(i), i % 7 + 1);
+        }
+        let sum_base = encode_sketch(&sum).to_vec();
+        let sum_like = SumDistinctSketch::new(&cfg(), 9);
+        let mut sum_referee = RefereeOf::<u64>::new(&cfg(), 9);
+        let mut sum_fold = SumDistinctSketch::new(&cfg(), 9);
         // A decode reserves once, for at most min(message bytes, trials ×
         // capacity) entries; a fresh body's capacity is that reserve.
         let shape = cfg().trials() * cfg().capacity();
@@ -1095,11 +1173,15 @@ mod tests {
         };
         let mut rng = 0xF1A9_5EED_u64;
         let mut frame_rng = 0xF4A3_5EED_u64;
-        let (mut both_ok, mut both_err) = (0u64, 0u64);
+        let mut sum_rng = 0x5093_5EED_u64;
+        // Per arm (label-only, `u64`): rejected and accepted messages.
+        let mut outcomes = [[0u64; 2]; 2];
         let (mut frames_ok, mut frames_err) = (0u64, 0u64);
-        // 1-3 stacked mutations: truncation, a byte flip, a varint splice.
-        let mutate = |raw: &mut Vec<u8>, rng: &mut u64| {
-            for _ in 0..splitmix(rng) % 3 + 1 {
+        // `base` with 1-3 stacked mutations (truncation, a byte flip, a
+        // varint splice), or as it is if `clean`.
+        let mutated = |base: &[u8], rng: &mut u64, clean: bool| {
+            let mut raw = base.to_vec();
+            for _ in 0..if clean { 0 } else { splitmix(rng) % 3 + 1 } {
                 if raw.is_empty() {
                     break;
                 }
@@ -1113,77 +1195,32 @@ mod tests {
                     }
                 }
             }
-        };
-        // Everything a reject must leave as it was.
-        let state = |r: &Referee| {
-            let t = r.telemetry();
-            let counts = (r.messages(), r.bytes_received(), r.items_reported());
-            (counts, t.accepted, t.duplicates(), r.union_metrics())
+            Bytes::from(raw)
         };
         for round in 0..800u64 {
-            let mut raw = base.clone();
             // Most rounds mutate; every 8th passes the message through
             // clean so the accept path is exercised even though the
             // coordination filter rejects most seed/config-touching
             // mutations outright.
-            if round % 8 != 0 {
-                mutate(&mut raw, &mut rng);
-            }
-            let bytes = Bytes::from(raw);
-            let oracle = get_coordinated_header(&mut bytes.clone(), &like)
-                .and_then(|()| decode_sketch::<()>(bytes.clone()));
-            let mut body = SortedTrials::default();
+            let bytes = mutated(&base, &mut rng, round % 8 == 0);
+            let mut body = LeveledTrials::default();
             let _ = decode_trials(&like, bytes.clone(), &mut body);
-            reserved_within_bound(&bytes, body.capacity(), round);
-            // One party per round, so no message is a redelivery.
-            let msg = PartyMessage {
-                party_id: round as usize,
-                payload: bytes.clone(),
-                items_observed: 0,
-            };
-            let before = state(&referee);
-            let rejected = referee.telemetry().rejected();
-            match (oracle, referee.receive(&msg)) {
-                (Ok(d), Ok(receipt)) => {
-                    both_ok += 1;
-                    assert_eq!(receipt, Receipt::Merged, "round {round}");
-                    assert_eq!(encode_sketch(&d), bytes, "round {round}: not canonical");
-                    fold.merge_from(&d).unwrap();
-                    assert_eq!(
-                        encode_sketch(referee.union_sketch()),
-                        encode_sketch(&fold),
-                        "round {round}: the union diverged from the fold"
-                    );
-                }
-                (Err(want), Err(got)) => {
-                    both_err += 1;
-                    assert_eq!(got, want, "round {round}: errors diverged");
-                    assert_eq!(state(&referee), before, "round {round}");
-                    assert_eq!(referee.telemetry().rejected(), rejected + 1);
-                }
-                (oracle, got) => panic!(
-                    "round {round}: accept sets diverged (decode_sketch: {:?}, receive: {got:?})",
-                    oracle.map(|_| "accepted"),
-                ),
-            }
+            reserved_within_bound(&bytes, body.sorted().capacity(), round);
+            let accepted = decode_and_receive_agree(&like, &mut referee, &mut fold, &bytes, round);
+            outcomes[0][usize::from(accepted)] += 1;
 
-            let mut raw = frames[round as usize % 2].clone();
-            if round % 8 != 1 {
-                mutate(&mut raw, &mut frame_rng);
-            }
-            let bytes = Bytes::from(raw);
-            let mut body = SortedTrials::default();
+            let bytes = mutated(&sum_base, &mut sum_rng, round % 8 == 0);
+            let accepted =
+                decode_and_receive_agree(&sum_like, &mut sum_referee, &mut sum_fold, &bytes, round);
+            outcomes[1][usize::from(accepted)] += 1;
+
+            let bytes = mutated(&frames[round as usize % 2], &mut frame_rng, round % 8 == 1);
+            let mut body = LeveledTrials::default();
             let got = decode_frame(&like, bytes.clone(), &mut body);
-            reserved_within_bound(&bytes, body.capacity(), round);
-            // The referee's leveled decode agrees, within the same bound,
-            // and each entry carries its label's hash level.
-            let mut leveled = LeveledTrials::default();
-            let got_leveled = decode_frame(&like, bytes.clone(), &mut leveled);
-            reserved_within_bound(&bytes, leveled.sorted().capacity(), round);
-            assert_eq!(got_leveled, got, "round {round}");
+            reserved_within_bound(&bytes, body.sorted().capacity(), round);
+            // Each decoded entry carries its label's hash level.
             if got.is_ok() {
-                assert_eq!(leveled.sorted(), &body, "round {round}");
-                for (trial, (_, _, entries, levels)) in like.trials().iter().zip(leveled.iter()) {
+                for (trial, (_, _, entries, levels)) in like.trials().iter().zip(body.iter()) {
                     for (&(label, ()), &level) in entries.iter().zip(levels) {
                         assert_eq!(level, trial.hasher().level(label), "round {round}");
                     }
@@ -1201,7 +1238,11 @@ mod tests {
                 (Ok(header), Ok((want_header, want_body))) => {
                     frames_ok += 1;
                     assert_eq!(header, want_header, "round {round}");
-                    assert_eq!(body, want_body, "round {round}: frame bodies diverged");
+                    assert_eq!(
+                        body.sorted(),
+                        &want_body,
+                        "round {round}: frame bodies diverged"
+                    );
                 }
                 (Err(e), Err(want)) => {
                     frames_err += 1;
@@ -1214,8 +1255,10 @@ mod tests {
                 ),
             }
         }
-        assert!(both_err > 0, "no mutation was ever rejected");
-        assert!(both_ok > 0, "every mutation was rejected");
+        for [rejected, accepted] in outcomes {
+            assert!(rejected > 0, "no mutation was ever rejected");
+            assert!(accepted > 0, "every mutation was rejected");
+        }
         assert!(frames_err > 0 && frames_ok > 0, "{frames_ok} {frames_err}");
     }
 
@@ -1252,9 +1295,9 @@ mod tests {
             (9, 4, base_fp)
         );
         // The decoded delta must still apply exactly.
-        let mut rebuilt = base.clone();
-        gt_core::apply_delta(&mut rebuilt, &SortedTrials::of(&delta)).unwrap();
-        assert_eq!(encode_sketch(&rebuilt), encode_sketch(&s));
+        let (mut rebuilt, delta) = (LeveledTrials::of(&base), LeveledTrials::of(&delta));
+        let applied = rebuilt.apply_delta_watched(&delta, cfg().capacity(), &mut ());
+        assert_eq!((applied, rebuilt.sorted()), (Ok(()), &SortedTrials::of(&s)));
     }
 
     #[test]

@@ -50,8 +50,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use gt_core::metrics::Exposition;
 use gt_core::{
-    apply_delta, Estimate, ExprContext, ExpressionEstimate, GtSketch, JaccardEstimate,
-    LeveledTrials, SetExpr, SketchConfig, SketchError, StateKey,
+    Estimate, ExprContext, ExpressionEstimate, GtSketch, JaccardEstimate, LeveledTrials, SetExpr,
+    SketchConfig, SketchError, StateKey,
 };
 
 use crate::codec::{
@@ -666,7 +666,11 @@ impl<V: WirePayload> RefereeOf<V> {
     pub fn party_sketch(&self, party_id: usize) -> Option<GtSketch<V>> {
         self.parties.get(&party_id).map(|r| {
             let mut sketch = GtSketch::new(self.union.config(), self.master_seed);
-            apply_delta(&mut sketch, r.summary.sorted()).expect("a summary fits an empty sketch");
+            for (t, (level, items, entries)) in r.summary.sorted().iter().enumerate() {
+                sketch
+                    .reload_trial(t, level, items, entries.iter().copied())
+                    .expect("a summary reloads into an empty sketch");
+            }
             sketch
         })
     }
@@ -1277,7 +1281,7 @@ mod tests {
         let clean = message(0, 0..300, 5);
         let padded = pad(&clean);
         assert_eq!(decode_sketch::<()>(padded.payload.clone()).err(), trailing);
-        let mut body = gt_core::SortedTrials::default();
+        let mut body = gt_core::LeveledTrials::default();
         let like = GtSketch::<()>::new(&cfg(), 5);
         let into = decode_trials(&like, padded.payload.clone(), &mut body);
         assert_eq!(into.err(), trailing);
